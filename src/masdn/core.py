@@ -1,8 +1,8 @@
 """Shared vocabulary for the whole framework.
 
 Everything that moves between modules is defined here: the four-level
-decision hierarchy, the catalog of function kinds, agent identity, the
-message envelope, and service descriptors. All types are immutable values;
+decision hierarchy, the catalog of function kinds, agent identity, and the
+message envelope. All types are immutable values;
 the only shared mutable state is the message-id counter, which is guarded
 by a lock.
 """
@@ -154,20 +154,6 @@ class Message:
     def __post_init__(self) -> None:
         if self.kind is MessageKind.RESPONSE and self.correlation_id is None:
             raise ValueError("Response messages must carry a correlation_id")
-
-
-@dataclass(frozen=True)
-class ServiceDescriptor:
-    """What an agent offers and where to reach it."""
-
-    agent: AgentId
-    capabilities: frozenset[FunctionKind]
-    endpoint: str
-    lease_ttl: int
-
-    def __post_init__(self) -> None:
-        if self.lease_ttl <= 0:
-            raise ValueError(f"lease_ttl must be > 0, got {self.lease_ttl}")
 
 
 DEFAULT_MAX_PAYLOAD = 65536

@@ -1,33 +1,18 @@
-"""Event plane: topic-filtered publish/subscribe over pluggable broker
-arrangements.
+"""Event plane topic grammar: the filter matching the broker agents apply.
 
 Topics are dot-separated segments ("events.link", "kp.digest"). A filter is
 either an exact topic or a prefix plus a single trailing "*" that matches
 any strictly deeper topic ("events.*" matches "events.link.down" but not
 "events"); "*" alone matches every topic.
 
-Three arrangements carry the same subscriptions:
-
-* Centralized — one broker holds every subscription.
-* Distributed — one broker per attachment slot, full mesh. An event enters
-  its publisher's home broker and floods to every peer; (publisher, seq)
-  deduplication keeps delivery exactly-once.
-* Hybrid — one broker per hierarchy level plus a root relay. Events go to
-  the publisher's level broker, up to the root, and back down to the other
-  level brokers.
-
-The arrangements are observationally equivalent: every subscriber receives
-the same multiset of envelopes, in publish order per publisher. Only the
-interleaving across publishers may differ.
+The brokers themselves are agents: see infra.broker_decide for how they
+deliver and forward events under each arrangement, and
+orchestrator.home_broker for where each agent publishes and subscribes.
 """
 
 from __future__ import annotations
 
-import zlib
-from dataclasses import dataclass, field
-from typing import Any
-
-from .core import AgentId, DecisionLevel, MasdnError
+from .core import MasdnError
 
 
 class TopicError(MasdnError):
@@ -68,186 +53,3 @@ def match_topic(flt: str, topic: str) -> bool:
         prefix = fparts[:-1]
         return len(tparts) > len(prefix) and tparts[: len(prefix)] == prefix
     return fparts == tparts
-
-
-@dataclass(frozen=True)
-class Envelope:
-    """One published event as it travels between brokers and subscribers."""
-
-    publisher: str
-    seq: int
-    topic: str
-    body: Any
-
-    def key(self) -> tuple[str, int]:
-        return (self.publisher, self.seq)
-
-    def to_doc(self) -> dict[str, Any]:
-        return {
-            "publisher": self.publisher,
-            "seq": self.seq,
-            "topic": self.topic,
-            "body": self.body,
-        }
-
-    @classmethod
-    def from_doc(cls, doc: dict[str, Any]) -> Envelope:
-        return cls(doc["publisher"], doc["seq"], doc["topic"], doc["body"])
-
-
-def _name(sub: AgentId | str) -> str:
-    return str(sub)
-
-
-@dataclass
-class _Broker:
-    """Subscription table plus the seen-set used on flooded paths."""
-
-    subs: dict[str, set[str]] = field(default_factory=dict)  # filter -> subscribers
-    seen: set[tuple[str, int]] = field(default_factory=set)
-
-    def add(self, subscriber: str, flt: str) -> None:
-        self.subs.setdefault(check_filter(flt), set()).add(subscriber)
-
-    def remove(self, subscriber: str, flt: str) -> None:
-        group = self.subs.get(flt)
-        if group is not None:
-            group.discard(subscriber)
-            if not group:
-                del self.subs[flt]
-
-    def local_matches(self, topic: str) -> list[str]:
-        hit: set[str] = set()
-        for flt, group in self.subs.items():
-            if match_topic(flt, topic):
-                hit |= group
-        return sorted(hit)
-
-
-class EventPlaneBase:
-    """Common bookkeeping: per-publisher sequence numbers and the ordered
-    delivery record `(subscriber, envelope)` that tests compare."""
-
-    def __init__(self) -> None:
-        self.deliveries: list[tuple[str, Envelope]] = []
-        self._seq: dict[str, int] = {}
-
-    def publish(self, publisher: AgentId | str, topic: str, body: Any) -> Envelope:
-        check_topic(topic)
-        pub = _name(publisher)
-        seq = self._seq.get(pub, 0) + 1
-        self._seq[pub] = seq
-        env = Envelope(publisher=pub, seq=seq, topic=topic, body=body)
-        self._route(env)
-        return env
-
-    def subscribe(self, subscriber: AgentId | str, flt: str) -> None:
-        raise NotImplementedError
-
-    def unsubscribe(self, subscriber: AgentId | str, flt: str) -> None:
-        raise NotImplementedError
-
-    def _route(self, env: Envelope) -> None:
-        raise NotImplementedError
-
-    def _deliver(self, broker: _Broker, env: Envelope) -> None:
-        for sub in broker.local_matches(env.topic):
-            self.deliveries.append((sub, env))
-
-    def delivered_to(self, subscriber: AgentId | str) -> list[Envelope]:
-        name = _name(subscriber)
-        return [env for sub, env in self.deliveries if sub == name]
-
-
-class CentralizedPlane(EventPlaneBase):
-    def __init__(self) -> None:
-        super().__init__()
-        self.broker = _Broker()
-
-    def subscribe(self, subscriber: AgentId | str, flt: str) -> None:
-        self.broker.add(_name(subscriber), flt)
-
-    def unsubscribe(self, subscriber: AgentId | str, flt: str) -> None:
-        self.broker.remove(_name(subscriber), flt)
-
-    def _route(self, env: Envelope) -> None:
-        self._deliver(self.broker, env)
-
-
-class DistributedPlane(EventPlaneBase):
-    """Full mesh of equal brokers; everything is attached by stable hash."""
-
-    def __init__(self, n_brokers: int = 3) -> None:
-        super().__init__()
-        if n_brokers < 1:
-            raise ValueError("need at least one broker")
-        self.brokers = [_Broker() for _ in range(n_brokers)]
-
-    def _home(self, name: str) -> int:
-        return zlib.crc32(name.encode("utf-8")) % len(self.brokers)
-
-    def subscribe(self, subscriber: AgentId | str, flt: str) -> None:
-        name = _name(subscriber)
-        self.brokers[self._home(name)].add(name, flt)
-
-    def unsubscribe(self, subscriber: AgentId | str, flt: str) -> None:
-        name = _name(subscriber)
-        self.brokers[self._home(name)].remove(name, flt)
-
-    def _route(self, env: Envelope) -> None:
-        queue = [self._home(env.publisher)]
-        while queue:
-            idx = queue.pop(0)
-            broker = self.brokers[idx]
-            if env.key() in broker.seen:
-                continue
-            broker.seen.add(env.key())
-            self._deliver(broker, env)
-            queue.extend(i for i in range(len(self.brokers)) if i != idx)
-
-
-_LEVEL_KEYS = tuple(lvl.name.lower() for lvl in DecisionLevel)
-
-
-class HybridPlane(EventPlaneBase):
-    """One broker per hierarchy level with a root relay between them."""
-
-    def __init__(self) -> None:
-        super().__init__()
-        self.root = _Broker()
-        self.levels: dict[str, _Broker] = {key: _Broker() for key in _LEVEL_KEYS}
-
-    def _attach(self, name: str) -> str:
-        try:
-            return AgentId.parse(name).level.name.lower()
-        except ValueError:
-            return _LEVEL_KEYS[zlib.crc32(name.encode("utf-8")) % len(_LEVEL_KEYS)]
-
-    def subscribe(self, subscriber: AgentId | str, flt: str) -> None:
-        name = _name(subscriber)
-        self.levels[self._attach(name)].add(name, flt)
-
-    def unsubscribe(self, subscriber: AgentId | str, flt: str) -> None:
-        name = _name(subscriber)
-        self.levels[self._attach(name)].remove(name, flt)
-
-    def _route(self, env: Envelope) -> None:
-        origin = self._attach(env.publisher)
-        for key in (origin, *[k for k in _LEVEL_KEYS if k != origin]):
-            broker = self.levels[key]
-            if env.key() in broker.seen:
-                continue
-            broker.seen.add(env.key())
-            self._deliver(broker, env)
-            if key == origin:
-                self.root.seen.add(env.key())  # relay hop
-
-
-def make_plane(strategy: str, n_brokers: int = 3) -> EventPlaneBase:
-    if strategy == "centralized":
-        return CentralizedPlane()
-    if strategy == "distributed":
-        return DistributedPlane(n_brokers)
-    if strategy == "hybrid":
-        return HybridPlane()
-    raise ValueError(f"unknown event plane strategy {strategy!r}")

@@ -26,7 +26,6 @@ from typing import Any
 from .core import AgentId, FunctionKind, MessageKind
 from .logic import (
     ACTIVE,
-    HEARTBEAT_INTERVAL,
     PENDING,
     PRIORITY_BY_CLASS,
     REALTIME,
@@ -46,18 +45,17 @@ from .logic import (
     shortest_path,
 )
 from .netsim import link_key
-from .runtime import AgentInput, CognitionOutcome, decision, register_cognition, step
+from .runtime import (
+    AgentInput,
+    CognitionOutcome,
+    decision,
+    event_of,
+    peer_of,
+    register_cognition,
+    step,
+)
 
 # -- small shared helpers ------------------------------------------------------
-
-
-def event_of(inp: AgentInput) -> tuple[str, Any] | None:
-    """(topic, body) when the input is an event, direct or broker-wrapped."""
-    if inp.message.kind is not MessageKind.EVENT or not isinstance(inp.body, dict):
-        return None
-    if "topic" not in inp.body:
-        return None
-    return inp.body["topic"], inp.body.get("body")
 
 
 def request_op(inp: AgentInput) -> str | None:
@@ -68,51 +66,6 @@ def request_op(inp: AgentInput) -> str | None:
 
 def is_response(inp: AgentInput) -> bool:
     return inp.message.kind is MessageKind.RESPONSE and isinstance(inp.body, dict)
-
-
-def self_id(inp: AgentInput) -> AgentId:
-    dst = inp.message.dst
-    if isinstance(dst, AgentId):
-        return dst
-    raise ValueError(f"agent input with non-agent destination {dst!r}")
-
-
-def peer_of(facts: dict[str, Any], kind: FunctionKind) -> str | None:
-    """Lowest-numbered known peer of a kind, as an id string."""
-    prefix = kind.value + "#"
-    hits = sorted(p for p in facts.get("peers", []) if p.startswith(prefix))
-    return hits[0] if hits else None
-
-
-def heartbeat(inp: AgentInput, tick: int) -> list[dict[str, Any]]:
-    if tick % HEARTBEAT_INTERVAL != 0:
-        return []
-    return [{"topic": "hb", "body": {"agent": str(self_id(inp)), "tick": tick}}]
-
-
-def bootstrap_steps(facts: dict[str, Any], inp: AgentInput) -> list[dict[str, Any]]:
-    """Registration plus subscriptions: every agent's first plan."""
-    me = self_id(inp)
-    registry = facts.get("registry") or peer_of(facts, FunctionKind.REGISTRY)
-    steps: list[dict[str, Any]] = []
-    if registry is not None:
-        steps.append(
-            step(
-                "register",
-                AgentId.parse(registry),
-                descriptor={
-                    "agent": str(me),
-                    "capabilities": sorted(facts.get("capabilities", [me.kind.value])),
-                    "endpoint": str(me),
-                    "lease_ttl": facts.get("lease-ttl", 40),
-                },
-            )
-        )
-    home = facts.get("home-broker")
-    if home is not None:
-        for flt in facts.get("subscriptions", []):
-            steps.append(step("subscribe", AgentId.parse(home), filter=flt))
-    return steps
 
 
 def _set_link_state(links: list[dict[str, Any]], a: str, b: str, up: bool) -> list[dict[str, Any]]:
@@ -150,17 +103,10 @@ def topology_ingest(facts: dict[str, Any], inp: AgentInput) -> list[tuple[str, A
 def topology_decide(facts: dict[str, Any], inp: AgentInput) -> CognitionOutcome:
     """Owns the canonical network view and rebroadcasts it on every change."""
     ev = event_of(inp)
-    if ev is None:
+    if ev is None or ev[0] not in ("events.link", "events.linkstate"):
         return CognitionOutcome(decision(), 1.0)
-    topic, body = ev
-    events: list[dict[str, Any]] = []
-    if topic in ("events.link", "events.linkstate"):
-        events.append({"topic": "facts.topology", "body": {"view": facts["topology"]}})
-    elif topic == "events.tick":
-        events.extend(heartbeat(inp, body["tick"]))
-    elif topic == "control.bootstrap":
-        return CognitionOutcome(decision(plan=bootstrap_steps(facts, inp)), 1.0)
-    return CognitionOutcome(decision(events=events), 1.0)
+    view = {"topic": "facts.topology", "body": {"view": facts["topology"]}}
+    return CognitionOutcome(decision(events=[view]), 1.0)
 
 
 # -- routing agent ----------------------------------------------------------------
@@ -188,13 +134,6 @@ def routing_decide(facts: dict[str, Any], inp: AgentInput) -> CognitionOutcome:
         return CognitionOutcome(
             decision(responses=[{"path": path, "ctx": inp.body.get("ctx")}]), 1.0
         )
-    ev = event_of(inp)
-    if ev is not None:
-        topic, body = ev
-        if topic == "events.tick":
-            return CognitionOutcome(decision(events=heartbeat(inp, body["tick"])), 1.0)
-        if topic == "control.bootstrap":
-            return CognitionOutcome(decision(plan=bootstrap_steps(facts, inp)), 1.0)
     return CognitionOutcome(decision(), 1.0)
 
 
@@ -216,13 +155,6 @@ def classifier_decide(facts: dict[str, Any], inp: AgentInput) -> CognitionOutcom
         return CognitionOutcome(
             decision(responses=[{"class": klass, "ctx": inp.body.get("ctx")}]), 1.0
         )
-    ev = event_of(inp)
-    if ev is not None:
-        topic, body = ev
-        if topic == "events.tick":
-            return CognitionOutcome(decision(events=heartbeat(inp, body["tick"])), 1.0)
-        if topic == "control.bootstrap":
-            return CognitionOutcome(decision(plan=bootstrap_steps(facts, inp)), 1.0)
     return CognitionOutcome(decision(), 1.0)
 
 
@@ -288,13 +220,6 @@ def qos_decide(facts: dict[str, Any], inp: AgentInput) -> CognitionOutcome:
             decision(responses=[{"released": grant is not None, "ctx": ctx}], facts=writes),
             1.0,
         )
-    ev = event_of(inp)
-    if ev is not None:
-        topic, body = ev
-        if topic == "events.tick":
-            return CognitionOutcome(decision(events=heartbeat(inp, body["tick"])), 1.0)
-        if topic == "control.bootstrap":
-            return CognitionOutcome(decision(plan=bootstrap_steps(facts, inp)), 1.0)
     return CognitionOutcome(decision(), 1.0)
 
 
@@ -347,13 +272,6 @@ def forwarding_decide(facts: dict[str, Any], inp: AgentInput) -> CognitionOutcom
             ),
             1.0,
         )
-    ev = event_of(inp)
-    if ev is not None:
-        topic, body = ev
-        if topic == "events.tick":
-            return CognitionOutcome(decision(events=heartbeat(inp, body["tick"])), 1.0)
-        if topic == "control.bootstrap":
-            return CognitionOutcome(decision(plan=bootstrap_steps(facts, inp)), 1.0)
     return CognitionOutcome(decision(), 1.0)
 
 
@@ -374,13 +292,7 @@ def monitoring_ingest(facts: dict[str, Any], inp: AgentInput) -> list[tuple[str,
 
 @register_cognition(FunctionKind.MONITORING.value, ingest=monitoring_ingest)
 def monitoring_decide(facts: dict[str, Any], inp: AgentInput) -> CognitionOutcome:
-    ev = event_of(inp)
-    if ev is not None:
-        topic, body = ev
-        if topic == "events.tick":
-            return CognitionOutcome(decision(events=heartbeat(inp, body["tick"])), 1.0)
-        if topic == "control.bootstrap":
-            return CognitionOutcome(decision(plan=bootstrap_steps(facts, inp)), 1.0)
+    """Load accrues in the ingest hook; there is nothing to decide."""
     return CognitionOutcome(decision(), 1.0)
 
 
@@ -657,7 +569,6 @@ class _SessionState:
 def session_decide(facts: dict[str, Any], inp: AgentInput) -> CognitionOutcome:
     st = _SessionState(facts)
     st.now = inp.message.sim_time
-    events: list[dict[str, Any]] = []
 
     if is_response(inp):
         st.on_response(inp.body)
@@ -666,8 +577,6 @@ def session_decide(facts: dict[str, Any], inp: AgentInput) -> CognitionOutcome:
     ev = event_of(inp)
     if ev is not None:
         topic, body = ev
-        if topic == "control.bootstrap":
-            return CognitionOutcome(decision(plan=bootstrap_steps(facts, inp)), 1.0)
         if topic == "events.packet_in":
             sid = st.find_session(body["src"], body["dst"])
             if sid is None:
@@ -697,8 +606,7 @@ def session_decide(facts: dict[str, Any], inp: AgentInput) -> CognitionOutcome:
             st.on_violation(body)
         elif topic == "events.tick":
             tick = body["tick"]
-            events.extend(heartbeat(inp, tick))
             if facts.get("proactive"):
                 st.proactive_scan(tick, facts.get("schedule", []))
             st.retries(tick)
-    return CognitionOutcome(decision(plan=st.steps, facts=st.writes(), events=events), 1.0)
+    return CognitionOutcome(decision(plan=st.steps, facts=st.writes()), 1.0)

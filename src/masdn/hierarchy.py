@@ -1,17 +1,18 @@
-"""Four-level decision structure: downward policies, upward escalation,
-and the knowledge plane's merged network-wide view.
+"""Four-level decision structure: downward policies and upward escalation.
 
 Policies are declarative allow/deny rules with optional numeric bounds,
 never executable code, so they can be serialized into POLICY messages,
-stored in agent facts, and evaluated inside plan validation. Escalation
-climbs exactly one level; the knowledge view merges per-node contributions
-with latest-timestamp conflict resolution.
+stored in agent facts, and evaluated inside plan validation. The
+orchestrator pushes them to the agents in their scope; the runtime's
+validation stage enforces them. Escalation climbs exactly one level: the
+runtime routes an escalate step to the one upper-level agent that
+route_escalation picks.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Sequence
+from dataclasses import dataclass
+from typing import Any, Iterable
 
 from .core import AgentId, FunctionKind, DecisionLevel, MasdnError, level_of
 
@@ -102,30 +103,6 @@ class Policy:
         )
 
 
-def push_policy(
-    policy: Policy,
-    live_agents: Iterable[AgentId],
-    deliver: Callable[[AgentId, dict[str, Any]], None],
-) -> int:
-    """Deliver a policy to every live agent whose kind is in scope.
-
-    Returns the number of agents the policy was delivered to. The Policy
-    constructor already rejects wrong-direction policies; this re-raises
-    for policies built through from_dict bypasses.
-    """
-    for kind in policy.scope:
-        if policy.issuer_level <= level_of(kind):
-            raise InvalidDirection(policy.policy_id)
-    targets = sorted(
-        (a for a in live_agents if a.kind in policy.scope),
-        key=lambda a: (a.kind.value, a.instance),
-    )
-    doc = policy.to_dict()
-    for target in targets:
-        deliver(target, doc)
-    return len(targets)
-
-
 @dataclass(frozen=True)
 class Escalation:
     """An issue raised one level up for handling."""
@@ -140,12 +117,6 @@ class Escalation:
         if lvl is DecisionLevel.NETWORK:
             raise NoUpperAgent(f"{self.source} is already at the top level")
         return DecisionLevel(lvl + 1)
-
-
-@dataclass(frozen=True)
-class EscalationReceipt:
-    handler: AgentId
-    escalation: Escalation
 
 
 # which kind preferentially handles escalations arriving at each level
@@ -171,39 +142,3 @@ def route_escalation(esc: Escalation, candidates: Iterable[AgentId]) -> AgentId:
     preferred = _PREFERRED_HANDLER.get(target_level)
     pool.sort(key=lambda a: (0 if a.kind is preferred else 1, a.kind.value, a.instance))
     return pool[0]
-
-
-def escalate(
-    esc: Escalation,
-    candidates: Iterable[AgentId],
-    deliver: Callable[[AgentId, Escalation], None],
-) -> EscalationReceipt:
-    """Route and deliver an escalation, returning the handling receipt."""
-    handler = route_escalation(esc, candidates)
-    deliver(handler, esc)
-    return EscalationReceipt(handler=handler, escalation=esc)
-
-
-@dataclass
-class KnowledgeView:
-    """Merged per-node views: node id -> key -> (value, updated_at)."""
-
-    nodes: dict[str, dict[str, tuple[Any, int]]] = field(default_factory=dict)
-    merged_at: int = 0
-
-
-def aggregate_view(
-    contributions: Sequence[KnowledgeView], merged_at: int | None = None
-) -> KnowledgeView:
-    """Union of contributions; conflicting keys resolve to the latest
-    updated_at (later contribution wins exact ties). Idempotent."""
-    merged: dict[str, dict[str, tuple[Any, int]]] = {}
-    for view in contributions:
-        for node, entries in view.nodes.items():
-            slot = merged.setdefault(node, {})
-            for key, (value, updated_at) in entries.items():
-                if key not in slot or updated_at >= slot[key][1]:
-                    slot[key] = (value, updated_at)
-    if merged_at is None:
-        merged_at = max((v.merged_at for v in contributions), default=0)
-    return KnowledgeView(nodes=merged, merged_at=merged_at)

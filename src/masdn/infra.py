@@ -21,7 +21,7 @@ from typing import Any
 
 from .core import AgentId, FunctionKind, MessageKind
 from .events import match_topic
-from .functions import bootstrap_steps, event_of, heartbeat, request_op
+from .functions import request_op
 from .logic import HEARTBEAT_INTERVAL
 from .registry import (
     UnknownLease,
@@ -31,9 +31,7 @@ from .registry import (
     table_heartbeat,
     table_register,
 )
-from .runtime import AgentInput, CognitionOutcome, decision, register_cognition, step
-
-DEFAULT_LEASE_TTL = 40  # ticks; long enough to ride out a registry respawn
+from .runtime import AgentInput, CognitionOutcome, decision, event_of, register_cognition, step
 
 
 # -- service registry -----------------------------------------------------------
@@ -88,13 +86,10 @@ def registry_decide(facts: dict[str, Any], inp: AgentInput) -> CognitionOutcome:
             return CognitionOutcome(decision(facts=[("leases", new)]), 1.0)
         if topic == "events.tick":
             new, dead = table_expire(leases, now)
-            out = decision(events=list(heartbeat(inp, body["tick"])))
             if dead:
-                out.setdefault("events", []).append(_changed_event(new, now))
-                out["facts"] = [("leases", new)]
-            return CognitionOutcome(out, 1.0)
-        if topic == "control.bootstrap":
-            return CognitionOutcome(decision(plan=bootstrap_steps(facts, inp)), 1.0)
+                return CognitionOutcome(
+                    decision(events=[_changed_event(new, now)], facts=[("leases", new)]), 1.0
+                )
     return CognitionOutcome(decision(), 1.0)
 
 
@@ -138,13 +133,6 @@ def autoconf_decide(facts: dict[str, Any], inp: AgentInput) -> CognitionOutcome:
             ),
             1.0,
         )
-    ev = event_of(inp)
-    if ev is not None:
-        topic, body = ev
-        if topic == "events.tick":
-            return CognitionOutcome(decision(events=heartbeat(inp, body["tick"])), 1.0)
-        if topic == "control.bootstrap":
-            return CognitionOutcome(decision(plan=bootstrap_steps(facts, inp)), 1.0)
     return CognitionOutcome(decision(), 1.0)
 
 
@@ -176,13 +164,6 @@ def fault_decide(facts: dict[str, Any], inp: AgentInput) -> CognitionOutcome:
             ),
             1.0,
         )
-    ev = event_of(inp)
-    if ev is not None:
-        topic, body = ev
-        if topic == "events.tick":
-            return CognitionOutcome(decision(events=heartbeat(inp, body["tick"])), 1.0)
-        if topic == "control.bootstrap":
-            return CognitionOutcome(decision(plan=bootstrap_steps(facts, inp)), 1.0)
     return CognitionOutcome(decision(), 1.0)
 
 
@@ -216,13 +197,6 @@ def knowledge_decide(facts: dict[str, Any], inp: AgentInput) -> CognitionOutcome
             decision(responses=[{"agent": inp.body["agent"], "keys": keys, "ctx": inp.body.get("ctx")}]),
             1.0,
         )
-    ev = event_of(inp)
-    if ev is not None:
-        topic, body = ev
-        if topic == "events.tick":
-            return CognitionOutcome(decision(events=heartbeat(inp, body["tick"])), 1.0)
-        if topic == "control.bootstrap":
-            return CognitionOutcome(decision(plan=bootstrap_steps(facts, inp)), 1.0)
     return CognitionOutcome(decision(), 1.0)
 
 
@@ -310,8 +284,4 @@ def broker_decide(facts: dict[str, Any], inp: AgentInput) -> CognitionOutcome:
             if me and tick % HEARTBEAT_INTERVAL == 0:
                 events = [{"topic": "hb", "body": {"agent": me, "tick": tick}}]
         return CognitionOutcome(decision(plan=steps, facts=writes, events=events), 1.0)
-
-    ev = event_of(inp)
-    if ev is not None and ev[0] == "control.bootstrap":
-        return CognitionOutcome(decision(plan=bootstrap_steps(facts, inp)), 1.0)
     return CognitionOutcome(decision(), 1.0)

@@ -35,6 +35,8 @@ DEFAULT_QOS_CAP_PERMILLE = 800  # reserve at most 80% of a link for realtime
 
 HEARTBEAT_INTERVAL = 5  # ticks between liveness beacons
 MISSED_HEARTBEATS = 3  # silent intervals before an agent is declared dead
+DEFAULT_LEASE_TTL = 40  # ticks; long enough to ride out a registry respawn
+REFRESH_EVERY = 10  # ticks between full link-state refreshes (and sweeps)
 
 
 class CapacityError(MasdnError):
@@ -101,10 +103,6 @@ def shortest_path(graph: Graph, src: str, dst: str) -> list[str] | None:
         here = min(candidates)
         path.append(here)
     return path
-
-
-def path_cost(graph: Graph, path: list[str]) -> int:
-    return sum(graph[a][b] for a, b in zip(path, path[1:]))
 
 
 def path_link_keys(path: list[str]) -> list[str]:
@@ -232,7 +230,6 @@ PENDING = "pending"
 ACTIVE = "active"
 UPDATING = "updating"
 UNROUTABLE = "unroutable"
-REMOVED = "removed"
 
 
 def session_record(

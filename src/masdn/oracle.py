@@ -27,6 +27,7 @@ from .logic import (
     PENDING,
     PRIORITY_BY_CLASS,
     REALTIME,
+    REFRESH_EVERY,
     UNROUTABLE,
     UPDATING,
     admit_realtime,
@@ -64,7 +65,6 @@ class MonolithicController:
         self.gap_threshold = thresholds.get("gap", 3)
         self.cap_permille = self.config.get("qos_cap_permille", 800)
         self.proactive = bool(self.config.get("proactive", False))
-        self.refresh_every = self.config.get("refresh_every", 10)
         self.policies = [
             Policy.from_dict(doc)
             for doc in self.config.get("policies", [])
@@ -247,7 +247,7 @@ class MonolithicController:
                 self.packet_in(ev, t)
             else:
                 self.stats.append(ev)
-        if t % self.refresh_every == 0:
+        if t % REFRESH_EVERY == 0:
             self.view = {**self.view, "links": self.sim.links_doc()}
             self.sweep(t)
         if self.proactive:

@@ -29,16 +29,25 @@ import zlib
 from typing import Any
 
 from .core import AgentId, FunctionKind, DecisionLevel, level_of
-from .functions import bootstrap_steps, event_of, heartbeat, request_op
+from .functions import request_op
 from .hierarchy import Policy
 from .logic import (
+    DEFAULT_LEASE_TTL,
     HEARTBEAT_INTERVAL,
     MISSED_HEARTBEATS,
     CapacityError,
     chain_closure,
     first_fit_decreasing,
 )
-from .runtime import AgentInput, CognitionOutcome, decision, register_cognition, step
+from .runtime import (
+    AgentInput,
+    CognitionOutcome,
+    bootstrap_steps,
+    decision,
+    event_of,
+    register_cognition,
+    step,
+)
 
 BROKER_COUNT = {"centralized": 1, "distributed": 3, "hybrid": 5}
 
@@ -144,7 +153,7 @@ def build_specs(
             "home-broker": home_broker(strategy, agent),
             "registry": str(AgentId(FunctionKind.REGISTRY, 0)),
             "subscriptions": list(_SUBSCRIPTIONS.get(kind, [])),
-            "lease-ttl": config.get("lease_ttl", 40),
+            "lease-ttl": config.get("lease_ttl", DEFAULT_LEASE_TTL),
         }
         if kind in _NEEDS_VIEW:
             facts["topology"] = view
@@ -225,7 +234,7 @@ def orchestrator_decide(facts: dict[str, Any], inp: AgentInput) -> CognitionOutc
                 slot[key] = doc
         return CognitionOutcome(decision(facts=[("mirror", mirror)]), 1.0)
     if topic == "events.tick":
-        return _scan(facts, inp, body["tick"])
+        return _scan(facts, body["tick"])
     return CognitionOutcome(decision(), 1.0)
 
 
@@ -279,15 +288,14 @@ def _bootstrap_spawn(facts: dict[str, Any], inp: AgentInput) -> CognitionOutcome
     return CognitionOutcome(decision(plan=steps), 1.0)
 
 
-def _scan(facts: dict[str, Any], inp: AgentInput, tick: int) -> CognitionOutcome:
-    events = heartbeat(inp, tick)
+def _scan(facts: dict[str, Any], tick: int) -> CognitionOutcome:
     liveness = facts.get("liveness")
     if not liveness:
-        return CognitionOutcome(decision(events=events), 1.0)
+        return CognitionOutcome(decision(), 1.0)
     deadline = HEARTBEAT_INTERVAL * MISSED_HEARTBEATS
     dead = sorted(a for a, last in liveness.items() if tick - last >= deadline)
     if not dead:
-        return CognitionOutcome(decision(events=events), 1.0)
+        return CognitionOutcome(decision(), 1.0)
 
     specs = facts.get("specs", {})
     mirror = facts.get("mirror", {})
@@ -322,9 +330,7 @@ def _scan(facts: dict[str, Any], inp: AgentInput, tick: int) -> CognitionOutcome
             )
         )
     steps.extend(_policy_pushes(facts.get("policy-docs", []), respawn))
-    events.append(
-        {"topic": "events.recovery", "body": {"respawned": respawn, "tick": tick}}
-    )
+    events = [{"topic": "events.recovery", "body": {"respawned": respawn, "tick": tick}}]
     return CognitionOutcome(
         decision(plan=steps, facts=[("liveness", liveness)], events=events), 1.0
     )

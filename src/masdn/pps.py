@@ -91,8 +91,6 @@ def negotiate(
 _KIND_ORDINAL = {kind: i for i, kind in enumerate(MessageKind)}
 _ORDINAL_KIND = {i: kind for kind, i in _KIND_ORDINAL.items()}
 
-_U64_MAX = 2**64 - 1
-
 
 def _dst_text(dst: AgentId | str) -> str:
     return str(dst)

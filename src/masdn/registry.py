@@ -1,9 +1,10 @@
 """Service registry: leases with TTL, heartbeat renewal, discovery.
 
 The lease table is plain JSON-shaped data manipulated by pure functions, so
-the registry agent can keep the whole table in its facts (and the knowledge
-plane can snapshot it) while unit tests and the host use the thin
-ServiceRegistry wrapper directly.
+the registry agent (infra.registry_decide) can keep the whole table in its
+facts and the knowledge plane can snapshot it. A lease's descriptor is the
+dict an agent registers with (runtime.bootstrap_steps builds it): agent id,
+sorted capabilities, endpoint and lease_ttl.
 
 A lease registered or renewed at time t with ttl T is live while
 `now < t + T`; at exactly t + T it is expired. Discovery never returns
@@ -12,34 +13,15 @@ expired leases, whether or not they have been swept.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Iterable
+from typing import Any
 
-from .core import AgentId, FunctionKind, MasdnError, ServiceDescriptor
+from .core import FunctionKind, MasdnError
 
 LeaseTable = dict[str, dict[str, Any]]
 
 
 class UnknownLease(MasdnError):
     pass
-
-
-def descriptor_doc(desc: ServiceDescriptor) -> dict[str, Any]:
-    return {
-        "agent": str(desc.agent),
-        "capabilities": sorted(desc.capabilities),
-        "endpoint": desc.endpoint,
-        "lease_ttl": desc.lease_ttl,
-    }
-
-
-def descriptor_from_doc(doc: dict[str, Any]) -> ServiceDescriptor:
-    return ServiceDescriptor(
-        agent=AgentId.parse(doc["agent"]),
-        capabilities=frozenset(doc["capabilities"]),
-        endpoint=doc["endpoint"],
-        lease_ttl=doc["lease_ttl"],
-    )
 
 
 # -- pure table operations ---------------------------------------------------
@@ -98,65 +80,3 @@ def table_discover(
         hits.append(doc)
     hits.sort(key=lambda d: d["agent"])
     return hits
-
-
-# -- in-process wrapper ------------------------------------------------------
-
-
-@dataclass
-class Lease:
-    descriptor: ServiceDescriptor
-    registered_at: int
-    expires_at: int
-
-
-class ServiceRegistry:
-    """Direct-call registry for tests and host wiring; same semantics as the
-    table functions it delegates to."""
-
-    def __init__(self) -> None:
-        self.table: LeaseTable = {}
-
-    def register(self, desc: ServiceDescriptor, now: int) -> Lease:
-        self.table = table_register(self.table, descriptor_doc(desc), now)
-        entry = self.table[str(desc.agent)]
-        return Lease(desc, entry["registered_at"], entry["expires_at"])
-
-    def heartbeat(self, agent: AgentId, now: int) -> int:
-        self.table = table_heartbeat(self.table, str(agent), now)
-        return self.table[str(agent)]["expires_at"]
-
-    def deregister(self, agent: AgentId) -> None:
-        self.table = table_deregister(self.table, str(agent))
-
-    def expire(self, now: int) -> list[AgentId]:
-        self.table, dead = table_expire(self.table, now)
-        return [AgentId.parse(a) for a in dead]
-
-    def discover(
-        self,
-        now: int,
-        kind: FunctionKind | None = None,
-        capability: str | None = None,
-    ) -> list[ServiceDescriptor]:
-        docs = table_discover(self.table, now, kind=kind, capability=capability)
-        return [descriptor_from_doc(d) for d in docs]
-
-    def is_live(self, agent: AgentId, now: int) -> bool:
-        entry = self.table.get(str(agent))
-        return entry is not None and entry["expires_at"] > now
-
-    def live_agents(self, now: int) -> list[AgentId]:
-        return [
-            AgentId.parse(a)
-            for a, e in sorted(self.table.items())
-            if e["expires_at"] > now
-        ]
-
-
-def merge_capabilities(descs: Iterable[ServiceDescriptor]) -> frozenset[str]:
-    """Union of capabilities across descriptors (what a node can offer)."""
-    out: set[str] = set()
-    for d in descs:
-        out |= d.capabilities
-    return out

@@ -23,23 +23,33 @@ A cognition outcome's decision is a plain dict with optional keys:
 
 Confidence below ESCALATION_CONFIDENCE replaces the whole decision with a
 single escalate step routed one level up the hierarchy.
+
+The agent lifecycle is handled once, where a cognition is registered, not in
+each decide function. An agent whose subscriptions include events.tick
+answers a phase-"run" control.bootstrap with bootstrap_steps (register with
+the registry, subscribe at its home broker) and puts a heartbeat ahead of
+its own events on every HEARTBEAT_INTERVAL-th tick. Brokers subscribe to
+nothing, so they keep their own beat.
 """
 
 from __future__ import annotations
 
 import copy
+import functools
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Protocol
 
 from .core import (
     AgentId,
     Destination,
+    FunctionKind,
     MasdnError,
     Message,
     MessageFactory,
     MessageKind,
 )
 from .hierarchy import Escalation, NoUpperAgent, Policy, route_escalation
+from .logic import DEFAULT_LEASE_TTL, HEARTBEAT_INTERVAL
 from .pps import DEFAULT_PROFILES, MalformedFrame, StackProfile, decode_body, encode_body
 
 ESCALATION_CONFIDENCE = 0.5
@@ -98,9 +108,6 @@ class FactsStore:
     def version(self, key: str) -> int:
         entry = self._entries.get(key)
         return 0 if entry is None else entry.version
-
-    def keys(self) -> list[str]:
-        return sorted(self._entries)
 
     def snapshot(self) -> dict[str, Any]:
         return {k: e.value for k, e in self._entries.items()}
@@ -332,6 +339,82 @@ class CognitionImpl:
     digest_keys: tuple[str, ...] = ()
 
 
+# ---------------------------------------------------------------------------
+# lifecycle shared by every agent
+
+
+def event_of(inp: AgentInput) -> tuple[str, Any] | None:
+    """(topic, body) when the input is an event, direct or broker-wrapped."""
+    if inp.message.kind is not MessageKind.EVENT or not isinstance(inp.body, dict):
+        return None
+    if "topic" not in inp.body:
+        return None
+    return inp.body["topic"], inp.body.get("body")
+
+
+def self_id(inp: AgentInput) -> AgentId:
+    dst = inp.message.dst
+    if isinstance(dst, AgentId):
+        return dst
+    raise ValueError(f"agent input with non-agent destination {dst!r}")
+
+
+def peer_of(facts: dict[str, Any], kind: FunctionKind) -> str | None:
+    """Lowest-numbered known peer of a kind, as an id string."""
+    prefix = kind.value + "#"
+    hits = sorted(p for p in facts.get("peers", []) if p.startswith(prefix))
+    return hits[0] if hits else None
+
+
+def bootstrap_steps(facts: dict[str, Any], inp: AgentInput) -> list[dict[str, Any]]:
+    """Registration plus subscriptions: every agent's first plan."""
+    me = self_id(inp)
+    registry = facts.get("registry") or peer_of(facts, FunctionKind.REGISTRY)
+    steps: list[dict[str, Any]] = []
+    if registry is not None:
+        steps.append(
+            step(
+                "register",
+                AgentId.parse(registry),
+                descriptor={
+                    "agent": str(me),
+                    "capabilities": sorted(facts.get("capabilities", [me.kind.value])),
+                    "endpoint": str(me),
+                    "lease_ttl": facts.get("lease-ttl", DEFAULT_LEASE_TTL),
+                },
+            )
+        )
+    home = facts.get("home-broker")
+    if home is not None:
+        for flt in facts.get("subscriptions", []):
+            steps.append(step("subscribe", AgentId.parse(home), filter=flt))
+    return steps
+
+
+def _with_lifecycle(fn: CognitionFn) -> CognitionFn:
+    """Wrap a decide function with the bootstrap answer and the heartbeat,
+    for agents that subscribe to events.tick."""
+
+    @functools.wraps(fn)
+    def decide(facts: dict[str, Any], inp: AgentInput) -> CognitionOutcome:
+        ev = event_of(inp)
+        if ev is None or "events.tick" not in facts.get("subscriptions", ()):
+            return fn(facts, inp)
+        topic, body = ev
+        if topic == "control.bootstrap" and (body or {}).get("phase") == "run":
+            return CognitionOutcome(decision(plan=bootstrap_steps(facts, inp)), 1.0)
+        outcome = fn(facts, inp)
+        if topic != "events.tick" or body["tick"] % HEARTBEAT_INTERVAL != 0:
+            return outcome
+        beat = {"topic": "hb", "body": {"agent": str(self_id(inp)), "tick": body["tick"]}}
+        dec = outcome.decision
+        return CognitionOutcome(
+            {**dec, "events": [beat, *dec.get("events", [])]}, outcome.confidence
+        )
+
+    return decide
+
+
 _COGNITIONS: dict[str, CognitionImpl] = {}
 
 
@@ -341,8 +424,11 @@ def register_cognition(
     ingest: IngestFn | None = None,
     digest_keys: tuple[str, ...] = (),
 ) -> Callable[[CognitionFn], CognitionFn]:
+    """Register a decide function under a name. The registry holds it wrapped
+    in the agent lifecycle; the decorated name stays the bare function."""
+
     def deco(fn: CognitionFn) -> CognitionFn:
-        _COGNITIONS[name] = CognitionImpl(name, fn, ingest, digest_keys)
+        _COGNITIONS[name] = CognitionImpl(name, _with_lifecycle(fn), ingest, digest_keys)
         return fn
 
     return deco
@@ -364,7 +450,6 @@ class AgentSpec:
     agent: AgentId
     cognition: str
     initial_facts: dict[str, Any] = field(default_factory=dict)
-    subscriptions: tuple[str, ...] = ()
     profiles: tuple[StackProfile, ...] = DEFAULT_PROFILES
 
 
@@ -404,7 +489,6 @@ class AgentHost:
         self.stage_log: list[dict[str, Any]] = []
         self.agents: dict[AgentId, Agent] = {}
         self.on_spawn: Callable[[Agent], None] | None = None
-        self.on_kill: Callable[[Agent], None] | None = None
         # override to widen the candidate pool beyond this host (e.g. tests)
         self.escalation_candidates: Callable[[], list[AgentId]] = lambda: sorted(
             self.agents
@@ -435,17 +519,12 @@ class AgentHost:
             raise AgentNotLive(str(agent_id))
         agent.live = False
         self._emit({"stage": "kill", "agent": str(agent_id)})
-        if self.on_kill:
-            self.on_kill(agent)
 
     def get(self, agent_id: AgentId) -> Agent:
         agent = self.agents.get(agent_id)
         if agent is None or not agent.live:
             raise AgentNotLive(str(agent_id))
         return agent
-
-    def update_facts(self, agent_id: AgentId, key: str, value: Any) -> int:
-        return self.get(agent_id).facts.put(key, value, self.now)
 
     # -- pipeline ----------------------------------------------------------
 

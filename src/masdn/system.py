@@ -25,7 +25,7 @@ from __future__ import annotations
 from typing import Any, Callable
 
 from .core import AgentId, FunctionKind, Message, MessageKind
-from .logic import topology_view
+from .logic import DEFAULT_LEASE_TTL, REFRESH_EVERY, topology_view
 from .netsim import (
     SUPPRESS_TICKS,
     LinkDown,
@@ -39,8 +39,6 @@ from .orchestrator import _SUBSCRIPTIONS, broker_ids, home_broker
 from .pps import DEFAULT_PROFILES, StackProfile, decode_body, encode_body
 from .runtime import AgentHost, AgentSpec
 from .bus import Bus
-
-REFRESH_EVERY = 10  # ticks between full link-state refresh events
 
 _PROFILE_BY_ID = {p.profile_id: p for p in DEFAULT_PROFILES}
 
@@ -66,6 +64,8 @@ class AgentSystem:
         self.topo = topo
         self.scenario = scenario
         self.config = dict(config or {})
+        if self.config.get("lease_ttl", DEFAULT_LEASE_TTL) <= 0:
+            raise ValueError(f"lease_ttl must be > 0, got {self.config['lease_ttl']}")
         self.host = AgentHost(log_sink=log_sink)
         self.bus = Bus(self.host, default_profiles=resolve_profiles(self.config.get("profiles")))
         self.sim = Simulator(
@@ -127,12 +127,10 @@ class AgentSystem:
         self.spawn_log.append((str(agent), self.host.now))
         if agent in self.host.agents:  # replacement, not a duplicate
             self.host.kill_agent(agent)
-        initial = doc.get("initial_facts", {})
         spec = AgentSpec(
             agent=agent,
             cognition=doc["cognition"],
-            initial_facts=initial,
-            subscriptions=tuple(initial.get("subscriptions", ())),
+            initial_facts=doc.get("initial_facts", {}),
             profiles=resolve_profiles(doc.get("profiles")),
         )
         self.host.spawn_agent(spec)
@@ -171,22 +169,20 @@ class AgentSystem:
 
     def genesis(self) -> None:
         """Spawn the orchestrator and let it recompose the whole controller."""
-        subs = list(_SUBSCRIPTIONS[FunctionKind.ORCHESTRATION])
         facts = {
             "config": self.config,
             "topology": topology_view(self.topo, self.sim.links_doc()),
             "endpoints": ["host.control"],
             "home-broker": home_broker(self.strategy, str(self.orch)),
             "registry": str(AgentId(FunctionKind.REGISTRY, 0)),
-            "subscriptions": subs,
-            "lease-ttl": self.config.get("lease_ttl", 40),
+            "subscriptions": list(_SUBSCRIPTIONS[FunctionKind.ORCHESTRATION]),
+            "lease-ttl": self.config.get("lease_ttl", DEFAULT_LEASE_TTL),
         }
         self.host.spawn_agent(
             AgentSpec(
                 agent=self.orch,
                 cognition=FunctionKind.ORCHESTRATION.value,
                 initial_facts=facts,
-                subscriptions=tuple(subs),
                 profiles=resolve_profiles(self.config.get("profiles")),
             )
         )

@@ -1,17 +1,26 @@
-"""Shared builders for randomized differential scenarios.
+"""Shared builders for randomized differential scenarios, and a harness that
+runs the real event-distribution agents.
 
-Everything here is pure construction: given a seeded random.Random it
-produces topology/scenario documents the way an operator's config would
+The scenario builders are pure construction: given a seeded random.Random
+they produce topology/scenario documents the way an operator's config would
 look. Link keys are always stored sorted so the duplicate-link check in
 Topology.from_doc cannot be tripped by orientation.
+
+BrokerFabric runs the broker agents of one event strategy on a Bus, so the
+event-plane tests check the brokers a system run uses.
 """
 from __future__ import annotations
 
 import random
-from typing import Any
+from typing import Any, Iterable
 
 from masdn import AgentSystem, Scenario, Topology
+from masdn.bus import Bus
+from masdn.core import AgentId, MessageKind
 from masdn.oracle import MonolithicController, compare
+from masdn.orchestrator import broker_ids, build_specs, home_broker
+from masdn.pps import encode_body
+from masdn.runtime import AgentHost, AgentSpec, CognitionOutcome, register_cognition
 
 STRATEGIES = ("centralized", "distributed", "hybrid")
 
@@ -111,3 +120,102 @@ def run_both(
 
 def diff_is_empty(diff: dict[str, Any]) -> bool:
     return not any(diff[section][side] for section in diff for side in diff[section])
+
+
+# -- real broker agents on a fabric ----------------------------------------------
+
+
+@register_cognition("test-subscriber")
+def _record_delivery(facts, inp):
+    """Keep every delivered envelope as a fact, numbered in arrival order."""
+    n = facts.get("received", 0)
+    return CognitionOutcome({"facts": [("received", n + 1), (f"envelope.{n}", inp.body)]}, 1.0)
+
+
+class BrokerFabric:
+    """The event-distribution agents of one strategy, built the way the
+    orchestrator builds them, running on a Bus with recording subscribers.
+
+    Publishers need not be agents: a publish is an event message from the
+    publisher's id to the topic, which the bus hands to the publisher's home
+    broker exactly as it does in a full system run.
+    """
+
+    def __init__(self, strategy: str) -> None:
+        self.strategy = strategy
+        self.host = AgentHost()
+        self.bus = Bus(self.host)
+        self.bus.topic_router = lambda msg: AgentId.parse(home_broker(strategy, str(msg.src)))
+        config = {"event_strategy": strategy}
+        for doc in build_specs(config, broker_ids(strategy), {}, "orchestration#0").values():
+            self.host.spawn_agent(
+                AgentSpec(AgentId.parse(doc["agent"]), doc["cognition"], doc["initial_facts"])
+            )
+
+    def _request(self, sub: str, op: str, flt: str) -> None:
+        self.bus.send(
+            self.host.factory.new_message(
+                src=AgentId.parse(sub),
+                dst=AgentId.parse(home_broker(self.strategy, sub)),
+                kind=MessageKind.REQUEST,
+                payload=encode_body({"op": op, "filter": flt}),
+                now=self.host.now,
+            )
+        )
+
+    def subscribe(self, sub: str, flt: str) -> None:
+        agent = AgentId.parse(sub)
+        if agent not in self.host.agents:
+            self.host.spawn_agent(AgentSpec(agent, "test-subscriber"))
+        self._request(sub, "subscribe", flt)
+
+    def unsubscribe(self, sub: str, flt: str) -> None:
+        self._request(sub, "unsubscribe", flt)
+
+    def publish(self, pub: str, topic: str, body: Any) -> int:
+        """Queue one publish; returns its msg_id, which brokers stamp as pub_msg_id."""
+        msg = self.host.factory.new_message(
+            src=AgentId.parse(pub),
+            dst=topic,
+            kind=MessageKind.EVENT,
+            payload=encode_body({"topic": topic, "body": body}),
+            now=self.host.now,
+        )
+        self.bus.send(msg)
+        return msg.msg_id
+
+    def run(self) -> "BrokerFabric":
+        self.bus.run_to_quiescence()
+        return self
+
+    def delivered_to(
+        self, sub: str, publishers: Iterable[str] | None = None
+    ) -> list[dict[str, Any]]:
+        """Envelopes the subscriber received, in arrival order. Brokers also
+        publish their own heartbeats; pass publishers to keep only a trace's."""
+        facts = self.host.agents[AgentId.parse(sub)].facts
+        envelopes = [facts.get(f"envelope.{i}") for i in range(facts.get("received", 0))]
+        if publishers is None:
+            return envelopes
+        keep = set(publishers)
+        return [env for env in envelopes if env["publisher"] in keep]
+
+
+# publishers and subscribers spread over the function, node and network levels
+_TRACE_KINDS = ("routing", "fault", "registry", "qos", "security", "knowledge-plane")
+
+
+def trace_agents(first_instance: int, n: int) -> list[str]:
+    """n agent ids cycling through kinds at three decision levels."""
+    return [f"{_TRACE_KINDS[i % len(_TRACE_KINDS)]}#{first_instance + i}" for i in range(n)]
+
+
+def run_trace(strategy: str, subs, events) -> BrokerFabric:
+    """Subscribe, then publish a whole trace, through one strategy's brokers."""
+    fabric = BrokerFabric(strategy)
+    for sub, flt in subs:
+        fabric.subscribe(sub, flt)
+    fabric.run()
+    for pub, topic, body in events:
+        fabric.publish(pub, topic, body)
+    return fabric.run()

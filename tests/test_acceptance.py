@@ -18,15 +18,15 @@ import pytest
 from masdn import AgentSystem
 from masdn.cli import main
 from masdn.core import AgentId, FunctionKind, Message, MessageKind
-from masdn.events import make_plane
+from masdn.events import match_topic
 from masdn.logic import HEARTBEAT_INTERVAL, build_graph, shortest_path
 from masdn.oracle import MonolithicController, compare, normalize_tables
-from masdn.orchestrator import plan_roster
+from masdn.orchestrator import broker_ids, plan_roster
 from masdn.pps import DEFAULT_PROFILES, decode, encode, encode_body
 from masdn.registry import UnknownLease, table_discover, table_expire, table_heartbeat, table_register
 from masdn.runtime import AgentHost, AgentSpec, CognitionOutcome, register_cognition
 
-from helpers import STRATEGIES, build, gen_scenario, gen_topology
+from helpers import STRATEGIES, build, gen_scenario, gen_topology, run_trace, trace_agents
 
 STAGES = ["input", "facts", "cognition", "planning", "validation", "output"]
 ACTION_KINDS = {MessageKind.REQUEST.value, MessageKind.POLICY.value}
@@ -238,40 +238,42 @@ def test_criterion_02_shortest_path_matches_both_oracles():
 
 
 def test_criterion_03_event_plane_arrangements_are_observationally_equal():
+    """The broker agents a system run uses, on a Bus, under every strategy."""
     topics = ["events.link", "events.link.down", "events.flow", "kp.digest",
               "audit.trace", "events.tick"]
     filters = ["events.*", "events.link", "events.link.*", "kp.digest", "*",
                "audit.trace"]
     for trace_seed in range(50):
         rng = random.Random(31_000 + trace_seed)
-        publishers = [f"pub{i}" for i in range(rng.randint(2, 6))]
-        subs = [(f"sub{i}", rng.choice(filters)) for i in range(rng.randint(2, 6))]
-        events = [
-            (rng.choice(publishers), rng.choice(topics), {"n": i})
-            for i in range(1000)
-        ]
-        planes = {}
-        for strategy in STRATEGIES:
-            plane = make_plane(strategy)
-            for sub, flt in subs:
-                plane.subscribe(sub, flt)
-            for pub, topic, body in events:
-                plane.publish(pub, topic, body)
-            planes[strategy] = plane
-        for sub, _flt in subs:
+        publishers = trace_agents(0, rng.randint(2, 6))
+        subs = [(sub, rng.choice(filters)) for sub in trace_agents(100, rng.randint(2, 6))]
+        events = []
+        for i in range(1000):
+            # brokers beat on events.tick envelopes, so a tick body carries "tick"
+            events.append((rng.choice(publishers), rng.choice(topics), {"n": i, "tick": i}))
+        fabrics = {s: run_trace(s, subs, events) for s in STRATEGIES}
+        for sub, flt in subs:
             multisets = {
-                s: Counter((e.publisher, e.seq, e.topic, e.body["n"])
-                           for e in planes[s].delivered_to(sub))
+                s: Counter((e["publisher"], e["pub_msg_id"], e["topic"], e["body"]["n"])
+                           for e in fabrics[s].delivered_to(sub, publishers))
                 for s in STRATEGIES
             }
             assert multisets["centralized"] == multisets["distributed"], (trace_seed, sub)
             assert multisets["centralized"] == multisets["hybrid"], (trace_seed, sub)
-        for strategy, plane in planes.items():
+            wanted = sum(1 for _pub, topic, _body in events if match_topic(flt, topic))
+            assert sum(multisets["centralized"].values()) == wanted, (trace_seed, sub)
+        for strategy, fabric in fabrics.items():
             for sub, _flt in subs:
                 last = {}
-                for env in plane.delivered_to(sub):
-                    assert env.seq > last.get(env.publisher, 0), (trace_seed, strategy, sub)
-                    last[env.publisher] = env.seq
+                for env in fabric.delivered_to(sub, publishers):
+                    pub = env["publisher"]
+                    assert env["pub_msg_id"] > last.get(pub, 0), (trace_seed, strategy, sub)
+                    last[pub] = env["pub_msg_id"]
+            # every broker (hybrid: each level broker and the root relay)
+            # handled every publisher's traffic
+            for broker in broker_ids(strategy):
+                seen = fabric.host.agents[AgentId.parse(broker)].facts.get("high-water")
+                assert set(publishers) <= set(seen), (trace_seed, strategy, broker)
 
 
 # -- criterion 4: single-agent failure transparency ----------------------------------

@@ -9,9 +9,11 @@ from masdn.core import (
     MessageFactory,
     MessageKind,
     PayloadTooLarge,
-    ServiceDescriptor,
     level_of,
 )
+from masdn.system import AgentSystem
+
+from helpers import build
 
 
 def test_level_ordering_is_ascending_authority():
@@ -94,10 +96,12 @@ def test_factory_enforces_payload_bound():
 
 
 def test_descriptor_rejects_non_positive_ttl():
-    with pytest.raises(ValueError):
-        ServiceDescriptor(
-            agent=AgentId(FunctionKind.ROUTING, 0),
-            capabilities=frozenset({FunctionKind.ROUTING}),
-            endpoint="routing#0",
-            lease_ttl=0,
-        )
+    # every registered descriptor's lease_ttl comes from the run's lease_ttl
+    topo, scen = build(
+        {"switches": ["s1"], "hosts": [{"id": "h1", "switch": "s1"}], "links": []},
+        {"seed": 1, "duration_ticks": 2, "flows": [], "failures": []},
+    )
+    for ttl in (0, -5):
+        with pytest.raises(ValueError):
+            AgentSystem(topo, scen, {"lease_ttl": ttl})
+    AgentSystem(topo, scen, {"lease_ttl": 1})

@@ -1,4 +1,4 @@
-"""Topic matching and broker-arrangement equivalence for the event plane."""
+"""Topic matching, and the broker agents' arrangement equivalence on a Bus."""
 import random
 from collections import Counter
 
@@ -6,19 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from masdn.events import (
-    CentralizedPlane,
-    DistributedPlane,
-    Envelope,
-    HybridPlane,
-    TopicError,
-    check_filter,
-    check_topic,
-    make_plane,
-    match_topic,
-)
+from masdn.core import AgentId
+from masdn.events import TopicError, check_filter, check_topic, match_topic
+from masdn.orchestrator import broker_ids
 
-STRATEGIES = ("centralized", "distributed", "hybrid")
+from helpers import STRATEGIES, BrokerFabric, run_trace, trace_agents
 
 
 class TestTopicGrammar:
@@ -61,99 +53,122 @@ class TestTopicGrammar:
 
 class TestEnvelope:
     def test_doc_round_trip(self):
-        env = Envelope("routing#0", 3, "events.link", {"x": 1})
-        assert Envelope.from_doc(env.to_doc()) == env
+        # the envelope a subscriber gets carries the published topic and body
+        # unchanged, stamped with the publisher and the publish msg_id
+        fabric = BrokerFabric("hybrid")
+        fabric.subscribe("qos#1", "events.*")
+        fabric.run()
+        msg_id = fabric.publish("routing#0", "events.link", {"x": 1})
+        fabric.run()
+        (env,) = fabric.delivered_to("qos#1")
+        assert env == {"topic": "events.link", "body": {"x": 1},
+                       "publisher": "routing#0", "pub_msg_id": msg_id}
 
     def test_seq_counts_per_publisher(self):
-        plane = CentralizedPlane()
-        a = plane.publish("a", "t.x", 1)
-        b = plane.publish("b", "t.x", 2)
-        a2 = plane.publish("a", "t.x", 3)
-        assert (a.seq, b.seq, a2.seq) == (1, 1, 2)
+        fabric = BrokerFabric("centralized")
+        fabric.subscribe("qos#1", "t.*")
+        fabric.run()
+        ids = [fabric.publish(pub, "t.x", n)
+               for n, pub in enumerate(["routing#0", "fault#0", "routing#0"])]
+        fabric.run()
+        got = [(e["publisher"], e["pub_msg_id"]) for e in fabric.delivered_to("qos#1")]
+        assert got == [("routing#0", ids[0]), ("fault#0", ids[1]), ("routing#0", ids[2])]
+        assert ids[0] < ids[2]
 
 
-def random_trace(rng, n_events=120, publishers=("p1", "p2", "p3"), n_subs=4):
+def random_trace(rng, n_events=120, n_pubs=3, n_subs=4):
     topics = ["events.link", "events.flow", "events.link.down", "kp.digest", "audit"]
     filters = ["events.*", "events.link", "kp.digest", "*", "events.link.*"]
-    subs = [(f"sub{i}", rng.choice(filters)) for i in range(n_subs)]
+    publishers = trace_agents(0, n_pubs)
+    subs = [(sub, rng.choice(filters)) for sub in trace_agents(100, n_subs)]
     events = [
         (rng.choice(publishers), rng.choice(topics), {"n": i}) for i in range(n_events)
     ]
-    return subs, events
+    return publishers, subs, events
 
 
-def run_on(strategy, subs, events):
-    plane = make_plane(strategy)
-    for sub, flt in subs:
-        plane.subscribe(sub, flt)
-    for pub, topic, body in events:
-        plane.publish(pub, topic, body)
-    return plane
+def delivered_keys(fabric, sub, publishers):
+    return Counter(
+        (e["publisher"], e["pub_msg_id"], e["topic"])
+        for e in fabric.delivered_to(sub, publishers)
+    )
 
 
 class TestArrangementEquivalence:
     def test_zero_subscriber_publish_is_fine_everywhere(self):
         for strategy in STRATEGIES:
-            plane = make_plane(strategy)
-            plane.publish("p", "events.link", {"n": 1})
-            assert plane.deliveries == []
+            fabric = BrokerFabric(strategy)
+            fabric.publish("routing#0", "events.link", {"n": 1})
+            fabric.run()
+            assert fabric.bus.dead_letters == []
+            inputs = {e["agent"] for e in fabric.host.stage_log if e["stage"] == "input"}
+            assert inputs <= set(broker_ids(strategy))
 
     def test_empty_trace_everywhere(self):
         for strategy in STRATEGIES:
-            plane = run_on(strategy, [("s", "events.*")], [])
-            assert plane.delivered_to("s") == []
+            fabric = run_trace(strategy, [("qos#1", "events.*")], [])
+            assert fabric.delivered_to("qos#1") == []
 
     def test_same_multiset_per_subscriber_across_strategies(self):
         rng = random.Random(7)
-        subs, events = random_trace(rng)
-        planes = {s: run_on(s, subs, events) for s in STRATEGIES}
+        publishers, subs, events = random_trace(rng)
+        fabrics = {s: run_trace(s, subs, events) for s in STRATEGIES}
         for sub, _ in subs:
-            records = {
-                s: Counter((e.publisher, e.seq) for e in p.delivered_to(sub))
-                for s, p in planes.items()
-            }
+            records = {s: delivered_keys(f, sub, publishers) for s, f in fabrics.items()}
             assert records["centralized"] == records["distributed"] == records["hybrid"]
+            assert records["centralized"]
 
     def test_per_publisher_fifo_in_every_strategy(self):
         rng = random.Random(11)
-        subs, events = random_trace(rng)
+        publishers, subs, events = random_trace(rng)
         for strategy in STRATEGIES:
-            plane = run_on(strategy, subs, events)
+            fabric = run_trace(strategy, subs, events)
             for sub, _ in subs:
                 seen: dict[str, int] = {}
-                for env in plane.delivered_to(sub):
-                    assert env.seq > seen.get(env.publisher, 0), (strategy, sub)
-                    seen[env.publisher] = env.seq
+                for env in fabric.delivered_to(sub, publishers):
+                    assert env["pub_msg_id"] > seen.get(env["publisher"], 0), (strategy, sub)
+                    seen[env["publisher"]] = env["pub_msg_id"]
 
     def test_no_duplicate_deliveries_on_flooded_paths(self):
-        # distributed floods to every broker; the seen-set must keep each
-        # (publisher, seq) at one delivery per subscriber
-        plane = DistributedPlane(n_brokers=5)
-        plane.subscribe("s", "events.*")
-        for i in range(30):
-            plane.publish(f"p{i % 3}", "events.flow", i)
-        keys = [(e.publisher, e.seq) for e in plane.delivered_to("s")]
-        assert len(keys) == 30
-        assert len(set(keys)) == 30
+        # distributed floods to every broker and hybrid's root relays back to
+        # the origin; the high-water mark keeps one delivery per publish
+        publishers = trace_agents(0, 3)
+        for strategy in ("distributed", "hybrid"):
+            fabric = BrokerFabric(strategy)
+            fabric.subscribe("qos#1", "events.*")
+            fabric.run()
+            for i in range(30):
+                fabric.publish(publishers[i % 3], "events.flow", i)
+            fabric.run()
+            keys = [(e["publisher"], e["pub_msg_id"]) for e in fabric.delivered_to("qos#1")]
+            assert len(keys) == 30
+            assert len(set(keys)) == 30
 
     def test_unsubscribe_stops_delivery(self):
         for strategy in STRATEGIES:
-            plane = make_plane(strategy)
-            plane.subscribe("s", "events.*")
-            plane.publish("p", "events.a", 1)
-            plane.unsubscribe("s", "events.*")
-            plane.publish("p", "events.b", 2)
-            assert [e.topic for e in plane.delivered_to("s")] == ["events.a"]
+            fabric = BrokerFabric(strategy)
+            fabric.subscribe("qos#1", "events.*")
+            fabric.run()
+            fabric.publish("routing#0", "events.a", 1)
+            fabric.run()
+            fabric.unsubscribe("qos#1", "events.*")
+            fabric.run()
+            fabric.publish("routing#0", "events.b", 2)
+            fabric.run()
+            assert [e["topic"] for e in fabric.delivered_to("qos#1")] == ["events.a"]
 
     def test_hybrid_routes_between_levels(self):
-        plane = HybridPlane()
-        # attachment level is derived from the subscriber name; a function
-        # agent and the orchestrator live behind different level brokers
-        plane.subscribe("routing#0", "events.*")
-        plane.subscribe("orchestration#0", "events.*")
-        plane.publish("routing#1", "events.flow", {"n": 1})
-        assert len(plane.delivered_to("routing#0")) == 1
-        assert len(plane.delivered_to("orchestration#0")) == 1
+        fabric = BrokerFabric("hybrid")
+        # a function agent and the orchestrator subscribe at different level
+        # brokers; the publisher's level broker reaches the other via the root
+        fabric.subscribe("routing#0", "events.*")
+        fabric.subscribe("orchestration#0", "events.*")
+        fabric.publish("routing#1", "events.flow", {"n": 1})
+        fabric.run()
+        assert len(fabric.delivered_to("routing#0")) == 1
+        assert len(fabric.delivered_to("orchestration#0")) == 1
+        root = AgentId.parse(broker_ids("hybrid")[0])
+        assert "routing#1" in fabric.host.agents[root].facts.get("high-water")
 
 
 @settings(max_examples=60, deadline=None)
@@ -161,11 +176,11 @@ class TestArrangementEquivalence:
 def test_property_random_traces_agree(data):
     seed = data.draw(st.integers(0, 2**32 - 1))
     rng = random.Random(seed)
-    subs, events = random_trace(rng, n_events=40)
-    planes = {s: run_on(s, subs, events) for s in STRATEGIES}
-    for sub, _ in subs:
-        multisets = [
-            Counter((e.publisher, e.seq, e.topic) for e in planes[s].delivered_to(sub))
-            for s in STRATEGIES
-        ]
+    publishers, subs, events = random_trace(rng, n_events=40)
+    fabrics = {s: run_trace(s, subs, events) for s in STRATEGIES}
+    for sub, flt in subs:
+        multisets = [delivered_keys(fabrics[s], sub, publishers) for s in STRATEGIES]
         assert multisets[0] == multisets[1] == multisets[2]
+        assert sum(multisets[0].values()) == sum(
+            1 for _pub, topic, _body in events if match_topic(flt, topic)
+        )

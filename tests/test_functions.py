@@ -3,12 +3,9 @@ import pytest
 
 from masdn.core import AgentId, FunctionKind, Message, MessageKind
 from masdn.functions import (
-    bootstrap_steps,
     classifier_decide,
-    event_of,
     forwarding_decide,
     monitoring_ingest,
-    peer_of,
     qos_decide,
     routing_decide,
     topology_decide,
@@ -23,7 +20,7 @@ from masdn.infra import (
     knowledge_decide,
     registry_decide,
 )
-from masdn.runtime import AgentInput
+from masdn.runtime import AgentInput, bootstrap_steps, event_of, peer_of
 
 _IDS = iter(range(1, 100000))
 

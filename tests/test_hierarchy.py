@@ -1,19 +1,25 @@
-"""Decision hierarchy mechanics: policies flow down, escalations flow up."""
+"""Decision hierarchy mechanics: policies flow down, escalations flow up,
+and the knowledge plane merges every agent's digests.
+
+Policy pushes, escalation delivery and the merge are checked where the
+running system does them: the orchestrator's push plan, the host's
+escalate step, and the knowledge-plane agent's ingest hook.
+"""
 import pytest
 
-from masdn.core import AgentId, FunctionKind, DecisionLevel
+from masdn.core import AgentId, FunctionKind, DecisionLevel, Message, MessageKind
 from masdn.hierarchy import (
     Escalation,
     InvalidDirection,
-    KnowledgeView,
     NoUpperAgent,
     Policy,
     PolicyRule,
-    aggregate_view,
-    escalate,
-    push_policy,
     route_escalation,
 )
+from masdn.infra import _kp_ingest, knowledge_decide
+from masdn.orchestrator import _policy_pushes
+from masdn.pps import encode_body
+from masdn.runtime import AgentHost, AgentInput, AgentSpec
 
 
 def cap_policy(policy_id="p-cap", issuer="network", scope=("forwarding",), limit=4):
@@ -49,15 +55,13 @@ class TestPolicy:
             )
 
     def test_push_reaches_only_scoped_kinds(self):
-        got = []
-        live = [
-            AgentId(FunctionKind.FORWARDING, 0),
-            AgentId(FunctionKind.FORWARDING, 1),
-            AgentId(FunctionKind.ROUTING, 0),
+        doc = cap_policy().to_dict()
+        steps = _policy_pushes([doc], ["forwarding#0", "forwarding#1", "routing#0"])
+        assert [(s["action"], str(s["target"])) for s in steps] == [
+            ("push-policy", "forwarding#0"),
+            ("push-policy", "forwarding#1"),
         ]
-        n = push_policy(cap_policy(), live, lambda a, doc: got.append(str(a)))
-        assert n == 2
-        assert got == ["forwarding#0", "forwarding#1"]
+        assert all(s["params"]["policy"] == doc for s in steps)
 
     def test_push_with_empty_scope_acknowledges_nobody(self):
         policy = Policy(
@@ -66,8 +70,7 @@ class TestPolicy:
             scope=frozenset(),
             rules=(),
         )
-        n = push_policy(policy, [AgentId(FunctionKind.FORWARDING, 0)], lambda a, d: 1 / 0)
-        assert n == 0
+        assert _policy_pushes([policy.to_dict()], ["forwarding#0"]) == []
 
     def test_wildcard_rule_matches_everything(self):
         rule = PolicyRule(action_kind="*", target_class="*", effect="deny")
@@ -101,34 +104,57 @@ class TestEscalation:
             route_escalation(esc, [AgentId(FunctionKind.ORCHESTRATION, 0)])
 
     def test_escalate_delivers_and_receipts(self):
-        seen = []
-        esc = Escalation(source=AgentId(FunctionKind.FAULT, 0), issue="y", raised_at=9)
-        receipt = escalate(
-            esc,
-            [AgentId(FunctionKind.ORCHESTRATION, 0)],
-            lambda a, e: seen.append((a, e)),
+        # a routing agent without topology escalates; the host routes the
+        # issue to the node-level fault handler, which records the incident
+        host = AgentHost()
+        routing = AgentId(FunctionKind.ROUTING, 0)
+        fault = AgentId(FunctionKind.FAULT, 0)
+        host.spawn_agent(AgentSpec(routing, "routing", {"peers": [str(fault)]}))
+        host.spawn_agent(AgentSpec(fault, "fault"))
+        host.now = 9
+        ask = host.factory.new_message(
+            src=AgentId(FunctionKind.SESSION, 0), dst=routing, kind=MessageKind.REQUEST,
+            payload=encode_body({"op": "path", "src": "h1", "dst": "h2"}), now=9,
         )
-        assert receipt.handler == AgentId(FunctionKind.ORCHESTRATION, 0)
-        assert seen == [(receipt.handler, esc)]
+        (esc,) = host.process_input(routing, ask)
+        assert esc.dst == fault and esc.kind is MessageKind.REQUEST
+        host.process_input(fault, esc)
+        assert host.agents[fault].facts.get("incidents") == [
+            {"source": "routing#0", "issue": {"reason": "no-topology", "op": "path"}, "at": 9}
+        ]
+
+
+def digest(agent, **keys):
+    """A kp.digest event as the knowledge plane receives it."""
+    msg = Message(1, AgentId.parse(agent), AgentId(FunctionKind.KNOWLEDGE_PLANE, 0),
+                  MessageKind.EVENT, b"", 0)
+    body = {"agent": agent, "keys": {k: {"value": v, "version": n, "updated_at": n}
+                                     for k, (v, n) in keys.items()}}
+    return AgentInput(msg, {"topic": "kp.digest", "body": body})
+
+
+def merge(*digests):
+    facts = {}
+    for inp in digests:
+        facts.update(_kp_ingest(facts, inp))
+    return facts.get("digests", {})
 
 
 class TestKnowledgeView:
     def test_empty_contributions_give_empty_view(self):
-        assert aggregate_view([]).nodes == {}
+        view = Message(1, AgentId(FunctionKind.SESSION, 0),
+                       AgentId(FunctionKind.KNOWLEDGE_PLANE, 0), MessageKind.REQUEST, b"", 0)
+        out = knowledge_decide({}, AgentInput(view, {"op": "view", "ctx": 1}))
+        assert out.decision["responses"] == [{"digests": {}, "ctx": 1}]
 
     def test_disjoint_views_union(self):
-        a = KnowledgeView(nodes={"n1": {"load": (0.5, 10)}})
-        b = KnowledgeView(nodes={"n2": {"load": (0.9, 11)}})
-        merged = aggregate_view([a, b])
-        assert set(merged.nodes) == {"n1", "n2"}
+        merged = merge(digest("qos#0", load=(0.5, 10)), digest("routing#0", load=(0.9, 11)))
+        assert set(merged) == {"qos#0", "routing#0"}
 
     def test_latest_update_wins_conflicts(self):
-        old = KnowledgeView(nodes={"n1": {"load": ("old", 5)}})
-        new = KnowledgeView(nodes={"n1": {"load": ("new", 8)}})
-        assert aggregate_view([new, old]).nodes["n1"]["load"] == ("new", 8)
+        merged = merge(digest("qos#0", load=("new", 8)), digest("qos#0", load=("old", 5)))
+        assert merged["qos#0"]["load"]["value"] == "new"
 
     def test_aggregation_is_idempotent(self):
-        a = KnowledgeView(nodes={"n1": {"load": (1, 2), "temp": (3, 4)}}, merged_at=4)
-        once = aggregate_view([a])
-        twice = aggregate_view([once])
-        assert twice.nodes == once.nodes
+        a = digest("qos#0", load=(1, 2), temp=(3, 4))
+        assert merge(a, a) == merge(a)

@@ -27,7 +27,6 @@ from masdn.logic import (
     first_fit_decreasing,
     flow_rate_milli,
     link_capacities,
-    path_cost,
     path_link_keys,
     plan_reroutes,
     release_reservation,
@@ -55,6 +54,10 @@ def random_graph_doc(rng, n, extra_edges=None, max_latency=9):
     for _ in range(extra_edges if extra_edges is not None else rng.randint(0, 2 * n)):
         add(*rng.sample(nodes, 2))
     return nodes, links
+
+
+def path_cost(graph, path):
+    return sum(graph[a][b] for a, b in zip(path, path[1:]))
 
 
 def brute_force_min_cost(graph, src, dst):

@@ -10,7 +10,7 @@ from masdn.orchestrator import (
     orchestrator_decide,
     plan_roster,
 )
-from masdn.runtime import AgentInput
+from masdn.runtime import AgentInput, cognition
 
 ME = "orchestration#0"
 _IDS = iter(range(1, 100000))
@@ -162,7 +162,8 @@ class TestBootstrap:
 
 class TestLiveness:
     def booted(self):
-        facts = {"config": dict(BASE_CONFIG)}
+        # genesis seeds the orchestrator's subscriptions; they include the tick
+        facts = {"config": dict(BASE_CONFIG), "subscriptions": ["hb", "kp.digest", "events.tick"]}
         out = orchestrator_decide(facts, fire("control.bootstrap", {"phase": "facts"}))
         facts.update(dict(out.decision["facts"]))
         return facts
@@ -213,7 +214,8 @@ class TestLiveness:
     def test_quiet_tick_emits_only_heartbeat(self):
         facts = self.booted()
         facts["liveness"] = {a: HEARTBEAT_INTERVAL for a in facts["liveness"]}
-        out = orchestrator_decide(
+        # the registered impl: the heartbeat is added at registration
+        out = cognition(FunctionKind.ORCHESTRATION.value).decide(
             facts, fire("events.tick", {"tick": HEARTBEAT_INTERVAL}, now=HEARTBEAT_INTERVAL)
         )
         assert "plan" not in out.decision

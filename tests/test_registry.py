@@ -1,125 +1,128 @@
-"""Lease-table semantics: registration, heartbeats, expiry, discovery."""
+"""Lease-table semantics: registration, heartbeats, expiry, discovery.
+
+Everything runs on the pure table functions the registry agent applies to
+its facts, and descriptors are built the way every agent builds its own
+registration (runtime.bootstrap_steps).
+"""
 import random
 
 import pytest
 
-from masdn.core import AgentId, FunctionKind, ServiceDescriptor
+from masdn.core import AgentId, FunctionKind, Message, MessageKind
+from masdn.infra import registry_decide
 from masdn.registry import (
-    ServiceRegistry,
     UnknownLease,
-    descriptor_doc,
-    descriptor_from_doc,
-    merge_capabilities,
+    table_deregister,
     table_discover,
     table_expire,
     table_heartbeat,
     table_register,
 )
+from masdn.runtime import AgentInput, bootstrap_steps
 
 
 def desc(kind=FunctionKind.ROUTING, instance=0, caps=("route",), ttl=10):
-    return ServiceDescriptor(
-        agent=AgentId(kind, instance),
-        capabilities=frozenset(caps),
-        endpoint=f"inproc://{kind.value}/{instance}",
-        lease_ttl=ttl,
-    )
+    """The descriptor an agent registers with, from its bootstrap plan."""
+    me = AgentId(kind, instance)
+    msg = Message(1, AgentId(FunctionKind.ORCHESTRATION, 0), me, MessageKind.EVENT, b"", 0)
+    facts = {"registry": "registry#0", "capabilities": list(caps), "lease-ttl": ttl}
+    (register,) = bootstrap_steps(facts, AgentInput(msg, {}))
+    return register["params"]["descriptor"]
+
+
+def agents(table, now, **filters):
+    return [d["agent"] for d in table_discover(table, now, **filters)]
 
 
 class TestDescriptorDocs:
     def test_round_trip(self):
         d = desc(caps=("route", "path"))
-        assert descriptor_from_doc(descriptor_doc(d)) == d
+        registry = AgentId(FunctionKind.REGISTRY, 0)
+        src = AgentId(FunctionKind.ROUTING, 0)
+
+        def ask(facts, body):
+            msg = Message(2, src, registry, MessageKind.REQUEST, b"", 5)
+            return registry_decide(facts, AgentInput(msg, body)).decision
+
+        leases = dict(ask({}, {"op": "register", "descriptor": d})["facts"])["leases"]
+        found = ask({"leases": leases}, {"op": "discover", "kind": "routing"})
+        assert found["responses"][0]["agents"] == [d]
 
     def test_doc_capabilities_are_sorted(self):
         d = desc(caps=("zeta", "alpha"))
-        assert descriptor_doc(d)["capabilities"] == ["alpha", "zeta"]
+        assert d["capabilities"] == ["alpha", "zeta"]
 
 
 class TestLifecycle:
     def test_register_is_discoverable_same_tick(self):
-        reg = ServiceRegistry()
-        reg.register(desc(), now=5)
-        assert [d.agent for d in reg.discover(now=5)] == [AgentId(FunctionKind.ROUTING, 0)]
+        table = table_register({}, desc(), now=5)
+        assert agents(table, 5) == ["routing#0"]
 
     def test_lease_dies_exactly_at_ttl(self):
-        reg = ServiceRegistry()
-        reg.register(desc(ttl=10), now=0)
-        assert reg.is_live(AgentId(FunctionKind.ROUTING, 0), now=9)
-        assert not reg.is_live(AgentId(FunctionKind.ROUTING, 0), now=10)
-        assert reg.discover(now=10) == []
+        table = table_register({}, desc(ttl=10), now=0)
+        assert agents(table, 9) == ["routing#0"]
+        assert agents(table, 10) == []
 
     def test_heartbeat_extends_from_now(self):
-        reg = ServiceRegistry()
-        reg.register(desc(ttl=10), now=0)
-        assert reg.heartbeat(AgentId(FunctionKind.ROUTING, 0), now=7) == 17
-        assert reg.is_live(AgentId(FunctionKind.ROUTING, 0), now=16)
+        table = table_register({}, desc(ttl=10), now=0)
+        table = table_heartbeat(table, "routing#0", now=7)
+        assert table["routing#0"]["expires_at"] == 17
+        assert agents(table, 16) == ["routing#0"]
 
     def test_heartbeat_after_expiry_raises(self):
-        reg = ServiceRegistry()
-        reg.register(desc(ttl=10), now=0)
+        table = table_register({}, desc(ttl=10), now=0)
         with pytest.raises(UnknownLease):
-            reg.heartbeat(AgentId(FunctionKind.ROUTING, 0), now=10)
+            table_heartbeat(table, "routing#0", now=10)
 
     def test_heartbeat_for_unregistered_agent_raises(self):
         with pytest.raises(UnknownLease):
-            ServiceRegistry().heartbeat(AgentId(FunctionKind.QOS, 3), now=0)
+            table_heartbeat({}, "qos#3", now=0)
 
     def test_deregister_removes_and_second_call_raises(self):
-        reg = ServiceRegistry()
-        reg.register(desc(), now=0)
-        reg.deregister(AgentId(FunctionKind.ROUTING, 0))
-        assert reg.discover(now=0) == []
+        table = table_deregister(table_register({}, desc(), now=0), "routing#0")
+        assert agents(table, 0) == []
         with pytest.raises(UnknownLease):
-            reg.deregister(AgentId(FunctionKind.ROUTING, 0))
+            table_deregister(table, "routing#0")
 
     def test_reregistration_replaces_the_descriptor(self):
-        reg = ServiceRegistry()
-        reg.register(desc(caps=("route",)), now=0)
-        reg.register(desc(caps=("route", "segment")), now=3)
-        (hit,) = reg.discover(now=3)
-        assert hit.capabilities == frozenset({"route", "segment"})
+        table = table_register({}, desc(caps=("route",)), now=0)
+        table = table_register(table, desc(caps=("route", "segment")), now=3)
+        (hit,) = table_discover(table, 3)
+        assert hit["capabilities"] == ["route", "segment"]
 
     def test_expire_sweeps_only_dead_leases_sorted(self):
-        reg = ServiceRegistry()
-        reg.register(desc(FunctionKind.ROUTING, 1, ttl=5), now=0)
-        reg.register(desc(FunctionKind.CLASSIFIER, 0, ttl=5), now=0)
-        reg.register(desc(FunctionKind.QOS, 0, ttl=50), now=0)
-        dead = reg.expire(now=5)
-        assert dead == [AgentId(FunctionKind.CLASSIFIER, 0), AgentId(FunctionKind.ROUTING, 1)]
-        assert reg.live_agents(now=5) == [AgentId(FunctionKind.QOS, 0)]
+        table = table_register({}, desc(FunctionKind.ROUTING, 1, ttl=5), now=0)
+        table = table_register(table, desc(FunctionKind.CLASSIFIER, 0, ttl=5), now=0)
+        table = table_register(table, desc(FunctionKind.QOS, 0, ttl=50), now=0)
+        table, dead = table_expire(table, now=5)
+        assert dead == ["classifier#0", "routing#1"]
+        assert sorted(table) == ["qos#0"]
 
     def test_expire_with_nothing_dead_is_a_no_op(self):
-        reg = ServiceRegistry()
-        reg.register(desc(ttl=50), now=0)
-        assert reg.expire(now=5) == []
+        table = table_register({}, desc(ttl=50), now=0)
+        assert table_expire(table, now=5) == (table, [])
 
 
 class TestDiscoveryFilters:
     def build(self):
-        reg = ServiceRegistry()
-        reg.register(desc(FunctionKind.ROUTING, 0, caps=("route",)), now=0)
-        reg.register(desc(FunctionKind.ROUTING, 1, caps=("route", "backup")), now=0)
-        reg.register(desc(FunctionKind.QOS, 0, caps=("admit",)), now=0)
-        return reg
+        table = {}
+        for kind, instance, caps in [(FunctionKind.ROUTING, 0, ("route",)),
+                                     (FunctionKind.ROUTING, 1, ("route", "backup")),
+                                     (FunctionKind.QOS, 0, ("admit",))]:
+            table = table_register(table, desc(kind, instance, caps), now=0)
+        return table
 
     def test_kind_filter(self):
-        hits = self.build().discover(now=0, kind=FunctionKind.ROUTING)
-        assert [str(d.agent) for d in hits] == ["routing#0", "routing#1"]
+        assert agents(self.build(), 0, kind=FunctionKind.ROUTING) == ["routing#0", "routing#1"]
 
     def test_capability_filter(self):
-        hits = self.build().discover(now=0, capability="backup")
-        assert [str(d.agent) for d in hits] == ["routing#1"]
+        assert agents(self.build(), 0, capability="backup") == ["routing#1"]
 
     def test_both_filters_and_no_match(self):
-        assert self.build().discover(now=0, kind=FunctionKind.QOS, capability="backup") == []
+        assert agents(self.build(), 0, kind=FunctionKind.QOS, capability="backup") == []
 
     def test_empty_registry_discovers_nothing(self):
-        assert ServiceRegistry().discover(now=0) == []
-
-    def test_merge_capabilities_unions(self):
-        descs = [desc(caps=("a", "b")), desc(instance=1, caps=("b", "c"))]
-        assert merge_capabilities(descs) == frozenset({"a", "b", "c"})
+        assert table_discover({}, 0) == []
 
 
 class TestRandomizedTraceAgainstBruteForce:

@@ -1,11 +1,15 @@
 """Agent runtime: facts store, plan validation, and the six-stage pipeline."""
 import pytest
 
-from masdn.core import AgentId, FunctionKind, MessageKind
+from masdn import runtime
+from masdn.core import AgentId, FunctionKind, Message, MessageKind
 from masdn.hierarchy import Policy
+from masdn.logic import HEARTBEAT_INTERVAL
+from masdn.orchestrator import build_specs
 from masdn.pps import encode_body
 from masdn.runtime import (
     AgentHost,
+    AgentInput,
     AgentNotLive,
     AgentSpec,
     CognitionOutcome,
@@ -14,6 +18,8 @@ from masdn.runtime import (
     Plan,
     PlanStep,
     UnknownCognition,
+    bootstrap_steps,
+    cognition,
     decision,
     register_cognition,
     step,
@@ -105,7 +111,7 @@ class TestHostLifecycle:
         agent = spawn(host)
         host.kill_agent(agent.id)
         with pytest.raises(AgentNotLive):
-            host.update_facts(agent.id, "k", 1)
+            host.get(agent.id).facts.put("k", 1, host.now)
 
 
 class TestValidatePlan:
@@ -300,3 +306,77 @@ class TestPipeline:
             emitted = stages["output"]["emitted"]
             if any(kind in ("request", "policy") for kind, _ in emitted):
                 assert stages["validation"]["passed"] is True
+
+
+# -- the lifecycle every registered cognition gets -------------------------------
+
+BROKER = FunctionKind.EVENT_DISTRIBUTION.value
+# the cognitions masdn registers; tests register others under other names
+_KINDS = sorted(name for name in runtime._COGNITIONS if name in {k.value for k in FunctionKind})
+_MSG_IDS = iter(range(1, 1_000_000))
+
+
+def _spec_facts(kind, strategy="centralized"):
+    """Initial facts for instance 0 of a kind, as the orchestrator builds them."""
+    agent = f"{kind}#0"
+    specs = build_specs({"event_strategy": strategy}, [agent], {}, "orchestration#0")
+    return specs[agent]["initial_facts"]
+
+
+def _event(dst, topic, body, src="switch-adapter#0", msg_id=None):
+    msg = Message(
+        msg_id=msg_id or next(_MSG_IDS), src=AgentId.parse(src),
+        dst=AgentId.parse(dst) if "#" in dst else dst,
+        kind=MessageKind.EVENT, payload=b"", sim_time=0,
+    )
+    return AgentInput(msg, {"topic": topic, "body": body})
+
+
+def _beats(outcome):
+    return [e for e in outcome.decision.get("events", []) if e["topic"] == "hb"]
+
+
+class TestLifecycle:
+    @pytest.mark.parametrize("kind", [k for k in _KINDS if k != BROKER])
+    def test_run_bootstrap_is_answered_with_bootstrap_steps(self, kind):
+        facts = _spec_facts(kind)
+        inp = _event(f"{kind}#0", "control.bootstrap", {"phase": "run"}, src="orchestration#0")
+        out = cognition(kind).decide(facts, inp)
+        assert out.decision == {"plan": bootstrap_steps(facts, inp)}
+        actions = [s["action"] for s in out.decision["plan"]]
+        assert actions[0] == "register" and "subscribe" in actions
+
+    @pytest.mark.parametrize("kind", [k for k in _KINDS if k != BROKER])
+    def test_one_heartbeat_on_every_interval_tick(self, kind):
+        facts = _spec_facts(kind)
+        for tick in range(2 * HEARTBEAT_INTERVAL + 1):
+            out = cognition(kind).decide(facts, _event(f"{kind}#0", "events.tick", {"tick": tick}))
+            want = [{"topic": "hb", "body": {"agent": f"{kind}#0", "tick": tick}}]
+            assert _beats(out) == (want if tick % HEARTBEAT_INTERVAL == 0 else []), tick
+            if tick % HEARTBEAT_INTERVAL == 0:
+                assert out.decision["events"][0]["topic"] == "hb"  # ahead of its own
+
+    def test_broker_beats_once_per_accepted_tick_envelope(self):
+        for strategy in ("centralized", "distributed", "hybrid"):
+            facts = dict(_spec_facts(BROKER, strategy))
+            decide = cognition(BROKER).decide
+            for tick in range(2 * HEARTBEAT_INTERVAL + 1):
+                inp = _event("events.tick", "events.tick", {"tick": tick})
+                out = decide(facts, inp)
+                want = [{"topic": "hb", "body": {"agent": f"{BROKER}#0", "tick": tick}}]
+                assert _beats(out) == (want if tick % HEARTBEAT_INTERVAL == 0 else [])
+                facts.update(dict(out.decision["facts"]))
+                # the same envelope again is an echo: no delivery, no beat
+                assert decide(facts, inp).decision == {}
+
+    def test_broker_gets_no_bootstrap_plan(self):
+        facts = _spec_facts(BROKER)
+        inp = _event(f"{BROKER}#0", "control.bootstrap", {"phase": "run"}, src="orchestration#0")
+        out = cognition(BROKER).decide(facts, inp)
+        assert [s["action"] for s in out.decision.get("plan", [])] == []
+
+    def test_decide_keeps_the_defining_module(self):
+        for kind in _KINDS:
+            assert cognition(kind).decide.__module__ in (
+                "masdn.functions", "masdn.infra", "masdn.orchestrator"
+            )
