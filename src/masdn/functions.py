@@ -311,16 +311,28 @@ RETRY_AFTER = 2  # ticks a conversation may stall before re-asking
 
 
 class _SessionState:
-    """Mutable working copy of the session agent's facts for one decision."""
+    """Working copy of the session agent's facts for one decision.
+
+    The sessions and pending tables are shallow copies; a record is copied
+    out of the stored facts only when the decision first changes it, so the
+    records it leaves alone go back to the store as the same read-only
+    objects and cost nothing to write.
+    """
 
     def __init__(self, facts: dict[str, Any]):
         self.facts = facts
-        self.sessions = {k: dict(v) for k, v in facts.get("sessions", {}).items()}
-        self.pending = {k: dict(v) for k, v in facts.get("pending", {}).items()}
+        self.sessions = dict(facts.get("sessions", {}))
+        self.pending = dict(facts.get("pending", {}))
         self.session_seq = facts.get("session-seq", 0)
         self.rule_seq = facts.get("rule-seq", 0)
         self.steps: list[dict[str, Any]] = []
         self.now = 0
+
+    def _edit_session(self, sid: str) -> dict[str, Any]:
+        return _edit(self.sessions, self.facts.get("sessions", {}), sid)
+
+    def _edit_pending(self, sid: str) -> dict[str, Any]:
+        return _edit(self.pending, self.facts.get("pending", {}), sid)
 
     def writes(self) -> list[tuple[str, Any]]:
         return [
@@ -382,7 +394,7 @@ class _SessionState:
 
     def reissue(self, sid: str) -> None:
         """Re-send the current stage's request for a stalled conversation."""
-        p = self.pending[sid]
+        p = self._edit_pending(sid)
         p["asked_at"] = self.now
         stage = p["stage"]
         if p.get("cleanup") and stage in ("admit", "install"):
@@ -414,13 +426,13 @@ class _SessionState:
 
     def on_response(self, body: dict[str, Any]) -> None:
         ctx = body.get("ctx")
-        p = self.pending.get(ctx)
-        if p is None:
+        if ctx not in self.pending:
             return
+        p = self._edit_pending(ctx)
         stage = p["stage"]
         if stage == "classify" and "class" in body:
             p["class"] = body["class"]
-            self.sessions[ctx]["class"] = body["class"]
+            self._edit_session(ctx)["class"] = body["class"]
             p["stage"] = "path"
             p["asked_at"] = self.now
             self._ask(FunctionKind.ROUTING, "path", src=p["src"], dst=p["dst"], ctx=ctx)
@@ -452,14 +464,14 @@ class _SessionState:
             p["asked_at"] = self.now
             self._install(ctx)
         elif stage == "install" and "installed" in body:
-            rec = self.sessions[ctx]
+            rec = self._edit_session(ctx)
             rec["state"] = ACTIVE
             rec["path"] = p["path"]
             rec["reserved"] = p.get("reserved", False)
             del self.pending[ctx]
 
     def _install(self, sid: str, fresh_ids: bool = True) -> None:
-        p = self.pending[sid]
+        p = self._edit_pending(sid)
         if fresh_ids:
             ids = [f"r{self.rule_seq + i + 1:04d}" for i in range(len(p["path"]))]
             self.rule_seq += len(ids)
@@ -475,7 +487,7 @@ class _SessionState:
         )
 
     def finalize(self, sid: str, state: str, reason: str | None = None) -> None:
-        rec = self.sessions[sid]
+        rec = self._edit_session(sid)
         rec["state"] = state
         rec["reason"] = reason
         p = self.pending.pop(sid, None)
@@ -491,7 +503,7 @@ class _SessionState:
         graph = build_graph(view["links"])
         moves = plan_reroutes(self.sessions, graph, view["hosts"])
         for sid, path in moves:
-            rec = self.sessions[sid]
+            rec = self._edit_session(sid)
             old = rec.get("path")
             if old:
                 self._ask_remove(sid, old, rec["class"])
@@ -561,6 +573,14 @@ class _SessionState:
         for sid in sorted(self.pending):
             if tick - self.pending[sid].get("asked_at", tick) >= RETRY_AFTER:
                 self.reissue(sid)
+
+
+def _edit(table: dict[str, Any], stored: dict[str, Any], key: str) -> dict[str, Any]:
+    """table[key], first copied if it is still the stored record."""
+    rec = table[key]
+    if rec is stored.get(key):
+        rec = table[key] = dict(rec)
+    return rec
 
 
 @register_cognition(

@@ -31,7 +31,15 @@ from .registry import (
     table_heartbeat,
     table_register,
 )
-from .runtime import AgentInput, CognitionOutcome, decision, event_of, register_cognition, step
+from .runtime import (
+    AgentInput,
+    CognitionOutcome,
+    decision,
+    event_of,
+    merge_digest,
+    register_cognition,
+    step,
+)
 
 
 # -- service registry -----------------------------------------------------------
@@ -174,13 +182,7 @@ def _kp_ingest(facts: dict[str, Any], inp: AgentInput) -> list[tuple[str, Any]]:
     ev = event_of(inp)
     if ev is None or ev[0] != "kp.digest":
         return []
-    body = ev[1]
-    digests = {a: dict(keys) for a, keys in facts.get("digests", {}).items()}
-    slot = digests.setdefault(body["agent"], {})
-    for key, doc in body["keys"].items():
-        if key not in slot or doc["version"] >= slot[key]["version"]:
-            slot[key] = doc
-    return [("digests", digests)]
+    return [("digests", merge_digest(facts.get("digests", {}), ev[1]))]
 
 
 @register_cognition(FunctionKind.KNOWLEDGE_PLANE.value, ingest=_kp_ingest)

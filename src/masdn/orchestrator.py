@@ -45,6 +45,7 @@ from .runtime import (
     bootstrap_steps,
     decision,
     event_of,
+    merge_digest,
     register_cognition,
     step,
 )
@@ -227,11 +228,7 @@ def orchestrator_decide(facts: dict[str, Any], inp: AgentInput) -> CognitionOutc
             return CognitionOutcome(decision(facts=[("liveness", liveness)]), 1.0)
         return CognitionOutcome(decision(), 1.0)
     if topic == "kp.digest":
-        mirror = {a: dict(keys) for a, keys in facts.get("mirror", {}).items()}
-        slot = mirror.setdefault(body["agent"], {})
-        for key, doc in body["keys"].items():
-            if key not in slot or doc["version"] >= slot[key]["version"]:
-                slot[key] = doc
+        mirror = merge_digest(facts.get("mirror", {}), body)
         return CognitionOutcome(decision(facts=[("mirror", mirror)]), 1.0)
     if topic == "events.tick":
         return _scan(facts, body["tick"])

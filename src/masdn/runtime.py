@@ -13,6 +13,14 @@ validation are replaced by a single violation event, so a later audit of
 the run log can prove that no request was ever emitted without a passing
 validation record in the same pipeline run.
 
+Facts are read-only once stored. FactsStore.put freezes a value into
+FrozenDict/FrozenList trees instead of deep-copying it, and keeps every
+subtree that is already frozen by reference (structural sharing, as in
+persistent data structures): a cognition that rebuilds a table from its
+snapshot and changes one record pays for that record and the table's top
+level, not for the whole value. A cognition that mutates its snapshot gets a
+TypeError at once instead of silently changing the store.
+
 A cognition outcome's decision is a plain dict with optional keys:
 
     plan       list of {"action","target","params"} step dicts
@@ -77,6 +85,66 @@ class DecodeError(MasdnError):
 # facts
 
 
+def _read_only(self: Any, *args: Any, **kwargs: Any) -> None:
+    raise TypeError(
+        f"stored facts are read-only: copy the {type(self).__name__} "
+        "(dict(...), list(...)) before changing it"
+    )
+
+
+class _Shared:
+    """Copies of a read-only value are the value itself."""
+
+    __slots__ = ()
+
+    def __copy__(self) -> Any:
+        return self
+
+    def __deepcopy__(self, memo: dict[int, Any]) -> Any:
+        return self
+
+
+class FrozenDict(_Shared, dict):
+    """A dict stored in a FactsStore: every mutating method raises TypeError.
+    dict(...) and {**...} give a plain, writable copy of the top level."""
+
+    __slots__ = ()
+    __setitem__ = __delitem__ = __ior__ = _read_only
+    clear = pop = popitem = setdefault = update = _read_only
+
+
+class FrozenList(_Shared, list):
+    """A list stored in a FactsStore: every mutating method raises TypeError.
+    list(...) gives a plain, writable copy."""
+
+    __slots__ = ()
+    __setitem__ = __delitem__ = __iadd__ = __imul__ = _read_only
+    append = extend = insert = pop = remove = clear = sort = reverse = _read_only
+
+
+_KEPT = frozenset({str, int, float, bool, type(None), FrozenDict, FrozenList})
+
+
+def freeze(value: Any) -> Any:
+    """A read-only version of a facts value that shares every frozen subtree.
+
+    Plain dicts and lists become FrozenDict/FrozenList, tuples are rebuilt
+    element-wise, and a subtree that is already frozen is kept by reference,
+    so writing a value built from stored facts costs only what changed.
+    Scalars are immutable and kept; any other type is deep-copied.
+    """
+    cls = type(value)
+    if cls in _KEPT:
+        return value
+    if cls is dict:
+        return FrozenDict({k: freeze(v) for k, v in value.items()})
+    if cls is list:
+        return FrozenList([freeze(v) for v in value])
+    if cls is tuple:
+        return tuple([freeze(v) for v in value])
+    return copy.deepcopy(value)
+
+
 @dataclass
 class _FactEntry:
     value: Any
@@ -87,9 +155,12 @@ class _FactEntry:
 class FactsStore:
     """Versioned key/value state local to one agent.
 
-    Values are deep-copied on write so callers cannot mutate stored state
-    behind the store's back; snapshots are cheap map copies and must be
-    treated as read-only by cognition code.
+    Values are frozen on write (see freeze): the store holds read-only
+    FrozenDict/FrozenList trees, so neither the writer nor a cognition
+    reading a snapshot can change stored state; an attempt raises TypeError.
+    A value built from stored facts shares their unchanged subtrees, so a
+    write costs what changed, not the whole value. Snapshots are cheap map
+    copies over the same read-only values.
     """
 
     def __init__(self) -> None:
@@ -98,7 +169,7 @@ class FactsStore:
     def put(self, key: str, value: Any, now: int) -> int:
         prev = self._entries.get(key)
         version = 1 if prev is None else prev.version + 1
-        self._entries[key] = _FactEntry(copy.deepcopy(value), version, now)
+        self._entries[key] = _FactEntry(freeze(value), version, now)
         return version
 
     def get(self, key: str, default: Any = None) -> Any:
@@ -129,8 +200,24 @@ class FactsStore:
         """Seed entries from an exported digest, keeping versions."""
         for key, doc in digest.items():
             self._entries[key] = _FactEntry(
-                copy.deepcopy(doc["value"]), doc["version"], doc["updated_at"]
+                freeze(doc["value"]), doc["version"], doc["updated_at"]
             )
+
+
+def merge_digest(
+    digests: dict[str, dict[str, Any]], body: dict[str, Any]
+) -> dict[str, dict[str, Any]]:
+    """Fold one kp.digest body into a per-agent table of exported keys: the
+    newest version of each key wins. Only the sending agent's slot is copied;
+    every other slot is shared with the table given."""
+    agent = body["agent"]
+    slot = digests.get(agent, {})
+    newer = {
+        key: doc
+        for key, doc in body["keys"].items()
+        if key not in slot or doc["version"] >= slot[key]["version"]
+    }
+    return {**digests, agent: {**slot, **newer}}
 
 
 # ---------------------------------------------------------------------------

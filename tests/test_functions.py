@@ -8,6 +8,7 @@ from masdn.functions import (
     monitoring_ingest,
     qos_decide,
     routing_decide,
+    session_decide,
     topology_decide,
     topology_ingest,
 )
@@ -20,7 +21,8 @@ from masdn.infra import (
     knowledge_decide,
     registry_decide,
 )
-from masdn.runtime import AgentInput, bootstrap_steps, event_of, peer_of
+from masdn.logic import ACTIVE, PENDING, session_record
+from masdn.runtime import AgentInput, FactsStore, bootstrap_steps, event_of, merge_digest, peer_of
 
 _IDS = iter(range(1, 100000))
 
@@ -322,6 +324,54 @@ class TestKnowledgePlane:
             request({"op": "restore-for", "agent": "routing#0"}, dst="knowledge-plane#0"),
         )
         assert empty.decision["responses"][0]["keys"] == {}
+
+
+    def test_merge_copies_only_the_sending_agents_slot(self):
+        digests = {
+            "qos#0": {"reservations": {"version": 1, "value": {}}},
+            "routing#0": {"topology": {"version": 4, "value": {"links": []}}},
+        }
+        body = {"agent": "qos#0", "keys": {"admitted": {"version": 1, "value": {}}}}
+        merged = merge_digest(digests, body)
+        assert merged["routing#0"] is digests["routing#0"]
+        assert merged["qos#0"] == {**digests["qos#0"], **body["keys"]}
+        assert "admitted" not in digests["qos#0"]
+
+
+class TestSessionAgent:
+    def test_decision_copies_only_the_records_it_changes(self):
+        store = FactsStore()
+        store.put("peers", ["forwarding#0", "session#0"], now=0)
+        store.put(
+            "sessions",
+            {
+                "s0001": session_record("s0001", "h1", "h2", "bulk", 1, state=ACTIVE, path=["s1"]),
+                "s0002": session_record("s0002", "h2", "h1", "bulk", 2, state=PENDING),
+            },
+            now=0,
+        )
+        store.put(
+            "pending",
+            {"s0002": {"sid": "s0002", "stage": "install", "src": "h2", "dst": "h1",
+                       "class": "bulk", "path": ["s3", "s2"], "asked_at": 2}},
+            now=0,
+        )
+        stored = store.get("sessions")
+        answer = AgentInput(
+            Message(
+                msg_id=next(_IDS), src=AgentId.parse("forwarding#0"),
+                dst=AgentId.parse("session#0"), kind=MessageKind.RESPONSE,
+                payload=b"", sim_time=3, correlation_id=1,
+            ),
+            {"ok": True, "installed": 2, "ctx": "s0002"},
+        )
+        writes = dict(session_decide(store.snapshot(), answer).decision["facts"])
+        assert writes["sessions"]["s0001"] is stored["s0001"]
+        assert writes["sessions"]["s0002"]["state"] == ACTIVE
+        assert writes["sessions"]["s0002"]["path"] == ["s3", "s2"]
+        assert writes["pending"] == {}
+        assert store.get("sessions") is stored
+        assert stored["s0002"]["state"] == PENDING
 
 
 class TestBrokerAgent:

@@ -1,4 +1,8 @@
 """Agent runtime: facts store, plan validation, and the six-stage pipeline."""
+import copy
+import json
+import operator
+
 import pytest
 
 from masdn import runtime
@@ -21,6 +25,7 @@ from masdn.runtime import (
     bootstrap_steps,
     cognition,
     decision,
+    freeze,
     register_cognition,
     step,
     validate_plan,
@@ -91,6 +96,74 @@ class TestFactsStore:
         assert fresh.get("b") == "x"
         # versions continue above the restored ones, they do not restart
         assert fresh.put("a", 3, now=4) == 3
+
+    MUTATIONS = {
+        "dict setitem": lambda v: v["d"].__setitem__("n", 2),
+        "dict delitem": lambda v: v["d"].__delitem__("n"),
+        "dict setdefault": lambda v: v["d"].setdefault("m", 0),
+        "dict update": lambda v: v["d"].update(m=0),
+        "dict pop": lambda v: v["d"].pop("n"),
+        "dict popitem": lambda v: v["d"].popitem(),
+        "dict clear": lambda v: v["d"].clear(),
+        "dict |=": lambda v: operator.ior(v["d"], {"m": 0}),
+        "list setitem": lambda v: v["l"].__setitem__(0, 9),
+        "list delitem": lambda v: v["l"].__delitem__(0),
+        "list append": lambda v: v["l"].append(3),
+        "list extend": lambda v: v["l"].extend([3]),
+        "list insert": lambda v: v["l"].insert(0, 3),
+        "list pop": lambda v: v["l"].pop(),
+        "list remove": lambda v: v["l"].remove(1),
+        "list sort": lambda v: v["l"].sort(),
+        "list reverse": lambda v: v["l"].reverse(),
+        "list clear": lambda v: v["l"].clear(),
+        "list +=": lambda v: operator.iadd(v["l"], [3]),
+        "list *=": lambda v: operator.imul(v["l"], 2),
+    }
+
+    @pytest.mark.parametrize("read", ["get", "snapshot"])
+    @pytest.mark.parametrize("mutation", sorted(MUTATIONS))
+    def test_nested_mutation_of_stored_facts_raises(self, read, mutation):
+        store = FactsStore()
+        store.put("doc", {"d": {"n": 1}, "l": [2, 1]}, now=0)
+        value = store.get("doc") if read == "get" else store.snapshot()["doc"]
+        with pytest.raises(TypeError):
+            self.MUTATIONS[mutation](value)
+        assert store.get("doc") == {"d": {"n": 1}, "l": [2, 1]}
+
+    def test_reput_keeps_stored_subtrees_by_identity(self):
+        store = FactsStore()
+        store.put("table", {"a": {"n": 1, "path": ["s1"]}, "b": {"n": 2}}, now=0)
+        stored = store.get("table")
+        store.put("table", {**stored, "b": {**stored["b"], "n": 3}}, now=1)
+        table = store.get("table")
+        assert table["a"] is stored["a"]
+        assert table == {"a": {"n": 1, "path": ["s1"]}, "b": {"n": 3}}
+        assert stored["b"] == {"n": 2}
+
+    def test_restore_is_isolated_from_the_digest_given(self):
+        digest = {"k": {"value": {"l": [1], "d": {"n": 1}}, "version": 2, "updated_at": 1}}
+        store = FactsStore()
+        store.restore(digest)
+        digest["k"]["value"]["l"].append(2)
+        digest["k"]["value"]["d"]["n"] = 9
+        assert store.get("k") == {"l": [1], "d": {"n": 1}}
+        with pytest.raises(TypeError):
+            store.get("k")["l"].append(3)
+
+    def test_frozen_values_encode_compare_and_copy_like_plain_ones(self):
+        plain = {"b": [1, {"c": (2, [3])}], "a": None, "s": "x", "f": 0.5}
+        frozen = freeze(plain)
+        assert type(frozen) is not dict
+        assert frozen == plain
+        assert encode_body(frozen) == encode_body(plain)
+        assert json.dumps(frozen, sort_keys=True, indent=2) == json.dumps(
+            plain, sort_keys=True, indent=2
+        )
+        assert copy.deepcopy(frozen) is frozen
+        assert copy.copy(frozen["b"]) is frozen["b"]
+        nested = copy.deepcopy({"x": frozen})
+        assert nested["x"] is frozen
+        assert freeze(frozen) is frozen
 
 
 class TestHostLifecycle:
