@@ -3,9 +3,10 @@
 One global FIFO carries every control-plane message. Each hop is really
 encoded and decoded with the stack profile negotiated for the (src, dst)
 pair, so the wire codecs are always on the path, not just in codec tests.
-Under an at-least-once profile the fabric deduplicates deliveries by
-(destination, sender, msg_id); a duplicate-injection knob exercises that
-path on demand.
+Under an at-least-once profile the fabric suppresses a delivery whose
+msg_id is not above the highest one already delivered from the same sender
+to the same destination; a duplicate-injection knob exercises that path on
+demand.
 
 Destinations resolve in order: a live agent, an exact endpoint, a prefix
 endpoint (e.g. "switch." for the data-plane bridge), and otherwise a topic
@@ -51,7 +52,13 @@ class Bus:
         self.duplicates_injected = 0
         self.duplicates_suppressed = 0
         self._negotiated: dict[tuple[str, str], StackProfile] = {}
-        self._seen: set[tuple[str, str, int]] = set()
+        # Highest msg_id delivered per (src, dst) pair under at-least-once.
+        # One mark per pair catches every duplicate: the factory hands out
+        # msg ids in increasing order, messages join the FIFO queue in the
+        # order they were made, so the frames of one pair arrive in increasing
+        # msg_id order and a repeat is never above the mark. Memory grows with
+        # the number of pairs, not of frames.
+        self._delivered: dict[tuple[str, str], int] = {}
 
     # -- wiring -------------------------------------------------------------
 
@@ -77,13 +84,14 @@ class Bus:
             if steps > max_steps:
                 raise RuntimeError(f"no quiescence after {max_steps} hops")
             msg = self.queue.popleft()
-            decoded, profile = self._hop(msg)
+            pair = (str(msg.src), str(msg.dst))
+            decoded, profile = self._hop(msg, pair)
             copies = 1
             if self.duplicate_every and self.frames % self.duplicate_every == 0:
                 copies = 2
                 self.duplicates_injected += 1
             for _ in range(copies):
-                self._deliver(decoded, profile)
+                self._deliver(decoded, profile, pair)
         return steps
 
     # -- internals ------------------------------------------------------------
@@ -95,26 +103,24 @@ class Bus:
                 return agent.spec.profiles
         return self.default_profiles
 
-    def _profile_for(self, msg: Message) -> StackProfile:
-        pair = (str(msg.src), str(msg.dst))
+    def _profile_for(self, msg: Message, pair: tuple[str, str]) -> StackProfile:
         hit = self._negotiated.get(pair)
         if hit is None:
             hit = negotiate(self._profiles_of(msg.src), self._profiles_of(msg.dst))
             self._negotiated[pair] = hit
         return hit
 
-    def _hop(self, msg: Message) -> tuple[Message, StackProfile]:
-        profile = self._profile_for(msg)
+    def _hop(self, msg: Message, pair: tuple[str, str]) -> tuple[Message, StackProfile]:
+        profile = self._profile_for(msg, pair)
         self.frames += 1
         return decode(encode(msg, profile), profile), profile
 
-    def _deliver(self, msg: Message, profile: StackProfile) -> None:
+    def _deliver(self, msg: Message, profile: StackProfile, pair: tuple[str, str]) -> None:
         if profile.reliability is Reliability.AT_LEAST_ONCE:
-            key = (str(msg.dst), str(msg.src), msg.msg_id)
-            if key in self._seen:
+            if msg.msg_id <= self._delivered.get(pair, -1):
                 self.duplicates_suppressed += 1
                 return
-            self._seen.add(key)
+            self._delivered[pair] = msg.msg_id
         dst = msg.dst
         if isinstance(dst, AgentId):
             if dst in self.host.agents:

@@ -9,9 +9,10 @@ by a lock.
 
 from __future__ import annotations
 
+import functools
 import re
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum, IntEnum
 
 
@@ -95,14 +96,23 @@ _AGENT_ID_RE = re.compile(r"^([a-z-]+)#(\d+)$")
 
 @dataclass(frozen=True)
 class AgentId:
-    """Identity of one agent instance: what it does plus an instance number."""
+    """Identity of one agent instance: what it does plus an instance number.
+
+    The text form "kind#instance" names the agent in every frame, stage
+    record and facts key, so it is computed once, at construction, and str()
+    returns it. It takes no part in equality, hashing or repr, which use
+    kind and instance only. AgentId.parse is memoised: equal text gives the
+    same frozen value, and malformed text raises ValueError on every call.
+    """
 
     kind: FunctionKind
     instance: int
+    _text: str = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.instance < 0:
             raise ValueError(f"instance must be non-negative, got {self.instance}")
+        object.__setattr__(self, "_text", f"{self.kind.value}#{self.instance}")
 
     def __lt__(self, other: AgentId) -> bool:
         if not isinstance(other, AgentId):
@@ -114,14 +124,15 @@ class AgentId:
         return level_of(self.kind)
 
     def __str__(self) -> str:
-        return f"{self.kind.value}#{self.instance}"
+        return self._text
 
-    @classmethod
-    def parse(cls, text: str) -> AgentId:
+    @staticmethod
+    @functools.lru_cache(maxsize=4096)
+    def parse(text: str) -> AgentId:
         m = _AGENT_ID_RE.match(text)
         if m is None:
             raise ValueError(f"not an agent id: {text!r}")
-        return cls(FunctionKind(m.group(1)), int(m.group(2)))
+        return AgentId(FunctionKind(m.group(1)), int(m.group(2)))
 
 
 class MessageKind(Enum):

@@ -12,6 +12,8 @@ orchestrator.home_broker for where each agent publishes and subscribes.
 
 from __future__ import annotations
 
+import functools
+
 from .core import MasdnError
 
 
@@ -45,8 +47,10 @@ def check_filter(flt: str) -> str:
     return flt
 
 
+@functools.lru_cache(maxsize=4096)
 def match_topic(flt: str, topic: str) -> bool:
-    """True when the filter selects the topic."""
+    """True when the filter selects the topic. A pure function of two
+    strings, so it is memoised; invalid input raises TopicError every time."""
     fparts = _segments(check_filter(flt))
     tparts = _segments(check_topic(topic))
     if fparts[-1] == "*":

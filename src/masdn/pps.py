@@ -16,6 +16,11 @@ Binary frame layout (all integers big-endian):
         u8  has_correlation, u64 correlation_id (0 when absent)
         u64 sim_time
         u32 payload_length, payload bytes
+
+The binary codec packs and unpacks the fixed-width parts of this layout with
+precompiled struct.Struct objects; decoding checks every read against the
+frame's length before it is made, so any byte string that is not a complete
+frame raises MalformedFrame and nothing else.
 """
 
 from __future__ import annotations
@@ -91,6 +96,14 @@ def negotiate(
 _KIND_ORDINAL = {kind: i for i, kind in enumerate(MessageKind)}
 _ORDINAL_KIND = {i: kind for kind, i in _KIND_ORDINAL.items()}
 
+# binary frame pieces around the two variable-length ids (see the module doc)
+_U16 = struct.Struct(">H")
+_U32 = struct.Struct(">I")
+_HEAD = struct.Struct(">IQH")  # body_length, msg_id, src_length
+_TAIL = struct.Struct(">BBQQI")  # kind, has_correlation, correlation_id, sim_time, payload_length
+# body bytes other than the two ids and the payload
+_FIXED_BODY = _HEAD.size - _U32.size + _U16.size + _TAIL.size
+
 
 def _dst_text(dst: AgentId | str) -> str:
     return str(dst)
@@ -122,51 +135,19 @@ def encode(m: Message, p: StackProfile) -> bytes:
 
     src_b = str(m.src).encode("utf-8")
     dst_b = _dst_text(m.dst).encode("utf-8")
-    body = b"".join(
-        (
-            struct.pack(">Q", m.msg_id),
-            struct.pack(">H", len(src_b)),
-            src_b,
-            struct.pack(">H", len(dst_b)),
-            dst_b,
-            struct.pack(">B", _KIND_ORDINAL[m.kind]),
-            struct.pack(">BQ", 1 if m.correlation_id is not None else 0, m.correlation_id or 0),
-            struct.pack(">Q", m.sim_time),
-            struct.pack(">I", len(m.payload)),
-            m.payload,
-        )
+    payload = m.payload
+    corr = m.correlation_id
+    head = _HEAD.pack(
+        _FIXED_BODY + len(src_b) + len(dst_b) + len(payload), m.msg_id, len(src_b)
     )
-    return struct.pack(">I", len(body)) + body
-
-
-class _Cursor:
-    """Bounds-checked reader over a frame body."""
-
-    def __init__(self, data: bytes):
-        self.data = data
-        self.pos = 0
-
-    def take(self, n: int) -> bytes:
-        if self.pos + n > len(self.data):
-            raise MalformedFrame("truncated frame")
-        out = self.data[self.pos : self.pos + n]
-        self.pos += n
-        return out
-
-    def u8(self) -> int:
-        return self.take(1)[0]
-
-    def u16(self) -> int:
-        return struct.unpack(">H", self.take(2))[0]
-
-    def u32(self) -> int:
-        return struct.unpack(">I", self.take(4))[0]
-
-    def u64(self) -> int:
-        return struct.unpack(">Q", self.take(8))[0]
-
-    def done(self) -> bool:
-        return self.pos == len(self.data)
+    tail = _TAIL.pack(
+        _KIND_ORDINAL[m.kind],
+        0 if corr is None else 1,
+        corr or 0,
+        m.sim_time,
+        len(payload),
+    )
+    return b"".join((head, src_b, _U16.pack(len(dst_b)), dst_b, tail, payload))
 
 
 def decode(b: bytes, p: StackProfile) -> Message:
@@ -209,44 +190,49 @@ def _decode_text(b: bytes, p: StackProfile) -> Message:
 
 
 def _decode_binary(b: bytes, p: StackProfile) -> Message:
-    if len(b) < 4:
+    size = len(b)
+    if size < 4:
         raise MalformedFrame("frame shorter than length prefix")
-    (body_len,) = struct.unpack(">I", b[:4])
-    body = b[4:]
-    if len(body) != body_len:
+    (body_len,) = _U32.unpack_from(b, 0)
+    if size - 4 != body_len:
         raise MalformedFrame(
-            f"length prefix says {body_len} bytes, frame carries {len(body)}"
+            f"length prefix says {body_len} bytes, frame carries {size - 4}"
         )
-    cur = _Cursor(body)
-    try:
-        msg_id = cur.u64()
-        src = AgentId.parse(cur.take(cur.u16()).decode("utf-8"))
-        dst = _parse_dst(cur.take(cur.u16()).decode("utf-8"))
-        kind_ord = cur.u8()
-        if kind_ord not in _ORDINAL_KIND:
-            raise MalformedFrame(f"unknown message kind ordinal {kind_ord}")
-        has_corr = cur.u8()
-        corr = cur.u64()
-        sim_time = cur.u64()
-        payload = cur.take(cur.u32())
-    except (UnicodeDecodeError, ValueError) as exc:
-        raise MalformedFrame(f"bad envelope field: {exc}") from exc
-    if not cur.done():
-        raise MalformedFrame("trailing bytes after envelope")
-    if len(payload) > p.max_payload:
+    if size < _HEAD.size:
+        raise MalformedFrame("truncated frame")
+    _, msg_id, src_len = _HEAD.unpack_from(b, 0)
+    src_end = _HEAD.size + src_len
+    if src_end + _U16.size > size:
+        raise MalformedFrame("truncated frame")
+    (dst_len,) = _U16.unpack_from(b, src_end)
+    dst_start = src_end + _U16.size
+    dst_end = dst_start + dst_len
+    if dst_end + _TAIL.size > size:
+        raise MalformedFrame("truncated frame")
+    kind_ord, has_corr, corr, sim_time, payload_len = _TAIL.unpack_from(b, dst_end)
+    payload_start = dst_end + _TAIL.size
+    payload_end = payload_start + payload_len
+    if payload_end != size:
+        raise MalformedFrame(
+            "truncated frame" if payload_end > size else "trailing bytes after envelope"
+        )
+    kind = _ORDINAL_KIND.get(kind_ord)
+    if kind is None:
+        raise MalformedFrame(f"unknown message kind ordinal {kind_ord}")
+    if payload_len > p.max_payload:
         raise MalformedFrame("payload exceeds profile max_payload")
     try:
         return Message(
             msg_id=msg_id,
-            src=src,
-            dst=dst,
-            kind=_ORDINAL_KIND[kind_ord],
-            payload=payload,
+            src=AgentId.parse(b[_HEAD.size : src_end].decode("utf-8")),
+            dst=_parse_dst(b[dst_start:dst_end].decode("utf-8")),
+            kind=kind,
+            payload=b[payload_start:],
             sim_time=sim_time,
             correlation_id=corr if has_corr else None,
         )
-    except ValueError as exc:
-        raise MalformedFrame(f"inconsistent envelope: {exc}") from exc
+    except ValueError as exc:  # UnicodeDecodeError is a ValueError
+        raise MalformedFrame(f"bad envelope field: {exc}") from exc
 
 
 def encode_body(obj: object) -> bytes:

@@ -131,17 +131,20 @@ def freeze(value: Any) -> Any:
     Plain dicts and lists become FrozenDict/FrozenList, tuples are rebuilt
     element-wise, and a subtree that is already frozen is kept by reference,
     so writing a value built from stored facts costs only what changed.
-    Scalars are immutable and kept; any other type is deep-copied.
+    Scalars are immutable and kept; any other type is deep-copied. Scalars
+    and frozen subtrees are kept without a call per element.
     """
     cls = type(value)
     if cls in _KEPT:
         return value
     if cls is dict:
-        return FrozenDict({k: freeze(v) for k, v in value.items()})
+        return FrozenDict(
+            {k: v if type(v) in _KEPT else freeze(v) for k, v in value.items()}
+        )
     if cls is list:
-        return FrozenList([freeze(v) for v in value])
+        return FrozenList([v if type(v) in _KEPT else freeze(v) for v in value])
     if cls is tuple:
-        return tuple([freeze(v) for v in value])
+        return tuple([v if type(v) in _KEPT else freeze(v) for v in value])
     return copy.deepcopy(value)
 
 
@@ -619,11 +622,15 @@ class AgentHost:
         agent = self.get(agent_id)
         self._runs += 1
         run = self._runs
+        agent_text = str(agent_id)
+        msg_id = msg.msg_id
 
-        def log(stage: str, **detail: Any) -> None:
-            self._emit(
-                {"stage": stage, "agent": str(agent_id), "run": run, "msg_id": msg.msg_id, **detail}
-            )
+        def log(stage: str, **record: Any) -> None:
+            record["stage"] = stage
+            record["agent"] = agent_text
+            record["run"] = run
+            record["msg_id"] = msg_id
+            self._emit(record)
 
         log("input", kind=msg.kind.value, src=str(msg.src), bytes=len(msg.payload))
         try:
@@ -726,9 +733,20 @@ class AgentHost:
             }
             return [self._event(agent, VIOLATION_TOPIC, body)]
 
+        # A broker hands one envelope object to every subscriber and peer, so
+        # each distinct body is encoded once. The cache keys on id() and keeps
+        # the body alive, so a body freed mid-loop cannot lend its id to the next.
+        encoded: dict[int, tuple[Any, bytes]] = {}
+
+        def encode_once(body: Any) -> bytes:
+            hit = encoded.get(id(body))
+            if hit is None:
+                hit = encoded[id(body)] = (body, encode_body(body))
+            return hit[1]
+
         outputs: list[Message] = []
         for pstep in plan.steps:
-            outputs.append(self._step_message(agent, pstep))
+            outputs.append(self._step_message(agent, pstep, encode_once))
         if not escalated:
             for body in dec.get("responses", []):
                 outputs.append(
@@ -736,7 +754,7 @@ class AgentHost:
                         src=agent.id,
                         dst=msg.src,
                         kind=MessageKind.RESPONSE,
-                        payload=encode_body(body),
+                        payload=encode_once(body),
                         now=self.now,
                         correlation_id=msg.msg_id,
                     )
@@ -747,7 +765,9 @@ class AgentHost:
                 agent.facts.put(key, value, self.now)
         return outputs
 
-    def _step_message(self, agent: Agent, pstep: PlanStep) -> Message:
+    def _step_message(
+        self, agent: Agent, pstep: PlanStep, encode: Callable[[Any], bytes]
+    ) -> Message:
         kind = _STEP_MSG_KIND.get(pstep.action, MessageKind.REQUEST)
         if pstep.action == "push-policy":
             body: Any = pstep.params["policy"]
@@ -764,7 +784,7 @@ class AgentHost:
             src=agent.id,
             dst=dst,
             kind=kind,
-            payload=encode_body(body),
+            payload=encode(body),
             now=self.now,
         )
 
@@ -778,8 +798,11 @@ class AgentHost:
         )
 
     def _emit(self, record: dict[str, Any]) -> None:
+        """Stamp a new stage record with its sequence number and sim time, in
+        place, and keep it. Sinks that write records sort their keys."""
         self._seq += 1
-        record = {"seq": self._seq, "at": self.now, **record}
+        record["seq"] = self._seq
+        record["at"] = self.now
         self.stage_log.append(record)
         if self.log_sink:
             self.log_sink(record)

@@ -147,6 +147,29 @@ class NegotiationOnTheWire(unittest.TestCase):
         self.assertEqual(bus.frames, 1)
         self.assertEqual(host.agents[ROUTING].facts.get("seen"), [5])
 
+    def test_duplicate_filter_keeps_one_mark_per_pair_over_a_long_run(self):
+        host = make_host()
+        bus = Bus(host)
+        receivers = [AgentId(FunctionKind.ROUTING, i) for i in range(2)]
+        senders = [AgentId(FunctionKind.SESSION, i) for i in range(3)]
+        for agent in receivers:
+            host.spawn_agent(sink_spec(agent, profiles=ALO_ONLY))
+        bus.duplicate_every = 3
+        last = {}
+        for n in range(500):
+            for src in senders:
+                for dst in receivers:
+                    msg = request(host, src, dst, {"n": n})
+                    last[(str(src), str(dst))] = msg.msg_id
+                    bus.send(msg)
+            bus.run_to_quiescence()
+        self.assertEqual(bus._delivered, last)  # 6 pairs after 3,000 frames
+        self.assertEqual(bus.duplicates_suppressed, bus.duplicates_injected)
+        self.assertEqual(bus.duplicates_injected, 1000)
+        every_request = [n for n in range(500) for _ in senders]
+        for agent in receivers:
+            self.assertEqual(host.agents[agent].facts.get("seen"), every_request)
+
 
 if __name__ == "__main__":
     unittest.main()

@@ -1,4 +1,8 @@
 """Identity, hierarchy levels, and message envelope basics."""
+import copy
+import dataclasses
+import pickle
+
 import pytest
 
 from masdn.core import (
@@ -58,6 +62,38 @@ def test_agent_id_round_trips_through_text():
 def test_agent_id_rejects_malformed_text(bad):
     with pytest.raises((ValueError, KeyError)):
         AgentId.parse(bad)
+
+
+def test_agent_id_text_is_kind_and_instance_after_any_copy():
+    for kind in FunctionKind:
+        aid = AgentId(kind, 4)
+        copies = [
+            aid,
+            dataclasses.replace(aid, instance=11),
+            dataclasses.replace(aid, kind=FunctionKind.QOS),
+            copy.copy(aid),
+            copy.deepcopy(aid),
+            pickle.loads(pickle.dumps(aid)),
+        ]
+        for c in copies:
+            assert str(c) == f"{c.kind.value}#{c.instance}"
+
+
+def test_cached_agent_id_text_takes_no_part_in_equality_or_hash():
+    aid = AgentId(FunctionKind.ROUTING, 2)
+    twin = AgentId(FunctionKind.ROUTING, 2)
+    object.__setattr__(twin, "_text", "something else")
+    assert aid == twin and hash(aid) == hash(twin)
+    assert hash(aid) == hash((FunctionKind.ROUTING, 2))
+    assert repr(aid) == "AgentId(kind=<FunctionKind.ROUTING: 'routing'>, instance=2)"
+
+
+def test_agent_id_parse_is_memoised_and_still_rejects_every_time():
+    assert AgentId.parse("qos#3") is AgentId.parse("qos#3")
+    for bad in ("qos#", "nope#1"):
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                AgentId.parse(bad)
 
 
 def test_agent_ids_sort_stably():

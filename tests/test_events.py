@@ -50,6 +50,14 @@ class TestTopicGrammar:
         with pytest.raises(TopicError):
             check_filter("events.li*")
 
+    @pytest.mark.parametrize(
+        "flt,topic", [("events.*.down", "events.link"), ("events.link", "events..x"), ("", "a")]
+    )
+    def test_memoised_match_rejects_bad_input_every_time(self, flt, topic):
+        for _ in range(2):
+            with pytest.raises(TopicError):
+                match_topic(flt, topic)
+
 
 class TestEnvelope:
     def test_doc_round_trip(self):

@@ -1,6 +1,6 @@
 """Protocol stack profiles: codecs, framing, and negotiation."""
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from masdn.core import AgentId, FunctionKind, Message, MessageKind
@@ -136,3 +136,130 @@ def test_negotiate_disjoint_offers_fails():
 )
 def test_body_codec_round_trips_json_values(body):
     assert decode_body(encode_body(body)) == body
+
+
+# -- binary decoder robustness: every inner bounds check is reached -----------------
+
+BINARY_PROFILES = [p for p in DEFAULT_PROFILES if p.codec is Codec.BINARY_LENGTH_PREFIXED]
+any_messages = st.one_of(
+    messages,
+    st.builds(
+        Message,
+        msg_id=st.integers(min_value=0, max_value=2**63 - 1),
+        src=agent_ids,
+        dst=destinations,
+        kind=st.just(MessageKind.RESPONSE),
+        payload=st.binary(max_size=512),
+        sim_time=st.integers(min_value=0, max_value=2**31),
+        correlation_id=st.integers(min_value=0, max_value=2**63 - 1),
+    ),
+)
+
+
+def _fields(frame):
+    """Offset and width of each inner length field and of the kind byte."""
+    src_len = int.from_bytes(frame[12:14], "big")
+    dst_at = 14 + src_len
+    dst_len = int.from_bytes(frame[dst_at : dst_at + 2], "big")
+    kind_at = dst_at + 2 + dst_len
+    return {"src": (12, 2), "dst": (dst_at, 2), "kind": (kind_at, 1), "payload": (kind_at + 18, 4)}
+
+
+def _with_prefix(body):
+    """A frame around body whose outer length prefix matches it."""
+    return len(body).to_bytes(4, "big") + body
+
+
+def _decode_or_malformed(frame, p):
+    """The decoded message, or None for MalformedFrame; any other exception escapes."""
+    try:
+        return decode(frame, p)
+    except MalformedFrame:
+        return None
+
+
+def _assert_whole(got, frame, p):
+    """A frame that decodes gave a whole message: it re-encodes to a frame of
+    the same length that decodes back to it. (Not always to the same bytes:
+    the decoder reads any non-zero has_correlation byte as "present" and
+    ignores the correlation bytes when it is zero.)"""
+    again = encode(got, p)
+    assert len(again) == len(frame)
+    assert decode(again, p) == got
+
+
+@settings(max_examples=150)
+@given(m=any_messages, p=st.sampled_from(BINARY_PROFILES))
+def test_every_cut_of_a_binary_frame_is_rejected(m, p):
+    frame = encode(m, p)
+    for cut in range(len(frame)):
+        with pytest.raises(MalformedFrame):
+            decode(frame[:cut], p)
+        if cut >= 4:  # the prefix agrees, so an inner bounds check must catch it
+            with pytest.raises(MalformedFrame):
+                decode(_with_prefix(frame[4:cut]), p)
+
+
+@settings(max_examples=300)
+@given(
+    m=any_messages,
+    p=st.sampled_from(BINARY_PROFILES),
+    name=st.sampled_from(["src", "dst", "payload"]),
+    data=st.data(),
+)
+def test_corrupt_inner_lengths_are_rejected(m, p, name, data):
+    frame = encode(m, p)
+    at, width = _fields(frame)[name]
+    old = int.from_bytes(frame[at : at + width], "big")
+    new = data.draw(
+        st.integers(min_value=0, max_value=256**width - 1).filter(lambda v: v != old)
+    )
+    bad = _with_prefix(frame[4:at] + new.to_bytes(width, "big") + frame[at + width :])
+    got = _decode_or_malformed(bad, p)
+    if got is None:
+        return
+    # Only a longer dst_len on a topic can still frame a whole message: a
+    # topic takes any text, so the kind, correlation, time and payload length
+    # are then read from later bytes of the same frame, and those can agree.
+    assert name == "dst" and new > old and not isinstance(m.dst, AgentId)
+    _assert_whole(got, bad, p)
+
+
+@given(
+    m=any_messages,
+    p=st.sampled_from(BINARY_PROFILES),
+    ordinal=st.integers(min_value=len(MessageKind), max_value=255),
+)
+def test_unknown_kind_ordinal_is_rejected(m, p, ordinal):
+    frame = encode(m, p)
+    at, _ = _fields(frame)["kind"]
+    with pytest.raises(MalformedFrame):
+        decode(frame[:at] + bytes([ordinal]) + frame[at + 1 :], p)
+
+
+@settings(max_examples=300)
+@given(
+    m=any_messages,
+    p=st.sampled_from(BINARY_PROFILES),
+    edits=st.lists(st.tuples(st.integers(min_value=0), st.integers(0, 255)), max_size=4),
+    keep_prefix=st.booleans(),
+)
+def test_corrupt_binary_frames_raise_only_malformed_frame(m, p, edits, keep_prefix):
+    bad = bytearray(encode(m, p))
+    for pos, value in edits:
+        bad[pos % len(bad)] = value
+    if keep_prefix:
+        bad = bytearray(_with_prefix(bytes(bad[4:])))
+    got = _decode_or_malformed(bytes(bad), p)
+    if got is not None:  # the edits happened to leave a well-formed frame
+        _assert_whole(got, bytes(bad), p)
+
+
+@given(m=any_messages, p=st.sampled_from(BINARY_PROFILES))
+def test_binary_payload_over_the_profile_limit_is_rejected(m, p):
+    import dataclasses
+
+    assume(len(m.payload) >= 2)
+    smaller = dataclasses.replace(p, max_payload=len(m.payload) - 1)
+    with pytest.raises(MalformedFrame):
+        decode(encode(m, p), smaller)

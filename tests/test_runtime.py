@@ -381,6 +381,47 @@ class TestPipeline:
                 assert stages["validation"]["passed"] is True
 
 
+class TestEncodeOnce:
+    def _counting_encode(self, monkeypatch):
+        calls = []
+
+        def counting(body):
+            calls.append(body)
+            return encode_body(body)
+
+        monkeypatch.setattr(runtime, "encode_body", counting)
+        return calls
+
+    def test_broker_envelope_is_encoded_once_for_every_subscriber(self, monkeypatch):
+        host = AgentHost()
+        subscribers = [f"qos#{i}" for i in range(3)]
+        broker = host.spawn_agent(AgentSpec(
+            agent=AgentId(FunctionKind.EVENT_DISTRIBUTION, 0),
+            cognition=FunctionKind.EVENT_DISTRIBUTION.value,
+            initial_facts={"subs": {"events.*": subscribers}, "peers": subscribers},
+        ))
+        calls = self._counting_encode(monkeypatch)
+        out = tell(host, broker.id, {"topic": "events.link", "body": {"up": False}},
+                   kind=MessageKind.EVENT)
+        env = {"topic": "events.link", "body": {"up": False},
+               "publisher": "session#9", "pub_msg_id": 1}
+        assert [str(m.dst) for m in out] == subscribers
+        assert [m.payload for m in out] == [encode_body(env)] * 3
+        assert calls == [env]
+
+    def test_distinct_request_steps_keep_their_own_payloads(self):
+        # each {"op": ...} body is built for its step and dropped after it; a
+        # cache keyed by a freed body's id would hand its bytes to the next
+        host = AgentHost()
+        peers = [f"classifier#{i}" for i in range(4)]
+        agent = spawn(host, facts={"peers": peers})
+        plan = [step("classify", peer, n=i) for i, peer in enumerate(peers)]
+        out = tell(host, agent.id, {"decision": decision(plan=plan)})
+        assert [m.payload for m in out] == [
+            encode_body({"op": "classify", "n": i}) for i in range(4)
+        ]
+
+
 # -- the lifecycle every registered cognition gets -------------------------------
 
 BROKER = FunctionKind.EVENT_DISTRIBUTION.value
