@@ -91,7 +91,8 @@ def level_of(kind: FunctionKind) -> DecisionLevel:
     return _KIND_LEVEL[kind]
 
 
-_AGENT_ID_RE = re.compile(r"^([a-z-]+)#(\d+)$")
+# exactly the text str(AgentId) writes: no leading zeros, ASCII digits only
+_AGENT_ID_RE = re.compile(r"([a-z-]+)#(0|[1-9][0-9]*)")
 
 
 @dataclass(frozen=True)
@@ -129,7 +130,7 @@ class AgentId:
     @staticmethod
     @functools.lru_cache(maxsize=4096)
     def parse(text: str) -> AgentId:
-        m = _AGENT_ID_RE.match(text)
+        m = _AGENT_ID_RE.fullmatch(text)
         if m is None:
             raise ValueError(f"not an agent id: {text!r}")
         return AgentId(FunctionKind(m.group(1)), int(m.group(2)))
@@ -173,9 +174,9 @@ DEFAULT_MAX_PAYLOAD = 65536
 class MessageFactory:
     """Allocates strictly increasing message ids.
 
-    One factory per running system keeps run logs reproducible; the
-    module-level default serves ad-hoc construction. The counter is the
-    only shared mutable state in this module and is lock-protected.
+    One factory per running system keeps run logs reproducible. The
+    counter is the only shared mutable state in this module and is
+    lock-protected.
     """
 
     def __init__(self, max_payload: int = DEFAULT_MAX_PAYLOAD):
@@ -208,20 +209,3 @@ class MessageFactory:
             sim_time=now,
             correlation_id=correlation_id,
         )
-
-
-_default_factory = MessageFactory()
-
-
-def new_message(
-    src: AgentId,
-    dst: AgentId | str,
-    kind: MessageKind,
-    payload: bytes,
-    now: int,
-    correlation_id: int | None = None,
-    factory: MessageFactory | None = None,
-) -> Message:
-    """Construct a message with a fresh process-unique id."""
-    f = factory if factory is not None else _default_factory
-    return f.new_message(src, dst, kind, payload, now, correlation_id)

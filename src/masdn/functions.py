@@ -6,12 +6,25 @@ reroute planning) lives in logic.py and is shared verbatim with the
 monolithic reference controller; what this module adds is the message
 choreography: who asks whom, in which order, and what lands in facts.
 
-The session agent is the conductor. A new flow triggers a four-step
-conversation — classify, path, admit (realtime only), install — tracked in
-its "pending" facts and correlated by a ctx token echoed through every
-request and response. Conversations complete within the tick they start
-because the fabric runs to quiescence; a pending entry that survives ticks
-means its counterpart died, and is retried once the agent is respawned.
+The session agent is the conductor, and its conversation is one stage
+machine. A session's conversation is one record in the "pending" facts,
+keyed by the session id, which is also the ctx token echoed through every
+request and response. The record's "stage" names the request in flight:
+
+    classify -> path -> admit (realtime only) -> install -> done
+
+One helper (converse) writes the record at its first stage and sends that
+stage's request; one sender (ask_stage) sends the request of whatever stage
+a record is at. A new flow starts at classify; a reroute sweep starts at
+admit or install, with the new path and the superseded one to clear; a
+packet-in for an active session whose rules are gone starts at install.
+Each answer either advances the stage and asks again, or ends the
+conversation: an install answer activates the session, while no path, a QoS
+denial or a policy violation leave it unroutable and give back any
+reservation. Conversations complete within the tick they start because the
+fabric runs to quiescence; a record stalled for RETRY_AFTER ticks means its
+counterpart died, and the same sender asks again (install keeps its rule
+ids; a pending clear-up is repeated first).
 
 Ordering contract (mirrored by the oracle): link events precede packet-in
 events within a tick, so reroute sweeps always run before new-flow
@@ -26,6 +39,9 @@ from typing import Any
 from .core import AgentId, FunctionKind, MessageKind
 from .logic import (
     ACTIVE,
+    DEFAULT_GAP_THRESHOLD,
+    DEFAULT_QOS_CAP_PERMILLE,
+    DEFAULT_SIZE_THRESHOLD,
     PENDING,
     PRIORITY_BY_CLASS,
     REALTIME,
@@ -35,11 +51,13 @@ from .logic import (
     build_graph,
     classify,
     clearing_rules,
+    find_session,
     flow_rate_milli,
     link_capacities,
     path_link_keys,
     plan_reroutes,
     release_reservation,
+    rule_slot,
     rules_for_path,
     session_record,
     shortest_path,
@@ -149,8 +167,8 @@ def classifier_decide(facts: dict[str, Any], inp: AgentInput) -> CognitionOutcom
             size=inp.body["size"],
             gap=inp.body["gap"],
             hint=inp.body.get("hint"),
-            size_threshold=thresholds.get("size", 100),
-            gap_threshold=thresholds.get("gap", 3),
+            size_threshold=thresholds.get("size", DEFAULT_SIZE_THRESHOLD),
+            gap_threshold=thresholds.get("gap", DEFAULT_GAP_THRESHOLD),
         )
         return CognitionOutcome(
             decision(responses=[{"class": klass, "ctx": inp.body.get("ctx")}]), 1.0
@@ -190,7 +208,7 @@ def qos_decide(facts: dict[str, Any], inp: AgentInput) -> CognitionOutcome:
             keys,
             rate,
             link_capacities(view["links"]),
-            facts.get("qos-cap-permille", 800),
+            facts.get("qos-cap-permille", DEFAULT_QOS_CAP_PERMILLE),
         )
         writes: list[tuple[str, Any]] = []
         if ok:
@@ -226,6 +244,9 @@ def qos_decide(facts: dict[str, Any], inp: AgentInput) -> CognitionOutcome:
 # -- forwarding agent -----------------------------------------------------------------
 
 
+_RULE_COUNT_KEY = {"install": "installed", "remove": "removed"}  # per op, in the answer
+
+
 @register_cognition(
     FunctionKind.FORWARDING.value,
     ingest=topology_ingest,
@@ -236,43 +257,24 @@ def forwarding_decide(facts: dict[str, Any], inp: AgentInput) -> CognitionOutcom
     where policy caps bite: a failed validation emits a violation event
     instead of touching any switch, and the ok response never goes out."""
     op = request_op(inp)
-    if op == "install":
-        ctx = inp.body.get("ctx")
-        plan = [
-            step("install-rule", switch, rule=doc, ctx=ctx)
-            for switch, doc in inp.body["rules"]
-        ]
-        table = {sw: dict(rules) for sw, rules in facts.get("switch-rules", {}).items()}
-        for switch, doc in inp.body["rules"]:
-            slot = f"{doc['match']['src']}|{doc['match']['dst']}|{doc['priority']}"
-            table.setdefault(switch, {})[slot] = doc["rule_id"]
-        return CognitionOutcome(
-            decision(
-                plan=plan,
-                responses=[{"ok": True, "installed": len(plan), "ctx": ctx}],
-                facts=[("switch-rules", table)],
-            ),
-            1.0,
-        )
-    if op == "remove":
-        ctx = inp.body.get("ctx")
-        plan = [
-            step("remove-rule", switch, rule=doc, ctx=ctx)
-            for switch, doc in inp.body["rules"]
-        ]
-        table = {sw: dict(rules) for sw, rules in facts.get("switch-rules", {}).items()}
-        for switch, doc in inp.body["rules"]:
-            slot = f"{doc['match']['src']}|{doc['match']['dst']}|{doc['priority']}"
-            table.get(switch, {}).pop(slot, None)
-        return CognitionOutcome(
-            decision(
-                plan=plan,
-                responses=[{"ok": True, "removed": len(plan), "ctx": ctx}],
-                facts=[("switch-rules", table)],
-            ),
-            1.0,
-        )
-    return CognitionOutcome(decision(), 1.0)
+    if op not in ("install", "remove"):
+        return CognitionOutcome(decision(), 1.0)
+    ctx = inp.body.get("ctx")
+    rules = inp.body["rules"]
+    table = {sw: dict(slots) for sw, slots in facts.get("switch-rules", {}).items()}
+    for switch, doc in rules:
+        if op == "install":
+            table.setdefault(switch, {})[rule_slot(doc)] = doc["rule_id"]
+        else:
+            table.get(switch, {}).pop(rule_slot(doc), None)
+    return CognitionOutcome(
+        decision(
+            plan=[step(f"{op}-rule", switch, rule=doc, ctx=ctx) for switch, doc in rules],
+            responses=[{"ok": True, _RULE_COUNT_KEY[op]: len(rules), "ctx": ctx}],
+            facts=[("switch-rules", table)],
+        ),
+        1.0,
+    )
 
 
 # -- monitoring agent ------------------------------------------------------------------
@@ -309,6 +311,15 @@ _SESSION_DIGEST = (
 
 RETRY_AFTER = 2  # ticks a conversation may stall before re-asking
 
+# the request each stage sends (the op is named after the stage): the peer
+# kind asked and the pending-record fields the request carries
+_STAGE_REQUESTS = {
+    "classify": (FunctionKind.CLASSIFIER, ("size", "gap", "hint")),
+    "path": (FunctionKind.ROUTING, ("src", "dst")),
+    "admit": (FunctionKind.QOS, ("path", "gap", "class")),
+    "install": (FunctionKind.FORWARDING, ()),
+}
+
 
 class _SessionState:
     """Working copy of the session agent's facts for one decision.
@@ -319,14 +330,14 @@ class _SessionState:
     objects and cost nothing to write.
     """
 
-    def __init__(self, facts: dict[str, Any]):
+    def __init__(self, facts: dict[str, Any], now: int):
         self.facts = facts
+        self.now = now
         self.sessions = dict(facts.get("sessions", {}))
         self.pending = dict(facts.get("pending", {}))
         self.session_seq = facts.get("session-seq", 0)
         self.rule_seq = facts.get("rule-seq", 0)
         self.steps: list[dict[str, Any]] = []
-        self.now = 0
 
     def _edit_session(self, sid: str) -> dict[str, Any]:
         return _edit(self.sessions, self.facts.get("sessions", {}), sid)
@@ -350,27 +361,48 @@ class _SessionState:
             self.steps.append(step(op, AgentId.parse(target), **body))
 
     def _ask_remove(self, sid: str, path: list[str], klass: str) -> None:
+        rec = self.sessions[sid]
+        rules = clearing_rules(path, rec["src"], rec["dst"], PRIORITY_BY_CLASS[klass])
         self._ask(
-            FunctionKind.FORWARDING,
-            "remove",
-            rules=[
-                [sw, doc]
-                for sw, doc in clearing_rules(
-                    path,
-                    self.sessions[sid]["src"],
-                    self.sessions[sid]["dst"],
-                    PRIORITY_BY_CLASS[klass],
-                )
-            ],
-            ctx=sid,
+            FunctionKind.FORWARDING, "remove", rules=[[sw, doc] for sw, doc in rules], ctx=sid
         )
 
-    def find_session(self, src: str, dst: str) -> str | None:
-        for sid in sorted(self.sessions):
-            rec = self.sessions[sid]
-            if rec["src"] == src and rec["dst"] == dst:
-                return sid
-        return None
+    def _release(self, sid: str, rec: dict[str, Any]) -> None:
+        self._ask(FunctionKind.QOS, "release", ctx=sid)
+        rec["reserved"] = False
+
+    def converse(self, sid: str, stage: str, **fields: Any) -> None:
+        """Start sid's conversation at stage and send that stage's request."""
+        rec = self.sessions[sid]
+        self.pending[sid] = {
+            "sid": sid,
+            "stage": stage,
+            "src": rec["src"],
+            "dst": rec["dst"],
+            "size": rec["size"],
+            "gap": rec["gap"],
+            "hint": None,
+            **fields,
+        }
+        self.ask_stage(sid)
+
+    def ask_stage(self, sid: str) -> None:
+        """Send the request for the stage sid's conversation is at. The
+        install stage takes fresh rule ids once and reuses them on a retry."""
+        p = self._edit_pending(sid)
+        p["asked_at"] = self.now
+        stage = p["stage"]
+        kind, fields = _STAGE_REQUESTS[stage]
+        body = {f: p[f] for f in fields}
+        if stage == "install":
+            if "rule_ids" not in p:
+                p["rule_ids"] = [f"r{self.rule_seq + i + 1:04d}" for i in range(len(p["path"]))]
+                self.rule_seq += len(p["path"])
+            rules = rules_for_path(
+                p["path"], p["src"], p["dst"], PRIORITY_BY_CLASS[p["class"]], p["rule_ids"]
+            )
+            body["rules"] = [[sw, doc] for sw, doc in rules]
+        self._ask(kind, stage, ctx=sid, **body)
 
     def open_session(self, src: str, dst: str, size: int, gap: int, hint: str | None) -> None:
         self.session_seq += 1
@@ -378,51 +410,7 @@ class _SessionState:
         self.sessions[sid] = session_record(
             sid, src, dst, klass="", created_at=self.now, state=PENDING, gap=gap, size=size
         )
-        self.pending[sid] = {
-            "sid": sid,
-            "stage": "classify",
-            "src": src,
-            "dst": dst,
-            "size": size,
-            "gap": gap,
-            "hint": hint,
-            "asked_at": self.now,
-        }
-        self._ask(
-            FunctionKind.CLASSIFIER, "classify", size=size, gap=gap, hint=hint, ctx=sid
-        )
-
-    def reissue(self, sid: str) -> None:
-        """Re-send the current stage's request for a stalled conversation."""
-        p = self._edit_pending(sid)
-        p["asked_at"] = self.now
-        stage = p["stage"]
-        if p.get("cleanup") and stage in ("admit", "install"):
-            # the original remove may have died with its target; removal is
-            # idempotent, so repeat it ahead of the (re)install
-            self._ask_remove(sid, p["cleanup"], p["class"])
-        if stage == "classify":
-            self._ask(
-                FunctionKind.CLASSIFIER,
-                "classify",
-                size=p["size"],
-                gap=p["gap"],
-                hint=p["hint"],
-                ctx=sid,
-            )
-        elif stage == "path":
-            self._ask(FunctionKind.ROUTING, "path", src=p["src"], dst=p["dst"], ctx=sid)
-        elif stage == "admit":
-            self._ask(
-                FunctionKind.QOS,
-                "admit",
-                path=p["path"],
-                gap=p["gap"],
-                ctx=sid,
-                **{"class": p["class"]},
-            )
-        elif stage == "install":
-            self._install(sid, fresh_ids=False)
+        self.converse(sid, "classify", hint=hint)
 
     def on_response(self, body: dict[str, Any]) -> None:
         ctx = body.get("ctx")
@@ -431,69 +419,39 @@ class _SessionState:
         p = self._edit_pending(ctx)
         stage = p["stage"]
         if stage == "classify" and "class" in body:
-            p["class"] = body["class"]
-            self._edit_session(ctx)["class"] = body["class"]
+            p["class"] = self._edit_session(ctx)["class"] = body["class"]
             p["stage"] = "path"
-            p["asked_at"] = self.now
-            self._ask(FunctionKind.ROUTING, "path", src=p["src"], dst=p["dst"], ctx=ctx)
         elif stage == "path" and "path" in body:
             if body["path"] is None:
-                self.finalize(ctx, UNROUTABLE, reason="no-path")
+                self.deny(ctx, "no-path")
                 return
             p["path"] = body["path"]
-            p["asked_at"] = self.now
-            if p["class"] == REALTIME:
-                p["stage"] = "admit"
-                self._ask(
-                    FunctionKind.QOS,
-                    "admit",
-                    path=p["path"],
-                    gap=p["gap"],
-                    ctx=ctx,
-                    **{"class": p["class"]},
-                )
-            else:
-                p["stage"] = "install"
-                self._install(ctx)
+            p["stage"] = "admit" if p["class"] == REALTIME else "install"
         elif stage == "admit" and "admitted" in body:
             if not body["admitted"]:
-                self.finalize(ctx, UNROUTABLE, reason="qos-denied")
+                self.deny(ctx, "qos-denied")
                 return
             p["reserved"] = True
             p["stage"] = "install"
-            p["asked_at"] = self.now
-            self._install(ctx)
         elif stage == "install" and "installed" in body:
             rec = self._edit_session(ctx)
             rec["state"] = ACTIVE
             rec["path"] = p["path"]
             rec["reserved"] = p.get("reserved", False)
             del self.pending[ctx]
+            return
+        else:
+            return
+        self.ask_stage(ctx)
 
-    def _install(self, sid: str, fresh_ids: bool = True) -> None:
-        p = self._edit_pending(sid)
-        if fresh_ids:
-            ids = [f"r{self.rule_seq + i + 1:04d}" for i in range(len(p["path"]))]
-            self.rule_seq += len(ids)
-            p["rule_ids"] = ids
-        rules = rules_for_path(
-            p["path"], p["src"], p["dst"], PRIORITY_BY_CLASS[p["class"]], p["rule_ids"]
-        )
-        self._ask(
-            FunctionKind.FORWARDING,
-            "install",
-            rules=[[sw, doc] for sw, doc in rules],
-            ctx=sid,
-        )
-
-    def finalize(self, sid: str, state: str, reason: str | None = None) -> None:
+    def deny(self, sid: str, reason: str) -> None:
+        """End sid's conversation unroutable, giving back its reservation."""
         rec = self._edit_session(sid)
-        rec["state"] = state
+        rec["state"] = UNROUTABLE
         rec["reason"] = reason
         p = self.pending.pop(sid, None)
         if p and p.get("reserved"):
-            self._ask(FunctionKind.QOS, "release", ctx=sid)
-            rec["reserved"] = False
+            self._release(sid, rec)
 
     # -- topology reactions -----------------------------------------------------
 
@@ -501,49 +459,22 @@ class _SessionState:
         """Repair sessions after a topology change; order is sid order, the
         same order the oracle applies."""
         graph = build_graph(view["links"])
-        moves = plan_reroutes(self.sessions, graph, view["hosts"])
-        for sid, path in moves:
+        for sid, path in plan_reroutes(self.sessions, graph, view["hosts"]):
             rec = self._edit_session(sid)
             old = rec.get("path")
             if old:
                 self._ask_remove(sid, old, rec["class"])
+            if rec.get("reserved"):
+                self._release(sid, rec)
             if path is None:
-                if rec.get("reserved"):
-                    self._ask(FunctionKind.QOS, "release", ctx=sid)
-                    rec["reserved"] = False
                 rec["state"] = UNROUTABLE
                 rec["reason"] = "no-path"
                 rec["path"] = None
                 continue
-            if rec.get("reserved"):
-                self._ask(FunctionKind.QOS, "release", ctx=sid)
-                rec["reserved"] = False
             rec["state"] = UPDATING
             rec["reason"] = None
-            self.pending[sid] = {
-                "sid": sid,
-                "stage": "admit" if rec["class"] == REALTIME else "install",
-                "src": rec["src"],
-                "dst": rec["dst"],
-                "size": rec["size"],
-                "gap": rec["gap"],
-                "hint": None,
-                "class": rec["class"],
-                "path": path,
-                "cleanup": old,
-                "asked_at": self.now,
-            }
-            if rec["class"] == REALTIME:
-                self._ask(
-                    FunctionKind.QOS,
-                    "admit",
-                    path=path,
-                    gap=rec["gap"],
-                    ctx=sid,
-                    **{"class": rec["class"]},
-                )
-            else:
-                self._install(sid)
+            stage = "admit" if rec["class"] == REALTIME else "install"
+            self.converse(sid, stage, path=path, cleanup=old, **{"class": rec["class"]})
 
     def on_violation(self, body: dict[str, Any]) -> None:
         ctxs = sorted(
@@ -555,7 +486,7 @@ class _SessionState:
         )
         for ctx in ctxs:
             if ctx in self.pending:
-                self.finalize(ctx, UNROUTABLE, reason="policy-denied")
+                self.deny(ctx, "policy-denied")
 
     def proactive_scan(self, tick: int, schedule: list[dict[str, Any]]) -> None:
         """Open conversations one tick ahead of declared flows so their rules
@@ -563,7 +494,7 @@ class _SessionState:
         for flow in schedule:
             if flow["start_tick"] != tick + 1:
                 continue
-            if self.find_session(flow["src"], flow["dst"]) is not None:
+            if find_session(self.sessions, flow["src"], flow["dst"]) is not None:
                 continue
             self.open_session(
                 flow["src"], flow["dst"], flow["size"], flow.get("gap", 1), flow.get("class")
@@ -571,8 +502,14 @@ class _SessionState:
 
     def retries(self, tick: int) -> None:
         for sid in sorted(self.pending):
-            if tick - self.pending[sid].get("asked_at", tick) >= RETRY_AFTER:
-                self.reissue(sid)
+            p = self.pending[sid]
+            if tick - p.get("asked_at", tick) < RETRY_AFTER:
+                continue
+            if p.get("cleanup"):
+                # the original remove may have died with its target; removal
+                # is idempotent, so repeat it ahead of the (re)install
+                self._ask_remove(sid, p["cleanup"], p["class"])
+            self.ask_stage(sid)
 
 
 def _edit(table: dict[str, Any], stored: dict[str, Any], key: str) -> dict[str, Any]:
@@ -587,9 +524,7 @@ def _edit(table: dict[str, Any], stored: dict[str, Any], key: str) -> dict[str, 
     FunctionKind.SESSION.value, ingest=topology_ingest, digest_keys=_SESSION_DIGEST
 )
 def session_decide(facts: dict[str, Any], inp: AgentInput) -> CognitionOutcome:
-    st = _SessionState(facts)
-    st.now = inp.message.sim_time
-
+    st = _SessionState(facts, inp.message.sim_time)
     if is_response(inp):
         st.on_response(inp.body)
         return CognitionOutcome(decision(plan=st.steps, facts=st.writes()), 1.0)
@@ -598,29 +533,17 @@ def session_decide(facts: dict[str, Any], inp: AgentInput) -> CognitionOutcome:
     if ev is not None:
         topic, body = ev
         if topic == "events.packet_in":
-            sid = st.find_session(body["src"], body["dst"])
-            if sid is None:
+            sid = find_session(st.sessions, body["src"], body["dst"])
+            rec = st.sessions.get(sid)
+            if rec is None:
                 st.open_session(
                     body["src"], body["dst"], body["size"], body["gap"], body.get("hint")
                 )
-            elif st.sessions[sid]["state"] == ACTIVE and sid not in st.pending:
+            elif rec["state"] == ACTIVE and sid not in st.pending:
                 # rules the fabric believes in are missing on the floor:
                 # re-run the install leg with the session's known path
-                rec = st.sessions[sid]
-                st.pending[sid] = {
-                    "sid": sid,
-                    "stage": "install",
-                    "src": rec["src"],
-                    "dst": rec["dst"],
-                    "size": rec["size"],
-                    "gap": rec["gap"],
-                    "hint": None,
-                    "class": rec["class"],
-                    "path": rec["path"],
-                    "asked_at": st.now,
-                }
-                st._install(sid)
-        elif topic in ("events.link", "events.linkstate", "facts.topology"):
+                st.converse(sid, "install", path=rec["path"], **{"class": rec["class"]})
+        elif topic in ("events.link", "events.linkstate"):
             st.sweep(facts["topology"])  # ingest already applied the change
         elif topic == "events.violation":
             st.on_violation(body)

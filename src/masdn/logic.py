@@ -161,6 +161,13 @@ def rules_for_path(
     return out
 
 
+def rule_slot(rule: Mapping[str, Any]) -> str:
+    """The flow-table slot a rule occupies, "src|dst|priority": a switch
+    holds one rule per slot, and removal matches on the slot alone."""
+    match = rule.get("match", {})
+    return f"{match.get('src')}|{match.get('dst')}|{rule.get('priority')}"
+
+
 def clearing_rules(
     path: list[str], src_host: str, dst_host: str, priority: int
 ) -> list[tuple[str, dict[str, Any]]]:
@@ -256,6 +263,14 @@ def session_record(
         "gap": gap,
         "size": size,
     }
+
+
+def find_session(sessions: Mapping[str, dict[str, Any]], src: str, dst: str) -> str | None:
+    """The session of a host pair: the lowest session id with that src and dst."""
+    return min(
+        (sid for sid, rec in sessions.items() if rec["src"] == src and rec["dst"] == dst),
+        default=None,
+    )
 
 
 def plan_reroutes(

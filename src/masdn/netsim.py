@@ -392,6 +392,21 @@ class Simulator:
 
     # -- control-plane facing ------------------------------------------------
 
+    def schedule(self) -> list[dict[str, Any]]:
+        """The declared flow arrivals, start jitter applied: what proactive
+        mode sets up ahead of time, the same list for both controllers."""
+        return [
+            {
+                "src": p.flow.src,
+                "dst": p.flow.dst,
+                "size": p.flow.size,
+                "gap": p.flow.gap,
+                "start_tick": p.flow.start,
+                "class": p.flow.hint,
+            }
+            for p in self.flows
+        ]
+
     def install_rule(self, switch: str, doc: dict[str, Any], now: int) -> Rule:
         table = self.tables.get(switch)
         if table is None:

@@ -24,6 +24,9 @@ from .core import FunctionKind
 from .hierarchy import Policy
 from .logic import (
     ACTIVE,
+    DEFAULT_GAP_THRESHOLD,
+    DEFAULT_QOS_CAP_PERMILLE,
+    DEFAULT_SIZE_THRESHOLD,
     PENDING,
     PRIORITY_BY_CLASS,
     REALTIME,
@@ -34,17 +37,19 @@ from .logic import (
     build_graph,
     classify,
     clearing_rules,
+    find_session,
     flow_rate_milli,
     link_capacities,
     path_link_keys,
     plan_reroutes,
     release_reservation,
+    rule_slot,
     rules_for_path,
     session_record,
     shortest_path,
     topology_view,
 )
-from .netsim import SUPPRESS_TICKS, LinkDown, PacketIn, Scenario, Simulator, TickStats, Topology
+from .netsim import LinkDown, PacketIn, Scenario, Simulator, TickStats, Topology
 from .runtime import Plan, PlanStep, validate_plan
 
 
@@ -55,15 +60,13 @@ class MonolithicController:
         self, topo: Topology, scenario: Scenario, config: dict[str, Any] | None = None
     ) -> None:
         self.config = dict(config or {})
-        self.sim = Simulator(
-            topo, scenario, suppress_ticks=self.config.get("suppress_ticks", SUPPRESS_TICKS)
-        )
+        self.sim = Simulator(topo, scenario)
         self.scenario = scenario
         self.view = topology_view(topo, self.sim.links_doc())
         thresholds = self.config.get("thresholds", {})
-        self.size_threshold = thresholds.get("size", 100)
-        self.gap_threshold = thresholds.get("gap", 3)
-        self.cap_permille = self.config.get("qos_cap_permille", 800)
+        self.size_threshold = thresholds.get("size", DEFAULT_SIZE_THRESHOLD)
+        self.gap_threshold = thresholds.get("gap", DEFAULT_GAP_THRESHOLD)
+        self.cap_permille = self.config.get("qos_cap_permille", DEFAULT_QOS_CAP_PERMILLE)
         self.proactive = bool(self.config.get("proactive", False))
         self.policies = [
             Policy.from_dict(doc)
@@ -78,26 +81,9 @@ class MonolithicController:
         self.switch_rules: dict[str, dict[str, str]] = {}
         self.violations: list[dict[str, Any]] = []
         self.stats: list[TickStats] = []
-        self.schedule = self.config.get("schedule") or [
-            {
-                "src": p.flow.src,
-                "dst": p.flow.dst,
-                "size": p.flow.size,
-                "gap": p.flow.gap,
-                "start_tick": p.flow.start,
-                "class": p.flow.hint,
-            }
-            for p in self.sim.flows
-        ]
+        self.schedule = self.sim.schedule()
 
     # -- session pipeline ----------------------------------------------------
-
-    def _find_session(self, src: str, dst: str) -> str | None:
-        for sid in sorted(self.sessions):
-            rec = self.sessions[sid]
-            if rec["src"] == src and rec["dst"] == dst:
-                return sid
-        return None
 
     def _release(self, sid: str) -> None:
         grant = self.admitted.pop(sid, None)
@@ -113,8 +99,7 @@ class MonolithicController:
         priority = PRIORITY_BY_CLASS[rec["class"]]
         for sw, doc in clearing_rules(path, rec["src"], rec["dst"], priority):
             self.sim.remove_rule(sw, doc["match"]["src"], doc["match"]["dst"], doc["priority"])
-            slot = f"{doc['match']['src']}|{doc['match']['dst']}|{doc['priority']}"
-            self.switch_rules.get(sw, {}).pop(slot, None)
+            self.switch_rules.get(sw, {}).pop(rule_slot(doc), None)
 
     def _install(self, sid: str, path: list[str], klass: str, now: int) -> bool:
         """Validate-then-install for one session path; all or nothing."""
@@ -138,8 +123,7 @@ class MonolithicController:
             return False
         for sw, doc in rules:
             self.sim.install_rule(sw, doc, now=now)
-            slot = f"{doc['match']['src']}|{doc['match']['dst']}|{doc['priority']}"
-            self.switch_rules.setdefault(sw, {})[slot] = doc["rule_id"]
+            self.switch_rules.setdefault(sw, {})[rule_slot(doc)] = doc["rule_id"]
         return True
 
     def _finish_setup(self, sid: str, path: list[str], klass: str, now: int) -> None:
@@ -199,7 +183,7 @@ class MonolithicController:
         self._finish_setup(sid, path, klass, now)
 
     def packet_in(self, ev: PacketIn, now: int) -> None:
-        sid = self._find_session(ev.src, ev.dst)
+        sid = find_session(self.sessions, ev.src, ev.dst)
         if sid is None:
             self.open_session(ev.src, ev.dst, ev.size, ev.gap, ev.hint, now)
             return
@@ -230,7 +214,7 @@ class MonolithicController:
         for flow in self.schedule:
             if flow["start_tick"] != now + 1:
                 continue
-            if self._find_session(flow["src"], flow["dst"]) is not None:
+            if find_session(self.sessions, flow["src"], flow["dst"]) is not None:
                 continue
             self.open_session(
                 flow["src"], flow["dst"], flow["size"], flow.get("gap", 1), flow.get("class"), now

@@ -26,13 +26,16 @@ full detection window before anyone else is declared lost.
 from __future__ import annotations
 
 import zlib
-from typing import Any
+from typing import Any, Sequence
 
 from .core import AgentId, FunctionKind, DecisionLevel, level_of
 from .functions import request_op
 from .hierarchy import Policy
 from .logic import (
+    DEFAULT_GAP_THRESHOLD,
     DEFAULT_LEASE_TTL,
+    DEFAULT_QOS_CAP_PERMILLE,
+    DEFAULT_SIZE_THRESHOLD,
     HEARTBEAT_INTERVAL,
     MISSED_HEARTBEATS,
     CapacityError,
@@ -137,10 +140,15 @@ def _broker_facts(strategy: str, broker: str, brokers: list[str]) -> dict[str, A
 
 
 def build_specs(
-    config: dict[str, Any], roster: list[str], view: dict[str, Any], me: str
+    config: dict[str, Any],
+    roster: list[str],
+    view: dict[str, Any],
+    me: str,
+    schedule: Sequence[dict[str, Any]] = (),
 ) -> dict[str, dict[str, Any]]:
     """Initial facts + subscriptions for every roster agent, as spec docs
-    consumable by the host-control endpoint."""
+    consumable by the host-control endpoint. The session agent gets the
+    declared flow schedule, for proactive setup."""
     strategy = config.get("event_strategy", "centralized")
     brokers = broker_ids(strategy)
     peers = sorted(roster + [me])
@@ -160,13 +168,13 @@ def build_specs(
             facts["topology"] = view
         if kind is FunctionKind.CLASSIFIER:
             facts["thresholds"] = {
-                "size": thresholds.get("size", 100),
-                "gap": thresholds.get("gap", 3),
+                "size": thresholds.get("size", DEFAULT_SIZE_THRESHOLD),
+                "gap": thresholds.get("gap", DEFAULT_GAP_THRESHOLD),
             }
         if kind is FunctionKind.QOS:
-            facts["qos-cap-permille"] = config.get("qos_cap_permille", 800)
+            facts["qos-cap-permille"] = config.get("qos_cap_permille", DEFAULT_QOS_CAP_PERMILLE)
         if kind is FunctionKind.SESSION:
-            facts["schedule"] = config.get("schedule", [])
+            facts["schedule"] = list(schedule)
             facts["proactive"] = bool(config.get("proactive", False))
         if kind is FunctionKind.EVENT_DISTRIBUTION:
             facts["subscriptions"] = []
@@ -239,7 +247,9 @@ def _bootstrap_facts(facts: dict[str, Any], inp: AgentInput) -> CognitionOutcome
     config = facts.get("config", {})
     me = str(inp.message.dst)
     roster = plan_roster(config)
-    specs = build_specs(config, roster, facts.get("topology") or {}, me)
+    specs = build_specs(
+        config, roster, facts.get("topology") or {}, me, facts.get("schedule", [])
+    )
     events: list[dict[str, Any]] = []
     placement: dict[str, str] | None
     inventory = config.get("inventory") or {"node0": len(roster) + 1}

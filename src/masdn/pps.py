@@ -13,7 +13,7 @@ Binary frame layout (all integers big-endian):
         u16 src_length,  src bytes (utf-8, "kind#instance")
         u16 dst_length,  dst bytes (agent id or topic name)
         u8  kind        (ordinal in MessageKind declaration order)
-        u8  has_correlation, u64 correlation_id (0 when absent)
+        u8  has_correlation (0 or 1), u64 correlation_id (0 when absent)
         u64 sim_time
         u32 payload_length, payload bytes
 
@@ -164,6 +164,10 @@ def decode(b: bytes, p: StackProfile) -> Message:
 _TEXT_FIELDS = {"msg_id", "src", "dst", "kind", "correlation_id", "sim_time", "payload"}
 
 
+def _is_int(value: object) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _decode_text(b: bytes, p: StackProfile) -> Message:
     try:
         doc = json.loads(b.decode("utf-8"))
@@ -171,6 +175,11 @@ def _decode_text(b: bytes, p: StackProfile) -> Message:
         raise MalformedFrame(f"not a JSON frame: {exc}") from exc
     if not isinstance(doc, dict) or set(doc) != _TEXT_FIELDS:
         raise MalformedFrame("JSON frame does not carry exactly the envelope fields")
+    corr = doc["correlation_id"]
+    if not (_is_int(doc["msg_id"]) and _is_int(doc["sim_time"])) or not (
+        corr is None or _is_int(corr)
+    ):
+        raise MalformedFrame("msg_id, sim_time and correlation_id must be integers")
     try:
         payload = base64.b64decode(doc["payload"], validate=True)
         msg = Message(
@@ -221,6 +230,8 @@ def _decode_binary(b: bytes, p: StackProfile) -> Message:
         raise MalformedFrame(f"unknown message kind ordinal {kind_ord}")
     if payload_len > p.max_payload:
         raise MalformedFrame("payload exceeds profile max_payload")
+    if has_corr > 1 or (not has_corr and corr):
+        raise MalformedFrame("correlation flag must be 0 (with a zero id) or 1")
     try:
         return Message(
             msg_id=msg_id,

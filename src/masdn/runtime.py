@@ -57,7 +57,7 @@ from .core import (
     MessageKind,
 )
 from .hierarchy import Escalation, NoUpperAgent, Policy, route_escalation
-from .logic import DEFAULT_LEASE_TTL, HEARTBEAT_INTERVAL
+from .logic import DEFAULT_LEASE_TTL, HEARTBEAT_INTERVAL, rule_slot
 from .pps import DEFAULT_PROFILES, MalformedFrame, StackProfile, decode_body, encode_body
 
 ESCALATION_CONFIDENCE = 0.5
@@ -263,14 +263,6 @@ class ValidationReport:
     note: str = ""
 
 
-def _rule_key(params: dict[str, Any]) -> str | None:
-    rule = params.get("rule")
-    if not isinstance(rule, dict):
-        return None
-    match = rule.get("match", {})
-    return f"{match.get('src')}|{match.get('dst')}|{rule.get('priority')}"
-
-
 def _check_policies(
     plan: Plan, facts: dict[str, Any], policies: list[Policy]
 ) -> list[Violation]:
@@ -299,7 +291,8 @@ def _check_policies(
                     )
                     continue
                 slot = projected.setdefault(str(step.target), set())
-                key = _rule_key(step.params)
+                doc = step.params.get("rule")
+                key = rule_slot(doc) if isinstance(doc, dict) else None
                 if step.action == "remove-rule":
                     slot.discard(key or "")
                     continue

@@ -26,15 +26,7 @@ from typing import Any, Callable
 
 from .core import AgentId, FunctionKind, Message, MessageKind
 from .logic import DEFAULT_LEASE_TTL, REFRESH_EVERY, topology_view
-from .netsim import (
-    SUPPRESS_TICKS,
-    LinkDown,
-    PacketIn,
-    Scenario,
-    Simulator,
-    TickStats,
-    Topology,
-)
+from .netsim import LinkDown, PacketIn, Scenario, Simulator, TickStats, Topology
 from .orchestrator import _SUBSCRIPTIONS, broker_ids, home_broker
 from .pps import DEFAULT_PROFILES, StackProfile, decode_body, encode_body
 from .runtime import AgentHost, AgentSpec
@@ -68,9 +60,7 @@ class AgentSystem:
             raise ValueError(f"lease_ttl must be > 0, got {self.config['lease_ttl']}")
         self.host = AgentHost(log_sink=log_sink)
         self.bus = Bus(self.host, default_profiles=resolve_profiles(self.config.get("profiles")))
-        self.sim = Simulator(
-            topo, scenario, suppress_ticks=self.config.get("suppress_ticks", SUPPRESS_TICKS)
-        )
+        self.sim = Simulator(topo, scenario)
         self.strategy = self.config.get("event_strategy", "centralized")
         self.orch = AgentId(FunctionKind.ORCHESTRATION, 0)
         self.stats: list[TickStats] = []
@@ -87,22 +77,6 @@ class AgentSystem:
         self.bus.bind_prefix("switch.", self._switch)
         self.bus.topic_router = self._route_topic
         self.host.on_spawn = self._forget_exports
-
-        # declared arrivals, realized post-jitter: what proactive mode pre-installs
-        self.config.setdefault(
-            "schedule",
-            [
-                {
-                    "src": p.flow.src,
-                    "dst": p.flow.dst,
-                    "size": p.flow.size,
-                    "gap": p.flow.gap,
-                    "start_tick": p.flow.start,
-                    "class": p.flow.hint,
-                }
-                for p in self.sim.flows
-            ],
-        )
 
     # -- endpoints ------------------------------------------------------------
 
@@ -171,6 +145,7 @@ class AgentSystem:
         """Spawn the orchestrator and let it recompose the whole controller."""
         facts = {
             "config": self.config,
+            "schedule": self.sim.schedule(),
             "topology": topology_view(self.topo, self.sim.links_doc()),
             "endpoints": ["host.control"],
             "home-broker": home_broker(self.strategy, str(self.orch)),

@@ -58,7 +58,11 @@ def test_agent_id_round_trips_through_text():
             assert AgentId.parse(str(aid)) == aid
 
 
-@pytest.mark.parametrize("bad", ["", "routing", "routing#", "routing#x", "#1", "Routing#1"])
+@pytest.mark.parametrize(
+    "bad",
+    ["", "routing", "routing#", "routing#x", "#1", "Routing#1",
+     "routing#01", "routing#1\n", "routing#\u0661"],
+)
 def test_agent_id_rejects_malformed_text(bad):
     with pytest.raises((ValueError, KeyError)):
         AgentId.parse(bad)

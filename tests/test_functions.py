@@ -3,6 +3,7 @@ import pytest
 
 from masdn.core import AgentId, FunctionKind, Message, MessageKind
 from masdn.functions import (
+    RETRY_AFTER,
     classifier_decide,
     forwarding_decide,
     monitoring_ingest,
@@ -21,7 +22,15 @@ from masdn.infra import (
     knowledge_decide,
     registry_decide,
 )
-from masdn.logic import ACTIVE, PENDING, session_record
+from masdn.logic import (
+    ACTIVE,
+    PENDING,
+    UNROUTABLE,
+    UPDATING,
+    clearing_rules,
+    rules_for_path,
+    session_record,
+)
 from masdn.runtime import AgentInput, FactsStore, bootstrap_steps, event_of, merge_digest, peer_of
 
 _IDS = iter(range(1, 100000))
@@ -372,6 +381,311 @@ class TestSessionAgent:
         assert writes["pending"] == {}
         assert store.get("sessions") is stored
         assert stored["s0002"]["state"] == PENDING
+
+
+class TestSessionConversation:
+    """One session's classify -> path -> admit -> install conversation, one
+    decision at a time: what each stage asks for and where it moves next."""
+
+    PEERS = ["classifier#0", "forwarding#0", "qos#0", "routing#0", "session#0"]
+    PATH = ["s1", "s2", "s3"]
+
+    def facts(self, sessions=(), pending=(), rule_seq=0, **extra):
+        return {
+            "peers": self.PEERS,
+            "topology": TOPO,
+            "sessions": {r["session_id"]: r for r in sessions},
+            "pending": {p["sid"]: p for p in pending},
+            "session-seq": len(sessions),
+            "rule-seq": rule_seq,
+            **extra,
+        }
+
+    def pending(self, stage, **fields):
+        return {"sid": "s0001", "stage": stage, "src": "h1", "dst": "h2", "size": 5,
+                "gap": 1, "hint": None, "asked_at": 4, **fields}
+
+    def session(self, state=PENDING, klass="", **fields):
+        return {**session_record("s0001", "h1", "h2", klass, 4, state=state, gap=1, size=5),
+                **fields}
+
+    def decide(self, facts, inp):
+        dec = session_decide(facts, inp).decision
+        writes = dict(dec.get("facts", []))
+        asks = [(s["action"], str(s["target"]), s["params"]) for s in dec.get("plan", [])]
+        return writes, asks
+
+    def answer(self, body, src, now=5):
+        return AgentInput(
+            Message(msg_id=next(_IDS), src=AgentId.parse(src), dst=AgentId.parse("session#0"),
+                    kind=MessageKind.RESPONSE, payload=b"", sim_time=now, correlation_id=1),
+            {**body, "ctx": "s0001"},
+        )
+
+    def tick(self, t):
+        return event("events.tick", {"tick": t}, dst="session#0", now=t)
+
+    def rules(self, ids, priority=30):
+        return [[sw, doc] for sw, doc in rules_for_path(self.PATH, "h1", "h2", priority, ids)]
+
+    def clearing(self, path, priority=30):
+        return [[sw, doc] for sw, doc in clearing_rules(path, "h1", "h2", priority)]
+
+    def with_down(self, *links):
+        return {**TOPO, "links": [{**l, "up": (l["a"], l["b"]) not in links}
+                                  for l in TOPO["links"]]}
+
+    # -- stage requests and transitions --------------------------------------------
+
+    def test_packet_in_opens_a_session_and_asks_to_classify(self):
+        inp = event("events.packet_in", {"switch": "s1", "src": "h1", "dst": "h2",
+                                          "size": 5, "gap": 1, "hint": None},
+                    dst="session#0", now=4)
+        writes, asks = self.decide(self.facts(), inp)
+        assert writes["session-seq"] == 1
+        assert writes["sessions"]["s0001"] == self.session()
+        assert writes["pending"]["s0001"] == self.pending("classify")
+        assert asks == [("classify", "classifier#0",
+                         {"size": 5, "gap": 1, "hint": None, "ctx": "s0001"})]
+
+    def test_packet_in_for_a_known_session_in_flight_asks_nothing(self):
+        facts = self.facts([self.session()], [self.pending("classify")])
+        inp = event("events.packet_in", {"switch": "s1", "src": "h1", "dst": "h2",
+                                          "size": 5, "gap": 1}, dst="session#0", now=5)
+        writes, asks = self.decide(facts, inp)
+        assert asks == []
+        assert writes["pending"] == facts["pending"]
+
+    def test_class_answer_asks_for_a_path(self):
+        facts = self.facts([self.session()], [self.pending("classify")])
+        writes, asks = self.decide(facts, self.answer({"class": "realtime"}, "classifier#0"))
+        assert writes["sessions"]["s0001"]["class"] == "realtime"
+        assert writes["pending"]["s0001"] == self.pending(
+            "path", **{"class": "realtime"}, asked_at=5)
+        assert asks == [("path", "routing#0", {"src": "h1", "dst": "h2", "ctx": "s0001"})]
+
+    def test_realtime_path_answer_asks_for_admission(self):
+        facts = self.facts([self.session(klass="realtime")],
+                           [self.pending("path", **{"class": "realtime"})])
+        writes, asks = self.decide(facts, self.answer({"path": self.PATH}, "routing#0"))
+        assert writes["pending"]["s0001"] == self.pending(
+            "admit", **{"class": "realtime"}, path=self.PATH, asked_at=5)
+        assert asks == [("admit", "qos#0", {"path": self.PATH, "gap": 1, "ctx": "s0001",
+                                            "class": "realtime"})]
+        assert writes["rule-seq"] == 0
+
+    def test_other_path_answer_installs_with_fresh_rule_ids(self):
+        facts = self.facts([self.session(klass="bulk")],
+                           [self.pending("path", **{"class": "bulk"})], rule_seq=7)
+        writes, asks = self.decide(facts, self.answer({"path": self.PATH}, "routing#0"))
+        ids = ["r0008", "r0009", "r0010"]
+        assert writes["rule-seq"] == 10
+        assert writes["pending"]["s0001"] == self.pending(
+            "install", **{"class": "bulk"}, path=self.PATH, asked_at=5, rule_ids=ids)
+        assert asks == [("install", "forwarding#0",
+                         {"rules": self.rules(ids, priority=10), "ctx": "s0001"})]
+
+    def test_admission_marks_the_reservation_and_installs(self):
+        facts = self.facts([self.session(klass="realtime")],
+                           [self.pending("admit", **{"class": "realtime"}, path=self.PATH)])
+        writes, asks = self.decide(facts, self.answer({"admitted": True}, "qos#0"))
+        ids = ["r0001", "r0002", "r0003"]
+        assert writes["pending"]["s0001"] == self.pending(
+            "install", **{"class": "realtime"}, path=self.PATH, asked_at=5,
+            reserved=True, rule_ids=ids)
+        assert asks == [("install", "forwarding#0", {"rules": self.rules(ids), "ctx": "s0001"})]
+
+    def test_install_answer_activates_the_session(self):
+        facts = self.facts(
+            [self.session(klass="realtime")],
+            [self.pending("install", **{"class": "realtime"}, path=self.PATH, reserved=True,
+                          rule_ids=["r0001", "r0002", "r0003"])],
+            rule_seq=3,
+        )
+        writes, asks = self.decide(facts, self.answer({"ok": True, "installed": 3},
+                                                      "forwarding#0"))
+        assert asks == []
+        assert writes["pending"] == {}
+        assert writes["sessions"]["s0001"] == self.session(
+            ACTIVE, "realtime", path=self.PATH, reserved=True)
+
+    def test_answer_for_another_stage_or_session_is_ignored(self):
+        facts = self.facts([self.session()], [self.pending("classify")])
+        writes, asks = self.decide(facts, self.answer({"path": self.PATH}, "routing#0"))
+        assert asks == [] and writes["pending"] == facts["pending"]
+        stray = AgentInput(self.answer({}, "routing#0").message, {"class": "bulk", "ctx": "s9"})
+        writes, asks = self.decide(facts, stray)
+        assert asks == [] and writes["pending"] == facts["pending"]
+
+    # -- endings ---------------------------------------------------------------------
+
+    def test_no_path_answer_ends_unroutable_without_a_release(self):
+        facts = self.facts([self.session(klass="bulk")],
+                           [self.pending("path", **{"class": "bulk"})])
+        writes, asks = self.decide(facts, self.answer({"path": None}, "routing#0"))
+        assert asks == []
+        assert writes["pending"] == {}
+        rec = writes["sessions"]["s0001"]
+        assert (rec["state"], rec["reason"]) == (UNROUTABLE, "no-path")
+
+    def test_qos_denial_ends_unroutable_without_a_release(self):
+        facts = self.facts([self.session(klass="realtime")],
+                           [self.pending("admit", **{"class": "realtime"}, path=self.PATH)])
+        writes, asks = self.decide(facts, self.answer({"admitted": False}, "qos#0"))
+        assert asks == []
+        assert writes["pending"] == {}
+        rec = writes["sessions"]["s0001"]
+        assert (rec["state"], rec["reason"]) == (UNROUTABLE, "qos-denied")
+
+    def test_violation_denies_the_install_and_releases_the_reservation(self):
+        facts = self.facts(
+            [self.session(klass="realtime")],
+            [self.pending("install", **{"class": "realtime"}, path=self.PATH, reserved=True,
+                          rule_ids=["r0001", "r0002", "r0003"])],
+        )
+        body = {"agent": "forwarding#0", "violations": [["rule-cap", "s1: 4 rules"]],
+                "steps": [{"action": "install-rule", "target": "s1",
+                           "params": {"rule": {}, "ctx": "s0001"}},
+                          {"action": "install-rule", "target": "s2",
+                           "params": {"rule": {}, "ctx": "s0404"}}]}
+        writes, asks = self.decide(facts, event("events.violation", body, dst="session#0", now=5))
+        assert asks == [("release", "qos#0", {"ctx": "s0001"})]
+        assert writes["pending"] == {}
+        rec = writes["sessions"]["s0001"]
+        assert (rec["state"], rec["reason"], rec["reserved"]) == (
+            UNROUTABLE, "policy-denied", False)
+
+    # -- stalled conversations ----------------------------------------------------------
+
+    def test_stalled_install_is_reissued_with_its_rule_ids_after_the_cleanup(self):
+        ids = ["r0004", "r0005", "r0006"]
+        old = ["s1", "s3"]
+        stalled = self.pending("install", **{"class": "realtime"}, path=self.PATH,
+                               cleanup=old, reserved=True, rule_ids=ids, asked_at=3)
+        facts = self.facts([self.session(UPDATING, "realtime", path=old)], [stalled],
+                           rule_seq=6)
+        writes, asks = self.decide(facts, self.tick(3 + RETRY_AFTER))
+        assert asks == [
+            ("remove", "forwarding#0", {"rules": self.clearing(old), "ctx": "s0001"}),
+            ("install", "forwarding#0", {"rules": self.rules(ids), "ctx": "s0001"}),
+        ]
+        assert writes["rule-seq"] == 6
+        assert writes["pending"]["s0001"] == {**stalled, "asked_at": 3 + RETRY_AFTER}
+
+    def test_each_stalled_stage_repeats_its_own_request(self):
+        cases = {
+            "classify": ("classify", "classifier#0",
+                         {"size": 5, "gap": 1, "hint": None, "ctx": "s0001"}),
+            "path": ("path", "routing#0", {"src": "h1", "dst": "h2", "ctx": "s0001"}),
+            "admit": ("admit", "qos#0", {"path": self.PATH, "gap": 1, "ctx": "s0001",
+                                         "class": "realtime"}),
+        }
+        for stage, ask in cases.items():
+            stalled = self.pending(stage, **{"class": "realtime"}, path=self.PATH)
+            facts = self.facts([self.session(klass="realtime")], [stalled])
+            _, asks = self.decide(facts, self.tick(4 + RETRY_AFTER - 1))
+            assert asks == [], stage
+            writes, asks = self.decide(facts, self.tick(4 + RETRY_AFTER))
+            assert asks == [ask], stage
+            assert writes["pending"]["s0001"]["asked_at"] == 4 + RETRY_AFTER
+
+    def test_packet_in_for_an_active_session_reinstalls_its_path(self):
+        facts = self.facts([self.session(ACTIVE, "interactive", path=self.PATH)], rule_seq=3)
+        inp = event("events.packet_in", {"switch": "s1", "src": "h1", "dst": "h2",
+                                          "size": 5, "gap": 1}, dst="session#0", now=9)
+        writes, asks = self.decide(facts, inp)
+        ids = ["r0004", "r0005", "r0006"]
+        assert asks == [("install", "forwarding#0",
+                         {"rules": self.rules(ids, priority=20), "ctx": "s0001"})]
+        assert writes["rule-seq"] == 6
+        assert writes["pending"]["s0001"] == {
+            "sid": "s0001", "stage": "install", "src": "h1", "dst": "h2", "size": 5, "gap": 1,
+            "hint": None, "class": "interactive", "path": self.PATH, "asked_at": 9,
+            "rule_ids": ids,
+        }
+        assert writes["sessions"]["s0001"]["state"] == ACTIVE
+
+    # -- topology sweeps -------------------------------------------------------------------
+
+    def test_sweep_reroutes_a_broken_reserved_session(self):
+        old = ["s1", "s3"]
+        view = self.with_down(("s1", "s3"))
+        facts = self.facts([self.session(ACTIVE, "realtime", path=old, reserved=True)],
+                           topology=view)
+        inp = event("events.link", {"a": "s1", "b": "s3", "state": "down"},
+                    dst="session#0", now=7)
+        writes, asks = self.decide(facts, inp)
+        assert asks == [
+            ("remove", "forwarding#0", {"rules": self.clearing(old), "ctx": "s0001"}),
+            ("release", "qos#0", {"ctx": "s0001"}),
+            ("admit", "qos#0", {"path": self.PATH, "gap": 1, "ctx": "s0001",
+                                "class": "realtime"}),
+        ]
+        rec = writes["sessions"]["s0001"]
+        assert (rec["state"], rec["reason"], rec["reserved"]) == (UPDATING, None, False)
+        assert writes["pending"]["s0001"] == {
+            "sid": "s0001", "stage": "admit", "src": "h1", "dst": "h2", "size": 5, "gap": 1,
+            "hint": None, "class": "realtime", "path": self.PATH, "cleanup": old,
+            "asked_at": 7,
+        }
+
+    def test_reroute_denied_by_qos_ends_unroutable_after_one_release(self):
+        facts = self.facts([self.session(ACTIVE, "realtime", path=["s1", "s3"], reserved=True)],
+                           topology=self.with_down(("s1", "s3")))
+        inp = event("events.link", {"a": "s1", "b": "s3", "state": "down"},
+                    dst="session#0", now=7)
+        writes, asks = self.decide(facts, inp)
+        assert [a[0] for a in asks] == ["remove", "release", "admit"]
+        writes, asks = self.decide({**facts, **writes},
+                                   self.answer({"admitted": False}, "qos#0", now=7))
+        assert asks == []  # the reservation went back before the re-admission
+        assert writes["pending"] == {}
+        rec = writes["sessions"]["s0001"]
+        assert (rec["state"], rec["reason"], rec["reserved"]) == (
+            UNROUTABLE, "qos-denied", False)
+
+    def test_sweep_reroutes_a_broken_bulk_session_straight_to_install(self):
+        old = ["s1", "s3"]
+        view = self.with_down(("s1", "s3"))
+        facts = self.facts([self.session(ACTIVE, "bulk", path=old)], topology=view)
+        inp = event("events.linkstate", {"links": view["links"]}, dst="session#0", now=7)
+        writes, asks = self.decide(facts, inp)
+        ids = ["r0001", "r0002", "r0003"]
+        assert asks == [
+            ("remove", "forwarding#0", {"rules": self.clearing(old, 10), "ctx": "s0001"}),
+            ("install", "forwarding#0", {"rules": self.rules(ids, 10), "ctx": "s0001"}),
+        ]
+        assert writes["pending"]["s0001"]["stage"] == "install"
+        assert writes["pending"]["s0001"]["rule_ids"] == ids
+
+    def test_sweep_leaves_a_cut_off_session_unroutable_and_releases(self):
+        old = ["s1", "s2", "s3"]
+        view = self.with_down(("s1", "s3"), ("s2", "s3"))
+        facts = self.facts([self.session(ACTIVE, "realtime", path=old, reserved=True)],
+                           topology=view)
+        inp = event("events.link", {"a": "s2", "b": "s3", "state": "down"},
+                    dst="session#0", now=7)
+        writes, asks = self.decide(facts, inp)
+        assert asks == [
+            ("remove", "forwarding#0", {"rules": self.clearing(old), "ctx": "s0001"}),
+            ("release", "qos#0", {"ctx": "s0001"}),
+        ]
+        assert writes["pending"] == {}
+        rec = writes["sessions"]["s0001"]
+        assert (rec["state"], rec["reason"], rec["path"], rec["reserved"]) == (
+            UNROUTABLE, "no-path", None, False)
+
+    def test_proactive_tick_opens_sessions_one_tick_ahead(self):
+        schedule = [
+            {"src": "h1", "dst": "h2", "size": 5, "gap": 1, "start_tick": 6, "class": None},
+            {"src": "h2", "dst": "h1", "size": 9, "gap": 4, "start_tick": 8, "class": "bulk"},
+        ]
+        facts = self.facts(proactive=True, schedule=schedule)
+        writes, asks = self.decide(facts, self.tick(5))
+        assert list(writes["sessions"]) == ["s0001"]
+        assert writes["pending"]["s0001"] == {**self.pending("classify"), "asked_at": 5}
+        assert asks == [("classify", "classifier#0",
+                         {"size": 5, "gap": 1, "hint": None, "ctx": "s0001"})]
 
 
 class TestBrokerAgent:

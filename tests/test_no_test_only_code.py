@@ -45,12 +45,12 @@ def _public_definitions(tree):
 
 
 def _references(tree):
-    """(name, line) for every name loaded or attribute read."""
+    """(name, line) for every name loaded. An attribute read such as
+    obj.name is not a use of a module-level name: it reaches a method or
+    field that may merely share the name."""
     for node in ast.walk(tree):
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             yield node.id, node.lineno
-        elif isinstance(node, ast.Attribute):
-            yield node.attr, node.lineno
 
 
 def unused_public_names(src=SRC):
@@ -88,3 +88,12 @@ def test_the_guard_sees_an_unused_definition(tmp_path):
     )
     (tmp_path / "b.py").write_text("from .a import used\nused()\n")
     assert unused_public_names(tmp_path) == ["a.py:SPARE", "a.py:orphan"]
+
+
+def test_a_method_of_the_same_name_does_not_hide_an_unused_function(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "class Factory:\n    def build(self):\n        return 1\n"
+        "def build():\n    return Factory().build()\n"
+    )
+    (tmp_path / "b.py").write_text("from .a import Factory\nFactory().build()\n")
+    assert unused_public_names(tmp_path) == ["a.py:build"]

@@ -114,6 +114,35 @@ def test_binary_frames_reject_trailing_garbage():
         decode(encode(m, profile) + b"\x00", profile)
 
 
+TEXT_PROFILES = [p for p in DEFAULT_PROFILES if p.codec is Codec.TEXT_STRUCTURED]
+
+
+def _text_frame(**fields):
+    import json
+
+    m = Message(msg_id=9, src=AgentId(FunctionKind.SESSION, 2), dst="x",
+                kind=MessageKind.RESPONSE, payload=b"", sim_time=3, correlation_id=4)
+    doc = json.loads(encode(m, TEXT_PROFILES[0]))
+    return json.dumps({**doc, **fields}).encode("utf-8")
+
+
+@pytest.mark.parametrize("profile", TEXT_PROFILES)
+@pytest.mark.parametrize("field", ["msg_id", "sim_time", "correlation_id"])
+@pytest.mark.parametrize("value", ["x", "7", [1], {"n": 1}, True, False, 1.0, 2.5])
+def test_text_frame_integer_fields_must_be_integers(profile, field, value):
+    with pytest.raises(MalformedFrame):
+        decode(_text_frame(**{field: value}), profile)
+
+
+@pytest.mark.parametrize("profile", TEXT_PROFILES)
+def test_text_frame_integer_fields_accept_what_the_encoder_writes(profile):
+    assert decode(_text_frame(msg_id=0, sim_time=2**40), profile).sim_time == 2**40
+    req = _text_frame(kind="request", correlation_id=None)
+    assert decode(req, profile).correlation_id is None
+    with pytest.raises(MalformedFrame):
+        decode(_text_frame(msg_id=None), profile)
+
+
 def test_negotiate_prefers_initiator_order():
     a = [DEFAULT_PROFILES[2], DEFAULT_PROFILES[0]]
     b = list(DEFAULT_PROFILES)
@@ -179,13 +208,8 @@ def _decode_or_malformed(frame, p):
 
 
 def _assert_whole(got, frame, p):
-    """A frame that decodes gave a whole message: it re-encodes to a frame of
-    the same length that decodes back to it. (Not always to the same bytes:
-    the decoder reads any non-zero has_correlation byte as "present" and
-    ignores the correlation bytes when it is zero.)"""
-    again = encode(got, p)
-    assert len(again) == len(frame)
-    assert decode(again, p) == got
+    """A frame that decodes is one the encoder writes for the message it gave."""
+    assert encode(got, p) == frame
 
 
 @settings(max_examples=150)
@@ -235,6 +259,25 @@ def test_unknown_kind_ordinal_is_rejected(m, p, ordinal):
     at, _ = _fields(frame)["kind"]
     with pytest.raises(MalformedFrame):
         decode(frame[:at] + bytes([ordinal]) + frame[at + 1 :], p)
+
+
+def test_binary_correlation_flag_is_zero_or_one():
+    import dataclasses
+
+    profile = next(p for p in DEFAULT_PROFILES if p.codec is Codec.BINARY_LENGTH_PREFIXED)
+    m = Message(msg_id=9, src=AgentId(FunctionKind.SESSION, 2), dst="x",
+                kind=MessageKind.REQUEST, payload=b"", sim_time=3)
+    frame = encode(m, profile)
+    flag = _fields(frame)["kind"][0] + 1
+    assert frame[flag] == 0
+    for value in (2, 255):
+        with pytest.raises(MalformedFrame):
+            decode(frame[:flag] + bytes([value]) + frame[flag + 1 :], profile)
+    # flag 0 with a non-zero correlation id: bytes the encoder never writes
+    with pytest.raises(MalformedFrame):
+        decode(frame[:flag + 8] + b"\x01" + frame[flag + 9 :], profile)
+    resp = encode(dataclasses.replace(m, kind=MessageKind.RESPONSE, correlation_id=0), profile)
+    assert decode(resp, profile).correlation_id == 0
 
 
 @settings(max_examples=300)

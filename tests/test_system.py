@@ -204,3 +204,20 @@ class TestProactiveMode:
             proactive["metrics"]["mean_setup_latency"]
             < reactive["metrics"]["mean_setup_latency"]
         )
+
+    def test_a_schedule_in_the_config_is_not_an_input(self):
+        # both controllers derive the schedule from the simulator's flows, so
+        # a config that names one, even an empty one, changes neither
+        flows = [
+            {"src": "h1", "dst": "h2", "start_tick": 6 + 2 * i, "size": 20, "gap": 2}
+            for i in range(4)
+        ]
+        doc = sdoc(flows=flows, duration=40)
+        plain, _, _, _ = run_both(TOPO, doc, {"proactive": True})
+        for schedule in ([], [{"src": "h2", "dst": "h1", "size": 5, "gap": 1,
+                               "start_tick": 3, "class": None}]):
+            agents, mono, diff, _ = run_both(
+                TOPO, doc, {"proactive": True, "schedule": schedule}
+            )
+            assert diff == {}
+            assert agents == plain
