@@ -8,11 +8,16 @@ msg_id is not above the highest one already delivered from the same sender
 to the same destination; a duplicate-injection knob exercises that path on
 demand.
 
-Destinations resolve in order: a live agent, an exact endpoint, a prefix
-endpoint (e.g. "switch." for the data-plane bridge), and otherwise a topic
-handed to the configured topic router (which names the broker agent that
-owns the event). Unresolvable messages land in dead_letters rather than
-raising: losing a destination mid-run is a legal system state.
+Destinations resolve once per frame, in order: an agent, an exact endpoint,
+a prefix endpoint (e.g. "switch." for the data-plane bridge), and otherwise
+a topic handed to the configured topic router (which names the broker agent
+that owns the event). A frame for an agent that was spawned before and is
+dead now, addressed to it or routed to it as a broker, is parked unencoded
+and unmarked; when the host spawns that agent again, its parked frames go to
+the front of the queue in their original order, ahead of any later frame of
+the same pair (message logging, replayed onto the restored replacement).
+Frames for an agent never spawned, and unresolvable ones, land in
+dead_letters rather than raising: losing a destination is a legal state.
 """
 
 from __future__ import annotations
@@ -23,9 +28,10 @@ from typing import Callable, Iterable
 
 from .core import AgentId, Message
 from .pps import DEFAULT_PROFILES, Reliability, StackProfile, decode, encode, negotiate
-from .runtime import AgentHost
+from .runtime import Agent, AgentHost
 
 EndpointHandler = Callable[[Message], list[Message]]
+Target = AgentId | EndpointHandler | None  # an agent (maybe dead), an endpoint, nowhere
 
 
 @dataclass(frozen=True)
@@ -53,12 +59,15 @@ class Bus:
         self.duplicates_suppressed = 0
         self._negotiated: dict[tuple[str, str], StackProfile] = {}
         # Highest msg_id delivered per (src, dst) pair under at-least-once.
-        # One mark per pair catches every duplicate: the factory hands out
-        # msg ids in increasing order, messages join the FIFO queue in the
-        # order they were made, so the frames of one pair arrive in increasing
-        # msg_id order and a repeat is never above the mark. Memory grows with
-        # the number of pairs, not of frames.
+        # One mark per pair catches every duplicate: msg ids grow, messages
+        # join the FIFO in the order they were made and parked ones rejoin it
+        # at the front, so the frames of one pair arrive in increasing msg_id
+        # order and a repeat is never above the mark. Memory grows with the
+        # number of pairs, not of frames.
         self._delivered: dict[tuple[str, str], int] = {}
+        # frames held while dead, keyed by every agent ever spawned
+        self._parked: dict[AgentId, list[Message]] = {a: [] for a in host.agents}
+        host.on_spawn.append(self._unpark)
 
     # -- wiring -------------------------------------------------------------
 
@@ -84,6 +93,12 @@ class Bus:
             if steps > max_steps:
                 raise RuntimeError(f"no quiescence after {max_steps} hops")
             msg = self.queue.popleft()
+            target = self._resolve(msg)
+            if isinstance(target, AgentId) and target not in self.host.agents:
+                parked = self._parked.get(target)
+                if parked is not None:
+                    parked.append(msg)
+                    continue
             pair = (str(msg.src), str(msg.dst))
             decoded, profile = self._hop(msg, pair)
             copies = 1
@@ -91,10 +106,25 @@ class Bus:
                 copies = 2
                 self.duplicates_injected += 1
             for _ in range(copies):
-                self._deliver(decoded, profile, pair)
+                self._deliver(decoded, profile, pair, target)
         return steps
 
     # -- internals ------------------------------------------------------------
+
+    def _unpark(self, agent: Agent) -> None:
+        self.queue.extendleft(reversed(self._parked.get(agent.id, [])))
+        self._parked[agent.id] = []
+
+    def _resolve(self, msg: Message) -> Target:
+        dst = msg.dst
+        if isinstance(dst, AgentId):
+            return dst
+        handler = self.endpoints.get(dst) or next(
+            (h for prefix, h in self.prefix_endpoints.items() if dst.startswith(prefix)), None
+        )
+        if handler is None and self.topic_router is not None:
+            return self.topic_router(msg)
+        return handler
 
     def _profiles_of(self, key: AgentId | str) -> tuple[StackProfile, ...]:
         if isinstance(key, AgentId):
@@ -115,33 +145,24 @@ class Bus:
         self.frames += 1
         return decode(encode(msg, profile), profile), profile
 
-    def _deliver(self, msg: Message, profile: StackProfile, pair: tuple[str, str]) -> None:
+    def _deliver(self, msg: Message, profile: StackProfile, pair: tuple[str, str], target: Target) -> None:
         if profile.reliability is Reliability.AT_LEAST_ONCE:
             if msg.msg_id <= self._delivered.get(pair, -1):
                 self.duplicates_suppressed += 1
                 return
             self._delivered[pair] = msg.msg_id
+        if isinstance(target, AgentId):
+            if target in self.host.agents:
+                self.queue.extend(self.host.process_input(target, msg))
+                return
+        elif target is not None:
+            self.queue.extend(target(msg))
+            return
         dst = msg.dst
         if isinstance(dst, AgentId):
-            if dst in self.host.agents:
-                self.queue.extend(self.host.process_input(dst, msg))
-            else:
-                self.dead_letters.append(DeadLetter(msg, f"agent {dst} not live"))
-            return
-        handler = self.endpoints.get(dst)
-        if handler is None:
-            for prefix, h in self.prefix_endpoints.items():
-                if dst.startswith(prefix):
-                    handler = h
-                    break
-        if handler is not None:
-            self.queue.extend(handler(msg))
-            return
-        if self.topic_router is not None:
-            broker = self.topic_router(msg)
-            if broker is not None and broker in self.host.agents:
-                self.queue.extend(self.host.process_input(broker, msg))
-                return
-            self.dead_letters.append(DeadLetter(msg, f"no live broker for topic {dst!r}"))
-            return
-        self.dead_letters.append(DeadLetter(msg, f"unresolvable destination {dst!r}"))
+            reason = f"agent {dst} not live"
+        elif self.topic_router is not None:
+            reason = f"no live broker for topic {dst!r}"
+        else:
+            reason = f"unresolvable destination {dst!r}"
+        self.dead_letters.append(DeadLetter(msg, reason))

@@ -22,9 +22,10 @@ Each answer either advances the stage and asks again, or ends the
 conversation: an install answer activates the session, while no path, a QoS
 denial or a policy violation leave it unroutable and give back any
 reservation. Conversations complete within the tick they start because the
-fabric runs to quiescence; a record stalled for RETRY_AFTER ticks means its
-counterpart died, and the same sender asks again (install keeps its rule
-ids; a pending clear-up is repeated first).
+fabric runs to quiescence. Each request is sent once: when a counterpart
+(or the session agent itself) dies mid-conversation, the fabric parks the
+frames for it and replays them to its restored replacement, so nothing here
+re-asks.
 
 Ordering contract (mirrored by the oracle): link events precede packet-in
 events within a tick, so reroute sweeps always run before new-flow
@@ -309,8 +310,6 @@ _SESSION_DIGEST = (
     "schedule",
 )
 
-RETRY_AFTER = 2  # ticks a conversation may stall before re-asking
-
 # the request each stage sends (the op is named after the stage): the peer
 # kind asked and the pending-record fields the request carries
 _STAGE_REQUESTS = {
@@ -342,9 +341,6 @@ class _SessionState:
     def _edit_session(self, sid: str) -> dict[str, Any]:
         return _edit(self.sessions, self.facts.get("sessions", {}), sid)
 
-    def _edit_pending(self, sid: str) -> dict[str, Any]:
-        return _edit(self.pending, self.facts.get("pending", {}), sid)
-
     def writes(self) -> list[tuple[str, Any]]:
         return [
             ("sessions", self.sessions),
@@ -359,13 +355,6 @@ class _SessionState:
         target = peer_of(self.facts, kind)
         if target is not None:
             self.steps.append(step(op, AgentId.parse(target), **body))
-
-    def _ask_remove(self, sid: str, path: list[str], klass: str) -> None:
-        rec = self.sessions[sid]
-        rules = clearing_rules(path, rec["src"], rec["dst"], PRIORITY_BY_CLASS[klass])
-        self._ask(
-            FunctionKind.FORWARDING, "remove", rules=[[sw, doc] for sw, doc in rules], ctx=sid
-        )
 
     def _release(self, sid: str, rec: dict[str, Any]) -> None:
         self._ask(FunctionKind.QOS, "release", ctx=sid)
@@ -387,21 +376,17 @@ class _SessionState:
         self.ask_stage(sid)
 
     def ask_stage(self, sid: str) -> None:
-        """Send the request for the stage sid's conversation is at. The
-        install stage takes fresh rule ids once and reuses them on a retry."""
-        p = self._edit_pending(sid)
-        p["asked_at"] = self.now
+        """Send the request for the stage sid's conversation is at; the
+        install stage takes fresh rule ids."""
+        p = self.pending[sid]
         stage = p["stage"]
         kind, fields = _STAGE_REQUESTS[stage]
         body = {f: p[f] for f in fields}
         if stage == "install":
-            if "rule_ids" not in p:
-                p["rule_ids"] = [f"r{self.rule_seq + i + 1:04d}" for i in range(len(p["path"]))]
-                self.rule_seq += len(p["path"])
-            rules = rules_for_path(
-                p["path"], p["src"], p["dst"], PRIORITY_BY_CLASS[p["class"]], p["rule_ids"]
-            )
-            body["rules"] = [[sw, doc] for sw, doc in rules]
+            ids = [f"r{self.rule_seq + i + 1:04d}" for i in range(len(p["path"]))]
+            self.rule_seq += len(ids)
+            prio = PRIORITY_BY_CLASS[p["class"]]
+            body["rules"] = [list(r) for r in rules_for_path(p["path"], p["src"], p["dst"], prio, ids)]
         self._ask(kind, stage, ctx=sid, **body)
 
     def open_session(self, src: str, dst: str, size: int, gap: int, hint: str | None) -> None:
@@ -416,7 +401,7 @@ class _SessionState:
         ctx = body.get("ctx")
         if ctx not in self.pending:
             return
-        p = self._edit_pending(ctx)
+        p = _edit(self.pending, self.facts.get("pending", {}), ctx)
         stage = p["stage"]
         if stage == "classify" and "class" in body:
             p["class"] = self._edit_session(ctx)["class"] = body["class"]
@@ -463,7 +448,8 @@ class _SessionState:
             rec = self._edit_session(sid)
             old = rec.get("path")
             if old:
-                self._ask_remove(sid, old, rec["class"])
+                rules = clearing_rules(old, rec["src"], rec["dst"], PRIORITY_BY_CLASS[rec["class"]])
+                self._ask(FunctionKind.FORWARDING, "remove", rules=[list(r) for r in rules], ctx=sid)
             if rec.get("reserved"):
                 self._release(sid, rec)
             if path is None:
@@ -474,7 +460,7 @@ class _SessionState:
             rec["state"] = UPDATING
             rec["reason"] = None
             stage = "admit" if rec["class"] == REALTIME else "install"
-            self.converse(sid, stage, path=path, cleanup=old, **{"class": rec["class"]})
+            self.converse(sid, stage, path=path, **{"class": rec["class"]})
 
     def on_violation(self, body: dict[str, Any]) -> None:
         ctxs = sorted(
@@ -499,17 +485,6 @@ class _SessionState:
             self.open_session(
                 flow["src"], flow["dst"], flow["size"], flow.get("gap", 1), flow.get("class")
             )
-
-    def retries(self, tick: int) -> None:
-        for sid in sorted(self.pending):
-            p = self.pending[sid]
-            if tick - p.get("asked_at", tick) < RETRY_AFTER:
-                continue
-            if p.get("cleanup"):
-                # the original remove may have died with its target; removal
-                # is idempotent, so repeat it ahead of the (re)install
-                self._ask_remove(sid, p["cleanup"], p["class"])
-            self.ask_stage(sid)
 
 
 def _edit(table: dict[str, Any], stored: dict[str, Any], key: str) -> dict[str, Any]:
@@ -547,9 +522,6 @@ def session_decide(facts: dict[str, Any], inp: AgentInput) -> CognitionOutcome:
             st.sweep(facts["topology"])  # ingest already applied the change
         elif topic == "events.violation":
             st.on_violation(body)
-        elif topic == "events.tick":
-            tick = body["tick"]
-            if facts.get("proactive"):
-                st.proactive_scan(tick, facts.get("schedule", []))
-            st.retries(tick)
+        elif topic == "events.tick" and facts.get("proactive"):
+            st.proactive_scan(body["tick"], facts.get("schedule", []))
     return CognitionOutcome(decision(plan=st.steps, facts=st.writes()), 1.0)

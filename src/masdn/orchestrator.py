@@ -17,10 +17,12 @@ written by an earlier pipeline run.
 After bootstrap the orchestrator is a liveness supervisor: heartbeats feed
 a per-agent clock, the knowledge-plane digests feed a state mirror, and an
 agent silent for MISSED_HEARTBEATS intervals is respawned with its mirror
-state restored. Dead brokers are special: without brokers heartbeats stop
-flowing, making everyone look dead at once, so dead brokers are replaced
-first and every liveness clock is reset to give the revived event plane a
-full detection window before anyone else is declared lost.
+state restored, pushed policies included: that is the whole recovery, as
+the fabric replays what the agent missed, and a replayed (old) heartbeat
+never moves a clock back. Dead brokers are special: without brokers
+heartbeats stop flowing, making everyone look dead at once, so dead brokers
+are replaced first and every liveness clock is reset to give the revived
+event plane a full detection window before anyone else is declared lost.
 """
 
 from __future__ import annotations
@@ -230,9 +232,10 @@ def orchestrator_decide(facts: dict[str, Any], inp: AgentInput) -> CognitionOutc
             return _bootstrap_facts(facts, inp)
         return _bootstrap_spawn(facts, inp)
     if topic == "hb":
-        liveness = dict(facts.get("liveness", {}))
-        if body["agent"] in liveness:
-            liveness[body["agent"]] = body["tick"]
+        liveness = facts.get("liveness", {})
+        agent, beat = body["agent"], body["tick"]
+        if agent in liveness and beat > liveness[agent]:  # replays are old
+            liveness = {**liveness, agent: beat}
             return CognitionOutcome(decision(facts=[("liveness", liveness)]), 1.0)
         return CognitionOutcome(decision(), 1.0)
     if topic == "kp.digest":
@@ -336,7 +339,6 @@ def _scan(facts: dict[str, Any], tick: int) -> CognitionOutcome:
                 node=placement.get(agent),
             )
         )
-    steps.extend(_policy_pushes(facts.get("policy-docs", []), respawn))
     events = [{"topic": "events.recovery", "body": {"respawned": respawn, "tick": tick}}]
     return CognitionOutcome(
         decision(plan=steps, facts=[("liveness", liveness)], events=events), 1.0

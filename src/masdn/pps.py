@@ -20,7 +20,9 @@ Binary frame layout (all integers big-endian):
 The binary codec packs and unpacks the fixed-width parts of this layout with
 precompiled struct.Struct objects; decoding checks every read against the
 frame's length before it is made, so any byte string that is not a complete
-frame raises MalformedFrame and nothing else.
+frame raises MalformedFrame and nothing else. The text codec accepts only
+the one JSON form encode writes for a message, so distinct frames never
+decode to the same message.
 """
 
 from __future__ import annotations
@@ -105,10 +107,6 @@ _TAIL = struct.Struct(">BBQQI")  # kind, has_correlation, correlation_id, sim_ti
 _FIXED_BODY = _HEAD.size - _U32.size + _U16.size + _TAIL.size
 
 
-def _dst_text(dst: AgentId | str) -> str:
-    return str(dst)
-
-
 def _parse_dst(text: str) -> AgentId | str:
     if "#" in text:
         return AgentId.parse(text)
@@ -125,7 +123,7 @@ def encode(m: Message, p: StackProfile) -> bytes:
         doc = {
             "msg_id": m.msg_id,
             "src": str(m.src),
-            "dst": _dst_text(m.dst),
+            "dst": str(m.dst),
             "kind": m.kind.value,
             "correlation_id": m.correlation_id,
             "sim_time": m.sim_time,
@@ -134,7 +132,7 @@ def encode(m: Message, p: StackProfile) -> bytes:
         return json.dumps(doc, sort_keys=True, separators=(",", ":")).encode("utf-8")
 
     src_b = str(m.src).encode("utf-8")
-    dst_b = _dst_text(m.dst).encode("utf-8")
+    dst_b = str(m.dst).encode("utf-8")
     payload = m.payload
     corr = m.correlation_id
     head = _HEAD.pack(
@@ -195,6 +193,9 @@ def _decode_text(b: bytes, p: StackProfile) -> Message:
         raise MalformedFrame(f"bad envelope field: {exc}") from exc
     if len(msg.payload) > p.max_payload:
         raise MalformedFrame("payload exceeds profile max_payload")
+    if encode(msg, p) != b:
+        # other spacing, key order or base64 padding bits than encode writes
+        raise MalformedFrame("JSON frame is not in the encoder's canonical form")
     return msg
 
 

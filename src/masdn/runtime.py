@@ -162,17 +162,22 @@ class FactsStore:
     FrozenDict/FrozenList trees, so neither the writer nor a cognition
     reading a snapshot can change stored state; an attempt raises TypeError.
     A value built from stored facts shares their unchanged subtrees, so a
-    write costs what changed, not the whole value. Snapshots are cheap map
-    copies over the same read-only values.
+    write costs what changed, not the whole value. A write equal to the
+    stored value keeps the entry, version and updated_at included, so the
+    digest pump does not ship it again. Snapshots are cheap map copies over
+    the same read-only values.
     """
 
     def __init__(self) -> None:
         self._entries: dict[str, _FactEntry] = {}
 
     def put(self, key: str, value: Any, now: int) -> int:
+        frozen = freeze(value)
         prev = self._entries.get(key)
+        if prev is not None and prev.value == frozen:
+            return prev.version  # nothing changed, so neither does the entry
         version = 1 if prev is None else prev.version + 1
-        self._entries[key] = _FactEntry(freeze(value), version, now)
+        self._entries[key] = _FactEntry(frozen, version, now)
         return version
 
     def get(self, key: str, default: Any = None) -> Any:
@@ -508,10 +513,13 @@ def register_cognition(
     digest_keys: tuple[str, ...] = (),
 ) -> Callable[[CognitionFn], CognitionFn]:
     """Register a decide function under a name. The registry holds it wrapped
-    in the agent lifecycle; the decorated name stays the bare function."""
+    in the agent lifecycle, with the host-owned "policies" among its digest
+    keys so that a restore brings them back; the decorated name stays the
+    bare function."""
 
     def deco(fn: CognitionFn) -> CognitionFn:
-        _COGNITIONS[name] = CognitionImpl(name, _with_lifecycle(fn), ingest, digest_keys)
+        keys = (*digest_keys, "policies")
+        _COGNITIONS[name] = CognitionImpl(name, _with_lifecycle(fn), ingest, keys)
         return fn
 
     return deco
@@ -540,7 +548,6 @@ class AgentSpec:
 class Agent:
     spec: AgentSpec
     facts: FactsStore
-    live: bool = True
 
     @property
     def id(self) -> AgentId:
@@ -571,11 +578,7 @@ class AgentHost:
         self.log_sink = log_sink
         self.stage_log: list[dict[str, Any]] = []
         self.agents: dict[AgentId, Agent] = {}
-        self.on_spawn: Callable[[Agent], None] | None = None
-        # override to widen the candidate pool beyond this host (e.g. tests)
-        self.escalation_candidates: Callable[[], list[AgentId]] = lambda: sorted(
-            self.agents
-        )
+        self.on_spawn: list[Callable[[Agent], None]] = []  # called after each spawn
         self._runs = 0
         self._seq = 0
 
@@ -592,20 +595,19 @@ class AgentHost:
         self._emit(
             {"stage": "spawn", "agent": str(spec.agent), "cognition": spec.cognition}
         )
-        if self.on_spawn:
-            self.on_spawn(agent)
+        for hook in self.on_spawn:
+            hook(agent)
         return agent
 
     def kill_agent(self, agent_id: AgentId) -> None:
         agent = self.agents.pop(agent_id, None)
         if agent is None:
             raise AgentNotLive(str(agent_id))
-        agent.live = False
         self._emit({"stage": "kill", "agent": str(agent_id)})
 
     def get(self, agent_id: AgentId) -> Agent:
         agent = self.agents.get(agent_id)
-        if agent is None or not agent.live:
+        if agent is None:
             raise AgentNotLive(str(agent_id))
         return agent
 
@@ -689,7 +691,7 @@ class AgentHost:
             issue = dec.get("escalate") or {"reason": "low-confidence"}
             esc = Escalation(source=agent.id, issue=issue, raised_at=self.now)
             try:
-                handler = route_escalation(esc, self.escalation_candidates())
+                handler = route_escalation(esc, sorted(self.agents))
             except NoUpperAgent as exc:
                 return Plan.of(), f"escalation dead-end: {exc}"
             return Plan.of(

@@ -15,7 +15,8 @@ southbound interface; rules installed through it take effect next tick.
 
 Two small services run outside any agent because something must survive
 when agents die: the digest pump, which exports changed facts of every
-live agent to the knowledge plane after each tick, and the watchdog, which
+live agent, pushed policies included, after each tick, so a kill (which
+lands after the pump) leaves an exact restore; and the watchdog, which
 hands the tick event straight to the orchestrator while any broker is down
 (without it, a dead event plane could never be noticed, let alone fixed).
 """
@@ -76,7 +77,7 @@ class AgentSystem:
         self.bus.bind_endpoint("host.control", self._control)
         self.bus.bind_prefix("switch.", self._switch)
         self.bus.topic_router = self._route_topic
-        self.host.on_spawn = self._forget_exports
+        self.host.on_spawn.append(self._forget_exports)
 
     # -- endpoints ------------------------------------------------------------
 

@@ -1,9 +1,10 @@
 """Message fabric: ordering, resolution, dedup, and per-pair negotiation."""
 import unittest
+from unittest.mock import patch
 
 from masdn.core import AgentId, FunctionKind, MessageKind
 from masdn.bus import Bus
-from masdn.pps import DEFAULT_PROFILES, Codec, Reliability, StackProfile, encode_body
+from masdn.pps import DEFAULT_PROFILES, Codec, Reliability, StackProfile, encode, encode_body
 from masdn.runtime import AgentHost, AgentSpec, CognitionOutcome, register_cognition
 
 ROUTING = AgentId(FunctionKind.ROUTING, 0)
@@ -169,6 +170,85 @@ class NegotiationOnTheWire(unittest.TestCase):
         every_request = [n for n in range(500) for _ in senders]
         for agent in receivers:
             self.assertEqual(host.agents[agent].facts.get("seen"), every_request)
+
+
+class ParkingForAReplacement(unittest.TestCase):
+    """Frames for an agent that was spawned before and is dead now wait at the
+    bus and reach its replacement."""
+
+    def setUp(self):
+        self.host = make_host()
+        self.bus = Bus(self.host)
+        self.host.spawn_agent(sink_spec(ROUTING, profiles=ALO_ONLY))
+        self.bus.send(request(self.host, SESSION, ROUTING, {"n": 0}))
+        self.bus.run_to_quiescence()
+        self.host.kill_agent(ROUTING)
+
+    def respawn(self):
+        self.host.spawn_agent(sink_spec(ROUTING, profiles=ALO_ONLY))
+
+    def seen(self):
+        return self.host.agents[ROUTING].facts.get("seen")
+
+    def test_parked_frames_arrive_once_and_in_order(self):
+        for every in (0, 1, 3):
+            with self.subTest(duplicate_every=every):
+                self.setUp()
+                self.bus.duplicate_every = every
+                self.bus.send(request(self.host, SESSION, ROUTING, {"n": n}) for n in range(1, 11))
+                self.bus.run_to_quiescence()
+                self.assertEqual(self.bus.dead_letters, [])
+                self.respawn()
+                self.bus.run_to_quiescence()
+                self.assertEqual(self.seen(), list(range(1, 11)))
+                self.assertEqual(self.bus.duplicates_suppressed, self.bus.duplicates_injected)
+
+    def test_parked_frames_go_ahead_of_frames_sent_after_the_respawn(self):
+        self.bus.send(request(self.host, SESSION, ROUTING, {"n": n}) for n in (1, 2))
+        self.bus.run_to_quiescence()
+        self.respawn()
+        self.bus.send(request(self.host, SESSION, ROUTING, {"n": 3}))
+        self.bus.run_to_quiescence()
+        self.assertEqual(self.seen(), [1, 2, 3])
+
+    def test_a_respawn_mid_run_replays_ahead_of_frames_already_queued(self):
+        def respawn(msg):
+            self.respawn()
+            return [request(self.host, SESSION, ROUTING, {"n": 4})]
+
+        self.bus.bind_endpoint("respawn", respawn)
+        self.bus.send(request(self.host, SESSION, ROUTING, {"n": n}) for n in (1, 2))
+        self.bus.run_to_quiescence()
+        self.bus.send(request(self.host, SESSION, "respawn", {}))
+        self.bus.send(request(self.host, SESSION, ROUTING, {"n": 3}))  # queued, not parked
+        self.bus.run_to_quiescence()
+        self.assertEqual(self.seen(), [1, 2, 3, 4])
+        self.assertEqual(self.bus.duplicates_suppressed, 0)
+
+    def test_parked_frames_are_encoded_once(self):
+        with patch("masdn.bus.encode", wraps=encode) as encoded:
+            self.bus.send(request(self.host, SESSION, ROUTING, {"n": n}) for n in range(1, 6))
+            self.bus.run_to_quiescence()
+            self.assertEqual(encoded.call_count, 0)
+            self.respawn()
+            self.bus.run_to_quiescence()
+            self.assertEqual(encoded.call_count, 5)
+        self.assertEqual(self.seen(), [1, 2, 3, 4, 5])
+
+    def test_frames_for_a_topic_wait_for_its_dead_broker(self):
+        self.bus.topic_router = lambda msg: ROUTING
+        self.bus.send(request(self.host, SESSION, "events.flow", {"n": n}) for n in (1, 2))
+        self.bus.run_to_quiescence()
+        self.assertEqual(self.bus.dead_letters, [])
+        self.respawn()
+        self.bus.run_to_quiescence()
+        self.assertEqual(self.seen(), [1, 2])
+
+    def test_an_agent_never_spawned_still_gets_dead_letters(self):
+        other = AgentId(FunctionKind.ROUTING, 1)
+        self.bus.send(request(self.host, SESSION, other, {"n": 1}))
+        self.bus.run_to_quiescence()
+        self.assertEqual([d.message.dst for d in self.bus.dead_letters], [other])
 
 
 if __name__ == "__main__":

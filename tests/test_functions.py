@@ -3,7 +3,6 @@ import pytest
 
 from masdn.core import AgentId, FunctionKind, Message, MessageKind
 from masdn.functions import (
-    RETRY_AFTER,
     classifier_decide,
     forwarding_decide,
     monitoring_ingest,
@@ -362,7 +361,7 @@ class TestSessionAgent:
         store.put(
             "pending",
             {"s0002": {"sid": "s0002", "stage": "install", "src": "h2", "dst": "h1",
-                       "class": "bulk", "path": ["s3", "s2"], "asked_at": 2}},
+                       "class": "bulk", "path": ["s3", "s2"]}},
             now=0,
         )
         stored = store.get("sessions")
@@ -403,7 +402,7 @@ class TestSessionConversation:
 
     def pending(self, stage, **fields):
         return {"sid": "s0001", "stage": stage, "src": "h1", "dst": "h2", "size": 5,
-                "gap": 1, "hint": None, "asked_at": 4, **fields}
+                "gap": 1, "hint": None, **fields}
 
     def session(self, state=PENDING, klass="", **fields):
         return {**session_record("s0001", "h1", "h2", klass, 4, state=state, gap=1, size=5),
@@ -460,8 +459,7 @@ class TestSessionConversation:
         facts = self.facts([self.session()], [self.pending("classify")])
         writes, asks = self.decide(facts, self.answer({"class": "realtime"}, "classifier#0"))
         assert writes["sessions"]["s0001"]["class"] == "realtime"
-        assert writes["pending"]["s0001"] == self.pending(
-            "path", **{"class": "realtime"}, asked_at=5)
+        assert writes["pending"]["s0001"] == self.pending("path", **{"class": "realtime"})
         assert asks == [("path", "routing#0", {"src": "h1", "dst": "h2", "ctx": "s0001"})]
 
     def test_realtime_path_answer_asks_for_admission(self):
@@ -469,7 +467,7 @@ class TestSessionConversation:
                            [self.pending("path", **{"class": "realtime"})])
         writes, asks = self.decide(facts, self.answer({"path": self.PATH}, "routing#0"))
         assert writes["pending"]["s0001"] == self.pending(
-            "admit", **{"class": "realtime"}, path=self.PATH, asked_at=5)
+            "admit", **{"class": "realtime"}, path=self.PATH)
         assert asks == [("admit", "qos#0", {"path": self.PATH, "gap": 1, "ctx": "s0001",
                                             "class": "realtime"})]
         assert writes["rule-seq"] == 0
@@ -481,7 +479,7 @@ class TestSessionConversation:
         ids = ["r0008", "r0009", "r0010"]
         assert writes["rule-seq"] == 10
         assert writes["pending"]["s0001"] == self.pending(
-            "install", **{"class": "bulk"}, path=self.PATH, asked_at=5, rule_ids=ids)
+            "install", **{"class": "bulk"}, path=self.PATH)
         assert asks == [("install", "forwarding#0",
                          {"rules": self.rules(ids, priority=10), "ctx": "s0001"})]
 
@@ -491,15 +489,13 @@ class TestSessionConversation:
         writes, asks = self.decide(facts, self.answer({"admitted": True}, "qos#0"))
         ids = ["r0001", "r0002", "r0003"]
         assert writes["pending"]["s0001"] == self.pending(
-            "install", **{"class": "realtime"}, path=self.PATH, asked_at=5,
-            reserved=True, rule_ids=ids)
+            "install", **{"class": "realtime"}, path=self.PATH, reserved=True)
         assert asks == [("install", "forwarding#0", {"rules": self.rules(ids), "ctx": "s0001"})]
 
     def test_install_answer_activates_the_session(self):
         facts = self.facts(
             [self.session(klass="realtime")],
-            [self.pending("install", **{"class": "realtime"}, path=self.PATH, reserved=True,
-                          rule_ids=["r0001", "r0002", "r0003"])],
+            [self.pending("install", **{"class": "realtime"}, path=self.PATH, reserved=True)],
             rule_seq=3,
         )
         writes, asks = self.decide(facts, self.answer({"ok": True, "installed": 3},
@@ -540,8 +536,7 @@ class TestSessionConversation:
     def test_violation_denies_the_install_and_releases_the_reservation(self):
         facts = self.facts(
             [self.session(klass="realtime")],
-            [self.pending("install", **{"class": "realtime"}, path=self.PATH, reserved=True,
-                          rule_ids=["r0001", "r0002", "r0003"])],
+            [self.pending("install", **{"class": "realtime"}, path=self.PATH, reserved=True)],
         )
         body = {"agent": "forwarding#0", "violations": [["rule-cap", "s1: 4 rules"]],
                 "steps": [{"action": "install-rule", "target": "s1",
@@ -555,40 +550,6 @@ class TestSessionConversation:
         assert (rec["state"], rec["reason"], rec["reserved"]) == (
             UNROUTABLE, "policy-denied", False)
 
-    # -- stalled conversations ----------------------------------------------------------
-
-    def test_stalled_install_is_reissued_with_its_rule_ids_after_the_cleanup(self):
-        ids = ["r0004", "r0005", "r0006"]
-        old = ["s1", "s3"]
-        stalled = self.pending("install", **{"class": "realtime"}, path=self.PATH,
-                               cleanup=old, reserved=True, rule_ids=ids, asked_at=3)
-        facts = self.facts([self.session(UPDATING, "realtime", path=old)], [stalled],
-                           rule_seq=6)
-        writes, asks = self.decide(facts, self.tick(3 + RETRY_AFTER))
-        assert asks == [
-            ("remove", "forwarding#0", {"rules": self.clearing(old), "ctx": "s0001"}),
-            ("install", "forwarding#0", {"rules": self.rules(ids), "ctx": "s0001"}),
-        ]
-        assert writes["rule-seq"] == 6
-        assert writes["pending"]["s0001"] == {**stalled, "asked_at": 3 + RETRY_AFTER}
-
-    def test_each_stalled_stage_repeats_its_own_request(self):
-        cases = {
-            "classify": ("classify", "classifier#0",
-                         {"size": 5, "gap": 1, "hint": None, "ctx": "s0001"}),
-            "path": ("path", "routing#0", {"src": "h1", "dst": "h2", "ctx": "s0001"}),
-            "admit": ("admit", "qos#0", {"path": self.PATH, "gap": 1, "ctx": "s0001",
-                                         "class": "realtime"}),
-        }
-        for stage, ask in cases.items():
-            stalled = self.pending(stage, **{"class": "realtime"}, path=self.PATH)
-            facts = self.facts([self.session(klass="realtime")], [stalled])
-            _, asks = self.decide(facts, self.tick(4 + RETRY_AFTER - 1))
-            assert asks == [], stage
-            writes, asks = self.decide(facts, self.tick(4 + RETRY_AFTER))
-            assert asks == [ask], stage
-            assert writes["pending"]["s0001"]["asked_at"] == 4 + RETRY_AFTER
-
     def test_packet_in_for_an_active_session_reinstalls_its_path(self):
         facts = self.facts([self.session(ACTIVE, "interactive", path=self.PATH)], rule_seq=3)
         inp = event("events.packet_in", {"switch": "s1", "src": "h1", "dst": "h2",
@@ -600,8 +561,7 @@ class TestSessionConversation:
         assert writes["rule-seq"] == 6
         assert writes["pending"]["s0001"] == {
             "sid": "s0001", "stage": "install", "src": "h1", "dst": "h2", "size": 5, "gap": 1,
-            "hint": None, "class": "interactive", "path": self.PATH, "asked_at": 9,
-            "rule_ids": ids,
+            "hint": None, "class": "interactive", "path": self.PATH,
         }
         assert writes["sessions"]["s0001"]["state"] == ACTIVE
 
@@ -625,8 +585,7 @@ class TestSessionConversation:
         assert (rec["state"], rec["reason"], rec["reserved"]) == (UPDATING, None, False)
         assert writes["pending"]["s0001"] == {
             "sid": "s0001", "stage": "admit", "src": "h1", "dst": "h2", "size": 5, "gap": 1,
-            "hint": None, "class": "realtime", "path": self.PATH, "cleanup": old,
-            "asked_at": 7,
+            "hint": None, "class": "realtime", "path": self.PATH,
         }
 
     def test_reroute_denied_by_qos_ends_unroutable_after_one_release(self):
@@ -656,7 +615,7 @@ class TestSessionConversation:
             ("install", "forwarding#0", {"rules": self.rules(ids, 10), "ctx": "s0001"}),
         ]
         assert writes["pending"]["s0001"]["stage"] == "install"
-        assert writes["pending"]["s0001"]["rule_ids"] == ids
+        assert writes["rule-seq"] == 3
 
     def test_sweep_leaves_a_cut_off_session_unroutable_and_releases(self):
         old = ["s1", "s2", "s3"]
@@ -683,7 +642,7 @@ class TestSessionConversation:
         facts = self.facts(proactive=True, schedule=schedule)
         writes, asks = self.decide(facts, self.tick(5))
         assert list(writes["sessions"]) == ["s0001"]
-        assert writes["pending"]["s0001"] == {**self.pending("classify"), "asked_at": 5}
+        assert writes["pending"]["s0001"] == self.pending("classify")
         assert asks == [("classify", "classifier#0",
                          {"size": 5, "gap": 1, "hint": None, "ctx": "s0001"})]
 

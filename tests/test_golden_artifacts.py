@@ -3,11 +3,16 @@ writing the same bytes.
 
 Each config is built from the tests/helpers.py generators with a fixed seed,
 and the sha256 of every artifact (outcome.json, run.log, stats.csv,
-diff.json) is pinned. The constants were recorded before facts were frozen
-on write instead of deep-copied, so a speed-up that changes any outcome,
-log record or wire byte fails here. The hashes do not depend on
-PYTHONHASHSEED. When a change is meant to alter the artifacts, re-record the
-constants and say why in the change's notes.
+diff.json) is pinned, so a speed-up that changes any outcome, log record or
+wire byte fails here, naming the artifacts that moved. The outcome.json,
+stats.csv and diff.json constants were recorded before facts were frozen on
+write instead of deep-copied. The run.log constants were re-recorded when
+frames for a dead agent started to be parked for its replacement, the
+session agent stopped re-asking stalled requests, and equal facts writes
+stopped bumping versions: those change stage records and digest frames, not
+what either controller decides. The hashes do not depend on PYTHONHASHSEED.
+When a change is meant to alter the artifacts, re-record the constants and
+say why in the change's notes.
 """
 import hashlib
 import json
@@ -44,7 +49,7 @@ GOLDEN = {
         0,
         {
             "outcome.json": "9d7df6e08f605236441792fc445708a8bee2ca7bee232834eb24da6bc7505ac6",
-            "run.log": "03beaea86f6c796fe51efaab91ffba105ddc9a13b05c6e36cfbd0a97aca97389",
+            "run.log": "8b8287d6be54484a1a9d6dae4eed6b74a5990259c6af55b063c808cab9fe4f71",
             "stats.csv": "afc834dc4a6d33e7aa3e3c9055b241c4b86e34f7697c8468cac1df6550b57694",
             "diff.json": "ca3d163bab055381827226140568f3bef7eaac187cebd76878e0b63e9e442356",
         },
@@ -53,7 +58,7 @@ GOLDEN = {
         0,
         {
             "outcome.json": "57d7ab073da0ee5cbfe058ac2d154482e900e529fb1b7c930584c324f87f1ae7",
-            "run.log": "82086ac00b69e2b5f03e742185508469c005dba5200ed2ed64ad8b1d34aa9b0a",
+            "run.log": "08d944ff6182ac625b2e0240f1fba184e005fc596f065eb384f9b13025bec577",
             "stats.csv": "38bfaab0d91b62a7424a4bb39febbb5006c74786e52f257514557351f534eaf9",
             "diff.json": "ca3d163bab055381827226140568f3bef7eaac187cebd76878e0b63e9e442356",
         },
@@ -62,7 +67,7 @@ GOLDEN = {
         0,
         {
             "outcome.json": "ab0cebde5c16702d9eef7ce0269a6e7f830dd862db93f8b9b7fc203f63721b2a",
-            "run.log": "1bdfb6f417a895f2280893c7e2645821f756cb8bb37806496e28c8d169a4cee7",
+            "run.log": "f971b7b1a558760aaaafca95ac9eacd4df765df5c24344ad50498ed948dd966f",
             "stats.csv": "3edfab2026d98f54c995eb9605010f2a20ab518ed0480c9fd0c05f42b4ad9aa6",
             "diff.json": "ca3d163bab055381827226140568f3bef7eaac187cebd76878e0b63e9e442356",
         },
@@ -76,8 +81,11 @@ def test_artifacts_match_golden_hashes(tmp_path, name):
     path.write_text(json.dumps(CONFIGS[name]))
     out = tmp_path / "out"
     status = main(["run", str(path), "--out-dir", str(out)])
-    digests = {
-        artifact: hashlib.sha256((out / artifact).read_bytes()).hexdigest()
+    expected_status, expected = GOLDEN[name]
+    assert status == expected_status
+    moved = [
+        artifact
         for artifact in ARTIFACTS
-    }
-    assert (status, digests) == GOLDEN[name]
+        if hashlib.sha256((out / artifact).read_bytes()).hexdigest() != expected[artifact]
+    ]
+    assert moved == []

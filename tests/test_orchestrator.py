@@ -175,6 +175,13 @@ class TestLiveness:
         stranger = orchestrator_decide(facts, fire("hb", {"agent": "stranger#9", "tick": 7}))
         assert "facts" not in stranger.decision
 
+    def test_a_replayed_heartbeat_does_not_move_a_clock_back(self):
+        facts = self.booted()
+        facts["liveness"] = {**facts["liveness"], "routing#0": 30}
+        for tick in (20, 30):
+            out = orchestrator_decide(facts, fire("hb", {"agent": "routing#0", "tick": tick}))
+            assert "facts" not in out.decision, tick
+
     def test_silent_agent_is_respawned_with_mirror_state(self):
         facts = self.booted()
         deadline = HEARTBEAT_INTERVAL * MISSED_HEARTBEATS
@@ -188,6 +195,20 @@ class TestLiveness:
         topics = [e["topic"] for e in out.decision["events"]]
         assert "events.recovery" in topics
         assert dict(out.decision["facts"])["liveness"]["routing#0"] == deadline
+
+    def test_a_respawn_is_a_restore_and_pushes_no_policy(self):
+        cap = {"policy_id": "cap", "issuer_level": "network", "scope": ["forwarding"],
+               "rules": [{"action_kind": "install-rule", "target_class": "switch",
+                          "effect": "deny", "max_per_target": 2}]}
+        facts = self.booted()
+        facts["policy-docs"] = [cap]
+        deadline = HEARTBEAT_INTERVAL * MISSED_HEARTBEATS
+        facts["liveness"] = {a: deadline if a != "forwarding#0" else 0
+                            for a in facts["liveness"]}
+        facts["mirror"] = {"forwarding#0": {"policies": {"version": 1, "value": [cap]}}}
+        out = orchestrator_decide(facts, fire("events.tick", {"tick": deadline}, now=deadline))
+        assert [s["action"] for s in out.decision["plan"]] == ["spawn-agent"]
+        assert out.decision["plan"][0]["params"]["restore"] == facts["mirror"]["forwarding#0"]
 
     def test_dead_broker_preempts_and_resets_all_clocks(self):
         facts = self.booted()

@@ -118,12 +118,13 @@ TEXT_PROFILES = [p for p in DEFAULT_PROFILES if p.codec is Codec.TEXT_STRUCTURED
 
 
 def _text_frame(**fields):
+    """A text frame with fields replaced, in the JSON form encode writes."""
     import json
 
     m = Message(msg_id=9, src=AgentId(FunctionKind.SESSION, 2), dst="x",
                 kind=MessageKind.RESPONSE, payload=b"", sim_time=3, correlation_id=4)
     doc = json.loads(encode(m, TEXT_PROFILES[0]))
-    return json.dumps({**doc, **fields}).encode("utf-8")
+    return json.dumps({**doc, **fields}, sort_keys=True, separators=(",", ":")).encode("utf-8")
 
 
 @pytest.mark.parametrize("profile", TEXT_PROFILES)
@@ -141,6 +142,30 @@ def test_text_frame_integer_fields_accept_what_the_encoder_writes(profile):
     assert decode(req, profile).correlation_id is None
     with pytest.raises(MalformedFrame):
         decode(_text_frame(msg_id=None), profile)
+
+
+@pytest.mark.parametrize("profile", TEXT_PROFILES)
+def test_text_frame_in_a_form_the_encoder_never_writes_is_rejected(profile):
+    import json
+
+    m = Message(msg_id=9, src=AgentId(FunctionKind.SESSION, 2), dst="x",
+                kind=MessageKind.REQUEST, payload=b"ab", sim_time=3)
+    frame = encode(m, profile)
+    assert decode(frame, profile) == m
+    doc = json.loads(frame)
+    assert doc["payload"] == "YWI="
+    variants = {
+        "spacing": json.dumps(doc, sort_keys=True).encode(),
+        "indent": json.dumps(doc, sort_keys=True, indent=2).encode(),
+        "key order": json.dumps(dict(reversed(list(doc.items()))),
+                                separators=(",", ":")).encode(),
+        "base64 padding bits": frame.replace(b'"YWI="', b'"YWJ="'),
+        "escaped text": frame.replace(b'"x"', b'"\\u0078"'),
+    }
+    for name, variant in variants.items():
+        assert variant != frame, name
+        with pytest.raises(MalformedFrame):
+            decode(variant, profile)
 
 
 def test_negotiate_prefers_initiator_order():

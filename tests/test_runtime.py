@@ -68,6 +68,17 @@ class TestFactsStore:
         assert store.put("topology", {"links": [1]}, now=1) == 2
         assert store.put("other", "x", now=1) == 1
 
+    def test_an_equal_reput_keeps_the_entry_and_an_unequal_one_bumps_it(self):
+        store = FactsStore()
+        assert store.put("view", {"links": [1, 2]}, now=0) == 1
+        stored = store.get("view")
+        assert store.put("view", {"links": [1, 2]}, now=5) == 1
+        assert store.get("view") is stored
+        assert store.export(["view"])["view"]["updated_at"] == 0
+        assert store.put("view", {"links": [1, 3]}, now=6) == 2
+        assert store.export(["view"])["view"] == {
+            "value": {"links": [1, 3]}, "version": 2, "updated_at": 6}
+
     def test_snapshot_key_set_is_isolated_from_the_store(self):
         store = FactsStore()
         store.put("view", {"n": 1}, now=0)

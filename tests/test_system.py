@@ -181,6 +181,16 @@ class TestPolicyEnforcement:
         ]
         assert violations, "cap pressure must surface as violation events"
 
+    def test_pushed_policies_reach_the_mirror_for_a_restore(self):
+        topo, scen = build(TOPO, sdoc(duration=3))
+        system = AgentSystem(topo, scen, self.config())
+        system.run()
+        mirror = system.host.get(system.orch).facts.get("mirror")
+        (policy,) = mirror["forwarding#0"]["policies"]["value"]
+        assert policy == self.config()["policies"][0]
+        assert all("policies" not in keys for agent, keys in mirror.items()
+                   if not agent.startswith("forwarding#"))
+
     def test_reference_controller_applies_the_same_policy(self):
         _, mono, diff, _ = run_both(
             TOPO, sdoc(flows=self.PRESSURE, duration=40), self.config()
