@@ -12,7 +12,7 @@ from . import functions, infra, orchestrator  # noqa: F401  (register cognitions
 from .core import AgentId, FunctionKind, DecisionLevel, Message, MessageKind
 from .netsim import Scenario, Simulator, Topology
 from .oracle import MonolithicController, compare
-from .runtime import AgentHost, AgentSpec, CognitionOutcome
+from .runtime import AgentHost, AgentSpec
 from .system import AgentSystem
 
 __version__ = "0.1.0"
@@ -22,7 +22,6 @@ __all__ = [
     "AgentId",
     "AgentSpec",
     "AgentSystem",
-    "CognitionOutcome",
     "FunctionKind",
     "DecisionLevel",
     "Message",

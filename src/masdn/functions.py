@@ -6,6 +6,15 @@ reroute planning) lives in logic.py and is shared verbatim with the
 monolithic reference controller; what this module adds is the message
 choreography: who asks whom, in which order, and what lands in facts.
 
+Every agent that needs the network view (topology, routing, QoS, forwarding,
+session) keeps its own copy with one ingest hook, topology_ingest, fed by
+the link events and the periodic link-state refresh each of them subscribes
+to. All copies apply the same events in the same order, so they stay equal
+without any agent broadcasting its view; a respawned agent is restored from
+its last digest and gets the link events it missed from the frames the
+fabric parked for it. The topology agent keeps its copy and has nothing to
+decide.
+
 The session agent is the conductor, and its conversation is one stage
 machine. A session's conversation is one record in the "pending" facts,
 keyed by the session id, which is also the ctx token echoed through every
@@ -66,7 +75,6 @@ from .logic import (
 from .netsim import link_key
 from .runtime import (
     AgentInput,
-    CognitionOutcome,
     decision,
     event_of,
     peer_of,
@@ -108,8 +116,6 @@ def topology_ingest(facts: dict[str, Any], inp: AgentInput) -> list[tuple[str, A
         return [("topology", {**view, "links": links})]
     if topic == "events.linkstate":
         return [("topology", {**view, "links": body["links"]})]
-    if topic == "facts.topology":
-        return [("topology", body["view"])]
     return []
 
 
@@ -119,13 +125,9 @@ def topology_ingest(facts: dict[str, Any], inp: AgentInput) -> list[tuple[str, A
 @register_cognition(
     FunctionKind.TOPOLOGY.value, ingest=topology_ingest, digest_keys=("topology",)
 )
-def topology_decide(facts: dict[str, Any], inp: AgentInput) -> CognitionOutcome:
-    """Owns the canonical network view and rebroadcasts it on every change."""
-    ev = event_of(inp)
-    if ev is None or ev[0] not in ("events.link", "events.linkstate"):
-        return CognitionOutcome(decision(), 1.0)
-    view = {"topic": "facts.topology", "body": {"view": facts["topology"]}}
-    return CognitionOutcome(decision(events=[view]), 1.0)
+def topology_decide(facts: dict[str, Any], inp: AgentInput) -> dict[str, Any]:
+    """The view accrues in the ingest hook; there is nothing to decide."""
+    return decision()
 
 
 # -- routing agent ----------------------------------------------------------------
@@ -134,14 +136,12 @@ def topology_decide(facts: dict[str, Any], inp: AgentInput) -> CognitionOutcome:
 @register_cognition(
     FunctionKind.ROUTING.value, ingest=topology_ingest, digest_keys=("topology",)
 )
-def routing_decide(facts: dict[str, Any], inp: AgentInput) -> CognitionOutcome:
+def routing_decide(facts: dict[str, Any], inp: AgentInput) -> dict[str, Any]:
     op = request_op(inp)
     if op == "path":
         view = facts.get("topology")
         if view is None:
-            return CognitionOutcome(
-                decision(escalate={"reason": "no-topology", "op": "path"}), 1.0
-            )
+            return decision(escalate={"reason": "no-topology", "op": "path"})
         graph = build_graph(view["links"])
         src_sw = view["hosts"].get(inp.body["src"])
         dst_sw = view["hosts"].get(inp.body["dst"])
@@ -150,17 +150,15 @@ def routing_decide(facts: dict[str, Any], inp: AgentInput) -> CognitionOutcome:
             if src_sw is not None and dst_sw is not None
             else None
         )
-        return CognitionOutcome(
-            decision(responses=[{"path": path, "ctx": inp.body.get("ctx")}]), 1.0
-        )
-    return CognitionOutcome(decision(), 1.0)
+        return decision(responses=[{"path": path, "ctx": inp.body.get("ctx")}])
+    return decision()
 
 
 # -- classifier agent ----------------------------------------------------------------
 
 
 @register_cognition(FunctionKind.CLASSIFIER.value)
-def classifier_decide(facts: dict[str, Any], inp: AgentInput) -> CognitionOutcome:
+def classifier_decide(facts: dict[str, Any], inp: AgentInput) -> dict[str, Any]:
     op = request_op(inp)
     if op == "classify":
         thresholds = facts.get("thresholds", {})
@@ -171,10 +169,8 @@ def classifier_decide(facts: dict[str, Any], inp: AgentInput) -> CognitionOutcom
             size_threshold=thresholds.get("size", DEFAULT_SIZE_THRESHOLD),
             gap_threshold=thresholds.get("gap", DEFAULT_GAP_THRESHOLD),
         )
-        return CognitionOutcome(
-            decision(responses=[{"class": klass, "ctx": inp.body.get("ctx")}]), 1.0
-        )
-    return CognitionOutcome(decision(), 1.0)
+        return decision(responses=[{"class": klass, "ctx": inp.body.get("ctx")}])
+    return decision()
 
 
 # -- QoS agent -----------------------------------------------------------------------
@@ -185,7 +181,7 @@ def classifier_decide(facts: dict[str, Any], inp: AgentInput) -> CognitionOutcom
     ingest=topology_ingest,
     digest_keys=("topology", "reservations", "admitted"),
 )
-def qos_decide(facts: dict[str, Any], inp: AgentInput) -> CognitionOutcome:
+def qos_decide(facts: dict[str, Any], inp: AgentInput) -> dict[str, Any]:
     """Admission control: realtime sessions reserve bandwidth on every path
     link, denied when any link would exceed the configured share. Admissions
     are keyed by ctx so retried requests cannot double-reserve."""
@@ -194,14 +190,12 @@ def qos_decide(facts: dict[str, Any], inp: AgentInput) -> CognitionOutcome:
         ctx = inp.body.get("ctx")
         admitted = facts.get("admitted", {})
         if ctx in admitted:
-            return CognitionOutcome(decision(responses=[{"admitted": True, "ctx": ctx}]), 1.0)
+            return decision(responses=[{"admitted": True, "ctx": ctx}])
         if inp.body.get("class") != REALTIME:
-            return CognitionOutcome(decision(responses=[{"admitted": True, "ctx": ctx}]), 1.0)
+            return decision(responses=[{"admitted": True, "ctx": ctx}])
         view = facts.get("topology")
         if view is None:
-            return CognitionOutcome(
-                decision(escalate={"reason": "no-topology", "op": "admit"}), 1.0
-            )
+            return decision(escalate={"reason": "no-topology", "op": "admit"})
         rate = flow_rate_milli(inp.body["gap"])
         keys = path_link_keys(inp.body["path"])
         ok, reservations = admit_realtime(
@@ -217,9 +211,7 @@ def qos_decide(facts: dict[str, Any], inp: AgentInput) -> CognitionOutcome:
                 ("reservations", reservations),
                 ("admitted", {**admitted, ctx: {"links": keys, "rate": rate}}),
             ]
-        return CognitionOutcome(
-            decision(responses=[{"admitted": ok, "ctx": ctx}], facts=writes), 1.0
-        )
+        return decision(responses=[{"admitted": ok, "ctx": ctx}], facts=writes)
     if op == "release":
         ctx = inp.body.get("ctx")
         admitted = dict(facts.get("admitted", {}))
@@ -235,11 +227,8 @@ def qos_decide(facts: dict[str, Any], inp: AgentInput) -> CognitionOutcome:
                 ),
                 ("admitted", admitted),
             ]
-        return CognitionOutcome(
-            decision(responses=[{"released": grant is not None, "ctx": ctx}], facts=writes),
-            1.0,
-        )
-    return CognitionOutcome(decision(), 1.0)
+        return decision(responses=[{"released": grant is not None, "ctx": ctx}], facts=writes)
+    return decision()
 
 
 # -- forwarding agent -----------------------------------------------------------------
@@ -253,13 +242,13 @@ _RULE_COUNT_KEY = {"install": "installed", "remove": "removed"}  # per op, in th
     ingest=topology_ingest,
     digest_keys=("topology", "switch-rules"),
 )
-def forwarding_decide(facts: dict[str, Any], inp: AgentInput) -> CognitionOutcome:
+def forwarding_decide(facts: dict[str, Any], inp: AgentInput) -> dict[str, Any]:
     """Turns rule sets into per-switch install/remove plans. The plan is
     where policy caps bite: a failed validation emits a violation event
     instead of touching any switch, and the ok response never goes out."""
     op = request_op(inp)
     if op not in ("install", "remove"):
-        return CognitionOutcome(decision(), 1.0)
+        return decision()
     ctx = inp.body.get("ctx")
     rules = inp.body["rules"]
     table = {sw: dict(slots) for sw, slots in facts.get("switch-rules", {}).items()}
@@ -268,13 +257,10 @@ def forwarding_decide(facts: dict[str, Any], inp: AgentInput) -> CognitionOutcom
             table.setdefault(switch, {})[rule_slot(doc)] = doc["rule_id"]
         else:
             table.get(switch, {}).pop(rule_slot(doc), None)
-    return CognitionOutcome(
-        decision(
-            plan=[step(f"{op}-rule", switch, rule=doc, ctx=ctx) for switch, doc in rules],
-            responses=[{"ok": True, _RULE_COUNT_KEY[op]: len(rules), "ctx": ctx}],
-            facts=[("switch-rules", table)],
-        ),
-        1.0,
+    return decision(
+        plan=[step(f"{op}-rule", switch, rule=doc, ctx=ctx) for switch, doc in rules],
+        responses=[{"ok": True, _RULE_COUNT_KEY[op]: len(rules), "ctx": ctx}],
+        facts=[("switch-rules", table)],
     )
 
 
@@ -294,9 +280,9 @@ def monitoring_ingest(facts: dict[str, Any], inp: AgentInput) -> list[tuple[str,
 
 
 @register_cognition(FunctionKind.MONITORING.value, ingest=monitoring_ingest)
-def monitoring_decide(facts: dict[str, Any], inp: AgentInput) -> CognitionOutcome:
+def monitoring_decide(facts: dict[str, Any], inp: AgentInput) -> dict[str, Any]:
     """Load accrues in the ingest hook; there is nothing to decide."""
-    return CognitionOutcome(decision(), 1.0)
+    return decision()
 
 
 # -- session agent --------------------------------------------------------------------
@@ -498,11 +484,11 @@ def _edit(table: dict[str, Any], stored: dict[str, Any], key: str) -> dict[str, 
 @register_cognition(
     FunctionKind.SESSION.value, ingest=topology_ingest, digest_keys=_SESSION_DIGEST
 )
-def session_decide(facts: dict[str, Any], inp: AgentInput) -> CognitionOutcome:
+def session_decide(facts: dict[str, Any], inp: AgentInput) -> dict[str, Any]:
     st = _SessionState(facts, inp.message.sim_time)
     if is_response(inp):
         st.on_response(inp.body)
-        return CognitionOutcome(decision(plan=st.steps, facts=st.writes()), 1.0)
+        return decision(plan=st.steps, facts=st.writes())
 
     ev = event_of(inp)
     if ev is not None:
@@ -524,4 +510,4 @@ def session_decide(facts: dict[str, Any], inp: AgentInput) -> CognitionOutcome:
             st.on_violation(body)
         elif topic == "events.tick" and facts.get("proactive"):
             st.proactive_scan(body["tick"], facts.get("schedule", []))
-    return CognitionOutcome(decision(plan=st.steps, facts=st.writes()), 1.0)
+    return decision(plan=st.steps, facts=st.writes())

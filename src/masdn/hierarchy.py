@@ -50,14 +50,6 @@ class PolicyRule:
             target_class,
         )
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "effect": self.effect,
-            "action_kind": self.action_kind,
-            "target_class": self.target_class,
-            "max_per_target": self.max_per_target,
-        }
-
     @classmethod
     def from_dict(cls, d: dict[str, Any]) -> PolicyRule:
         return cls(
@@ -84,14 +76,6 @@ class Policy:
                     f"policy {self.policy_id!r}: issuer level {self.issuer_level.name} "
                     f"is not above scoped kind {kind.value} ({level_of(kind).name})"
                 )
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "policy_id": self.policy_id,
-            "issuer_level": self.issuer_level.name.lower(),
-            "scope": sorted(k.value for k in self.scope),
-            "rules": [r.to_dict() for r in self.rules],
-        }
 
     @classmethod
     def from_dict(cls, d: dict[str, Any]) -> Policy:

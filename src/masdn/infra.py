@@ -4,7 +4,13 @@ fault handler, and the discovery directory.
 
 The registry agent keeps the whole lease table in its facts and manipulates
 it with the pure table functions from registry.py, so its state digests
-into the knowledge plane like any other agent's and survives a respawn.
+into the knowledge plane like any other agent's and survives a respawn. It
+answers register and discover requests, renews a lease on each heartbeat
+and sweeps expired leases on each tick.
+
+The knowledge plane only folds every kp.digest into one table of exported
+keys per agent, in its ingest hook, and answers no request: a respawned
+agent is restored from the orchestrator's mirror of the same digests.
 
 Brokers carry the event plane at run time. A published event (a message
 whose destination is a topic) reaches one broker, which wraps it in an
@@ -25,7 +31,6 @@ from .functions import request_op
 from .logic import HEARTBEAT_INTERVAL
 from .registry import (
     UnknownLease,
-    table_deregister,
     table_discover,
     table_expire,
     table_heartbeat,
@@ -33,7 +38,6 @@ from .registry import (
 )
 from .runtime import (
     AgentInput,
-    CognitionOutcome,
     decision,
     event_of,
     merge_digest,
@@ -48,41 +52,22 @@ from .runtime import (
 @register_cognition(
     FunctionKind.REGISTRY.value, digest_keys=("leases",)
 )
-def registry_decide(facts: dict[str, Any], inp: AgentInput) -> CognitionOutcome:
+def registry_decide(facts: dict[str, Any], inp: AgentInput) -> dict[str, Any]:
     now = inp.message.sim_time
     leases = facts.get("leases", {})
     op = request_op(inp)
     if op == "register":
         doc = inp.body["descriptor"]
         new = table_register(leases, doc, now)
-        return CognitionOutcome(
-            decision(
-                responses=[{"ok": True, "expires_at": new[doc["agent"]]["expires_at"]}],
-                facts=[("leases", new)],
-                events=[_changed_event(new, now)],
-            ),
-            1.0,
-        )
-    if op == "deregister":
-        agent = inp.body["agent"]
-        try:
-            new = table_deregister(leases, agent)
-        except UnknownLease:
-            return CognitionOutcome(decision(responses=[{"ok": False}]), 1.0)
-        return CognitionOutcome(
-            decision(
-                responses=[{"ok": True}],
-                facts=[("leases", new)],
-                events=[_changed_event(new, now)],
-            ),
-            1.0,
+        return decision(
+            responses=[{"ok": True, "expires_at": new[doc["agent"]]["expires_at"]}],
+            facts=[("leases", new)],
+            events=[_changed_event(new, now)],
         )
     if op == "discover":
         kind = FunctionKind(inp.body["kind"]) if inp.body.get("kind") else None
         hits = table_discover(leases, now, kind=kind, capability=inp.body.get("capability"))
-        return CognitionOutcome(
-            decision(responses=[{"agents": hits, "ctx": inp.body.get("ctx")}]), 1.0
-        )
+        return decision(responses=[{"agents": hits, "ctx": inp.body.get("ctx")}])
     ev = event_of(inp)
     if ev is not None:
         topic, body = ev
@@ -90,15 +75,13 @@ def registry_decide(facts: dict[str, Any], inp: AgentInput) -> CognitionOutcome:
             try:
                 new = table_heartbeat(leases, body["agent"], now)
             except UnknownLease:
-                return CognitionOutcome(decision(), 1.0)
-            return CognitionOutcome(decision(facts=[("leases", new)]), 1.0)
+                return decision()
+            return decision(facts=[("leases", new)])
         if topic == "events.tick":
             new, dead = table_expire(leases, now)
             if dead:
-                return CognitionOutcome(
-                    decision(events=[_changed_event(new, now)], facts=[("leases", new)]), 1.0
-                )
-    return CognitionOutcome(decision(), 1.0)
+                return decision(events=[_changed_event(new, now)], facts=[("leases", new)])
+    return decision()
 
 
 def _changed_event(leases: dict[str, Any], now: int) -> dict[str, Any]:
@@ -126,29 +109,26 @@ def _autoconf_ingest(facts: dict[str, Any], inp: AgentInput) -> list[tuple[str, 
     ingest=_autoconf_ingest,
     digest_keys=("directory",),
 )
-def autoconf_decide(facts: dict[str, Any], inp: AgentInput) -> CognitionOutcome:
+def autoconf_decide(facts: dict[str, Any], inp: AgentInput) -> dict[str, Any]:
     op = request_op(inp)
     if op == "lookup":
         directory = facts.get("directory", {})
-        return CognitionOutcome(
-            decision(
-                responses=[
-                    {
-                        "agents": directory.get(inp.body["kind"], []),
-                        "ctx": inp.body.get("ctx"),
-                    }
-                ]
-            ),
-            1.0,
+        return decision(
+            responses=[
+                {
+                    "agents": directory.get(inp.body["kind"], []),
+                    "ctx": inp.body.get("ctx"),
+                }
+            ]
         )
-    return CognitionOutcome(decision(), 1.0)
+    return decision()
 
 
 # -- fault handler -------------------------------------------------------------------
 
 
 @register_cognition(FunctionKind.FAULT.value, digest_keys=("incidents",))
-def fault_decide(facts: dict[str, Any], inp: AgentInput) -> CognitionOutcome:
+def fault_decide(facts: dict[str, Any], inp: AgentInput) -> dict[str, Any]:
     """Receives escalations from below and keeps the incident record."""
     op = request_op(inp)
     if op == "escalate":
@@ -160,19 +140,16 @@ def fault_decide(facts: dict[str, Any], inp: AgentInput) -> CognitionOutcome:
                 "at": inp.message.sim_time,
             }
         )
-        return CognitionOutcome(
-            decision(
-                facts=[("incidents", incidents)],
-                events=[
-                    {
-                        "topic": "events.incident",
-                        "body": {"source": inp.body.get("source"), "issue": inp.body.get("issue")},
-                    }
-                ],
-            ),
-            1.0,
+        return decision(
+            facts=[("incidents", incidents)],
+            events=[
+                {
+                    "topic": "events.incident",
+                    "body": {"source": inp.body.get("source"), "issue": inp.body.get("issue")},
+                }
+            ],
         )
-    return CognitionOutcome(decision(), 1.0)
+    return decision()
 
 
 # -- knowledge plane --------------------------------------------------------------------
@@ -186,20 +163,9 @@ def _kp_ingest(facts: dict[str, Any], inp: AgentInput) -> list[tuple[str, Any]]:
 
 
 @register_cognition(FunctionKind.KNOWLEDGE_PLANE.value, ingest=_kp_ingest)
-def knowledge_decide(facts: dict[str, Any], inp: AgentInput) -> CognitionOutcome:
-    op = request_op(inp)
-    if op == "view":
-        return CognitionOutcome(
-            decision(responses=[{"digests": facts.get("digests", {}), "ctx": inp.body.get("ctx")}]),
-            1.0,
-        )
-    if op == "restore-for":
-        keys = facts.get("digests", {}).get(inp.body["agent"], {})
-        return CognitionOutcome(
-            decision(responses=[{"agent": inp.body["agent"], "keys": keys, "ctx": inp.body.get("ctx")}]),
-            1.0,
-        )
-    return CognitionOutcome(decision(), 1.0)
+def knowledge_decide(facts: dict[str, Any], inp: AgentInput) -> dict[str, Any]:
+    """Digests accrue in the ingest hook; there is nothing to decide."""
+    return decision()
 
 
 # -- event-distribution broker ------------------------------------------------------------
@@ -229,7 +195,7 @@ def _envelope_steps(
     FunctionKind.EVENT_DISTRIBUTION.value,
     digest_keys=("subs", "peers", "high-water"),
 )
-def broker_decide(facts: dict[str, Any], inp: AgentInput) -> CognitionOutcome:
+def broker_decide(facts: dict[str, Any], inp: AgentInput) -> dict[str, Any]:
     op = request_op(inp)
     if op == "subscribe":
         sub = str(inp.message.src)
@@ -238,19 +204,7 @@ def broker_decide(facts: dict[str, Any], inp: AgentInput) -> CognitionOutcome:
         group.add(sub)
         subs[inp.body["filter"]] = sorted(group)
         peers = sorted(set(facts.get("peers", [])) | {sub})
-        return CognitionOutcome(
-            decision(facts=[("subs", subs), ("peers", peers)]), 1.0
-        )
-    if op == "unsubscribe":
-        sub = str(inp.message.src)
-        subs = {f: sorted(set(g)) for f, g in facts.get("subs", {}).items()}
-        group = set(subs.get(inp.body["filter"], []))
-        group.discard(sub)
-        if group:
-            subs[inp.body["filter"]] = sorted(group)
-        else:
-            subs.pop(inp.body["filter"], None)
-        return CognitionOutcome(decision(facts=[("subs", subs)]), 1.0)
+        return decision(facts=[("subs", subs), ("peers", peers)])
 
     if inp.message.kind is MessageKind.EVENT and isinstance(inp.body, dict):
         forwarded = "publisher" in inp.body
@@ -265,7 +219,7 @@ def broker_decide(facts: dict[str, Any], inp: AgentInput) -> CognitionOutcome:
             }
         steps, writes = _envelope_steps(facts, env)
         if not steps and not writes:
-            return CognitionOutcome(decision(), 1.0)  # duplicate
+            return decision()  # duplicate
         role = facts.get("role", "solo")
         if not forwarded:
             if role == "mesh":
@@ -285,5 +239,5 @@ def broker_decide(facts: dict[str, Any], inp: AgentInput) -> CognitionOutcome:
             me = facts.get("self")
             if me and tick % HEARTBEAT_INTERVAL == 0:
                 events = [{"topic": "hb", "body": {"agent": me, "tick": tick}}]
-        return CognitionOutcome(decision(plan=steps, facts=writes, events=events), 1.0)
-    return CognitionOutcome(decision(), 1.0)
+        return decision(plan=steps, facts=writes, events=events)
+    return decision()

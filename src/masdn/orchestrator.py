@@ -23,6 +23,10 @@ never moves a clock back. Dead brokers are special: without brokers
 heartbeats stop flowing, making everyone look dead at once, so dead brokers
 are replaced first and every liveness clock is reset to give the revived
 event plane a full detection window before anyone else is declared lost.
+
+The mirror is the only copy a restore reads; a respawned knowledge plane is
+re-seeded from it too. The orchestrator answers no request: everything it
+does starts from an event.
 """
 
 from __future__ import annotations
@@ -31,7 +35,6 @@ import zlib
 from typing import Any, Sequence
 
 from .core import AgentId, FunctionKind, DecisionLevel, level_of
-from .functions import request_op
 from .hierarchy import Policy
 from .logic import (
     DEFAULT_GAP_THRESHOLD,
@@ -46,7 +49,6 @@ from .logic import (
 )
 from .runtime import (
     AgentInput,
-    CognitionOutcome,
     bootstrap_steps,
     decision,
     event_of,
@@ -66,14 +68,9 @@ INFRA_KINDS = (
 
 _SUBSCRIPTIONS: dict[FunctionKind, list[str]] = {
     FunctionKind.TOPOLOGY: ["events.link", "events.linkstate", "events.tick"],
-    FunctionKind.ROUTING: ["events.link", "events.linkstate", "facts.topology", "events.tick"],
-    FunctionKind.QOS: ["events.link", "events.linkstate", "facts.topology", "events.tick"],
-    FunctionKind.FORWARDING: [
-        "events.link",
-        "events.linkstate",
-        "facts.topology",
-        "events.tick",
-    ],
+    FunctionKind.ROUTING: ["events.link", "events.linkstate", "events.tick"],
+    FunctionKind.QOS: ["events.link", "events.linkstate", "events.tick"],
+    FunctionKind.FORWARDING: ["events.link", "events.linkstate", "events.tick"],
     FunctionKind.CLASSIFIER: ["events.tick"],
     FunctionKind.SESSION: [
         "events.packet_in",
@@ -212,19 +209,10 @@ def _policy_pushes(
 
 
 @register_cognition(FunctionKind.ORCHESTRATION.value, digest_keys=())
-def orchestrator_decide(facts: dict[str, Any], inp: AgentInput) -> CognitionOutcome:
-    op = request_op(inp)
-    if op == "compose-chain":
-        kinds = chain_closure([FunctionKind(k) for k in inp.body.get("kinds", [])])
-        return CognitionOutcome(
-            decision(
-                responses=[{"chain": [k.value for k in kinds], "ctx": inp.body.get("ctx")}]
-            ),
-            1.0,
-        )
+def orchestrator_decide(facts: dict[str, Any], inp: AgentInput) -> dict[str, Any]:
     ev = event_of(inp)
     if ev is None:
-        return CognitionOutcome(decision(), 1.0)
+        return decision()
     topic, body = ev
     if topic == "control.bootstrap":
         phase = (body or {}).get("phase", "facts")
@@ -236,17 +224,17 @@ def orchestrator_decide(facts: dict[str, Any], inp: AgentInput) -> CognitionOutc
         agent, beat = body["agent"], body["tick"]
         if agent in liveness and beat > liveness[agent]:  # replays are old
             liveness = {**liveness, agent: beat}
-            return CognitionOutcome(decision(facts=[("liveness", liveness)]), 1.0)
-        return CognitionOutcome(decision(), 1.0)
+            return decision(facts=[("liveness", liveness)])
+        return decision()
     if topic == "kp.digest":
         mirror = merge_digest(facts.get("mirror", {}), body)
-        return CognitionOutcome(decision(facts=[("mirror", mirror)]), 1.0)
+        return decision(facts=[("mirror", mirror)])
     if topic == "events.tick":
         return _scan(facts, body["tick"])
-    return CognitionOutcome(decision(), 1.0)
+    return decision()
 
 
-def _bootstrap_facts(facts: dict[str, Any], inp: AgentInput) -> CognitionOutcome:
+def _bootstrap_facts(facts: dict[str, Any], inp: AgentInput) -> dict[str, Any]:
     config = facts.get("config", {})
     me = str(inp.message.dst)
     roster = plan_roster(config)
@@ -271,14 +259,12 @@ def _bootstrap_facts(facts: dict[str, Any], inp: AgentInput) -> CognitionOutcome
         ("peers", sorted(roster + [me])),
         ("policy-docs", config.get("policies", [])),
     ]
-    return CognitionOutcome(decision(facts=writes, events=events), 1.0)
+    return decision(facts=writes, events=events)
 
 
-def _bootstrap_spawn(facts: dict[str, Any], inp: AgentInput) -> CognitionOutcome:
+def _bootstrap_spawn(facts: dict[str, Any], inp: AgentInput) -> dict[str, Any]:
     if facts.get("placement") is None:
-        return CognitionOutcome(
-            decision(escalate={"reason": "no-placement"}), 1.0
-        )
+        return decision(escalate={"reason": "no-placement"})
     roster = facts.get("roster", [])
     specs = facts.get("specs", {})
     placement = facts.get("placement", {})
@@ -295,17 +281,17 @@ def _bootstrap_spawn(facts: dict[str, Any], inp: AgentInput) -> CognitionOutcome
     ]
     steps.extend(bootstrap_steps(facts, inp))
     steps.extend(_policy_pushes(facts.get("policy-docs", []), roster))
-    return CognitionOutcome(decision(plan=steps), 1.0)
+    return decision(plan=steps)
 
 
-def _scan(facts: dict[str, Any], tick: int) -> CognitionOutcome:
+def _scan(facts: dict[str, Any], tick: int) -> dict[str, Any]:
     liveness = facts.get("liveness")
     if not liveness:
-        return CognitionOutcome(decision(), 1.0)
+        return decision()
     deadline = HEARTBEAT_INTERVAL * MISSED_HEARTBEATS
     dead = sorted(a for a, last in liveness.items() if tick - last >= deadline)
     if not dead:
-        return CognitionOutcome(decision(), 1.0)
+        return decision()
 
     specs = facts.get("specs", {})
     mirror = facts.get("mirror", {})
@@ -340,6 +326,4 @@ def _scan(facts: dict[str, Any], tick: int) -> CognitionOutcome:
             )
         )
     events = [{"topic": "events.recovery", "body": {"respawned": respawn, "tick": tick}}]
-    return CognitionOutcome(
-        decision(plan=steps, facts=[("liveness", liveness)], events=events), 1.0
-    )
+    return decision(plan=steps, facts=[("liveness", liveness)], events=events)

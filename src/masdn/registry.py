@@ -46,13 +46,6 @@ def table_heartbeat(table: LeaseTable, agent: str, now: int) -> LeaseTable:
     out[agent] = {**entry, "expires_at": now + entry["descriptor"]["lease_ttl"]}
     return out
 
-def table_deregister(table: LeaseTable, agent: str) -> LeaseTable:
-    if agent not in table:
-        raise UnknownLease(agent)
-    out = dict(table)
-    del out[agent]
-    return out
-
 def table_expire(table: LeaseTable, now: int) -> tuple[LeaseTable, list[str]]:
     """Sweep dead leases; returns the surviving table and who was dropped."""
     dead = sorted(a for a, e in table.items() if e["expires_at"] <= now)

@@ -7,8 +7,8 @@ drives each delivered message through the same six stages —
 
 — and appends one record per stage to the run log. Cognition functions are
 pure: they see a facts snapshot plus the decoded input and return a
-CognitionOutcome; all side effects (facts writes, outgoing messages) happen
-in the host, and only after validation passes. Action requests that fail
+decision; all side effects (facts writes, outgoing messages) happen in the
+host, and only after validation passes. Action requests that fail
 validation are replaced by a single violation event, so a later audit of
 the run log can prove that no request was ever emitted without a passing
 validation record in the same pipeline run.
@@ -21,16 +21,16 @@ snapshot and changes one record pays for that record and the table's top
 level, not for the whole value. A cognition that mutates its snapshot gets a
 TypeError at once instead of silently changing the store.
 
-A cognition outcome's decision is a plain dict with optional keys:
+A decision is a plain dict with optional keys:
 
     plan       list of {"action","target","params"} step dicts
     responses  list of bodies answered to the input's sender
     events     list of {"topic","body"} notifications
     facts      list of [key, value] writes applied after validation
-    escalate   an issue dict; forces escalation regardless of confidence
+    escalate   an issue dict
 
-Confidence below ESCALATION_CONFIDENCE replaces the whole decision with a
-single escalate step routed one level up the hierarchy.
+A decision with an escalate key is replaced whole by a single escalate step
+routed one level up the hierarchy.
 
 The agent lifecycle is handled once, where a cognition is registered, not in
 each decide function. An agent whose subscriptions include events.tick
@@ -59,8 +59,6 @@ from .core import (
 from .hierarchy import Escalation, NoUpperAgent, Policy, route_escalation
 from .logic import DEFAULT_LEASE_TTL, HEARTBEAT_INTERVAL, rule_slot
 from .pps import DEFAULT_PROFILES, MalformedFrame, StackProfile, decode_body, encode_body
-
-ESCALATION_CONFIDENCE = 0.5
 
 VIOLATION_TOPIC = "events.violation"
 
@@ -371,16 +369,6 @@ class AgentInput:
     body: Any
 
 
-@dataclass(frozen=True)
-class CognitionOutcome:
-    decision: dict[str, Any]
-    confidence: float
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.confidence <= 1.0:
-            raise ValueError(f"confidence {self.confidence} outside [0, 1]")
-
-
 def decision(
     plan: list[dict[str, Any]] | None = None,
     responses: list[Any] | None = None,
@@ -409,7 +397,7 @@ def step(action: str, target: Destination, **params: Any) -> dict[str, Any]:
 
 
 class CognitionFn(Protocol):
-    def __call__(self, facts: dict[str, Any], inp: AgentInput) -> CognitionOutcome: ...
+    def __call__(self, facts: dict[str, Any], inp: AgentInput) -> dict[str, Any]: ...
 
 
 class IngestFn(Protocol):
@@ -484,21 +472,18 @@ def _with_lifecycle(fn: CognitionFn) -> CognitionFn:
     for agents that subscribe to events.tick."""
 
     @functools.wraps(fn)
-    def decide(facts: dict[str, Any], inp: AgentInput) -> CognitionOutcome:
+    def decide(facts: dict[str, Any], inp: AgentInput) -> dict[str, Any]:
         ev = event_of(inp)
         if ev is None or "events.tick" not in facts.get("subscriptions", ()):
             return fn(facts, inp)
         topic, body = ev
         if topic == "control.bootstrap" and (body or {}).get("phase") == "run":
-            return CognitionOutcome(decision(plan=bootstrap_steps(facts, inp)), 1.0)
-        outcome = fn(facts, inp)
+            return decision(plan=bootstrap_steps(facts, inp))
+        dec = fn(facts, inp)
         if topic != "events.tick" or body["tick"] % HEARTBEAT_INTERVAL != 0:
-            return outcome
+            return dec
         beat = {"topic": "hb", "body": {"agent": str(self_id(inp)), "tick": body["tick"]}}
-        dec = outcome.decision
-        return CognitionOutcome(
-            {**dec, "events": [beat, *dec.get("events", [])]}, outcome.confidence
-        )
+        return {**dec, "events": [beat, *dec.get("events", [])]}
 
     return decide
 
@@ -649,12 +634,11 @@ class AgentHost:
         snapshot = agent.facts.snapshot()
         log("facts", written=written)
 
-        outcome = impl.decide(snapshot, inp)
-        dec = outcome.decision
-        log("cognition", confidence=outcome.confidence, decided=sorted(dec))
+        dec = impl.decide(snapshot, inp)
+        log("cognition", decided=sorted(dec))
 
-        escalated = dec.get("escalate") is not None or outcome.confidence < ESCALATION_CONFIDENCE
-        plan, note = self._build_plan(agent, dec, escalated, snapshot)
+        escalated = "escalate" in dec
+        plan, note = self._build_plan(agent, dec, escalated)
         log(
             "planning",
             steps=[[s.action, str(s.target)] for s in plan.steps],
@@ -685,10 +669,9 @@ class AgentHost:
         agent: Agent,
         dec: dict[str, Any],
         escalated: bool,
-        snapshot: dict[str, Any],
     ) -> tuple[Plan, str]:
         if escalated:
-            issue = dec.get("escalate") or {"reason": "low-confidence"}
+            issue = dec["escalate"]
             esc = Escalation(source=agent.id, issue=issue, raised_at=self.now)
             try:
                 handler = route_escalation(esc, sorted(self.agents))
@@ -773,8 +756,6 @@ class AgentHost:
         dst: Destination = pstep.target
         if pstep.action in ("install-rule", "remove-rule") and isinstance(dst, str):
             dst = f"switch.{dst}"
-        elif pstep.action in ("spawn-agent", "despawn-agent") and isinstance(dst, str):
-            dst = "host.control"
         return self.factory.new_message(
             src=agent.id,
             dst=dst,

@@ -8,9 +8,10 @@ link-state refresh every REFRESH_EVERY ticks, and finally the tick event
 itself — so reroute sweeps always run before new-flow setups, mirroring
 the reference controller's processing order.
 
-The host-control endpoint gives the orchestrator its lifecycle lever:
-spawn-agent requests (re)create an agent, seed it with restored knowledge
-and hand it a bootstrap event. The switch.* prefix endpoint is the
+The host-control endpoint gives the orchestrator its lifecycle lever: a
+spawn-agent request (re)creates an agent, seeds it with restored knowledge
+and hands it a bootstrap event. An agent leaves only when a scheduled kill
+removes it or a spawn replaces it. The switch.* prefix endpoint is the
 southbound interface; rules installed through it take effect next tick.
 
 Two small services run outside any agent because something must survive
@@ -90,10 +91,6 @@ class AgentSystem:
             return []
         if body.get("op") == "spawn-agent":
             return self._spawn(msg, body)
-        if body.get("op") == "despawn-agent":
-            agent = AgentId.parse(body["agent"])
-            if agent in self.host.agents:
-                self.host.kill_agent(agent)
         return []
 
     def _spawn(self, msg: Message, body: dict[str, Any]) -> list[Message]:

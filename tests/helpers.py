@@ -20,7 +20,7 @@ from masdn.core import AgentId, MessageKind
 from masdn.oracle import MonolithicController, compare
 from masdn.orchestrator import broker_ids, build_specs, home_broker
 from masdn.pps import encode_body
-from masdn.runtime import AgentHost, AgentSpec, CognitionOutcome, register_cognition
+from masdn.runtime import AgentHost, AgentSpec, register_cognition
 
 STRATEGIES = ("centralized", "distributed", "hybrid")
 
@@ -129,7 +129,7 @@ def diff_is_empty(diff: dict[str, Any]) -> bool:
 def _record_delivery(facts, inp):
     """Keep every delivered envelope as a fact, numbered in arrival order."""
     n = facts.get("received", 0)
-    return CognitionOutcome({"facts": [("received", n + 1), (f"envelope.{n}", inp.body)]}, 1.0)
+    return {"facts": [("received", n + 1), (f"envelope.{n}", inp.body)]}
 
 
 class BrokerFabric:
@@ -152,25 +152,19 @@ class BrokerFabric:
                 AgentSpec(AgentId.parse(doc["agent"]), doc["cognition"], doc["initial_facts"])
             )
 
-    def _request(self, sub: str, op: str, flt: str) -> None:
-        self.bus.send(
-            self.host.factory.new_message(
-                src=AgentId.parse(sub),
-                dst=AgentId.parse(home_broker(self.strategy, sub)),
-                kind=MessageKind.REQUEST,
-                payload=encode_body({"op": op, "filter": flt}),
-                now=self.host.now,
-            )
-        )
-
     def subscribe(self, sub: str, flt: str) -> None:
         agent = AgentId.parse(sub)
         if agent not in self.host.agents:
             self.host.spawn_agent(AgentSpec(agent, "test-subscriber"))
-        self._request(sub, "subscribe", flt)
-
-    def unsubscribe(self, sub: str, flt: str) -> None:
-        self._request(sub, "unsubscribe", flt)
+        self.bus.send(
+            self.host.factory.new_message(
+                src=agent,
+                dst=AgentId.parse(home_broker(self.strategy, sub)),
+                kind=MessageKind.REQUEST,
+                payload=encode_body({"op": "subscribe", "filter": flt}),
+                now=self.host.now,
+            )
+        )
 
     def publish(self, pub: str, topic: str, body: Any) -> int:
         """Queue one publish; returns its msg_id, which brokers stamp as pub_msg_id."""

@@ -24,7 +24,7 @@ from masdn.oracle import MonolithicController, compare, normalize_tables
 from masdn.orchestrator import broker_ids, plan_roster
 from masdn.pps import DEFAULT_PROFILES, decode, encode, encode_body
 from masdn.registry import UnknownLease, table_discover, table_expire, table_heartbeat, table_register
-from masdn.runtime import AgentHost, AgentSpec, CognitionOutcome, register_cognition
+from masdn.runtime import AgentHost, AgentSpec, register_cognition
 
 from helpers import STRATEGIES, build, gen_scenario, gen_topology, run_trace, trace_agents
 
@@ -358,7 +358,7 @@ def test_criterion_06_rule_cap_holds_and_violations_are_events():
 
 @register_cognition("acceptance-counter")
 def _counting(facts, inp):
-    return CognitionOutcome({"facts": [["count", facts.get("count", 0) + 1]]}, 1.0)
+    return {"facts": [["count", facts.get("count", 0) + 1]]}
 
 
 def test_criterion_07_round_trip_fidelity_and_at_least_once_dedup():

@@ -5,7 +5,7 @@ from unittest.mock import patch
 from masdn.core import AgentId, FunctionKind, MessageKind
 from masdn.bus import Bus
 from masdn.pps import DEFAULT_PROFILES, Codec, Reliability, StackProfile, encode, encode_body
-from masdn.runtime import AgentHost, AgentSpec, CognitionOutcome, register_cognition
+from masdn.runtime import AgentHost, AgentSpec, register_cognition
 
 ROUTING = AgentId(FunctionKind.ROUTING, 0)
 SESSION = AgentId(FunctionKind.SESSION, 0)
@@ -20,7 +20,7 @@ def _sink(facts, inp):
     seen = list(facts.get("seen", []))
     if inp.message.kind is MessageKind.REQUEST and isinstance(inp.body, dict):
         seen.append(inp.body.get("n"))
-    return CognitionOutcome({"facts": [["seen", seen]]}, 1.0)
+    return {"facts": [["seen", seen]]}
 
 
 def make_host():

@@ -9,7 +9,6 @@ from masdn.functions import (
     qos_decide,
     routing_decide,
     session_decide,
-    topology_decide,
     topology_ingest,
 )
 from masdn.infra import (
@@ -18,7 +17,6 @@ from masdn.infra import (
     autoconf_decide,
     broker_decide,
     fault_decide,
-    knowledge_decide,
     registry_decide,
 )
 from masdn.logic import (
@@ -85,7 +83,7 @@ class TestHelpers:
         facts = {
             "registry": "registry#0",
             "home-broker": "event-distribution#0",
-            "subscriptions": ["events.tick", "facts.topology"],
+            "subscriptions": ["events.tick", "events.link"],
         }
         steps = bootstrap_steps(facts, request({}, dst="routing#0"))
         assert [s["action"] for s in steps] == ["register", "subscribe", "subscribe"]
@@ -107,18 +105,8 @@ class TestTopologyAgent:
         assert topology_ingest({}, event("events.link", {"a": "s1", "b": "s2", "state": "down"})) == []
 
     def test_view_refresh_replaces_wholesale(self):
-        writes = topology_ingest(
-            {"topology": TOPO}, event("facts.topology", {"view": {"links": [], "hosts": {}}})
-        )
-        assert writes == [("topology", {"links": [], "hosts": {}})]
-
-    def test_change_is_rebroadcast(self):
-        out = topology_decide(
-            {"topology": TOPO},
-            event("events.link", {"a": "s1", "b": "s2", "state": "down"}, dst="topology#0"),
-        )
-        topics = [e["topic"] for e in out.decision.get("events", [])]
-        assert topics == ["facts.topology"]
+        writes = topology_ingest({"topology": TOPO}, event("events.linkstate", {"links": []}))
+        assert writes == [("topology", {**TOPO, "links": []})]
 
 
 class TestRoutingAgent:
@@ -126,26 +114,26 @@ class TestRoutingAgent:
         out = routing_decide(
             {"topology": TOPO}, request({"op": "path", "src": "h1", "dst": "h2", "ctx": "f1"})
         )
-        (resp,) = out.decision["responses"]
+        (resp,) = out["responses"]
         assert resp == {"path": ["s1", "s2", "s3"], "ctx": "f1"}
 
     def test_unknown_host_yields_none_path(self):
         out = routing_decide(
             {"topology": TOPO}, request({"op": "path", "src": "h1", "dst": "h9", "ctx": "f1"})
         )
-        assert out.decision["responses"][0]["path"] is None
+        assert out["responses"][0]["path"] is None
 
     def test_missing_topology_escalates(self):
         out = routing_decide({}, request({"op": "path", "src": "h1", "dst": "h2"}))
-        assert out.decision["escalate"]["reason"] == "no-topology"
+        assert out["escalate"]["reason"] == "no-topology"
 
 
 class TestClassifierAgent:
     def test_defaults_and_fact_thresholds(self):
         fast = request({"op": "classify", "size": 10, "gap": 1, "ctx": "x"})
-        assert classifier_decide({}, fast).decision["responses"][0]["class"] == "realtime"
+        assert classifier_decide({}, fast)["responses"][0]["class"] == "realtime"
         tuned = classifier_decide({"thresholds": {"gap": 1}}, fast)
-        assert tuned.decision["responses"][0]["class"] == "interactive"
+        assert tuned["responses"][0]["class"] == "interactive"
 
 
 class TestQosAgent:
@@ -156,8 +144,8 @@ class TestQosAgent:
 
     def test_realtime_reserves_on_every_path_link(self):
         out = qos_decide({"topology": TOPO}, request(self.ADMIT, dst="qos#0"))
-        assert out.decision["responses"][0]["admitted"] is True
-        writes = dict(out.decision["facts"])
+        assert out["responses"][0]["admitted"] is True
+        writes = dict(out["facts"])
         assert set(writes["reservations"]) == {"s1|s2", "s2|s3"}
         assert "s-1" in writes["admitted"]
 
@@ -166,8 +154,8 @@ class TestQosAgent:
         out = qos_decide(
             {"topology": TOPO, "admitted": granted}, request(self.ADMIT, dst="qos#0")
         )
-        assert out.decision["responses"][0]["admitted"] is True
-        assert "facts" not in out.decision  # nothing double-reserved
+        assert out["responses"][0]["admitted"] is True
+        assert "facts" not in out  # nothing double-reserved
 
     def test_denial_when_budget_is_full(self):
         # capacity 10 at 800 permille = 8000 milliunits; gap 1 wants 1000
@@ -176,14 +164,14 @@ class TestQosAgent:
             "reservations": {"s1|s2": 7500, "s2|s3": 0},
         }
         out = qos_decide(facts, request(self.ADMIT, dst="qos#0"))
-        assert out.decision["responses"][0]["admitted"] is False
-        assert "facts" not in out.decision
+        assert out["responses"][0]["admitted"] is False
+        assert "facts" not in out
 
     def test_non_realtime_is_waved_through(self):
         body = dict(self.ADMIT, **{"class": "bulk"})
         out = qos_decide({}, request(body, dst="qos#0"))
-        assert out.decision["responses"][0]["admitted"] is True
-        assert "facts" not in out.decision
+        assert out["responses"][0]["admitted"] is True
+        assert "facts" not in out
 
     def test_release_refunds_and_reports(self):
         facts = {
@@ -192,12 +180,12 @@ class TestQosAgent:
             "admitted": {"s-1": {"links": ["s1|s2", "s2|s3"], "rate": 1000}},
         }
         out = qos_decide(facts, request({"op": "release", "ctx": "s-1"}, dst="qos#0"))
-        assert out.decision["responses"][0]["released"] is True
-        writes = dict(out.decision["facts"])
+        assert out["responses"][0]["released"] is True
+        writes = dict(out["facts"])
         assert writes["reservations"] == {}
         assert writes["admitted"] == {}
         again = qos_decide({}, request({"op": "release", "ctx": "s-1"}, dst="qos#0"))
-        assert again.decision["responses"][0]["released"] is False
+        assert again["responses"][0]["released"] is False
 
 
 class TestForwardingAgent:
@@ -209,21 +197,21 @@ class TestForwardingAgent:
     def test_install_plans_one_step_per_switch(self):
         body = {"op": "install", "ctx": "s-1", "rules": [["s1", self.RULE]]}
         out = forwarding_decide({}, request(body, dst="forwarding#0"))
-        (pstep,) = out.decision["plan"]
+        (pstep,) = out["plan"]
         assert pstep["action"] == "install-rule"
         assert pstep["target"] == "s1"
-        assert out.decision["responses"][0]["installed"] == 1
-        writes = dict(out.decision["facts"])
+        assert out["responses"][0]["installed"] == 1
+        writes = dict(out["facts"])
         assert writes["switch-rules"] == {"s1": {"h1|h2|20": "r1"}}
 
     def test_remove_mirrors_install_bookkeeping(self):
         occupied = {"s1": {"h1|h2|20": "r1"}}
         body = {"op": "remove", "ctx": "s-1", "rules": [["s1", self.RULE]]}
         out = forwarding_decide({"switch-rules": occupied}, request(body, dst="forwarding#0"))
-        (pstep,) = out.decision["plan"]
+        (pstep,) = out["plan"]
         assert pstep["action"] == "remove-rule"
-        assert out.decision["responses"][0]["removed"] == 1
-        assert dict(out.decision["facts"])["switch-rules"] == {"s1": {}}
+        assert out["responses"][0]["removed"] == 1
+        assert dict(out["facts"])["switch-rules"] == {"s1": {}}
 
 
 class TestMonitoringAgent:
@@ -247,36 +235,36 @@ class TestRegistryAgent:
     def test_register_then_discover(self):
         out = registry_decide({}, request({"op": "register", "descriptor": self.DESC},
                                           dst="registry#0", now=5))
-        assert out.decision["responses"][0] == {"ok": True, "expires_at": 15}
-        leases = dict(out.decision["facts"])["leases"]
+        assert out["responses"][0] == {"ok": True, "expires_at": 15}
+        leases = dict(out["facts"])["leases"]
         found = registry_decide(
             {"leases": leases},
             request({"op": "discover", "kind": "routing"}, dst="registry#0", now=5),
         )
-        assert [d["agent"] for d in found.decision["responses"][0]["agents"]] == ["routing#0"]
+        assert [d["agent"] for d in found["responses"][0]["agents"]] == ["routing#0"]
 
     def test_heartbeat_event_renews(self):
         leases = dict(
             registry_decide({}, request({"op": "register", "descriptor": self.DESC},
-                                        dst="registry#0", now=0)).decision["facts"]
+                                        dst="registry#0", now=0))["facts"]
         )["leases"]
         out = registry_decide(
             {"leases": leases},
             event("hb", {"agent": "routing#0", "tick": 5}, dst="registry#0", now=5),
         )
-        assert dict(out.decision["facts"])["leases"]["routing#0"]["expires_at"] == 15
+        assert dict(out["facts"])["leases"]["routing#0"]["expires_at"] == 15
 
     def test_expiry_on_tick_announces_change(self):
         leases = dict(
             registry_decide({}, request({"op": "register", "descriptor": self.DESC},
-                                        dst="registry#0", now=0)).decision["facts"]
+                                        dst="registry#0", now=0))["facts"]
         )["leases"]
         out = registry_decide(
             {"leases": leases}, event("events.tick", {"tick": 11}, dst="registry#0", now=11)
         )
-        changed = [e for e in out.decision["events"] if e["topic"] == "registry.changed"]
+        changed = [e for e in out["events"] if e["topic"] == "registry.changed"]
         assert changed[0]["body"]["live"] == []
-        assert dict(out.decision["facts"])["leases"] == {}
+        assert dict(out["facts"])["leases"] == {}
 
 
 class TestAutoconfAgent:
@@ -291,10 +279,10 @@ class TestAutoconfAgent:
         facts = {"directory": {"routing": ["routing#0"]}}
         out = autoconf_decide(facts, request({"op": "lookup", "kind": "routing", "ctx": 3},
                                              dst="autoconf-discovery#0"))
-        assert out.decision["responses"][0] == {"agents": ["routing#0"], "ctx": 3}
+        assert out["responses"][0] == {"agents": ["routing#0"], "ctx": 3}
         miss = autoconf_decide(facts, request({"op": "lookup", "kind": "qos"},
                                               dst="autoconf-discovery#0"))
-        assert miss.decision["responses"][0]["agents"] == []
+        assert miss["responses"][0]["agents"] == []
 
 
 class TestFaultAgent:
@@ -303,9 +291,9 @@ class TestFaultAgent:
             {}, request({"op": "escalate", "source": "routing#0", "issue": {"reason": "x"}},
                         dst="fault#0", now=9),
         )
-        incidents = dict(out.decision["facts"])["incidents"]
+        incidents = dict(out["facts"])["incidents"]
         assert incidents == [{"source": "routing#0", "issue": {"reason": "x"}, "at": 9}]
-        assert out.decision["events"][0]["topic"] == "events.incident"
+        assert out["events"][0]["topic"] == "events.incident"
 
 
 class TestKnowledgePlane:
@@ -319,20 +307,6 @@ class TestKnowledgePlane:
         writes = _kp_ingest(facts, inp)
         kept = dict(writes)["digests"]["qos#0"]["reservations"]
         assert kept["version"] == 3  # stale digest ignored
-
-    def test_restore_for_returns_one_agents_keys(self):
-        digests = {"qos#0": {"reservations": {"version": 1, "value": {}}}}
-        out = knowledge_decide(
-            {"digests": digests},
-            request({"op": "restore-for", "agent": "qos#0", "ctx": 1}, dst="knowledge-plane#0"),
-        )
-        assert out.decision["responses"][0]["keys"] == digests["qos#0"]
-        empty = knowledge_decide(
-            {"digests": digests},
-            request({"op": "restore-for", "agent": "routing#0"}, dst="knowledge-plane#0"),
-        )
-        assert empty.decision["responses"][0]["keys"] == {}
-
 
     def test_merge_copies_only_the_sending_agents_slot(self):
         digests = {
@@ -373,7 +347,7 @@ class TestSessionAgent:
             ),
             {"ok": True, "installed": 2, "ctx": "s0002"},
         )
-        writes = dict(session_decide(store.snapshot(), answer).decision["facts"])
+        writes = dict(session_decide(store.snapshot(), answer)["facts"])
         assert writes["sessions"]["s0001"] is stored["s0001"]
         assert writes["sessions"]["s0002"]["state"] == ACTIVE
         assert writes["sessions"]["s0002"]["path"] == ["s3", "s2"]
@@ -409,7 +383,7 @@ class TestSessionConversation:
                 **fields}
 
     def decide(self, facts, inp):
-        dec = session_decide(facts, inp).decision
+        dec = session_decide(facts, inp)
         writes = dict(dec.get("facts", []))
         asks = [(s["action"], str(s["target"]), s["params"]) for s in dec.get("plan", [])]
         return writes, asks
@@ -653,7 +627,7 @@ class TestBrokerAgent:
             {}, request({"op": "subscribe", "filter": "events.*"},
                         dst="event-distribution#0", src="monitoring#0"),
         )
-        return dict(out.decision["facts"])
+        return dict(out["facts"])
 
     def test_subscribe_records_filter_and_peer(self):
         facts = self.sub_facts()
@@ -665,7 +639,7 @@ class TestBrokerAgent:
         out = broker_decide(
             facts, event("events.flow", {"n": 1}, dst="event-distribution#0", src="session#0"),
         )
-        (pstep,) = out.decision["plan"]
+        (pstep,) = out["plan"]
         assert pstep["action"] == "deliver-event"
         assert str(pstep["target"]) == "monitoring#0"
         env = pstep["params"]["event"]
@@ -676,9 +650,9 @@ class TestBrokerAgent:
         facts = self.sub_facts()
         inp = event("events.flow", {"n": 1}, dst="event-distribution#0", src="session#0")
         first = broker_decide(facts, inp)
-        facts.update(dict(first.decision["facts"]))
+        facts.update(dict(first["facts"]))
         replay = broker_decide(facts, inp)  # same msg_id arrives again
-        assert "plan" not in replay.decision
+        assert "plan" not in replay
 
     def test_mesh_role_forwards_to_peer_brokers(self):
         facts = self.sub_facts()
@@ -686,7 +660,7 @@ class TestBrokerAgent:
         out = broker_decide(
             facts, event("events.flow", {"n": 2}, dst="event-distribution#0", src="session#0"),
         )
-        actions = [(s["action"], str(s["target"])) for s in out.decision["plan"]]
+        actions = [(s["action"], str(s["target"])) for s in out["plan"]]
         assert ("forward-event", "event-distribution#1") in actions
 
     def test_forwarded_envelope_is_not_reforwarded(self):
@@ -702,5 +676,5 @@ class TestBrokerAgent:
                 env,
             ),
         )
-        actions = [s["action"] for s in out.decision["plan"]]
+        actions = [s["action"] for s in out["plan"]]
         assert actions == ["deliver-event"]

@@ -6,11 +6,13 @@ and the sha256 of every artifact (outcome.json, run.log, stats.csv,
 diff.json) is pinned, so a speed-up that changes any outcome, log record or
 wire byte fails here, naming the artifacts that moved. The outcome.json,
 stats.csv and diff.json constants were recorded before facts were frozen on
-write instead of deep-copied. The run.log constants were re-recorded when
-frames for a dead agent started to be parked for its replacement, the
-session agent stopped re-asking stalled requests, and equal facts writes
-stopped bumping versions: those change stage records and digest frames, not
-what either controller decides. The hashes do not depend on PYTHONHASHSEED.
+write instead of deep-copied. The run.log constants were last re-recorded
+when cognitions started to return a plain decision, so the cognition stage
+record lost its confidence field, and the topology agent stopped
+rebroadcasting its view as facts.topology events, so those frames and the
+pipeline runs they caused are gone: each subscriber already applies the link
+events itself. Both change stage records, not what either controller
+decides. The hashes do not depend on PYTHONHASHSEED.
 When a change is meant to alter the artifacts, re-record the constants and
 say why in the change's notes.
 """
@@ -49,7 +51,7 @@ GOLDEN = {
         0,
         {
             "outcome.json": "9d7df6e08f605236441792fc445708a8bee2ca7bee232834eb24da6bc7505ac6",
-            "run.log": "8b8287d6be54484a1a9d6dae4eed6b74a5990259c6af55b063c808cab9fe4f71",
+            "run.log": "976a2cae640b57ce8eed22941c7cd3dc820abbb5e4d5249c8060099585893b93",
             "stats.csv": "afc834dc4a6d33e7aa3e3c9055b241c4b86e34f7697c8468cac1df6550b57694",
             "diff.json": "ca3d163bab055381827226140568f3bef7eaac187cebd76878e0b63e9e442356",
         },
@@ -58,7 +60,7 @@ GOLDEN = {
         0,
         {
             "outcome.json": "57d7ab073da0ee5cbfe058ac2d154482e900e529fb1b7c930584c324f87f1ae7",
-            "run.log": "08d944ff6182ac625b2e0240f1fba184e005fc596f065eb384f9b13025bec577",
+            "run.log": "02a96b2b77a305be83ff35eb3036a2d737adcbb8b72614cd2b6cff5b4cb1d42d",
             "stats.csv": "38bfaab0d91b62a7424a4bb39febbb5006c74786e52f257514557351f534eaf9",
             "diff.json": "ca3d163bab055381827226140568f3bef7eaac187cebd76878e0b63e9e442356",
         },
@@ -67,7 +69,7 @@ GOLDEN = {
         0,
         {
             "outcome.json": "ab0cebde5c16702d9eef7ce0269a6e7f830dd862db93f8b9b7fc203f63721b2a",
-            "run.log": "f971b7b1a558760aaaafca95ac9eacd4df765df5c24344ad50498ed948dd966f",
+            "run.log": "b22b20e933e7b3e628e0aedc5102c243fff855410944819bf742f224e907f1c2",
             "stats.csv": "3edfab2026d98f54c995eb9605010f2a20ab518ed0480c9fd0c05f42b4ad9aa6",
             "diff.json": "ca3d163bab055381827226140568f3bef7eaac187cebd76878e0b63e9e442356",
         },

@@ -16,34 +16,35 @@ from masdn.hierarchy import (
     PolicyRule,
     route_escalation,
 )
-from masdn.infra import _kp_ingest, knowledge_decide
+from masdn.infra import _kp_ingest
 from masdn.orchestrator import _policy_pushes
 from masdn.pps import encode_body
 from masdn.runtime import AgentHost, AgentInput, AgentSpec
 
 
-def cap_policy(policy_id="p-cap", issuer="network", scope=("forwarding",), limit=4):
-    return Policy.from_dict(
+CAP_DOC = {
+    "policy_id": "p-cap",
+    "issuer_level": "network",
+    "scope": ["forwarding"],
+    "rules": [
         {
-            "policy_id": policy_id,
-            "issuer_level": issuer,
-            "scope": list(scope),
-            "rules": [
-                {
-                    "action_kind": "install-rule",
-                    "target_class": "switch",
-                    "effect": "deny",
-                    "max_per_target": limit,
-                }
-            ],
+            "action_kind": "install-rule",
+            "target_class": "switch",
+            "effect": "deny",
+            "max_per_target": 4,
         }
-    )
+    ],
+}
 
 
 class TestPolicy:
     def test_round_trips_through_dict(self):
-        policy = cap_policy()
-        assert Policy.from_dict(policy.to_dict()) == policy
+        assert Policy.from_dict(CAP_DOC) == Policy(
+            policy_id="p-cap",
+            issuer_level=DecisionLevel.NETWORK,
+            scope=frozenset({FunctionKind.FORWARDING}),
+            rules=(PolicyRule("deny", "install-rule", "switch", 4),),
+        )
 
     def test_rejects_sideways_or_upward_issue(self):
         with pytest.raises(InvalidDirection):
@@ -55,22 +56,16 @@ class TestPolicy:
             )
 
     def test_push_reaches_only_scoped_kinds(self):
-        doc = cap_policy().to_dict()
-        steps = _policy_pushes([doc], ["forwarding#0", "forwarding#1", "routing#0"])
+        steps = _policy_pushes([CAP_DOC], ["forwarding#0", "forwarding#1", "routing#0"])
         assert [(s["action"], str(s["target"])) for s in steps] == [
             ("push-policy", "forwarding#0"),
             ("push-policy", "forwarding#1"),
         ]
-        assert all(s["params"]["policy"] == doc for s in steps)
+        assert all(s["params"]["policy"] == CAP_DOC for s in steps)
 
     def test_push_with_empty_scope_acknowledges_nobody(self):
-        policy = Policy(
-            policy_id="noop",
-            issuer_level=DecisionLevel.NETWORK,
-            scope=frozenset(),
-            rules=(),
-        )
-        assert _policy_pushes([policy.to_dict()], ["forwarding#0"]) == []
+        doc = {"policy_id": "noop", "issuer_level": "network", "scope": [], "rules": []}
+        assert _policy_pushes([doc], ["forwarding#0"]) == []
 
     def test_wildcard_rule_matches_everything(self):
         rule = PolicyRule(action_kind="*", target_class="*", effect="deny")
@@ -142,10 +137,8 @@ def merge(*digests):
 
 class TestKnowledgeView:
     def test_empty_contributions_give_empty_view(self):
-        view = Message(1, AgentId(FunctionKind.SESSION, 0),
-                       AgentId(FunctionKind.KNOWLEDGE_PLANE, 0), MessageKind.REQUEST, b"", 0)
-        out = knowledge_decide({}, AgentInput(view, {"op": "view", "ctx": 1}))
-        assert out.decision["responses"] == [{"digests": {}, "ctx": 1}]
+        assert merge() == {}
+        assert merge(digest("qos#0")) == {"qos#0": {}}
 
     def test_disjoint_views_union(self):
         merged = merge(digest("qos#0", load=(0.5, 10)), digest("routing#0", load=(0.9, 11)))

@@ -6,6 +6,10 @@ reach. Such code certifies a model instead of the running system, so it is
 not allowed back. Cognitions registered with @register_cognition are used
 through the registry, and names listed in a module's __all__ are the
 package's interface; both count as used.
+
+The same holds for the public methods of src/masdn classes: a method counts
+as used only if some src/masdn code outside its own body reads an attribute
+of that name. Dunder methods are called by Python itself and are exempt.
 """
 import ast
 from pathlib import Path
@@ -53,27 +57,68 @@ def _references(tree):
             yield node.id, node.lineno
 
 
-def unused_public_names(src=SRC):
-    trees = {path.name: ast.parse(path.read_text()) for path in sorted(src.glob("*.py"))}
-    refs = {}
+def _attribute_reads(tree):
+    """(name, line) for every attribute read, such as obj.name."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            yield node.attr, node.lineno
+
+
+def _parse(src):
+    return {path.name: ast.parse(path.read_text()) for path in sorted(src.glob("*.py"))}
+
+
+def _index(trees, uses):
+    found = {}
     for module, tree in trees.items():
-        for name, line in _references(tree):
-            refs.setdefault(name, []).append((module, line))
+        for name, line in uses(tree):
+            found.setdefault(name, []).append((module, line))
+    return found
+
+
+def _used_outside(found, name, module, node):
+    return any(
+        not (m == module and node.lineno <= line <= node.end_lineno)
+        for m, line in found.get(name, [])
+    )
+
+
+def unused_public_names(src=SRC):
+    trees = _parse(src)
+    refs = _index(trees, _references)
     unused = []
     for module, tree in trees.items():
         defs, exported = _public_definitions(tree)
         for name, node in defs:
-            outside = [
-                (m, line) for m, line in refs.get(name, [])
-                if not (m == module and node.lineno <= line <= node.end_lineno)
-            ]
-            if not outside and name not in exported:
+            if not _used_outside(refs, name, module, node) and name not in exported:
                 unused.append(f"{module}:{name}")
+    return unused
+
+
+def unused_public_methods(src=SRC):
+    trees = _parse(src)
+    reads = _index(trees, _attribute_reads)
+    unused = []
+    for module, tree in trees.items():
+        for cls in tree.body:
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for node in cls.body:
+                if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    continue
+                if node.name.startswith("_"):
+                    continue
+                if not _used_outside(reads, node.name, module, node):
+                    unused.append(f"{module}:{cls.name}.{node.name}")
     return unused
 
 
 def test_every_public_name_is_used_by_the_program():
     assert unused_public_names() == []
+
+
+def test_every_public_method_is_used_by_the_program():
+    assert unused_public_methods() == []
 
 
 def test_the_guard_sees_an_unused_definition(tmp_path):
@@ -97,3 +142,17 @@ def test_a_method_of_the_same_name_does_not_hide_an_unused_function(tmp_path):
     )
     (tmp_path / "b.py").write_text("from .a import Factory\nFactory().build()\n")
     assert unused_public_names(tmp_path) == ["a.py:build"]
+
+
+def test_the_guard_sees_an_unused_method(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "class Doc:\n"
+        "    def __repr__(self):\n        return 'Doc'\n"
+        "    def _private(self):\n        return 0\n"
+        "    def read(self):\n        return self.parts()\n"
+        "    def parts(self):\n        return []\n"
+        "    def to_dict(self):\n        return {'parts': self.to_dict}\n"
+        "    def spare(self):\n        return None\n"
+    )
+    (tmp_path / "b.py").write_text("from .a import Doc\nDoc().read()\n")
+    assert unused_public_methods(tmp_path) == ["a.py:Doc.to_dict", "a.py:Doc.spare"]

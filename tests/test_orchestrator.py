@@ -96,21 +96,11 @@ class TestBuildSpecs:
         assert specs["event-distribution#1"]["initial_facts"]["root"] == "event-distribution#0"
 
 
-class TestComposeChain:
-    def test_closure_is_answered_inline(self):
-        out = orchestrator_decide({}, tell({"op": "compose-chain", "kinds": ["forwarding"]}))
-        assert out.decision["responses"][0]["chain"] == ["forwarding", "routing", "topology"]
-
-    def test_empty_request_yields_empty_chain(self):
-        out = orchestrator_decide({}, tell({"op": "compose-chain", "kinds": []}))
-        assert out.decision["responses"][0]["chain"] == []
-
-
 class TestBootstrap:
     def facts_after_phase_one(self, config=None):
         facts = {"config": config or dict(BASE_CONFIG)}
         out = orchestrator_decide(facts, fire("control.bootstrap", {"phase": "facts"}))
-        facts.update(dict(out.decision["facts"]))
+        facts.update(dict(out["facts"]))
         return facts, out
 
     def test_phase_one_writes_plan_facts(self):
@@ -119,12 +109,12 @@ class TestBootstrap:
         assert set(facts["specs"]) == set(facts["roster"])
         assert set(facts["placement"]) == set(facts["roster"]) | {ME}
         assert all(v == 0 for v in facts["liveness"].values())
-        assert "events" not in out.decision
+        assert "events" not in out
 
     def test_phase_two_spawns_registry_then_brokers_first(self):
         facts, _ = self.facts_after_phase_one()
         out = orchestrator_decide(facts, fire("control.bootstrap", {"phase": "spawn"}))
-        spawns = [s for s in out.decision["plan"] if s["action"] == "spawn-agent"]
+        spawns = [s for s in out["plan"] if s["action"] == "spawn-agent"]
         order = [s["params"]["agent"] for s in spawns]
         assert order[0] == "registry#0"
         assert order[1] == "event-distribution#0"
@@ -141,16 +131,16 @@ class TestBootstrap:
         )
         facts, _ = self.facts_after_phase_one(config)
         out = orchestrator_decide(facts, fire("control.bootstrap", {"phase": "spawn"}))
-        pushes = [s for s in out.decision["plan"] if s["action"] == "push-policy"]
+        pushes = [s for s in out["plan"] if s["action"] == "push-policy"]
         assert [str(s["target"]) for s in pushes] == ["forwarding#0"]
 
     def test_overfull_inventory_reports_capacity_and_blocks_spawn(self):
         config = dict(BASE_CONFIG, inventory={"tiny": 2})
         facts, out = self.facts_after_phase_one(config)
         assert facts["placement"] is None
-        assert [e["topic"] for e in out.decision["events"]] == ["events.capacity"]
+        assert [e["topic"] for e in out["events"]] == ["events.capacity"]
         blocked = orchestrator_decide(facts, fire("control.bootstrap", {"phase": "spawn"}))
-        assert blocked.decision["escalate"]["reason"] == "no-placement"
+        assert blocked["escalate"]["reason"] == "no-placement"
 
     def test_inventory_with_room_spreads_by_first_fit(self):
         config = dict(BASE_CONFIG, inventory={"a": 8, "b": 8})
@@ -165,22 +155,22 @@ class TestLiveness:
         # genesis seeds the orchestrator's subscriptions; they include the tick
         facts = {"config": dict(BASE_CONFIG), "subscriptions": ["hb", "kp.digest", "events.tick"]}
         out = orchestrator_decide(facts, fire("control.bootstrap", {"phase": "facts"}))
-        facts.update(dict(out.decision["facts"]))
+        facts.update(dict(out["facts"]))
         return facts
 
     def test_heartbeat_updates_known_agents_only(self):
         facts = self.booted()
         out = orchestrator_decide(facts, fire("hb", {"agent": "routing#0", "tick": 7}))
-        assert dict(out.decision["facts"])["liveness"]["routing#0"] == 7
+        assert dict(out["facts"])["liveness"]["routing#0"] == 7
         stranger = orchestrator_decide(facts, fire("hb", {"agent": "stranger#9", "tick": 7}))
-        assert "facts" not in stranger.decision
+        assert "facts" not in stranger
 
     def test_a_replayed_heartbeat_does_not_move_a_clock_back(self):
         facts = self.booted()
         facts["liveness"] = {**facts["liveness"], "routing#0": 30}
         for tick in (20, 30):
             out = orchestrator_decide(facts, fire("hb", {"agent": "routing#0", "tick": tick}))
-            assert "facts" not in out.decision, tick
+            assert "facts" not in out, tick
 
     def test_silent_agent_is_respawned_with_mirror_state(self):
         facts = self.booted()
@@ -189,12 +179,12 @@ class TestLiveness:
                             for a in facts["liveness"]}
         facts["mirror"] = {"routing#0": {"topology": {"version": 4, "value": {}}}}
         out = orchestrator_decide(facts, fire("events.tick", {"tick": deadline}, now=deadline))
-        (spawn,) = [s for s in out.decision["plan"] if s["action"] == "spawn-agent"]
+        (spawn,) = [s for s in out["plan"] if s["action"] == "spawn-agent"]
         assert spawn["params"]["agent"] == "routing#0"
         assert spawn["params"]["restore"] == facts["mirror"]["routing#0"]
-        topics = [e["topic"] for e in out.decision["events"]]
+        topics = [e["topic"] for e in out["events"]]
         assert "events.recovery" in topics
-        assert dict(out.decision["facts"])["liveness"]["routing#0"] == deadline
+        assert dict(out["facts"])["liveness"]["routing#0"] == deadline
 
     def test_a_respawn_is_a_restore_and_pushes_no_policy(self):
         cap = {"policy_id": "cap", "issuer_level": "network", "scope": ["forwarding"],
@@ -207,18 +197,18 @@ class TestLiveness:
                             for a in facts["liveness"]}
         facts["mirror"] = {"forwarding#0": {"policies": {"version": 1, "value": [cap]}}}
         out = orchestrator_decide(facts, fire("events.tick", {"tick": deadline}, now=deadline))
-        assert [s["action"] for s in out.decision["plan"]] == ["spawn-agent"]
-        assert out.decision["plan"][0]["params"]["restore"] == facts["mirror"]["forwarding#0"]
+        assert [s["action"] for s in out["plan"]] == ["spawn-agent"]
+        assert out["plan"][0]["params"]["restore"] == facts["mirror"]["forwarding#0"]
 
     def test_dead_broker_preempts_and_resets_all_clocks(self):
         facts = self.booted()
         deadline = HEARTBEAT_INTERVAL * MISSED_HEARTBEATS
         facts["liveness"] = {a: 0 for a in facts["liveness"]}  # everyone looks dead
         out = orchestrator_decide(facts, fire("events.tick", {"tick": deadline}, now=deadline))
-        spawned = [s["params"]["agent"] for s in out.decision["plan"]
+        spawned = [s["params"]["agent"] for s in out["plan"]
                    if s["action"] == "spawn-agent"]
         assert spawned == ["event-distribution#0"]
-        liveness = dict(out.decision["facts"])["liveness"]
+        liveness = dict(out["facts"])["liveness"]
         assert set(liveness.values()) == {deadline}
 
     def test_knowledge_plane_restore_reseeds_from_the_mirror(self):
@@ -228,7 +218,7 @@ class TestLiveness:
                             for a in facts["liveness"]}
         facts["mirror"] = {"qos#0": {"reservations": {"version": 2, "value": {}}}}
         out = orchestrator_decide(facts, fire("events.tick", {"tick": deadline}, now=deadline))
-        (spawn,) = [s for s in out.decision["plan"] if s["action"] == "spawn-agent"]
+        (spawn,) = [s for s in out["plan"] if s["action"] == "spawn-agent"]
         assert spawn["params"]["agent"] == "knowledge-plane#0"
         assert spawn["params"]["restore"]["digests"]["value"] == facts["mirror"]
 
@@ -239,5 +229,5 @@ class TestLiveness:
         out = cognition(FunctionKind.ORCHESTRATION.value).decide(
             facts, fire("events.tick", {"tick": HEARTBEAT_INTERVAL}, now=HEARTBEAT_INTERVAL)
         )
-        assert "plan" not in out.decision
-        assert [e["topic"] for e in out.decision.get("events", [])] == ["hb"]
+        assert "plan" not in out
+        assert [e["topic"] for e in out.get("events", [])] == ["hb"]

@@ -12,7 +12,6 @@ from masdn.core import AgentId, FunctionKind, Message, MessageKind
 from masdn.infra import registry_decide
 from masdn.registry import (
     UnknownLease,
-    table_deregister,
     table_discover,
     table_expire,
     table_heartbeat,
@@ -42,7 +41,7 @@ class TestDescriptorDocs:
 
         def ask(facts, body):
             msg = Message(2, src, registry, MessageKind.REQUEST, b"", 5)
-            return registry_decide(facts, AgentInput(msg, body)).decision
+            return registry_decide(facts, AgentInput(msg, body))
 
         leases = dict(ask({}, {"op": "register", "descriptor": d})["facts"])["leases"]
         found = ask({"leases": leases}, {"op": "discover", "kind": "routing"})
@@ -77,12 +76,6 @@ class TestLifecycle:
     def test_heartbeat_for_unregistered_agent_raises(self):
         with pytest.raises(UnknownLease):
             table_heartbeat({}, "qos#3", now=0)
-
-    def test_deregister_removes_and_second_call_raises(self):
-        table = table_deregister(table_register({}, desc(), now=0), "routing#0")
-        assert agents(table, 0) == []
-        with pytest.raises(UnknownLease):
-            table_deregister(table, "routing#0")
 
     def test_reregistration_replaces_the_descriptor(self):
         table = table_register({}, desc(caps=("route",)), now=0)

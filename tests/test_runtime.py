@@ -16,7 +16,6 @@ from masdn.runtime import (
     AgentInput,
     AgentNotLive,
     AgentSpec,
-    CognitionOutcome,
     DuplicateAgent,
     FactsStore,
     Plan,
@@ -36,9 +35,9 @@ STAGES = ("input", "facts", "cognition", "planning", "validation", "output")
 
 @register_cognition("scripted")
 def _scripted(facts, inp):
-    """Obeys the request body: {"decision": {...}, "confidence": x}."""
+    """Obeys the request body: {"decision": {...}}."""
     body = inp.body if isinstance(inp.body, dict) else {}
-    return CognitionOutcome(body.get("decision", {}), body.get("confidence", 1.0))
+    return body.get("decision", {})
 
 
 def spawn(host, kind=FunctionKind.ROUTING, instance=0, facts=None):
@@ -238,21 +237,20 @@ def _rule_doc(src, dst, priority=10):
 
 
 class TestPolicyCaps:
-    policy = Policy.from_dict(
-        {
-            "policy_id": "net-cap",
-            "issuer_level": "network",
-            "scope": ["forwarding"],
-            "rules": [
-                {
-                    "action_kind": "install-rule",
-                    "target_class": "switch",
-                    "effect": "deny",
-                    "max_per_target": 2,
-                }
-            ],
-        }
-    )
+    doc = {
+        "policy_id": "net-cap",
+        "issuer_level": "network",
+        "scope": ["forwarding"],
+        "rules": [
+            {
+                "action_kind": "install-rule",
+                "target_class": "switch",
+                "effect": "deny",
+                "max_per_target": 2,
+            }
+        ],
+    }
+    policy = Policy.from_dict(doc)
     facts = {"topology": {"switches": ["sw1"], "links": [], "hosts": {}}}
 
     def plan_installing(self, *pairs):
@@ -329,7 +327,7 @@ class TestPipeline:
     def test_facts_stage_applies_policy_messages(self):
         host = AgentHost()
         agent = spawn(host)
-        doc = TestPolicyCaps.policy.to_dict()
+        doc = TestPolicyCaps.doc
         tell(host, agent.id, doc, kind=MessageKind.POLICY)
         assert agent.facts.get("policies") == [doc]
 
@@ -356,22 +354,15 @@ class TestPipeline:
         tell(host, agent.id, {"decision": bad})
         assert agent.facts.get("note") is None
 
-    def test_low_confidence_escalates_to_the_level_above(self):
+    def test_explicit_escalation_suppresses_responses(self):
         host = AgentHost()
         routing = spawn(host, kind=FunctionKind.ROUTING, facts={"peers": ["fault#0"]})
         fault = spawn(host, kind=FunctionKind.FAULT)
-        out = tell(host, routing.id, {"decision": decision(responses=[{"ok": 1}]), "confidence": 0.2})
+        dec = decision(responses=[{"ok": 1}], escalate={"reason": "stuck"})
+        out = tell(host, routing.id, {"decision": dec})
         # the only output is the escalation request to the node-level handler
         assert [str(m.dst) for m in out] == [str(fault.id)]
         assert [m.kind for m in out] == [MessageKind.REQUEST]
-
-    def test_explicit_escalation_suppresses_responses(self):
-        host = AgentHost()
-        routing = spawn(host, kind=FunctionKind.ROUTING)
-        spawn(host, kind=FunctionKind.FAULT)
-        dec = decision(responses=[{"ok": 1}], escalate={"reason": "stuck"})
-        out = tell(host, routing.id, {"decision": dec})
-        assert all(m.kind is not MessageKind.RESPONSE for m in out)
 
     def test_every_action_message_follows_a_passed_validation(self):
         host = AgentHost()
@@ -457,8 +448,8 @@ def _event(dst, topic, body, src="switch-adapter#0", msg_id=None):
     return AgentInput(msg, {"topic": topic, "body": body})
 
 
-def _beats(outcome):
-    return [e for e in outcome.decision.get("events", []) if e["topic"] == "hb"]
+def _beats(dec):
+    return [e for e in dec.get("events", []) if e["topic"] == "hb"]
 
 
 class TestLifecycle:
@@ -467,8 +458,8 @@ class TestLifecycle:
         facts = _spec_facts(kind)
         inp = _event(f"{kind}#0", "control.bootstrap", {"phase": "run"}, src="orchestration#0")
         out = cognition(kind).decide(facts, inp)
-        assert out.decision == {"plan": bootstrap_steps(facts, inp)}
-        actions = [s["action"] for s in out.decision["plan"]]
+        assert out == {"plan": bootstrap_steps(facts, inp)}
+        actions = [s["action"] for s in out["plan"]]
         assert actions[0] == "register" and "subscribe" in actions
 
     @pytest.mark.parametrize("kind", [k for k in _KINDS if k != BROKER])
@@ -479,7 +470,7 @@ class TestLifecycle:
             want = [{"topic": "hb", "body": {"agent": f"{kind}#0", "tick": tick}}]
             assert _beats(out) == (want if tick % HEARTBEAT_INTERVAL == 0 else []), tick
             if tick % HEARTBEAT_INTERVAL == 0:
-                assert out.decision["events"][0]["topic"] == "hb"  # ahead of its own
+                assert out["events"][0]["topic"] == "hb"  # ahead of its own
 
     def test_broker_beats_once_per_accepted_tick_envelope(self):
         for strategy in ("centralized", "distributed", "hybrid"):
@@ -490,15 +481,15 @@ class TestLifecycle:
                 out = decide(facts, inp)
                 want = [{"topic": "hb", "body": {"agent": f"{BROKER}#0", "tick": tick}}]
                 assert _beats(out) == (want if tick % HEARTBEAT_INTERVAL == 0 else [])
-                facts.update(dict(out.decision["facts"]))
+                facts.update(dict(out["facts"]))
                 # the same envelope again is an echo: no delivery, no beat
-                assert decide(facts, inp).decision == {}
+                assert decide(facts, inp) == {}
 
     def test_broker_gets_no_bootstrap_plan(self):
         facts = _spec_facts(BROKER)
         inp = _event(f"{BROKER}#0", "control.bootstrap", {"phase": "run"}, src="orchestration#0")
         out = cognition(BROKER).decide(facts, inp)
-        assert [s["action"] for s in out.decision.get("plan", [])] == []
+        assert [s["action"] for s in out.get("plan", [])] == []
 
     def test_decide_keeps_the_defining_module(self):
         for kind in _KINDS:

@@ -139,6 +139,31 @@ class TestFaultRecovery:
         assert AgentId(FunctionKind.EVENT_DISTRIBUTION, 0) in system.host.agents
 
 
+class TestOneTopologyView:
+    HOLDERS = [AgentId(k, 0) for k in (FunctionKind.ROUTING, FunctionKind.QOS,
+                                      FunctionKind.FORWARDING, FunctionKind.SESSION)]
+
+    def test_every_view_equals_the_topology_agents_after_each_tick(self):
+        # a failure with everyone live, refreshes every REFRESH_EVERY ticks,
+        # and a second failure while routing#0 is dead: its replacement gets
+        # that link event from the frames parked for it
+        failures = [{"a": "sw3", "b": "sw4", "at": 5}, {"a": "sw2", "b": "sw3", "at": 14}]
+        topo, scen = build(TOPO, sdoc(failures=failures, duration=40))
+        system = AgentSystem(topo, scen, {"kills": {12: ["routing#0"]}})
+        system.genesis()
+        agents = system.host.agents
+        for t in range(scen.duration):
+            system.tick(t)
+            view = agents[AgentId(FunctionKind.TOPOLOGY, 0)].facts.get("topology")
+            for holder in self.HOLDERS:
+                if holder in agents:
+                    assert agents[holder].facts.get("topology") == view, (t, str(holder))
+        down = {(l["a"], l["b"]) for l in view["links"] if not l["up"]}
+        assert down == {("sw2", "sw3"), ("sw3", "sw4")}
+        ((_, respawned),) = [e for e in system.spawn_log if e[0] == "routing#0"][1:]
+        assert respawned > 14
+
+
 class TestPolicyEnforcement:
     CAP = 2
 
