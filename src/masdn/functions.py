@@ -293,7 +293,6 @@ _SESSION_DIGEST = (
     "pending",
     "session-seq",
     "rule-seq",
-    "schedule",
 )
 
 # the request each stage sends (the op is named after the stage): the peer

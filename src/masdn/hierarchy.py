@@ -1,10 +1,11 @@
 """Four-level decision structure: downward policies and upward escalation.
 
 Policies are declarative allow/deny rules with optional numeric bounds,
-never executable code, so they can be serialized into POLICY messages,
-stored in agent facts, and evaluated inside plan validation. The
-orchestrator pushes them to the agents in their scope; the runtime's
-validation stage enforces them. Escalation climbs exactly one level: the
+never executable code, so they can be serialized into agent specs, stored
+in agent facts, and evaluated inside plan validation. The orchestrator
+writes them, in config order, into the spec of every agent in their scope
+(orchestrator.build_specs); the runtime's validation stage enforces them.
+Escalation climbs exactly one level: the
 runtime routes an escalate step to the one upper-level agent that
 route_escalation picks.
 """

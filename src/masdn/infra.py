@@ -1,16 +1,18 @@
 """Cognition implementations for the infrastructure agents: the service
 registry facade, the event-distribution brokers, the knowledge plane, the
-fault handler, and the discovery directory.
+fault handler, and the discovery agent.
 
 The registry agent keeps the whole lease table in its facts and manipulates
 it with the pure table functions from registry.py, so its state digests
-into the knowledge plane like any other agent's and survives a respawn. It
-answers register and discover requests, renews a lease on each heartbeat
-and sweeps expired leases on each tick.
+into the orchestrator's mirror like any other agent's and survives a
+respawn. The lease table is the one live set of agents: the registry answers
+register and discover requests, renews a lease on each heartbeat and sweeps
+expired leases on each tick.
 
-The knowledge plane only folds every kp.digest into one table of exported
-keys per agent, in its ingest hook, and answers no request: a respawned
-agent is restored from the orchestrator's mirror of the same digests.
+The knowledge plane and the discovery agent keep no state of their own:
+what agents export lives in the orchestrator's mirror, and who is live
+lives in the registry. Both run only the agent lifecycle (register,
+subscribe, heartbeat) and are respawned like everyone else.
 
 Brokers carry the event plane at run time. A published event (a message
 whose destination is a topic) reaches one broker, which wraps it in an
@@ -18,7 +20,9 @@ envelope stamped with the publisher and the publish msg_id, delivers it to
 local subscribers, and forwards it according to the configured arrangement
 (solo, full mesh, or per-level with a root relay). Because the fabric is
 FIFO and msg_ids are globally increasing, a per-publisher high-water mark
-is enough to drop forwarded echoes and injected duplicates.
+is enough to drop forwarded echoes and injected duplicates. Any other event
+addressed to a broker (its own control.bootstrap) is not a publish and is
+dropped: brokers register nowhere, since home_broker addresses them.
 """
 
 from __future__ import annotations
@@ -36,14 +40,7 @@ from .registry import (
     table_heartbeat,
     table_register,
 )
-from .runtime import (
-    AgentInput,
-    decision,
-    event_of,
-    merge_digest,
-    register_cognition,
-    step,
-)
+from .runtime import AgentInput, decision, event_of, register_cognition, step
 
 
 # -- service registry -----------------------------------------------------------
@@ -62,7 +59,6 @@ def registry_decide(facts: dict[str, Any], inp: AgentInput) -> dict[str, Any]:
         return decision(
             responses=[{"ok": True, "expires_at": new[doc["agent"]]["expires_at"]}],
             facts=[("leases", new)],
-            events=[_changed_event(new, now)],
         )
     if op == "discover":
         kind = FunctionKind(inp.body["kind"]) if inp.body.get("kind") else None
@@ -80,47 +76,17 @@ def registry_decide(facts: dict[str, Any], inp: AgentInput) -> dict[str, Any]:
         if topic == "events.tick":
             new, dead = table_expire(leases, now)
             if dead:
-                return decision(events=[_changed_event(new, now)], facts=[("leases", new)])
+                return decision(facts=[("leases", new)])
     return decision()
 
 
-def _changed_event(leases: dict[str, Any], now: int) -> dict[str, Any]:
-    return {
-        "topic": "registry.changed",
-        "body": {"live": sorted(a for a, e in leases.items() if e["expires_at"] > now)},
-    }
+# -- knowledge plane and discovery --------------------------------------------------
 
 
-# -- discovery directory -----------------------------------------------------------
-
-
-def _autoconf_ingest(facts: dict[str, Any], inp: AgentInput) -> list[tuple[str, Any]]:
-    ev = event_of(inp)
-    if ev is None or ev[0] != "registry.changed":
-        return []
-    directory: dict[str, list[str]] = {}
-    for agent in ev[1]["live"]:
-        directory.setdefault(agent.split("#", 1)[0], []).append(agent)
-    return [("directory", directory)]
-
-
-@register_cognition(
-    FunctionKind.AUTOCONF_DISCOVERY.value,
-    ingest=_autoconf_ingest,
-    digest_keys=("directory",),
-)
-def autoconf_decide(facts: dict[str, Any], inp: AgentInput) -> dict[str, Any]:
-    op = request_op(inp)
-    if op == "lookup":
-        directory = facts.get("directory", {})
-        return decision(
-            responses=[
-                {
-                    "agents": directory.get(inp.body["kind"], []),
-                    "ctx": inp.body.get("ctx"),
-                }
-            ]
-        )
+@register_cognition(FunctionKind.KNOWLEDGE_PLANE.value)
+@register_cognition(FunctionKind.AUTOCONF_DISCOVERY.value)
+def lifecycle_only_decide(facts: dict[str, Any], inp: AgentInput) -> dict[str, Any]:
+    """Nothing to decide: the registered lifecycle does all these agents do."""
     return decision()
 
 
@@ -149,22 +115,6 @@ def fault_decide(facts: dict[str, Any], inp: AgentInput) -> dict[str, Any]:
                 }
             ],
         )
-    return decision()
-
-
-# -- knowledge plane --------------------------------------------------------------------
-
-
-def _kp_ingest(facts: dict[str, Any], inp: AgentInput) -> list[tuple[str, Any]]:
-    ev = event_of(inp)
-    if ev is None or ev[0] != "kp.digest":
-        return []
-    return [("digests", merge_digest(facts.get("digests", {}), ev[1]))]
-
-
-@register_cognition(FunctionKind.KNOWLEDGE_PLANE.value, ingest=_kp_ingest)
-def knowledge_decide(facts: dict[str, Any], inp: AgentInput) -> dict[str, Any]:
-    """Digests accrue in the ingest hook; there is nothing to decide."""
     return decision()
 
 
@@ -210,6 +160,8 @@ def broker_decide(facts: dict[str, Any], inp: AgentInput) -> dict[str, Any]:
         forwarded = "publisher" in inp.body
         if forwarded:
             env = inp.body
+        elif isinstance(inp.message.dst, AgentId):
+            return decision()  # addressed to this broker, so not a publish
         else:
             env = {
                 "topic": inp.body["topic"],

@@ -4,29 +4,31 @@ Given a run configuration it recomposes the controller out of atomic
 function agents: it expands the requested chain to its dependency closure,
 adds the infrastructure roster (registry, brokers, knowledge plane, fault
 handler, discovery, monitoring), places everything onto the inventory,
-spawns it all, subscribes everyone, and pushes the network-level policies.
+spawns it all and subscribes everyone. The network-level policies go down
+in the specs: each agent's initial facts carry the configured policies whose
+scope holds its kind, in config order.
 
 Bootstrap happens in two passes driven by two control.bootstrap events.
 The first ("facts") computes and stores the roster, the per-agent specs,
 the placement, and the liveness table; the second ("spawn") turns those
-facts into the actual spawn/register/subscribe/push-policy plan. The split
-exists because a plan is validated against the facts snapshot taken before
-the decision ran, so the spawn plan must be able to see the roster facts
+facts into the actual spawn/register/subscribe plan. The split exists
+because a plan is validated against the facts snapshot taken before the
+decision ran, so the spawn plan must be able to see the roster facts
 written by an earlier pipeline run.
 
 After bootstrap the orchestrator is a liveness supervisor: heartbeats feed
-a per-agent clock, the knowledge-plane digests feed a state mirror, and an
-agent silent for MISSED_HEARTBEATS intervals is respawned with its mirror
-state restored, pushed policies included: that is the whole recovery, as
-the fabric replays what the agent missed, and a replayed (old) heartbeat
-never moves a clock back. Dead brokers are special: without brokers
-heartbeats stop flowing, making everyone look dead at once, so dead brokers
-are replaced first and every liveness clock is reset to give the revived
-event plane a full detection window before anyone else is declared lost.
+a per-agent clock, kp.digest events feed a state mirror, and an agent silent
+for MISSED_HEARTBEATS intervals is respawned from its spec with its mirror
+state restored: that is the whole recovery, as the fabric replays what the
+agent missed, and a replayed (old) heartbeat never moves a clock back. Dead
+brokers are special: without brokers heartbeats stop flowing, making
+everyone look dead at once, so dead brokers are replaced first and every
+liveness clock is reset to give the revived event plane a full detection
+window before anyone else is declared lost.
 
-The mirror is the only copy a restore reads; a respawned knowledge plane is
-re-seeded from it too. The orchestrator answers no request: everything it
-does starts from an event.
+The mirror is the one copy of what agents learn and the only one a restore
+reads. The orchestrator answers no request: everything it does starts from
+an event.
 """
 
 from __future__ import annotations
@@ -81,8 +83,8 @@ _SUBSCRIPTIONS: dict[FunctionKind, list[str]] = {
     ],
     FunctionKind.MONITORING: ["events.stats", "events.tick"],
     FunctionKind.FAULT: ["events.tick"],
-    FunctionKind.AUTOCONF_DISCOVERY: ["registry.changed", "events.tick"],
-    FunctionKind.KNOWLEDGE_PLANE: ["kp.digest", "events.tick"],
+    FunctionKind.AUTOCONF_DISCOVERY: ["events.tick"],
+    FunctionKind.KNOWLEDGE_PLANE: ["events.tick"],
     FunctionKind.REGISTRY: ["hb", "events.tick"],
     FunctionKind.ORCHESTRATION: ["hb", "kp.digest", "events.tick"],
 }
@@ -147,11 +149,15 @@ def build_specs(
 ) -> dict[str, dict[str, Any]]:
     """Initial facts + subscriptions for every roster agent, as spec docs
     consumable by the host-control endpoint. The session agent gets the
-    declared flow schedule, for proactive setup."""
+    declared flow schedule, for proactive setup; every agent gets the
+    configured policies whose scope holds its kind, in config order.
+    Policy.from_dict raises InvalidDirection for a policy whose issuer is not
+    above its scope."""
     strategy = config.get("event_strategy", "centralized")
     brokers = broker_ids(strategy)
     peers = sorted(roster + [me])
     thresholds = config.get("thresholds", {})
+    policies = [(doc, Policy.from_dict(doc).scope) for doc in config.get("policies", [])]
     specs: dict[str, dict[str, Any]] = {}
     for agent in roster:
         kind = AgentId.parse(agent).kind
@@ -165,6 +171,9 @@ def build_specs(
         }
         if kind in _NEEDS_VIEW:
             facts["topology"] = view
+        scoped = [doc for doc, scope in policies if kind in scope]
+        if scoped:
+            facts["policies"] = scoped
         if kind is FunctionKind.CLASSIFIER:
             facts["thresholds"] = {
                 "size": thresholds.get("size", DEFAULT_SIZE_THRESHOLD),
@@ -194,18 +203,6 @@ def _spawn_order(roster: list[str]) -> list[str]:
     brokers = [a for a in roster if a.startswith(FunctionKind.EVENT_DISTRIBUTION.value + "#")]
     rest = [a for a in roster if a not in registry and a not in brokers]
     return registry + brokers + rest
-
-
-def _policy_pushes(
-    policy_docs: list[dict[str, Any]], targets: list[str]
-) -> list[dict[str, Any]]:
-    steps: list[dict[str, Any]] = []
-    for doc in sorted(policy_docs, key=lambda d: d.get("policy_id", "")):
-        scope = set(Policy.from_dict(doc).scope)
-        for agent in targets:
-            if AgentId.parse(agent).kind in scope:
-                steps.append(step("push-policy", AgentId.parse(agent), policy=doc))
-    return steps
 
 
 @register_cognition(FunctionKind.ORCHESTRATION.value, digest_keys=())
@@ -257,7 +254,6 @@ def _bootstrap_facts(facts: dict[str, Any], inp: AgentInput) -> dict[str, Any]:
         ("placement", placement),
         ("liveness", {a: 0 for a in roster}),
         ("peers", sorted(roster + [me])),
-        ("policy-docs", config.get("policies", [])),
     ]
     return decision(facts=writes, events=events)
 
@@ -280,7 +276,6 @@ def _bootstrap_spawn(facts: dict[str, Any], inp: AgentInput) -> dict[str, Any]:
         for agent in _spawn_order(roster)
     ]
     steps.extend(bootstrap_steps(facts, inp))
-    steps.extend(_policy_pushes(facts.get("policy-docs", []), roster))
     return decision(plan=steps)
 
 
@@ -310,18 +305,13 @@ def _scan(facts: dict[str, Any], tick: int) -> dict[str, Any]:
     for agent in respawn:
         if agent not in specs:
             continue
-        restore = mirror.get(agent, {})
-        if AgentId.parse(agent).kind is FunctionKind.KNOWLEDGE_PLANE:
-            # the knowledge plane holds everyone's digests but exports none
-            # of its own; re-seed it from this agent's mirror of the same
-            restore = {"digests": {"value": mirror, "version": tick + 1, "updated_at": tick}}
         steps.append(
             step(
                 "spawn-agent",
                 "host.control",
                 agent=agent,
                 spec=specs[agent],
-                restore=restore,
+                restore=mirror.get(agent, {}),
                 node=placement.get(agent),
             )
         )

@@ -2,7 +2,9 @@
 
 The lease table is plain JSON-shaped data manipulated by pure functions, so
 the registry agent (infra.registry_decide) can keep the whole table in its
-facts and the knowledge plane can snapshot it. A lease's descriptor is the
+facts and digest it to the orchestrator's mirror. It is the one record of
+which agents are live, and discover (table_discover) is the one query over
+it. A lease's descriptor is the
 dict an agent registers with (runtime.bootstrap_steps builds it): agent id,
 sorted capabilities, endpoint and lease_ttl.
 

@@ -21,6 +21,12 @@ snapshot and changes one record pays for that record and the table's top
 level, not for the whole value. A cognition that mutates its snapshot gets a
 TypeError at once instead of silently changing the store.
 
+An agent's facts have two sources: its spec's initial facts (configuration:
+peers, subscriptions, thresholds, and the "policies" its plans are validated
+against) and what it learns, whose digest keys the digest pump exports to
+the orchestrator's mirror. A respawned agent gets the first from its spec again
+and the second from the mirror.
+
 A decision is a plain dict with optional keys:
 
     plan       list of {"action","target","params"} step dicts
@@ -190,7 +196,7 @@ class FactsStore:
         return {k: e.value for k, e in self._entries.items()}
 
     def export(self, keys: Iterable[str]) -> dict[str, dict[str, Any]]:
-        """Versioned digest of selected keys, for the knowledge plane."""
+        """Versioned digest of selected keys, for the orchestrator's mirror."""
         out: dict[str, dict[str, Any]] = {}
         for key in keys:
             entry = self._entries.get(key)
@@ -270,18 +276,19 @@ def _check_policies(
     plan: Plan, facts: dict[str, Any], policies: list[Policy]
 ) -> list[Violation]:
     """Deny rules win over allow rules; bounded deny rules reject only the
-    steps that would push the projected per-target count past the bound."""
+    steps that would push the projected per-target count past the bound.
+    Each bounded rule projects its own per-target rule keys (the existing
+    table plus the in-plan changes it matches), so one rule's installs never
+    hide another rule's bound."""
     violations: list[Violation] = []
-    # projected rule keys per switch: existing table plus in-plan changes
-    projected: dict[str, set[str]] = {}
     existing = facts.get("switch-rules", {})
-    if isinstance(existing, dict):
-        for sw, rules in existing.items():
-            projected[sw] = set(rules)
+    if not isinstance(existing, dict):
+        existing = {}
     for policy in policies:
         for rule in policy.rules:
             if rule.effect != "deny":
                 continue
+            projected: dict[str, set[str]] = {}
             for step in plan.steps:
                 if not rule.matches(step.action, step.target_class()):
                     continue
@@ -293,7 +300,10 @@ def _check_policies(
                         )
                     )
                     continue
-                slot = projected.setdefault(str(step.target), set())
+                target = str(step.target)
+                slot = projected.get(target)
+                if slot is None:
+                    slot = projected[target] = set(existing.get(target, ()))
                 doc = step.params.get("rule")
                 key = rule_slot(doc) if isinstance(doc, dict) else None
                 if step.action == "remove-rule":
@@ -407,7 +417,8 @@ class IngestFn(Protocol):
 @dataclass(frozen=True)
 class CognitionImpl:
     """A named cognition: the pure decide function, an optional facts-stage
-    ingest hook, and the fact keys worth exporting to the knowledge plane."""
+    ingest hook, and the fact keys the digest pump exports to the
+    orchestrator's mirror, which restores them into a respawned agent."""
 
     name: str
     decide: CognitionFn
@@ -498,13 +509,10 @@ def register_cognition(
     digest_keys: tuple[str, ...] = (),
 ) -> Callable[[CognitionFn], CognitionFn]:
     """Register a decide function under a name. The registry holds it wrapped
-    in the agent lifecycle, with the host-owned "policies" among its digest
-    keys so that a restore brings them back; the decorated name stays the
-    bare function."""
+    in the agent lifecycle; the decorated name stays the bare function."""
 
     def deco(fn: CognitionFn) -> CognitionFn:
-        keys = (*digest_keys, "policies")
-        _COGNITIONS[name] = CognitionImpl(name, _with_lifecycle(fn), ingest, keys)
+        _COGNITIONS[name] = CognitionImpl(name, _with_lifecycle(fn), ingest, digest_keys)
         return fn
 
     return deco
@@ -541,13 +549,6 @@ class Agent:
     @property
     def impl(self) -> CognitionImpl:
         return cognition(self.spec.cognition)
-
-
-_STEP_MSG_KIND = {
-    "push-policy": MessageKind.POLICY,
-    "deliver-event": MessageKind.EVENT,
-    "forward-event": MessageKind.EVENT,
-}
 
 
 class AgentHost:
@@ -620,12 +621,6 @@ class AgentHost:
         inp = AgentInput(message=msg, body=body)
 
         written: list[str] = []
-        if msg.kind is MessageKind.POLICY and isinstance(body, dict):
-            policies = [p for p in agent.facts.get("policies", []) if p.get("policy_id") != body.get("policy_id")]
-            policies.append(body)
-            policies.sort(key=lambda p: p.get("policy_id", ""))
-            agent.facts.put("policies", policies, self.now)
-            written.append("policies")
         impl = agent.impl
         if impl.ingest is not None:
             for key, value in impl.ingest(agent.facts.snapshot(), inp) or []:
@@ -746,13 +741,10 @@ class AgentHost:
     def _step_message(
         self, agent: Agent, pstep: PlanStep, encode: Callable[[Any], bytes]
     ) -> Message:
-        kind = _STEP_MSG_KIND.get(pstep.action, MessageKind.REQUEST)
-        if pstep.action == "push-policy":
-            body: Any = pstep.params["policy"]
-        elif pstep.action in ("deliver-event", "forward-event"):
-            body = pstep.params["event"]
+        if pstep.action in ("deliver-event", "forward-event"):
+            kind, body = MessageKind.EVENT, pstep.params["event"]
         else:
-            body = {"op": pstep.action, **pstep.params}
+            kind, body = MessageKind.REQUEST, {"op": pstep.action, **pstep.params}
         dst: Destination = pstep.target
         if pstep.action in ("install-rule", "remove-rule") and isinstance(dst, str):
             dst = f"switch.{dst}"

@@ -15,9 +15,11 @@ removes it or a spawn replaces it. The switch.* prefix endpoint is the
 southbound interface; rules installed through it take effect next tick.
 
 Two small services run outside any agent because something must survive
-when agents die: the digest pump, which exports changed facts of every
-live agent, pushed policies included, after each tick, so a kill (which
-lands after the pump) leaves an exact restore; and the watchdog, which
+when agents die: the digest pump, which exports the changed digest facts of
+every live agent to the orchestrator's mirror after each tick, so a kill
+(which lands after the pump) leaves an exact restore (the rest of a
+replacement's facts, its policies included, come from its spec); and the
+watchdog, which
 hands the tick event straight to the orchestrator while any broker is down
 (without it, a dead event plane could never be noticed, let alone fixed).
 """
@@ -220,7 +222,7 @@ class AgentSystem:
         )
 
     def _pump_digests(self, t: int) -> None:
-        """Ship every live agent's changed digest facts to the knowledge plane."""
+        """Ship every live agent's changed digest facts to the orchestrator."""
         pubs: list[Message] = []
         for agent_id in sorted(self.host.agents):
             agent = self.host.agents[agent_id]

@@ -6,9 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from masdn.core import AgentId
+from masdn.core import AgentId, MessageKind
 from masdn.events import TopicError, check_filter, check_topic, match_topic
 from masdn.orchestrator import broker_ids
+from masdn.pps import encode_body
 
 from helpers import STRATEGIES, BrokerFabric, run_trace, trace_agents
 
@@ -164,6 +165,22 @@ class TestArrangementEquivalence:
         assert len(fabric.delivered_to("orchestration#0")) == 1
         root = AgentId.parse(broker_ids("hybrid")[0])
         assert "routing#1" in fabric.host.agents[root].facts.get("high-water")
+
+    def test_a_broker_handed_its_bootstrap_relays_nothing(self):
+        # the control.bootstrap a spawn hands a broker is addressed to it, so
+        # it is not a publish: no envelope, no forward, no high-water mark
+        for strategy in STRATEGIES:
+            fabric = BrokerFabric(strategy)
+            for broker in map(AgentId.parse, broker_ids(strategy)):
+                bootstrap = fabric.host.factory.new_message(
+                    src=AgentId.parse("orchestration#0"),
+                    dst=broker,
+                    kind=MessageKind.EVENT,
+                    payload=encode_body({"topic": "control.bootstrap", "body": {"phase": "run"}}),
+                    now=0,
+                )
+                assert fabric.host.process_input(broker, bootstrap) == [], (strategy, broker)
+                assert fabric.host.agents[broker].facts.get("high-water") is None
 
 
 @settings(max_examples=60, deadline=None)

@@ -11,14 +11,7 @@ from masdn.functions import (
     session_decide,
     topology_ingest,
 )
-from masdn.infra import (
-    _autoconf_ingest,
-    _kp_ingest,
-    autoconf_decide,
-    broker_decide,
-    fault_decide,
-    registry_decide,
-)
+from masdn.infra import broker_decide, fault_decide, registry_decide
 from masdn.logic import (
     ACTIVE,
     PENDING,
@@ -28,6 +21,7 @@ from masdn.logic import (
     rules_for_path,
     session_record,
 )
+from masdn.orchestrator import orchestrator_decide
 from masdn.runtime import AgentInput, FactsStore, bootstrap_steps, event_of, merge_digest, peer_of
 
 _IDS = iter(range(1, 100000))
@@ -49,6 +43,15 @@ def event(topic, body, dst="routing#0", src="topology#0", now=0):
             msg_id=next(_IDS), src=AgentId.parse(src), dst=AgentId.parse(dst),
             kind=MessageKind.EVENT, payload=b"", sim_time=now,
         ),
+        {"topic": topic, "body": body},
+    )
+
+
+def publish(topic, body, src="session#0"):
+    """A publish as the bus hands it to the publisher's home broker: the
+    destination is the topic itself."""
+    return AgentInput(
+        Message(next(_IDS), AgentId.parse(src), topic, MessageKind.EVENT, b"", 0),
         {"topic": topic, "body": body},
     )
 
@@ -262,27 +265,7 @@ class TestRegistryAgent:
         out = registry_decide(
             {"leases": leases}, event("events.tick", {"tick": 11}, dst="registry#0", now=11)
         )
-        changed = [e for e in out["events"] if e["topic"] == "registry.changed"]
-        assert changed[0]["body"]["live"] == []
         assert dict(out["facts"])["leases"] == {}
-
-
-class TestAutoconfAgent:
-    def test_directory_tracks_registry_changes(self):
-        writes = _autoconf_ingest(
-            {}, event("registry.changed", {"live": ["routing#0", "routing#2", "qos#0"]},
-                      dst="autoconf-discovery#0"),
-        )
-        assert dict(writes)["directory"] == {"routing": ["routing#0", "routing#2"], "qos": ["qos#0"]}
-
-    def test_lookup_answers_from_directory(self):
-        facts = {"directory": {"routing": ["routing#0"]}}
-        out = autoconf_decide(facts, request({"op": "lookup", "kind": "routing", "ctx": 3},
-                                             dst="autoconf-discovery#0"))
-        assert out["responses"][0] == {"agents": ["routing#0"], "ctx": 3}
-        miss = autoconf_decide(facts, request({"op": "lookup", "kind": "qos"},
-                                              dst="autoconf-discovery#0"))
-        assert miss["responses"][0]["agents"] == []
 
 
 class TestFaultAgent:
@@ -297,15 +280,17 @@ class TestFaultAgent:
 
 
 class TestKnowledgePlane:
+    """The orchestrator's kp.digest fold: the one store of exported facts."""
+
     def test_digest_merge_keeps_newest_version(self):
         inp = event(
             "kp.digest",
             {"agent": "qos#0", "keys": {"reservations": {"version": 2, "value": {"a": 1}}}},
-            dst="knowledge-plane#0",
+            dst="orchestration#0",
         )
-        facts = {"digests": {"qos#0": {"reservations": {"version": 3, "value": {"b": 2}}}}}
-        writes = _kp_ingest(facts, inp)
-        kept = dict(writes)["digests"]["qos#0"]["reservations"]
+        facts = {"mirror": {"qos#0": {"reservations": {"version": 3, "value": {"b": 2}}}}}
+        writes = orchestrator_decide(facts, inp)["facts"]
+        kept = dict(writes)["mirror"]["qos#0"]["reservations"]
         assert kept["version"] == 3  # stale digest ignored
 
     def test_merge_copies_only_the_sending_agents_slot(self):
@@ -636,9 +621,7 @@ class TestBrokerAgent:
 
     def test_publish_delivers_to_matching_subscribers(self):
         facts = self.sub_facts()
-        out = broker_decide(
-            facts, event("events.flow", {"n": 1}, dst="event-distribution#0", src="session#0"),
-        )
+        out = broker_decide(facts, publish("events.flow", {"n": 1}))
         (pstep,) = out["plan"]
         assert pstep["action"] == "deliver-event"
         assert str(pstep["target"]) == "monitoring#0"
@@ -648,7 +631,7 @@ class TestBrokerAgent:
 
     def test_high_water_drops_duplicate_publishes(self):
         facts = self.sub_facts()
-        inp = event("events.flow", {"n": 1}, dst="event-distribution#0", src="session#0")
+        inp = publish("events.flow", {"n": 1})
         first = broker_decide(facts, inp)
         facts.update(dict(first["facts"]))
         replay = broker_decide(facts, inp)  # same msg_id arrives again
@@ -657,9 +640,7 @@ class TestBrokerAgent:
     def test_mesh_role_forwards_to_peer_brokers(self):
         facts = self.sub_facts()
         facts.update({"role": "mesh", "brokers": ["event-distribution#1"]})
-        out = broker_decide(
-            facts, event("events.flow", {"n": 2}, dst="event-distribution#0", src="session#0"),
-        )
+        out = broker_decide(facts, publish("events.flow", {"n": 2}))
         actions = [(s["action"], str(s["target"])) for s in out["plan"]]
         assert ("forward-event", "event-distribution#1") in actions
 

@@ -1,9 +1,9 @@
 """Decision hierarchy mechanics: policies flow down, escalations flow up,
-and the knowledge plane merges every agent's digests.
+and every agent's digests merge into one view.
 
-Policy pushes, escalation delivery and the merge are checked where the
-running system does them: the orchestrator's push plan, the host's
-escalate step, and the knowledge-plane agent's ingest hook.
+Policy issue, escalation delivery and the merge are checked where the
+running system does them: the specs the orchestrator builds, the host's
+escalate step, and the orchestrator's kp.digest fold into its mirror.
 """
 import pytest
 
@@ -16,8 +16,7 @@ from masdn.hierarchy import (
     PolicyRule,
     route_escalation,
 )
-from masdn.infra import _kp_ingest
-from masdn.orchestrator import _policy_pushes
+from masdn.orchestrator import build_specs, orchestrator_decide
 from masdn.pps import encode_body
 from masdn.runtime import AgentHost, AgentInput, AgentSpec
 
@@ -56,21 +55,32 @@ class TestPolicy:
             )
 
     def test_push_reaches_only_scoped_kinds(self):
-        steps = _policy_pushes([CAP_DOC], ["forwarding#0", "forwarding#1", "routing#0"])
-        assert [(s["action"], str(s["target"])) for s in steps] == [
-            ("push-policy", "forwarding#0"),
-            ("push-policy", "forwarding#1"),
-        ]
-        assert all(s["params"]["policy"] == CAP_DOC for s in steps)
+        specs = spec_facts([CAP_DOC], ["forwarding#0", "forwarding#1", "routing#0"])
+        assert {a: f.get("policies") for a, f in specs.items()} == {
+            "forwarding#0": [CAP_DOC],
+            "forwarding#1": [CAP_DOC],
+            "routing#0": None,
+        }
 
     def test_push_with_empty_scope_acknowledges_nobody(self):
         doc = {"policy_id": "noop", "issuer_level": "network", "scope": [], "rules": []}
-        assert _policy_pushes([doc], ["forwarding#0"]) == []
+        assert all("policies" not in f for f in spec_facts([doc], ["forwarding#0"]).values())
+
+    def test_specs_refuse_a_policy_issued_sideways(self):
+        doc = dict(CAP_DOC, issuer_level="function")
+        with pytest.raises(InvalidDirection):
+            spec_facts([doc], ["forwarding#0"])
 
     def test_wildcard_rule_matches_everything(self):
         rule = PolicyRule(action_kind="*", target_class="*", effect="deny")
         assert rule.matches("install-rule", "switch")
         assert rule.matches("deliver-event", "agent")
+
+
+def spec_facts(policies, roster):
+    """Each roster agent's initial facts, as the orchestrator issues them."""
+    specs = build_specs({"policies": policies}, roster, {}, "orchestration#0")
+    return {agent: spec["initial_facts"] for agent, spec in specs.items()}
 
 
 class TestEscalation:
@@ -120,8 +130,8 @@ class TestEscalation:
 
 
 def digest(agent, **keys):
-    """A kp.digest event as the knowledge plane receives it."""
-    msg = Message(1, AgentId.parse(agent), AgentId(FunctionKind.KNOWLEDGE_PLANE, 0),
+    """A kp.digest event as the orchestrator receives it."""
+    msg = Message(1, AgentId.parse(agent), AgentId(FunctionKind.ORCHESTRATION, 0),
                   MessageKind.EVENT, b"", 0)
     body = {"agent": agent, "keys": {k: {"value": v, "version": n, "updated_at": n}
                                      for k, (v, n) in keys.items()}}
@@ -131,8 +141,8 @@ def digest(agent, **keys):
 def merge(*digests):
     facts = {}
     for inp in digests:
-        facts.update(_kp_ingest(facts, inp))
-    return facts.get("digests", {})
+        facts.update(orchestrator_decide(facts, inp)["facts"])
+    return facts.get("mirror", {})
 
 
 class TestKnowledgeView:

@@ -8,9 +8,9 @@ parked frames for a dead agent, a frame sent to it was dropped, and the
 switch then suppressed the lost packet-in for netsim.SUPPRESS_TICKS: 42 of
 these 75 runs ended with tables that differ from the monolith's.
 
-The rule-cap runs check that a respawned forwarding agent gets its pushed
-policies back with its restore: the requests replayed to it are validated
-against the cap like any other.
+The rule-cap runs check that a respawned forwarding agent gets its rule cap
+back from its spec: the requests replayed to it are validated against the
+cap like any other.
 """
 import random
 

@@ -95,6 +95,21 @@ class TestBuildSpecs:
         assert specs["event-distribution#0"]["initial_facts"]["role"] == "root"
         assert specs["event-distribution#1"]["initial_facts"]["root"] == "event-distribution#0"
 
+    def test_specs_carry_scoped_policies_in_config_order(self):
+        # the order the monolith filters the same config in, not id order
+        def cap(policy_id, scope):
+            return {"policy_id": policy_id, "issuer_level": "network", "scope": scope,
+                    "rules": [{"action_kind": "install-rule", "target_class": "switch",
+                               "effect": "deny", "max_per_target": 4}]}
+
+        b, a, q = cap("b", ["forwarding"]), cap("a", ["forwarding", "qos"]), cap("q", ["qos"])
+        config = dict(BASE_CONFIG, policies=[b, a, q])
+        specs = build_specs(config, plan_roster(config), {}, ME)
+        held = {agent: spec["initial_facts"].get("policies") for agent, spec in specs.items()}
+        assert held.pop("forwarding#0") == [b, a]
+        assert held.pop("qos#0") == [a, q]
+        assert set(held.values()) == {None}
+
 
 class TestBootstrap:
     def facts_after_phase_one(self, config=None):
@@ -120,20 +135,6 @@ class TestBootstrap:
         assert order[1] == "event-distribution#0"
         assert set(order) == set(facts["roster"])
 
-    def test_phase_two_pushes_scoped_policies(self):
-        config = dict(
-            BASE_CONFIG,
-            policies=[{
-                "policy_id": "cap", "issuer_level": "network", "scope": ["forwarding"],
-                "rules": [{"action_kind": "install-rule", "target_class": "switch",
-                           "effect": "deny", "max_per_target": 4}],
-            }],
-        )
-        facts, _ = self.facts_after_phase_one(config)
-        out = orchestrator_decide(facts, fire("control.bootstrap", {"phase": "spawn"}))
-        pushes = [s for s in out["plan"] if s["action"] == "push-policy"]
-        assert [str(s["target"]) for s in pushes] == ["forwarding#0"]
-
     def test_overfull_inventory_reports_capacity_and_blocks_spawn(self):
         config = dict(BASE_CONFIG, inventory={"tiny": 2})
         facts, out = self.facts_after_phase_one(config)
@@ -151,9 +152,9 @@ class TestBootstrap:
 
 
 class TestLiveness:
-    def booted(self):
+    def booted(self, config=BASE_CONFIG):
         # genesis seeds the orchestrator's subscriptions; they include the tick
-        facts = {"config": dict(BASE_CONFIG), "subscriptions": ["hb", "kp.digest", "events.tick"]}
+        facts = {"config": dict(config), "subscriptions": ["hb", "kp.digest", "events.tick"]}
         out = orchestrator_decide(facts, fire("control.bootstrap", {"phase": "facts"}))
         facts.update(dict(out["facts"]))
         return facts
@@ -190,15 +191,16 @@ class TestLiveness:
         cap = {"policy_id": "cap", "issuer_level": "network", "scope": ["forwarding"],
                "rules": [{"action_kind": "install-rule", "target_class": "switch",
                           "effect": "deny", "max_per_target": 2}]}
-        facts = self.booted()
-        facts["policy-docs"] = [cap]
+        facts = self.booted(dict(BASE_CONFIG, policies=[cap]))
         deadline = HEARTBEAT_INTERVAL * MISSED_HEARTBEATS
         facts["liveness"] = {a: deadline if a != "forwarding#0" else 0
                             for a in facts["liveness"]}
-        facts["mirror"] = {"forwarding#0": {"policies": {"version": 1, "value": [cap]}}}
+        facts["mirror"] = {"forwarding#0": {"switch-rules": {"version": 1, "value": {}}}}
         out = orchestrator_decide(facts, fire("events.tick", {"tick": deadline}, now=deadline))
         assert [s["action"] for s in out["plan"]] == ["spawn-agent"]
-        assert out["plan"][0]["params"]["restore"] == facts["mirror"]["forwarding#0"]
+        params = out["plan"][0]["params"]
+        assert params["restore"] == facts["mirror"]["forwarding#0"]
+        assert params["spec"]["initial_facts"]["policies"] == [cap]  # from the spec
 
     def test_dead_broker_preempts_and_resets_all_clocks(self):
         facts = self.booted()
@@ -210,17 +212,6 @@ class TestLiveness:
         assert spawned == ["event-distribution#0"]
         liveness = dict(out["facts"])["liveness"]
         assert set(liveness.values()) == {deadline}
-
-    def test_knowledge_plane_restore_reseeds_from_the_mirror(self):
-        facts = self.booted()
-        deadline = HEARTBEAT_INTERVAL * MISSED_HEARTBEATS
-        facts["liveness"] = {a: deadline if a != "knowledge-plane#0" else 0
-                            for a in facts["liveness"]}
-        facts["mirror"] = {"qos#0": {"reservations": {"version": 2, "value": {}}}}
-        out = orchestrator_decide(facts, fire("events.tick", {"tick": deadline}, now=deadline))
-        (spawn,) = [s for s in out["plan"] if s["action"] == "spawn-agent"]
-        assert spawn["params"]["agent"] == "knowledge-plane#0"
-        assert spawn["params"]["restore"]["digests"]["value"] == facts["mirror"]
 
     def test_quiet_tick_emits_only_heartbeat(self):
         facts = self.booted()

@@ -49,10 +49,10 @@ def spawn(host, kind=FunctionKind.ROUTING, instance=0, facts=None):
     return host.spawn_agent(spec)
 
 
-def tell(host, agent_id, body, kind=MessageKind.REQUEST, src=None):
+def tell(host, agent_id, body, kind=MessageKind.REQUEST, src=None, dst=None):
     msg = host.factory.new_message(
         src=src or AgentId(FunctionKind.SESSION, 9),
-        dst=agent_id,
+        dst=dst or agent_id,
         kind=kind,
         payload=encode_body(body),
         now=host.now,
@@ -280,6 +280,20 @@ class TestPolicyCaps:
         plan = self.plan_installing(("h1", "h2"))
         assert validate_plan(plan, facts, [self.policy]).passed
 
+    def test_every_bounded_rule_checks_its_own_bound_in_either_order(self):
+        # a looser cap listed first must not hide a tighter one: each rule
+        # projects its own count from the switch-rules table
+        def cap(policy_id, bound):
+            rules = [dict(self.doc["rules"][0], max_per_target=bound)]
+            return Policy.from_dict(dict(self.doc, policy_id=policy_id, rules=rules))
+
+        facts = dict(self.facts)
+        facts["switch-rules"] = {"sw1": {"h1|h2|10": "r1", "h1|h3|10": "r2"}}
+        plan = self.plan_installing(("h2", "h3"))
+        for policies in ([cap("a", 3), cap("b", 2)], [cap("b", 2), cap("a", 3)]):
+            report = validate_plan(plan, facts, policies)
+            assert [v.constraint for v in report.violations] == ["b"], policies
+
     def test_wildcard_policy_credits_in_plan_removals(self):
         wildcard = Policy.from_dict(
             {
@@ -323,13 +337,6 @@ class TestPipeline:
         tell(host, agent.id, {"decision": decision(responses=[{"ok": True}])})
         stages = [e["stage"] for e in host.stage_log if e["stage"] in STAGES]
         assert tuple(stages) == STAGES
-
-    def test_facts_stage_applies_policy_messages(self):
-        host = AgentHost()
-        agent = spawn(host)
-        doc = TestPolicyCaps.doc
-        tell(host, agent.id, doc, kind=MessageKind.POLICY)
-        assert agent.facts.get("policies") == [doc]
 
     def test_failed_validation_yields_violation_event_and_nothing_else(self):
         host = AgentHost()
@@ -403,8 +410,9 @@ class TestEncodeOnce:
             initial_facts={"subs": {"events.*": subscribers}, "peers": subscribers},
         ))
         calls = self._counting_encode(monkeypatch)
+        # a publish reaches the broker addressed to its topic
         out = tell(host, broker.id, {"topic": "events.link", "body": {"up": False}},
-                   kind=MessageKind.EVENT)
+                   kind=MessageKind.EVENT, dst="events.link")
         env = {"topic": "events.link", "body": {"up": False},
                "publisher": "session#9", "pub_msg_id": 1}
         assert [str(m.dst) for m in out] == subscribers

@@ -1,4 +1,5 @@
 """Whole-system differential checks: agents vs the single-loop reference."""
+import itertools
 import random
 
 import pytest
@@ -206,15 +207,45 @@ class TestPolicyEnforcement:
         ]
         assert violations, "cap pressure must surface as violation events"
 
-    def test_pushed_policies_reach_the_mirror_for_a_restore(self):
+    def test_policies_ride_in_the_spec_not_the_mirror(self):
         topo, scen = build(TOPO, sdoc(duration=3))
         system = AgentSystem(topo, scen, self.config())
         system.run()
-        mirror = system.host.get(system.orch).facts.get("mirror")
-        (policy,) = mirror["forwarding#0"]["policies"]["value"]
+        orch = system.host.get(system.orch).facts
+        (policy,) = orch.get("specs")["forwarding#0"]["initial_facts"]["policies"]
         assert policy == self.config()["policies"][0]
-        assert all("policies" not in keys for agent, keys in mirror.items()
-                   if not agent.startswith("forwarding#"))
+        forwarding = system.host.get(AgentId(FunctionKind.FORWARDING, 0)).facts
+        assert forwarding.get("policies") == [policy]
+        mirror = orch.get("mirror")
+        assert "session#0" in mirror
+        assert all("policies" not in keys and "schedule" not in keys
+                   for keys in mirror.values())
+
+    def test_two_caps_bind_both_controllers_in_config_order(self):
+        # a cap of 2 listed before a looser cap of 3, on criterion 6's hub:
+        # every session crosses the hub, one new flow on each even tick
+        def cap(policy_id, bound):
+            doc = self.config()["policies"][0]
+            rules = [dict(doc["rules"][0], max_per_target=bound)]
+            return dict(doc, policy_id=policy_id, rules=rules)
+
+        leaves = [f"leaf{i}" for i in range(1, 6)]
+        tdoc = {
+            "switches": ["hub", *leaves],
+            "hosts": [{"id": f"h{i}", "switch": leaf} for i, leaf in enumerate(leaves, 1)],
+            "links": [{"a": "hub", "b": leaf, "capacity": 50, "latency": 1} for leaf in leaves],
+        }
+        pairs = list(itertools.permutations([h["id"] for h in tdoc["hosts"]], 2))
+        config = {"policies": [cap("b", 2), cap("a", 3)]}
+        for seed in range(3):
+            rng = random.Random(61_000 + seed)
+            flows = [
+                {"src": src, "dst": dst, "start_tick": 2 + 2 * k, "size": 200, "gap": 2}
+                for k, (src, dst) in enumerate(rng.sample(pairs, 8))
+            ]
+            agents, _, diff, _ = run_both(tdoc, sdoc(flows=flows, seed=seed), config)
+            assert diff == {}, seed
+            assert max(len(docs) for docs in agents["tables"].values()) <= 2, seed
 
     def test_reference_controller_applies_the_same_policy(self):
         _, mono, diff, _ = run_both(
