@@ -6,7 +6,9 @@ pair, so the wire codecs are always on the path, not just in codec tests.
 Under an at-least-once profile the fabric suppresses a delivery whose
 msg_id is not above the highest one already delivered from the same sender
 to the same destination; a duplicate-injection knob exercises that path on
-demand.
+demand. That per-pair mark is the one duplicate filter of the event plane:
+a repeated publish shares its publisher-to-topic pair with the original,
+and a repeated forward its broker-to-broker pair, so brokers keep none.
 
 Destinations resolve once per frame, in order: an agent, an exact endpoint,
 a prefix endpoint (e.g. "switch." for the data-plane bridge), and otherwise

@@ -13,7 +13,8 @@ to. All copies apply the same events in the same order, so they stay equal
 without any agent broadcasting its view; a respawned agent is restored from
 its last digest and gets the link events it missed from the frames the
 fabric parked for it. The topology agent keeps its copy and has nothing to
-decide.
+decide. The monitoring agent runs only the agent lifecycle: the per-tick
+link stats go to stats.csv, and no agent reads a load table.
 
 The session agent is the conductor, and its conversation is one stage
 machine. A session's conversation is one record in the "pending" facts,
@@ -267,21 +268,9 @@ def forwarding_decide(facts: dict[str, Any], inp: AgentInput) -> dict[str, Any]:
 # -- monitoring agent ------------------------------------------------------------------
 
 
-def monitoring_ingest(facts: dict[str, Any], inp: AgentInput) -> list[tuple[str, Any]]:
-    ev = event_of(inp)
-    if ev is None or ev[0] != "events.stats":
-        return []
-    load = {k: list(v) for k, v in facts.get("load", {}).items()}
-    for a, b, nbytes, drops in ev[1]["links"]:
-        key = f"{a}|{b}"
-        cur = load.get(key, [0, 0])
-        load[key] = [cur[0] + nbytes, cur[1] + drops]
-    return [("load", load)]
-
-
-@register_cognition(FunctionKind.MONITORING.value, ingest=monitoring_ingest)
+@register_cognition(FunctionKind.MONITORING.value)
 def monitoring_decide(facts: dict[str, Any], inp: AgentInput) -> dict[str, Any]:
-    """Load accrues in the ingest hook; there is nothing to decide."""
+    """Nothing to decide: the registered lifecycle is all this agent does."""
     return decision()
 
 

@@ -18,9 +18,11 @@ Brokers carry the event plane at run time. A published event (a message
 whose destination is a topic) reaches one broker, which wraps it in an
 envelope stamped with the publisher and the publish msg_id, delivers it to
 local subscribers, and forwards it according to the configured arrangement
-(solo, full mesh, or per-level with a root relay). Because the fabric is
-FIFO and msg_ids are globally increasing, a per-publisher high-water mark
-is enough to drop forwarded echoes and injected duplicates. Any other event
+(solo, full mesh, or per-level with a root relay). Brokers keep no
+per-publisher state: no arrangement hands a broker an envelope twice (a
+mesh broker never re-forwards, and the root relays to every level broker
+but the sender), and the fabric's per-pair mark drops a repeated frame on
+the publisher-to-topic and broker-to-broker hops. Any other event
 addressed to a broker (its own control.bootstrap) is not a publish and is
 dropped: brokers register nowhere, since home_broker addresses them.
 """
@@ -121,30 +123,16 @@ def fault_decide(facts: dict[str, Any], inp: AgentInput) -> dict[str, Any]:
 # -- event-distribution broker ------------------------------------------------------------
 
 
-def _envelope_steps(
-    facts: dict[str, Any], env: dict[str, Any]
-) -> tuple[list[dict[str, Any]], list[tuple[str, Any]]]:
-    """Local deliveries plus high-water bookkeeping for one envelope."""
-    hw = dict(facts.get("high-water", {}))
-    last = hw.get(env["publisher"], 0)
-    if env["pub_msg_id"] <= last:
-        return [], []  # echo of something already handled
-    hw[env["publisher"]] = env["pub_msg_id"]
-    subs = facts.get("subs", {})
+def _local_deliveries(facts: dict[str, Any], env: dict[str, Any]) -> list[dict[str, Any]]:
+    """One deliver-event step per local subscriber whose filter matches."""
     targets: set[str] = set()
-    for flt, group in subs.items():
+    for flt, group in facts.get("subs", {}).items():
         if match_topic(flt, env["topic"]):
             targets.update(group)
-    steps = [
-        step("deliver-event", AgentId.parse(t), event=env) for t in sorted(targets)
-    ]
-    return steps, [("high-water", hw)]
+    return [step("deliver-event", AgentId.parse(t), event=env) for t in sorted(targets)]
 
 
-@register_cognition(
-    FunctionKind.EVENT_DISTRIBUTION.value,
-    digest_keys=("subs", "peers", "high-water"),
-)
+@register_cognition(FunctionKind.EVENT_DISTRIBUTION.value, digest_keys=("subs", "peers"))
 def broker_decide(facts: dict[str, Any], inp: AgentInput) -> dict[str, Any]:
     op = request_op(inp)
     if op == "subscribe":
@@ -169,9 +157,7 @@ def broker_decide(facts: dict[str, Any], inp: AgentInput) -> dict[str, Any]:
                 "publisher": str(inp.message.src),
                 "pub_msg_id": inp.message.msg_id,
             }
-        steps, writes = _envelope_steps(facts, env)
-        if not steps and not writes:
-            return decision()  # duplicate
+        steps = _local_deliveries(facts, env)
         role = facts.get("role", "solo")
         if not forwarded:
             if role == "mesh":
@@ -180,10 +166,10 @@ def broker_decide(facts: dict[str, Any], inp: AgentInput) -> dict[str, Any]:
             elif role == "level" and facts.get("root"):
                 steps.append(step("forward-event", AgentId.parse(facts["root"]), event=env))
         if role == "root":
-            # Relay to every level broker; the originating broker drops the
-            # echo via its high-water mark.
+            # the level broker that forwarded it has delivered it already
             for peer in facts.get("downstream", []):
-                steps.append(step("forward-event", AgentId.parse(peer), event=env))
+                if peer != str(inp.message.src):
+                    steps.append(step("forward-event", AgentId.parse(peer), event=env))
         events = []
         if env["topic"] == "events.tick":
             # dst here is the topic, not this broker, so self_id() cannot help
@@ -191,5 +177,5 @@ def broker_decide(facts: dict[str, Any], inp: AgentInput) -> dict[str, Any]:
             me = facts.get("self")
             if me and tick % HEARTBEAT_INTERVAL == 0:
                 events = [{"topic": "hb", "body": {"agent": me, "tick": tick}}]
-        return decision(plan=steps, facts=writes, events=events)
+        return decision(plan=steps, events=events)
     return decision()

@@ -14,8 +14,8 @@ count exceeds the switch count (a forwarding loop). Flows retry: a unit is
 only counted delivered when it reaches its destination host's switch, and
 emission continues every `gap` ticks until `size` units have arrived.
 
-Per-link byte/drop counters feed the stats stream; miss and loop drops have
-no link to charge and appear only in the global metrics.
+Per-link byte/drop counters feed the per-tick stats (stats.csv); miss and
+loop drops have no link to charge and appear only in the global metrics.
 """
 
 from __future__ import annotations
@@ -132,16 +132,6 @@ class Topology:
             links.append(link)
         return cls(switches=tuple(switches), hosts=hosts, links=tuple(links))
 
-    def to_doc(self) -> dict[str, Any]:
-        return {
-            "switches": list(self.switches),
-            "hosts": [{"id": h, "switch": s} for h, s in sorted(self.hosts.items())],
-            "links": [
-                {"a": l.a, "b": l.b, "capacity": l.capacity, "latency": l.latency}
-                for l in self.links
-            ],
-        }
-
 
 @dataclass(frozen=True)
 class Flow:
@@ -176,10 +166,13 @@ class Scenario:
         try:
             seed = int(doc["seed"])
             duration = int(doc["duration_ticks"])
+            jitter = int(doc.get("jitter", 0))
         except (KeyError, TypeError, ValueError) as exc:
             raise SchemaError(f"bad scenario header: {exc}") from exc
         if duration <= 0:
             raise SchemaError("duration_ticks must be positive")
+        if jitter < 0:
+            raise SchemaError("jitter must be non-negative")
         flows = []
         for i, f in enumerate(doc.get("flows", [])):
             try:
@@ -217,7 +210,7 @@ class Scenario:
             duration=duration,
             flows=tuple(flows),
             failures=tuple(failures),
-            jitter=int(doc.get("jitter", 0)),
+            jitter=jitter,
         )
 
 
@@ -260,9 +253,6 @@ class PacketIn:
 class TickStats:
     tick: int
     links: tuple[tuple[str, str, int, int], ...]  # (a, b, bytes, drops)
-
-    def to_doc(self) -> dict[str, Any]:
-        return {"tick": self.tick, "links": [list(row) for row in self.links]}
 
 
 SimEvent = LinkDown | PacketIn | TickStats

@@ -81,7 +81,7 @@ _SUBSCRIPTIONS: dict[FunctionKind, list[str]] = {
         "events.violation",
         "events.tick",
     ],
-    FunctionKind.MONITORING: ["events.stats", "events.tick"],
+    FunctionKind.MONITORING: ["events.tick"],
     FunctionKind.FAULT: ["events.tick"],
     FunctionKind.AUTOCONF_DISCOVERY: ["events.tick"],
     FunctionKind.KNOWLEDGE_PLANE: ["events.tick"],

@@ -3,10 +3,11 @@
 The control plane is instantaneous relative to the data plane: within a
 tick the fabric runs to quiescence, so every conversation triggered by an
 event finishes before the next tick's packets move. Per tick the bridge
-publishes, in order: link failures, packet-ins, link load stats, a full
-link-state refresh every REFRESH_EVERY ticks, and finally the tick event
-itself — so reroute sweeps always run before new-flow setups, mirroring
-the reference controller's processing order.
+publishes, in order: link failures, packet-ins, a full link-state refresh
+every REFRESH_EVERY ticks, and finally the tick event itself — so reroute
+sweeps always run before new-flow setups, mirroring the reference
+controller's processing order. The per-tick link stats go to stats.csv,
+not onto the bus: no agent reads them.
 
 The host-control endpoint gives the orchestrator its lifecycle lever: a
 spawn-agent request (re)creates an agent, seeds it with restored knowledge
@@ -188,7 +189,6 @@ class AgentSystem:
                 pubs.append(self._publish(idx, "events.packet_in", ev.to_doc()))
             else:
                 self.stats.append(ev)
-                pubs.append(self._publish(0, "events.stats", ev.to_doc()))
         if t % REFRESH_EVERY == 0:
             pubs.append(self._publish(0, "events.linkstate", {"links": self.sim.links_doc()}))
         pubs.append(self._publish(0, "events.tick", {"tick": t}))

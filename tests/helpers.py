@@ -7,7 +7,8 @@ look. Link keys are always stored sorted so the duplicate-link check in
 Topology.from_doc cannot be tripped by orientation.
 
 BrokerFabric runs the broker agents of one event strategy on a Bus, so the
-event-plane tests check the brokers a system run uses.
+event-plane tests check the brokers a system run uses, and records which
+publishers' traffic each broker's pipeline handled.
 """
 from __future__ import annotations
 
@@ -16,10 +17,10 @@ from typing import Any, Iterable
 
 from masdn import AgentSystem, Scenario, Topology
 from masdn.bus import Bus
-from masdn.core import AgentId, MessageKind
+from masdn.core import AgentId, Message, MessageKind
 from masdn.oracle import MonolithicController, compare
 from masdn.orchestrator import broker_ids, build_specs, home_broker
-from masdn.pps import encode_body
+from masdn.pps import decode_body, encode_body
 from masdn.runtime import AgentHost, AgentSpec, register_cognition
 
 STRATEGIES = ("centralized", "distributed", "hybrid")
@@ -151,6 +152,22 @@ class BrokerFabric:
             self.host.spawn_agent(
                 AgentSpec(AgentId.parse(doc["agent"]), doc["cognition"], doc["initial_facts"])
             )
+        # broker -> publishers whose publishes or forwarded envelopes the
+        # broker's pipeline was handed
+        self.handled: dict[str, set[str]] = {b: set() for b in broker_ids(strategy)}
+        process_input = self.host.process_input
+
+        def spy(agent_id: AgentId, msg: Message) -> list[Message]:
+            seen = self.handled.get(str(agent_id))
+            if seen is not None and msg.kind is MessageKind.EVENT:
+                body = decode_body(msg.payload)
+                if "publisher" in body:
+                    seen.add(body["publisher"])
+                elif not isinstance(msg.dst, AgentId):
+                    seen.add(str(msg.src))
+            return process_input(agent_id, msg)
+
+        self.host.process_input = spy
 
     def subscribe(self, sub: str, flt: str) -> None:
         agent = AgentId.parse(sub)

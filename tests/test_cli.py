@@ -97,6 +97,14 @@ class TestErrorPaths:
         assert main(["run", str(config), "--out-dir", str(tmp_path / "out")]) == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("jitter", [-3, "x"])
+    def test_bad_jitter_exits_2(self, tmp_path, capsys, jitter):
+        # exit 1 means the controllers diverged, so a bad config must not reach it
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"topology": TOPO, "scenario": dict(SCENARIO, jitter=jitter)}))
+        assert main(["run", str(config), "--out-dir", str(tmp_path / "out")]) == 2
+        assert "error:" in capsys.readouterr().err
+
     def test_unknown_mode_in_config_exits_2(self, tmp_path, capsys):
         config = write_config(tmp_path, mode="turbo")
         assert main(["run", str(config), "--out-dir", str(tmp_path / "out")]) == 2

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from masdn.core import AgentId, MessageKind
 from masdn.events import TopicError, check_filter, check_topic, match_topic
+from masdn.logic import HEARTBEAT_INTERVAL
 from masdn.orchestrator import broker_ids
 from masdn.pps import encode_body
 
@@ -139,8 +140,8 @@ class TestArrangementEquivalence:
                     seen[env["publisher"]] = env["pub_msg_id"]
 
     def test_no_duplicate_deliveries_on_flooded_paths(self):
-        # distributed floods to every broker and hybrid's root relays back to
-        # the origin; the high-water mark keeps one delivery per publish
+        # distributed floods to every broker and hybrid's root relays to every
+        # level broker; no broker is handed an envelope twice
         publishers = trace_agents(0, 3)
         for strategy in ("distributed", "hybrid"):
             fabric = BrokerFabric(strategy)
@@ -153,6 +154,35 @@ class TestArrangementEquivalence:
             assert len(keys) == 30
             assert len(set(keys)) == 30
 
+    @pytest.mark.parametrize("every", [0, 1, 3])
+    def test_injected_duplicates_reach_no_subscriber_and_no_beat_twice(self, every):
+        # the fabric's per-pair mark is the one duplicate filter: a repeated
+        # publish or forward is dropped before any broker sees it
+        publishers, subs, events = random_trace(random.Random(5))
+        ticks = range(2 * HEARTBEAT_INTERVAL + 1)
+        for strategy in STRATEGIES:
+            fabric = BrokerFabric(strategy)
+            fabric.bus.duplicate_every = every
+            for sub, flt in [*subs, ("monitoring#9", "hb")]:
+                fabric.subscribe(sub, flt)
+            fabric.run()
+            for pub, topic, body in events:
+                fabric.publish(pub, topic, body)
+            for tick in ticks:
+                fabric.publish("switch-adapter#0", "events.tick", {"tick": tick})
+            fabric.run()
+            for sub, flt in subs:
+                keys = delivered_keys(fabric, sub, publishers)
+                wanted = sum(1 for _pub, topic, _body in events if match_topic(flt, topic))
+                assert set(keys.values()) <= {1}, (strategy, every, sub)
+                assert sum(keys.values()) == wanted, (strategy, every, sub)
+            beats = Counter((e["body"]["agent"], e["body"]["tick"])
+                            for e in fabric.delivered_to("monitoring#9"))
+            assert beats == Counter((b, t) for b in broker_ids(strategy)
+                                    for t in ticks if t % HEARTBEAT_INTERVAL == 0), strategy
+            if every:
+                assert fabric.bus.duplicates_suppressed > 0
+
     def test_hybrid_routes_between_levels(self):
         fabric = BrokerFabric("hybrid")
         # a function agent and the orchestrator subscribe at different level
@@ -163,15 +193,15 @@ class TestArrangementEquivalence:
         fabric.run()
         assert len(fabric.delivered_to("routing#0")) == 1
         assert len(fabric.delivered_to("orchestration#0")) == 1
-        root = AgentId.parse(broker_ids("hybrid")[0])
-        assert "routing#1" in fabric.host.agents[root].facts.get("high-water")
+        assert "routing#1" in fabric.handled[broker_ids("hybrid")[0]]  # the root
 
     def test_a_broker_handed_its_bootstrap_relays_nothing(self):
         # the control.bootstrap a spawn hands a broker is addressed to it, so
-        # it is not a publish: no envelope, no forward, no high-water mark
+        # it is not a publish: no envelope, no forward, no fact written
         for strategy in STRATEGIES:
             fabric = BrokerFabric(strategy)
             for broker in map(AgentId.parse, broker_ids(strategy)):
+                before = fabric.host.agents[broker].facts.snapshot()
                 bootstrap = fabric.host.factory.new_message(
                     src=AgentId.parse("orchestration#0"),
                     dst=broker,
@@ -180,7 +210,7 @@ class TestArrangementEquivalence:
                     now=0,
                 )
                 assert fabric.host.process_input(broker, bootstrap) == [], (strategy, broker)
-                assert fabric.host.agents[broker].facts.get("high-water") is None
+                assert fabric.host.agents[broker].facts.snapshot() == before
 
 
 @settings(max_examples=60, deadline=None)

@@ -5,7 +5,6 @@ from masdn.core import AgentId, FunctionKind, Message, MessageKind
 from masdn.functions import (
     classifier_decide,
     forwarding_decide,
-    monitoring_ingest,
     qos_decide,
     routing_decide,
     session_decide,
@@ -53,6 +52,15 @@ def publish(topic, body, src="session#0"):
     return AgentInput(
         Message(next(_IDS), AgentId.parse(src), topic, MessageKind.EVENT, b"", 0),
         {"topic": topic, "body": body},
+    )
+
+
+def forwarded(env, src):
+    """An envelope another broker forwards to event-distribution#0."""
+    return AgentInput(
+        Message(next(_IDS), AgentId.parse(src), AgentId.parse("event-distribution#0"),
+                MessageKind.EVENT, b"", 0),
+        env,
     )
 
 
@@ -215,18 +223,6 @@ class TestForwardingAgent:
         assert pstep["action"] == "remove-rule"
         assert out["responses"][0]["removed"] == 1
         assert dict(out["facts"])["switch-rules"] == {"s1": {}}
-
-
-class TestMonitoringAgent:
-    def test_stats_accumulate_per_link(self):
-        first = monitoring_ingest(
-            {}, event("events.stats", {"links": [["s1", "s2", 7, 1]]}, dst="monitoring#0")
-        )
-        facts = {"load": dict(first)["load"]}
-        second = monitoring_ingest(
-            facts, event("events.stats", {"links": [["s1", "s2", 3, 0]]}, dst="monitoring#0")
-        )
-        assert dict(second)["load"] == {"s1|s2": [10, 1]}
 
 
 class TestRegistryAgent:
@@ -629,14 +625,6 @@ class TestBrokerAgent:
         assert env["publisher"] == "session#0"
         assert env["topic"] == "events.flow"
 
-    def test_high_water_drops_duplicate_publishes(self):
-        facts = self.sub_facts()
-        inp = publish("events.flow", {"n": 1})
-        first = broker_decide(facts, inp)
-        facts.update(dict(first["facts"]))
-        replay = broker_decide(facts, inp)  # same msg_id arrives again
-        assert "plan" not in replay
-
     def test_mesh_role_forwards_to_peer_brokers(self):
         facts = self.sub_facts()
         facts.update({"role": "mesh", "brokers": ["event-distribution#1"]})
@@ -649,13 +637,15 @@ class TestBrokerAgent:
         facts.update({"role": "mesh", "brokers": ["event-distribution#1"]})
         env = {"topic": "events.flow", "body": {"n": 3}, "publisher": "session#9",
                "pub_msg_id": 77}
-        out = broker_decide(
-            facts,
-            AgentInput(
-                Message(next(_IDS), AgentId.parse("event-distribution#1"),
-                        AgentId.parse("event-distribution#0"), MessageKind.EVENT, b"", 0),
-                env,
-            ),
-        )
+        out = broker_decide(facts, forwarded(env, src="event-distribution#1"))
         actions = [s["action"] for s in out["plan"]]
         assert actions == ["deliver-event"]
+
+    def test_root_relays_a_forwarded_envelope_to_every_level_broker_but_its_sender(self):
+        facts = {"role": "root", "downstream": [f"event-distribution#{i}" for i in (1, 2, 3, 4)]}
+        env = {"topic": "events.flow", "body": {"n": 4}, "publisher": "session#9",
+               "pub_msg_id": 78}
+        out = broker_decide(facts, forwarded(env, src="event-distribution#2"))
+        targets = [str(s["target"]) for s in out["plan"] if s["action"] == "forward-event"]
+        assert targets == ["event-distribution#1", "event-distribution#3", "event-distribution#4"]
+        assert "facts" not in out

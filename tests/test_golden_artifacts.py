@@ -7,14 +7,13 @@ diff.json) is pinned, so a speed-up that changes any outcome, log record or
 wire byte fails here, naming the artifacts that moved. The outcome.json,
 stats.csv and diff.json constants were recorded before facts were frozen on
 write instead of deep-copied. The run.log constants were last re-recorded
-when each piece of agent state got one source: there are no POLICY frames
-(policies ride in the specs), no registry.changed frames (the discovery
-directory that read them is gone), no kp.digest deliveries to the knowledge
-plane (the orchestrator's mirror is the one copy), no relayed broker
-bootstraps, and the session digest no longer ships the schedule its spec
-already holds. That removes frames, pipeline runs and digest bytes, not
-anything either controller decides. The hashes do not depend on
-PYTHONHASHSEED.
+when the fabric's per-pair mark became the one duplicate filter: brokers
+keep no per-publisher high-water fact, so they ship no kp.digest after their
+subscriptions settle; the hybrid root no longer relays an envelope back to
+the level broker that forwarded it; and the bridge no longer publishes the
+per-tick link stats that only the monitoring agent's unread load table took
+in. That removes frames, pipeline runs and digest bytes, not anything either
+controller decides. The hashes do not depend on PYTHONHASHSEED.
 When a change is meant to alter the artifacts, re-record the constants and
 say why in the change's notes.
 """
@@ -53,7 +52,7 @@ GOLDEN = {
         0,
         {
             "outcome.json": "9d7df6e08f605236441792fc445708a8bee2ca7bee232834eb24da6bc7505ac6",
-            "run.log": "b2a9faa7445ebe2c53c73ad6e14e161d3cbbb388805389c49b435f22876a1329",
+            "run.log": "22e4f77c8ef1175e94cbd90e3cf09211ca04f53b32314df27c6ecc7830b92bb3",
             "stats.csv": "afc834dc4a6d33e7aa3e3c9055b241c4b86e34f7697c8468cac1df6550b57694",
             "diff.json": "ca3d163bab055381827226140568f3bef7eaac187cebd76878e0b63e9e442356",
         },
@@ -62,7 +61,7 @@ GOLDEN = {
         0,
         {
             "outcome.json": "57d7ab073da0ee5cbfe058ac2d154482e900e529fb1b7c930584c324f87f1ae7",
-            "run.log": "12bacc794c7404ebd23d79718b8d325b1a790ba174bedd7513131bc746f55aa1",
+            "run.log": "bdee928273c4b0c78139a29769287fe23896da5f7926c29a2c25813bb4295b34",
             "stats.csv": "38bfaab0d91b62a7424a4bb39febbb5006c74786e52f257514557351f534eaf9",
             "diff.json": "ca3d163bab055381827226140568f3bef7eaac187cebd76878e0b63e9e442356",
         },
@@ -71,7 +70,7 @@ GOLDEN = {
         0,
         {
             "outcome.json": "ab0cebde5c16702d9eef7ce0269a6e7f830dd862db93f8b9b7fc203f63721b2a",
-            "run.log": "7d943ac7cdbe93ab4ce7c864e73b5944f9cfc0fce90fb70733bfc11af9ac15c0",
+            "run.log": "884242e53c6bb197d2cfbdcd421754bc18a035c7c89ecc6a77e33fd9119403e2",
             "stats.csv": "3edfab2026d98f54c995eb9605010f2a20ab518ed0480c9fd0c05f42b4ad9aa6",
             "diff.json": "ca3d163bab055381827226140568f3bef7eaac187cebd76878e0b63e9e442356",
         },

@@ -90,6 +90,11 @@ class TestScenarioParsing:
         with pytest.raises(SchemaError):
             scenario(duration=0)
 
+    @pytest.mark.parametrize("jitter", [-3, "x", None])
+    def test_bad_jitter_is_rejected(self, jitter):
+        with pytest.raises(SchemaError):
+            scenario(jitter=jitter)
+
 
 class TestStepping:
     def test_no_flows_gives_only_stats_ticks(self):
@@ -103,7 +108,7 @@ class TestStepping:
 
         def stream():
             sim = Simulator(Topology.from_doc(TRIANGLE), scenario(flows=flows, jitter=3))
-            return [e.to_doc() for e in drain(sim, 20)]
+            return drain(sim, 20)
 
         assert stream() == stream()
 

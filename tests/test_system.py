@@ -165,6 +165,37 @@ class TestOneTopologyView:
         assert respawned > 14
 
 
+def hybrid_frames():
+    """(tick, src, dst) of every frame an agent was handed in a steady
+    30-tick hybrid run: no kills, so every frame reaches a live agent."""
+    topo, scen = build(TOPO, sdoc(duration=30))
+    system = AgentSystem(topo, scen, {"event_strategy": "hybrid"})
+    frames = []
+    process_input = system.host.process_input
+
+    def spy(agent_id, msg):
+        frames.append((system.host.now, str(msg.src), str(msg.dst)))
+        return process_input(agent_id, msg)
+
+    system.host.process_input = spy
+    system.run()
+    return frames
+
+
+class TestEventPlaneTraffic:
+    def test_brokers_ship_no_digest_after_tick_0(self):
+        # subs and peers settle at genesis; brokers keep no per-publisher state
+        frames = hybrid_frames()
+        ticks = {t for t, src, dst in frames
+                 if dst == "kp.digest" and src.startswith("event-distribution#")}
+        assert ticks == {0}
+
+    def test_no_frame_carries_link_stats(self):
+        frames = hybrid_frames()
+        assert {t for t, _src, _dst in frames} == set(range(30))
+        assert not [f for f in frames if f[2] == "events.stats"]
+
+
 class TestPolicyEnforcement:
     CAP = 2
 
