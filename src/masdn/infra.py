@@ -1,18 +1,11 @@
-"""Cognition implementations for the infrastructure agents: the service
-registry facade, the event-distribution brokers, the knowledge plane, the
-fault handler, and the discovery agent.
+"""Cognition implementations for the infrastructure agents: the
+event-distribution brokers, the fault handler, and the agents that run the
+lifecycle only (the registry, the knowledge plane and the discovery agent).
 
-The registry agent keeps the whole lease table in its facts and manipulates
-it with the pure table functions from registry.py, so its state digests
-into the orchestrator's mirror like any other agent's and survives a
-respawn. The lease table is the one live set of agents: the registry answers
-register and discover requests, renews a lease on each heartbeat and sweeps
-expired leases on each tick.
-
-The knowledge plane and the discovery agent keep no state of their own:
-what agents export lives in the orchestrator's mirror, and who is live
-lives in the registry. Both run only the agent lifecycle (register,
-subscribe, heartbeat) and are respawned like everyone else.
+The registry, the knowledge plane and the discovery agent keep no state of
+their own: what agents export lives in the orchestrator's mirror, and who
+is live lives in the orchestrator's lease table. They run only the agent
+lifecycle (subscribe, heartbeat) and are respawned like everyone else.
 
 Brokers carry the event plane at run time. A published event (a message
 whose destination is a topic) reaches one broker, which wraps it in an
@@ -24,7 +17,7 @@ mesh broker never re-forwards, and the root relays to every level broker
 but the sender), and the fabric's per-pair mark drops a repeated frame on
 the publisher-to-topic and broker-to-broker hops. Any other event
 addressed to a broker (its own control.bootstrap) is not a publish and is
-dropped: brokers register nowhere, since home_broker addresses them.
+dropped: a broker has no bootstrap plan, since home_broker addresses it.
 """
 
 from __future__ import annotations
@@ -35,56 +28,13 @@ from .core import AgentId, FunctionKind, MessageKind
 from .events import match_topic
 from .functions import request_op
 from .logic import HEARTBEAT_INTERVAL
-from .registry import (
-    UnknownLease,
-    table_discover,
-    table_expire,
-    table_heartbeat,
-    table_register,
-)
-from .runtime import AgentInput, decision, event_of, register_cognition, step
+from .runtime import AgentInput, decision, register_cognition, step
 
 
-# -- service registry -----------------------------------------------------------
+# -- registry, knowledge plane and discovery -----------------------------------------
 
 
-@register_cognition(
-    FunctionKind.REGISTRY.value, digest_keys=("leases",)
-)
-def registry_decide(facts: dict[str, Any], inp: AgentInput) -> dict[str, Any]:
-    now = inp.message.sim_time
-    leases = facts.get("leases", {})
-    op = request_op(inp)
-    if op == "register":
-        doc = inp.body["descriptor"]
-        new = table_register(leases, doc, now)
-        return decision(
-            responses=[{"ok": True, "expires_at": new[doc["agent"]]["expires_at"]}],
-            facts=[("leases", new)],
-        )
-    if op == "discover":
-        kind = FunctionKind(inp.body["kind"]) if inp.body.get("kind") else None
-        hits = table_discover(leases, now, kind=kind, capability=inp.body.get("capability"))
-        return decision(responses=[{"agents": hits, "ctx": inp.body.get("ctx")}])
-    ev = event_of(inp)
-    if ev is not None:
-        topic, body = ev
-        if topic == "hb":
-            try:
-                new = table_heartbeat(leases, body["agent"], now)
-            except UnknownLease:
-                return decision()
-            return decision(facts=[("leases", new)])
-        if topic == "events.tick":
-            new, dead = table_expire(leases, now)
-            if dead:
-                return decision(facts=[("leases", new)])
-    return decision()
-
-
-# -- knowledge plane and discovery --------------------------------------------------
-
-
+@register_cognition(FunctionKind.REGISTRY.value)
 @register_cognition(FunctionKind.KNOWLEDGE_PLANE.value)
 @register_cognition(FunctionKind.AUTOCONF_DISCOVERY.value)
 def lifecycle_only_decide(facts: dict[str, Any], inp: AgentInput) -> dict[str, Any]:

@@ -35,7 +35,6 @@ DEFAULT_QOS_CAP_PERMILLE = 800  # reserve at most 80% of a link for realtime
 
 HEARTBEAT_INTERVAL = 5  # ticks between liveness beacons
 MISSED_HEARTBEATS = 3  # silent intervals before an agent is declared dead
-DEFAULT_LEASE_TTL = 40  # ticks; long enough to ride out a registry respawn
 REFRESH_EVERY = 10  # ticks between full link-state refreshes (and sweeps)
 
 

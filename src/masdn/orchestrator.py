@@ -9,26 +9,30 @@ in the specs: each agent's initial facts carry the configured policies whose
 scope holds its kind, in config order.
 
 Bootstrap happens in two passes driven by two control.bootstrap events.
-The first ("facts") computes and stores the roster, the per-agent specs,
-the placement, and the liveness table; the second ("spawn") turns those
-facts into the actual spawn/register/subscribe plan. The split exists
-because a plan is validated against the facts snapshot taken before the
-decision ran, so the spawn plan must be able to see the roster facts
-written by an earlier pipeline run.
+The first ("facts") computes and stores the roster, the per-agent specs and
+the placement; the second ("spawn") turns those facts into the actual
+spawn/subscribe plan and registers a lease for every agent it spawns. The
+split exists because a plan is validated against the facts snapshot taken
+before the decision ran, so the spawn plan must be able to see the roster
+facts written by an earlier pipeline run. A failed placement escalates the
+spawn pass, so nothing is spawned and no lease is registered.
 
-After bootstrap the orchestrator is a liveness supervisor: heartbeats feed
-a per-agent clock, kp.digest events feed a state mirror, and an agent silent
-for MISSED_HEARTBEATS intervals is respawned from its spec with its mirror
+After bootstrap the orchestrator is the failure detector. Its lease table
+(registry.py's pure functions over the "leases" fact) is the one record of
+which agents are live. Every spawn registers a lease built from the agent's
+spec, with a TTL of MISSED_HEARTBEATS heartbeat intervals; each heartbeat
+renews it at the time the broker delivered the beat, so a replayed (old)
+beat can renew a lease but never shorten it; and each tick sweeps the
+expired leases. An expired agent is respawned from its spec with its mirror
 state restored: that is the whole recovery, as the fabric replays what the
-agent missed, and a replayed (old) heartbeat never moves a clock back. Dead
-brokers are special: without brokers heartbeats stop flowing, making
-everyone look dead at once, so dead brokers are replaced first and every
-liveness clock is reset to give the revived event plane a full detection
-window before anyone else is declared lost.
+agent missed. Dead brokers are special: without brokers heartbeats stop
+flowing, making everyone look dead at once, so dead brokers are replaced
+first and every roster lease is registered again, giving the revived event
+plane a full detection window before anyone else is declared lost.
 
-The mirror is the one copy of what agents learn and the only one a restore
-reads. The orchestrator answers no request: everything it does starts from
-an event.
+kp.digest events feed the state mirror, the one copy of what agents learn
+and the only one a restore reads. The orchestrator answers only discover,
+from its lease table; everything else it does starts from an event.
 """
 
 from __future__ import annotations
@@ -37,10 +41,10 @@ import zlib
 from typing import Any, Sequence
 
 from .core import AgentId, FunctionKind, DecisionLevel, level_of
+from .functions import request_op
 from .hierarchy import Policy
 from .logic import (
     DEFAULT_GAP_THRESHOLD,
-    DEFAULT_LEASE_TTL,
     DEFAULT_QOS_CAP_PERMILLE,
     DEFAULT_SIZE_THRESHOLD,
     HEARTBEAT_INTERVAL,
@@ -48,6 +52,13 @@ from .logic import (
     CapacityError,
     chain_closure,
     first_fit_decreasing,
+)
+from .registry import (
+    UnknownLease,
+    table_discover,
+    table_expire,
+    table_heartbeat,
+    table_register,
 )
 from .runtime import (
     AgentInput,
@@ -60,6 +71,9 @@ from .runtime import (
 )
 
 BROKER_COUNT = {"centralized": 1, "distributed": 3, "hybrid": 5}
+
+# a lease lapses MISSED_HEARTBEATS heartbeat intervals after its last renewal
+LEASE_TTL = HEARTBEAT_INTERVAL * MISSED_HEARTBEATS
 
 INFRA_KINDS = (
     FunctionKind.MONITORING,
@@ -85,7 +99,7 @@ _SUBSCRIPTIONS: dict[FunctionKind, list[str]] = {
     FunctionKind.FAULT: ["events.tick"],
     FunctionKind.AUTOCONF_DISCOVERY: ["events.tick"],
     FunctionKind.KNOWLEDGE_PLANE: ["events.tick"],
-    FunctionKind.REGISTRY: ["hb", "events.tick"],
+    FunctionKind.REGISTRY: ["events.tick"],
     FunctionKind.ORCHESTRATION: ["hb", "kp.digest", "events.tick"],
 }
 
@@ -165,9 +179,7 @@ def build_specs(
             "self": agent,
             "peers": peers,
             "home-broker": home_broker(strategy, agent),
-            "registry": str(AgentId(FunctionKind.REGISTRY, 0)),
             "subscriptions": list(_SUBSCRIPTIONS.get(kind, [])),
-            "lease-ttl": config.get("lease_ttl", DEFAULT_LEASE_TTL),
         }
         if kind in _NEEDS_VIEW:
             facts["topology"] = view
@@ -197,16 +209,41 @@ def build_specs(
 
 
 def _spawn_order(roster: list[str]) -> list[str]:
-    """Registry first so everyone can register, brokers next so everyone can
-    subscribe, then the rest alphabetically."""
-    registry = [a for a in roster if a.startswith(FunctionKind.REGISTRY.value + "#")]
+    """Brokers first so everyone can subscribe, then the rest alphabetically."""
     brokers = [a for a in roster if a.startswith(FunctionKind.EVENT_DISTRIBUTION.value + "#")]
-    rest = [a for a in roster if a not in registry and a not in brokers]
-    return registry + brokers + rest
+    return brokers + [a for a in roster if a not in brokers]
+
+
+def lease_descriptor(spec: dict[str, Any]) -> dict[str, Any]:
+    """The descriptor a spawned agent's lease holds and discover answers with."""
+    facts = spec["initial_facts"]
+    return {
+        "agent": spec["agent"],
+        "capabilities": sorted(facts.get("capabilities", [spec["cognition"]])),
+        "endpoint": spec["agent"],
+        "lease_ttl": LEASE_TTL,
+    }
+
+
+def _register(
+    leases: dict[str, Any], specs: dict[str, Any], agents: list[str], now: int
+) -> dict[str, Any]:
+    for agent in agents:
+        leases = table_register(leases, lease_descriptor(specs[agent]), now)
+    return leases
 
 
 @register_cognition(FunctionKind.ORCHESTRATION.value, digest_keys=())
 def orchestrator_decide(facts: dict[str, Any], inp: AgentInput) -> dict[str, Any]:
+    if request_op(inp) == "discover":
+        kind = FunctionKind(inp.body["kind"]) if inp.body.get("kind") else None
+        hits = table_discover(
+            facts.get("leases", {}),
+            inp.message.sim_time,
+            kind=kind,
+            capability=inp.body.get("capability"),
+        )
+        return decision(responses=[{"agents": hits, "ctx": inp.body.get("ctx")}])
     ev = event_of(inp)
     if ev is None:
         return decision()
@@ -217,12 +254,13 @@ def orchestrator_decide(facts: dict[str, Any], inp: AgentInput) -> dict[str, Any
             return _bootstrap_facts(facts, inp)
         return _bootstrap_spawn(facts, inp)
     if topic == "hb":
-        liveness = facts.get("liveness", {})
-        agent, beat = body["agent"], body["tick"]
-        if agent in liveness and beat > liveness[agent]:  # replays are old
-            liveness = {**liveness, agent: beat}
-            return decision(facts=[("liveness", liveness)])
-        return decision()
+        # renewed at delivery, so a replayed beat never moves an expiry back
+        now = inp.message.sim_time
+        try:
+            leases = table_heartbeat(facts.get("leases", {}), body["agent"], now)
+        except UnknownLease:
+            return decision()
+        return decision(facts=[("leases", leases)])
     if topic == "kp.digest":
         mirror = merge_digest(facts.get("mirror", {}), body)
         return decision(facts=[("mirror", mirror)])
@@ -252,7 +290,6 @@ def _bootstrap_facts(facts: dict[str, Any], inp: AgentInput) -> dict[str, Any]:
         ("roster", roster),
         ("specs", specs),
         ("placement", placement),
-        ("liveness", {a: 0 for a in roster}),
         ("peers", sorted(roster + [me])),
     ]
     return decision(facts=writes, events=events)
@@ -275,16 +312,13 @@ def _bootstrap_spawn(facts: dict[str, Any], inp: AgentInput) -> dict[str, Any]:
         )
         for agent in _spawn_order(roster)
     ]
-    steps.extend(bootstrap_steps(facts, inp))
-    return decision(plan=steps)
+    steps.extend(bootstrap_steps(facts))
+    leases = _register(facts.get("leases", {}), specs, roster, inp.message.sim_time)
+    return decision(plan=steps, facts=[("leases", leases)])
 
 
 def _scan(facts: dict[str, Any], tick: int) -> dict[str, Any]:
-    liveness = facts.get("liveness")
-    if not liveness:
-        return decision()
-    deadline = HEARTBEAT_INTERVAL * MISSED_HEARTBEATS
-    dead = sorted(a for a, last in liveness.items() if tick - last >= deadline)
+    leases, dead = table_expire(facts.get("leases", {}), tick)
     if not dead:
         return decision()
 
@@ -295,25 +329,22 @@ def _scan(facts: dict[str, Any], tick: int) -> dict[str, Any]:
     dead_brokers = [a for a in dead if a.startswith(broker_prefix)]
     if dead_brokers:
         # The event plane itself is compromised; silence elsewhere is not
-        # evidence of death. Replace the brokers, restart every clock.
+        # evidence of death. Replace the brokers, renew every lease.
         respawn = dead_brokers
-        liveness = {a: tick for a in liveness}
+        leases = _register(leases, specs, facts.get("roster", []), tick)
     else:
         respawn = dead
-        liveness = {**liveness, **{a: tick for a in dead}}
-    steps = []
-    for agent in respawn:
-        if agent not in specs:
-            continue
-        steps.append(
-            step(
-                "spawn-agent",
-                "host.control",
-                agent=agent,
-                spec=specs[agent],
-                restore=mirror.get(agent, {}),
-                node=placement.get(agent),
-            )
+        leases = _register(leases, specs, dead, tick)
+    steps = [
+        step(
+            "spawn-agent",
+            "host.control",
+            agent=agent,
+            spec=specs[agent],
+            restore=mirror.get(agent, {}),
+            node=placement.get(agent),
         )
+        for agent in respawn
+    ]
     events = [{"topic": "events.recovery", "body": {"respawned": respawn, "tick": tick}}]
-    return decision(plan=steps, facts=[("liveness", liveness)], events=events)
+    return decision(plan=steps, facts=[("leases", leases)], events=events)

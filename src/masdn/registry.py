@@ -1,12 +1,12 @@
 """Service registry: leases with TTL, heartbeat renewal, discovery.
 
 The lease table is plain JSON-shaped data manipulated by pure functions, so
-the registry agent (infra.registry_decide) can keep the whole table in its
-facts and digest it to the orchestrator's mirror. It is the one record of
-which agents are live, and discover (table_discover) is the one query over
-it. A lease's descriptor is the
-dict an agent registers with (runtime.bootstrap_steps builds it): agent id,
-sorted capabilities, endpoint and lease_ttl.
+the orchestrator can keep the whole table in its facts. It is the one record
+of which agents are live: the orchestrator registers a lease for every agent
+it spawns, renews it on each heartbeat, respawns the agents whose leases
+expire, and answers discover (table_discover, the one query over it). A
+lease's descriptor is the dict orchestrator.lease_descriptor builds from the
+agent's spec: agent id, sorted capabilities, endpoint and lease_ttl.
 
 A lease registered or renewed at time t with ttl T is live while
 `now < t + T`; at exactly t + T it is expired. Discovery never returns

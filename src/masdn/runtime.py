@@ -40,10 +40,11 @@ routed one level up the hierarchy.
 
 The agent lifecycle is handled once, where a cognition is registered, not in
 each decide function. An agent whose subscriptions include events.tick
-answers a phase-"run" control.bootstrap with bootstrap_steps (register with
-the registry, subscribe at its home broker) and puts a heartbeat ahead of
-its own events on every HEARTBEAT_INTERVAL-th tick. Brokers subscribe to
-nothing, so they keep their own beat.
+answers a phase-"run" control.bootstrap with bootstrap_steps (subscribe at
+its home broker; nobody registers, as the orchestrator holds a lease for
+every agent it spawns) and puts a heartbeat ahead of its own events on every
+HEARTBEAT_INTERVAL-th tick. Brokers subscribe to nothing, so they keep their
+own beat.
 """
 
 from __future__ import annotations
@@ -63,7 +64,7 @@ from .core import (
     MessageKind,
 )
 from .hierarchy import Escalation, NoUpperAgent, Policy, route_escalation
-from .logic import DEFAULT_LEASE_TTL, HEARTBEAT_INTERVAL, rule_slot
+from .logic import HEARTBEAT_INTERVAL, rule_slot
 from .pps import DEFAULT_PROFILES, MalformedFrame, StackProfile, decode_body, encode_body
 
 VIOLATION_TOPIC = "events.violation"
@@ -453,29 +454,13 @@ def peer_of(facts: dict[str, Any], kind: FunctionKind) -> str | None:
     return hits[0] if hits else None
 
 
-def bootstrap_steps(facts: dict[str, Any], inp: AgentInput) -> list[dict[str, Any]]:
-    """Registration plus subscriptions: every agent's first plan."""
-    me = self_id(inp)
-    registry = facts.get("registry") or peer_of(facts, FunctionKind.REGISTRY)
-    steps: list[dict[str, Any]] = []
-    if registry is not None:
-        steps.append(
-            step(
-                "register",
-                AgentId.parse(registry),
-                descriptor={
-                    "agent": str(me),
-                    "capabilities": sorted(facts.get("capabilities", [me.kind.value])),
-                    "endpoint": str(me),
-                    "lease_ttl": facts.get("lease-ttl", DEFAULT_LEASE_TTL),
-                },
-            )
-        )
+def bootstrap_steps(facts: dict[str, Any]) -> list[dict[str, Any]]:
+    """Subscriptions at the home broker: every agent's first plan."""
     home = facts.get("home-broker")
-    if home is not None:
-        for flt in facts.get("subscriptions", []):
-            steps.append(step("subscribe", AgentId.parse(home), filter=flt))
-    return steps
+    if home is None:
+        return []
+    broker = AgentId.parse(home)
+    return [step("subscribe", broker, filter=flt) for flt in facts.get("subscriptions", [])]
 
 
 def _with_lifecycle(fn: CognitionFn) -> CognitionFn:
@@ -489,7 +474,7 @@ def _with_lifecycle(fn: CognitionFn) -> CognitionFn:
             return fn(facts, inp)
         topic, body = ev
         if topic == "control.bootstrap" and (body or {}).get("phase") == "run":
-            return decision(plan=bootstrap_steps(facts, inp))
+            return decision(plan=bootstrap_steps(facts))
         dec = fn(facts, inp)
         if topic != "events.tick" or body["tick"] % HEARTBEAT_INTERVAL != 0:
             return dec

@@ -11,9 +11,11 @@ not onto the bus: no agent reads them.
 
 The host-control endpoint gives the orchestrator its lifecycle lever: a
 spawn-agent request (re)creates an agent, seeds it with restored knowledge
-and hands it a bootstrap event. An agent leaves only when a scheduled kill
-removes it or a spawn replaces it. The switch.* prefix endpoint is the
-southbound interface; rules installed through it take effect next tick.
+and hands it a bootstrap event. The orchestrator holds the lease of every
+agent it spawns, so the bootstrap only subscribes the agent: it registers
+nowhere. An agent leaves only when a scheduled kill removes it or a spawn
+replaces it. The switch.* prefix endpoint is the southbound interface; rules
+installed through it take effect next tick.
 
 Two small services run outside any agent because something must survive
 when agents die: the digest pump, which exports the changed digest facts of
@@ -30,7 +32,7 @@ from __future__ import annotations
 from typing import Any, Callable
 
 from .core import AgentId, FunctionKind, Message, MessageKind
-from .logic import DEFAULT_LEASE_TTL, REFRESH_EVERY, topology_view
+from .logic import REFRESH_EVERY, topology_view
 from .netsim import LinkDown, PacketIn, Scenario, Simulator, TickStats, Topology
 from .orchestrator import _SUBSCRIPTIONS, broker_ids, home_broker
 from .pps import DEFAULT_PROFILES, StackProfile, decode_body, encode_body
@@ -61,8 +63,6 @@ class AgentSystem:
         self.topo = topo
         self.scenario = scenario
         self.config = dict(config or {})
-        if self.config.get("lease_ttl", DEFAULT_LEASE_TTL) <= 0:
-            raise ValueError(f"lease_ttl must be > 0, got {self.config['lease_ttl']}")
         self.host = AgentHost(log_sink=log_sink)
         self.bus = Bus(self.host, default_profiles=resolve_profiles(self.config.get("profiles")))
         self.sim = Simulator(topo, scenario)
@@ -150,9 +150,7 @@ class AgentSystem:
             "topology": topology_view(self.topo, self.sim.links_doc()),
             "endpoints": ["host.control"],
             "home-broker": home_broker(self.strategy, str(self.orch)),
-            "registry": str(AgentId(FunctionKind.REGISTRY, 0)),
             "subscriptions": list(_SUBSCRIPTIONS[FunctionKind.ORCHESTRATION]),
-            "lease-ttl": self.config.get("lease_ttl", DEFAULT_LEASE_TTL),
         }
         self.host.spawn_agent(
             AgentSpec(

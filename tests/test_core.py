@@ -15,9 +15,6 @@ from masdn.core import (
     PayloadTooLarge,
     level_of,
 )
-from masdn.system import AgentSystem
-
-from helpers import build
 
 
 def test_level_ordering_is_ascending_authority():
@@ -133,15 +130,3 @@ def test_factory_enforces_payload_bound():
     src = AgentId(FunctionKind.ROUTING, 0)
     with pytest.raises(PayloadTooLarge):
         factory.new_message(src, "topic.x", MessageKind.EVENT, b"123456789", now=0)
-
-
-def test_descriptor_rejects_non_positive_ttl():
-    # every registered descriptor's lease_ttl comes from the run's lease_ttl
-    topo, scen = build(
-        {"switches": ["s1"], "hosts": [{"id": "h1", "switch": "s1"}], "links": []},
-        {"seed": 1, "duration_ticks": 2, "flows": [], "failures": []},
-    )
-    for ttl in (0, -5):
-        with pytest.raises(ValueError):
-            AgentSystem(topo, scen, {"lease_ttl": ttl})
-    AgentSystem(topo, scen, {"lease_ttl": 1})

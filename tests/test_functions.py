@@ -10,7 +10,7 @@ from masdn.functions import (
     session_decide,
     topology_ingest,
 )
-from masdn.infra import broker_decide, fault_decide, registry_decide
+from masdn.infra import broker_decide, fault_decide
 from masdn.logic import (
     ACTIVE,
     PENDING,
@@ -20,7 +20,7 @@ from masdn.logic import (
     rules_for_path,
     session_record,
 )
-from masdn.orchestrator import orchestrator_decide
+from masdn.orchestrator import LEASE_TTL, orchestrator_decide
 from masdn.runtime import AgentInput, FactsStore, bootstrap_steps, event_of, merge_digest, peer_of
 
 _IDS = iter(range(1, 100000))
@@ -90,15 +90,17 @@ class TestHelpers:
         assert peer_of(facts, FunctionKind.REGISTRY) == "registry#0"
         assert peer_of(facts, FunctionKind.FAULT) is None
 
-    def test_bootstrap_registers_then_subscribes(self):
+    def test_bootstrap_only_subscribes(self):
         facts = {
-            "registry": "registry#0",
             "home-broker": "event-distribution#0",
             "subscriptions": ["events.tick", "events.link"],
         }
-        steps = bootstrap_steps(facts, request({}, dst="routing#0"))
-        assert [s["action"] for s in steps] == ["register", "subscribe", "subscribe"]
-        assert steps[0]["params"]["descriptor"]["agent"] == "routing#0"
+        steps = bootstrap_steps(facts)
+        assert [(s["action"], s["params"]) for s in steps] == [
+            ("subscribe", {"filter": "events.tick"}),
+            ("subscribe", {"filter": "events.link"}),
+        ]
+        assert {str(s["target"]) for s in steps} == {"event-distribution#0"}
 
 
 class TestTopologyAgent:
@@ -225,43 +227,52 @@ class TestForwardingAgent:
         assert dict(out["facts"])["switch-rules"] == {"s1": {}}
 
 
-class TestRegistryAgent:
-    DESC = {
-        "agent": "routing#0", "capabilities": ["routing"],
-        "endpoint": "routing#0", "lease_ttl": 10,
-    }
+class TestOrchestratorLeases:
+    """The orchestrator's lease table, from spawn to discover, renewal and expiry."""
 
-    def test_register_then_discover(self):
-        out = registry_decide({}, request({"op": "register", "descriptor": self.DESC},
-                                          dst="registry#0", now=5))
-        assert out["responses"][0] == {"ok": True, "expires_at": 15}
-        leases = dict(out["facts"])["leases"]
-        found = registry_decide(
-            {"leases": leases},
-            request({"op": "discover", "kind": "routing"}, dst="registry#0", now=5),
-        )
-        assert [d["agent"] for d in found["responses"][0]["agents"]] == ["routing#0"]
+    def booted(self):
+        facts = {"config": {"chain": ["routing"]}}
+        for phase in ("facts", "spawn"):
+            out = orchestrator_decide(
+                facts, event("control.bootstrap", {"phase": phase}, dst="orchestration#0")
+            )
+            facts.update(dict(out.get("facts", [])))
+        return facts
 
-    def test_heartbeat_event_renews(self):
-        leases = dict(
-            registry_decide({}, request({"op": "register", "descriptor": self.DESC},
-                                        dst="registry#0", now=0))["facts"]
-        )["leases"]
-        out = registry_decide(
-            {"leases": leases},
-            event("hb", {"agent": "routing#0", "tick": 5}, dst="registry#0", now=5),
+    def test_discover_is_answered_from_the_leases(self):
+        facts = self.booted()
+        found = orchestrator_decide(
+            facts, request({"op": "discover", "kind": "routing", "ctx": "c"},
+                           dst="orchestration#0", now=5),
         )
-        assert dict(out["facts"])["leases"]["routing#0"]["expires_at"] == 15
+        assert found["responses"] == [{
+            "agents": [{"agent": "routing#0", "capabilities": ["routing"],
+                        "endpoint": "routing#0", "lease_ttl": LEASE_TTL}],
+            "ctx": "c",
+        }]
 
-    def test_expiry_on_tick_announces_change(self):
-        leases = dict(
-            registry_decide({}, request({"op": "register", "descriptor": self.DESC},
-                                        dst="registry#0", now=0))["facts"]
-        )["leases"]
-        out = registry_decide(
-            {"leases": leases}, event("events.tick", {"tick": 11}, dst="registry#0", now=11)
+    def test_heartbeat_event_renews_at_delivery_time(self):
+        facts = self.booted()
+        out = orchestrator_decide(
+            facts,
+            event("hb", {"agent": "routing#0", "tick": 5}, dst="orchestration#0", now=7),
         )
-        assert dict(out["facts"])["leases"] == {}
+        assert dict(out["facts"])["leases"]["routing#0"]["expires_at"] == 7 + LEASE_TTL
+
+    def test_expired_lease_respawns_the_agent(self):
+        facts = self.booted()
+        facts["leases"] = {a: e for a, e in facts["leases"].items() if a == "routing#0"}
+        out = orchestrator_decide(
+            facts,
+            event("events.tick", {"tick": LEASE_TTL}, dst="orchestration#0", now=LEASE_TTL),
+        )
+        assert [s["params"]["agent"] for s in out["plan"]] == ["routing#0"]
+        assert dict(out["facts"])["leases"]["routing#0"]["registered_at"] == LEASE_TTL
+        quiet = orchestrator_decide(
+            facts,
+            event("events.tick", {"tick": LEASE_TTL - 1}, dst="orchestration#0"),
+        )
+        assert quiet == {}
 
 
 class TestFaultAgent:

@@ -1,16 +1,23 @@
-"""Orchestration agent: roster planning, bootstrap phases, liveness recovery."""
+"""Orchestration agent: roster planning, bootstrap phases, lease-based recovery."""
+import random
+
 import pytest
 
 from masdn.core import AgentId, FunctionKind, Message, MessageKind
 from masdn.logic import HEARTBEAT_INTERVAL, MISSED_HEARTBEATS
 from masdn.orchestrator import (
+    LEASE_TTL,
     broker_ids,
     build_specs,
     home_broker,
+    lease_descriptor,
     orchestrator_decide,
     plan_roster,
 )
 from masdn.runtime import AgentInput, cognition
+from masdn.system import AgentSystem
+
+from helpers import build, gen_scenario, gen_topology
 
 ME = "orchestration#0"
 _IDS = iter(range(1, 100000))
@@ -123,17 +130,22 @@ class TestBootstrap:
         assert facts["roster"] == plan_roster(BASE_CONFIG)
         assert set(facts["specs"]) == set(facts["roster"])
         assert set(facts["placement"]) == set(facts["roster"]) | {ME}
-        assert all(v == 0 for v in facts["liveness"].values())
+        assert "leases" not in facts  # leases come with the spawns
         assert "events" not in out
 
-    def test_phase_two_spawns_registry_then_brokers_first(self):
-        facts, _ = self.facts_after_phase_one()
-        out = orchestrator_decide(facts, fire("control.bootstrap", {"phase": "spawn"}))
+    def test_phase_two_spawns_brokers_first_and_leases_each_spawn(self):
+        config = dict(BASE_CONFIG, event_strategy="distributed")
+        facts, _ = self.facts_after_phase_one(config)
+        out = orchestrator_decide(facts, fire("control.bootstrap", {"phase": "spawn"}, now=3))
         spawns = [s for s in out["plan"] if s["action"] == "spawn-agent"]
         order = [s["params"]["agent"] for s in spawns]
-        assert order[0] == "registry#0"
-        assert order[1] == "event-distribution#0"
-        assert set(order) == set(facts["roster"])
+        brokers = broker_ids("distributed")
+        assert order == brokers + [a for a in facts["roster"] if a not in brokers]
+        leases = dict(out["facts"])["leases"]
+        assert sorted(leases) == facts["roster"]
+        for agent, lease in leases.items():
+            assert lease["descriptor"] == lease_descriptor(facts["specs"][agent])
+            assert (lease["registered_at"], lease["expires_at"]) == (3, 3 + LEASE_TTL)
 
     def test_overfull_inventory_reports_capacity_and_blocks_spawn(self):
         config = dict(BASE_CONFIG, inventory={"tiny": 2})
@@ -142,6 +154,16 @@ class TestBootstrap:
         assert [e["topic"] for e in out["events"]] == ["events.capacity"]
         blocked = orchestrator_decide(facts, fire("control.bootstrap", {"phase": "spawn"}))
         assert blocked["escalate"]["reason"] == "no-placement"
+        assert "facts" not in blocked  # no lease, so nothing to respawn later
+
+    def test_a_failed_placement_spawns_nothing_for_the_whole_run(self):
+        rng = random.Random(0)
+        tdoc = gen_topology(rng, 6)
+        topo, scen = build(tdoc, gen_scenario(rng, tdoc, 6, 0, 60))
+        system = AgentSystem(topo, scen, {"inventory": {"n0": 3}})
+        system.run()
+        assert system.spawn_log == []
+        assert [str(a) for a in system.host.agents] == [ME]
 
     def test_inventory_with_room_spreads_by_first_fit(self):
         config = dict(BASE_CONFIG, inventory={"a": 8, "b": 8})
@@ -152,32 +174,59 @@ class TestBootstrap:
 
 
 class TestLiveness:
+    """The lease table is the failure detector: every spawn registers a
+    lease, a delivered heartbeat renews it, and a tick sweeps and respawns."""
+
+    DEADLINE = HEARTBEAT_INTERVAL * MISSED_HEARTBEATS
+
     def booted(self, config=BASE_CONFIG):
         # genesis seeds the orchestrator's subscriptions; they include the tick
         facts = {"config": dict(config), "subscriptions": ["hb", "kp.digest", "events.tick"]}
-        out = orchestrator_decide(facts, fire("control.bootstrap", {"phase": "facts"}))
-        facts.update(dict(out["facts"]))
+        for phase in ("facts", "spawn"):
+            out = orchestrator_decide(facts, fire("control.bootstrap", {"phase": phase}))
+            facts.update(dict(out.get("facts", [])))
         return facts
+
+    def renewed(self, facts, at, except_for=()):
+        """Every lease but the named ones renewed by a beat delivered at `at`."""
+        leases = facts["leases"]
+        for agent in sorted(leases):
+            if agent not in except_for:
+                out = orchestrator_decide(
+                    {"leases": leases}, fire("hb", {"agent": agent, "tick": at}, now=at)
+                )
+                leases = dict(out["facts"])["leases"]
+        return {**facts, "leases": leases}
 
     def test_heartbeat_updates_known_agents_only(self):
         facts = self.booted()
-        out = orchestrator_decide(facts, fire("hb", {"agent": "routing#0", "tick": 7}))
-        assert dict(out["facts"])["liveness"]["routing#0"] == 7
-        stranger = orchestrator_decide(facts, fire("hb", {"agent": "stranger#9", "tick": 7}))
+        out = orchestrator_decide(facts, fire("hb", {"agent": "routing#0", "tick": 7}, now=7))
+        assert dict(out["facts"])["leases"]["routing#0"]["expires_at"] == 7 + LEASE_TTL
+        stranger = orchestrator_decide(
+            facts, fire("hb", {"agent": "stranger#9", "tick": 7}, now=7)
+        )
         assert "facts" not in stranger
 
+    def test_a_beat_for_a_lapsed_lease_is_ignored(self):
+        facts = self.booted()  # leased at 0
+        late = fire("hb", {"agent": "routing#0", "tick": LEASE_TTL}, now=LEASE_TTL)
+        assert "facts" not in orchestrator_decide(facts, late)
+
     def test_a_replayed_heartbeat_does_not_move_a_clock_back(self):
-        facts = self.booted()
-        facts["liveness"] = {**facts["liveness"], "routing#0": 30}
-        for tick in (20, 30):
-            out = orchestrator_decide(facts, fire("hb", {"agent": "routing#0", "tick": tick}))
-            assert "facts" not in out, tick
+        facts = self.renewed(self.booted(), 10)
+        for tick in (10, 20):
+            # delivered at 20, whatever tick the beat was sent at
+            beat = fire("hb", {"agent": "routing#0", "tick": tick}, now=20)
+            out = orchestrator_decide(facts, beat)
+            assert dict(out["facts"])["leases"]["routing#0"]["expires_at"] == 20 + LEASE_TTL
+            facts = {**facts, **dict(out["facts"])}
+        # a beat replayed after an outage renews from when it is delivered
+        out = orchestrator_decide(facts, fire("hb", {"agent": "routing#0", "tick": 10}, now=30))
+        assert dict(out["facts"])["leases"]["routing#0"]["expires_at"] == 30 + LEASE_TTL
 
     def test_silent_agent_is_respawned_with_mirror_state(self):
-        facts = self.booted()
-        deadline = HEARTBEAT_INTERVAL * MISSED_HEARTBEATS
-        facts["liveness"] = {a: deadline if a != "routing#0" else 0
-                            for a in facts["liveness"]}
+        deadline = self.DEADLINE
+        facts = self.renewed(self.booted(), deadline - 1, except_for=("routing#0",))
         facts["mirror"] = {"routing#0": {"topology": {"version": 4, "value": {}}}}
         out = orchestrator_decide(facts, fire("events.tick", {"tick": deadline}, now=deadline))
         (spawn,) = [s for s in out["plan"] if s["action"] == "spawn-agent"]
@@ -185,16 +234,16 @@ class TestLiveness:
         assert spawn["params"]["restore"] == facts["mirror"]["routing#0"]
         topics = [e["topic"] for e in out["events"]]
         assert "events.recovery" in topics
-        assert dict(out["facts"])["liveness"]["routing#0"] == deadline
+        lease = dict(out["facts"])["leases"]["routing#0"]
+        assert (lease["registered_at"], lease["expires_at"]) == (deadline, deadline + LEASE_TTL)
 
     def test_a_respawn_is_a_restore_and_pushes_no_policy(self):
         cap = {"policy_id": "cap", "issuer_level": "network", "scope": ["forwarding"],
                "rules": [{"action_kind": "install-rule", "target_class": "switch",
                           "effect": "deny", "max_per_target": 2}]}
+        deadline = self.DEADLINE
         facts = self.booted(dict(BASE_CONFIG, policies=[cap]))
-        deadline = HEARTBEAT_INTERVAL * MISSED_HEARTBEATS
-        facts["liveness"] = {a: deadline if a != "forwarding#0" else 0
-                            for a in facts["liveness"]}
+        facts = self.renewed(facts, deadline - 1, except_for=("forwarding#0",))
         facts["mirror"] = {"forwarding#0": {"switch-rules": {"version": 1, "value": {}}}}
         out = orchestrator_decide(facts, fire("events.tick", {"tick": deadline}, now=deadline))
         assert [s["action"] for s in out["plan"]] == ["spawn-agent"]
@@ -203,19 +252,18 @@ class TestLiveness:
         assert params["spec"]["initial_facts"]["policies"] == [cap]  # from the spec
 
     def test_dead_broker_preempts_and_resets_all_clocks(self):
-        facts = self.booted()
-        deadline = HEARTBEAT_INTERVAL * MISSED_HEARTBEATS
-        facts["liveness"] = {a: 0 for a in facts["liveness"]}  # everyone looks dead
+        facts = self.booted()  # everyone leased at 0 and silent since
+        deadline = self.DEADLINE
         out = orchestrator_decide(facts, fire("events.tick", {"tick": deadline}, now=deadline))
         spawned = [s["params"]["agent"] for s in out["plan"]
                    if s["action"] == "spawn-agent"]
         assert spawned == ["event-distribution#0"]
-        liveness = dict(out["facts"])["liveness"]
-        assert set(liveness.values()) == {deadline}
+        leases = dict(out["facts"])["leases"]
+        assert sorted(leases) == facts["roster"]  # everyone registered again
+        assert {e["expires_at"] for e in leases.values()} == {deadline + LEASE_TTL}
 
     def test_quiet_tick_emits_only_heartbeat(self):
-        facts = self.booted()
-        facts["liveness"] = {a: HEARTBEAT_INTERVAL for a in facts["liveness"]}
+        facts = self.renewed(self.booted(), HEARTBEAT_INTERVAL)
         # the registered impl: the heartbeat is added at registration
         out = cognition(FunctionKind.ORCHESTRATION.value).decide(
             facts, fire("events.tick", {"tick": HEARTBEAT_INTERVAL}, now=HEARTBEAT_INTERVAL)

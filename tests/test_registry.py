@@ -1,15 +1,15 @@
 """Lease-table semantics: registration, heartbeats, expiry, discovery.
 
-Everything runs on the pure table functions the registry agent applies to
-its facts, and descriptors are built the way every agent builds its own
-registration (runtime.bootstrap_steps).
+Everything runs on the pure table functions the orchestrator applies to its
+lease table, and descriptors are built the way the orchestrator builds the
+lease of every agent it spawns (orchestrator.lease_descriptor).
 """
 import random
 
 import pytest
 
 from masdn.core import AgentId, FunctionKind, Message, MessageKind
-from masdn.infra import registry_decide
+from masdn.orchestrator import lease_descriptor, orchestrator_decide
 from masdn.registry import (
     UnknownLease,
     table_discover,
@@ -17,16 +17,15 @@ from masdn.registry import (
     table_heartbeat,
     table_register,
 )
-from masdn.runtime import AgentInput, bootstrap_steps
+from masdn.runtime import AgentInput
 
 
 def desc(kind=FunctionKind.ROUTING, instance=0, caps=("route",), ttl=10):
-    """The descriptor an agent registers with, from its bootstrap plan."""
-    me = AgentId(kind, instance)
-    msg = Message(1, AgentId(FunctionKind.ORCHESTRATION, 0), me, MessageKind.EVENT, b"", 0)
-    facts = {"registry": "registry#0", "capabilities": list(caps), "lease-ttl": ttl}
-    (register,) = bootstrap_steps(facts, AgentInput(msg, {}))
-    return register["params"]["descriptor"]
+    """The descriptor the orchestrator leases an agent with, from its spec.
+    A run's TTL is fixed; these tests vary it to probe the table."""
+    me = str(AgentId(kind, instance))
+    spec = {"agent": me, "cognition": kind.value, "initial_facts": {"capabilities": list(caps)}}
+    return {**lease_descriptor(spec), "lease_ttl": ttl}
 
 
 def agents(table, now, **filters):
@@ -36,15 +35,13 @@ def agents(table, now, **filters):
 class TestDescriptorDocs:
     def test_round_trip(self):
         d = desc(caps=("route", "path"))
-        registry = AgentId(FunctionKind.REGISTRY, 0)
+        orchestrator = AgentId(FunctionKind.ORCHESTRATION, 0)
         src = AgentId(FunctionKind.ROUTING, 0)
-
-        def ask(facts, body):
-            msg = Message(2, src, registry, MessageKind.REQUEST, b"", 5)
-            return registry_decide(facts, AgentInput(msg, body))
-
-        leases = dict(ask({}, {"op": "register", "descriptor": d})["facts"])["leases"]
-        found = ask({"leases": leases}, {"op": "discover", "kind": "routing"})
+        msg = Message(2, src, orchestrator, MessageKind.REQUEST, b"", 5)
+        leases = table_register({}, d, now=5)
+        found = orchestrator_decide(
+            {"leases": leases}, AgentInput(msg, {"op": "discover", "kind": "routing"})
+        )
         assert found["responses"][0]["agents"] == [d]
 
     def test_doc_capabilities_are_sorted(self):

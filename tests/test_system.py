@@ -7,6 +7,8 @@ import pytest
 from masdn import AgentSystem, Scenario, Topology
 from masdn.core import AgentId, FunctionKind
 from masdn.oracle import MonolithicController, compare, normalize_tables
+from masdn.orchestrator import broker_ids
+from masdn.pps import decode_body
 
 from helpers import build, diff_is_empty, gen_scenario, gen_topology, run_both
 
@@ -194,6 +196,33 @@ class TestEventPlaneTraffic:
         frames = hybrid_frames()
         assert {t for t, _src, _dst in frames} == set(range(30))
         assert not [f for f in frames if f[2] == "events.stats"]
+
+
+class TestOneLivenessTable:
+    """The orchestrator's leases are the only liveness table: heartbeats go to
+    it alone, nobody registers, and no digest ships a copy of the leases."""
+
+    @pytest.mark.parametrize("strategy", ["centralized", "distributed", "hybrid"])
+    def test_heartbeats_feed_only_the_orchestrator(self, strategy):
+        topo, scen = build(TOPO, sdoc(duration=30))
+        system = AgentSystem(topo, scen, {"event_strategy": strategy})
+        bodies = []
+        process_input = system.host.process_input
+
+        def spy(agent_id, msg):
+            bodies.append((str(msg.dst), decode_body(msg.payload)))
+            return process_input(agent_id, msg)
+
+        system.host.process_input = spy
+        system.run()
+        hb_subscribers = set()
+        for broker in broker_ids(strategy):
+            subs = system.host.get(AgentId.parse(broker)).facts.get("subs", {})
+            hb_subscribers.update(subs.get("hb", []))
+        assert hb_subscribers == {"orchestration#0"}
+        assert not [b for _dst, b in bodies if isinstance(b, dict) and b.get("op") == "register"]
+        digests = [b["body"] for dst, b in bodies if dst == "kp.digest"]
+        assert digests and not [d for d in digests if "leases" in d["keys"]]
 
 
 class TestPolicyEnforcement:
