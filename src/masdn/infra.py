@@ -18,6 +18,8 @@ but the sender), and the fabric's per-pair mark drops a repeated frame on
 the publisher-to-topic and broker-to-broker hops. Any other event
 addressed to a broker (its own control.bootstrap) is not a publish and is
 dropped: a broker has no bootstrap plan, since home_broker addresses it.
+A broker that carries a beat tick sends its own beat straight to the
+orchestrator, like every other agent: beats are not on the event plane.
 """
 
 from __future__ import annotations
@@ -27,8 +29,7 @@ from typing import Any
 from .core import AgentId, FunctionKind, MessageKind
 from .events import match_topic
 from .functions import request_op
-from .logic import HEARTBEAT_INTERVAL
-from .runtime import AgentInput, decision, register_cognition, step
+from .runtime import AgentInput, decision, heartbeat, register_cognition, step
 
 
 # -- registry, knowledge plane and discovery -----------------------------------------
@@ -120,12 +121,7 @@ def broker_decide(facts: dict[str, Any], inp: AgentInput) -> dict[str, Any]:
             for peer in facts.get("downstream", []):
                 if peer != str(inp.message.src):
                     steps.append(step("forward-event", AgentId.parse(peer), event=env))
-        events = []
-        if env["topic"] == "events.tick":
-            # dst here is the topic, not this broker, so self_id() cannot help
-            tick = env["body"]["tick"]
-            me = facts.get("self")
-            if me and tick % HEARTBEAT_INTERVAL == 0:
-                events = [{"topic": "hb", "body": {"agent": me, "tick": tick}}]
-        return decision(plan=steps, events=events)
+        # dst here is the topic, not this broker, so self_id() cannot help
+        beats = heartbeat(facts["self"], env["body"]["tick"]) if env["topic"] == "events.tick" else []
+        return decision(plan=steps, events=beats)
     return decision()

@@ -20,19 +20,21 @@ spawn pass, so nothing is spawned and no lease is registered.
 After bootstrap the orchestrator is the failure detector. Its lease table
 (registry.py's pure functions over the "leases" fact) is the one record of
 which agents are live. Every spawn registers a lease built from the agent's
-spec, with a TTL of MISSED_HEARTBEATS heartbeat intervals; each heartbeat
-renews it at the time the broker delivered the beat, so a replayed (old)
-beat can renew a lease but never shorten it; and each tick sweeps the
-expired leases. An expired agent is respawned from its spec with its mirror
-state restored: that is the whole recovery, as the fabric replays what the
-agent missed. Dead brokers are special: without brokers heartbeats stop
-flowing, making everyone look dead at once, so dead brokers are replaced
-first and every roster lease is registered again, giving the revived event
-plane a full detection window before anyone else is declared lost.
+spec, with a TTL of MISSED_HEARTBEATS heartbeat intervals; each heartbeat,
+sent straight here by its agent, renews it at delivery time, so a replayed
+(old) beat can renew a lease but never shorten it; and each tick, handed
+here directly by the system, sweeps the expired leases. An expired agent is
+respawned from its spec with its mirror state restored: that is the whole
+recovery, as the fabric replays what the agent missed. Dead brokers are
+special: agents get their beat ticks through their home broker, so those
+homed on a dead one fall silent with it. Dead brokers are replaced first and
+every roster lease is registered again, giving the revived event plane a
+full detection window before anyone else is declared lost.
 
-kp.digest events feed the state mirror, the one copy of what agents learn
-and the only one a restore reads. The orchestrator answers only discover,
-from its lease table; everything else it does starts from an event.
+kp.digest events, its one subscription, feed the state mirror, the one copy
+of what agents learn and the only one a restore reads. The orchestrator
+answers only discover, from its lease table; everything else it does starts
+from an event. It holds no lease of its own and sends no beat.
 """
 
 from __future__ import annotations
@@ -82,12 +84,12 @@ INFRA_KINDS = (
     FunctionKind.KNOWLEDGE_PLANE,
 )
 
+# Every other kind subscribes to the tick alone, for its beat; brokers to nothing.
 _SUBSCRIPTIONS: dict[FunctionKind, list[str]] = {
     FunctionKind.TOPOLOGY: ["events.link", "events.linkstate", "events.tick"],
     FunctionKind.ROUTING: ["events.link", "events.linkstate", "events.tick"],
     FunctionKind.QOS: ["events.link", "events.linkstate", "events.tick"],
     FunctionKind.FORWARDING: ["events.link", "events.linkstate", "events.tick"],
-    FunctionKind.CLASSIFIER: ["events.tick"],
     FunctionKind.SESSION: [
         "events.packet_in",
         "events.link",
@@ -95,12 +97,7 @@ _SUBSCRIPTIONS: dict[FunctionKind, list[str]] = {
         "events.violation",
         "events.tick",
     ],
-    FunctionKind.MONITORING: ["events.tick"],
-    FunctionKind.FAULT: ["events.tick"],
-    FunctionKind.AUTOCONF_DISCOVERY: ["events.tick"],
-    FunctionKind.KNOWLEDGE_PLANE: ["events.tick"],
-    FunctionKind.REGISTRY: ["events.tick"],
-    FunctionKind.ORCHESTRATION: ["hb", "kp.digest", "events.tick"],
+    FunctionKind.ORCHESTRATION: ["kp.digest"],
 }
 
 # facts the topology-aware agents start from
@@ -179,7 +176,7 @@ def build_specs(
             "self": agent,
             "peers": peers,
             "home-broker": home_broker(strategy, agent),
-            "subscriptions": list(_SUBSCRIPTIONS.get(kind, [])),
+            "subscriptions": list(_SUBSCRIPTIONS.get(kind, ["events.tick"])),
         }
         if kind in _NEEDS_VIEW:
             facts["topology"] = view

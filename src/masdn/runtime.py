@@ -31,7 +31,7 @@ A decision is a plain dict with optional keys:
 
     plan       list of {"action","target","params"} step dicts
     responses  list of bodies answered to the input's sender
-    events     list of {"topic","body"} notifications
+    events     list of {"topic","body"} notifications, or with "to" for one agent
     facts      list of [key, value] writes applied after validation
     escalate   an issue dict
 
@@ -43,8 +43,8 @@ each decide function. An agent whose subscriptions include events.tick
 answers a phase-"run" control.bootstrap with bootstrap_steps (subscribe at
 its home broker; nobody registers, as the orchestrator holds a lease for
 every agent it spawns) and puts a heartbeat ahead of its own events on every
-HEARTBEAT_INTERVAL-th tick. Brokers subscribe to nothing, so they keep their
-own beat.
+HEARTBEAT_INTERVAL-th tick, addressed straight to the orchestrator. Brokers
+subscribe to nothing, so they send the same beat (heartbeat) themselves.
 """
 
 from __future__ import annotations
@@ -68,6 +68,8 @@ from .logic import HEARTBEAT_INTERVAL, rule_slot
 from .pps import DEFAULT_PROFILES, MalformedFrame, StackProfile, decode_body, encode_body
 
 VIOLATION_TOPIC = "events.violation"
+
+SUPERVISOR = str(AgentId(FunctionKind.ORCHESTRATION, 0))  # keeps the leases
 
 
 class DuplicateAgent(MasdnError):
@@ -463,6 +465,17 @@ def bootstrap_steps(facts: dict[str, Any]) -> list[dict[str, Any]]:
     return [step("subscribe", broker, filter=flt) for flt in facts.get("subscriptions", [])]
 
 
+def beat_tick(tick: int) -> bool:
+    return tick % HEARTBEAT_INTERVAL == 0
+
+
+def heartbeat(agent: str, tick: int) -> list[dict[str, Any]]:
+    """An agent's beat on a beat tick, as decision events: one hb event
+    straight to the orchestrator, so it crosses no broker. None otherwise."""
+    beat = {"topic": "hb", "to": SUPERVISOR, "body": {"agent": agent, "tick": tick}}
+    return [beat] if beat_tick(tick) else []
+
+
 def _with_lifecycle(fn: CognitionFn) -> CognitionFn:
     """Wrap a decide function with the bootstrap answer and the heartbeat,
     for agents that subscribe to events.tick."""
@@ -476,10 +489,8 @@ def _with_lifecycle(fn: CognitionFn) -> CognitionFn:
         if topic == "control.bootstrap" and (body or {}).get("phase") == "run":
             return decision(plan=bootstrap_steps(facts))
         dec = fn(facts, inp)
-        if topic != "events.tick" or body["tick"] % HEARTBEAT_INTERVAL != 0:
-            return dec
-        beat = {"topic": "hb", "body": {"agent": str(self_id(inp)), "tick": body["tick"]}}
-        return {**dec, "events": [beat, *dec.get("events", [])]}
+        beat = heartbeat(str(self_id(inp)), body["tick"]) if topic == "events.tick" else []
+        return {**dec, "events": [*beat, *dec.get("events", [])]} if beat else dec
 
     return decide
 
@@ -718,7 +729,7 @@ class AgentHost:
                     )
                 )
             for ev in dec.get("events", []):
-                outputs.append(self._event(agent, ev["topic"], ev["body"]))
+                outputs.append(self._event(agent, ev["topic"], ev["body"], ev.get("to")))
             for key, value in dec.get("facts", []):
                 agent.facts.put(key, value, self.now)
         return outputs
@@ -741,10 +752,10 @@ class AgentHost:
             now=self.now,
         )
 
-    def _event(self, agent: Agent, topic: str, body: Any) -> Message:
+    def _event(self, agent: Agent, topic: str, body: Any, to: str | None = None) -> Message:
         return self.factory.new_message(
             src=agent.id,
-            dst=topic,
+            dst=topic if to is None else AgentId.parse(to),
             kind=MessageKind.EVENT,
             payload=encode_body({"topic": topic, "body": body}),
             now=self.now,

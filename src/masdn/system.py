@@ -6,8 +6,11 @@ event finishes before the next tick's packets move. Per tick the bridge
 publishes, in order: link failures, packet-ins, a full link-state refresh
 every REFRESH_EVERY ticks, and finally the tick event itself — so reroute
 sweeps always run before new-flow setups, mirroring the reference
-controller's processing order. The per-tick link stats go to stats.csv,
-not onto the bus: no agent reads them.
+controller's processing order. The tick is published only where it is read
+(on beat ticks, and in a proactive run on the tick before each flow start),
+but handed to the orchestrator directly on every tick, so failure detection
+needs no live broker. The per-tick link stats go to stats.csv, not onto the
+bus: no agent reads them.
 
 The host-control endpoint gives the orchestrator its lifecycle lever: a
 spawn-agent request (re)creates an agent, seeds it with restored knowledge
@@ -17,14 +20,11 @@ nowhere. An agent leaves only when a scheduled kill removes it or a spawn
 replaces it. The switch.* prefix endpoint is the southbound interface; rules
 installed through it take effect next tick.
 
-Two small services run outside any agent because something must survive
+One small service runs outside any agent because something must survive
 when agents die: the digest pump, which exports the changed digest facts of
 every live agent to the orchestrator's mirror after each tick, so a kill
 (which lands after the pump) leaves an exact restore (the rest of a
-replacement's facts, its policies included, come from its spec); and the
-watchdog, which
-hands the tick event straight to the orchestrator while any broker is down
-(without it, a dead event plane could never be noticed, let alone fixed).
+replacement's facts, its policies included, come from its spec).
 """
 
 from __future__ import annotations
@@ -34,9 +34,9 @@ from typing import Any, Callable
 from .core import AgentId, FunctionKind, Message, MessageKind
 from .logic import REFRESH_EVERY, topology_view
 from .netsim import LinkDown, PacketIn, Scenario, Simulator, TickStats, Topology
-from .orchestrator import _SUBSCRIPTIONS, broker_ids, home_broker
+from .orchestrator import _SUBSCRIPTIONS, home_broker
 from .pps import DEFAULT_PROFILES, StackProfile, decode_body, encode_body
-from .runtime import AgentHost, AgentSpec
+from .runtime import AgentHost, AgentSpec, beat_tick
 from .bus import Bus
 
 _PROFILE_BY_ID = {p.profile_id: p for p in DEFAULT_PROFILES}
@@ -77,6 +77,10 @@ class AgentSystem:
         # every spawn the control endpoint performs, (agent, tick); replacements
         # show up as a second entry for the same agent
         self.spawn_log: list[tuple[str, int]] = []
+        # beyond the beat ticks, a proactive session reads the tick before each start
+        self._lead_ticks = {
+            f["start_tick"] - 1 for f in self.sim.schedule() if self.config.get("proactive")
+        }
 
         self.bus.bind_endpoint("host.control", self._control)
         self.bus.bind_prefix("switch.", self._switch)
@@ -189,19 +193,9 @@ class AgentSystem:
                 self.stats.append(ev)
         if t % REFRESH_EVERY == 0:
             pubs.append(self._publish(0, "events.linkstate", {"links": self.sim.links_doc()}))
-        pubs.append(self._publish(0, "events.tick", {"tick": t}))
-        if any(AgentId.parse(b) not in self.host.agents for b in broker_ids(self.strategy)):
-            # watchdog: the event plane is (partly) down, hand the tick to the
-            # orchestrator directly so recovery can still run
-            pubs.append(
-                self.host.factory.new_message(
-                    src=AgentId(_ADAPTER, 0),
-                    dst=self.orch,
-                    kind=MessageKind.EVENT,
-                    payload=encode_body({"topic": "events.tick", "body": {"tick": t}}),
-                    now=t,
-                )
-            )
+        if beat_tick(t) or t in self._lead_ticks:
+            pubs.append(self._publish(0, "events.tick", {"tick": t}))
+        pubs.append(self._publish(0, "events.tick", {"tick": t}, to=self.orch))
         self.bus.send(pubs)
         self.bus.run_to_quiescence()
         self._pump_digests(t)
@@ -210,10 +204,11 @@ class AgentSystem:
             if aid in self.host.agents:
                 self.host.kill_agent(aid)
 
-    def _publish(self, adapter: int, topic: str, body: Any) -> Message:
+    def _publish(self, adapter: int, topic: str, body: Any, to: AgentId | None = None) -> Message:
+        """An event from a switch adapter: published, or sent straight to `to`."""
         return self.host.factory.new_message(
             src=AgentId(_ADAPTER, adapter),
-            dst=topic,
+            dst=topic if to is None else to,
             kind=MessageKind.EVENT,
             payload=encode_body({"topic": topic, "body": body}),
             now=self.host.now,

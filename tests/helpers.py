@@ -8,7 +8,8 @@ Topology.from_doc cannot be tripped by orientation.
 
 BrokerFabric runs the broker agents of one event strategy on a Bus, so the
 event-plane tests check the brokers a system run uses, and records which
-publishers' traffic each broker's pipeline handled.
+publishers' traffic each broker's pipeline handled and which beats the
+brokers sent to the orchestrator.
 """
 from __future__ import annotations
 
@@ -21,7 +22,7 @@ from masdn.core import AgentId, Message, MessageKind
 from masdn.oracle import MonolithicController, compare
 from masdn.orchestrator import broker_ids, build_specs, home_broker
 from masdn.pps import decode_body, encode_body
-from masdn.runtime import AgentHost, AgentSpec, register_cognition
+from masdn.runtime import SUPERVISOR, AgentHost, AgentSpec, register_cognition
 
 STRATEGIES = ("centralized", "distributed", "hybrid")
 
@@ -139,7 +140,9 @@ class BrokerFabric:
 
     Publishers need not be agents: a publish is an event message from the
     publisher's id to the topic, which the bus hands to the publisher's home
-    broker exactly as it does in a full system run.
+    broker exactly as it does in a full system run. A recording agent stands
+    in for the orchestrator, so the beats a broker sends it straight, off
+    the event plane, are kept too (delivered_to(SUPERVISOR)).
     """
 
     def __init__(self, strategy: str) -> None:
@@ -152,6 +155,7 @@ class BrokerFabric:
             self.host.spawn_agent(
                 AgentSpec(AgentId.parse(doc["agent"]), doc["cognition"], doc["initial_facts"])
             )
+        self.host.spawn_agent(AgentSpec(AgentId.parse(SUPERVISOR), "test-subscriber"))
         # broker -> publishers whose publishes or forwarded envelopes the
         # broker's pipeline was handed
         self.handled: dict[str, set[str]] = {b: set() for b in broker_ids(strategy)}
@@ -202,8 +206,8 @@ class BrokerFabric:
     def delivered_to(
         self, sub: str, publishers: Iterable[str] | None = None
     ) -> list[dict[str, Any]]:
-        """Envelopes the subscriber received, in arrival order. Brokers also
-        publish their own heartbeats; pass publishers to keep only a trace's."""
+        """Envelopes the subscriber received, in arrival order; pass
+        publishers to keep only a trace's."""
         facts = self.host.agents[AgentId.parse(sub)].facts
         envelopes = [facts.get(f"envelope.{i}") for i in range(facts.get("received", 0))]
         if publishers is None:

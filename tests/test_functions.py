@@ -255,7 +255,8 @@ class TestOrchestratorLeases:
         facts = self.booted()
         out = orchestrator_decide(
             facts,
-            event("hb", {"agent": "routing#0", "tick": 5}, dst="orchestration#0", now=7),
+            event("hb", {"agent": "routing#0", "tick": 5},
+                  dst="orchestration#0", src="routing#0", now=7),  # straight from the agent
         )
         assert dict(out["facts"])["leases"]["routing#0"]["expires_at"] == 7 + LEASE_TTL
 

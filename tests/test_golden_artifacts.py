@@ -7,12 +7,13 @@ diff.json) is pinned, so a speed-up that changes any outcome, log record or
 wire byte fails here, naming the artifacts that moved. The outcome.json,
 stats.csv and diff.json constants were recorded before facts were frozen on
 write instead of deep-copied. The run.log constants were last re-recorded
-when the orchestrator's lease table became the one liveness table: no agent
-sends a register request, the registry agent no longer takes heartbeats or
-ships its leases in kp.digest, and brokers are spawned first, with the
-registry in its alphabetical place. That removes frames, pipeline runs and
-digest bytes, not anything either controller decides. The hashes do not
-depend on PYTHONHASHSEED.
+when supervision left the event plane: every heartbeat goes straight from
+its agent to the orchestrator instead of through the brokers, the
+orchestrator no longer beats to itself, and events.tick is published only
+on beat ticks and a proactive session's lead ticks, while the orchestrator
+gets every tick directly. That removes frames and pipeline runs, and so
+renumbers the msg_ids and seqs of those left, not anything either
+controller decides. The hashes do not depend on PYTHONHASHSEED.
 When a change is meant to alter the artifacts, re-record the constants and
 say why in the change's notes.
 """
@@ -51,7 +52,7 @@ GOLDEN = {
         0,
         {
             "outcome.json": "9d7df6e08f605236441792fc445708a8bee2ca7bee232834eb24da6bc7505ac6",
-            "run.log": "fc267a2c8fbfe555f09d2a65413db1cf09e2ac3fc1b09b2ad7bd30c8266f997e",
+            "run.log": "d99b9b4f693b9e20f828deac514823b9400788914c095691b00b1e1e4d6f4be3",
             "stats.csv": "afc834dc4a6d33e7aa3e3c9055b241c4b86e34f7697c8468cac1df6550b57694",
             "diff.json": "ca3d163bab055381827226140568f3bef7eaac187cebd76878e0b63e9e442356",
         },
@@ -60,7 +61,7 @@ GOLDEN = {
         0,
         {
             "outcome.json": "57d7ab073da0ee5cbfe058ac2d154482e900e529fb1b7c930584c324f87f1ae7",
-            "run.log": "a002d1355fa935c9b120c30c148850c23bdc3fab12628973fd138ec225570000",
+            "run.log": "2f9e5a83aacde126d35bfbb82d37132a56d15031c3ad18641c03d5c894cff883",
             "stats.csv": "38bfaab0d91b62a7424a4bb39febbb5006c74786e52f257514557351f534eaf9",
             "diff.json": "ca3d163bab055381827226140568f3bef7eaac187cebd76878e0b63e9e442356",
         },
@@ -69,7 +70,7 @@ GOLDEN = {
         0,
         {
             "outcome.json": "ab0cebde5c16702d9eef7ce0269a6e7f830dd862db93f8b9b7fc203f63721b2a",
-            "run.log": "6e4319809d5dd31f36adf3c4498f0e60d9eec12571d02b8ad936a319fe3714db",
+            "run.log": "307454aabaf7e8eba529da1d8f30eb2ca65a7cdd15ca3d051a15ebafbb43980a",
             "stats.csv": "3edfab2026d98f54c995eb9605010f2a20ab518ed0480c9fd0c05f42b4ad9aa6",
             "diff.json": "ca3d163bab055381827226140568f3bef7eaac187cebd76878e0b63e9e442356",
         },

@@ -23,10 +23,10 @@ ME = "orchestration#0"
 _IDS = iter(range(1, 100000))
 
 
-def tell(body, kind=MessageKind.REQUEST, now=0):
+def tell(body, kind=MessageKind.REQUEST, now=0, src="session#0"):
     return AgentInput(
         Message(
-            msg_id=next(_IDS), src=AgentId.parse("session#0"), dst=AgentId.parse(ME),
+            msg_id=next(_IDS), src=AgentId.parse(src), dst=AgentId.parse(ME),
             kind=kind, payload=b"", sim_time=now,
         ),
         body,
@@ -35,6 +35,12 @@ def tell(body, kind=MessageKind.REQUEST, now=0):
 
 def fire(topic, body, now=0):
     return tell({"topic": topic, "body": body}, kind=MessageKind.EVENT, now=now)
+
+
+def beat(agent, tick, now):
+    """A heartbeat as the orchestrator gets it: straight from the agent."""
+    body = {"topic": "hb", "body": {"agent": agent, "tick": tick}}
+    return tell(body, kind=MessageKind.EVENT, now=now, src=agent)
 
 
 BASE_CONFIG = {"chain": ["session"], "event_strategy": "centralized"}
@@ -180,8 +186,9 @@ class TestLiveness:
     DEADLINE = HEARTBEAT_INTERVAL * MISSED_HEARTBEATS
 
     def booted(self, config=BASE_CONFIG):
-        # genesis seeds the orchestrator's subscriptions; they include the tick
-        facts = {"config": dict(config), "subscriptions": ["hb", "kp.digest", "events.tick"]}
+        # genesis seeds the orchestrator's one subscription; ticks and beats
+        # come to it directly
+        facts = {"config": dict(config), "subscriptions": ["kp.digest"]}
         for phase in ("facts", "spawn"):
             out = orchestrator_decide(facts, fire("control.bootstrap", {"phase": phase}))
             facts.update(dict(out.get("facts", [])))
@@ -192,36 +199,31 @@ class TestLiveness:
         leases = facts["leases"]
         for agent in sorted(leases):
             if agent not in except_for:
-                out = orchestrator_decide(
-                    {"leases": leases}, fire("hb", {"agent": agent, "tick": at}, now=at)
-                )
+                out = orchestrator_decide({"leases": leases}, beat(agent, at, now=at))
                 leases = dict(out["facts"])["leases"]
         return {**facts, "leases": leases}
 
     def test_heartbeat_updates_known_agents_only(self):
         facts = self.booted()
-        out = orchestrator_decide(facts, fire("hb", {"agent": "routing#0", "tick": 7}, now=7))
+        out = orchestrator_decide(facts, beat("routing#0", 7, now=7))
         assert dict(out["facts"])["leases"]["routing#0"]["expires_at"] == 7 + LEASE_TTL
-        stranger = orchestrator_decide(
-            facts, fire("hb", {"agent": "stranger#9", "tick": 7}, now=7)
-        )
+        stranger = orchestrator_decide(facts, beat("routing#9", 7, now=7))  # no lease
         assert "facts" not in stranger
 
     def test_a_beat_for_a_lapsed_lease_is_ignored(self):
         facts = self.booted()  # leased at 0
-        late = fire("hb", {"agent": "routing#0", "tick": LEASE_TTL}, now=LEASE_TTL)
+        late = beat("routing#0", LEASE_TTL, now=LEASE_TTL)
         assert "facts" not in orchestrator_decide(facts, late)
 
     def test_a_replayed_heartbeat_does_not_move_a_clock_back(self):
         facts = self.renewed(self.booted(), 10)
         for tick in (10, 20):
             # delivered at 20, whatever tick the beat was sent at
-            beat = fire("hb", {"agent": "routing#0", "tick": tick}, now=20)
-            out = orchestrator_decide(facts, beat)
+            out = orchestrator_decide(facts, beat("routing#0", tick, now=20))
             assert dict(out["facts"])["leases"]["routing#0"]["expires_at"] == 20 + LEASE_TTL
             facts = {**facts, **dict(out["facts"])}
         # a beat replayed after an outage renews from when it is delivered
-        out = orchestrator_decide(facts, fire("hb", {"agent": "routing#0", "tick": 10}, now=30))
+        out = orchestrator_decide(facts, beat("routing#0", 10, now=30))
         assert dict(out["facts"])["leases"]["routing#0"]["expires_at"] == 30 + LEASE_TTL
 
     def test_silent_agent_is_respawned_with_mirror_state(self):
@@ -262,11 +264,12 @@ class TestLiveness:
         assert sorted(leases) == facts["roster"]  # everyone registered again
         assert {e["expires_at"] for e in leases.values()} == {deadline + LEASE_TTL}
 
-    def test_quiet_tick_emits_only_heartbeat(self):
+    def test_quiet_tick_emits_nothing(self):
         facts = self.renewed(self.booted(), HEARTBEAT_INTERVAL)
-        # the registered impl: the heartbeat is added at registration
+        # the registered impl, lifecycle included: the orchestrator keeps the
+        # leases, so it sends no beat of its own, and it holds no own lease
         out = cognition(FunctionKind.ORCHESTRATION.value).decide(
             facts, fire("events.tick", {"tick": HEARTBEAT_INTERVAL}, now=HEARTBEAT_INTERVAL)
         )
-        assert "plan" not in out
-        assert [e["topic"] for e in out.get("events", [])] == ["hb"]
+        assert out == {}
+        assert ME not in facts["leases"]

@@ -10,7 +10,7 @@ from masdn.core import AgentId, FunctionKind, Message, MessageKind
 from masdn.hierarchy import Policy
 from masdn.logic import HEARTBEAT_INTERVAL
 from masdn.orchestrator import build_specs
-from masdn.pps import encode_body
+from masdn.pps import decode_body, encode_body
 from masdn.runtime import (
     AgentHost,
     AgentInput,
@@ -460,8 +460,20 @@ def _beats(dec):
     return [e for e in dec.get("events", []) if e["topic"] == "hb"]
 
 
+def _beat(agent, tick):
+    """The beat an agent owes on a tick, addressed straight to the orchestrator."""
+    return [{"topic": "hb", "to": "orchestration#0", "body": {"agent": agent, "tick": tick}}]
+
+
+# the kinds that run the agent lifecycle: every spec that subscribes to the tick
+_LIFECYCLE = [k for k in _KINDS if "events.tick" in _spec_facts(k)["subscriptions"]]
+
+
 class TestLifecycle:
-    @pytest.mark.parametrize("kind", [k for k in _KINDS if k != BROKER])
+    def test_only_brokers_and_the_orchestrator_run_no_lifecycle(self):
+        assert sorted(set(_KINDS) - set(_LIFECYCLE)) == sorted([BROKER, "orchestration"])
+
+    @pytest.mark.parametrize("kind", _LIFECYCLE)
     def test_run_bootstrap_is_answered_with_bootstrap_steps(self, kind):
         facts = _spec_facts(kind)
         inp = _event(f"{kind}#0", "control.bootstrap", {"phase": "run"}, src="orchestration#0")
@@ -470,12 +482,12 @@ class TestLifecycle:
         actions = [s["action"] for s in out["plan"]]
         assert actions and set(actions) == {"subscribe"}  # nobody registers
 
-    @pytest.mark.parametrize("kind", [k for k in _KINDS if k != BROKER])
+    @pytest.mark.parametrize("kind", _LIFECYCLE)
     def test_one_heartbeat_on_every_interval_tick(self, kind):
         facts = _spec_facts(kind)
         for tick in range(2 * HEARTBEAT_INTERVAL + 1):
             out = cognition(kind).decide(facts, _event(f"{kind}#0", "events.tick", {"tick": tick}))
-            want = [{"topic": "hb", "body": {"agent": f"{kind}#0", "tick": tick}}]
+            want = _beat(f"{kind}#0", tick)
             assert _beats(out) == (want if tick % HEARTBEAT_INTERVAL == 0 else []), tick
             if tick % HEARTBEAT_INTERVAL == 0:
                 assert out["events"][0]["topic"] == "hb"  # ahead of its own
@@ -487,8 +499,41 @@ class TestLifecycle:
             for tick in range(2 * HEARTBEAT_INTERVAL + 1):
                 inp = _event("events.tick", "events.tick", {"tick": tick})
                 out = decide(facts, inp)
-                want = [{"topic": "hb", "body": {"agent": f"{BROKER}#0", "tick": tick}}]
+                want = _beat(f"{BROKER}#0", tick)
                 assert _beats(out) == (want if tick % HEARTBEAT_INTERVAL == 0 else [])
+
+    def test_the_orchestrator_runs_no_agent_lifecycle(self):
+        # it keeps the leases, so it sends no beat, and it is spawned by
+        # genesis, so the lifecycle's run-bootstrap answer is not its own
+        facts = _spec_facts("orchestration")
+        assert facts["subscriptions"] == ["kp.digest"]
+        decide = cognition("orchestration").decide
+        for tick in range(2 * HEARTBEAT_INTERVAL + 1):
+            out = decide(facts, _event("orchestration#0", "events.tick", {"tick": tick}))
+            assert _beats(out) == [], tick
+        run = _event("orchestration#0", "control.bootstrap", {"phase": "run"})
+        assert decide(facts, run).get("plan") != bootstrap_steps(facts)
+
+    def test_a_beat_is_sent_in_one_hop_and_no_deny_blocks_it(self):
+        host = AgentHost()
+        deny_all = {"policy_id": "deny-all", "issuer_level": "network", "scope": ["routing"],
+                    "rules": [{"action_kind": "*", "target_class": "*", "effect": "deny"}]}
+        agent = spawn(host, facts={"subscriptions": ["events.tick"], "policies": [deny_all]}).id
+        tick = {"topic": "events.tick", "body": {"tick": HEARTBEAT_INTERVAL}}
+        (out,) = tell(host, agent, tick, kind=MessageKind.EVENT)
+        assert out.dst == AgentId.parse("orchestration#0")
+        assert decode_body(out.payload) == {
+            "topic": "hb", "body": {"agent": "routing#0", "tick": HEARTBEAT_INTERVAL}
+        }
+
+    def test_a_plan_that_fails_validation_drops_its_beat(self):
+        host = AgentHost()
+        agent = spawn(host, facts={"subscriptions": ["events.tick"]}).id
+        # the step's target is no known peer, so the plan fails validation
+        ask = {"plan": [step("ping", "registry#0")]}
+        tick = {"topic": "events.tick", "body": {"tick": 0}, "decision": ask}
+        (out,) = tell(host, agent, tick, kind=MessageKind.EVENT)
+        assert out.dst == "events.violation"
 
     def test_broker_gets_no_bootstrap_plan(self):
         facts = _spec_facts(BROKER)

@@ -1,16 +1,18 @@
 """Whole-system differential checks: agents vs the single-loop reference."""
 import itertools
 import random
+from collections import Counter
 
 import pytest
 
 from masdn import AgentSystem, Scenario, Topology
 from masdn.core import AgentId, FunctionKind
 from masdn.oracle import MonolithicController, compare, normalize_tables
-from masdn.orchestrator import broker_ids
+from masdn.logic import HEARTBEAT_INTERVAL
+from masdn.orchestrator import broker_ids, plan_roster
 from masdn.pps import decode_body
 
-from helpers import build, diff_is_empty, gen_scenario, gen_topology, run_both
+from helpers import STRATEGIES, build, diff_is_empty, gen_scenario, gen_topology, run_both
 
 TOPO = {
     "switches": ["sw1", "sw2", "sw3", "sw4"],
@@ -26,6 +28,8 @@ TOPO = {
         {"a": "sw1", "b": "sw4", "capacity": 20, "latency": 4},
     ],
 }
+
+ORCH = "orchestration#0"
 
 FLOWS = [
     {"src": "h1", "dst": "h2", "start_tick": 2, "size": 30, "gap": 1},
@@ -198,32 +202,98 @@ class TestEventPlaneTraffic:
         assert not [f for f in frames if f[2] == "events.stats"]
 
 
+def spied_run(config, duration=30, flows=FLOWS):
+    """A run of TOPO that records (src, dst, body) of every frame the fabric
+    hops and (agent, body) of every input an agent is handed."""
+    topo, scen = build(TOPO, sdoc(flows=flows, duration=duration))
+    system = AgentSystem(topo, scen, config)
+    hops, inputs = [], []
+    hop, process_input = system.bus._hop, system.host.process_input
+
+    def hop_spy(msg, pair):
+        hops.append((str(msg.src), str(msg.dst), decode_body(msg.payload)))
+        return hop(msg, pair)
+
+    def input_spy(agent_id, msg):
+        inputs.append((str(agent_id), decode_body(msg.payload)))
+        return process_input(agent_id, msg)
+
+    system.bus._hop = hop_spy
+    system.host.process_input = input_spy
+    system.run()
+    return system, hops, inputs
+
+
+def topic_of(body):
+    return body.get("topic") if isinstance(body, dict) else None
+
+
 class TestOneLivenessTable:
     """The orchestrator's leases are the only liveness table: heartbeats go to
-    it alone, nobody registers, and no digest ships a copy of the leases."""
+    it alone, straight from each agent, nobody registers, and no digest ships
+    a copy of the leases."""
 
-    @pytest.mark.parametrize("strategy", ["centralized", "distributed", "hybrid"])
+    @pytest.mark.parametrize("strategy", STRATEGIES)
     def test_heartbeats_feed_only_the_orchestrator(self, strategy):
-        topo, scen = build(TOPO, sdoc(duration=30))
-        system = AgentSystem(topo, scen, {"event_strategy": strategy})
-        bodies = []
-        process_input = system.host.process_input
-
-        def spy(agent_id, msg):
-            bodies.append((str(msg.dst), decode_body(msg.payload)))
-            return process_input(agent_id, msg)
-
-        system.host.process_input = spy
-        system.run()
-        hb_subscribers = set()
+        system, hops, inputs = spied_run({"event_strategy": strategy})
+        beats = [(src, dst, body["body"]) for src, dst, body in hops if topic_of(body) == "hb"]
+        # every beat frame goes from the beating agent to the orchestrator,
+        # in one hop: each (agent, tick) crosses the fabric once
+        assert {(src, dst) for src, dst, beat in beats} == {
+            (beat["agent"], ORCH) for _src, _dst, beat in beats
+        }
+        sent = Counter((beat["agent"], beat["tick"]) for _src, _dst, beat in beats)
+        assert sent == Counter(
+            (agent, tick)
+            for agent in plan_roster({"event_strategy": strategy})
+            for tick in range(0, 30, HEARTBEAT_INTERVAL)
+        )
+        assert [agent for agent, body in inputs if topic_of(body) == "hb"] == [ORCH] * len(beats)
         for broker in broker_ids(strategy):
             subs = system.host.get(AgentId.parse(broker)).facts.get("subs", {})
-            hb_subscribers.update(subs.get("hb", []))
-        assert hb_subscribers == {"orchestration#0"}
-        assert not [b for _dst, b in bodies if isinstance(b, dict) and b.get("op") == "register"]
-        digests = [b["body"] for dst, b in bodies if dst == "kp.digest"]
+            assert "hb" not in subs, broker
+        assert not [b for _agent, b in inputs if isinstance(b, dict) and b.get("op") == "register"]
+        digests = [b["body"] for _src, dst, b in hops if dst == "kp.digest"]
         assert digests and not [d for d in digests if "leases" in d["keys"]]
 
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_the_orchestrator_sends_itself_nothing_and_leases_no_self(self, strategy):
+        system, hops, _inputs = spied_run({"event_strategy": strategy})
+        # genesis hands the orchestrator its own two bootstrap events; after
+        # that nothing it sends may come back to it, directly or via a broker
+        own = [
+            (src, dst, body) for src, dst, body in hops
+            if topic_of(body) != "control.bootstrap" and (
+                src == ORCH and (dst == ORCH or topic_of(body) == "hb")
+                or dst == ORCH and isinstance(body, dict) and body.get("publisher") == ORCH
+            )
+        ]
+        assert own == []
+        assert ORCH not in system.host.get(AgentId.parse(ORCH)).facts.get("leases")
+
+
+class TestTicksOnlyWhereRead:
+    """The orchestrator gets every tick straight from the bridge; the event
+    plane carries a tick only when an agent acts on it: every beat tick, and
+    in a proactive run the tick before each declared flow start."""
+
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    @pytest.mark.parametrize("proactive", [False, True])
+    def test_each_agent_gets_the_ticks_it_reads_once(self, strategy, proactive):
+        _system, _hops, inputs = spied_run({"event_strategy": strategy, "proactive": proactive})
+        got = {}
+        for agent, body in inputs:
+            if topic_of(body) == "events.tick":
+                got.setdefault(agent, Counter())[body["body"]["tick"]] += 1
+        assert got.pop(ORCH) == Counter(range(30))
+        beat_ticks = set(range(0, 30, HEARTBEAT_INTERVAL))
+        lead_ticks = {flow["start_tick"] - 1 for flow in FLOWS} if proactive else set()
+        assert bool(lead_ticks - beat_ticks) is proactive  # some lead tick is extra
+        # a publish reaches every subscriber, so in a proactive run everyone
+        # gets the session agent's lead ticks too, and no other tick
+        want = Counter(sorted(beat_ticks | lead_ticks))
+        assert set(got) == set(plan_roster({"event_strategy": strategy})) - {ORCH}
+        assert {agent: ticks for agent, ticks in got.items() if ticks != want} == {}
 
 class TestPolicyEnforcement:
     CAP = 2
@@ -317,6 +387,22 @@ class TestPolicyEnforcement:
 
 
 class TestProactiveMode:
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    @pytest.mark.parametrize("seed", range(4))
+    def test_proactive_setup_under_start_jitter_matches_reference(self, strategy, seed):
+        # the published lead ticks follow the jittered schedule, which both
+        # controllers read from the simulator
+        rng = random.Random(seed)
+        tdoc = gen_topology(rng, 8)
+        doc = {**gen_scenario(rng, tdoc, 8, 2, 60), "jitter": 2}
+        agents, _mono, diff, system = run_both(
+            tdoc, doc, {"event_strategy": strategy, "proactive": True}
+        )
+        assert diff == {}
+        assert agents["ledger"]
+        declared = [f["start_tick"] for f in doc["flows"]]
+        assert [f["start_tick"] for f in system.sim.schedule()] != declared  # jitter ran
+
     def test_declared_schedule_cuts_setup_latency(self):
         flows = [
             {"src": "h1", "dst": "h2", "start_tick": 6 + 2 * i, "size": 20, "gap": 2}
