@@ -502,17 +502,21 @@ class TestLifecycle:
                 want = _beat(f"{BROKER}#0", tick)
                 assert _beats(out) == (want if tick % HEARTBEAT_INTERVAL == 0 else [])
 
-    def test_the_orchestrator_runs_no_agent_lifecycle(self):
-        # it keeps the leases, so it sends no beat, and it is spawned by
-        # genesis, so the lifecycle's run-bootstrap answer is not its own
+    def test_the_orchestrator_sends_no_heartbeat(self):
+        # it keeps the leases, so it holds none of its own to renew
         facts = _spec_facts("orchestration")
         assert facts["subscriptions"] == ["kp.digest"]
         decide = cognition("orchestration").decide
         for tick in range(2 * HEARTBEAT_INTERVAL + 1):
             out = decide(facts, _event("orchestration#0", "events.tick", {"tick": tick}))
             assert _beats(out) == [], tick
+
+    def test_the_orchestrator_answers_no_run_bootstrap(self):
+        # it is spawned by genesis, so the lifecycle's run-bootstrap answer
+        # is not its own
+        facts = _spec_facts("orchestration")
         run = _event("orchestration#0", "control.bootstrap", {"phase": "run"})
-        assert decide(facts, run).get("plan") != bootstrap_steps(facts)
+        assert cognition("orchestration").decide(facts, run).get("plan") != bootstrap_steps(facts)
 
     def test_a_beat_is_sent_in_one_hop_and_no_deny_blocks_it(self):
         host = AgentHost()
