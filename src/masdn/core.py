@@ -120,10 +120,6 @@ class AgentId:
             return NotImplemented
         return (self.kind.value, self.instance) < (other.kind.value, other.instance)
 
-    @property
-    def level(self) -> DecisionLevel:
-        return level_of(self.kind)
-
     def __str__(self) -> str:
         return self._text
 

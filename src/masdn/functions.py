@@ -12,9 +12,14 @@ the link events and the periodic link-state refresh each of them subscribes
 to. All copies apply the same events in the same order, so they stay equal
 without any agent broadcasting its view; a respawned agent is restored from
 its last digest and gets the link events it missed from the frames the
-fabric parked for it. The topology agent keeps its copy and has nothing to
-decide. The monitoring agent runs only the agent lifecycle: the per-tick
-link stats go to stats.csv, and no agent reads a load table.
+fabric parked for it. Genesis hands every one of them the view in its spec,
+so none ever decides without one.
+
+Some agents have nothing to decide, and share one empty decide function
+(lifecycle_only_decide): the topology agent, which only keeps its copy; the
+monitoring agent, whose per-tick link stats go to stats.csv and which no
+agent reads; and the infrastructure agents that run only the lifecycle
+(infra.py).
 
 The session agent is the conductor, and its conversation is one stage
 machine. A session's conversation is one record in the "pending" facts,
@@ -26,16 +31,21 @@ request and response. The record's "stage" names the request in flight:
 One helper (converse) writes the record at its first stage and sends that
 stage's request; one sender (ask_stage) sends the request of whatever stage
 a record is at. A new flow starts at classify; a reroute sweep starts at
-admit or install, with the new path and the superseded one to clear; a
-packet-in for an active session whose rules are gone starts at install.
-Each answer either advances the stage and asks again, or ends the
-conversation: an install answer activates the session, while no path, a QoS
-denial or a policy violation leave it unroutable and give back any
-reservation. Conversations complete within the tick they start because the
-fabric runs to quiescence. Each request is sent once: when a counterpart
-(or the session agent itself) dies mid-conversation, the fabric parks the
-frames for it and replays them to its restored replacement, so nothing here
-re-asks.
+admit or install, with the new path and the superseded one to clear. A
+packet-in for a session the agent already knows asks nothing: a switch
+loses a session's rules only to a reroute, which takes the session out of
+ACTIVE in the same decision, and the switch suppresses a flow's packet-ins
+for longer than a respawn can hold a conversation up. Each answer either
+advances the stage and asks again, or ends the conversation: an install
+answer activates the session, while no path, a QoS denial or a policy
+violation leave it unroutable and give back any reservation.
+Conversations complete within the tick they start because the fabric runs
+to quiescence. Each request is sent once: when a counterpart (or the
+session agent itself) dies mid-conversation, the fabric parks the frames
+for it and replays them to its restored replacement, so nothing here
+re-asks. A replayed packet-in reaches the session agent later than it
+happened, so a session is stamped with the tick the event carries, not with
+the tick it is delivered at.
 
 Ordering contract (mirrored by the oracle): link events precede packet-in
 events within a tick, so reroute sweeps always run before new-flow
@@ -120,14 +130,16 @@ def topology_ingest(facts: dict[str, Any], inp: AgentInput) -> list[tuple[str, A
     return []
 
 
-# -- topology agent -------------------------------------------------------------
+# -- agents with nothing to decide ------------------------------------------------
 
 
 @register_cognition(
     FunctionKind.TOPOLOGY.value, ingest=topology_ingest, digest_keys=("topology",)
 )
-def topology_decide(facts: dict[str, Any], inp: AgentInput) -> dict[str, Any]:
-    """The view accrues in the ingest hook; there is nothing to decide."""
+@register_cognition(FunctionKind.MONITORING.value)
+def lifecycle_only_decide(facts: dict[str, Any], inp: AgentInput) -> dict[str, Any]:
+    """Nothing to decide: the registered lifecycle, and the topology agent's
+    ingest hook, are all these agents do."""
     return decision()
 
 
@@ -140,9 +152,7 @@ def topology_decide(facts: dict[str, Any], inp: AgentInput) -> dict[str, Any]:
 def routing_decide(facts: dict[str, Any], inp: AgentInput) -> dict[str, Any]:
     op = request_op(inp)
     if op == "path":
-        view = facts.get("topology")
-        if view is None:
-            return decision(escalate={"reason": "no-topology", "op": "path"})
+        view = facts["topology"]
         graph = build_graph(view["links"])
         src_sw = view["hosts"].get(inp.body["src"])
         dst_sw = view["hosts"].get(inp.body["dst"])
@@ -194,16 +204,13 @@ def qos_decide(facts: dict[str, Any], inp: AgentInput) -> dict[str, Any]:
             return decision(responses=[{"admitted": True, "ctx": ctx}])
         if inp.body.get("class") != REALTIME:
             return decision(responses=[{"admitted": True, "ctx": ctx}])
-        view = facts.get("topology")
-        if view is None:
-            return decision(escalate={"reason": "no-topology", "op": "admit"})
         rate = flow_rate_milli(inp.body["gap"])
         keys = path_link_keys(inp.body["path"])
         ok, reservations = admit_realtime(
             facts.get("reservations", {}),
             keys,
             rate,
-            link_capacities(view["links"]),
+            link_capacities(facts["topology"]["links"]),
             facts.get("qos-cap-permille", DEFAULT_QOS_CAP_PERMILLE),
         )
         writes: list[tuple[str, Any]] = []
@@ -265,15 +272,6 @@ def forwarding_decide(facts: dict[str, Any], inp: AgentInput) -> dict[str, Any]:
     )
 
 
-# -- monitoring agent ------------------------------------------------------------------
-
-
-@register_cognition(FunctionKind.MONITORING.value)
-def monitoring_decide(facts: dict[str, Any], inp: AgentInput) -> dict[str, Any]:
-    """Nothing to decide: the registered lifecycle is all this agent does."""
-    return decision()
-
-
 # -- session agent --------------------------------------------------------------------
 
 _SESSION_DIGEST = (
@@ -303,9 +301,8 @@ class _SessionState:
     objects and cost nothing to write.
     """
 
-    def __init__(self, facts: dict[str, Any], now: int):
+    def __init__(self, facts: dict[str, Any]):
         self.facts = facts
-        self.now = now
         self.sessions = dict(facts.get("sessions", {}))
         self.pending = dict(facts.get("pending", {}))
         self.session_seq = facts.get("session-seq", 0)
@@ -363,11 +360,15 @@ class _SessionState:
             body["rules"] = [list(r) for r in rules_for_path(p["path"], p["src"], p["dst"], prio, ids)]
         self._ask(kind, stage, ctx=sid, **body)
 
-    def open_session(self, src: str, dst: str, size: int, gap: int, hint: str | None) -> None:
+    def open_session(
+        self, src: str, dst: str, size: int, gap: int, hint: str | None, at: int
+    ) -> None:
+        """Open a session created at tick at, the tick of the event that
+        opened it: a replayed event is delivered later than it happened."""
         self.session_seq += 1
         sid = f"s{self.session_seq:04d}"
         self.sessions[sid] = session_record(
-            sid, src, dst, klass="", created_at=self.now, state=PENDING, gap=gap, size=size
+            sid, src, dst, klass="", created_at=at, state=PENDING, gap=gap, size=size
         )
         self.converse(sid, "classify", hint=hint)
 
@@ -457,7 +458,8 @@ class _SessionState:
             if find_session(self.sessions, flow["src"], flow["dst"]) is not None:
                 continue
             self.open_session(
-                flow["src"], flow["dst"], flow["size"], flow.get("gap", 1), flow.get("class")
+                flow["src"], flow["dst"], flow["size"], flow.get("gap", 1), flow.get("class"),
+                tick,
             )
 
 
@@ -473,7 +475,7 @@ def _edit(table: dict[str, Any], stored: dict[str, Any], key: str) -> dict[str, 
     FunctionKind.SESSION.value, ingest=topology_ingest, digest_keys=_SESSION_DIGEST
 )
 def session_decide(facts: dict[str, Any], inp: AgentInput) -> dict[str, Any]:
-    st = _SessionState(facts, inp.message.sim_time)
+    st = _SessionState(facts)
     if is_response(inp):
         st.on_response(inp.body)
         return decision(plan=st.steps, facts=st.writes())
@@ -482,16 +484,11 @@ def session_decide(facts: dict[str, Any], inp: AgentInput) -> dict[str, Any]:
     if ev is not None:
         topic, body = ev
         if topic == "events.packet_in":
-            sid = find_session(st.sessions, body["src"], body["dst"])
-            rec = st.sessions.get(sid)
-            if rec is None:
+            if find_session(st.sessions, body["src"], body["dst"]) is None:
                 st.open_session(
-                    body["src"], body["dst"], body["size"], body["gap"], body.get("hint")
+                    body["src"], body["dst"], body["size"], body["gap"], body.get("hint"),
+                    body["at"],
                 )
-            elif rec["state"] == ACTIVE and sid not in st.pending:
-                # rules the fabric believes in are missing on the floor:
-                # re-run the install leg with the session's known path
-                st.converse(sid, "install", path=rec["path"], **{"class": rec["class"]})
         elif topic in ("events.link", "events.linkstate"):
             st.sweep(facts["topology"])  # ingest already applied the change
         elif topic == "events.violation":

@@ -1,29 +1,26 @@
-"""Four-level decision structure: downward policies and upward escalation.
+"""Four-level decision structure: policies flow down.
 
 Policies are declarative allow/deny rules with optional numeric bounds,
 never executable code, so they can be serialized into agent specs, stored
 in agent facts, and evaluated inside plan validation. The orchestrator
 writes them, in config order, into the spec of every agent in their scope
 (orchestrator.build_specs); the runtime's validation stage enforces them.
-Escalation climbs exactly one level: the
-runtime routes an escalate step to the one upper-level agent that
-route_escalation picks.
+
+Nothing flows up. Only the orchestrator escalates (a failed placement), and
+it is already at the top level, so the runtime records the issue as a
+dead-end and drops the decision (runtime.AgentHost).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Iterable
+from typing import Any
 
-from .core import AgentId, FunctionKind, DecisionLevel, MasdnError, level_of
+from .core import FunctionKind, DecisionLevel, MasdnError, level_of
 
 
 class InvalidDirection(MasdnError):
     """Policy issuer is not strictly above every kind in its scope."""
-
-
-class NoUpperAgent(MasdnError):
-    """No live agent exists one level above the escalating agent."""
 
 
 @dataclass(frozen=True)
@@ -86,44 +83,3 @@ class Policy:
             scope=frozenset(FunctionKind(k) for k in d["scope"]),
             rules=tuple(PolicyRule.from_dict(r) for r in d.get("rules", [])),
         )
-
-
-@dataclass(frozen=True)
-class Escalation:
-    """An issue raised one level up for handling."""
-
-    source: AgentId
-    issue: Any
-    raised_at: int
-
-    @property
-    def target_level(self) -> DecisionLevel:
-        lvl = self.source.level
-        if lvl is DecisionLevel.NETWORK:
-            raise NoUpperAgent(f"{self.source} is already at the top level")
-        return DecisionLevel(lvl + 1)
-
-
-# which kind preferentially handles escalations arriving at each level
-_PREFERRED_HANDLER = {
-    DecisionLevel.NODE: FunctionKind.FAULT,
-    DecisionLevel.NETWORK: FunctionKind.ORCHESTRATION,
-}
-
-
-def route_escalation(esc: Escalation, candidates: Iterable[AgentId]) -> AgentId:
-    """Pick the one upper-level agent that receives the issue.
-
-    Candidates are live agents; only those exactly one level above the
-    source qualify. The level's preferred handler kind wins when present;
-    ties break on lowest instance id.
-    """
-    target_level = esc.target_level
-    pool = [a for a in candidates if a.level is target_level]
-    if not pool:
-        raise NoUpperAgent(
-            f"no live agent at level {target_level.name} to handle escalation from {esc.source}"
-        )
-    preferred = _PREFERRED_HANDLER.get(target_level)
-    pool.sort(key=lambda a: (0 if a.kind is preferred else 1, a.kind.value, a.instance))
-    return pool[0]

@@ -1,10 +1,12 @@
 """Cognition implementations for the infrastructure agents: the
-event-distribution brokers, the fault handler, and the agents that run the
-lifecycle only (the registry, the knowledge plane and the discovery agent).
+event-distribution brokers, and the agents that run the lifecycle only (the
+registry, the knowledge plane, the discovery agent and the fault handler).
 
-The registry, the knowledge plane and the discovery agent keep no state of
-their own: what agents export lives in the orchestrator's mirror, and who
-is live lives in the orchestrator's lease table. They run only the agent
+The lifecycle-only agents keep no state of their own: what agents export
+lives in the orchestrator's mirror, and who is live lives in the
+orchestrator's lease table. No agent escalates to the fault handler: the
+only escalation is the orchestrator's, at the top level. They run the
+shared empty decide (functions.lifecycle_only_decide) under the agent
 lifecycle (subscribe, heartbeat) and are respawned like everyone else.
 
 Brokers carry the event plane at run time. A published event (a message
@@ -28,47 +30,17 @@ from typing import Any
 
 from .core import AgentId, FunctionKind, MessageKind
 from .events import match_topic
-from .functions import request_op
+from .functions import lifecycle_only_decide, request_op
 from .runtime import AgentInput, decision, heartbeat, register_cognition, step
 
 
-# -- registry, knowledge plane and discovery -----------------------------------------
+# -- agents that run the lifecycle only ----------------------------------------------
 
 
-@register_cognition(FunctionKind.REGISTRY.value)
-@register_cognition(FunctionKind.KNOWLEDGE_PLANE.value)
-@register_cognition(FunctionKind.AUTOCONF_DISCOVERY.value)
-def lifecycle_only_decide(facts: dict[str, Any], inp: AgentInput) -> dict[str, Any]:
-    """Nothing to decide: the registered lifecycle does all these agents do."""
-    return decision()
-
-
-# -- fault handler -------------------------------------------------------------------
-
-
-@register_cognition(FunctionKind.FAULT.value, digest_keys=("incidents",))
-def fault_decide(facts: dict[str, Any], inp: AgentInput) -> dict[str, Any]:
-    """Receives escalations from below and keeps the incident record."""
-    op = request_op(inp)
-    if op == "escalate":
-        incidents = list(facts.get("incidents", []))
-        incidents.append(
-            {
-                "source": inp.body.get("source"),
-                "issue": inp.body.get("issue"),
-                "at": inp.message.sim_time,
-            }
-        )
-        return decision(
-            facts=[("incidents", incidents)],
-            events=[
-                {
-                    "topic": "events.incident",
-                    "body": {"source": inp.body.get("source"), "issue": inp.body.get("issue")},
-                }
-            ],
-        )
-    return decision()
+register_cognition(FunctionKind.REGISTRY.value)(lifecycle_only_decide)
+register_cognition(FunctionKind.KNOWLEDGE_PLANE.value)(lifecycle_only_decide)
+register_cognition(FunctionKind.AUTOCONF_DISCOVERY.value)(lifecycle_only_decide)
+register_cognition(FunctionKind.FAULT.value)(lifecycle_only_decide)
 
 
 # -- event-distribution broker ------------------------------------------------------------

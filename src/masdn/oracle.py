@@ -183,14 +183,10 @@ class MonolithicController:
         self._finish_setup(sid, path, klass, now)
 
     def packet_in(self, ev: PacketIn, now: int) -> None:
-        sid = find_session(self.sessions, ev.src, ev.dst)
-        if sid is None:
+        """A packet-in opens a session for a new flow; for a known flow it
+        asks nothing, as a switch loses a session's rules only to a reroute."""
+        if find_session(self.sessions, ev.src, ev.dst) is None:
             self.open_session(ev.src, ev.dst, ev.size, ev.gap, ev.hint, now)
-            return
-        rec = self.sessions[sid]
-        if rec["state"] == ACTIVE and rec["path"]:
-            # installed rules are gone from the floor: put them back
-            self._install(sid, rec["path"], rec["class"], now)
 
     def sweep(self, now: int) -> None:
         graph = build_graph(self.view["links"])

@@ -14,8 +14,10 @@ the placement; the second ("spawn") turns those facts into the actual
 spawn/subscribe plan and registers a lease for every agent it spawns. The
 split exists because a plan is validated against the facts snapshot taken
 before the decision ran, so the spawn plan must be able to see the roster
-facts written by an earlier pipeline run. A failed placement escalates the
-spawn pass, so nothing is spawned and no lease is registered.
+facts written by an earlier pipeline run. Any other phase is ignored. A
+failed placement escalates the spawn pass: the orchestrator is the top
+level, so the runtime records the issue as a dead-end and nothing is
+spawned and no lease is registered. It is the only escalation in the code.
 
 After bootstrap the orchestrator is the failure detector. Its lease table
 (registry.py's pure functions over the "leases" fact) is the one record of
@@ -249,7 +251,9 @@ def orchestrator_decide(facts: dict[str, Any], inp: AgentInput) -> dict[str, Any
         phase = (body or {}).get("phase", "facts")
         if phase == "facts":
             return _bootstrap_facts(facts, inp)
-        return _bootstrap_spawn(facts, inp)
+        if phase == "spawn":
+            return _bootstrap_spawn(facts, inp)
+        return decision()
     if topic == "hb":
         # renewed at delivery, so a replayed beat never moves an expiry back
         now = inp.message.sim_time

@@ -35,8 +35,10 @@ A decision is a plain dict with optional keys:
     facts      list of [key, value] writes applied after validation
     escalate   an issue dict
 
-A decision with an escalate key is replaced whole by a single escalate step
-routed one level up the hierarchy.
+A decision with an escalate key is dropped whole: it sends nothing and
+writes nothing, and its planning record notes the issue as a dead-end. Only
+the orchestrator escalates (a failed placement), and no level is above it,
+so the paper's upward escalation has no live case here.
 
 The agent lifecycle is handled once, where a cognition is registered, not in
 each decide function. An agent whose subscriptions include events.tick
@@ -63,7 +65,7 @@ from .core import (
     MessageFactory,
     MessageKind,
 )
-from .hierarchy import Escalation, NoUpperAgent, Policy, route_escalation
+from .hierarchy import Policy
 from .logic import HEARTBEAT_INTERVAL, rule_slot
 from .pps import DEFAULT_PROFILES, MalformedFrame, StackProfile, decode_body, encode_body
 
@@ -629,7 +631,17 @@ class AgentHost:
         log("cognition", decided=sorted(dec))
 
         escalated = "escalate" in dec
-        plan, note = self._build_plan(agent, dec, escalated)
+        if escalated:
+            plan = Plan.of()
+            note = f"escalation dead-end: {agent_text} is already at the top level"
+        else:
+            plan = Plan(
+                steps=tuple(
+                    PlanStep(d["action"], _parse_target(d["target"]), d.get("params", {}))
+                    for d in dec.get("plan", [])
+                )
+            )
+            note = ""
         log(
             "planning",
             steps=[[s.action, str(s.target)] for s in plan.steps],
@@ -654,32 +666,6 @@ class AgentHost:
         return outputs
 
     # -- internals ---------------------------------------------------------
-
-    def _build_plan(
-        self,
-        agent: Agent,
-        dec: dict[str, Any],
-        escalated: bool,
-    ) -> tuple[Plan, str]:
-        if escalated:
-            issue = dec["escalate"]
-            esc = Escalation(source=agent.id, issue=issue, raised_at=self.now)
-            try:
-                handler = route_escalation(esc, sorted(self.agents))
-            except NoUpperAgent as exc:
-                return Plan.of(), f"escalation dead-end: {exc}"
-            return Plan.of(
-                PlanStep(
-                    "escalate",
-                    handler,
-                    {"issue": issue, "source": str(agent.id), "raised_at": self.now},
-                )
-            ), ""
-        steps = tuple(
-            PlanStep(d["action"], _parse_target(d["target"]), d.get("params", {}))
-            for d in dec.get("plan", [])
-        )
-        return Plan(steps=steps), ""
 
     def _materialize(
         self,

@@ -1,24 +1,22 @@
-"""Decision hierarchy mechanics: policies flow down, escalations flow up,
-and every agent's digests merge into one view.
+"""Decision hierarchy mechanics: policies flow down, nothing escalates
+below the top level, and every agent's digests merge into one view.
 
-Policy issue, escalation delivery and the merge are checked where the
-running system does them: the specs the orchestrator builds, the host's
-escalate step, and the orchestrator's kp.digest fold into its mirror.
+Policy issue and the merge are checked where the running system does them:
+the specs the orchestrator builds and the orchestrator's kp.digest fold into
+its mirror. The one escalation, the orchestrator's, dead-ends in the host
+(tests/test_runtime.py).
 """
+import re
+from pathlib import Path
+
 import pytest
 
 from masdn.core import AgentId, FunctionKind, DecisionLevel, Message, MessageKind
-from masdn.hierarchy import (
-    Escalation,
-    InvalidDirection,
-    NoUpperAgent,
-    Policy,
-    PolicyRule,
-    route_escalation,
-)
+from masdn.hierarchy import InvalidDirection, Policy, PolicyRule
 from masdn.orchestrator import build_specs, orchestrator_decide
-from masdn.pps import encode_body
-from masdn.runtime import AgentHost, AgentInput, AgentSpec
+from masdn.runtime import AgentInput
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "masdn"
 
 
 CAP_DOC = {
@@ -83,50 +81,13 @@ def spec_facts(policies, roster):
     return {agent: spec["initial_facts"] for agent, spec in specs.items()}
 
 
-class TestEscalation:
-    def test_targets_exactly_one_level_up(self):
-        esc = Escalation(source=AgentId(FunctionKind.ROUTING, 0), issue="x", raised_at=3)
-        assert esc.target_level is DecisionLevel.NODE
-
-    def test_top_level_has_no_upper_agent(self):
-        esc = Escalation(source=AgentId(FunctionKind.ORCHESTRATION, 0), issue="x", raised_at=0)
-        with pytest.raises(NoUpperAgent):
-            _ = esc.target_level
-
-    def test_prefers_the_levels_designated_handler(self):
-        esc = Escalation(source=AgentId(FunctionKind.ROUTING, 0), issue="x", raised_at=0)
-        live = [
-            AgentId(FunctionKind.SECURITY, 0),
-            AgentId(FunctionKind.FAULT, 1),
-            AgentId(FunctionKind.FAULT, 0),
-            AgentId(FunctionKind.ORCHESTRATION, 0),  # two levels up: not eligible
-        ]
-        assert route_escalation(esc, live) == AgentId(FunctionKind.FAULT, 0)
-
-    def test_no_candidates_at_target_level_raises(self):
-        esc = Escalation(source=AgentId(FunctionKind.ROUTING, 0), issue="x", raised_at=0)
-        with pytest.raises(NoUpperAgent):
-            route_escalation(esc, [AgentId(FunctionKind.ORCHESTRATION, 0)])
-
-    def test_escalate_delivers_and_receipts(self):
-        # a routing agent without topology escalates; the host routes the
-        # issue to the node-level fault handler, which records the incident
-        host = AgentHost()
-        routing = AgentId(FunctionKind.ROUTING, 0)
-        fault = AgentId(FunctionKind.FAULT, 0)
-        host.spawn_agent(AgentSpec(routing, "routing", {"peers": [str(fault)]}))
-        host.spawn_agent(AgentSpec(fault, "fault"))
-        host.now = 9
-        ask = host.factory.new_message(
-            src=AgentId(FunctionKind.SESSION, 0), dst=routing, kind=MessageKind.REQUEST,
-            payload=encode_body({"op": "path", "src": "h1", "dst": "h2"}), now=9,
-        )
-        (esc,) = host.process_input(routing, ask)
-        assert esc.dst == fault and esc.kind is MessageKind.REQUEST
-        host.process_input(fault, esc)
-        assert host.agents[fault].facts.get("incidents") == [
-            {"source": "routing#0", "issue": {"reason": "no-topology", "op": "path"}, "at": 9}
-        ]
+def test_only_the_orchestrator_escalates():
+    # it is at the top level, so its escalation dead-ends; an escalation
+    # from below would need a handler one level up, and none is kept
+    escalating = sorted(
+        path.name for path in SRC.glob("*.py") if re.search(r"\bescalate=", path.read_text())
+    )
+    assert escalating == ["orchestrator.py"]
 
 
 def digest(agent, **keys):

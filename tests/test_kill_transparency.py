@@ -3,10 +3,14 @@
 Criterion 4 kills every agent under the centralized strategy only. These
 runs kill the agents whose frames are in flight when a flow starts, the
 session agent, the forwarding agent and every broker, under all three
-strategies, and hold the agents to the monolith's tables. Before the fabric
-parked frames for a dead agent, a frame sent to it was dropped, and the
-switch then suppressed the lost packet-in for netsim.SUPPRESS_TICKS: 42 of
-these 75 runs ended with tables that differ from the monolith's.
+strategies, and hold the agents to the monolith's whole outcome: tables and
+session ledger. Before the fabric parked frames for a dead agent, a frame
+sent to it was dropped, and the switch then suppressed the lost packet-in
+for netsim.SUPPRESS_TICKS: 42 of these 75 runs ended with tables that
+differ from the monolith's. The ledger is compared too because a session
+must be dated by the tick its packet-in happened at: while the session
+agent dated it by delivery, 24 of the 75 runs, all broker kills whose
+replacement replayed a parked packet-in, ended with other created_at values.
 
 The rule-cap runs check that a respawned forwarding agent gets its rule cap
 back from its spec: the requests replayed to it are validated against the
@@ -18,7 +22,7 @@ import pytest
 
 from masdn import AgentSystem, MonolithicController
 from masdn.logic import HEARTBEAT_INTERVAL
-from masdn.oracle import normalize_tables
+from masdn.oracle import compare
 from masdn.orchestrator import broker_ids
 
 from helpers import STRATEGIES, build, gen_scenario, gen_topology
@@ -43,8 +47,9 @@ def _check_kill(tdoc, sdoc, config, victim):
     system = AgentSystem(topo, scen, {**config, "kills": {KILL_TICK: [victim]}})
     agents = system.run()
     problems = []
-    if normalize_tables(agents["tables"]) != normalize_tables(mono["tables"]):
-        problems.append("tables differ from the monolith's")
+    diff = compare(agents, mono)
+    if diff:
+        problems.append(f"{' and '.join(sorted(diff))} differ from the monolith's")
     respawns = [t for a, t in system.spawn_log if a == victim and t > KILL_TICK]
     if not respawns or respawns[0] - KILL_TICK > DEADLINE:
         problems.append(f"respawned at {respawns}")

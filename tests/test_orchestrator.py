@@ -90,7 +90,9 @@ class TestBuildSpecs:
         assert set(specs) == set(roster)
         assert specs["classifier#0"]["initial_facts"]["thresholds"]["gap"] == 5
         assert specs["qos#0"]["initial_facts"]["qos-cap-permille"] == 700
+        # the two agents that cannot answer without a view get it from genesis
         assert specs["routing#0"]["initial_facts"]["topology"] == view
+        assert specs["qos#0"]["initial_facts"]["topology"] == view
         assert specs["classifier#0"]["cognition"] == "classifier"
         for agent, spec in specs.items():
             facts = spec["initial_facts"]
@@ -202,6 +204,13 @@ class TestLiveness:
                 out = orchestrator_decide({"leases": leases}, beat(agent, at, now=at))
                 leases = dict(out["facts"])["leases"]
         return {**facts, "leases": leases}
+
+    def test_a_run_bootstrap_to_a_booted_orchestrator_does_nothing(self):
+        # only genesis's facts and spawn phases are the orchestrator's; a
+        # run phase must not spawn the roster again or renew every lease
+        facts = self.booted()
+        run = fire("control.bootstrap", {"phase": "run"}, now=7)
+        assert cognition(FunctionKind.ORCHESTRATION.value).decide(facts, run) == {}
 
     def test_heartbeat_updates_known_agents_only(self):
         facts = self.booted()

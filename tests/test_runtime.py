@@ -362,14 +362,25 @@ class TestPipeline:
         assert agent.facts.get("note") is None
 
     def test_explicit_escalation_suppresses_responses(self):
+        # only the orchestrator escalates, and no level is above it: the
+        # decision is dropped whole and the dead-end is logged
         host = AgentHost()
-        routing = spawn(host, kind=FunctionKind.ROUTING, facts={"peers": ["fault#0"]})
-        fault = spawn(host, kind=FunctionKind.FAULT)
-        dec = decision(responses=[{"ok": 1}], escalate={"reason": "stuck"})
-        out = tell(host, routing.id, {"decision": dec})
-        # the only output is the escalation request to the node-level handler
-        assert [str(m.dst) for m in out] == [str(fault.id)]
-        assert [m.kind for m in out] == [MessageKind.REQUEST]
+        orch = spawn(host, kind=FunctionKind.ORCHESTRATION, facts={"peers": ["routing#0"]})
+        dec = decision(
+            plan=[step("classify", "routing#0")],
+            responses=[{"ok": 1}],
+            events=[{"topic": "events.capacity", "body": {}}],
+            facts=[("note", "kept")],
+            escalate={"reason": "no-placement"},
+        )
+        assert tell(host, orch.id, {"decision": dec}) == []
+        assert orch.facts.get("note") is None
+        planning = [e for e in host.stage_log if e["stage"] == "planning"][-1]
+        assert planning["escalated"] is True
+        assert planning["steps"] == []
+        assert planning["note"] == (
+            "escalation dead-end: orchestration#0 is already at the top level"
+        )
 
     def test_every_action_message_follows_a_passed_validation(self):
         host = AgentHost()
