@@ -90,6 +90,10 @@ class DecodeError(MasdnError):
     """Input payload could not be parsed into a structured body."""
 
 
+class DigestGap(MasdnError):
+    """A digest delta does not apply to the version the mirror holds."""
+
+
 # ---------------------------------------------------------------------------
 # facts
 
@@ -221,20 +225,69 @@ class FactsStore:
             )
 
 
+_ABSENT = object()
+
+
+def digest_delta(doc: dict[str, Any], last: tuple[int, Any] | None) -> dict[str, Any]:
+    """The kp.digest form of one exported key (a FactsStore.export doc), given
+    the (version, value) last exported for it, or None.
+
+    A dict value travels as a delta against that version: "set" holds the
+    sub-keys that are new or changed, "drop" the ones that are gone. Stored
+    facts are frozen and unchanged records are shared, so an identity test
+    settles almost every sub-key before any equality test runs. "base" 0
+    means nothing was exported before, and "set" holds the whole table. Any
+    other value travels whole, as "value".
+    """
+    value = doc["value"]
+    if not isinstance(value, dict):
+        return doc
+    base, old = last if last is not None and isinstance(last[1], dict) else (0, {})
+    return {
+        "version": doc["version"],
+        "updated_at": doc["updated_at"],
+        "base": base,
+        "set": {
+            sub: v
+            for sub, v in value.items()
+            if (was := old.get(sub, _ABSENT)) is not v and was != v
+        },
+        "drop": [sub for sub in old if sub not in value],
+    }
+
+
 def merge_digest(
     digests: dict[str, dict[str, Any]], body: dict[str, Any]
 ) -> dict[str, dict[str, Any]]:
-    """Fold one kp.digest body into a per-agent table of exported keys: the
-    newest version of each key wins. Only the sending agent's slot is copied;
-    every other slot is shared with the table given."""
+    """Fold one kp.digest body into a per-agent table of exported keys, each
+    stored as {value, version, updated_at}: the newest version of each key
+    wins, and a stale one is ignored. A whole "value", or a delta on base 0,
+    replaces the key; any other delta (see digest_delta) applies to the
+    version held, and one whose base is not that version raises DigestGap.
+    Only the sending agent's slot is copied; every other slot is shared with
+    the table given."""
     agent = body["agent"]
-    slot = digests.get(agent, {})
-    newer = {
-        key: doc
-        for key, doc in body["keys"].items()
-        if key not in slot or doc["version"] >= slot[key]["version"]
-    }
-    return {**digests, agent: {**slot, **newer}}
+    slot = dict(digests.get(agent, {}))
+    for key, doc in body["keys"].items():
+        held = slot.get(key)
+        if held is not None and doc["version"] < held["version"]:
+            continue
+        if "value" in doc:
+            slot[key] = doc
+            continue
+        if doc["base"] == 0:
+            value = doc["set"]
+        elif held is None or doc["base"] != held["version"]:
+            raise DigestGap(
+                f"{agent} {key}: delta on version {doc['base']}, mirror holds "
+                f"{held and held['version']}"
+            )
+        else:
+            value = {**held["value"], **doc["set"]}
+            for sub in doc["drop"]:
+                del value[sub]
+        slot[key] = {"value": value, "version": doc["version"], "updated_at": doc["updated_at"]}
+    return {**digests, agent: slot}
 
 
 # ---------------------------------------------------------------------------

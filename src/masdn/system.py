@@ -24,7 +24,18 @@ One small service runs outside any agent because something must survive
 when agents die: the digest pump, which exports the changed digest facts of
 every live agent to the orchestrator's mirror after each tick, so a kill
 (which lands after the pump) leaves an exact restore (the rest of a
-replacement's facts, its policies included, come from its spec).
+replacement's facts, its policies included, come from its spec). A
+dict-valued key (a session or rule table) travels as a delta against the
+version last exported for it,
+
+    {"version", "updated_at", "base", "set": {sub: value}, "drop": [sub]}
+
+carrying only the sub-keys that changed or went; "base" 0 means nothing was
+exported before (the first export, and the first after a respawn), and
+"set" then holds the whole table. Any other value travels whole, as
+{"version", "updated_at", "value"}. The pump keeps, per agent, the version
+and value it last exported of each key, and forgets them when the agent is
+spawned again.
 """
 
 from __future__ import annotations
@@ -36,7 +47,7 @@ from .logic import REFRESH_EVERY, topology_view
 from .netsim import LinkDown, PacketIn, Scenario, Simulator, TickStats, Topology
 from .orchestrator import _SUBSCRIPTIONS, home_broker
 from .pps import DEFAULT_PROFILES, StackProfile, decode_body, encode_body
-from .runtime import AgentHost, AgentSpec, beat_tick
+from .runtime import AgentHost, AgentSpec, beat_tick, digest_delta
 from .bus import Bus
 
 _PROFILE_BY_ID = {p.profile_id: p for p in DEFAULT_PROFILES}
@@ -73,7 +84,8 @@ class AgentSystem:
         self.kill_schedule: dict[int, list[str]] = {
             int(t): list(agents) for t, agents in self.config.get("kills", {}).items()
         }
-        self._exported: dict[tuple[str, str], int] = {}
+        # per agent, the (version, value) of each digest key last exported
+        self._exported: dict[str, dict[str, tuple[int, Any]]] = {}
         # every spawn the control endpoint performs, (agent, tick); replacements
         # show up as a second entry for the same agent
         self.spawn_log: list[tuple[str, int]] = []
@@ -140,9 +152,7 @@ class AgentSystem:
         return []
 
     def _forget_exports(self, agent: Any) -> None:
-        me = str(agent.id)
-        for key in [k for k in self._exported if k[0] == me]:
-            del self._exported[key]
+        self._exported.pop(str(agent.id), None)
 
     # -- lifecycle ------------------------------------------------------------
 
@@ -215,16 +225,20 @@ class AgentSystem:
         )
 
     def _pump_digests(self, t: int) -> None:
-        """Ship every live agent's changed digest facts to the orchestrator."""
+        """Ship every live agent's changed digest facts to the orchestrator: a
+        dict-valued key as a delta against the version last exported for it
+        (runtime.digest_delta), any other value whole."""
         pubs: list[Message] = []
         for agent_id in sorted(self.host.agents):
             agent = self.host.agents[agent_id]
+            exported = self._exported.setdefault(str(agent_id), {})
             changed: dict[str, Any] = {}
             for key in agent.impl.digest_keys:
-                version = agent.facts.version(key)
-                if version > self._exported.get((str(agent_id), key), 0):
-                    changed[key] = agent.facts.export([key])[key]
-                    self._exported[(str(agent_id), key)] = version
+                last = exported.get(key)
+                if agent.facts.version(key) > (last[0] if last else 0):
+                    doc = agent.facts.export([key])[key]
+                    changed[key] = digest_delta(doc, last)
+                    exported[key] = (doc["version"], doc["value"])
             if changed:
                 pubs.append(
                     self.host.factory.new_message(

@@ -27,8 +27,11 @@ from masdn.runtime import SUPERVISOR, AgentHost, AgentSpec, register_cognition
 STRATEGIES = ("centralized", "distributed", "hybrid")
 
 
-def gen_topology(rng: random.Random, n_switches: int) -> dict[str, Any]:
-    """Random connected topology document: a spanning tree plus extra links."""
+def gen_topology(
+    rng: random.Random, n_switches: int, n_hosts: int | None = None
+) -> dict[str, Any]:
+    """Random connected topology document: a spanning tree plus extra links,
+    with n_hosts hosts (by default half as many as switches, at least 3)."""
     switches = [f"sw{i + 1}" for i in range(n_switches)]
     links: list[dict[str, Any]] = []
     seen: set[tuple[str, str]] = set()
@@ -55,7 +58,7 @@ def gen_topology(rng: random.Random, n_switches: int) -> dict[str, Any]:
 
     hosts = [
         {"id": f"h{i + 1}", "switch": rng.choice(switches)}
-        for i in range(max(3, n_switches // 2))
+        for i in range(n_hosts or max(3, n_switches // 2))
     ]
     return {"switches": switches, "hosts": hosts, "links": links}
 

@@ -21,7 +21,16 @@ from masdn.logic import (
     session_record,
 )
 from masdn.orchestrator import LEASE_TTL, orchestrator_decide
-from masdn.runtime import AgentInput, FactsStore, bootstrap_steps, event_of, merge_digest, peer_of
+from masdn.runtime import (
+    AgentInput,
+    DigestGap,
+    FactsStore,
+    bootstrap_steps,
+    digest_delta,
+    event_of,
+    merge_digest,
+    peer_of,
+)
 
 _IDS = iter(range(1, 100000))
 
@@ -113,9 +122,6 @@ class TestTopologyAgent:
         flags = {(l["a"], l["b"]): l["up"] for l in view["links"]}
         assert flags[("s1", "s2")] is False
         assert flags[("s2", "s3")] is True
-
-    def test_ingest_without_a_view_is_inert(self):
-        assert topology_ingest({}, event("events.link", {"a": "s1", "b": "s2", "state": "down"})) == []
 
     def test_view_refresh_replaces_wholesale(self):
         writes = topology_ingest({"topology": TOPO}, event("events.linkstate", {"links": []}))
@@ -296,6 +302,72 @@ class TestKnowledgePlane:
         assert merged["routing#0"] is digests["routing#0"]
         assert merged["qos#0"] == {**digests["qos#0"], **body["keys"]}
         assert "admitted" not in digests["qos#0"]
+
+    def delta(self, version, base, set_=(), drop=()):
+        doc = {"version": version, "updated_at": version, "base": base,
+               "set": dict(set_), "drop": list(drop)}
+        return {"agent": "session#0", "keys": {"sessions": doc}}
+
+    def held(self, value, version):
+        return {"session#0": {"sessions": {"value": value, "version": version,
+                                           "updated_at": version}}}
+
+    def test_delta_sets_and_drops_sub_keys(self):
+        mirror = self.held({"s1": {"n": 1}, "s2": {"n": 2}, "s3": {"n": 3}}, 4)
+        body = self.delta(6, 4, set_={"s2": {"n": 20}, "s4": {"n": 4}}, drop=["s1"])
+        kept = merge_digest(mirror, body)["session#0"]["sessions"]
+        assert kept == {"value": {"s2": {"n": 20}, "s3": {"n": 3}, "s4": {"n": 4}},
+                        "version": 6, "updated_at": 6}
+        assert mirror["session#0"]["sessions"]["value"]["s2"] == {"n": 2}  # folded into a copy
+
+    def test_delta_on_base_zero_replaces_the_key(self):
+        mirror = self.held({"s1": {"n": 1}, "s2": {"n": 2}}, 9)
+        kept = merge_digest(mirror, self.delta(10, 0, set_={"s5": {"n": 5}}))
+        assert kept["session#0"]["sessions"]["value"] == {"s5": {"n": 5}}
+        fresh = merge_digest({}, self.delta(1, 0, set_={"s1": {"n": 1}}))
+        assert fresh["session#0"]["sessions"]["value"] == {"s1": {"n": 1}}
+
+    def test_stale_delta_is_ignored(self):
+        mirror = self.held({"s1": {"n": 1}}, 7)
+        kept = merge_digest(mirror, self.delta(5, 0, set_={"s9": {"n": 9}}))
+        assert kept["session#0"] == mirror["session#0"]
+
+    @pytest.mark.parametrize("held_version, base", [(4, 3), (4, 5), (None, 2)])
+    def test_delta_on_another_base_raises(self, held_version, base):
+        mirror = {} if held_version is None else self.held({"s1": {"n": 1}}, held_version)
+        with pytest.raises(DigestGap):
+            merge_digest(mirror, self.delta(6, base, set_={"s1": {"n": 2}}))
+
+    def test_deltas_fold_back_into_what_the_agent_exports(self):
+        store = FactsStore()
+        store.put("sessions", {"s1": {"n": 1}, "s2": {"n": 2}}, now=0)
+        store.put("peers", ["a", "b"], now=0)
+        last, mirror = {}, {}
+
+        def pump():
+            nonlocal mirror
+            docs = store.export(["sessions", "peers"])
+            keys = {
+                key: digest_delta(doc, last.get(key))
+                for key, doc in docs.items()
+                if key not in last or doc["version"] > last[key][0]
+            }
+            last.update((key, (doc["version"], doc["value"])) for key, doc in docs.items())
+            mirror = merge_digest(mirror, {"agent": "session#0", "keys": keys})
+            assert mirror["session#0"] == docs
+            return keys
+
+        first = pump()
+        assert first["peers"] == store.export(["peers"])["peers"]  # not a dict: whole
+        assert first["sessions"]["base"] == 0 and len(first["sessions"]["set"]) == 2
+        sessions = store.get("sessions")
+        store.put("sessions", {**sessions, "s2": {"n": 3}}, now=1)
+        second = pump()["sessions"]
+        assert (second["base"], second["set"], second["drop"]) == (1, {"s2": {"n": 3}}, [])
+        store.put("sessions", {"s2": store.get("sessions")["s2"], "s4": {"n": 4}}, now=2)
+        third = pump()
+        assert list(third) == ["sessions"]
+        assert (third["sessions"]["set"], third["sessions"]["drop"]) == ({"s4": {"n": 4}}, ["s1"])
 
 
 class TestSessionAgent:

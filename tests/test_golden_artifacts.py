@@ -7,13 +7,10 @@ diff.json) is pinned, so a speed-up that changes any outcome, log record or
 wire byte fails here, naming the artifacts that moved. The outcome.json,
 stats.csv and diff.json constants were recorded before facts were frozen on
 write instead of deep-copied. The run.log constants were last re-recorded
-when supervision left the event plane: every heartbeat goes straight from
-its agent to the orchestrator instead of through the brokers, the
-orchestrator no longer beats to itself, and events.tick is published only
-on beat ticks and a proactive session's lead ticks, while the orchestrator
-gets every tick directly. That removes frames and pipeline runs, and so
-renumbers the msg_ids and seqs of those left, not anything either
-controller decides. The hashes do not depend on PYTHONHASHSEED.
+when digests became deltas: a kp.digest carries only the sub-keys of a
+dict-valued fact that changed since the last export, so the orchestrator's
+input records log fewer bytes (their "bytes" field). No other field of any
+record moved. The hashes do not depend on PYTHONHASHSEED.
 When a change is meant to alter the artifacts, re-record the constants and
 say why in the change's notes.
 """
@@ -52,7 +49,7 @@ GOLDEN = {
         0,
         {
             "outcome.json": "9d7df6e08f605236441792fc445708a8bee2ca7bee232834eb24da6bc7505ac6",
-            "run.log": "d99b9b4f693b9e20f828deac514823b9400788914c095691b00b1e1e4d6f4be3",
+            "run.log": "dfe79fe571435ebcf5dcae302abd5d17745a72ee0640f2fd0e5254bd1e0e7af5",
             "stats.csv": "afc834dc4a6d33e7aa3e3c9055b241c4b86e34f7697c8468cac1df6550b57694",
             "diff.json": "ca3d163bab055381827226140568f3bef7eaac187cebd76878e0b63e9e442356",
         },
@@ -61,7 +58,7 @@ GOLDEN = {
         0,
         {
             "outcome.json": "57d7ab073da0ee5cbfe058ac2d154482e900e529fb1b7c930584c324f87f1ae7",
-            "run.log": "2f9e5a83aacde126d35bfbb82d37132a56d15031c3ad18641c03d5c894cff883",
+            "run.log": "1aa1fbf62cecedfbcbbe61adcb2b31eeef44327b75f31b3421befff9791672d5",
             "stats.csv": "38bfaab0d91b62a7424a4bb39febbb5006c74786e52f257514557351f534eaf9",
             "diff.json": "ca3d163bab055381827226140568f3bef7eaac187cebd76878e0b63e9e442356",
         },
@@ -70,7 +67,7 @@ GOLDEN = {
         0,
         {
             "outcome.json": "ab0cebde5c16702d9eef7ce0269a6e7f830dd862db93f8b9b7fc203f63721b2a",
-            "run.log": "307454aabaf7e8eba529da1d8f30eb2ca65a7cdd15ca3d051a15ebafbb43980a",
+            "run.log": "88986bf752db7995ba0eb6704813fa471496c120c2f8e8c715a4a6e2d40c0208",
             "stats.csv": "3edfab2026d98f54c995eb9605010f2a20ab518ed0480c9fd0c05f42b4ad9aa6",
             "diff.json": "ca3d163bab055381827226140568f3bef7eaac187cebd76878e0b63e9e442356",
         },

@@ -116,6 +116,52 @@ class TestCompareShape:
         assert compare(mk("r1"), mk("r999")) == {}
 
 
+class TestDeltaDigests:
+    """The digest pump ships deltas of dict-valued keys, and the orchestrator's
+    mirror folds them into an exact copy of what every agent exports."""
+
+    @pytest.mark.parametrize("kill", ["none", "session", "last-broker"])
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_mirror_equals_every_live_agents_export_after_each_tick(self, strategy, kill):
+        rng = random.Random(3)
+        tdoc = gen_topology(rng, 8)
+        topo, scen = build(tdoc, gen_scenario(rng, tdoc, 8, 2, 60, long_lived=True))
+        brokers = [AgentId.parse(b) for b in broker_ids(strategy)]
+        victim = {"none": None, "session": "session#0", "last-broker": str(brokers[-1])}[kill]
+        config = {"event_strategy": strategy}
+        if victim:
+            config["kills"] = {"17": [victim]}
+        system = AgentSystem(topo, scen, config)
+        system.bus.duplicate_every = 7
+        system.genesis()
+        unchecked = []
+        for t in range(scen.duration):
+            system.tick(t)
+            if not all(b in system.host.agents for b in brokers):
+                # digests wait at the bus with the rest of a dead broker's frames
+                unchecked.append(t)
+                continue
+            mirror = system.host.get(AgentId.parse(ORCH)).facts.get("mirror", {})
+            for agent_id, agent in system.host.agents.items():
+                exported = agent.facts.export(agent.impl.digest_keys)
+                assert mirror.get(str(agent_id), {}) == exported, (t, str(agent_id))
+        assert system.bus.duplicates_suppressed > 0
+        # the victim is spawned at genesis and once more, after the kill
+        spawned = [tick for agent, tick in system.spawn_log if agent == victim]
+        assert len(spawned) == (2 if victim else 0)
+        assert unchecked == (list(range(17, spawned[1])) if kill == "last-broker" else [])
+
+    def test_four_hundred_sessions_fit_the_frame_bound(self):
+        # Shipped whole, the session agent's tables outgrew max_payload on this
+        # run (PayloadTooLarge on a 66,727-byte kp.digest at tick 57).
+        rng = random.Random(0)
+        tdoc = gen_topology(rng, 30, n_hosts=60)
+        sdoc_ = gen_scenario(rng, tdoc, 400, 0, 120)
+        agents, _mono, diff, _system = run_both(tdoc, sdoc_, {})
+        assert diff == {}
+        assert len(agents["ledger"]) > 300
+
+
 class TestFaultRecovery:
     def test_killed_agent_is_respawned_and_tables_converge(self):
         flows = [
