@@ -100,25 +100,39 @@ class AgentId:
     """Identity of one agent instance: what it does plus an instance number.
 
     The text form "kind#instance" names the agent in every frame, stage
-    record and facts key, so it is computed once, at construction, and str()
-    returns it. It takes no part in equality, hashing or repr, which use
-    kind and instance only. AgentId.parse is memoised: equal text gives the
-    same frozen value, and malformed text raises ValueError on every call.
+    record and facts key, and ids key dicts and are sorted on every tick, so
+    the text, the hash and the sort key are computed once, at construction.
+    They take no part in equality or repr, which use kind and instance only.
+    The hash is salted per process (it hashes the enum member and so its
+    name), so it never travels in pickle state: unpickling, copy and
+    deepcopy rebuild the id from kind and instance. AgentId.parse is
+    memoised: equal text gives the same frozen value, and malformed text
+    raises ValueError on every call.
     """
 
     kind: FunctionKind
     instance: int
     _text: str = field(init=False, repr=False, compare=False)
+    _hash: int = field(init=False, repr=False, compare=False)
+    _order: tuple[str, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.instance < 0:
             raise ValueError(f"instance must be non-negative, got {self.instance}")
         object.__setattr__(self, "_text", f"{self.kind.value}#{self.instance}")
+        object.__setattr__(self, "_hash", hash((self.kind, self.instance)))
+        object.__setattr__(self, "_order", (self.kind.value, self.instance))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def __lt__(self, other: AgentId) -> bool:
         if not isinstance(other, AgentId):
             return NotImplemented
-        return (self.kind.value, self.instance) < (other.kind.value, other.instance)
+        return self._order < other._order
+
+    def __reduce__(self) -> tuple[type[AgentId], tuple[FunctionKind, int]]:
+        return AgentId, (self.kind, self.instance)
 
     def __str__(self) -> str:
         return self._text

@@ -257,12 +257,17 @@ def forwarding_decide(facts: dict[str, Any], inp: AgentInput) -> dict[str, Any]:
         return decision()
     ctx = inp.body.get("ctx")
     rules = inp.body["rules"]
-    table = {sw: dict(slots) for sw, slots in facts.get("switch-rules", {}).items()}
+    # copy-on-write: only the switches this op touches get a new slot dict,
+    # so every other switch goes back to the store as the same frozen object
+    stored = facts.get("switch-rules", {})
+    table = dict(stored)
     for switch, doc in rules:
+        slot = rule_slot(doc)
         if op == "install":
-            table.setdefault(switch, {})[rule_slot(doc)] = doc["rule_id"]
-        else:
-            table.get(switch, {}).pop(rule_slot(doc), None)
+            table.setdefault(switch, {})
+            _edit(table, stored, switch)[slot] = doc["rule_id"]
+        elif slot in table.get(switch, ()):
+            del _edit(table, stored, switch)[slot]
     return decision(
         plan=[step(f"{op}-rule", switch, rule=doc, ctx=ctx) for switch, doc in rules],
         responses=[{"ok": True, _RULE_COUNT_KEY[op]: len(rules), "ctx": ctx}],

@@ -37,6 +37,11 @@ from typing import Sequence
 from .core import AgentId, MasdnError, Message, MessageKind, PayloadTooLarge
 
 
+# one encoder for every canonical JSON form: json.dumps with non-default
+# arguments would build a new encoder on every call
+_CANONICAL_JSON = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
 class NoCommonProfile(MasdnError):
     """The two offered profile lists share no profile."""
 
@@ -129,7 +134,7 @@ def encode(m: Message, p: StackProfile) -> bytes:
             "sim_time": m.sim_time,
             "payload": base64.b64encode(m.payload).decode("ascii"),
         }
-        return json.dumps(doc, sort_keys=True, separators=(",", ":")).encode("utf-8")
+        return _CANONICAL_JSON.encode(doc).encode("utf-8")
 
     src_b = str(m.src).encode("utf-8")
     dst_b = str(m.dst).encode("utf-8")
@@ -249,7 +254,7 @@ def _decode_binary(b: bytes, p: StackProfile) -> Message:
 
 def encode_body(obj: object) -> bytes:
     """Canonical JSON bytes for a structured message body."""
-    return json.dumps(obj, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    return _CANONICAL_JSON.encode(obj).encode("utf-8")
 
 
 def decode_body(payload: bytes) -> object:

@@ -71,6 +71,8 @@ from .pps import DEFAULT_PROFILES, MalformedFrame, StackProfile, decode_body, en
 
 VIOLATION_TOPIC = "events.violation"
 
+_KIND_TEXT = {kind: kind.value for kind in MessageKind}  # as stage records write it
+
 SUPERVISOR = str(AgentId(FunctionKind.ORCHESTRATION, 0))  # keeps the leases
 
 
@@ -328,6 +330,11 @@ class ValidationReport:
     passed: bool
     violations: tuple[Violation, ...] = ()
     note: str = ""
+
+
+# shared by every pipeline run whose decision has no plan
+_NO_PLAN = Plan(())
+_NO_PLAN_REPORT = ValidationReport(passed=True, note="no-plan")
 
 
 def _check_policies(
@@ -603,7 +610,14 @@ class Agent:
 
 
 class AgentHost:
-    """Owns a set of live agents and runs the six-stage pipeline for them."""
+    """Owns a set of live agents and runs the six-stage pipeline for them.
+
+    The host records in facts_written every agent whose facts were written
+    since the digest pump last took the set: a spawn (its initial facts, and
+    any restore applied right after it), an ingest write, and a decision's
+    facts. The pump visits only those agents, so a tick in which nothing
+    is written costs it nothing.
+    """
 
     def __init__(
         self,
@@ -616,6 +630,7 @@ class AgentHost:
         self.stage_log: list[dict[str, Any]] = []
         self.agents: dict[AgentId, Agent] = {}
         self.on_spawn: list[Callable[[Agent], None]] = []  # called after each spawn
+        self.facts_written: set[AgentId] = set()
         self._runs = 0
         self._seq = 0
 
@@ -629,6 +644,7 @@ class AgentHost:
         for key, value in spec.initial_facts.items():
             agent.facts.put(key, value, self.now)
         self.agents[spec.agent] = agent
+        self.facts_written.add(spec.agent)
         self._emit(
             {"stage": "spawn", "agent": str(spec.agent), "cognition": spec.cognition}
         )
@@ -656,15 +672,19 @@ class AgentHost:
         run = self._runs
         agent_text = str(agent_id)
         msg_id = msg.msg_id
+        emit = self._emit
 
-        def log(stage: str, **record: Any) -> None:
-            record["stage"] = stage
-            record["agent"] = agent_text
-            record["run"] = run
-            record["msg_id"] = msg_id
-            self._emit(record)
-
-        log("input", kind=msg.kind.value, src=str(msg.src), bytes=len(msg.payload))
+        emit(
+            {
+                "kind": _KIND_TEXT[msg.kind],
+                "src": str(msg.src),
+                "bytes": len(msg.payload),
+                "stage": "input",
+                "agent": agent_text,
+                "run": run,
+                "msg_id": msg_id,
+            }
+        )
         try:
             body = decode_body(msg.payload)
         except MalformedFrame as exc:
@@ -677,45 +697,86 @@ class AgentHost:
             for key, value in impl.ingest(agent.facts.snapshot(), inp) or []:
                 agent.facts.put(key, value, self.now)
                 written.append(key)
+            if written:
+                self.facts_written.add(agent_id)
         snapshot = agent.facts.snapshot()
-        log("facts", written=written)
+        emit(
+            {
+                "written": written,
+                "stage": "facts",
+                "agent": agent_text,
+                "run": run,
+                "msg_id": msg_id,
+            }
+        )
 
         dec = impl.decide(snapshot, inp)
-        log("cognition", decided=sorted(dec))
+        emit(
+            {
+                "decided": sorted(dec),
+                "stage": "cognition",
+                "agent": agent_text,
+                "run": run,
+                "msg_id": msg_id,
+            }
+        )
 
         escalated = "escalate" in dec
-        if escalated:
-            plan = Plan.of()
-            note = f"escalation dead-end: {agent_text} is already at the top level"
-        else:
+        steps = None if escalated else dec.get("plan")
+        if steps:
             plan = Plan(
-                steps=tuple(
-                    PlanStep(d["action"], _parse_target(d["target"]), d.get("params", {}))
-                    for d in dec.get("plan", [])
+                tuple(
+                    [
+                        PlanStep(d["action"], _parse_target(d["target"]), d.get("params", {}))
+                        for d in steps
+                    ]
                 )
             )
-            note = ""
-        log(
-            "planning",
-            steps=[[s.action, str(s.target)] for s in plan.steps],
-            escalated=escalated,
-            note=note,
+        else:
+            plan = _NO_PLAN
+        emit(
+            {
+                "steps": [[s.action, str(s.target)] for s in plan.steps],
+                "escalated": escalated,
+                "note": (
+                    f"escalation dead-end: {agent_text} is already at the top level"
+                    if escalated
+                    else ""
+                ),
+                "stage": "planning",
+                "agent": agent_text,
+                "run": run,
+                "msg_id": msg_id,
+            }
         )
 
         if plan.steps:
             policies = [Policy.from_dict(p) for p in snapshot.get("policies", [])]
             report = validate_plan(plan, snapshot, policies)
         else:
-            report = ValidationReport(passed=True, note="no-plan")
-        log(
-            "validation",
-            passed=report.passed,
-            violations=[[v.constraint, v.detail] for v in report.violations],
-            note=report.note,
+            report = _NO_PLAN_REPORT
+        emit(
+            {
+                "passed": report.passed,
+                "violations": [[v.constraint, v.detail] for v in report.violations],
+                "note": report.note,
+                "stage": "validation",
+                "agent": agent_text,
+                "run": run,
+                "msg_id": msg_id,
+            }
         )
 
         outputs = self._materialize(agent, msg, dec, plan, report, escalated)
-        log("output", emitted=[[m.kind.value, str(m.dst)] for m in outputs])
+        emit(
+            {
+                "emitted": [[_KIND_TEXT[m.kind], str(m.dst)] for m in outputs],
+                "stage": "output",
+                "agent": agent_text,
+                "run": run,
+                "msg_id": msg_id,
+            }
+        )
         return outputs
 
     # -- internals ---------------------------------------------------------
@@ -769,8 +830,11 @@ class AgentHost:
                 )
             for ev in dec.get("events", []):
                 outputs.append(self._event(agent, ev["topic"], ev["body"], ev.get("to")))
-            for key, value in dec.get("facts", []):
-                agent.facts.put(key, value, self.now)
+            facts = dec.get("facts")
+            if facts:
+                for key, value in facts:
+                    agent.facts.put(key, value, self.now)
+                self.facts_written.add(agent.id)
         return outputs
 
     def _step_message(

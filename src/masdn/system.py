@@ -24,7 +24,11 @@ One small service runs outside any agent because something must survive
 when agents die: the digest pump, which exports the changed digest facts of
 every live agent to the orchestrator's mirror after each tick, so a kill
 (which lands after the pump) leaves an exact restore (the rest of a
-replacement's facts, its policies included, come from its spec). A
+replacement's facts, its policies included, come from its spec). The pump
+visits only the agents the host saw write facts since it last ran (a
+spawn, an ingest write or a decision's facts), so a tick in which nothing
+is written costs it nothing. It visits them in AgentId order, so digest
+message ids do not depend on the order in which agents wrote. A
 dict-valued key (a session or rule table) travels as a delta against the
 version last exported for it,
 
@@ -225,12 +229,19 @@ class AgentSystem:
         )
 
     def _pump_digests(self, t: int) -> None:
-        """Ship every live agent's changed digest facts to the orchestrator: a
-        dict-valued key as a delta against the version last exported for it
-        (runtime.digest_delta), any other value whole."""
+        """Ship the changed digest facts of every live agent that had a facts
+        write since the last pump (AgentHost.facts_written) to the
+        orchestrator, in AgentId order: a dict-valued key as a delta against
+        the version last exported for it (runtime.digest_delta), any other
+        value whole. The set is taken before the digests go out, so what
+        their delivery writes is shipped by the next pump."""
+        written = sorted(self.host.facts_written)
+        self.host.facts_written.clear()
         pubs: list[Message] = []
-        for agent_id in sorted(self.host.agents):
-            agent = self.host.agents[agent_id]
+        for agent_id in written:
+            agent = self.host.agents.get(agent_id)
+            if agent is None:
+                continue
             exported = self._exported.setdefault(str(agent_id), {})
             changed: dict[str, Any] = {}
             for key in agent.impl.digest_keys:

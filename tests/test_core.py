@@ -1,10 +1,15 @@
 """Identity, hierarchy levels, and message envelope basics."""
 import copy
 import dataclasses
+import os
 import pickle
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import masdn
 from masdn.core import (
     AgentId,
     FunctionKind,
@@ -101,6 +106,55 @@ def test_agent_ids_sort_stably():
     ids = [AgentId(FunctionKind.SESSION, 1), AgentId(FunctionKind.ROUTING, 0),
            AgentId(FunctionKind.SESSION, 0)]
     assert sorted(map(str, ids)) == [str(a) for a in sorted(ids)]
+
+
+def _built_every_way(kind, instance):
+    aid = AgentId(kind, instance)
+    return [
+        aid,
+        AgentId.parse(f"{kind.value}#{instance}"),
+        dataclasses.replace(AgentId(kind, instance + 1), instance=instance),
+        copy.copy(aid),
+        copy.deepcopy(aid),
+        pickle.loads(pickle.dumps(aid)),
+    ]
+
+
+def test_agent_id_hash_and_order_agree_however_built():
+    ids = [(FunctionKind.SESSION, 1), (FunctionKind.ROUTING, 0), (FunctionKind.SESSION, 0),
+           (FunctionKind.ROUTING, 10)]
+    for kind, instance in ids:
+        same = _built_every_way(kind, instance)
+        for a in same:
+            assert a == same[0] and hash(a) == hash(same[0])
+            assert not a < same[0] and not same[0] < a
+            assert {same[0]: "x"}[a] == "x"
+    everyone = [a for kind, instance in ids for a in _built_every_way(kind, instance)]
+    assert [(a.kind.value, a.instance) for a in sorted(everyone)] == sorted(
+        (a.kind.value, a.instance) for a in everyone
+    )
+
+
+def test_agent_id_unpickled_from_another_hash_seed_is_found_as_a_key():
+    # enum and str hashes are salted per process, so a pickle that carried the
+    # hash computed where it was made would miss every dict lookup here
+    seed = "1" if os.environ.get("PYTHONHASHSEED") != "1" else "2"
+    src = str(Path(masdn.__file__).resolve().parents[1])
+    child = subprocess.run(
+        [sys.executable, "-c",
+         "import pickle, sys; from masdn.core import AgentId, FunctionKind; "
+         "aid = AgentId(FunctionKind.ROUTING, 3); print(hash(aid)); "
+         "sys.stdout.write(pickle.dumps(aid).hex())"],
+        env={**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src},
+        capture_output=True, text=True, timeout=60, check=True,
+    )
+    their_hash, frame = child.stdout.split("\n")
+    here = AgentId(FunctionKind.ROUTING, 3)
+    assert int(their_hash) != hash(here)  # the two processes really hash apart
+    aid = pickle.loads(bytes.fromhex(frame))
+    assert hash(aid) == hash(here)
+    assert {here: "found"}[aid] == "found"
+    assert aid in {here}
 
 
 def test_response_requires_correlation_id():

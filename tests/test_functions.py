@@ -228,6 +228,25 @@ class TestForwardingAgent:
         assert out["responses"][0]["removed"] == 1
         assert dict(out["facts"])["switch-rules"] == {"s1": {}}
 
+    def test_a_write_shares_every_switch_it_does_not_touch(self):
+        store = FactsStore()
+        store.put("switch-rules", {"s1": {"h3|h4|20": "r0"}, "s2": {"h1|h2|20": "r1"}, "s3": {}}, 0)
+        before = store.get("switch-rules")
+        old_rule = {**self.RULE, "rule_id": "r0", "match": {"src": "h3", "dst": "h4"}}
+        for op, rule in (("install", self.RULE), ("remove", old_rule)):
+            body = {"op": op, "ctx": "s-1", "rules": [["s1", rule]]}
+            out = forwarding_decide(store.snapshot(), request(body, dst="forwarding#0"))
+            store.put("switch-rules", dict(out["facts"])["switch-rules"], 1)
+            after = store.get("switch-rules")
+            assert after["s2"] is before["s2"] and after["s3"] is before["s3"]
+        assert after == {"s1": {"h1|h2|20": "r1"}, "s2": {"h1|h2|20": "r1"}, "s3": {}}
+
+    def test_remove_on_an_unknown_switch_creates_no_entry(self):
+        occupied = {"s1": {"h1|h2|20": "r1"}}
+        body = {"op": "remove", "ctx": "s-1", "rules": [["s9", self.RULE]]}
+        out = forwarding_decide({"switch-rules": occupied}, request(body, dst="forwarding#0"))
+        assert dict(out["facts"])["switch-rules"] == occupied
+
 
 class TestOrchestratorLeases:
     """The orchestrator's lease table, from spawn to discover, renewal and expiry."""

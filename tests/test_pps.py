@@ -1,4 +1,6 @@
 """Protocol stack profiles: codecs, framing, and negotiation."""
+import json
+
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -190,6 +192,23 @@ def test_negotiate_disjoint_offers_fails():
 )
 def test_body_codec_round_trips_json_values(body):
     assert decode_body(encode_body(body)) == body
+
+
+@pytest.mark.parametrize(
+    "body",
+    [
+        {"b": [1, {"z": None, "a": [True, False]}], "a": {"y": {"x": [[], {}]}}},
+        {"name": "h\u00e9llo \u2603 \U0001f600", "\u00fc": "\u0000\n\"\\"},
+        {"f": [0.1, -2.5e-08, 1e300, 3.0, -0.0], "i": [0, -1, 2**70]},
+        [None, True, False, "", 0, 1.5],
+        "plain",
+        None,
+    ],
+)
+def test_body_codec_writes_the_canonical_json_dumps_form(body):
+    assert encode_body(body) == json.dumps(
+        body, sort_keys=True, separators=(",", ":")
+    ).encode("utf-8")
 
 
 # -- binary decoder robustness: every inner bounds check is reached -----------------

@@ -11,6 +11,7 @@ from masdn.oracle import MonolithicController, compare, normalize_tables
 from masdn.logic import HEARTBEAT_INTERVAL
 from masdn.orchestrator import broker_ids, plan_roster
 from masdn.pps import decode_body
+from masdn.runtime import FactsStore
 
 from helpers import STRATEGIES, build, diff_is_empty, gen_scenario, gen_topology, run_both
 
@@ -160,6 +161,46 @@ class TestDeltaDigests:
         agents, _mono, diff, _system = run_both(tdoc, sdoc_, {})
         assert diff == {}
         assert len(agents["ledger"]) > 300
+
+
+class TestPumpFollowsWrites:
+    """The digest pump visits only the agents that wrote facts since it last
+    ran, so a tick in which nothing is written costs it no facts read."""
+
+    def test_a_tick_without_a_facts_write_reads_no_facts(self, monkeypatch):
+        rng = random.Random(3)
+        tdoc = gen_topology(rng, 8)
+        topo, scen = build(tdoc, gen_scenario(rng, tdoc, 8, 2, 60, long_lived=True))
+        counts = Counter()
+
+        def spy(name, what):
+            original = getattr(FactsStore, name)
+
+            def spied(store, *args, **kwargs):
+                counts[what] += 1
+                return original(store, *args, **kwargs)
+
+            monkeypatch.setattr(FactsStore, name, spied)
+
+        for name in ("put", "restore"):
+            spy(name, "write")
+        for name in ("version", "export"):
+            spy(name, "read")
+        pump = AgentSystem._pump_digests
+        pumps = []  # per tick: facts writes since the last pump began, reads by this pump
+
+        def spied_pump(system, t):
+            wrote, counts["write"] = counts["write"], 0
+            pump(system, t)  # what its own deliveries write counts for the next pump
+            pumps.append((wrote, counts["read"]))
+            counts["read"] = 0
+
+        monkeypatch.setattr(AgentSystem, "_pump_digests", spied_pump)
+        AgentSystem(topo, scen, {}).run()
+        quiet = [reads for wrote, reads in pumps if not wrote]
+        assert len(pumps) == scen.duration and len(quiet) > scen.duration // 2
+        assert quiet == [0] * len(quiet)
+        assert any(reads for wrote, reads in pumps if wrote)  # the spy sees the pump read
 
 
 class TestFaultRecovery:
