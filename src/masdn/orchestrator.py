@@ -24,8 +24,11 @@ After bootstrap the orchestrator is the failure detector. Its lease table
 which agents are live. Every spawn registers a lease built from the agent's
 spec, with a TTL of MISSED_HEARTBEATS heartbeat intervals; each heartbeat,
 sent straight here by its agent, renews it at delivery time, so a replayed
-(old) beat can renew a lease but never shorten it; and each tick, handed
-here directly by the system, sweeps the expired leases. An expired agent is
+(old) beat can renew a lease but never shorten it; and each beat tick,
+handed here directly by the system, sweeps the expired leases. Beat ticks
+suffice: leases are registered (at genesis and by a sweep) and renewed (by
+beats) only on beat ticks, and LEASE_TTL is a whole number of beat
+intervals, so every lease expires on a beat tick. An expired agent is
 respawned from its spec with its mirror state restored: that is the whole
 recovery, as the fabric replays what the agent missed. Dead brokers are
 special: agents get their beat ticks through their home broker, so those

@@ -8,9 +8,12 @@ every REFRESH_EVERY ticks, and finally the tick event itself — so reroute
 sweeps always run before new-flow setups, mirroring the reference
 controller's processing order. The tick is published only where it is read
 (on beat ticks, and in a proactive run on the tick before each flow start),
-but handed to the orchestrator directly on every tick, so failure detection
-needs no live broker. The per-tick link stats go to stats.csv, not onto the
-bus: no agent reads them.
+and handed to the orchestrator directly on beat ticks, so failure detection
+needs no live broker. The orchestrator reads its tick only to sweep expired
+leases, and a lease expires only on a beat tick: leases are registered and
+renewed on beat ticks and live LEASE_TTL, a whole number of beat intervals.
+A sweep on any other tick would find nothing. The per-tick link stats go
+to stats.csv, not onto the bus: no agent reads them.
 
 The host-control endpoint gives the orchestrator its lifecycle lever: a
 spawn-agent request (re)creates an agent, seeds it with restored knowledge
@@ -209,7 +212,8 @@ class AgentSystem:
             pubs.append(self._publish(0, "events.linkstate", {"links": self.sim.links_doc()}))
         if beat_tick(t) or t in self._lead_ticks:
             pubs.append(self._publish(0, "events.tick", {"tick": t}))
-        pubs.append(self._publish(0, "events.tick", {"tick": t}, to=self.orch))
+        if beat_tick(t):
+            pubs.append(self._publish(0, "events.tick", {"tick": t}, to=self.orch))
         self.bus.send(pubs)
         self.bus.run_to_quiescence()
         self._pump_digests(t)

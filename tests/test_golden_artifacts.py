@@ -7,9 +7,9 @@ diff.json) is pinned, so a speed-up that changes any outcome, log record or
 wire byte fails here, naming the artifacts that moved. The outcome.json,
 stats.csv and diff.json constants were recorded before facts were frozen on
 write instead of deep-copied. The run.log constants were last re-recorded
-when digests became deltas: a kp.digest carries only the sub-keys of a
-dict-valued fact that changed since the last export, so the orchestrator's
-input records log fewer bytes (their "bytes" field). No other field of any
+when the orchestrator's direct tick went to beat ticks only: its pipeline
+runs on the other ticks (six records each) are gone, and the message ids,
+run numbers and sequence numbers after them shift. No other field of any
 record moved. The hashes do not depend on PYTHONHASHSEED.
 When a change is meant to alter the artifacts, re-record the constants and
 say why in the change's notes.
@@ -49,7 +49,7 @@ GOLDEN = {
         0,
         {
             "outcome.json": "9d7df6e08f605236441792fc445708a8bee2ca7bee232834eb24da6bc7505ac6",
-            "run.log": "dfe79fe571435ebcf5dcae302abd5d17745a72ee0640f2fd0e5254bd1e0e7af5",
+            "run.log": "0397f39c9fcbf54a42b258ed294ffbbc31e0a68fffea0c46068c886492ec86d7",
             "stats.csv": "afc834dc4a6d33e7aa3e3c9055b241c4b86e34f7697c8468cac1df6550b57694",
             "diff.json": "ca3d163bab055381827226140568f3bef7eaac187cebd76878e0b63e9e442356",
         },
@@ -58,7 +58,7 @@ GOLDEN = {
         0,
         {
             "outcome.json": "57d7ab073da0ee5cbfe058ac2d154482e900e529fb1b7c930584c324f87f1ae7",
-            "run.log": "1aa1fbf62cecedfbcbbe61adcb2b31eeef44327b75f31b3421befff9791672d5",
+            "run.log": "54775c2f1ba00ed7d358a07d352875e0444bf264c4114672c4c965e63d1bb6fd",
             "stats.csv": "38bfaab0d91b62a7424a4bb39febbb5006c74786e52f257514557351f534eaf9",
             "diff.json": "ca3d163bab055381827226140568f3bef7eaac187cebd76878e0b63e9e442356",
         },
@@ -67,7 +67,7 @@ GOLDEN = {
         0,
         {
             "outcome.json": "ab0cebde5c16702d9eef7ce0269a6e7f830dd862db93f8b9b7fc203f63721b2a",
-            "run.log": "88986bf752db7995ba0eb6704813fa471496c120c2f8e8c715a4a6e2d40c0208",
+            "run.log": "13b369d084e262d5a995bed4b51c41df9fbee3fe76e35a4de602c03d86b399f5",
             "stats.csv": "3edfab2026d98f54c995eb9605010f2a20ab518ed0480c9fd0c05f42b4ad9aa6",
             "diff.json": "ca3d163bab055381827226140568f3bef7eaac187cebd76878e0b63e9e442356",
         },

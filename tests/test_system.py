@@ -8,10 +8,11 @@ import pytest
 from masdn import AgentSystem, Scenario, Topology
 from masdn.core import AgentId, FunctionKind
 from masdn.oracle import MonolithicController, compare, normalize_tables
-from masdn.logic import HEARTBEAT_INTERVAL
-from masdn.orchestrator import broker_ids, plan_roster
+from masdn.logic import HEARTBEAT_INTERVAL, REFRESH_EVERY
+from masdn.netsim import LinkDown, PacketIn
+from masdn.orchestrator import LEASE_TTL, broker_ids, plan_roster
 from masdn.pps import decode_body
-from masdn.runtime import FactsStore
+from masdn.runtime import FactsStore, beat_tick
 
 from helpers import STRATEGIES, build, diff_is_empty, gen_scenario, gen_topology, run_both
 
@@ -258,9 +259,9 @@ class TestOneTopologyView:
         assert respawned > 14
 
 
-def hybrid_frames():
-    """(tick, src, dst) of every frame an agent was handed in a steady
-    30-tick hybrid run: no kills, so every frame reaches a live agent."""
+def hybrid_run():
+    """A steady 30-tick hybrid run, and (tick, src, dst) of every frame an
+    agent was handed in it: no kills, so every frame reaches a live agent."""
     topo, scen = build(TOPO, sdoc(duration=30))
     system = AgentSystem(topo, scen, {"event_strategy": "hybrid"})
     frames = []
@@ -272,20 +273,22 @@ def hybrid_frames():
 
     system.host.process_input = spy
     system.run()
-    return frames
+    return system, frames
 
 
 class TestEventPlaneTraffic:
     def test_brokers_ship_no_digest_after_tick_0(self):
         # subs and peers settle at genesis; brokers keep no per-publisher state
-        frames = hybrid_frames()
+        _system, frames = hybrid_run()
         ticks = {t for t, src, dst in frames
                  if dst == "kp.digest" and src.startswith("event-distribution#")}
         assert ticks == {0}
 
     def test_no_frame_carries_link_stats(self):
-        frames = hybrid_frames()
-        assert {t for t, _src, _dst in frames} == set(range(30))
+        # the simulator yields link stats on every tick; they stay with the system
+        system, frames = hybrid_run()
+        assert [stats.tick for stats in system.stats] == list(range(30))
+        assert frames
         assert not [f for f in frames if f[2] == "events.stats"]
 
 
@@ -360,9 +363,9 @@ class TestOneLivenessTable:
 
 
 class TestTicksOnlyWhereRead:
-    """The orchestrator gets every tick straight from the bridge; the event
-    plane carries a tick only when an agent acts on it: every beat tick, and
-    in a proactive run the tick before each declared flow start."""
+    """The orchestrator gets every beat tick straight from the bridge; the
+    event plane carries a tick only when an agent acts on it: every beat
+    tick, and in a proactive run the tick before each declared flow start."""
 
     @pytest.mark.parametrize("strategy", STRATEGIES)
     @pytest.mark.parametrize("proactive", [False, True])
@@ -372,8 +375,8 @@ class TestTicksOnlyWhereRead:
         for agent, body in inputs:
             if topic_of(body) == "events.tick":
                 got.setdefault(agent, Counter())[body["body"]["tick"]] += 1
-        assert got.pop(ORCH) == Counter(range(30))
         beat_ticks = set(range(0, 30, HEARTBEAT_INTERVAL))
+        assert got.pop(ORCH) == Counter(beat_ticks)
         lead_ticks = {flow["start_tick"] - 1 for flow in FLOWS} if proactive else set()
         assert bool(lead_ticks - beat_ticks) is proactive  # some lead tick is extra
         # a publish reaches every subscriber, so in a proactive run everyone
@@ -381,6 +384,81 @@ class TestTicksOnlyWhereRead:
         want = Counter(sorted(beat_ticks | lead_ticks))
         assert set(got) == set(plan_roster({"event_strategy": strategy})) - {ORCH}
         assert {agent: ticks for agent, ticks in got.items() if ticks != want} == {}
+
+
+class TestQuietTicks:
+    """A tick with no beat, no link failure, no packet-in and no link-state
+    refresh moves nothing: no frame hops and no agent is handed an input, as
+    the orchestrator's direct tick comes on beat ticks only."""
+
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_a_quiet_tick_hops_no_frame_and_hands_no_input(self, strategy):
+        topo, scen = build(TOPO, sdoc(duration=40))
+        system = AgentSystem(topo, scen, {"event_strategy": strategy})
+        events, hops, inputs, orch_ticks = {}, Counter(), Counter(), Counter()
+        step, hop, process_input = system.sim.step, system.bus._hop, system.host.process_input
+
+        def step_spy(t):
+            events[t] = step(t)
+            return events[t]
+
+        def hop_spy(msg, pair):
+            hops[system.host.now] += 1
+            return hop(msg, pair)
+
+        def input_spy(agent_id, msg):
+            inputs[system.host.now] += 1
+            body = decode_body(msg.payload)
+            if str(agent_id) == ORCH and topic_of(body) == "events.tick":
+                orch_ticks[body["body"]["tick"]] += 1
+            return process_input(agent_id, msg)
+
+        system.sim.step, system.bus._hop, system.host.process_input = step_spy, hop_spy, input_spy
+        system.run()
+        quiet = [
+            t for t, evs in events.items()
+            if not beat_tick(t) and t % REFRESH_EVERY
+            and not [ev for ev in evs if isinstance(ev, (LinkDown, PacketIn))]
+        ]
+        assert len(quiet) > scen.duration // 2
+        assert {t: (hops[t], inputs[t]) for t in quiet if hops[t] or inputs[t]} == {}
+        assert hops and inputs  # the spies see the ticks that do move frames
+        assert orch_ticks == Counter(t for t in range(scen.duration) if beat_tick(t))
+
+
+class TestLeasesExpireOnBeatTicks:
+    """The orchestrator sweeps its leases on beat ticks only. That delays no
+    detection, because every lease expires on a beat tick: leases are
+    registered (at genesis and by a sweep) and renewed (by beats) on beat
+    ticks, and they live a whole number of beat intervals."""
+
+    def test_the_lease_ttl_is_a_whole_number_of_beat_intervals(self):
+        assert LEASE_TTL % HEARTBEAT_INTERVAL == 0
+
+    @pytest.mark.parametrize("kill", ["none", "forwarding", "broker-and-session"])
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_every_lease_expires_on_a_beat_tick_after_each_tick(self, strategy, kill):
+        rng = random.Random(3)
+        tdoc = gen_topology(rng, 8)
+        topo, scen = build(tdoc, gen_scenario(rng, tdoc, 8, 2, 60, long_lived=True))
+        victims = {
+            "none": [],
+            "forwarding": ["forwarding#0"],
+            "broker-and-session": [broker_ids(strategy)[-1], "session#0"],
+        }[kill]
+        system = AgentSystem(topo, scen, {"event_strategy": strategy, "kills": {"17": victims}})
+        system.genesis()
+        orch = system.host.get(system.orch)
+        for t in range(scen.duration):
+            system.tick(t)
+            leases = orch.facts.get("leases")
+            expiries = {agent: lease["expires_at"] for agent, lease in leases.items()}
+            assert {a: at for a, at in expiries.items() if not beat_tick(at)} == {}, t
+        roster = plan_roster({"event_strategy": strategy})
+        assert sorted(leases) == roster
+        # every victim was found by a sweep and replaced, and nobody else
+        assert sorted(agent for agent, _t in system.spawn_log[len(roster):]) == sorted(victims)
+
 
 class TestPolicyEnforcement:
     CAP = 2
