@@ -8,12 +8,12 @@ choreography: who asks whom, in which order, and what lands in facts.
 
 Every agent that needs the network view (topology, routing, QoS, forwarding,
 session) keeps its own copy with one ingest hook, topology_ingest, fed by
-the link events and the periodic link-state refresh each of them subscribes
-to. All copies apply the same events in the same order, so they stay equal
-without any agent broadcasting its view; a respawned agent is restored from
-its last digest and gets the link events it missed from the frames the
-fabric parked for it. Genesis hands every one of them the view in its spec,
-so none ever decides without one.
+the link events each of them subscribes to. Links only go down and every
+link event reaches every copy, so the copies stay current from link events
+alone, with no periodic refresh and without any agent broadcasting its
+view; a respawned agent is restored from its last digest and gets the link
+events it missed from the frames the fabric parked for it. Genesis hands
+every one of them the view in its spec, so none ever decides without one.
 
 Some agents have nothing to decide, and share one empty decide function
 (lifecycle_only_decide): the topology agent, which only keeps its copy; the
@@ -50,7 +50,9 @@ the tick it is delivered at.
 Ordering contract (mirrored by the oracle): link events precede packet-in
 events within a tick, so reroute sweeps always run before new-flow
 conversations, and requests reach the shared-state agents (QoS, forwarding)
-in the same order in both controller modes.
+in the same order in both controller modes. The tick comes last, and on it
+the session agent runs the periodic sweep (every REFRESH_EVERY ticks) before
+the proactive scan, as the oracle does.
 """
 
 from __future__ import annotations
@@ -66,6 +68,7 @@ from .logic import (
     PENDING,
     PRIORITY_BY_CLASS,
     REALTIME,
+    REFRESH_EVERY,
     UNROUTABLE,
     UPDATING,
     admit_realtime,
@@ -114,7 +117,7 @@ def _set_link_state(links: list[dict[str, Any]], a: str, b: str, up: bool) -> li
 
 
 def topology_ingest(facts: dict[str, Any], inp: AgentInput) -> list[tuple[str, Any]]:
-    """Keep a local topology view current from link events and refreshes."""
+    """Keep a local topology view current from link events."""
     ev = event_of(inp)
     if ev is None:
         return []
@@ -123,8 +126,6 @@ def topology_ingest(facts: dict[str, Any], inp: AgentInput) -> list[tuple[str, A
     if topic == "events.link":
         links = _set_link_state(view["links"], body["a"], body["b"], body["state"] == "up")
         return [("topology", {**view, "links": links})]
-    if topic == "events.linkstate":
-        return [("topology", {**view, "links": body["links"]})]
     return []
 
 
@@ -492,10 +493,13 @@ def session_decide(facts: dict[str, Any], inp: AgentInput) -> dict[str, Any]:
                     body["src"], body["dst"], body["size"], body["gap"], body.get("hint"),
                     body["at"],
                 )
-        elif topic in ("events.link", "events.linkstate"):
+        elif topic == "events.link":
             st.sweep(facts["topology"])  # ingest already applied the change
         elif topic == "events.violation":
             st.on_violation(body)
-        elif topic == "events.tick" and facts.get("proactive"):
-            st.proactive_scan(body["tick"], facts.get("schedule", []))
+        elif topic == "events.tick":
+            if body["tick"] % REFRESH_EVERY == 0:
+                st.sweep(facts["topology"])
+            if facts.get("proactive"):
+                st.proactive_scan(body["tick"], facts.get("schedule", []))
     return decision(plan=st.steps, facts=st.writes())

@@ -35,7 +35,9 @@ DEFAULT_QOS_CAP_PERMILLE = 800  # reserve at most 80% of a link for realtime
 
 HEARTBEAT_INTERVAL = 5  # ticks between liveness beacons
 MISSED_HEARTBEATS = 3  # silent intervals before an agent is declared dead
-REFRESH_EVERY = 10  # ticks between full link-state refreshes (and sweeps)
+# ticks between periodic reroute sweeps; every one is a beat tick, so the
+# session agent gets the tick it sweeps on
+REFRESH_EVERY = 2 * HEARTBEAT_INTERVAL
 
 
 class CapacityError(MasdnError):

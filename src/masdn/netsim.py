@@ -414,7 +414,8 @@ class Simulator:
         return table.remove(src, dst, priority)
 
     def links_doc(self) -> list[dict[str, Any]]:
-        """Current link state, for periodic refresh events."""
+        """Current link state: every view's links at genesis, and what the
+        reference controller re-reads on each periodic sweep."""
         return [
             {
                 "a": l.a,

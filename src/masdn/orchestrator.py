@@ -3,18 +3,18 @@
 Given a run configuration it recomposes the controller out of atomic
 function agents: it expands the requested chain to its dependency closure,
 adds the infrastructure roster (registry, brokers, knowledge plane, fault
-handler, discovery, monitoring), places everything onto the inventory,
-spawns it all and subscribes everyone. The network-level policies go down
-in the specs: each agent's initial facts carry the configured policies whose
-scope holds its kind, in config order.
+handler, discovery, monitoring), places everything onto the inventory and
+spawns it all; each spawned agent subscribes itself at its home broker. The
+network-level policies go down in the specs: each agent's initial facts
+carry the configured policies whose scope holds its kind, in config order.
 
 Bootstrap happens in two passes driven by two control.bootstrap events.
 The first ("facts") computes and stores the roster, the per-agent specs and
 the placement; the second ("spawn") turns those facts into the actual
-spawn/subscribe plan and registers a lease for every agent it spawns. The
-split exists because a plan is validated against the facts snapshot taken
-before the decision ran, so the spawn plan must be able to see the roster
-facts written by an earlier pipeline run. Any other phase is ignored. A
+spawn plan and registers a lease for every agent it spawns. The split
+exists because a plan is validated against the facts snapshot taken before
+the decision ran, so the spawn plan must be able to see the roster facts
+written by an earlier pipeline run. Any other phase is ignored. A
 failed placement escalates the spawn pass: the orchestrator is the top
 level, so the runtime records the issue as a dead-end and nothing is
 spawned and no lease is registered. It is the only escalation in the code.
@@ -36,10 +36,11 @@ homed on a dead one fall silent with it. Dead brokers are replaced first and
 every roster lease is registered again, giving the revived event plane a
 full detection window before anyone else is declared lost.
 
-kp.digest events, its one subscription, feed the state mirror, the one copy
-of what agents learn and the only one a restore reads. The orchestrator
-answers only discover, from its lease table; everything else it does starts
-from an event. It holds no lease of its own and sends no beat.
+kp.digest events, sent straight here by the digest pump, feed the state
+mirror, the one copy of what agents learn and the only one a restore reads.
+The orchestrator subscribes to nothing. It answers only discover, from its
+lease table; everything else it does starts from an event. It holds no
+lease of its own and sends no beat.
 """
 
 from __future__ import annotations
@@ -69,7 +70,6 @@ from .registry import (
 )
 from .runtime import (
     AgentInput,
-    bootstrap_steps,
     decision,
     event_of,
     merge_digest,
@@ -91,18 +91,11 @@ INFRA_KINDS = (
 
 # Every other kind subscribes to the tick alone, for its beat; brokers to nothing.
 _SUBSCRIPTIONS: dict[FunctionKind, list[str]] = {
-    FunctionKind.TOPOLOGY: ["events.link", "events.linkstate", "events.tick"],
-    FunctionKind.ROUTING: ["events.link", "events.linkstate", "events.tick"],
-    FunctionKind.QOS: ["events.link", "events.linkstate", "events.tick"],
-    FunctionKind.FORWARDING: ["events.link", "events.linkstate", "events.tick"],
-    FunctionKind.SESSION: [
-        "events.packet_in",
-        "events.link",
-        "events.linkstate",
-        "events.violation",
-        "events.tick",
-    ],
-    FunctionKind.ORCHESTRATION: ["kp.digest"],
+    FunctionKind.TOPOLOGY: ["events.link", "events.tick"],
+    FunctionKind.ROUTING: ["events.link", "events.tick"],
+    FunctionKind.QOS: ["events.link", "events.tick"],
+    FunctionKind.FORWARDING: ["events.link", "events.tick"],
+    FunctionKind.SESSION: ["events.packet_in", "events.link", "events.violation", "events.tick"],
 }
 
 # facts the topology-aware agents start from
@@ -316,7 +309,6 @@ def _bootstrap_spawn(facts: dict[str, Any], inp: AgentInput) -> dict[str, Any]:
         )
         for agent in _spawn_order(roster)
     ]
-    steps.extend(bootstrap_steps(facts))
     leases = _register(facts.get("leases", {}), specs, roster, inp.message.sim_time)
     return decision(plan=steps, facts=[("leases", leases)])
 

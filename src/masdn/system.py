@@ -3,17 +3,19 @@
 The control plane is instantaneous relative to the data plane: within a
 tick the fabric runs to quiescence, so every conversation triggered by an
 event finishes before the next tick's packets move. Per tick the bridge
-publishes, in order: link failures, packet-ins, a full link-state refresh
-every REFRESH_EVERY ticks, and finally the tick event itself — so reroute
-sweeps always run before new-flow setups, mirroring the reference
-controller's processing order. The tick is published only where it is read
-(on beat ticks, and in a proactive run on the tick before each flow start),
-and handed to the orchestrator directly on beat ticks, so failure detection
-needs no live broker. The orchestrator reads its tick only to sweep expired
-leases, and a lease expires only on a beat tick: leases are registered and
-renewed on beat ticks and live LEASE_TTL, a whole number of beat intervals.
-A sweep on any other tick would find nothing. The per-tick link stats go
-to stats.csv, not onto the bus: no agent reads them.
+publishes, in order: link failures, packet-ins, and finally the tick event
+itself — so reroute sweeps always run before new-flow setups, mirroring the
+reference controller's processing order. The tick is published only where
+it is read (on beat ticks, and in a proactive run on the tick before each
+flow start), and handed to the orchestrator directly on beat ticks, so
+failure detection needs no live broker. On every REFRESH_EVERY-th tick, a
+beat tick, the session agent also runs the periodic reroute sweep, as the
+reference controller does; no view needs a refresh, as links only go down
+and every link event reaches every view. The orchestrator reads its tick
+only to sweep expired leases, and a lease expires only on a beat tick:
+leases are registered and renewed on beat ticks and live LEASE_TTL, a whole
+number of beat intervals. A sweep on any other tick would find nothing. The
+per-tick link stats go to stats.csv, not onto the bus: no agent reads them.
 
 The host-control endpoint gives the orchestrator its lifecycle lever: a
 spawn-agent request (re)creates an agent, seeds it with restored knowledge
@@ -24,14 +26,15 @@ replaces it. The switch.* prefix endpoint is the southbound interface; rules
 installed through it take effect next tick.
 
 One small service runs outside any agent because something must survive
-when agents die: the digest pump, which exports the changed digest facts of
-every live agent to the orchestrator's mirror after each tick, so a kill
-(which lands after the pump) leaves an exact restore (the rest of a
-replacement's facts, its policies included, come from its spec). The pump
-visits only the agents the host saw write facts since it last ran (a
-spawn, an ingest write or a decision's facts), so a tick in which nothing
-is written costs it nothing. It visits them in AgentId order, so digest
-message ids do not depend on the order in which agents wrote. A
+when agents die: the digest pump, which sends the changed digest facts of
+every live agent straight to the orchestrator's mirror after each tick, in
+one hop that crosses no broker, so the mirror stays exact through a broker
+outage and a kill (which lands after the pump) leaves an exact restore (the
+rest of a replacement's facts, its policies included, come from its spec).
+The pump visits only the agents the host saw write facts since it last ran
+(a spawn, an ingest write or a decision's facts), so a tick in which
+nothing is written costs it nothing. It visits them in AgentId order, so
+digest message ids do not depend on the order in which agents wrote. A
 dict-valued key (a session or rule table) travels as a delta against the
 version last exported for it,
 
@@ -50,9 +53,9 @@ from __future__ import annotations
 from typing import Any, Callable
 
 from .core import AgentId, FunctionKind, Message, MessageKind
-from .logic import REFRESH_EVERY, topology_view
+from .logic import topology_view
 from .netsim import LinkDown, PacketIn, Scenario, Simulator, TickStats, Topology
-from .orchestrator import _SUBSCRIPTIONS, home_broker
+from .orchestrator import home_broker
 from .pps import DEFAULT_PROFILES, StackProfile, decode_body, encode_body
 from .runtime import AgentHost, AgentSpec, beat_tick, digest_delta
 from .bus import Bus
@@ -170,8 +173,6 @@ class AgentSystem:
             "schedule": self.sim.schedule(),
             "topology": topology_view(self.topo, self.sim.links_doc()),
             "endpoints": ["host.control"],
-            "home-broker": home_broker(self.strategy, str(self.orch)),
-            "subscriptions": list(_SUBSCRIPTIONS[FunctionKind.ORCHESTRATION]),
         }
         self.host.spawn_agent(
             AgentSpec(
@@ -208,8 +209,6 @@ class AgentSystem:
                 pubs.append(self._publish(idx, "events.packet_in", ev.to_doc()))
             else:
                 self.stats.append(ev)
-        if t % REFRESH_EVERY == 0:
-            pubs.append(self._publish(0, "events.linkstate", {"links": self.sim.links_doc()}))
         if beat_tick(t) or t in self._lead_ticks:
             pubs.append(self._publish(0, "events.tick", {"tick": t}))
         if beat_tick(t):
@@ -233,8 +232,8 @@ class AgentSystem:
         )
 
     def _pump_digests(self, t: int) -> None:
-        """Ship the changed digest facts of every live agent that had a facts
-        write since the last pump (AgentHost.facts_written) to the
+        """Send the changed digest facts of every live agent that had a facts
+        write since the last pump (AgentHost.facts_written) straight to the
         orchestrator, in AgentId order: a dict-valued key as a delta against
         the version last exported for it (runtime.digest_delta), any other
         value whole. The set is taken before the digests go out, so what
@@ -258,7 +257,7 @@ class AgentSystem:
                 pubs.append(
                     self.host.factory.new_message(
                         src=agent_id,
-                        dst="kp.digest",
+                        dst=self.orch,
                         kind=MessageKind.EVENT,
                         payload=encode_body(
                             {

@@ -13,7 +13,9 @@ from masdn.functions import (
 from masdn.infra import broker_decide
 from masdn.logic import (
     ACTIVE,
+    HEARTBEAT_INTERVAL,
     PENDING,
+    REFRESH_EVERY,
     UNROUTABLE,
     UPDATING,
     clearing_rules,
@@ -122,10 +124,6 @@ class TestTopologyAgent:
         flags = {(l["a"], l["b"]): l["up"] for l in view["links"]}
         assert flags[("s1", "s2")] is False
         assert flags[("s2", "s3")] is True
-
-    def test_view_refresh_replaces_wholesale(self):
-        writes = topology_ingest({"topology": TOPO}, event("events.linkstate", {"links": []}))
-        assert writes == [("topology", {**TOPO, "links": []})]
 
 
 class TestRoutingAgent:
@@ -640,7 +638,7 @@ class TestSessionConversation:
         old = ["s1", "s3"]
         view = self.with_down(("s1", "s3"))
         facts = self.facts([self.session(ACTIVE, "bulk", path=old)], topology=view)
-        inp = event("events.linkstate", {"links": view["links"]}, dst="session#0", now=7)
+        inp = event("events.tick", {"tick": 10}, dst="session#0", now=10)
         writes, asks = self.decide(facts, inp)
         ids = ["r0001", "r0002", "r0003"]
         assert asks == [
@@ -649,6 +647,18 @@ class TestSessionConversation:
         ]
         assert writes["pending"]["s0001"]["stage"] == "install"
         assert writes["rule-seq"] == 3
+
+    def test_the_tick_sweeps_on_refresh_ticks_only(self):
+        # every refresh tick is a beat tick, so the tick reaches the session
+        # agent on each of them
+        assert REFRESH_EVERY % HEARTBEAT_INTERVAL == 0
+        facts = self.facts([self.session(ACTIVE, "bulk", path=["s1", "s3"])],
+                           topology=self.with_down(("s1", "s3")))
+        swept = [
+            tick for tick in range(3 * REFRESH_EVERY + 1)
+            if self.decide(facts, event("events.tick", {"tick": tick}, dst="session#0"))[1]
+        ]
+        assert swept == [0, REFRESH_EVERY, 2 * REFRESH_EVERY, 3 * REFRESH_EVERY]
 
     def test_sweep_leaves_a_cut_off_session_unroutable_and_releases(self):
         old = ["s1", "s2", "s3"]

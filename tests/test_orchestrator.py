@@ -188,9 +188,9 @@ class TestLiveness:
     DEADLINE = HEARTBEAT_INTERVAL * MISSED_HEARTBEATS
 
     def booted(self, config=BASE_CONFIG):
-        # genesis seeds the orchestrator's one subscription; ticks and beats
+        # the orchestrator subscribes to nothing: ticks, beats and digests
         # come to it directly
-        facts = {"config": dict(config), "subscriptions": ["kp.digest"]}
+        facts = {"config": dict(config)}
         for phase in ("facts", "spawn"):
             out = orchestrator_decide(facts, fire("control.bootstrap", {"phase": phase}))
             facts.update(dict(out.get("facts", [])))

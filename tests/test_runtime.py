@@ -1,11 +1,13 @@
 """Agent runtime: facts store, plan validation, and the six-stage pipeline."""
 import copy
+import functools
 import json
 import operator
+import random
 
 import pytest
 
-from masdn import runtime
+from masdn import AgentSystem, runtime
 from masdn.core import AgentId, FunctionKind, Message, MessageKind
 from masdn.hierarchy import Policy
 from masdn.logic import HEARTBEAT_INTERVAL
@@ -29,6 +31,8 @@ from masdn.runtime import (
     step,
     validate_plan,
 )
+
+from helpers import build, gen_scenario, gen_topology
 
 STAGES = ("input", "facts", "cognition", "planning", "validation", "output")
 
@@ -451,10 +455,26 @@ _KINDS = sorted(name for name in runtime._COGNITIONS if name in {k.value for k i
 _MSG_IDS = iter(range(1, 1_000_000))
 
 
+@functools.cache
+def _genesis(strategy):
+    """A system on a small generated network, right after genesis."""
+    rng = random.Random(1)
+    tdoc = gen_topology(rng, 4)
+    topo, scen = build(tdoc, gen_scenario(rng, tdoc, 0, 0, 10))
+    system = AgentSystem(topo, scen, {"event_strategy": strategy})
+    system.genesis()
+    return system
+
+
 def _spec_facts(kind, strategy="centralized"):
-    """Initial facts for instance 0 of a kind, as the orchestrator builds them."""
+    """Initial facts for instance 0 of a kind, as genesis builds them: the
+    orchestrator's own, or the spec the orchestrator builds for the kind,
+    holding the view genesis gives every spec that reads one."""
+    orch = _genesis(strategy).host.get(AgentId.parse("orchestration#0")).spec.initial_facts
+    if kind == "orchestration":
+        return dict(orch)
     agent = f"{kind}#0"
-    specs = build_specs({"event_strategy": strategy}, [agent], {}, "orchestration#0")
+    specs = build_specs({"event_strategy": strategy}, [agent], orch["topology"], "orchestration#0")
     return specs[agent]["initial_facts"]
 
 
@@ -477,7 +497,7 @@ def _beat(agent, tick):
 
 
 # the kinds that run the agent lifecycle: every spec that subscribes to the tick
-_LIFECYCLE = [k for k in _KINDS if "events.tick" in _spec_facts(k)["subscriptions"]]
+_LIFECYCLE = [k for k in _KINDS if "events.tick" in _spec_facts(k).get("subscriptions", ())]
 
 
 class TestLifecycle:
@@ -514,9 +534,12 @@ class TestLifecycle:
                 assert _beats(out) == (want if tick % HEARTBEAT_INTERVAL == 0 else [])
 
     def test_the_orchestrator_sends_no_heartbeat(self):
-        # it keeps the leases, so it holds none of its own to renew
+        # it keeps the leases, so it holds none of its own to renew; and it
+        # subscribes to nothing, as beats, ticks and digests come to it directly
         facts = _spec_facts("orchestration")
-        assert facts["subscriptions"] == ["kp.digest"]
+        assert "subscriptions" not in facts and "home-broker" not in facts
+        broker = _genesis("centralized").host.get(AgentId.parse(f"{BROKER}#0"))
+        assert [f for f, who in broker.facts.get("subs").items() if "orchestration#0" in who] == []
         decide = cognition("orchestration").decide
         for tick in range(2 * HEARTBEAT_INTERVAL + 1):
             out = decide(facts, _event("orchestration#0", "events.tick", {"tick": tick}))
@@ -527,7 +550,7 @@ class TestLifecycle:
         # is not its own
         facts = _spec_facts("orchestration")
         run = _event("orchestration#0", "control.bootstrap", {"phase": "run"})
-        assert cognition("orchestration").decide(facts, run).get("plan") != bootstrap_steps(facts)
+        assert cognition("orchestration").decide(facts, run) == {}
 
     def test_a_beat_is_sent_in_one_hop_and_no_deny_blocks_it(self):
         host = AgentHost()

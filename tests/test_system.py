@@ -8,9 +8,9 @@ import pytest
 from masdn import AgentSystem, Scenario, Topology
 from masdn.core import AgentId, FunctionKind
 from masdn.oracle import MonolithicController, compare, normalize_tables
-from masdn.logic import HEARTBEAT_INTERVAL, REFRESH_EVERY
+from masdn.logic import HEARTBEAT_INTERVAL
 from masdn.netsim import LinkDown, PacketIn
-from masdn.orchestrator import LEASE_TTL, broker_ids, plan_roster
+from masdn.orchestrator import _NEEDS_VIEW, LEASE_TTL, broker_ids, plan_roster
 from masdn.pps import decode_body
 from masdn.runtime import FactsStore, beat_tick
 
@@ -119,8 +119,9 @@ class TestCompareShape:
 
 
 class TestDeltaDigests:
-    """The digest pump ships deltas of dict-valued keys, and the orchestrator's
-    mirror folds them into an exact copy of what every agent exports."""
+    """The digest pump ships deltas of dict-valued keys straight to the
+    orchestrator, whose mirror folds them into an exact copy of what every
+    agent exports, broker outages included."""
 
     @pytest.mark.parametrize("kill", ["none", "session", "last-broker"])
     @pytest.mark.parametrize("strategy", STRATEGIES)
@@ -136,13 +137,8 @@ class TestDeltaDigests:
         system = AgentSystem(topo, scen, config)
         system.bus.duplicate_every = 7
         system.genesis()
-        unchecked = []
         for t in range(scen.duration):
             system.tick(t)
-            if not all(b in system.host.agents for b in brokers):
-                # digests wait at the bus with the rest of a dead broker's frames
-                unchecked.append(t)
-                continue
             mirror = system.host.get(AgentId.parse(ORCH)).facts.get("mirror", {})
             for agent_id, agent in system.host.agents.items():
                 exported = agent.facts.export(agent.impl.digest_keys)
@@ -151,7 +147,6 @@ class TestDeltaDigests:
         # the victim is spawned at genesis and once more, after the kill
         spawned = [tick for agent, tick in system.spawn_log if agent == victim]
         assert len(spawned) == (2 if victim else 0)
-        assert unchecked == (list(range(17, spawned[1])) if kill == "last-broker" else [])
 
     def test_four_hundred_sessions_fit_the_frame_bound(self):
         # Shipped whole, the session agent's tables outgrew max_payload on this
@@ -239,9 +234,9 @@ class TestOneTopologyView:
                                       FunctionKind.FORWARDING, FunctionKind.SESSION)]
 
     def test_every_view_equals_the_topology_agents_after_each_tick(self):
-        # a failure with everyone live, refreshes every REFRESH_EVERY ticks,
-        # and a second failure while routing#0 is dead: its replacement gets
-        # that link event from the frames parked for it
+        # a failure with everyone live, and a second failure while routing#0
+        # is dead: its replacement gets that link event from the frames
+        # parked for it
         failures = [{"a": "sw3", "b": "sw4", "at": 5}, {"a": "sw2", "b": "sw3", "at": 14}]
         topo, scen = build(TOPO, sdoc(failures=failures, duration=40))
         system = AgentSystem(topo, scen, {"kills": {12: ["routing#0"]}})
@@ -258,17 +253,58 @@ class TestOneTopologyView:
         ((_, respawned),) = [e for e in system.spawn_log if e[0] == "routing#0"][1:]
         assert respawned > 14
 
+    @pytest.mark.parametrize("kill", ["none", "session", "last-broker-and-routing"])
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_every_live_view_holds_the_simulators_links_while_all_brokers_live(
+        self, strategy, kill
+    ):
+        # Nothing is left for a full link-state refresh to repair: links only
+        # go down, each events.link reaches every holder, and parking replays
+        # it to a replacement. The orchestrator's genesis view is no holder.
+        # Agents homed on a dead broker lag until its replacement replays
+        # their frames, so ticks with a dead broker are not checked.
+        rng = random.Random(3)
+        tdoc = gen_topology(rng, 8)
+        topo, scen = build(tdoc, gen_scenario(rng, tdoc, 8, 2, 60, long_lived=True))
+        brokers = [AgentId.parse(b) for b in broker_ids(strategy)]
+        victims = {
+            "none": [],
+            "session": ["session#0"],
+            "last-broker-and-routing": [str(brokers[-1]), "routing#0"],
+        }[kill]
+        system = AgentSystem(topo, scen, {"event_strategy": strategy, "kills": {"17": victims}})
+        system.genesis()
+        agents = system.host.agents
+        holders = [AgentId(kind, 0) for kind in _NEEDS_VIEW]
+        missing = set()  # ticks after which a victim was still dead
+        for t in range(scen.duration):
+            system.tick(t)
+            if any(AgentId.parse(v) not in agents for v in victims):
+                missing.add(t)
+            links = system.sim.links_doc()
+            if not all(b in agents for b in brokers):
+                continue
+            stale = [str(h) for h in holders
+                     if h in agents and agents[h].facts.get("topology")["links"] != links]
+            assert stale == [], t
+        assert len([l for l in links if not l["up"]]) == 2
+        # the victims were replaced, and a link went down while one was dead
+        respawned = system.spawn_log[len(plan_roster(system.config)):]
+        assert sorted(agent for agent, _t in respawned) == sorted(victims)
+        assert bool(missing & {f.at for f in scen.failures}) is bool(victims)
+
 
 def hybrid_run():
-    """A steady 30-tick hybrid run, and (tick, src, dst) of every frame an
-    agent was handed in it: no kills, so every frame reaches a live agent."""
+    """A steady 30-tick hybrid run, and (tick, src, dst, topic) of every frame
+    an agent was handed in it: no kills, so every frame reaches a live agent."""
     topo, scen = build(TOPO, sdoc(duration=30))
     system = AgentSystem(topo, scen, {"event_strategy": "hybrid"})
     frames = []
     process_input = system.host.process_input
 
     def spy(agent_id, msg):
-        frames.append((system.host.now, str(msg.src), str(msg.dst)))
+        topic = topic_of(decode_body(msg.payload))
+        frames.append((system.host.now, str(msg.src), str(msg.dst), topic))
         return process_input(agent_id, msg)
 
     system.host.process_input = spy
@@ -280,8 +316,8 @@ class TestEventPlaneTraffic:
     def test_brokers_ship_no_digest_after_tick_0(self):
         # subs and peers settle at genesis; brokers keep no per-publisher state
         _system, frames = hybrid_run()
-        ticks = {t for t, src, dst in frames
-                 if dst == "kp.digest" and src.startswith("event-distribution#")}
+        ticks = {t for t, src, _dst, topic in frames
+                 if topic == "kp.digest" and src.startswith("event-distribution#")}
         assert ticks == {0}
 
     def test_no_frame_carries_link_stats(self):
@@ -320,8 +356,8 @@ def topic_of(body):
 
 class TestOneLivenessTable:
     """The orchestrator's leases are the only liveness table: heartbeats go to
-    it alone, straight from each agent, nobody registers, and no digest ships
-    a copy of the leases."""
+    it alone, straight from each agent, nobody registers, and no digest, sent
+    straight to it as well, ships a copy of the leases."""
 
     @pytest.mark.parametrize("strategy", STRATEGIES)
     def test_heartbeats_feed_only_the_orchestrator(self, strategy):
@@ -343,8 +379,13 @@ class TestOneLivenessTable:
             subs = system.host.get(AgentId.parse(broker)).facts.get("subs", {})
             assert "hb" not in subs, broker
         assert not [b for _agent, b in inputs if isinstance(b, dict) and b.get("op") == "register"]
-        digests = [b["body"] for _src, dst, b in hops if dst == "kp.digest"]
-        assert digests and not [d for d in digests if "leases" in d["keys"]]
+        # so does every digest
+        digests = [(src, dst, b["body"]) for src, dst, b in hops if topic_of(b) == "kp.digest"]
+        assert {(src, dst) for src, dst, _digest in digests} == {
+            (digest["agent"], ORCH) for _src, _dst, digest in digests
+        }
+        assert [agent for agent, b in inputs if topic_of(b) == "kp.digest"] == [ORCH] * len(digests)
+        assert digests and not [d for _src, _dst, d in digests if "leases" in d["keys"]]
 
     @pytest.mark.parametrize("strategy", STRATEGIES)
     def test_the_orchestrator_sends_itself_nothing_and_leases_no_self(self, strategy):
@@ -387,9 +428,9 @@ class TestTicksOnlyWhereRead:
 
 
 class TestQuietTicks:
-    """A tick with no beat, no link failure, no packet-in and no link-state
-    refresh moves nothing: no frame hops and no agent is handed an input, as
-    the orchestrator's direct tick comes on beat ticks only."""
+    """A tick with no beat, no link failure and no packet-in moves nothing:
+    no frame hops and no agent is handed an input, as the orchestrator's
+    direct tick comes on beat ticks only, and so does every refresh sweep."""
 
     @pytest.mark.parametrize("strategy", STRATEGIES)
     def test_a_quiet_tick_hops_no_frame_and_hands_no_input(self, strategy):
@@ -417,7 +458,7 @@ class TestQuietTicks:
         system.run()
         quiet = [
             t for t, evs in events.items()
-            if not beat_tick(t) and t % REFRESH_EVERY
+            if not beat_tick(t)
             and not [ev for ev in evs if isinstance(ev, (LinkDown, PacketIn))]
         ]
         assert len(quiet) > scen.duration // 2
