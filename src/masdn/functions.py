@@ -30,29 +30,32 @@ request and response. The record's "stage" names the request in flight:
 
 One helper (converse) writes the record at its first stage and sends that
 stage's request; one sender (ask_stage) sends the request of whatever stage
-a record is at. A new flow starts at classify; a reroute sweep starts at
-admit or install, with the new path and the superseded one to clear. A
-packet-in for a session the agent already knows asks nothing: a switch
-loses a session's rules only to a reroute, which takes the session out of
-ACTIVE in the same decision, and the switch suppresses a flow's packet-ins
-for longer than a respawn can hold a conversation up. Each answer either
-advances the stage and asks again, or ends the conversation: an install
-answer activates the session, while no path, a QoS denial or a policy
-violation leave it unroutable and give back any reservation.
+a record is at. A new flow starts at classify, opened by one branch from
+either of the two data-plane events that announce it: a packet-in, or in a
+proactive run a declared flow (events.flow, the tick before its start). A
+reroute sweep starts at admit or install, with the new path and the
+superseded one to clear. Either event for a session the agent already
+knows asks nothing: a switch loses a session's rules only to a reroute,
+which takes the session out of ACTIVE in the same decision, and the switch
+suppresses a flow's packet-ins for longer than a respawn can hold a
+conversation up. Each answer either advances the stage and asks again, or
+ends the conversation: an install answer activates the session, while no
+path, a QoS denial or a policy violation leave it unroutable and give back
+any reservation.
 Conversations complete within the tick they start because the fabric runs
 to quiescence. Each request is sent once: when a counterpart (or the
 session agent itself) dies mid-conversation, the fabric parks the frames
 for it and replays them to its restored replacement, so nothing here
-re-asks. A replayed packet-in reaches the session agent later than it
-happened, so a session is stamped with the tick the event carries, not with
-the tick it is delivered at.
+re-asks. A replayed packet-in or declared flow reaches the session agent
+later than it happened, so a session is stamped with the tick the event
+carries, not with the tick it is delivered at.
 
 Ordering contract (mirrored by the oracle): link events precede packet-in
 events within a tick, so reroute sweeps always run before new-flow
 conversations, and requests reach the shared-state agents (QoS, forwarding)
 in the same order in both controller modes. The tick comes last, and on it
 the session agent runs the periodic sweep (every REFRESH_EVERY ticks) before
-the proactive scan, as the oracle does.
+the flow announcements, as the oracle does.
 """
 
 from __future__ import annotations
@@ -453,19 +456,6 @@ class _SessionState:
             if ctx in self.pending:
                 self.deny(ctx, "policy-denied")
 
-    def proactive_scan(self, tick: int, schedule: list[dict[str, Any]]) -> None:
-        """Open conversations one tick ahead of declared flows so their rules
-        are effective exactly when the first unit arrives."""
-        for flow in schedule:
-            if flow["start_tick"] != tick + 1:
-                continue
-            if find_session(self.sessions, flow["src"], flow["dst"]) is not None:
-                continue
-            self.open_session(
-                flow["src"], flow["dst"], flow["size"], flow.get("gap", 1), flow.get("class"),
-                tick,
-            )
-
 
 def _edit(table: dict[str, Any], stored: dict[str, Any], key: str) -> dict[str, Any]:
     """table[key], first copied if it is still the stored record."""
@@ -487,7 +477,7 @@ def session_decide(facts: dict[str, Any], inp: AgentInput) -> dict[str, Any]:
     ev = event_of(inp)
     if ev is not None:
         topic, body = ev
-        if topic == "events.packet_in":
+        if topic in ("events.packet_in", "events.flow"):
             if find_session(st.sessions, body["src"], body["dst"]) is None:
                 st.open_session(
                     body["src"], body["dst"], body["size"], body["gap"], body.get("hint"),
@@ -497,9 +487,6 @@ def session_decide(facts: dict[str, Any], inp: AgentInput) -> dict[str, Any]:
             st.sweep(facts["topology"])  # ingest already applied the change
         elif topic == "events.violation":
             st.on_violation(body)
-        elif topic == "events.tick":
-            if body["tick"] % REFRESH_EVERY == 0:
-                st.sweep(facts["topology"])
-            if facts.get("proactive"):
-                st.proactive_scan(body["tick"], facts.get("schedule", []))
+        elif topic == "events.tick" and body["tick"] % REFRESH_EVERY == 0:
+            st.sweep(facts["topology"])
     return decision(plan=st.steps, facts=st.writes())

@@ -46,7 +46,7 @@ lease of its own and sends no beat.
 from __future__ import annotations
 
 import zlib
-from typing import Any, Sequence
+from typing import Any
 
 from .core import AgentId, FunctionKind, DecisionLevel, level_of
 from .functions import request_op
@@ -95,7 +95,9 @@ _SUBSCRIPTIONS: dict[FunctionKind, list[str]] = {
     FunctionKind.ROUTING: ["events.link", "events.tick"],
     FunctionKind.QOS: ["events.link", "events.tick"],
     FunctionKind.FORWARDING: ["events.link", "events.tick"],
-    FunctionKind.SESSION: ["events.packet_in", "events.link", "events.violation", "events.tick"],
+    FunctionKind.SESSION: [
+        "events.packet_in", "events.flow", "events.link", "events.violation", "events.tick"
+    ],
 }
 
 # facts the topology-aware agents start from
@@ -154,11 +156,9 @@ def build_specs(
     roster: list[str],
     view: dict[str, Any],
     me: str,
-    schedule: Sequence[dict[str, Any]] = (),
 ) -> dict[str, dict[str, Any]]:
     """Initial facts + subscriptions for every roster agent, as spec docs
-    consumable by the host-control endpoint. The session agent gets the
-    declared flow schedule, for proactive setup; every agent gets the
+    consumable by the host-control endpoint. Every agent gets the
     configured policies whose scope holds its kind, in config order.
     Policy.from_dict raises InvalidDirection for a policy whose issuer is not
     above its scope."""
@@ -188,9 +188,6 @@ def build_specs(
             }
         if kind is FunctionKind.QOS:
             facts["qos-cap-permille"] = config.get("qos_cap_permille", DEFAULT_QOS_CAP_PERMILLE)
-        if kind is FunctionKind.SESSION:
-            facts["schedule"] = list(schedule)
-            facts["proactive"] = bool(config.get("proactive", False))
         if kind is FunctionKind.EVENT_DISTRIBUTION:
             facts["subscriptions"] = []
             facts.update(_broker_facts(strategy, agent, brokers))
@@ -270,9 +267,7 @@ def _bootstrap_facts(facts: dict[str, Any], inp: AgentInput) -> dict[str, Any]:
     config = facts.get("config", {})
     me = str(inp.message.dst)
     roster = plan_roster(config)
-    specs = build_specs(
-        config, roster, facts.get("topology") or {}, me, facts.get("schedule", [])
-    )
+    specs = build_specs(config, roster, facts.get("topology") or {}, me)
     events: list[dict[str, Any]] = []
     placement: dict[str, str] | None
     inventory = config.get("inventory") or {"node0": len(roster) + 1}

@@ -520,10 +520,7 @@ def peer_of(facts: dict[str, Any], kind: FunctionKind) -> str | None:
 
 def bootstrap_steps(facts: dict[str, Any]) -> list[dict[str, Any]]:
     """Subscriptions at the home broker: every agent's first plan."""
-    home = facts.get("home-broker")
-    if home is None:
-        return []
-    broker = AgentId.parse(home)
+    broker = AgentId.parse(facts["home-broker"])
     return [step("subscribe", broker, filter=flt) for flt in facts.get("subscriptions", [])]
 
 

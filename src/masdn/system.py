@@ -3,19 +3,22 @@
 The control plane is instantaneous relative to the data plane: within a
 tick the fabric runs to quiescence, so every conversation triggered by an
 event finishes before the next tick's packets move. Per tick the bridge
-publishes, in order: link failures, packet-ins, and finally the tick event
-itself — so reroute sweeps always run before new-flow setups, mirroring the
-reference controller's processing order. The tick is published only where
-it is read (on beat ticks, and in a proactive run on the tick before each
-flow start), and handed to the orchestrator directly on beat ticks, so
-failure detection needs no live broker. On every REFRESH_EVERY-th tick, a
-beat tick, the session agent also runs the periodic reroute sweep, as the
-reference controller does; no view needs a refresh, as links only go down
-and every link event reaches every view. The orchestrator reads its tick
-only to sweep expired leases, and a lease expires only on a beat tick:
-leases are registered and renewed on beat ticks and live LEASE_TTL, a whole
-number of beat intervals. A sweep on any other tick would find nothing. The
-per-tick link stats go to stats.csv, not onto the bus: no agent reads them.
+publishes, in order: link failures, packet-ins, the tick event, and in a
+proactive run the declared flows that start next tick (events.flow, one per
+flow in schedule order) — so reroute sweeps always run before new-flow
+setups, mirroring the reference controller's processing order. A declared
+flow is a data-plane event like a packet-in: the session agent alone
+subscribes to it, and no spec carries the schedule. The tick is published
+only on beat ticks, where it is read, and handed to the orchestrator
+directly on them too, so failure detection needs no live broker. On every
+REFRESH_EVERY-th tick, a beat tick, the session agent also runs the
+periodic reroute sweep, as the reference controller does; no view needs a
+refresh, as links only go down and every link event reaches every view.
+The orchestrator reads its tick only to sweep expired leases, and a lease
+expires only on a beat tick: leases are registered and renewed on beat
+ticks and live LEASE_TTL, a whole number of beat intervals. A sweep on any
+other tick would find nothing. The per-tick link stats go to stats.csv,
+not onto the bus: no agent reads them.
 
 The host-control endpoint gives the orchestrator its lifecycle lever: a
 spawn-agent request (re)creates an agent, seeds it with restored knowledge
@@ -99,10 +102,16 @@ class AgentSystem:
         # every spawn the control endpoint performs, (agent, tick); replacements
         # show up as a second entry for the same agent
         self.spawn_log: list[tuple[str, int]] = []
-        # beyond the beat ticks, a proactive session reads the tick before each start
-        self._lead_ticks = {
-            f["start_tick"] - 1 for f in self.sim.schedule() if self.config.get("proactive")
-        }
+        # in a proactive run, tick -> the declared flows announced on it, the
+        # tick before each (jittered) start, as packet-in shaped bodies
+        self._announced: dict[int, list[dict[str, Any]]] = {}
+        if self.config.get("proactive"):
+            for f in self.sim.schedule():
+                at = f["start_tick"] - 1
+                self._announced.setdefault(at, []).append(
+                    {"src": f["src"], "dst": f["dst"], "at": at, "size": f["size"],
+                     "gap": f["gap"], "hint": f["class"]}
+                )
 
         self.bus.bind_endpoint("host.control", self._control)
         self.bus.bind_prefix("switch.", self._switch)
@@ -170,7 +179,6 @@ class AgentSystem:
         """Spawn the orchestrator and let it recompose the whole controller."""
         facts = {
             "config": self.config,
-            "schedule": self.sim.schedule(),
             "topology": topology_view(self.topo, self.sim.links_doc()),
             "endpoints": ["host.control"],
         }
@@ -209,10 +217,10 @@ class AgentSystem:
                 pubs.append(self._publish(idx, "events.packet_in", ev.to_doc()))
             else:
                 self.stats.append(ev)
-        if beat_tick(t) or t in self._lead_ticks:
-            pubs.append(self._publish(0, "events.tick", {"tick": t}))
         if beat_tick(t):
+            pubs.append(self._publish(0, "events.tick", {"tick": t}))
             pubs.append(self._publish(0, "events.tick", {"tick": t}, to=self.orch))
+        pubs.extend(self._publish(0, "events.flow", flow) for flow in self._announced.get(t, ()))
         self.bus.send(pubs)
         self.bus.run_to_quiescence()
         self._pump_digests(t)

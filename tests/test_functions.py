@@ -677,19 +677,22 @@ class TestSessionConversation:
         assert (rec["state"], rec["reason"], rec["path"], rec["reserved"]) == (
             UNROUTABLE, "no-path", None, False)
 
-    def test_proactive_tick_opens_sessions_one_tick_ahead(self):
-        schedule = [
-            {"src": "h1", "dst": "h2", "size": 5, "gap": 1, "start_tick": 6, "class": None},
-            {"src": "h2", "dst": "h1", "size": 9, "gap": 4, "start_tick": 8, "class": "bulk"},
-        ]
-        facts = self.facts(proactive=True, schedule=schedule)
-        late = event("events.tick", {"tick": 5}, dst="session#0", now=9)  # dated by the tick
-        writes, asks = self.decide(facts, late)
-        assert list(writes["sessions"]) == ["s0001"]
-        assert writes["sessions"]["s0001"]["created_at"] == 5
-        assert writes["pending"]["s0001"] == self.pending("classify")
+    def test_declared_flow_opens_a_session_dated_by_its_announcement(self):
+        # announced the tick before its start and delivered late, as after a
+        # respawn: the session dates from the tick the event carries
+        flow = {"src": "h1", "dst": "h2", "at": 4, "size": 5, "gap": 1, "hint": "bulk"}
+        writes, asks = self.decide(self.facts(), event("events.flow", flow, dst="session#0",
+                                                       now=16))
+        assert writes["sessions"] == {"s0001": self.session()}
+        assert writes["pending"]["s0001"] == self.pending("classify", hint="bulk")
         assert asks == [("classify", "classifier#0",
-                         {"size": 5, "gap": 1, "hint": None, "ctx": "s0001"})]
+                         {"size": 5, "gap": 1, "hint": "bulk", "ctx": "s0001"})]
+        # the packet-in's find_session check: a known flow opens nothing
+        known = self.facts([self.session()], [self.pending("classify")])
+        again = event("events.flow", {**flow, "at": 9}, dst="session#0", now=9)
+        writes, asks = self.decide(known, again)
+        assert asks == []
+        assert (writes["sessions"], writes["session-seq"]) == (known["sessions"], 1)
 
 
 class TestBrokerAgent:

@@ -11,7 +11,7 @@ from masdn.oracle import MonolithicController, compare, normalize_tables
 from masdn.logic import HEARTBEAT_INTERVAL
 from masdn.netsim import LinkDown, PacketIn
 from masdn.orchestrator import _NEEDS_VIEW, LEASE_TTL, broker_ids, plan_roster
-from masdn.pps import decode_body
+from masdn.pps import decode_body, encode_body
 from masdn.runtime import FactsStore, beat_tick
 
 from helpers import STRATEGIES, build, diff_is_empty, gen_scenario, gen_topology, run_both
@@ -405,8 +405,8 @@ class TestOneLivenessTable:
 
 class TestTicksOnlyWhereRead:
     """The orchestrator gets every beat tick straight from the bridge; the
-    event plane carries a tick only when an agent acts on it: every beat
-    tick, and in a proactive run the tick before each declared flow start."""
+    event plane carries a tick only when agents act on it, on beat ticks, in
+    a proactive run too: a declared flow is announced as its own event."""
 
     @pytest.mark.parametrize("strategy", STRATEGIES)
     @pytest.mark.parametrize("proactive", [False, True])
@@ -416,15 +416,66 @@ class TestTicksOnlyWhereRead:
         for agent, body in inputs:
             if topic_of(body) == "events.tick":
                 got.setdefault(agent, Counter())[body["body"]["tick"]] += 1
-        beat_ticks = set(range(0, 30, HEARTBEAT_INTERVAL))
-        assert got.pop(ORCH) == Counter(beat_ticks)
-        lead_ticks = {flow["start_tick"] - 1 for flow in FLOWS} if proactive else set()
-        assert bool(lead_ticks - beat_ticks) is proactive  # some lead tick is extra
-        # a publish reaches every subscriber, so in a proactive run everyone
-        # gets the session agent's lead ticks too, and no other tick
-        want = Counter(sorted(beat_ticks | lead_ticks))
+        beat_ticks = Counter(range(0, 30, HEARTBEAT_INTERVAL))
+        # some declared flow starts right after an off-beat tick
+        assert {flow["start_tick"] - 1 for flow in FLOWS} - set(beat_ticks)
+        assert got.pop(ORCH) == beat_ticks
         assert set(got) == set(plan_roster({"event_strategy": strategy})) - {ORCH}
-        assert {agent: ticks for agent, ticks in got.items() if ticks != want} == {}
+        assert {agent: ticks for agent, ticks in got.items() if ticks != beat_ticks} == {}
+
+
+class TestDeclaredFlowsAreEvents:
+    """In a proactive run the bridge announces each declared flow as one
+    events.flow, on the tick before its (jittered) start; only the session
+    agent reads it, and no spec carries the schedule."""
+
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    @pytest.mark.parametrize("seed", range(2))
+    def test_each_declared_flow_reaches_the_session_agent_once_ahead_of_its_start(
+        self, strategy, seed
+    ):
+        rng = random.Random(seed)
+        tdoc = gen_topology(rng, 8)
+        doc = {**gen_scenario(rng, tdoc, 8, 2, 60), "jitter": 2}
+        topo, scen = build(tdoc, doc)
+        system = AgentSystem(topo, scen, {"event_strategy": strategy, "proactive": True})
+        got = Counter()
+        process_input = system.host.process_input
+
+        def input_spy(agent_id, msg):
+            body = decode_body(msg.payload)
+            if topic_of(body) == "events.flow" and (
+                agent_id.kind is not FunctionKind.EVENT_DISTRIBUTION
+            ):
+                got[str(agent_id), system.host.now, *sorted(body["body"].items())] += 1
+            return process_input(agent_id, msg)
+
+        system.host.process_input = input_spy
+        system.run()
+        schedule = system.sim.schedule()
+        declared = [f["start_tick"] for f in doc["flows"]]
+        assert [f["start_tick"] for f in schedule] != declared  # jitter ran
+        want = Counter()
+        for f in schedule:
+            at = f["start_tick"] - 1
+            if at >= 0:
+                body = {"src": f["src"], "dst": f["dst"], "at": at, "size": f["size"],
+                        "gap": f["gap"], "hint": f["class"]}
+                want["session#0", at, *sorted(body.items())] += 1
+        assert want and got == want
+
+    def test_a_long_schedule_leaves_genesis_and_the_session_spec_as_they_are(self):
+        # With the schedule in the session spec, genesis raised PayloadTooLarge
+        # on this run's 122,883-byte spawn-agent.
+        def session_spec(n_flows):
+            rng = random.Random(0)
+            tdoc = gen_topology(rng, 30, n_hosts=60)
+            topo, scen = build(tdoc, gen_scenario(rng, tdoc, n_flows, 0, 240))
+            system = AgentSystem(topo, scen, {"proactive": True})
+            system.genesis()
+            return system.host.get(system.orch).facts.get("specs")["session#0"]
+
+        assert len(encode_body(session_spec(1600))) == len(encode_body(session_spec(10)))
 
 
 class TestQuietTicks:
