@@ -178,9 +178,6 @@ class Message:
             raise ValueError("Response messages must carry a correlation_id")
 
 
-DEFAULT_MAX_PAYLOAD = 65536
-
-
 class MessageFactory:
     """Allocates strictly increasing message ids.
 
@@ -189,10 +186,9 @@ class MessageFactory:
     lock-protected.
     """
 
-    def __init__(self, max_payload: int = DEFAULT_MAX_PAYLOAD):
+    def __init__(self) -> None:
         self._next = 1
         self._lock = threading.Lock()
-        self.max_payload = max_payload
 
     def new_message(
         self,
@@ -203,10 +199,6 @@ class MessageFactory:
         now: int,
         correlation_id: int | None = None,
     ) -> Message:
-        if len(payload) > self.max_payload:
-            raise PayloadTooLarge(
-                f"payload of {len(payload)} bytes exceeds max_payload {self.max_payload}"
-            )
         with self._lock:
             msg_id = self._next
             self._next += 1

@@ -6,9 +6,7 @@ in agent facts, and evaluated inside plan validation. The orchestrator
 writes them, in config order, into the spec of every agent in their scope
 (orchestrator.build_specs); the runtime's validation stage enforces them.
 
-Nothing flows up. Only the orchestrator escalates (a failed placement), and
-it is already at the top level, so the runtime records the issue as a
-dead-end and drops the decision (runtime.AgentHost).
+Nothing flows up: no agent hands a problem to the level above it.
 """
 
 from __future__ import annotations

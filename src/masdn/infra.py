@@ -4,16 +4,18 @@ registry, the knowledge plane, the discovery agent and the fault handler).
 
 The lifecycle-only agents keep no state of their own: what agents export
 lives in the orchestrator's mirror, and who is live lives in the
-orchestrator's lease table. No agent escalates to the fault handler: the
-only escalation is the orchestrator's, at the top level. They run the
-shared empty decide (functions.lifecycle_only_decide) under the agent
-lifecycle (subscribe, heartbeat) and are respawned like everyone else.
+orchestrator's lease table. They run the shared empty decide
+(functions.lifecycle_only_decide) under the agent lifecycle (subscribe,
+heartbeat) and are respawned like everyone else.
 
 Brokers carry the event plane at run time. A published event (a message
 whose destination is a topic) reaches one broker, which wraps it in an
 envelope stamped with the publisher and the publish msg_id, delivers it to
 local subscribers, and forwards it according to the configured arrangement
-(solo, full mesh, or per-level with a root relay). Brokers keep no
+(solo, full mesh, or per-level with a root relay). Every subscriber is a
+roster agent, so the peers in the broker's spec, which a delivery is
+validated against, already list it: a subscribe writes only "subs", the
+one key the broker exports. Brokers keep no
 per-publisher state: no arrangement hands a broker an envelope twice (a
 mesh broker never re-forwards, and the root relays to every level broker
 but the sender), and the fabric's per-pair mark drops a repeated frame on
@@ -55,7 +57,7 @@ def _local_deliveries(facts: dict[str, Any], env: dict[str, Any]) -> list[dict[s
     return [step("deliver-event", AgentId.parse(t), event=env) for t in sorted(targets)]
 
 
-@register_cognition(FunctionKind.EVENT_DISTRIBUTION.value, digest_keys=("subs", "peers"))
+@register_cognition(FunctionKind.EVENT_DISTRIBUTION.value, digest_keys=("subs",))
 def broker_decide(facts: dict[str, Any], inp: AgentInput) -> dict[str, Any]:
     op = request_op(inp)
     if op == "subscribe":
@@ -64,8 +66,7 @@ def broker_decide(facts: dict[str, Any], inp: AgentInput) -> dict[str, Any]:
         group = set(subs.get(inp.body["filter"], []))
         group.add(sub)
         subs[inp.body["filter"]] = sorted(group)
-        peers = sorted(set(facts.get("peers", [])) | {sub})
-        return decision(facts=[("subs", subs), ("peers", peers)])
+        return decision(facts=[("subs", subs)])
 
     if inp.message.kind is MessageKind.EVENT and isinstance(inp.body, dict):
         forwarded = "publisher" in inp.body

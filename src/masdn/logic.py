@@ -15,10 +15,9 @@ ordering or exploration order.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
 from typing import Any, Iterable, Mapping
 
-from .core import FunctionKind, MasdnError
+from .core import FunctionKind
 from .netsim import Topology, link_key
 
 # traffic classes, checked in this order
@@ -38,10 +37,6 @@ MISSED_HEARTBEATS = 3  # silent intervals before an agent is declared dead
 # ticks between periodic reroute sweeps; every one is a beat tick, so the
 # session agent gets the tick it sweeps on
 REFRESH_EVERY = 2 * HEARTBEAT_INTERVAL
-
-
-class CapacityError(MasdnError):
-    """Placement demand exceeds what the compute inventory can hold."""
 
 
 # -- graphs and paths ---------------------------------------------------------
@@ -333,21 +328,3 @@ def chain_closure(requested: Iterable[FunctionKind]) -> list[FunctionKind]:
         frontier.extend(CHAIN_DEPENDENCIES.get(kind, frozenset()))
     return sorted(closed, key=lambda k: k.value)
 
-
-def first_fit_decreasing(
-    demands: Mapping[str, int], capacities: Mapping[str, int]
-) -> dict[str, str]:
-    """Place named demands onto named bins: biggest demand first, into the
-    first (name-ordered) bin with room. Raises CapacityError when a demand
-    fits nowhere."""
-    remaining = {node: cap for node, cap in sorted(capacities.items())}
-    placement: dict[str, str] = {}
-    for name, demand in sorted(demands.items(), key=lambda kv: (-kv[1], kv[0])):
-        for node, room in remaining.items():
-            if room >= demand:
-                remaining[node] = room - demand
-                placement[name] = node
-                break
-        else:
-            raise CapacityError(f"no node can hold {name!r} (demand {demand})")
-    return placement

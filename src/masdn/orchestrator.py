@@ -3,21 +3,16 @@
 Given a run configuration it recomposes the controller out of atomic
 function agents: it expands the requested chain to its dependency closure,
 adds the infrastructure roster (registry, brokers, knowledge plane, fault
-handler, discovery, monitoring), places everything onto the inventory and
-spawns it all; each spawned agent subscribes itself at its home broker. The
-network-level policies go down in the specs: each agent's initial facts
-carry the configured policies whose scope holds its kind, in config order.
+handler, discovery, monitoring) and spawns it all; each spawned agent
+subscribes itself at its home broker. The network-level policies go down in
+the specs: each agent's initial facts carry the configured policies whose
+scope holds its kind, in config order.
 
-Bootstrap happens in two passes driven by two control.bootstrap events.
-The first ("facts") computes and stores the roster, the per-agent specs and
-the placement; the second ("spawn") turns those facts into the actual
-spawn plan and registers a lease for every agent it spawns. The split
-exists because a plan is validated against the facts snapshot taken before
-the decision ran, so the spawn plan must be able to see the roster facts
-written by an earlier pipeline run. Any other phase is ignored. A
-failed placement escalates the spawn pass: the orchestrator is the top
-level, so the runtime records the issue as a dead-end and nothing is
-spawned and no lease is registered. It is the only escalation in the code.
+Bootstrap is one decision, on the "genesis" phase of control.bootstrap: it
+stores the roster and the per-agent specs, spawns every agent (brokers
+first, so everyone can subscribe) and registers a lease for each. Its plan
+targets only the host.control endpoint, so it is validated against the
+genesis "endpoints" fact alone. Any other phase is ignored.
 
 After bootstrap the orchestrator is the failure detector. Its lease table
 (registry.py's pure functions over the "leases" fact) is the one record of
@@ -57,9 +52,7 @@ from .logic import (
     DEFAULT_SIZE_THRESHOLD,
     HEARTBEAT_INTERVAL,
     MISSED_HEARTBEATS,
-    CapacityError,
     chain_closure,
-    first_fit_decreasing,
 )
 from .registry import (
     UnknownLease,
@@ -225,6 +218,16 @@ def _register(
     return leases
 
 
+def _spawns(
+    specs: dict[str, Any], agents: list[str], mirror: dict[str, Any]
+) -> list[dict[str, Any]]:
+    """One spawn-agent step per agent, in order, restoring its mirror slot."""
+    return [
+        step("spawn-agent", "host.control", agent=a, spec=specs[a], restore=mirror.get(a, {}))
+        for a in agents
+    ]
+
+
 @register_cognition(FunctionKind.ORCHESTRATION.value, digest_keys=())
 def orchestrator_decide(facts: dict[str, Any], inp: AgentInput) -> dict[str, Any]:
     if request_op(inp) == "discover":
@@ -241,11 +244,8 @@ def orchestrator_decide(facts: dict[str, Any], inp: AgentInput) -> dict[str, Any
         return decision()
     topic, body = ev
     if topic == "control.bootstrap":
-        phase = (body or {}).get("phase", "facts")
-        if phase == "facts":
-            return _bootstrap_facts(facts, inp)
-        if phase == "spawn":
-            return _bootstrap_spawn(facts, inp)
+        if (body or {}).get("phase") == "genesis":
+            return _bootstrap(facts, inp)
         return decision()
     if topic == "hb":
         # renewed at delivery, so a replayed beat never moves an expiry back
@@ -263,49 +263,17 @@ def orchestrator_decide(facts: dict[str, Any], inp: AgentInput) -> dict[str, Any
     return decision()
 
 
-def _bootstrap_facts(facts: dict[str, Any], inp: AgentInput) -> dict[str, Any]:
+def _bootstrap(facts: dict[str, Any], inp: AgentInput) -> dict[str, Any]:
+    """Compose the controller: the roster and its specs, one spawn per agent
+    (brokers first), and a lease for each."""
     config = facts.get("config", {})
-    me = str(inp.message.dst)
     roster = plan_roster(config)
-    specs = build_specs(config, roster, facts.get("topology") or {}, me)
-    events: list[dict[str, Any]] = []
-    placement: dict[str, str] | None
-    inventory = config.get("inventory") or {"node0": len(roster) + 1}
-    try:
-        placement = first_fit_decreasing(
-            {a: 1 for a in roster + [me]}, inventory
-        )
-    except CapacityError as exc:
-        placement = None
-        events.append({"topic": "events.capacity", "body": {"error": str(exc)}})
-    writes: list[tuple[str, Any]] = [
-        ("roster", roster),
-        ("specs", specs),
-        ("placement", placement),
-        ("peers", sorted(roster + [me])),
-    ]
-    return decision(facts=writes, events=events)
-
-
-def _bootstrap_spawn(facts: dict[str, Any], inp: AgentInput) -> dict[str, Any]:
-    if facts.get("placement") is None:
-        return decision(escalate={"reason": "no-placement"})
-    roster = facts.get("roster", [])
-    specs = facts.get("specs", {})
-    placement = facts.get("placement", {})
-    steps = [
-        step(
-            "spawn-agent",
-            "host.control",
-            agent=agent,
-            spec=specs[agent],
-            restore={},
-            node=placement.get(agent),
-        )
-        for agent in _spawn_order(roster)
-    ]
+    specs = build_specs(config, roster, facts.get("topology") or {}, str(inp.message.dst))
     leases = _register(facts.get("leases", {}), specs, roster, inp.message.sim_time)
-    return decision(plan=steps, facts=[("leases", leases)])
+    return decision(
+        plan=_spawns(specs, _spawn_order(roster), {}),
+        facts=[("roster", roster), ("specs", specs), ("leases", leases)],
+    )
 
 
 def _scan(facts: dict[str, Any], tick: int) -> dict[str, Any]:
@@ -314,8 +282,6 @@ def _scan(facts: dict[str, Any], tick: int) -> dict[str, Any]:
         return decision()
 
     specs = facts.get("specs", {})
-    mirror = facts.get("mirror", {})
-    placement = facts.get("placement") or {}
     broker_prefix = FunctionKind.EVENT_DISTRIBUTION.value + "#"
     dead_brokers = [a for a in dead if a.startswith(broker_prefix)]
     if dead_brokers:
@@ -326,16 +292,9 @@ def _scan(facts: dict[str, Any], tick: int) -> dict[str, Any]:
     else:
         respawn = dead
         leases = _register(leases, specs, dead, tick)
-    steps = [
-        step(
-            "spawn-agent",
-            "host.control",
-            agent=agent,
-            spec=specs[agent],
-            restore=mirror.get(agent, {}),
-            node=placement.get(agent),
-        )
-        for agent in respawn
-    ]
     events = [{"topic": "events.recovery", "body": {"respawned": respawn, "tick": tick}}]
-    return decision(plan=steps, facts=[("leases", leases)], events=events)
+    return decision(
+        plan=_spawns(specs, respawn, facts.get("mirror", {})),
+        facts=[("leases", leases)],
+        events=events,
+    )

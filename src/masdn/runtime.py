@@ -33,12 +33,6 @@ A decision is a plain dict with optional keys:
     responses  list of bodies answered to the input's sender
     events     list of {"topic","body"} notifications, or with "to" for one agent
     facts      list of [key, value] writes applied after validation
-    escalate   an issue dict
-
-A decision with an escalate key is dropped whole: it sends nothing and
-writes nothing, and its planning record notes the issue as a dead-end. Only
-the orchestrator escalates (a failed placement), and no level is above it,
-so the paper's upward escalation has no live case here.
 
 The agent lifecycle is handled once, where a cognition is registered, not in
 each decide function. An agent whose subscriptions include events.tick
@@ -167,7 +161,6 @@ def freeze(value: Any) -> Any:
 class _FactEntry:
     value: Any
     version: int
-    updated_at: int
 
 
 class FactsStore:
@@ -178,21 +171,21 @@ class FactsStore:
     reading a snapshot can change stored state; an attempt raises TypeError.
     A value built from stored facts shares their unchanged subtrees, so a
     write costs what changed, not the whole value. A write equal to the
-    stored value keeps the entry, version and updated_at included, so the
-    digest pump does not ship it again. Snapshots are cheap map copies over
-    the same read-only values.
+    stored value keeps the entry, version included, so the digest pump does
+    not ship it again. Snapshots are cheap map copies over the same
+    read-only values.
     """
 
     def __init__(self) -> None:
         self._entries: dict[str, _FactEntry] = {}
 
-    def put(self, key: str, value: Any, now: int) -> int:
+    def put(self, key: str, value: Any) -> int:
         frozen = freeze(value)
         prev = self._entries.get(key)
         if prev is not None and prev.value == frozen:
             return prev.version  # nothing changed, so neither does the entry
         version = 1 if prev is None else prev.version + 1
-        self._entries[key] = _FactEntry(frozen, version, now)
+        self._entries[key] = _FactEntry(frozen, version)
         return version
 
     def get(self, key: str, default: Any = None) -> Any:
@@ -212,19 +205,13 @@ class FactsStore:
         for key in keys:
             entry = self._entries.get(key)
             if entry is not None:
-                out[key] = {
-                    "value": entry.value,
-                    "version": entry.version,
-                    "updated_at": entry.updated_at,
-                }
+                out[key] = {"value": entry.value, "version": entry.version}
         return out
 
     def restore(self, digest: dict[str, dict[str, Any]]) -> None:
         """Seed entries from an exported digest, keeping versions."""
         for key, doc in digest.items():
-            self._entries[key] = _FactEntry(
-                freeze(doc["value"]), doc["version"], doc["updated_at"]
-            )
+            self._entries[key] = _FactEntry(freeze(doc["value"]), doc["version"])
 
 
 _ABSENT = object()
@@ -247,7 +234,6 @@ def digest_delta(doc: dict[str, Any], last: tuple[int, Any] | None) -> dict[str,
     base, old = last if last is not None and isinstance(last[1], dict) else (0, {})
     return {
         "version": doc["version"],
-        "updated_at": doc["updated_at"],
         "base": base,
         "set": {
             sub: v
@@ -262,10 +248,10 @@ def merge_digest(
     digests: dict[str, dict[str, Any]], body: dict[str, Any]
 ) -> dict[str, dict[str, Any]]:
     """Fold one kp.digest body into a per-agent table of exported keys, each
-    stored as {value, version, updated_at}: the newest version of each key
-    wins, and a stale one is ignored. A whole "value", or a delta on base 0,
-    replaces the key; any other delta (see digest_delta) applies to the
-    version held, and one whose base is not that version raises DigestGap.
+    stored as {value, version}: the newest version of each key wins, and a
+    stale one is ignored. A whole "value", or a delta on base 0, replaces
+    the key; any other delta (see digest_delta) applies to the version held,
+    and one whose base is not that version raises DigestGap.
     Only the sending agent's slot is copied; every other slot is shared with
     the table given."""
     agent = body["agent"]
@@ -288,7 +274,7 @@ def merge_digest(
             value = {**held["value"], **doc["set"]}
             for sub in doc["drop"]:
                 del value[sub]
-        slot[key] = {"value": value, "version": doc["version"], "updated_at": doc["updated_at"]}
+        slot[key] = {"value": value, "version": doc["version"]}
     return {**digests, agent: slot}
 
 
@@ -449,7 +435,6 @@ def decision(
     responses: list[Any] | None = None,
     events: list[dict[str, Any]] | None = None,
     facts: list[tuple[str, Any]] | None = None,
-    escalate: dict[str, Any] | None = None,
 ) -> dict[str, Any]:
     """Convenience builder for the decision dict shape."""
     out: dict[str, Any] = {}
@@ -461,8 +446,6 @@ def decision(
         out["events"] = events
     if facts:
         out["facts"] = facts
-    if escalate is not None:
-        out["escalate"] = escalate
     return out
 
 
@@ -639,7 +622,7 @@ class AgentHost:
         cognition(spec.cognition)  # raises UnknownCognition up front
         agent = Agent(spec=spec, facts=FactsStore())
         for key, value in spec.initial_facts.items():
-            agent.facts.put(key, value, self.now)
+            agent.facts.put(key, value)
         self.agents[spec.agent] = agent
         self.facts_written.add(spec.agent)
         self._emit(
@@ -692,7 +675,7 @@ class AgentHost:
         impl = agent.impl
         if impl.ingest is not None:
             for key, value in impl.ingest(agent.facts.snapshot(), inp) or []:
-                agent.facts.put(key, value, self.now)
+                agent.facts.put(key, value)
                 written.append(key)
             if written:
                 self.facts_written.add(agent_id)
@@ -718,8 +701,7 @@ class AgentHost:
             }
         )
 
-        escalated = "escalate" in dec
-        steps = None if escalated else dec.get("plan")
+        steps = dec.get("plan")
         if steps:
             plan = Plan(
                 tuple(
@@ -734,12 +716,6 @@ class AgentHost:
         emit(
             {
                 "steps": [[s.action, str(s.target)] for s in plan.steps],
-                "escalated": escalated,
-                "note": (
-                    f"escalation dead-end: {agent_text} is already at the top level"
-                    if escalated
-                    else ""
-                ),
                 "stage": "planning",
                 "agent": agent_text,
                 "run": run,
@@ -764,7 +740,7 @@ class AgentHost:
             }
         )
 
-        outputs = self._materialize(agent, msg, dec, plan, report, escalated)
+        outputs = self._materialize(agent, msg, dec, plan, report)
         emit(
             {
                 "emitted": [[_KIND_TEXT[m.kind], str(m.dst)] for m in outputs],
@@ -785,7 +761,6 @@ class AgentHost:
         dec: dict[str, Any],
         plan: Plan,
         report: ValidationReport,
-        escalated: bool,
     ) -> list[Message]:
         if not report.passed:
             body = {
@@ -813,25 +788,24 @@ class AgentHost:
         outputs: list[Message] = []
         for pstep in plan.steps:
             outputs.append(self._step_message(agent, pstep, encode_once))
-        if not escalated:
-            for body in dec.get("responses", []):
-                outputs.append(
-                    self.factory.new_message(
-                        src=agent.id,
-                        dst=msg.src,
-                        kind=MessageKind.RESPONSE,
-                        payload=encode_once(body),
-                        now=self.now,
-                        correlation_id=msg.msg_id,
-                    )
+        for body in dec.get("responses", []):
+            outputs.append(
+                self.factory.new_message(
+                    src=agent.id,
+                    dst=msg.src,
+                    kind=MessageKind.RESPONSE,
+                    payload=encode_once(body),
+                    now=self.now,
+                    correlation_id=msg.msg_id,
                 )
-            for ev in dec.get("events", []):
-                outputs.append(self._event(agent, ev["topic"], ev["body"], ev.get("to")))
-            facts = dec.get("facts")
-            if facts:
-                for key, value in facts:
-                    agent.facts.put(key, value, self.now)
-                self.facts_written.add(agent.id)
+            )
+        for ev in dec.get("events", []):
+            outputs.append(self._event(agent, ev["topic"], ev["body"], ev.get("to")))
+        facts = dec.get("facts")
+        if facts:
+            for key, value in facts:
+                agent.facts.put(key, value)
+            self.facts_written.add(agent.id)
         return outputs
 
     def _step_message(

@@ -41,14 +41,13 @@ digest message ids do not depend on the order in which agents wrote. A
 dict-valued key (a session or rule table) travels as a delta against the
 version last exported for it,
 
-    {"version", "updated_at", "base", "set": {sub: value}, "drop": [sub]}
+    {"version", "base", "set": {sub: value}, "drop": [sub]}
 
 carrying only the sub-keys that changed or went; "base" 0 means nothing was
 exported before (the first export, and the first after a respawn), and
 "set" then holds the whole table. Any other value travels whole, as
-{"version", "updated_at", "value"}. The pump keeps, per agent, the version
-and value it last exported of each key, and forgets them when the agent is
-spawned again.
+{"version", "value"}. The pump keeps, per agent, the version and value it
+last exported of each key, and forgets them when the agent is spawned again.
 """
 
 from __future__ import annotations
@@ -176,7 +175,8 @@ class AgentSystem:
     # -- lifecycle ------------------------------------------------------------
 
     def genesis(self) -> None:
-        """Spawn the orchestrator and let it recompose the whole controller."""
+        """Spawn the orchestrator and hand it the genesis bootstrap, whose one
+        decision composes, spawns and leases the whole controller."""
         facts = {
             "config": self.config,
             "topology": topology_view(self.topo, self.sim.links_doc()),
@@ -190,18 +190,16 @@ class AgentSystem:
                 profiles=resolve_profiles(self.config.get("profiles")),
             )
         )
-        for phase in ("facts", "spawn"):
-            self.bus.send(self._bootstrap_msg(phase))
-        self.bus.run_to_quiescence()
-
-    def _bootstrap_msg(self, phase: str) -> Message:
-        return self.host.factory.new_message(
-            src=self.orch,
-            dst=self.orch,
-            kind=MessageKind.EVENT,
-            payload=encode_body({"topic": "control.bootstrap", "body": {"phase": phase}}),
-            now=self.host.now,
+        self.bus.send(
+            self.host.factory.new_message(
+                src=self.orch,
+                dst=self.orch,
+                kind=MessageKind.EVENT,
+                payload=encode_body({"topic": "control.bootstrap", "body": {"phase": "genesis"}}),
+                now=self.host.now,
+            )
         )
+        self.bus.run_to_quiescence()
 
     # -- stepping ------------------------------------------------------------
 

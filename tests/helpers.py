@@ -180,6 +180,11 @@ class BrokerFabric:
         agent = AgentId.parse(sub)
         if agent not in self.host.agents:
             self.host.spawn_agent(AgentSpec(agent, "test-subscriber"))
+            # in a run every subscriber is a roster agent, which each
+            # broker's spec lists among the peers its deliveries may target
+            for broker in broker_ids(self.strategy):
+                facts = self.host.agents[AgentId.parse(broker)].facts
+                facts.put("peers", sorted({*facts.get("peers"), sub}))
         self.bus.send(
             self.host.factory.new_message(
                 src=agent,

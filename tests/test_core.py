@@ -17,7 +17,6 @@ from masdn.core import (
     Message,
     MessageFactory,
     MessageKind,
-    PayloadTooLarge,
     level_of,
 )
 
@@ -177,10 +176,3 @@ def test_factory_ids_strictly_increase():
         for _ in range(50)
     ]
     assert ids == sorted(set(ids))
-
-
-def test_factory_enforces_payload_bound():
-    factory = MessageFactory(max_payload=8)
-    src = AgentId(FunctionKind.ROUTING, 0)
-    with pytest.raises(PayloadTooLarge):
-        factory.new_message(src, "topic.x", MessageKind.EVENT, b"123456789", now=0)

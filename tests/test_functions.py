@@ -228,13 +228,13 @@ class TestForwardingAgent:
 
     def test_a_write_shares_every_switch_it_does_not_touch(self):
         store = FactsStore()
-        store.put("switch-rules", {"s1": {"h3|h4|20": "r0"}, "s2": {"h1|h2|20": "r1"}, "s3": {}}, 0)
+        store.put("switch-rules", {"s1": {"h3|h4|20": "r0"}, "s2": {"h1|h2|20": "r1"}, "s3": {}})
         before = store.get("switch-rules")
         old_rule = {**self.RULE, "rule_id": "r0", "match": {"src": "h3", "dst": "h4"}}
         for op, rule in (("install", self.RULE), ("remove", old_rule)):
             body = {"op": op, "ctx": "s-1", "rules": [["s1", rule]]}
             out = forwarding_decide(store.snapshot(), request(body, dst="forwarding#0"))
-            store.put("switch-rules", dict(out["facts"])["switch-rules"], 1)
+            store.put("switch-rules", dict(out["facts"])["switch-rules"])
             after = store.get("switch-rules")
             assert after["s2"] is before["s2"] and after["s3"] is before["s3"]
         assert after == {"s1": {"h1|h2|20": "r1"}, "s2": {"h1|h2|20": "r1"}, "s3": {}}
@@ -251,12 +251,10 @@ class TestOrchestratorLeases:
 
     def booted(self):
         facts = {"config": {"chain": ["routing"]}}
-        for phase in ("facts", "spawn"):
-            out = orchestrator_decide(
-                facts, event("control.bootstrap", {"phase": phase}, dst="orchestration#0")
-            )
-            facts.update(dict(out.get("facts", [])))
-        return facts
+        out = orchestrator_decide(
+            facts, event("control.bootstrap", {"phase": "genesis"}, dst="orchestration#0")
+        )
+        return {**facts, **dict(out["facts"])}
 
     def test_discover_is_answered_from_the_leases(self):
         facts = self.booted()
@@ -321,20 +319,18 @@ class TestKnowledgePlane:
         assert "admitted" not in digests["qos#0"]
 
     def delta(self, version, base, set_=(), drop=()):
-        doc = {"version": version, "updated_at": version, "base": base,
-               "set": dict(set_), "drop": list(drop)}
+        doc = {"version": version, "base": base, "set": dict(set_), "drop": list(drop)}
         return {"agent": "session#0", "keys": {"sessions": doc}}
 
     def held(self, value, version):
-        return {"session#0": {"sessions": {"value": value, "version": version,
-                                           "updated_at": version}}}
+        return {"session#0": {"sessions": {"value": value, "version": version}}}
 
     def test_delta_sets_and_drops_sub_keys(self):
         mirror = self.held({"s1": {"n": 1}, "s2": {"n": 2}, "s3": {"n": 3}}, 4)
         body = self.delta(6, 4, set_={"s2": {"n": 20}, "s4": {"n": 4}}, drop=["s1"])
         kept = merge_digest(mirror, body)["session#0"]["sessions"]
         assert kept == {"value": {"s2": {"n": 20}, "s3": {"n": 3}, "s4": {"n": 4}},
-                        "version": 6, "updated_at": 6}
+                        "version": 6}
         assert mirror["session#0"]["sessions"]["value"]["s2"] == {"n": 2}  # folded into a copy
 
     def test_delta_on_base_zero_replaces_the_key(self):
@@ -357,8 +353,8 @@ class TestKnowledgePlane:
 
     def test_deltas_fold_back_into_what_the_agent_exports(self):
         store = FactsStore()
-        store.put("sessions", {"s1": {"n": 1}, "s2": {"n": 2}}, now=0)
-        store.put("peers", ["a", "b"], now=0)
+        store.put("sessions", {"s1": {"n": 1}, "s2": {"n": 2}})
+        store.put("peers", ["a", "b"])
         last, mirror = {}, {}
 
         def pump():
@@ -378,10 +374,10 @@ class TestKnowledgePlane:
         assert first["peers"] == store.export(["peers"])["peers"]  # not a dict: whole
         assert first["sessions"]["base"] == 0 and len(first["sessions"]["set"]) == 2
         sessions = store.get("sessions")
-        store.put("sessions", {**sessions, "s2": {"n": 3}}, now=1)
+        store.put("sessions", {**sessions, "s2": {"n": 3}})
         second = pump()["sessions"]
         assert (second["base"], second["set"], second["drop"]) == (1, {"s2": {"n": 3}}, [])
-        store.put("sessions", {"s2": store.get("sessions")["s2"], "s4": {"n": 4}}, now=2)
+        store.put("sessions", {"s2": store.get("sessions")["s2"], "s4": {"n": 4}})
         third = pump()
         assert list(third) == ["sessions"]
         assert (third["sessions"]["set"], third["sessions"]["drop"]) == ({"s4": {"n": 4}}, ["s1"])
@@ -390,20 +386,18 @@ class TestKnowledgePlane:
 class TestSessionAgent:
     def test_decision_copies_only_the_records_it_changes(self):
         store = FactsStore()
-        store.put("peers", ["forwarding#0", "session#0"], now=0)
+        store.put("peers", ["forwarding#0", "session#0"])
         store.put(
             "sessions",
             {
                 "s0001": session_record("s0001", "h1", "h2", "bulk", 1, state=ACTIVE, path=["s1"]),
                 "s0002": session_record("s0002", "h2", "h1", "bulk", 2, state=PENDING),
             },
-            now=0,
         )
         store.put(
             "pending",
             {"s0002": {"sid": "s0002", "stage": "install", "src": "h2", "dst": "h1",
                        "class": "bulk", "path": ["s3", "s2"]}},
-            now=0,
         )
         stored = store.get("sessions")
         answer = AgentInput(
@@ -703,10 +697,9 @@ class TestBrokerAgent:
         )
         return dict(out["facts"])
 
-    def test_subscribe_records_filter_and_peer(self):
-        facts = self.sub_facts()
-        assert facts["subs"] == {"events.*": ["monitoring#0"]}
-        assert facts["peers"] == ["monitoring#0"]
+    def test_subscribe_records_only_the_filter(self):
+        # every subscriber is a roster agent, already in the spec's peers
+        assert self.sub_facts() == {"subs": {"events.*": ["monitoring#0"]}}
 
     def test_publish_delivers_to_matching_subscribers(self):
         facts = self.sub_facts()

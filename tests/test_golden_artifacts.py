@@ -7,10 +7,12 @@ diff.json) is pinned, so a speed-up that changes any outcome, log record or
 wire byte fails here, naming the artifacts that moved. The outcome.json,
 stats.csv and diff.json constants were recorded before facts were frozen on
 write instead of deep-copied. The run.log constants were last re-recorded
-when declared flows became events.flow announcements: the session agent
-sends one more subscribe at bootstrap, its spec is smaller, a proactive
-run's off-beat lead ticks and their pipeline runs are gone, and the message
-ids, run numbers and sequence numbers after them shift. The hashes do not depend on PYTHONHASHSEED.
+when genesis became one orchestrator decision: one bootstrap message and
+its pipeline run are gone, the planning records lost their escalation
+fields, the spawn requests their placement node, the digests their
+updated_at stamp, and brokers no longer write peers, so record sizes,
+message ids, run numbers and sequence numbers shift. The hashes do not
+depend on PYTHONHASHSEED.
 When a change is meant to alter the artifacts, re-record the constants and
 say why in the change's notes.
 """
@@ -49,7 +51,7 @@ GOLDEN = {
         0,
         {
             "outcome.json": "9d7df6e08f605236441792fc445708a8bee2ca7bee232834eb24da6bc7505ac6",
-            "run.log": "474df905395b39a4969c74886d4b91ae98567a28f90c0be2ac309c8b4e246f2b",
+            "run.log": "ab7fe555d3964ad379d4ee739551f9938c43a2d3d4ee1b824dc90fc427b72f69",
             "stats.csv": "afc834dc4a6d33e7aa3e3c9055b241c4b86e34f7697c8468cac1df6550b57694",
             "diff.json": "ca3d163bab055381827226140568f3bef7eaac187cebd76878e0b63e9e442356",
         },
@@ -58,7 +60,7 @@ GOLDEN = {
         0,
         {
             "outcome.json": "57d7ab073da0ee5cbfe058ac2d154482e900e529fb1b7c930584c324f87f1ae7",
-            "run.log": "64513f711fb6d1c4c288e7ef3d08ba8253546948a33ca0d0e893cd59f5473877",
+            "run.log": "91013562d2f027a6cf3791c87590621ff6c83a992aea817cc1d6de0bccaaa9cd",
             "stats.csv": "38bfaab0d91b62a7424a4bb39febbb5006c74786e52f257514557351f534eaf9",
             "diff.json": "ca3d163bab055381827226140568f3bef7eaac187cebd76878e0b63e9e442356",
         },
@@ -67,7 +69,7 @@ GOLDEN = {
         0,
         {
             "outcome.json": "ab0cebde5c16702d9eef7ce0269a6e7f830dd862db93f8b9b7fc203f63721b2a",
-            "run.log": "eccbbbf277563673cc4a5d1da3ca221e0af154296410805093d17ca1a585a842",
+            "run.log": "631a0b206426b76125e176b5124c2343f564fbbeaf0e4d6019ba6b2b796d2b90",
             "stats.csv": "3edfab2026d98f54c995eb9605010f2a20ab518ed0480c9fd0c05f42b4ad9aa6",
             "diff.json": "ca3d163bab055381827226140568f3bef7eaac187cebd76878e0b63e9e442356",
         },

@@ -1,23 +1,16 @@
-"""Decision hierarchy mechanics: policies flow down, nothing escalates
-below the top level, and every agent's digests merge into one view.
+"""Decision hierarchy mechanics: policies flow down, nothing flows up, and
+every agent's digests merge into one view.
 
 Policy issue and the merge are checked where the running system does them:
 the specs the orchestrator builds and the orchestrator's kp.digest fold into
-its mirror. The one escalation, the orchestrator's, dead-ends in the host
-(tests/test_runtime.py).
+its mirror.
 """
-import re
-from pathlib import Path
-
 import pytest
 
 from masdn.core import AgentId, FunctionKind, DecisionLevel, Message, MessageKind
 from masdn.hierarchy import InvalidDirection, Policy, PolicyRule
 from masdn.orchestrator import build_specs, orchestrator_decide
 from masdn.runtime import AgentInput
-
-SRC = Path(__file__).resolve().parent.parent / "src" / "masdn"
-
 
 CAP_DOC = {
     "policy_id": "p-cap",
@@ -81,20 +74,11 @@ def spec_facts(policies, roster):
     return {agent: spec["initial_facts"] for agent, spec in specs.items()}
 
 
-def test_only_the_orchestrator_escalates():
-    # it is at the top level, so its escalation dead-ends; an escalation
-    # from below would need a handler one level up, and none is kept
-    escalating = sorted(
-        path.name for path in SRC.glob("*.py") if re.search(r"\bescalate=", path.read_text())
-    )
-    assert escalating == ["orchestrator.py"]
-
-
 def digest(agent, **keys):
     """A kp.digest event as the orchestrator receives it."""
     msg = Message(1, AgentId.parse(agent), AgentId(FunctionKind.ORCHESTRATION, 0),
                   MessageKind.EVENT, b"", 0)
-    body = {"agent": agent, "keys": {k: {"value": v, "version": n, "updated_at": n}
+    body = {"agent": agent, "keys": {k: {"value": v, "version": n}
                                      for k, (v, n) in keys.items()}}
     return AgentInput(msg, {"topic": "kp.digest", "body": body})
 

@@ -8,13 +8,11 @@ import itertools
 import random
 
 import networkx as nx
-import pytest
 
 from masdn.core import FunctionKind
 from masdn.logic import (
     ACTIVE,
     BULK,
-    CapacityError,
     INTERACTIVE,
     PENDING,
     REALTIME,
@@ -24,7 +22,6 @@ from masdn.logic import (
     chain_closure,
     classify,
     clearing_rules,
-    first_fit_decreasing,
     flow_rate_milli,
     link_capacities,
     path_link_keys,
@@ -285,26 +282,6 @@ class TestComposition:
     def test_closure_output_is_sorted_and_duplicate_free(self):
         closed = chain_closure([FunctionKind.SESSION, FunctionKind.ROUTING])
         assert closed == sorted(set(closed), key=lambda k: k.value)
-
-
-class TestPlacement:
-    def test_everything_fits_on_one_ample_node(self):
-        placement = first_fit_decreasing({"a": 1, "b": 2, "c": 3}, {"n1": 100})
-        assert set(placement.values()) == {"n1"}
-
-    def test_biggest_demand_places_first(self):
-        placement = first_fit_decreasing({"small": 1, "big": 9}, {"n1": 9, "n2": 5})
-        assert placement["big"] == "n1"
-        assert placement["small"] == "n1" or placement["small"] == "n2"
-
-    def test_insufficient_capacity_raises(self):
-        with pytest.raises(CapacityError):
-            first_fit_decreasing({"a": 10, "b": 10}, {"n1": 15})
-
-    def test_placement_is_deterministic(self):
-        demands = {f"a{i}": (i * 7) % 5 + 1 for i in range(20)}
-        caps = {"n1": 30, "n2": 30, "n3": 30}
-        assert first_fit_decreasing(demands, caps) == first_fit_decreasing(demands, caps)
 
 
 def test_path_link_keys_are_orientation_free():

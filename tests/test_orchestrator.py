@@ -1,7 +1,5 @@
-"""Orchestration agent: roster planning, bootstrap phases, lease-based recovery."""
+"""Orchestration agent: roster planning, the genesis bootstrap, lease-based recovery."""
 import random
-
-import pytest
 
 from masdn.core import AgentId, FunctionKind, Message, MessageKind
 from masdn.logic import HEARTBEAT_INTERVAL, MISSED_HEARTBEATS
@@ -44,6 +42,11 @@ def beat(agent, tick, now):
 
 
 BASE_CONFIG = {"chain": ["session"], "event_strategy": "centralized"}
+
+
+def brokers_first(roster, strategy):
+    brokers = broker_ids(strategy)
+    return brokers + [a for a in roster if a not in brokers]
 
 
 class TestRosterPlanning:
@@ -127,58 +130,42 @@ class TestBuildSpecs:
 
 
 class TestBootstrap:
-    def facts_after_phase_one(self, config=None):
-        facts = {"config": config or dict(BASE_CONFIG)}
-        out = orchestrator_decide(facts, fire("control.bootstrap", {"phase": "facts"}))
-        facts.update(dict(out["facts"]))
-        return facts, out
-
-    def test_phase_one_writes_plan_facts(self):
-        facts, out = self.facts_after_phase_one()
-        assert facts["roster"] == plan_roster(BASE_CONFIG)
-        assert set(facts["specs"]) == set(facts["roster"])
-        assert set(facts["placement"]) == set(facts["roster"]) | {ME}
-        assert "leases" not in facts  # leases come with the spawns
-        assert "events" not in out
-
-    def test_phase_two_spawns_brokers_first_and_leases_each_spawn(self):
+    def test_one_decision_spawns_brokers_first_and_writes_only_the_roster_facts(self):
         config = dict(BASE_CONFIG, event_strategy="distributed")
-        facts, _ = self.facts_after_phase_one(config)
-        out = orchestrator_decide(facts, fire("control.bootstrap", {"phase": "spawn"}, now=3))
-        spawns = [s for s in out["plan"] if s["action"] == "spawn-agent"]
-        order = [s["params"]["agent"] for s in spawns]
-        brokers = broker_ids("distributed")
-        assert order == brokers + [a for a in facts["roster"] if a not in brokers]
-        leases = dict(out["facts"])["leases"]
-        assert sorted(leases) == facts["roster"]
-        for agent, lease in leases.items():
-            assert lease["descriptor"] == lease_descriptor(facts["specs"][agent])
+        out = orchestrator_decide(
+            {"config": config}, fire("control.bootstrap", {"phase": "genesis"}, now=3)
+        )
+        assert set(out) == {"plan", "facts"}  # no events
+        assert [key for key, _ in out["facts"]] == ["roster", "specs", "leases"]
+        writes = dict(out["facts"])
+        roster, specs = writes["roster"], writes["specs"]
+        assert roster == plan_roster(config)
+        assert specs == build_specs(config, roster, {}, ME)
+        assert [s["params"]["agent"] for s in out["plan"]] == brokers_first(roster, "distributed")
+        for s in out["plan"]:  # no placement node
+            agent = s["params"]["agent"]
+            assert (s["action"], s["target"]) == ("spawn-agent", "host.control")
+            assert s["params"] == {"agent": agent, "spec": specs[agent], "restore": {}}
+        assert sorted(writes["leases"]) == roster
+        for agent, lease in writes["leases"].items():
+            assert lease["descriptor"] == lease_descriptor(specs[agent])
             assert (lease["registered_at"], lease["expires_at"]) == (3, 3 + LEASE_TTL)
 
-    def test_overfull_inventory_reports_capacity_and_blocks_spawn(self):
-        config = dict(BASE_CONFIG, inventory={"tiny": 2})
-        facts, out = self.facts_after_phase_one(config)
-        assert facts["placement"] is None
-        assert [e["topic"] for e in out["events"]] == ["events.capacity"]
-        blocked = orchestrator_decide(facts, fire("control.bootstrap", {"phase": "spawn"}))
-        assert blocked["escalate"]["reason"] == "no-placement"
-        assert "facts" not in blocked  # no lease, so nothing to respawn later
-
-    def test_a_failed_placement_spawns_nothing_for_the_whole_run(self):
+    def test_genesis_runs_one_orchestrator_pipeline(self):
         rng = random.Random(0)
         tdoc = gen_topology(rng, 6)
         topo, scen = build(tdoc, gen_scenario(rng, tdoc, 6, 0, 60))
-        system = AgentSystem(topo, scen, {"inventory": {"n0": 3}})
-        system.run()
-        assert system.spawn_log == []
-        assert [str(a) for a in system.host.agents] == [ME]
+        system = AgentSystem(topo, scen, {"event_strategy": "hybrid"})
+        system.genesis()
+        runs = [r for r in system.host.stage_log if r["stage"] == "input" and r["agent"] == ME]
+        assert len(runs) == 1
+        assert [a for a, _ in system.spawn_log] == brokers_first(plan_roster(system.config), "hybrid")
 
-    def test_inventory_with_room_spreads_by_first_fit(self):
-        config = dict(BASE_CONFIG, inventory={"a": 8, "b": 8})
-        facts, _ = self.facts_after_phase_one(config)
-        used = set(facts["placement"].values())
-        assert used <= {"a", "b"}
-        assert len(used) == 2  # roster + orchestrator cannot fit on one node
+    def test_any_other_phase_is_ignored(self):
+        facts = {"config": dict(BASE_CONFIG)}
+        for phase in ("facts", "spawn", None):
+            assert orchestrator_decide(facts, fire("control.bootstrap", {"phase": phase})) == {}
+        assert orchestrator_decide(facts, fire("control.bootstrap", None)) == {}
 
 
 class TestLiveness:
@@ -191,10 +178,8 @@ class TestLiveness:
         # the orchestrator subscribes to nothing: ticks, beats and digests
         # come to it directly
         facts = {"config": dict(config)}
-        for phase in ("facts", "spawn"):
-            out = orchestrator_decide(facts, fire("control.bootstrap", {"phase": phase}))
-            facts.update(dict(out.get("facts", [])))
-        return facts
+        out = orchestrator_decide(facts, fire("control.bootstrap", {"phase": "genesis"}))
+        return {**facts, **dict(out["facts"])}
 
     def renewed(self, facts, at, except_for=()):
         """Every lease but the named ones renewed by a beat delivered at `at`."""
@@ -206,8 +191,8 @@ class TestLiveness:
         return {**facts, "leases": leases}
 
     def test_a_run_bootstrap_to_a_booted_orchestrator_does_nothing(self):
-        # only genesis's facts and spawn phases are the orchestrator's; a
-        # run phase must not spawn the roster again or renew every lease
+        # only the genesis phase is the orchestrator's; a run phase must
+        # not spawn the roster again or renew every lease
         facts = self.booted()
         run = fire("control.bootstrap", {"phase": "run"}, now=7)
         assert cognition(FunctionKind.ORCHESTRATION.value).decide(facts, run) == {}

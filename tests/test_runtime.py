@@ -67,24 +67,22 @@ def tell(host, agent_id, body, kind=MessageKind.REQUEST, src=None, dst=None):
 class TestFactsStore:
     def test_versions_count_writes_per_key(self):
         store = FactsStore()
-        assert store.put("topology", {"links": []}, now=0) == 1
-        assert store.put("topology", {"links": [1]}, now=1) == 2
-        assert store.put("other", "x", now=1) == 1
+        assert store.put("topology", {"links": []}) == 1
+        assert store.put("topology", {"links": [1]}) == 2
+        assert store.put("other", "x") == 1
 
     def test_an_equal_reput_keeps_the_entry_and_an_unequal_one_bumps_it(self):
         store = FactsStore()
-        assert store.put("view", {"links": [1, 2]}, now=0) == 1
+        assert store.put("view", {"links": [1, 2]}) == 1
         stored = store.get("view")
-        assert store.put("view", {"links": [1, 2]}, now=5) == 1
+        assert store.put("view", {"links": [1, 2]}) == 1
         assert store.get("view") is stored
-        assert store.export(["view"])["view"]["updated_at"] == 0
-        assert store.put("view", {"links": [1, 3]}, now=6) == 2
-        assert store.export(["view"])["view"] == {
-            "value": {"links": [1, 3]}, "version": 2, "updated_at": 6}
+        assert store.put("view", {"links": [1, 3]}) == 2
+        assert store.export(["view"])["view"] == {"value": {"links": [1, 3]}, "version": 2}
 
     def test_snapshot_key_set_is_isolated_from_the_store(self):
         store = FactsStore()
-        store.put("view", {"n": 1}, now=0)
+        store.put("view", {"n": 1})
         snap = store.snapshot()
         snap["extra"] = "x"
         del snap["view"]
@@ -94,22 +92,22 @@ class TestFactsStore:
     def test_put_copies_the_value(self):
         store = FactsStore()
         doc = {"n": 1}
-        store.put("view", doc, now=0)
+        store.put("view", doc)
         doc["n"] = 99
         assert store.get("view") == {"n": 1}
 
     def test_export_restore_round_trip_keeps_versions(self):
         store = FactsStore()
-        store.put("a", 1, now=0)
-        store.put("a", 2, now=3)
-        store.put("b", "x", now=3)
+        store.put("a", 1)
+        store.put("a", 2)
+        store.put("b", "x")
         digest = store.export(["a", "b"])
         fresh = FactsStore()
         fresh.restore(digest)
         assert fresh.get("a") == 2
         assert fresh.get("b") == "x"
         # versions continue above the restored ones, they do not restart
-        assert fresh.put("a", 3, now=4) == 3
+        assert fresh.put("a", 3) == 3
 
     MUTATIONS = {
         "dict setitem": lambda v: v["d"].__setitem__("n", 2),
@@ -138,7 +136,7 @@ class TestFactsStore:
     @pytest.mark.parametrize("mutation", sorted(MUTATIONS))
     def test_nested_mutation_of_stored_facts_raises(self, read, mutation):
         store = FactsStore()
-        store.put("doc", {"d": {"n": 1}, "l": [2, 1]}, now=0)
+        store.put("doc", {"d": {"n": 1}, "l": [2, 1]})
         value = store.get("doc") if read == "get" else store.snapshot()["doc"]
         with pytest.raises(TypeError):
             self.MUTATIONS[mutation](value)
@@ -146,16 +144,16 @@ class TestFactsStore:
 
     def test_reput_keeps_stored_subtrees_by_identity(self):
         store = FactsStore()
-        store.put("table", {"a": {"n": 1, "path": ["s1"]}, "b": {"n": 2}}, now=0)
+        store.put("table", {"a": {"n": 1, "path": ["s1"]}, "b": {"n": 2}})
         stored = store.get("table")
-        store.put("table", {**stored, "b": {**stored["b"], "n": 3}}, now=1)
+        store.put("table", {**stored, "b": {**stored["b"], "n": 3}})
         table = store.get("table")
         assert table["a"] is stored["a"]
         assert table == {"a": {"n": 1, "path": ["s1"]}, "b": {"n": 3}}
         assert stored["b"] == {"n": 2}
 
     def test_restore_is_isolated_from_the_digest_given(self):
-        digest = {"k": {"value": {"l": [1], "d": {"n": 1}}, "version": 2, "updated_at": 1}}
+        digest = {"k": {"value": {"l": [1], "d": {"n": 1}}, "version": 2}}
         store = FactsStore()
         store.restore(digest)
         digest["k"]["value"]["l"].append(2)
@@ -198,7 +196,7 @@ class TestHostLifecycle:
         agent = spawn(host)
         host.kill_agent(agent.id)
         with pytest.raises(AgentNotLive):
-            host.get(agent.id).facts.put("k", 1, host.now)
+            host.get(agent.id).facts.put("k", 1)
 
 
 class TestValidatePlan:
@@ -364,27 +362,6 @@ class TestPipeline:
         )
         tell(host, agent.id, {"decision": bad})
         assert agent.facts.get("note") is None
-
-    def test_explicit_escalation_suppresses_responses(self):
-        # only the orchestrator escalates, and no level is above it: the
-        # decision is dropped whole and the dead-end is logged
-        host = AgentHost()
-        orch = spawn(host, kind=FunctionKind.ORCHESTRATION, facts={"peers": ["routing#0"]})
-        dec = decision(
-            plan=[step("classify", "routing#0")],
-            responses=[{"ok": 1}],
-            events=[{"topic": "events.capacity", "body": {}}],
-            facts=[("note", "kept")],
-            escalate={"reason": "no-placement"},
-        )
-        assert tell(host, orch.id, {"decision": dec}) == []
-        assert orch.facts.get("note") is None
-        planning = [e for e in host.stage_log if e["stage"] == "planning"][-1]
-        assert planning["escalated"] is True
-        assert planning["steps"] == []
-        assert planning["note"] == (
-            "escalation dead-end: orchestration#0 is already at the top level"
-        )
 
     def test_every_action_message_follows_a_passed_validation(self):
         host = AgentHost()
