@@ -2,7 +2,7 @@
 import unittest
 from unittest.mock import patch
 
-from masdn.core import AgentId, FunctionKind, MessageKind
+from masdn.core import AgentId, FunctionKind, MessageKind, PayloadTooLarge
 from masdn.bus import Bus
 from masdn.pps import DEFAULT_PROFILES, Codec, Reliability, StackProfile, encode, encode_body
 from masdn.runtime import AgentHost, AgentSpec, register_cognition
@@ -42,6 +42,18 @@ class BusTest(unittest.TestCase):
     def setUp(self):
         self.host = make_host()
         self.bus = Bus(self.host)
+
+    def test_an_oversized_frame_is_stopped_at_its_hop(self):
+        # the message factory builds a message of any size; the bound is the
+        # pair profile's, checked when the hop encodes the frame
+        tiny = StackProfile("tiny", Codec.BINARY_LENGTH_PREFIXED, Reliability.AT_LEAST_ONCE, 8)
+        host = make_host()
+        bus = Bus(host, default_profiles=(tiny,))
+        host.spawn_agent(sink_spec(ROUTING, profiles=(tiny,)))
+        bus.send(request(host, SESSION, ROUTING, {"n": 123456789}))
+        with self.assertRaises(PayloadTooLarge):
+            bus.run_to_quiescence()
+        self.assertIsNone(host.agents[ROUTING].facts.get("seen"))
 
     def test_fifo_order_is_preserved_per_pair(self):
         self.host.spawn_agent(sink_spec(ROUTING))

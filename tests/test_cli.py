@@ -53,6 +53,14 @@ class TestRunArtifacts:
         assert {"input", "facts", "cognition", "planning", "validation",
                 "output"} <= stages
 
+    def test_compare_mode_ignores_an_inventory_too_small_for_the_roster(self, tmp_path):
+        # neither controller reads an inventory, so both run the scenario
+        config = write_config(tmp_path, inventory={"n1": 1})
+        out = tmp_path / "out"
+        assert main(["run", str(config), "--out-dir", str(out)]) == 0
+        assert json.loads((out / "outcome.json").read_text())["equivalent"] is True
+        assert json.loads((out / "diff.json").read_text()) == {}
+
     def test_agents_mode_outcome_carries_tables_and_ledger(self, tmp_path):
         config = write_config(tmp_path)
         out = tmp_path / "out"

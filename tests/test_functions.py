@@ -325,6 +325,19 @@ class TestKnowledgePlane:
     def held(self, value, version):
         return {"session#0": {"sessions": {"value": value, "version": version}}}
 
+    def test_a_table_travels_as_a_delta_and_anything_else_whole(self):
+        store = FactsStore()
+        store.put("sessions", {"s1": {"n": 1}})
+        store.put("peers", ["a"])
+        docs = store.export(["sessions", "peers"])
+        assert digest_delta(docs["peers"], None) == {"value": ["a"], "version": 1}
+        assert digest_delta(docs["sessions"], None) == {
+            "version": 1, "base": 0, "set": {"s1": {"n": 1}}, "drop": []
+        }
+        store.put("sessions", {"s2": {"n": 2}})
+        later = digest_delta(store.export(["sessions"])["sessions"], (1, docs["sessions"]["value"]))
+        assert later == {"version": 2, "base": 1, "set": {"s2": {"n": 2}}, "drop": ["s1"]}
+
     def test_delta_sets_and_drops_sub_keys(self):
         mirror = self.held({"s1": {"n": 1}, "s2": {"n": 2}, "s3": {"n": 3}}, 4)
         body = self.delta(6, 4, set_={"s2": {"n": 20}, "s4": {"n": 4}}, drop=["s1"])

@@ -151,6 +151,16 @@ class TestBootstrap:
             assert lease["descriptor"] == lease_descriptor(specs[agent])
             assert (lease["registered_at"], lease["expires_at"]) == (3, 3 + LEASE_TTL)
 
+    def test_an_inventory_in_the_config_changes_no_genesis_step(self):
+        # no agent is placed on a node, so an inventory too small for the
+        # roster, or an ample one, leaves the decision as it is
+        genesis = fire("control.bootstrap", {"phase": "genesis"})
+        plain = orchestrator_decide({"config": dict(BASE_CONFIG)}, genesis)
+        assert plain["plan"]
+        for inventory in ({"n1": 1}, {"n1": 100, "n2": 100}):
+            config = dict(BASE_CONFIG, inventory=inventory)
+            assert orchestrator_decide({"config": config}, genesis) == plain
+
     def test_genesis_runs_one_orchestrator_pipeline(self):
         rng = random.Random(0)
         tdoc = gen_topology(rng, 6)
@@ -232,6 +242,16 @@ class TestLiveness:
         assert "events.recovery" in topics
         lease = dict(out["facts"])["leases"]["routing#0"]
         assert (lease["registered_at"], lease["expires_at"]) == (deadline, deadline + LEASE_TTL)
+
+    def test_a_respawn_step_names_the_agent_its_spec_and_its_restore_only(self):
+        deadline = self.DEADLINE
+        facts = self.renewed(self.booted(), deadline - 1, except_for=("routing#0",))
+        out = orchestrator_decide(facts, fire("events.tick", {"tick": deadline}, now=deadline))
+        assert out["plan"] == [{
+            "action": "spawn-agent",
+            "target": "host.control",
+            "params": {"agent": "routing#0", "spec": facts["specs"]["routing#0"], "restore": {}},
+        }]
 
     def test_a_respawn_is_a_restore_and_pushes_no_policy(self):
         cap = {"policy_id": "cap", "issuer_level": "network", "scope": ["forwarding"],

@@ -109,6 +109,16 @@ class TestFactsStore:
         # versions continue above the restored ones, they do not restart
         assert fresh.put("a", 3) == 3
 
+    def test_an_exported_key_is_its_value_and_version_only(self):
+        store = FactsStore()
+        store.put("a", {"n": 1})
+        store.put("a", {"n": 2})
+        digest = store.export(["a", "missing"])
+        assert digest == {"a": {"value": {"n": 2}, "version": 2}}
+        fresh = FactsStore()
+        fresh.restore(digest)
+        assert fresh.export(["a"]) == digest
+
     MUTATIONS = {
         "dict setitem": lambda v: v["d"].__setitem__("n", 2),
         "dict delitem": lambda v: v["d"].__delitem__("n"),
@@ -380,6 +390,14 @@ class TestPipeline:
             emitted = stages["output"]["emitted"]
             if any(kind in ("request", "policy") for kind, _ in emitted):
                 assert stages["validation"]["passed"] is True
+
+    def test_the_planning_record_holds_the_steps_and_the_run_only(self):
+        host = AgentHost()
+        agent = spawn(host, facts={"peers": ["classifier#0"]})
+        tell(host, agent.id, {"decision": decision(plan=[step("classify", "classifier#0")])})
+        (record,) = [e for e in host.stage_log if e["stage"] == "planning"]
+        assert record["steps"] == [["classify", "classifier#0"]]
+        assert set(record) == {"steps", "stage", "agent", "run", "msg_id", "seq", "at"}
 
 
 class TestEncodeOnce:

@@ -93,6 +93,39 @@ class TestEquivalence:
         assert first == second
 
 
+class TestOnePassGenesis:
+    """The orchestrator composes, spawns and leases the whole roster in one
+    decision, and nothing in a run depends on where an agent would run."""
+
+    def test_an_inventory_in_the_config_is_not_an_input(self):
+        plain, _, _, plain_system = run_both(TOPO, sdoc(), {})
+        for inventory in ({"n1": 1}, {"n1": 100, "n2": 100}):
+            agents, _, diff, system = run_both(TOPO, sdoc(), {"inventory": inventory})
+            assert diff == {}
+            assert agents == plain
+            assert system.spawn_log == plain_system.spawn_log
+
+    def test_genesis_writes_each_roster_fact_once(self):
+        topo, scen = build(TOPO, sdoc())
+        system = AgentSystem(topo, scen, {"event_strategy": "distributed"})
+        system.genesis()
+        facts = system.host.agents[AgentId.parse(ORCH)].facts
+        written = {key: facts.version(key) for key in facts.snapshot()}
+        assert written == {"config": 1, "topology": 1, "endpoints": 1,
+                           "roster": 1, "specs": 1, "leases": 1}
+
+    def test_brokers_export_their_subscriptions_and_keep_their_spec_peers(self):
+        _, _, diff, system = run_both(TOPO, sdoc(), {"event_strategy": "distributed"})
+        assert diff == {}
+        mirror = system.host.agents[AgentId.parse(ORCH)].facts.get("mirror")
+        specs = system.host.agents[AgentId.parse(ORCH)].facts.get("specs")
+        for broker in broker_ids("distributed"):
+            assert sorted(mirror[broker]) == ["subs"]
+            facts = system.host.agents[AgentId.parse(broker)].facts
+            assert facts.get("peers") == specs[broker]["initial_facts"]["peers"]
+            assert facts.version("peers") == 1
+
+
 class TestCompareShape:
     def test_identical_outcomes_diff_empty(self):
         out = {"tables": {"sw1": []}, "ledger": {}}
