@@ -7,7 +7,8 @@ any strictly deeper topic ("events.*" matches "events.link.down" but not
 
 The brokers themselves are agents: see infra.broker_decide for how they
 deliver and forward events under each arrangement, and
-orchestrator.home_broker for where each agent publishes and subscribes.
+orchestrator.home_broker and broker_subs for where each agent publishes
+and which broker delivers to it.
 """
 
 from __future__ import annotations

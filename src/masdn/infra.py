@@ -5,25 +5,23 @@ registry, the knowledge plane, the discovery agent and the fault handler).
 The lifecycle-only agents keep no state of their own: what agents export
 lives in the orchestrator's mirror, and who is live lives in the
 orchestrator's lease table. They run the shared empty decide
-(functions.lifecycle_only_decide) under the agent lifecycle (subscribe,
+(functions.lifecycle_only_decide) under the agent lifecycle (the
 heartbeat) and are respawned like everyone else.
 
 Brokers carry the event plane at run time. A published event (a message
 whose destination is a topic) reaches one broker, which wraps it in an
 envelope stamped with the publisher and the publish msg_id, delivers it to
 local subscribers, and forwards it according to the configured arrangement
-(solo, full mesh, or per-level with a root relay). Every subscriber is a
-roster agent, so the peers in the broker's spec, which a delivery is
-validated against, already list it: a subscribe writes only "subs", the
-one key the broker exports. Brokers keep no
-per-publisher state: no arrangement hands a broker an envelope twice (a
-mesh broker never re-forwards, and the root relays to every level broker
-but the sender), and the fabric's per-pair mark drops a repeated frame on
-the publisher-to-topic and broker-to-broker hops. Any other event
-addressed to a broker (its own control.bootstrap) is not a publish and is
-dropped: a broker has no bootstrap plan, since home_broker addresses it.
-A broker that carries a beat tick sends its own beat straight to the
-orchestrator, like every other agent: beats are not on the event plane.
+(solo, full mesh, or per-level with a root relay). Its local subscribers
+are the "subs" table in its spec (orchestrator.broker_subs), fixed when
+the controller is composed; each is a roster agent, which the peers a
+delivery is validated against already list. A broker learns nothing, so it
+exports no digest and a respawn rebuilds it from its spec alone, and it
+keeps no per-publisher state: no arrangement hands a broker an envelope
+twice (a mesh broker never re-forwards, and the root relays to every level
+broker but the sender), and the fabric's per-pair mark drops a repeated
+frame on the publisher-to-topic and broker-to-broker hops. A broker beats
+through the agent lifecycle like every other agent.
 """
 
 from __future__ import annotations
@@ -32,8 +30,8 @@ from typing import Any
 
 from .core import AgentId, FunctionKind, MessageKind
 from .events import match_topic
-from .functions import lifecycle_only_decide, request_op
-from .runtime import AgentInput, decision, heartbeat, register_cognition, step
+from .functions import lifecycle_only_decide
+from .runtime import AgentInput, decision, register_cognition, step
 
 
 # -- agents that run the lifecycle only ----------------------------------------------
@@ -57,23 +55,12 @@ def _local_deliveries(facts: dict[str, Any], env: dict[str, Any]) -> list[dict[s
     return [step("deliver-event", AgentId.parse(t), event=env) for t in sorted(targets)]
 
 
-@register_cognition(FunctionKind.EVENT_DISTRIBUTION.value, digest_keys=("subs",))
+@register_cognition(FunctionKind.EVENT_DISTRIBUTION.value)
 def broker_decide(facts: dict[str, Any], inp: AgentInput) -> dict[str, Any]:
-    op = request_op(inp)
-    if op == "subscribe":
-        sub = str(inp.message.src)
-        subs = {f: sorted(set(g)) for f, g in facts.get("subs", {}).items()}
-        group = set(subs.get(inp.body["filter"], []))
-        group.add(sub)
-        subs[inp.body["filter"]] = sorted(group)
-        return decision(facts=[("subs", subs)])
-
     if inp.message.kind is MessageKind.EVENT and isinstance(inp.body, dict):
         forwarded = "publisher" in inp.body
         if forwarded:
             env = inp.body
-        elif isinstance(inp.message.dst, AgentId):
-            return decision()  # addressed to this broker, so not a publish
         else:
             env = {
                 "topic": inp.body["topic"],
@@ -94,7 +81,5 @@ def broker_decide(facts: dict[str, Any], inp: AgentInput) -> dict[str, Any]:
             for peer in facts.get("downstream", []):
                 if peer != str(inp.message.src):
                     steps.append(step("forward-event", AgentId.parse(peer), event=env))
-        # dst here is the topic, not this broker, so self_id() cannot help
-        beats = heartbeat(facts["self"], env["body"]["tick"]) if env["topic"] == "events.tick" else []
-        return decision(plan=steps, events=beats)
+        return decision(plan=steps)
     return decision()

@@ -7,12 +7,12 @@ the per-switch flow tables. Rules installed during tick t become matchable
 at t+1.
 
 A unit is dropped when a switch has no matching rule (which raises a
-packet-in event, suppressed per (switch, src, dst) until a matching rule
-becomes effective or SUPPRESS_TICKS elapse), when the next-hop link is down
-or missing, when a link's per-tick capacity is exhausted, or when the hop
-count exceeds the switch count (a forwarding loop). Flows retry: a unit is
-only counted delivered when it reaches its destination host's switch, and
-emission continues every `gap` ticks until `size` units have arrived.
+packet-in event, at most one per SUPPRESS_TICKS per (switch, src, dst)),
+when the next-hop link is down or missing, when a link's per-tick capacity
+is exhausted, or when the hop count exceeds the switch count (a forwarding
+loop). Flows retry: a unit is only counted delivered when it reaches its
+destination host's switch, and emission continues every `gap` ticks until
+`size` units have arrived.
 
 Per-link byte/drop counters feed the per-tick stats (stats.csv); miss and
 loop drops have no link to charge and appear only in the global metrics.
@@ -403,8 +403,6 @@ class Simulator:
             raise UnknownSwitch(switch)
         rule = Rule.from_doc(doc, effective_from=now + 1)
         table.install(rule)
-        # a matching rule is on its way: packet-in suppression may reset once
-        # it takes effect, handled lazily in _suppressed()
         return rule
 
     def remove_rule(self, switch: str, src: str, dst: str, priority: int) -> bool:
@@ -523,17 +521,11 @@ class Simulator:
         return []
 
     def _suppressed(self, switch: str, flow: Flow, tick: int) -> bool:
+        """A miss within SUPPRESS_TICKS of the last packet-in raised for the
+        same (switch, src, dst) raises none: a rule that took effect in
+        between and was removed again does not reopen the window."""
         raised = self._suppress.get((switch, flow.src, flow.dst))
-        if raised is None:
-            return False
-        if tick - raised >= self.suppress_ticks:
-            return False
-        # an effective matching rule clears the suppression window so a
-        # later table gap raises a fresh packet-in
-        if self.tables[switch].lookup(flow.src, flow.dst, tick) is not None:
-            del self._suppress[(switch, flow.src, flow.dst)]
-            return False
-        return True
+        return raised is not None and tick - raised < self.suppress_ticks
 
     # -- results ----------------------------------------------------------------
 

@@ -3,16 +3,18 @@
 Given a run configuration it recomposes the controller out of atomic
 function agents: it expands the requested chain to its dependency closure,
 adds the infrastructure roster (registry, brokers, knowledge plane, fault
-handler, discovery, monitoring) and spawns it all; each spawned agent
-subscribes itself at its home broker. The network-level policies go down in
-the specs: each agent's initial facts carry the configured policies whose
-scope holds its kind, in config order.
+handler, discovery, monitoring) and spawns it all. The event plane is
+composed here too: each broker's spec carries its subscription table, every
+roster agent homed on it (home_broker) under each topic its kind reads
+(_SUBSCRIPTIONS), so no agent subscribes at run time. The network-level
+policies go down in the specs: each agent's initial facts carry the
+configured policies whose scope holds its kind, in config order.
 
-Bootstrap is one decision, on the "genesis" phase of control.bootstrap: it
-stores the roster and the per-agent specs, spawns every agent (brokers
-first, so everyone can subscribe) and registers a lease for each. Its plan
-targets only the host.control endpoint, so it is validated against the
-genesis "endpoints" fact alone. Any other phase is ignored.
+Bootstrap is one decision, on the one control.bootstrap, which genesis sends
+here: it stores the roster and the per-agent specs, spawns every agent in
+roster order and registers a lease for each. Its plan targets only the
+host.control endpoint, so it is validated against the genesis "endpoints"
+fact alone.
 
 After bootstrap the orchestrator is the failure detector. Its lease table
 (registry.py's pure functions over the "leases" fact) is the one record of
@@ -25,17 +27,18 @@ suffice: leases are registered (at genesis and by a sweep) and renewed (by
 beats) only on beat ticks, and LEASE_TTL is a whole number of beat
 intervals, so every lease expires on a beat tick. An expired agent is
 respawned from its spec with its mirror state restored: that is the whole
-recovery, as the fabric replays what the agent missed. Dead brokers are
-special: agents get their beat ticks through their home broker, so those
-homed on a dead one fall silent with it. Dead brokers are replaced first and
-every roster lease is registered again, giving the revived event plane a
-full detection window before anyone else is declared lost.
+recovery, as the fabric replays what the agent missed; it is announced on
+no topic, as no agent would read it. Dead brokers are special: agents get
+their beat ticks through their home broker, so those homed on a dead one
+fall silent with it. Dead brokers are replaced first and every roster lease
+is registered again, giving the revived event plane a full detection window
+before anyone else is declared lost.
 
 kp.digest events, sent straight here by the digest pump, feed the state
 mirror, the one copy of what agents learn and the only one a restore reads.
-The orchestrator subscribes to nothing. It answers only discover, from its
-lease table; everything else it does starts from an event. It holds no
-lease of its own and sends no beat.
+No broker's table lists the orchestrator. It answers only discover, from
+its lease table; everything else it does starts from an event. It holds no
+lease of its own and, spawned by genesis with no "self" fact, sends no beat.
 """
 
 from __future__ import annotations
@@ -43,7 +46,7 @@ from __future__ import annotations
 import zlib
 from typing import Any
 
-from .core import AgentId, FunctionKind, DecisionLevel, level_of
+from .core import AgentId, FunctionKind, level_of
 from .functions import request_op
 from .hierarchy import Policy
 from .logic import (
@@ -82,7 +85,8 @@ INFRA_KINDS = (
     FunctionKind.KNOWLEDGE_PLANE,
 )
 
-# Every other kind subscribes to the tick alone, for its beat; brokers to nothing.
+# The topics each kind reads, under which its home broker's table lists it.
+# Every other kind reads the tick alone, for its beat; brokers read nothing.
 _SUBSCRIPTIONS: dict[FunctionKind, list[str]] = {
     FunctionKind.TOPOLOGY: ["events.link", "events.tick"],
     FunctionKind.ROUTING: ["events.link", "events.tick"],
@@ -111,18 +115,15 @@ def broker_ids(strategy: str) -> list[str]:
 
 
 def home_broker(strategy: str, agent: str) -> str:
-    """The broker an agent publishes through (and subscribes at)."""
+    """The broker an agent publishes through, and whose subscription table
+    holds it."""
     brokers = broker_ids(strategy)
     if strategy == "centralized":
         return brokers[0]
     if strategy == "distributed":
         return brokers[zlib.crc32(agent.encode("utf-8")) % len(brokers)]
     # hybrid: one broker per decision level, broker 0 is the relay root
-    try:
-        lvl = level_of(AgentId.parse(agent).kind)
-    except ValueError:
-        lvl = DecisionLevel.NODE
-    return brokers[1 + lvl.value]
+    return brokers[1 + level_of(AgentId.parse(agent).kind).value]
 
 
 def plan_roster(config: dict[str, Any]) -> list[str]:
@@ -132,6 +133,18 @@ def plan_roster(config: dict[str, Any]) -> list[str]:
     roster = [str(AgentId(kind, 0)) for kind in kinds]
     roster.extend(broker_ids(config.get("event_strategy", "centralized")))
     return sorted(roster)
+
+
+def broker_subs(strategy: str, roster: list[str]) -> dict[str, dict[str, list[str]]]:
+    """Per broker, its subscription table: {filter: sorted roster agents homed
+    on the broker whose kind reads the filter}."""
+    tables: dict[str, dict[str, list[str]]] = {b: {} for b in broker_ids(strategy)}
+    for agent in sorted(roster):
+        kind = AgentId.parse(agent).kind
+        if kind is not FunctionKind.EVENT_DISTRIBUTION:
+            for flt in _SUBSCRIPTIONS.get(kind, ["events.tick"]):
+                tables[home_broker(strategy, agent)].setdefault(flt, []).append(agent)
+    return tables
 
 
 def _broker_facts(strategy: str, broker: str, brokers: list[str]) -> dict[str, Any]:
@@ -150,25 +163,21 @@ def build_specs(
     view: dict[str, Any],
     me: str,
 ) -> dict[str, dict[str, Any]]:
-    """Initial facts + subscriptions for every roster agent, as spec docs
-    consumable by the host-control endpoint. Every agent gets the
-    configured policies whose scope holds its kind, in config order.
-    Policy.from_dict raises InvalidDirection for a policy whose issuer is not
-    above its scope."""
+    """Initial facts for every roster agent, as spec docs consumable by the
+    host-control endpoint; a broker's hold its subscription table (see
+    broker_subs). Every agent gets the configured policies whose scope holds
+    its kind, in config order. Policy.from_dict raises InvalidDirection for a
+    policy whose issuer is not above its scope."""
     strategy = config.get("event_strategy", "centralized")
     brokers = broker_ids(strategy)
     peers = sorted(roster + [me])
     thresholds = config.get("thresholds", {})
     policies = [(doc, Policy.from_dict(doc).scope) for doc in config.get("policies", [])]
+    subs = broker_subs(strategy, roster)
     specs: dict[str, dict[str, Any]] = {}
     for agent in roster:
         kind = AgentId.parse(agent).kind
-        facts: dict[str, Any] = {
-            "self": agent,
-            "peers": peers,
-            "home-broker": home_broker(strategy, agent),
-            "subscriptions": list(_SUBSCRIPTIONS.get(kind, ["events.tick"])),
-        }
+        facts: dict[str, Any] = {"self": agent, "peers": peers}
         if kind in _NEEDS_VIEW:
             facts["topology"] = view
         scoped = [doc for doc, scope in policies if kind in scope]
@@ -182,7 +191,7 @@ def build_specs(
         if kind is FunctionKind.QOS:
             facts["qos-cap-permille"] = config.get("qos_cap_permille", DEFAULT_QOS_CAP_PERMILLE)
         if kind is FunctionKind.EVENT_DISTRIBUTION:
-            facts["subscriptions"] = []
+            facts["subs"] = subs[agent]
             facts.update(_broker_facts(strategy, agent, brokers))
         specs[agent] = {
             "agent": agent,
@@ -191,12 +200,6 @@ def build_specs(
             "profiles": config.get("profiles"),
         }
     return specs
-
-
-def _spawn_order(roster: list[str]) -> list[str]:
-    """Brokers first so everyone can subscribe, then the rest alphabetically."""
-    brokers = [a for a in roster if a.startswith(FunctionKind.EVENT_DISTRIBUTION.value + "#")]
-    return brokers + [a for a in roster if a not in brokers]
 
 
 def lease_descriptor(spec: dict[str, Any]) -> dict[str, Any]:
@@ -228,7 +231,7 @@ def _spawns(
     ]
 
 
-@register_cognition(FunctionKind.ORCHESTRATION.value, digest_keys=())
+@register_cognition(FunctionKind.ORCHESTRATION.value)
 def orchestrator_decide(facts: dict[str, Any], inp: AgentInput) -> dict[str, Any]:
     if request_op(inp) == "discover":
         kind = FunctionKind(inp.body["kind"]) if inp.body.get("kind") else None
@@ -244,9 +247,7 @@ def orchestrator_decide(facts: dict[str, Any], inp: AgentInput) -> dict[str, Any
         return decision()
     topic, body = ev
     if topic == "control.bootstrap":
-        if (body or {}).get("phase") == "genesis":
-            return _bootstrap(facts, inp)
-        return decision()
+        return _bootstrap(facts, inp)
     if topic == "hb":
         # renewed at delivery, so a replayed beat never moves an expiry back
         now = inp.message.sim_time
@@ -265,13 +266,13 @@ def orchestrator_decide(facts: dict[str, Any], inp: AgentInput) -> dict[str, Any
 
 def _bootstrap(facts: dict[str, Any], inp: AgentInput) -> dict[str, Any]:
     """Compose the controller: the roster and its specs, one spawn per agent
-    (brokers first), and a lease for each."""
+    in roster order, and a lease for each."""
     config = facts.get("config", {})
     roster = plan_roster(config)
     specs = build_specs(config, roster, facts.get("topology") or {}, str(inp.message.dst))
     leases = _register(facts.get("leases", {}), specs, roster, inp.message.sim_time)
     return decision(
-        plan=_spawns(specs, _spawn_order(roster), {}),
+        plan=_spawns(specs, roster, {}),
         facts=[("roster", roster), ("specs", specs), ("leases", leases)],
     )
 
@@ -292,9 +293,7 @@ def _scan(facts: dict[str, Any], tick: int) -> dict[str, Any]:
     else:
         respawn = dead
         leases = _register(leases, specs, dead, tick)
-    events = [{"topic": "events.recovery", "body": {"respawned": respawn, "tick": tick}}]
     return decision(
         plan=_spawns(specs, respawn, facts.get("mirror", {})),
         facts=[("leases", leases)],
-        events=events,
     )

@@ -22,10 +22,10 @@ level, not for the whole value. A cognition that mutates its snapshot gets a
 TypeError at once instead of silently changing the store.
 
 An agent's facts have two sources: its spec's initial facts (configuration:
-peers, subscriptions, thresholds, and the "policies" its plans are validated
-against) and what it learns, whose digest keys the digest pump exports to
-the orchestrator's mirror. A respawned agent gets the first from its spec again
-and the second from the mirror.
+its own id as "self", peers, thresholds, a broker's subscription table, and
+the "policies" its plans are validated against) and what it learns, whose
+digest keys the digest pump exports to the orchestrator's mirror. A respawned
+agent gets the first from its spec again and the second from the mirror.
 
 A decision is a plain dict with optional keys:
 
@@ -35,12 +35,12 @@ A decision is a plain dict with optional keys:
     facts      list of [key, value] writes applied after validation
 
 The agent lifecycle is handled once, where a cognition is registered, not in
-each decide function. An agent whose subscriptions include events.tick
-answers a phase-"run" control.bootstrap with bootstrap_steps (subscribe at
-its home broker; nobody registers, as the orchestrator holds a lease for
-every agent it spawns) and puts a heartbeat ahead of its own events on every
-HEARTBEAT_INTERVAL-th tick, addressed straight to the orchestrator. Brokers
-subscribe to nothing, so they send the same beat (heartbeat) themselves.
+each decide function: every agent spawned from a spec (its facts hold
+"self") puts a heartbeat ahead of its own events on each events.tick it is
+handed, brokers included, addressed straight to the orchestrator. The tick
+is published only on HEARTBEAT_INTERVAL-th ticks. Nobody registers or
+subscribes: the orchestrator holds a lease for every agent it spawns, and
+each broker's spec carries its subscription table.
 """
 
 from __future__ import annotations
@@ -487,24 +487,11 @@ def event_of(inp: AgentInput) -> tuple[str, Any] | None:
     return inp.body["topic"], inp.body.get("body")
 
 
-def self_id(inp: AgentInput) -> AgentId:
-    dst = inp.message.dst
-    if isinstance(dst, AgentId):
-        return dst
-    raise ValueError(f"agent input with non-agent destination {dst!r}")
-
-
 def peer_of(facts: dict[str, Any], kind: FunctionKind) -> str | None:
     """Lowest-numbered known peer of a kind, as an id string."""
     prefix = kind.value + "#"
     hits = sorted(p for p in facts.get("peers", []) if p.startswith(prefix))
     return hits[0] if hits else None
-
-
-def bootstrap_steps(facts: dict[str, Any]) -> list[dict[str, Any]]:
-    """Subscriptions at the home broker: every agent's first plan."""
-    broker = AgentId.parse(facts["home-broker"])
-    return [step("subscribe", broker, filter=flt) for flt in facts.get("subscriptions", [])]
 
 
 def beat_tick(tick: int) -> bool:
@@ -519,19 +506,17 @@ def heartbeat(agent: str, tick: int) -> list[dict[str, Any]]:
 
 
 def _with_lifecycle(fn: CognitionFn) -> CognitionFn:
-    """Wrap a decide function with the bootstrap answer and the heartbeat,
-    for agents that subscribe to events.tick."""
+    """Wrap a decide function with the heartbeat, for agents spawned from a
+    spec: each events.tick handed to one, published or broker-wrapped,
+    puts its beat ahead of its own events."""
 
     @functools.wraps(fn)
     def decide(facts: dict[str, Any], inp: AgentInput) -> dict[str, Any]:
-        ev = event_of(inp)
-        if ev is None or "events.tick" not in facts.get("subscriptions", ()):
-            return fn(facts, inp)
-        topic, body = ev
-        if topic == "control.bootstrap" and (body or {}).get("phase") == "run":
-            return decision(plan=bootstrap_steps(facts))
         dec = fn(facts, inp)
-        beat = heartbeat(str(self_id(inp)), body["tick"]) if topic == "events.tick" else []
+        ev = event_of(inp)
+        if "self" not in facts or ev is None or ev[0] != "events.tick":
+            return dec
+        beat = heartbeat(facts["self"], ev[1]["tick"])
         return {**dec, "events": [*beat, *dec.get("events", [])]} if beat else dec
 
     return decide

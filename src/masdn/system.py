@@ -21,12 +21,12 @@ other tick would find nothing. The per-tick link stats go to stats.csv,
 not onto the bus: no agent reads them.
 
 The host-control endpoint gives the orchestrator its lifecycle lever: a
-spawn-agent request (re)creates an agent, seeds it with restored knowledge
-and hands it a bootstrap event. The orchestrator holds the lease of every
-agent it spawns, so the bootstrap only subscribes the agent: it registers
-nowhere. An agent leaves only when a scheduled kill removes it or a spawn
-replaces it. The switch.* prefix endpoint is the southbound interface; rules
-installed through it take effect next tick.
+spawn-agent request (re)creates an agent from its spec and seeds it with
+restored knowledge. The spawned agent is sent nothing: the orchestrator
+holds its lease and the brokers' specs list it. An agent leaves only when a
+scheduled kill removes it or a spawn replaces it. The switch.* prefix
+endpoint is the southbound interface; rules installed through it take
+effect next tick.
 
 One small service runs outside any agent because something must survive
 when agents die: the digest pump, which sends the changed digest facts of
@@ -44,10 +44,12 @@ version last exported for it,
     {"version", "base", "set": {sub: value}, "drop": [sub]}
 
 carrying only the sub-keys that changed or went; "base" 0 means nothing was
-exported before (the first export, and the first after a respawn), and
-"set" then holds the whole table. Any other value travels whole, as
-{"version", "value"}. The pump keeps, per agent, the version and value it
-last exported of each key, and forgets them when the agent is spawned again.
+exported before, and "set" then holds the whole table. Any other value
+travels whole, as {"version", "value"}. The pump keeps, per agent, the
+version and value it last exported of each key, across respawns: a kill
+lands after the pump and a dead agent writes nothing, so what the pump last
+exported is exactly the mirror slot a replacement is restored from, and
+the replacement's first digest is an ordinary delta against it.
 """
 
 from __future__ import annotations
@@ -96,7 +98,8 @@ class AgentSystem:
         self.kill_schedule: dict[int, list[str]] = {
             int(t): list(agents) for t, agents in self.config.get("kills", {}).items()
         }
-        # per agent, the (version, value) of each digest key last exported
+        # per agent, the (version, value) of each digest key last exported;
+        # kept across a respawn, as it equals the mirror slot restored
         self._exported: dict[str, dict[str, tuple[int, Any]]] = {}
         # every spawn the control endpoint performs, (agent, tick); replacements
         # show up as a second entry for the same agent
@@ -115,7 +118,6 @@ class AgentSystem:
         self.bus.bind_endpoint("host.control", self._control)
         self.bus.bind_prefix("switch.", self._switch)
         self.bus.topic_router = self._route_topic
-        self.host.on_spawn.append(self._forget_exports)
 
     # -- endpoints ------------------------------------------------------------
 
@@ -127,10 +129,10 @@ class AgentSystem:
         if not isinstance(body, dict):
             return []
         if body.get("op") == "spawn-agent":
-            return self._spawn(msg, body)
+            return self._spawn(body)
         return []
 
-    def _spawn(self, msg: Message, body: dict[str, Any]) -> list[Message]:
+    def _spawn(self, body: dict[str, Any]) -> list[Message]:
         doc = body["spec"]
         agent = AgentId.parse(doc["agent"])
         self.spawn_log.append((str(agent), self.host.now))
@@ -146,15 +148,7 @@ class AgentSystem:
         restore = body.get("restore") or {}
         if restore:
             self.host.get(agent).facts.restore(restore)
-        return [
-            self.host.factory.new_message(
-                src=msg.src if isinstance(msg.src, AgentId) else self.orch,
-                dst=agent,
-                kind=MessageKind.EVENT,
-                payload=encode_body({"topic": "control.bootstrap", "body": {"phase": "run"}}),
-                now=self.host.now,
-            )
-        ]
+        return []
 
     def _switch(self, msg: Message) -> list[Message]:
         body = decode_body(msg.payload)
@@ -168,9 +162,6 @@ class AgentSystem:
             match = rule.get("match", {})
             self.sim.remove_rule(switch, match.get("src"), match.get("dst"), rule.get("priority"))
         return []
-
-    def _forget_exports(self, agent: Any) -> None:
-        self._exported.pop(str(agent.id), None)
 
     # -- lifecycle ------------------------------------------------------------
 
@@ -195,7 +186,7 @@ class AgentSystem:
                 src=self.orch,
                 dst=self.orch,
                 kind=MessageKind.EVENT,
-                payload=encode_body({"topic": "control.bootstrap", "body": {"phase": "genesis"}}),
+                payload=encode_body({"topic": "control.bootstrap", "body": None}),
                 now=self.host.now,
             )
         )

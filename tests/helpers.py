@@ -177,6 +177,8 @@ class BrokerFabric:
         self.host.process_input = spy
 
     def subscribe(self, sub: str, flt: str) -> None:
+        """Put the subscriber in its home broker's subscription table, where
+        a run's spec would have it (orchestrator.broker_subs)."""
         agent = AgentId.parse(sub)
         if agent not in self.host.agents:
             self.host.spawn_agent(AgentSpec(agent, "test-subscriber"))
@@ -185,15 +187,10 @@ class BrokerFabric:
             for broker in broker_ids(self.strategy):
                 facts = self.host.agents[AgentId.parse(broker)].facts
                 facts.put("peers", sorted({*facts.get("peers"), sub}))
-        self.bus.send(
-            self.host.factory.new_message(
-                src=agent,
-                dst=AgentId.parse(home_broker(self.strategy, sub)),
-                kind=MessageKind.REQUEST,
-                payload=encode_body({"op": "subscribe", "filter": flt}),
-                now=self.host.now,
-            )
-        )
+        facts = self.host.agents[AgentId.parse(home_broker(self.strategy, sub))].facts
+        subs = dict(facts.get("subs", {}))
+        subs[flt] = sorted({*subs.get(flt, ()), sub})
+        facts.put("subs", subs)
 
     def publish(self, pub: str, topic: str, body: Any) -> int:
         """Queue one publish; returns its msg_id, which brokers stamp as pub_msg_id."""

@@ -6,11 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from masdn.core import AgentId, MessageKind
 from masdn.events import TopicError, check_filter, check_topic, match_topic
 from masdn.logic import HEARTBEAT_INTERVAL
 from masdn.orchestrator import broker_ids
-from masdn.pps import encode_body
 from masdn.runtime import SUPERVISOR
 
 from helpers import STRATEGIES, BrokerFabric, run_trace, trace_agents
@@ -196,23 +194,6 @@ class TestArrangementEquivalence:
         assert len(fabric.delivered_to("routing#0")) == 1
         assert len(fabric.delivered_to("orchestration#0")) == 1
         assert "routing#1" in fabric.handled[broker_ids("hybrid")[0]]  # the root
-
-    def test_a_broker_handed_its_bootstrap_relays_nothing(self):
-        # the control.bootstrap a spawn hands a broker is addressed to it, so
-        # it is not a publish: no envelope, no forward, no fact written
-        for strategy in STRATEGIES:
-            fabric = BrokerFabric(strategy)
-            for broker in map(AgentId.parse, broker_ids(strategy)):
-                before = fabric.host.agents[broker].facts.snapshot()
-                bootstrap = fabric.host.factory.new_message(
-                    src=AgentId.parse("orchestration#0"),
-                    dst=broker,
-                    kind=MessageKind.EVENT,
-                    payload=encode_body({"topic": "control.bootstrap", "body": {"phase": "run"}}),
-                    now=0,
-                )
-                assert fabric.host.process_input(broker, bootstrap) == [], (strategy, broker)
-                assert fabric.host.agents[broker].facts.snapshot() == before
 
 
 @settings(max_examples=60, deadline=None)

@@ -27,7 +27,6 @@ from masdn.runtime import (
     AgentInput,
     DigestGap,
     FactsStore,
-    bootstrap_steps,
     digest_delta,
     event_of,
     merge_digest,
@@ -100,18 +99,6 @@ class TestHelpers:
         facts = {"peers": ["registry#2", "registry#0", "qos#1"]}
         assert peer_of(facts, FunctionKind.REGISTRY) == "registry#0"
         assert peer_of(facts, FunctionKind.FAULT) is None
-
-    def test_bootstrap_only_subscribes(self):
-        facts = {
-            "home-broker": "event-distribution#0",
-            "subscriptions": ["events.tick", "events.link"],
-        }
-        steps = bootstrap_steps(facts)
-        assert [(s["action"], s["params"]) for s in steps] == [
-            ("subscribe", {"filter": "events.tick"}),
-            ("subscribe", {"filter": "events.link"}),
-        ]
-        assert {str(s["target"]) for s in steps} == {"event-distribution#0"}
 
 
 class TestTopologyAgent:
@@ -252,7 +239,7 @@ class TestOrchestratorLeases:
     def booted(self):
         facts = {"config": {"chain": ["routing"]}}
         out = orchestrator_decide(
-            facts, event("control.bootstrap", {"phase": "genesis"}, dst="orchestration#0")
+            facts, event("control.bootstrap", None, dst="orchestration#0")
         )
         return {**facts, **dict(out["facts"])}
 
@@ -704,15 +691,8 @@ class TestSessionConversation:
 
 class TestBrokerAgent:
     def sub_facts(self):
-        out = broker_decide(
-            {}, request({"op": "subscribe", "filter": "events.*"},
-                        dst="event-distribution#0", src="monitoring#0"),
-        )
-        return dict(out["facts"])
-
-    def test_subscribe_records_only_the_filter(self):
-        # every subscriber is a roster agent, already in the spec's peers
-        assert self.sub_facts() == {"subs": {"events.*": ["monitoring#0"]}}
+        # the subscription table a broker's spec carries
+        return {"subs": {"events.*": ["monitoring#0"]}}
 
     def test_publish_delivers_to_matching_subscribers(self):
         facts = self.sub_facts()

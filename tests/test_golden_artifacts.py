@@ -7,12 +7,12 @@ diff.json) is pinned, so a speed-up that changes any outcome, log record or
 wire byte fails here, naming the artifacts that moved. The outcome.json,
 stats.csv and diff.json constants were recorded before facts were frozen on
 write instead of deep-copied. The run.log constants were last re-recorded
-when genesis became one orchestrator decision: one bootstrap message and
-its pipeline run are gone, the planning records lost their escalation
-fields, the spawn requests their placement node, the digests their
-updated_at stamp, and brokers no longer write peers, so record sizes,
-message ids, run numbers and sequence numbers shift. The hashes do not
-depend on PYTHONHASHSEED.
+when the brokers' subscription tables moved into their specs: the
+bootstrap event each spawn sent and the subscribe requests it answered
+with are gone, genesis spawns in roster order, brokers export no digest,
+a replacement's first digest is a delta and a respawn publishes no
+events.recovery, so records, message ids, run numbers and sequence numbers
+shift. The hashes do not depend on PYTHONHASHSEED.
 When a change is meant to alter the artifacts, re-record the constants and
 say why in the change's notes.
 """
@@ -51,7 +51,7 @@ GOLDEN = {
         0,
         {
             "outcome.json": "9d7df6e08f605236441792fc445708a8bee2ca7bee232834eb24da6bc7505ac6",
-            "run.log": "ab7fe555d3964ad379d4ee739551f9938c43a2d3d4ee1b824dc90fc427b72f69",
+            "run.log": "514bf98835e42ce812999258c0c7329d2fdf48f7f866c7cfc83d46fd94737128",
             "stats.csv": "afc834dc4a6d33e7aa3e3c9055b241c4b86e34f7697c8468cac1df6550b57694",
             "diff.json": "ca3d163bab055381827226140568f3bef7eaac187cebd76878e0b63e9e442356",
         },
@@ -60,7 +60,7 @@ GOLDEN = {
         0,
         {
             "outcome.json": "57d7ab073da0ee5cbfe058ac2d154482e900e529fb1b7c930584c324f87f1ae7",
-            "run.log": "91013562d2f027a6cf3791c87590621ff6c83a992aea817cc1d6de0bccaaa9cd",
+            "run.log": "b6bfc37e8720090788b33a5fe0ad3b2f553b5a3330bc0328e2061c82d71f61e0",
             "stats.csv": "38bfaab0d91b62a7424a4bb39febbb5006c74786e52f257514557351f534eaf9",
             "diff.json": "ca3d163bab055381827226140568f3bef7eaac187cebd76878e0b63e9e442356",
         },
@@ -69,7 +69,7 @@ GOLDEN = {
         0,
         {
             "outcome.json": "ab0cebde5c16702d9eef7ce0269a6e7f830dd862db93f8b9b7fc203f63721b2a",
-            "run.log": "631a0b206426b76125e176b5124c2343f564fbbeaf0e4d6019ba6b2b796d2b90",
+            "run.log": "c15cf2e81f03d3816e9fc5d9b3198ec09e43c69b78ffe7987c1bc18f78a41c83",
             "stats.csv": "3edfab2026d98f54c995eb9605010f2a20ab518ed0480c9fd0c05f42b4ad9aa6",
             "diff.json": "ca3d163bab055381827226140568f3bef7eaac187cebd76878e0b63e9e442356",
         },

@@ -206,6 +206,23 @@ class TestPacketIn:
         hits = [t for t in range(4) for e in sim.step(t) if isinstance(e, PacketIn)]
         assert hits == [0, 1, 2, 3]
 
+    def test_a_rule_that_took_effect_and_went_does_not_reopen_the_window(self):
+        # raised at 0; a deliver rule at s1 (h2's switch here is s3, so the
+        # unit counts as dropped, but it matches and raises nothing) is in
+        # effect for ticks 2 and 3, then removed: the miss at 4 is still in
+        # the window the packet-in at 0 opened
+        sim = Simulator(
+            Topology.from_doc(TRIANGLE), scenario(flows=self.flows), suppress_ticks=6
+        )
+        rule = {"rule_id": "r1", "match": {"src": "h1", "dst": "h2"}, "priority": 10,
+                "action": "deliver", "next_hop": None}
+        hits = [t for t in range(2) for e in sim.step(t) if isinstance(e, PacketIn)]
+        sim.install_rule("s1", rule, now=1)
+        hits += [t for t in range(2, 4) for e in sim.step(t) if isinstance(e, PacketIn)]
+        assert sim.remove_rule("s1", "h1", "h2", 10)
+        hits += [t for t in range(4, 10) for e in sim.step(t) if isinstance(e, PacketIn)]
+        assert hits == [0, 6]
+
     def test_packet_in_carries_flow_attributes(self):
         sim = Simulator(Topology.from_doc(TRIANGLE), scenario(flows=self.flows))
         ev = next(e for e in sim.step(0) if isinstance(e, PacketIn))

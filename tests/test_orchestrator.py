@@ -43,10 +43,15 @@ def beat(agent, tick, now):
 
 BASE_CONFIG = {"chain": ["session"], "event_strategy": "centralized"}
 
-
-def brokers_first(roster, strategy):
-    brokers = broker_ids(strategy)
-    return brokers + [a for a in roster if a not in brokers]
+# the topics each kind reads; every other non-broker kind reads the tick alone
+READS = {
+    "topology": ["events.link", "events.tick"],
+    "routing": ["events.link", "events.tick"],
+    "qos": ["events.link", "events.tick"],
+    "forwarding": ["events.link", "events.tick"],
+    "session": ["events.flow", "events.link", "events.packet_in", "events.tick",
+                "events.violation"],
+}
 
 
 class TestRosterPlanning:
@@ -130,18 +135,16 @@ class TestBuildSpecs:
 
 
 class TestBootstrap:
-    def test_one_decision_spawns_brokers_first_and_writes_only_the_roster_facts(self):
+    def test_one_decision_spawns_the_roster_in_order_and_writes_only_the_roster_facts(self):
         config = dict(BASE_CONFIG, event_strategy="distributed")
-        out = orchestrator_decide(
-            {"config": config}, fire("control.bootstrap", {"phase": "genesis"}, now=3)
-        )
+        out = orchestrator_decide({"config": config}, fire("control.bootstrap", None, now=3))
         assert set(out) == {"plan", "facts"}  # no events
         assert [key for key, _ in out["facts"]] == ["roster", "specs", "leases"]
         writes = dict(out["facts"])
         roster, specs = writes["roster"], writes["specs"]
         assert roster == plan_roster(config)
         assert specs == build_specs(config, roster, {}, ME)
-        assert [s["params"]["agent"] for s in out["plan"]] == brokers_first(roster, "distributed")
+        assert [s["params"]["agent"] for s in out["plan"]] == roster
         for s in out["plan"]:  # no placement node
             agent = s["params"]["agent"]
             assert (s["action"], s["target"]) == ("spawn-agent", "host.control")
@@ -154,7 +157,7 @@ class TestBootstrap:
     def test_an_inventory_in_the_config_changes_no_genesis_step(self):
         # no agent is placed on a node, so an inventory too small for the
         # roster, or an ample one, leaves the decision as it is
-        genesis = fire("control.bootstrap", {"phase": "genesis"})
+        genesis = fire("control.bootstrap", None)
         plain = orchestrator_decide({"config": dict(BASE_CONFIG)}, genesis)
         assert plain["plan"]
         for inventory in ({"n1": 1}, {"n1": 100, "n2": 100}):
@@ -169,13 +172,33 @@ class TestBootstrap:
         system.genesis()
         runs = [r for r in system.host.stage_log if r["stage"] == "input" and r["agent"] == ME]
         assert len(runs) == 1
-        assert [a for a, _ in system.spawn_log] == brokers_first(plan_roster(system.config), "hybrid")
+        assert [a for a, _ in system.spawn_log] == plan_roster(system.config)
 
-    def test_any_other_phase_is_ignored(self):
-        facts = {"config": dict(BASE_CONFIG)}
-        for phase in ("facts", "spawn", None):
-            assert orchestrator_decide(facts, fire("control.bootstrap", {"phase": phase})) == {}
-        assert orchestrator_decide(facts, fire("control.bootstrap", None)) == {}
+    def test_each_broker_spec_holds_its_subscription_table(self):
+        # every roster agent but a broker, under each topic its kind reads,
+        # at the broker it is homed on; no other spec says where it is homed
+        # or what it reads
+        for strategy in ("centralized", "distributed", "hybrid"):
+            config = dict(BASE_CONFIG, event_strategy=strategy)
+            roster = plan_roster(config)
+            specs = build_specs(config, roster, {}, ME)
+            want = {b: {} for b in broker_ids(strategy)}
+            for agent in roster:
+                kind = agent.split("#")[0]
+                if kind == "event-distribution":
+                    continue
+                table = want[home_broker(strategy, agent)]
+                for flt in READS.get(kind, ["events.tick"]):
+                    table[flt] = sorted([*table.get(flt, []), agent])
+            for agent, spec in specs.items():
+                facts = spec["initial_facts"]
+                assert "home-broker" not in facts and "subscriptions" not in facts
+                if agent in want:
+                    assert facts["subs"] == want[agent], (strategy, agent)
+                else:
+                    assert "subs" not in facts, (strategy, agent)
+            if strategy != "centralized":  # the table is split over the brokers
+                assert sum(bool(t) for t in want.values()) > 1, strategy
 
 
 class TestLiveness:
@@ -185,10 +208,10 @@ class TestLiveness:
     DEADLINE = HEARTBEAT_INTERVAL * MISSED_HEARTBEATS
 
     def booted(self, config=BASE_CONFIG):
-        # the orchestrator subscribes to nothing: ticks, beats and digests
+        # no broker's table lists the orchestrator: ticks, beats and digests
         # come to it directly
         facts = {"config": dict(config)}
-        out = orchestrator_decide(facts, fire("control.bootstrap", {"phase": "genesis"}))
+        out = orchestrator_decide(facts, fire("control.bootstrap", None))
         return {**facts, **dict(out["facts"])}
 
     def renewed(self, facts, at, except_for=()):
@@ -199,13 +222,6 @@ class TestLiveness:
                 out = orchestrator_decide({"leases": leases}, beat(agent, at, now=at))
                 leases = dict(out["facts"])["leases"]
         return {**facts, "leases": leases}
-
-    def test_a_run_bootstrap_to_a_booted_orchestrator_does_nothing(self):
-        # only the genesis phase is the orchestrator's; a run phase must
-        # not spawn the roster again or renew every lease
-        facts = self.booted()
-        run = fire("control.bootstrap", {"phase": "run"}, now=7)
-        assert cognition(FunctionKind.ORCHESTRATION.value).decide(facts, run) == {}
 
     def test_heartbeat_updates_known_agents_only(self):
         facts = self.booted()
@@ -238,8 +254,7 @@ class TestLiveness:
         (spawn,) = [s for s in out["plan"] if s["action"] == "spawn-agent"]
         assert spawn["params"]["agent"] == "routing#0"
         assert spawn["params"]["restore"] == facts["mirror"]["routing#0"]
-        topics = [e["topic"] for e in out["events"]]
-        assert "events.recovery" in topics
+        assert "events" not in out  # spawn_log and the planning record show it
         lease = dict(out["facts"])["leases"]["routing#0"]
         assert (lease["registered_at"], lease["expires_at"]) == (deadline, deadline + LEASE_TTL)
 

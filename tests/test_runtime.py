@@ -23,7 +23,6 @@ from masdn.runtime import (
     Plan,
     PlanStep,
     UnknownCognition,
-    bootstrap_steps,
     cognition,
     decision,
     freeze,
@@ -491,22 +490,13 @@ def _beat(agent, tick):
     return [{"topic": "hb", "to": "orchestration#0", "body": {"agent": agent, "tick": tick}}]
 
 
-# the kinds that run the agent lifecycle: every spec that subscribes to the tick
-_LIFECYCLE = [k for k in _KINDS if "events.tick" in _spec_facts(k).get("subscriptions", ())]
+# the kinds that run the agent lifecycle: every agent spawned from a spec
+_LIFECYCLE = [k for k in _KINDS if "self" in _spec_facts(k)]
 
 
 class TestLifecycle:
-    def test_only_brokers_and_the_orchestrator_run_no_lifecycle(self):
-        assert sorted(set(_KINDS) - set(_LIFECYCLE)) == sorted([BROKER, "orchestration"])
-
-    @pytest.mark.parametrize("kind", _LIFECYCLE)
-    def test_run_bootstrap_is_answered_with_bootstrap_steps(self, kind):
-        facts = _spec_facts(kind)
-        inp = _event(f"{kind}#0", "control.bootstrap", {"phase": "run"}, src="orchestration#0")
-        out = cognition(kind).decide(facts, inp)
-        assert out == {"plan": bootstrap_steps(facts)}
-        actions = [s["action"] for s in out["plan"]]
-        assert actions and set(actions) == {"subscribe"}  # nobody registers
+    def test_only_the_orchestrator_runs_no_lifecycle(self):
+        assert sorted(set(_KINDS) - set(_LIFECYCLE)) == ["orchestration"]
 
     @pytest.mark.parametrize("kind", _LIFECYCLE)
     def test_one_heartbeat_on_every_interval_tick(self, kind):
@@ -529,10 +519,11 @@ class TestLifecycle:
                 assert _beats(out) == (want if tick % HEARTBEAT_INTERVAL == 0 else [])
 
     def test_the_orchestrator_sends_no_heartbeat(self):
-        # it keeps the leases, so it holds none of its own to renew; and it
-        # subscribes to nothing, as beats, ticks and digests come to it directly
+        # it keeps the leases, so it holds none of its own to renew, and its
+        # facts come from genesis, not a spec; no broker's table lists it, as
+        # beats, ticks and digests come to it directly
         facts = _spec_facts("orchestration")
-        assert "subscriptions" not in facts and "home-broker" not in facts
+        assert "self" not in facts
         broker = _genesis("centralized").host.get(AgentId.parse(f"{BROKER}#0"))
         assert [f for f, who in broker.facts.get("subs").items() if "orchestration#0" in who] == []
         decide = cognition("orchestration").decide
@@ -540,18 +531,11 @@ class TestLifecycle:
             out = decide(facts, _event("orchestration#0", "events.tick", {"tick": tick}))
             assert _beats(out) == [], tick
 
-    def test_the_orchestrator_answers_no_run_bootstrap(self):
-        # it is spawned by genesis, so the lifecycle's run-bootstrap answer
-        # is not its own
-        facts = _spec_facts("orchestration")
-        run = _event("orchestration#0", "control.bootstrap", {"phase": "run"})
-        assert cognition("orchestration").decide(facts, run) == {}
-
     def test_a_beat_is_sent_in_one_hop_and_no_deny_blocks_it(self):
         host = AgentHost()
         deny_all = {"policy_id": "deny-all", "issuer_level": "network", "scope": ["routing"],
                     "rules": [{"action_kind": "*", "target_class": "*", "effect": "deny"}]}
-        agent = spawn(host, facts={"subscriptions": ["events.tick"], "policies": [deny_all]}).id
+        agent = spawn(host, facts={"self": "routing#0", "policies": [deny_all]}).id
         tick = {"topic": "events.tick", "body": {"tick": HEARTBEAT_INTERVAL}}
         (out,) = tell(host, agent, tick, kind=MessageKind.EVENT)
         assert out.dst == AgentId.parse("orchestration#0")
@@ -561,18 +545,12 @@ class TestLifecycle:
 
     def test_a_plan_that_fails_validation_drops_its_beat(self):
         host = AgentHost()
-        agent = spawn(host, facts={"subscriptions": ["events.tick"]}).id
+        agent = spawn(host, facts={"self": "routing#0"}).id
         # the step's target is no known peer, so the plan fails validation
         ask = {"plan": [step("ping", "registry#0")]}
         tick = {"topic": "events.tick", "body": {"tick": 0}, "decision": ask}
         (out,) = tell(host, agent, tick, kind=MessageKind.EVENT)
         assert out.dst == "events.violation"
-
-    def test_broker_gets_no_bootstrap_plan(self):
-        facts = _spec_facts(BROKER)
-        inp = _event(f"{BROKER}#0", "control.bootstrap", {"phase": "run"}, src="orchestration#0")
-        out = cognition(BROKER).decide(facts, inp)
-        assert [s["action"] for s in out.get("plan", [])] == []
 
     def test_decide_keeps_the_defining_module(self):
         for kind in _KINDS:

@@ -5,9 +5,9 @@ from collections import Counter
 
 import pytest
 
-from masdn import AgentSystem, Scenario, Topology
+from masdn import AgentSystem
 from masdn.core import AgentId, FunctionKind
-from masdn.oracle import MonolithicController, compare, normalize_tables
+from masdn.oracle import compare, normalize_tables
 from masdn.logic import HEARTBEAT_INTERVAL
 from masdn.netsim import LinkDown, PacketIn
 from masdn.orchestrator import _NEEDS_VIEW, LEASE_TTL, broker_ids, plan_roster
@@ -114,16 +114,37 @@ class TestOnePassGenesis:
         assert written == {"config": 1, "topology": 1, "endpoints": 1,
                            "roster": 1, "specs": 1, "leases": 1}
 
-    def test_brokers_export_their_subscriptions_and_keep_their_spec_peers(self):
+    def test_brokers_keep_their_spec_facts_and_have_no_mirror_slot(self):
         _, _, diff, system = run_both(TOPO, sdoc(), {"event_strategy": "distributed"})
         assert diff == {}
         mirror = system.host.agents[AgentId.parse(ORCH)].facts.get("mirror")
         specs = system.host.agents[AgentId.parse(ORCH)].facts.get("specs")
         for broker in broker_ids("distributed"):
-            assert sorted(mirror[broker]) == ["subs"]
+            assert broker not in mirror
             facts = system.host.agents[AgentId.parse(broker)].facts
-            assert facts.get("peers") == specs[broker]["initial_facts"]["peers"]
-            assert facts.version("peers") == 1
+            for key in ("peers", "subs"):
+                assert facts.get(key) == specs[broker]["initial_facts"][key]
+                assert facts.version(key) == 1
+
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_genesis_hops_only_the_bootstrap_and_the_spawn_requests(self, strategy):
+        # the brokers' specs hold every subscription, so a spawned agent is
+        # sent nothing and subscribes nowhere
+        topo, scen = build(TOPO, sdoc())
+        system = AgentSystem(topo, scen, {"event_strategy": strategy})
+        hops, hop = [], system.bus._hop
+
+        def hop_spy(msg, pair):
+            hops.append((str(msg.src), str(msg.dst), decode_body(msg.payload)))
+            return hop(msg, pair)
+
+        system.bus._hop = hop_spy
+        system.genesis()
+        assert hops[0] == (ORCH, ORCH, {"topic": "control.bootstrap", "body": None})
+        roster = plan_roster(system.config)
+        assert [(src, dst, body["op"], body["agent"]) for src, dst, body in hops[1:]] == [
+            (ORCH, "host.control", "spawn-agent", agent) for agent in roster
+        ]
 
 
 class TestCompareShape:
@@ -180,6 +201,38 @@ class TestDeltaDigests:
         # the victim is spawned at genesis and once more, after the kill
         spawned = [tick for agent, tick in system.spawn_log if agent == victim]
         assert len(spawned) == (2 if victim else 0)
+
+    def test_a_replacements_first_digest_is_a_delta_on_its_restored_state(self):
+        # the pump keeps what it last exported across a respawn, and that is
+        # exactly the mirror slot the replacement is restored from
+        rng = random.Random(3)
+        tdoc = gen_topology(rng, 8)
+        topo, scen = build(tdoc, gen_scenario(rng, tdoc, 8, 2, 60, long_lived=True))
+        system = AgentSystem(topo, scen, {"kills": {"17": ["session#0"]}})
+        orch = AgentId.parse(ORCH)
+        digests = []  # (tick, mirror slot held, keys) of each session#0 digest
+        process_input = system.host.process_input
+
+        def spy(agent_id, msg):
+            body = decode_body(msg.payload)
+            if agent_id == orch and topic_of(body) == "kp.digest":
+                if body["body"]["agent"] == "session#0":
+                    held = system.host.get(orch).facts.get("mirror", {}).get("session#0", {})
+                    digests.append((system.host.now, held, body["body"]["keys"]))
+            return process_input(agent_id, msg)
+
+        system.host.process_input = spy
+        system.run()
+        respawned = [t for agent, t in system.spawn_log if agent == "session#0"][1]
+        tick, held, keys = next(d for d in digests if d[0] >= respawned)
+        deltas = {key: doc for key, doc in keys.items() if "base" in doc}
+        assert "sessions" in deltas and held["sessions"]["value"], (tick, sorted(keys))
+        for key, doc in deltas.items():
+            was = held[key]
+            assert doc["base"] == was["version"] != 0, key
+            assert all(was["value"].get(sub) != v for sub, v in doc["set"].items()), key
+            assert set(doc["drop"]) <= set(was["value"]), key
+        assert len(deltas["sessions"]["set"]) < len(held["sessions"]["value"])
 
     def test_four_hundred_sessions_fit_the_frame_bound(self):
         # Shipped whole, the session agent's tables outgrew max_payload on this
@@ -346,12 +399,13 @@ def hybrid_run():
 
 
 class TestEventPlaneTraffic:
-    def test_brokers_ship_no_digest_after_tick_0(self):
-        # subs and peers settle at genesis; brokers keep no per-publisher state
+    def test_brokers_ship_no_digest(self):
+        # a broker's subs and peers come from its spec, and it keeps no
+        # per-publisher state: it learns nothing to export
         _system, frames = hybrid_run()
-        ticks = {t for t, src, _dst, topic in frames
-                 if topic == "kp.digest" and src.startswith("event-distribution#")}
-        assert ticks == {0}
+        assert [f for f in frames if f[3] == "kp.digest"]
+        assert not [f for f in frames
+                    if f[3] == "kp.digest" and f[1].startswith("event-distribution#")]
 
     def test_no_frame_carries_link_stats(self):
         # the simulator yields link stats on every tick; they stay with the system
@@ -423,8 +477,8 @@ class TestOneLivenessTable:
     @pytest.mark.parametrize("strategy", STRATEGIES)
     def test_the_orchestrator_sends_itself_nothing_and_leases_no_self(self, strategy):
         system, hops, _inputs = spied_run({"event_strategy": strategy})
-        # genesis hands the orchestrator its own two bootstrap events; after
-        # that nothing it sends may come back to it, directly or via a broker
+        # genesis hands the orchestrator its own bootstrap event; after that
+        # nothing it sends may come back to it, directly or via a broker
         own = [
             (src, dst, body) for src, dst, body in hops
             if topic_of(body) != "control.bootstrap" and (
