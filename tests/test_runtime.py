@@ -11,7 +11,7 @@ from masdn import AgentSystem, runtime
 from masdn.core import AgentId, FunctionKind, Message, MessageKind
 from masdn.hierarchy import Policy
 from masdn.logic import HEARTBEAT_INTERVAL
-from masdn.orchestrator import build_specs
+from masdn.orchestrator import broker_ids, build_specs, home_broker
 from masdn.pps import decode_body, encode_body
 from masdn.runtime import (
     AgentHost,
@@ -497,6 +497,26 @@ _LIFECYCLE = [k for k in _KINDS if "self" in _spec_facts(k)]
 class TestLifecycle:
     def test_only_the_orchestrator_runs_no_lifecycle(self):
         assert sorted(set(_KINDS) - set(_LIFECYCLE)) == ["orchestration"]
+
+    @pytest.mark.parametrize("kind", _LIFECYCLE)
+    def test_only_its_home_brokers_spec_lists_it_for_the_tick(self, kind):
+        # subscriptions are composed at genesis, not asked for at spawn: the
+        # agent's own spec names no broker and no topic, and of all brokers
+        # only its home broker's table lists it, under the tick it beats on;
+        # a broker reads nothing, so no table lists it
+        agent = f"{kind}#0"
+        for strategy in ("centralized", "distributed", "hybrid"):
+            roster = sorted({agent, *broker_ids(strategy)})
+            specs = build_specs({"event_strategy": strategy}, roster, {}, "orchestration#0")
+            assert not {"home-broker", "subscriptions"} & set(specs[agent]["initial_facts"])
+            tables = {b: specs[b]["initial_facts"]["subs"] for b in broker_ids(strategy)}
+            listed = {b for b, table in tables.items() for who in table.values() if agent in who}
+            if kind == BROKER:
+                assert listed == set(), strategy
+            else:
+                home = home_broker(strategy, agent)
+                assert listed == {home}, strategy
+                assert agent in tables[home]["events.tick"], strategy
 
     @pytest.mark.parametrize("kind", _LIFECYCLE)
     def test_one_heartbeat_on_every_interval_tick(self, kind):
