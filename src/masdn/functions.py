@@ -197,7 +197,7 @@ def classifier_decide(facts: dict[str, Any], inp: AgentInput) -> dict[str, Any]:
 def qos_decide(facts: dict[str, Any], inp: AgentInput) -> dict[str, Any]:
     """Admission control: realtime sessions reserve bandwidth on every path
     link, denied when any link would exceed the configured share. Admissions
-    are keyed by ctx so retried requests cannot double-reserve."""
+    are keyed by ctx so a duplicate delivery cannot double-reserve."""
     op = request_op(inp)
     if op == "admit":
         ctx = inp.body.get("ctx")

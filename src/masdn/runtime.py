@@ -217,31 +217,75 @@ class FactsStore:
 _ABSENT = object()
 
 
+def _nested(was: Any, new: Any) -> bool:
+    """Whether a changed leaf is diffed further: two dicts, or two lists of
+    one length."""
+    if isinstance(new, dict):
+        return isinstance(was, dict)
+    return isinstance(new, list) and isinstance(was, list) and len(was) == len(new)
+
+
+def _diff(old: Any, new: Any, path: list[Any], sets: list[Any], drops: list[Any]) -> None:
+    """Append to sets the [path, value] of every leaf at which new differs
+    from old (two dicts, or two lists of one length), and to drops the path
+    of every dict key that went."""
+    is_dict = isinstance(new, dict)
+    for sub, v in new.items() if is_dict else enumerate(new):
+        was = old.get(sub, _ABSENT) if is_dict else old[sub]
+        if was is v or was == v:
+            continue
+        if _nested(was, v):
+            _diff(was, v, [*path, sub], sets, drops)
+        else:
+            sets.append([[*path, sub], v])
+    if is_dict:
+        drops.extend([*path, sub] for sub in old if sub not in new)
+
+
 def digest_delta(doc: dict[str, Any], last: tuple[int, Any] | None) -> dict[str, Any]:
     """The kp.digest form of one exported key (a FactsStore.export doc), given
     the (version, value) last exported for it, or None.
 
-    A dict value travels as a delta against that version: "set" holds the
-    sub-keys that are new or changed, "drop" the ones that are gone. Stored
-    facts are frozen and unchanged records are shared, so an identity test
-    settles almost every sub-key before any equality test runs. "base" 0
-    means nothing was exported before, and "set" holds the whole table. Any
-    other value travels whole, as "value".
+    A dict value exported before travels as a delta against that version,
+    down to the leaves: "set" holds [path, value] for each leaf that is new
+    or changed, "drop" the path of each dict key that went. A path is the
+    list of keys from the value's top, a list index included: below the
+    top, a list of unchanged length is diffed per index, so a failed link
+    travels as [["links", i, "up"], false]. Stored facts are frozen and
+    unchanged records are shared, so an identity test settles almost every
+    sub-key before any equality test runs. Any other value, and a key never
+    exported before, travels whole, as "value".
     """
     value = doc["value"]
-    if not isinstance(value, dict):
+    if last is None or not isinstance(value, dict) or not isinstance(last[1], dict):
         return doc
-    base, old = last if last is not None and isinstance(last[1], dict) else (0, {})
-    return {
-        "version": doc["version"],
-        "base": base,
-        "set": {
-            sub: v
-            for sub, v in value.items()
-            if (was := old.get(sub, _ABSENT)) is not v and was != v
-        },
-        "drop": [sub for sub in old if sub not in value],
-    }
+    sets: list[Any] = []
+    drops: list[Any] = []
+    _diff(last[1], value, [], sets, drops)
+    return {"version": doc["version"], "base": last[0], "set": sets, "drop": drops}
+
+
+def _patch(value: dict[str, Any], sets: list[Any], drops: list[Any]) -> dict[str, Any]:
+    """value with the delta's paths applied, copy-on-write: each container on
+    a path is copied once, and every other subtree is shared."""
+    root = dict(value)
+    copied = {id(root)}
+
+    def parent(path: list[Any]) -> Any:
+        node = root
+        for sub in path[:-1]:
+            child = node[sub]
+            if id(child) not in copied:
+                child = node[sub] = dict(child) if isinstance(child, dict) else list(child)
+                copied.add(id(child))
+            node = child
+        return node
+
+    for path, leaf in sets:
+        parent(path)[path[-1]] = leaf
+    for path in drops:
+        del parent(path)[path[-1]]
+    return root
 
 
 def merge_digest(
@@ -249,11 +293,12 @@ def merge_digest(
 ) -> dict[str, dict[str, Any]]:
     """Fold one kp.digest body into a per-agent table of exported keys, each
     stored as {value, version}: the newest version of each key wins, and a
-    stale one is ignored. A whole "value", or a delta on base 0, replaces
-    the key; any other delta (see digest_delta) applies to the version held,
-    and one whose base is not that version raises DigestGap.
+    stale one is ignored. A whole "value" replaces the key; a delta (see
+    digest_delta) applies its paths to the version held, and one whose base
+    is not that version raises DigestGap.
     Only the sending agent's slot is copied; every other slot is shared with
-    the table given."""
+    the table given, and so is every subtree of the value that no path
+    reaches."""
     agent = body["agent"]
     slot = dict(digests.get(agent, {}))
     for key, doc in body["keys"].items():
@@ -263,17 +308,12 @@ def merge_digest(
         if "value" in doc:
             slot[key] = doc
             continue
-        if doc["base"] == 0:
-            value = doc["set"]
-        elif held is None or doc["base"] != held["version"]:
+        if held is None or doc["base"] != held["version"]:
             raise DigestGap(
                 f"{agent} {key}: delta on version {doc['base']}, mirror holds "
                 f"{held and held['version']}"
             )
-        else:
-            value = {**held["value"], **doc["set"]}
-            for sub in doc["drop"]:
-                del value[sub]
+        value = _patch(held["value"], doc["set"], doc["drop"])
         slot[key] = {"value": value, "version": doc["version"]}
     return {**digests, agent: slot}
 
@@ -498,17 +538,12 @@ def beat_tick(tick: int) -> bool:
     return tick % HEARTBEAT_INTERVAL == 0
 
 
-def heartbeat(agent: str, tick: int) -> list[dict[str, Any]]:
-    """An agent's beat on a beat tick, as decision events: one hb event
-    straight to the orchestrator, so it crosses no broker. None otherwise."""
-    beat = {"topic": "hb", "to": SUPERVISOR, "body": {"agent": agent, "tick": tick}}
-    return [beat] if beat_tick(tick) else []
-
-
 def _with_lifecycle(fn: CognitionFn) -> CognitionFn:
     """Wrap a decide function with the heartbeat, for agents spawned from a
-    spec: each events.tick handed to one, published or broker-wrapped,
-    puts its beat ahead of its own events."""
+    spec: each events.tick handed to one, published or broker-wrapped (the
+    bridge publishes only beat ticks), puts its beat ahead of its own
+    events, as one hb event straight to the orchestrator, so it crosses no
+    broker."""
 
     @functools.wraps(fn)
     def decide(facts: dict[str, Any], inp: AgentInput) -> dict[str, Any]:
@@ -516,8 +551,9 @@ def _with_lifecycle(fn: CognitionFn) -> CognitionFn:
         ev = event_of(inp)
         if "self" not in facts or ev is None or ev[0] != "events.tick":
             return dec
-        beat = heartbeat(facts["self"], ev[1]["tick"])
-        return {**dec, "events": [*beat, *dec.get("events", [])]} if beat else dec
+        body = {"agent": facts["self"], "tick": ev[1]["tick"]}
+        beat = {"topic": "hb", "to": SUPERVISOR, "body": body}
+        return {**dec, "events": [beat, *dec.get("events", [])]}
 
     return decide
 

@@ -38,18 +38,21 @@ The pump visits only the agents the host saw write facts since it last ran
 (a spawn, an ingest write or a decision's facts), so a tick in which
 nothing is written costs it nothing. It visits them in AgentId order, so
 digest message ids do not depend on the order in which agents wrote. A
-dict-valued key (a session or rule table) travels as a delta against the
-version last exported for it,
+dict-valued key (a session or rule table, the topology view) exported
+before travels as a delta against the version last exported for it, down
+to the leaves,
 
-    {"version", "base", "set": {sub: value}, "drop": [sub]}
+    {"version", "base", "set": [[path, value], ...], "drop": [path, ...]}
 
-carrying only the sub-keys that changed or went; "base" 0 means nothing was
-exported before, and "set" then holds the whole table. Any other value
-travels whole, as {"version", "value"}. The pump keeps, per agent, the
-version and value it last exported of each key, across respawns: a kill
-lands after the pump and a dead agent writes nothing, so what the pump last
-exported is exactly the mirror slot a replacement is restored from, and
-the replacement's first digest is an ordinary delta against it.
+carrying only the leaves that changed and the paths of the dict keys that
+went; a path is the list of keys from the value's top, list indices
+included (runtime.digest_delta). A key's first export, and any value
+that is not a dict, travels whole, as {"version", "value"}. The pump
+keeps, per agent, the version and value it last exported of each key,
+across respawns: a kill lands after the pump and a dead agent writes
+nothing, so what the pump last exported is exactly the mirror slot a
+replacement is restored from, and the replacement's first digest is an
+ordinary delta against it.
 """
 
 from __future__ import annotations
@@ -231,10 +234,11 @@ class AgentSystem:
     def _pump_digests(self, t: int) -> None:
         """Send the changed digest facts of every live agent that had a facts
         write since the last pump (AgentHost.facts_written) straight to the
-        orchestrator, in AgentId order: a dict-valued key as a delta against
-        the version last exported for it (runtime.digest_delta), any other
-        value whole. The set is taken before the digests go out, so what
-        their delivery writes is shipped by the next pump."""
+        orchestrator, in AgentId order: a dict-valued key as a delta of the
+        leaves that changed since the version last exported for it
+        (runtime.digest_delta), a first export or any other value whole.
+        The set is taken before the digests go out, so what their delivery
+        writes is shipped by the next pump."""
         written = sorted(self.host.facts_written)
         self.host.facts_written.clear()
         pubs: list[Message] = []

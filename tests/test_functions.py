@@ -1,5 +1,7 @@
 """Per-kind cognition behaviour, exercised as pure functions on (facts, input)."""
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from masdn.core import AgentId, FunctionKind, Message, MessageKind
 from masdn.functions import (
@@ -23,12 +25,14 @@ from masdn.logic import (
     session_record,
 )
 from masdn.orchestrator import LEASE_TTL, orchestrator_decide
+from masdn.pps import decode_body, encode_body
 from masdn.runtime import (
     AgentInput,
     DigestGap,
     FactsStore,
     digest_delta,
     event_of,
+    freeze,
     merge_digest,
     peer_of,
 )
@@ -306,50 +310,67 @@ class TestKnowledgePlane:
         assert "admitted" not in digests["qos#0"]
 
     def delta(self, version, base, set_=(), drop=()):
-        doc = {"version": version, "base": base, "set": dict(set_), "drop": list(drop)}
+        doc = {"version": version, "base": base,
+               "set": [[list(path), v] for path, v in set_], "drop": [list(p) for p in drop]}
         return {"agent": "session#0", "keys": {"sessions": doc}}
 
     def held(self, value, version):
         return {"session#0": {"sessions": {"value": value, "version": version}}}
 
-    def test_a_table_travels_as_a_delta_and_anything_else_whole(self):
+    def test_a_table_travels_as_a_delta_of_its_leaves_and_anything_else_whole(self):
         store = FactsStore()
-        store.put("sessions", {"s1": {"n": 1}})
+        store.put("sessions", {"s1": {"n": 1}, "s2": {"n": 2, "path": ["a", "b"]}})
         store.put("peers", ["a"])
         docs = store.export(["sessions", "peers"])
+        # never exported before: whole, dict or not
         assert digest_delta(docs["peers"], None) == {"value": ["a"], "version": 1}
-        assert digest_delta(docs["sessions"], None) == {
-            "version": 1, "base": 0, "set": {"s1": {"n": 1}}, "drop": []
+        assert digest_delta(docs["sessions"], None) == docs["sessions"]
+        store.put("peers", ["a", "b"])
+        assert digest_delta(store.export(["peers"])["peers"], (1, docs["peers"]["value"])) == {
+            "value": ["a", "b"], "version": 2
         }
-        store.put("sessions", {"s2": {"n": 2}})
+        store.put("sessions", {"s2": {"n": 2, "path": ["a", "c"]}, "s3": {"n": 3}})
         later = digest_delta(store.export(["sessions"])["sessions"], (1, docs["sessions"]["value"]))
-        assert later == {"version": 2, "base": 1, "set": {"s2": {"n": 2}}, "drop": ["s1"]}
+        assert later == {
+            "version": 2, "base": 1,
+            "set": [[["s2", "path", 1], "c"], [["s3"], {"n": 3}]],
+            "drop": [["s1"]],
+        }
 
-    def test_delta_sets_and_drops_sub_keys(self):
-        mirror = self.held({"s1": {"n": 1}, "s2": {"n": 2}, "s3": {"n": 3}}, 4)
-        body = self.delta(6, 4, set_={"s2": {"n": 20}, "s4": {"n": 4}}, drop=["s1"])
+    def test_a_list_of_another_length_or_a_changed_type_travels_whole(self):
+        old = {"s1": {"path": ["a", "b"], "n": 1}}
+        new = {"s1": {"path": ["a", "b", "c"], "n": [1]}}
+        assert digest_delta({"version": 3, "value": new}, (2, old))["set"] == [
+            [["s1", "path"], ["a", "b", "c"]], [["s1", "n"], [1]]
+        ]
+
+    def test_delta_sets_and_drops_paths(self):
+        mirror = self.held({"s1": {"n": 1}, "s2": {"n": 2, "path": ["a", "b"]}, "s3": {"n": 3}}, 4)
+        body = self.delta(6, 4, set_=[(["s2", "n"], 20), (["s2", "path", 1], "c"),
+                                      (["s4"], {"n": 4})], drop=[["s1"]])
         kept = merge_digest(mirror, body)["session#0"]["sessions"]
-        assert kept == {"value": {"s2": {"n": 20}, "s3": {"n": 3}, "s4": {"n": 4}},
-                        "version": 6}
-        assert mirror["session#0"]["sessions"]["value"]["s2"] == {"n": 2}  # folded into a copy
+        assert kept == {"value": {"s2": {"n": 20, "path": ["a", "c"]}, "s3": {"n": 3},
+                                  "s4": {"n": 4}}, "version": 6}
+        held = mirror["session#0"]["sessions"]["value"]
+        assert held["s2"] == {"n": 2, "path": ["a", "b"]}  # folded into a copy
+        assert kept["value"]["s3"] is held["s3"]  # and what no path reaches is shared
 
-    def test_delta_on_base_zero_replaces_the_key(self):
+    def test_a_whole_value_replaces_the_key(self):
         mirror = self.held({"s1": {"n": 1}, "s2": {"n": 2}}, 9)
-        kept = merge_digest(mirror, self.delta(10, 0, set_={"s5": {"n": 5}}))
-        assert kept["session#0"]["sessions"]["value"] == {"s5": {"n": 5}}
-        fresh = merge_digest({}, self.delta(1, 0, set_={"s1": {"n": 1}}))
-        assert fresh["session#0"]["sessions"]["value"] == {"s1": {"n": 1}}
+        whole = {"agent": "session#0", "keys": {"sessions": {"version": 10, "value": {"s5": {}}}}}
+        assert merge_digest(mirror, whole)["session#0"]["sessions"]["value"] == {"s5": {}}
+        assert merge_digest({}, whole)["session#0"]["sessions"]["value"] == {"s5": {}}
 
     def test_stale_delta_is_ignored(self):
         mirror = self.held({"s1": {"n": 1}}, 7)
-        kept = merge_digest(mirror, self.delta(5, 0, set_={"s9": {"n": 9}}))
+        kept = merge_digest(mirror, self.delta(5, 4, set_=[(["s9"], {"n": 9})]))
         assert kept["session#0"] == mirror["session#0"]
 
-    @pytest.mark.parametrize("held_version, base", [(4, 3), (4, 5), (None, 2)])
+    @pytest.mark.parametrize("held_version, base", [(4, 3), (4, 5), (4, 0), (None, 2), (None, 0)])
     def test_delta_on_another_base_raises(self, held_version, base):
         mirror = {} if held_version is None else self.held({"s1": {"n": 1}}, held_version)
         with pytest.raises(DigestGap):
-            merge_digest(mirror, self.delta(6, base, set_={"s1": {"n": 2}}))
+            merge_digest(mirror, self.delta(6, base, set_=[(["s1", "n"], 2)]))
 
     def test_deltas_fold_back_into_what_the_agent_exports(self):
         store = FactsStore()
@@ -366,21 +387,82 @@ class TestKnowledgePlane:
                 if key not in last or doc["version"] > last[key][0]
             }
             last.update((key, (doc["version"], doc["value"])) for key, doc in docs.items())
-            mirror = merge_digest(mirror, {"agent": "session#0", "keys": keys})
+            wire = decode_body(encode_body({"agent": "session#0", "keys": keys}))
+            mirror = merge_digest(mirror, wire)
             assert mirror["session#0"] == docs
             return keys
 
         first = pump()
-        assert first["peers"] == store.export(["peers"])["peers"]  # not a dict: whole
-        assert first["sessions"]["base"] == 0 and len(first["sessions"]["set"]) == 2
+        assert first == store.export(["sessions", "peers"])  # never exported: whole
         sessions = store.get("sessions")
         store.put("sessions", {**sessions, "s2": {"n": 3}})
         second = pump()["sessions"]
-        assert (second["base"], second["set"], second["drop"]) == (1, {"s2": {"n": 3}}, [])
+        assert (second["base"], second["set"], second["drop"]) == (1, [[["s2", "n"], 3]], [])
         store.put("sessions", {"s2": store.get("sessions")["s2"], "s4": {"n": 4}})
         third = pump()
         assert list(third) == ["sessions"]
-        assert (third["sessions"]["set"], third["sessions"]["drop"]) == ({"s4": {"n": 4}}, ["s1"])
+        assert (third["sessions"]["set"], third["sessions"]["drop"]) == (
+            [[["s4"], {"n": 4}]], [["s1"]]
+        )
+
+    def test_one_install_into_a_large_rule_table_ships_one_leaf(self):
+        table = [r for n in range(60)
+                 for r in rules_for_path(["s1", "s2"], "h1", f"h{n + 2}", 10, [f"a{n}", f"b{n}"])]
+        store = FactsStore()
+        store.put("switch-rules", {})
+        for rules in (table, rules_for_path(["s1"], "h9", "h1", 20, ["r900"])):
+            inp = request({"op": "install", "ctx": "x", "rules": [list(r) for r in rules]},
+                          dst="forwarding#0")
+            last = (store.version("switch-rules"), store.get("switch-rules"))
+            store.put(*forwarding_decide(store.snapshot(), inp)["facts"][0])
+        assert len(last[1]["s1"]) == 60
+        doc = digest_delta(store.export(["switch-rules"])["switch-rules"], last)
+        assert (doc["base"], doc["set"], doc["drop"]) == (2, [[["s1", "h9|h1|20"], "r900"]], [])
+
+
+# Nested values for the digest property: few keys and leaves, so that two
+# draws share structure. Leaves are JSON-exact (no bool next to int, no
+# float), so "exactly" can be checked on the canonical bytes too.
+_SUBS = st.sampled_from(["a", "b", "c", "s1|s2"])
+_LEAVES = st.one_of(st.none(), st.integers(-2, 2), st.sampled_from(["", "x", "y"]))
+_VALUES = st.recursive(
+    _LEAVES,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(_SUBS, inner, max_size=3),
+    max_leaves=12,
+)
+_TABLES = st.dictionaries(_SUBS, _VALUES, max_size=4)
+
+
+@st.composite
+def _edited(draw, value, top=False):
+    """value with some subtrees kept by reference, some replaced and some
+    edited in turn: a later export of the same fact (a table at the top)."""
+    how = "edit" if top else draw(st.sampled_from(["keep", "replace", "edit"]))
+    if how == "keep":
+        return value
+    if how == "replace" or not isinstance(value, (dict, list)):
+        return draw(_VALUES)
+    if isinstance(value, list):
+        return [draw(_edited(v)) for v in value] + draw(st.lists(_VALUES, max_size=1))
+    out = {sub: draw(_edited(v)) for sub, v in value.items() if draw(st.integers(0, 3))}
+    return {**out, **draw(st.dictionaries(_SUBS, _VALUES, max_size=2))}
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(st.data())
+def test_property_a_delta_folds_its_base_into_exactly_the_new_value(data):
+    old = freeze(data.draw(_TABLES))
+    new = freeze(data.draw(_edited(old, top=True)))
+    doc = digest_delta({"version": 5, "value": new}, (4, old))
+    body = decode_body(encode_body({"agent": "a#0", "keys": {"k": doc}}))
+    mirror = {"a#0": {"k": {"value": old, "version": 4}}}
+    merged = merge_digest(mirror, body)["a#0"]["k"]
+    assert merged == {"value": new, "version": 5}
+    assert encode_body(merged["value"]) == encode_body(new)
+    # any other base is a gap, 0 included: a delta never replaces the key
+    other = data.draw(st.integers(0, 5).filter(lambda v: v != 4))
+    with pytest.raises(DigestGap):
+        merge_digest({"a#0": {"k": {"value": old, "version": other}}}, body)
 
 
 class TestSessionAgent:

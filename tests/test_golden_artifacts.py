@@ -7,12 +7,11 @@ diff.json) is pinned, so a speed-up that changes any outcome, log record or
 wire byte fails here, naming the artifacts that moved. The outcome.json,
 stats.csv and diff.json constants were recorded before facts were frozen on
 write instead of deep-copied. The run.log constants were last re-recorded
-when the brokers' subscription tables moved into their specs: the
-bootstrap event each spawn sent and the subscribe requests it answered
-with are gone, genesis spawns in roster order, brokers export no digest,
-a replacement's first digest is a delta and a respawn publishes no
-events.recovery, so records, message ids, run numbers and sequence numbers
-shift. The hashes do not depend on PYTHONHASHSEED.
+when digests began to ship only the leaves that changed: a key's first
+export travels whole and every later one as path deltas, so the "bytes"
+of the orchestrator's kp.digest input records shrink, while every record,
+message id and sequence number stays where it was. The hashes do not
+depend on PYTHONHASHSEED.
 When a change is meant to alter the artifacts, re-record the constants and
 say why in the change's notes.
 """
@@ -51,7 +50,7 @@ GOLDEN = {
         0,
         {
             "outcome.json": "9d7df6e08f605236441792fc445708a8bee2ca7bee232834eb24da6bc7505ac6",
-            "run.log": "514bf98835e42ce812999258c0c7329d2fdf48f7f866c7cfc83d46fd94737128",
+            "run.log": "072c841c315a55e3827638e27aaafbe0f9dcd4ef3e553fcd2f287d3ee0ae481d",
             "stats.csv": "afc834dc4a6d33e7aa3e3c9055b241c4b86e34f7697c8468cac1df6550b57694",
             "diff.json": "ca3d163bab055381827226140568f3bef7eaac187cebd76878e0b63e9e442356",
         },
@@ -60,7 +59,7 @@ GOLDEN = {
         0,
         {
             "outcome.json": "57d7ab073da0ee5cbfe058ac2d154482e900e529fb1b7c930584c324f87f1ae7",
-            "run.log": "b6bfc37e8720090788b33a5fe0ad3b2f553b5a3330bc0328e2061c82d71f61e0",
+            "run.log": "3b80a666ebaab8fa339221539f29f0e2ccd2022228d7776f8987f7fd5de461be",
             "stats.csv": "38bfaab0d91b62a7424a4bb39febbb5006c74786e52f257514557351f534eaf9",
             "diff.json": "ca3d163bab055381827226140568f3bef7eaac187cebd76878e0b63e9e442356",
         },
@@ -69,7 +68,7 @@ GOLDEN = {
         0,
         {
             "outcome.json": "ab0cebde5c16702d9eef7ce0269a6e7f830dd862db93f8b9b7fc203f63721b2a",
-            "run.log": "c15cf2e81f03d3816e9fc5d9b3198ec09e43c69b78ffe7987c1bc18f78a41c83",
+            "run.log": "89bb194c801f2a338c38f570470a91bb789ba9170242b42cd1c8377a68cdb7a4",
             "stats.csv": "3edfab2026d98f54c995eb9605010f2a20ab518ed0480c9fd0c05f42b4ad9aa6",
             "diff.json": "ca3d163bab055381827226140568f3bef7eaac187cebd76878e0b63e9e442356",
         },

@@ -202,6 +202,25 @@ class TestDeltaDigests:
         spawned = [tick for agent, tick in system.spawn_log if agent == victim]
         assert len(spawned) == (2 if victim else 0)
 
+    @staticmethod
+    def spy_digests(system):
+        """Record (tick, mirror slot held, body) of each kp.digest the
+        orchestrator is handed, as it is handed it."""
+        orch = AgentId.parse(ORCH)
+        digests = []
+        process_input = system.host.process_input
+
+        def spy(agent_id, msg):
+            body = decode_body(msg.payload)
+            if agent_id == orch and topic_of(body) == "kp.digest":
+                mirror = system.host.get(orch).facts.get("mirror", {})
+                held = mirror.get(body["body"]["agent"], {})
+                digests.append((system.host.now, held, body["body"]))
+            return process_input(agent_id, msg)
+
+        system.host.process_input = spy
+        return digests
+
     def test_a_replacements_first_digest_is_a_delta_on_its_restored_state(self):
         # the pump keeps what it last exported across a respawn, and that is
         # exactly the mirror slot the replacement is restored from
@@ -209,30 +228,39 @@ class TestDeltaDigests:
         tdoc = gen_topology(rng, 8)
         topo, scen = build(tdoc, gen_scenario(rng, tdoc, 8, 2, 60, long_lived=True))
         system = AgentSystem(topo, scen, {"kills": {"17": ["session#0"]}})
-        orch = AgentId.parse(ORCH)
-        digests = []  # (tick, mirror slot held, keys) of each session#0 digest
-        process_input = system.host.process_input
-
-        def spy(agent_id, msg):
-            body = decode_body(msg.payload)
-            if agent_id == orch and topic_of(body) == "kp.digest":
-                if body["body"]["agent"] == "session#0":
-                    held = system.host.get(orch).facts.get("mirror", {}).get("session#0", {})
-                    digests.append((system.host.now, held, body["body"]["keys"]))
-            return process_input(agent_id, msg)
-
-        system.host.process_input = spy
+        digests = self.spy_digests(system)
         system.run()
         respawned = [t for agent, t in system.spawn_log if agent == "session#0"][1]
-        tick, held, keys = next(d for d in digests if d[0] >= respawned)
+        tick, held, keys = next((t, held, body["keys"]) for t, held, body in digests
+                                if body["agent"] == "session#0" and t >= respawned)
         deltas = {key: doc for key, doc in keys.items() if "base" in doc}
         assert "sessions" in deltas and held["sessions"]["value"], (tick, sorted(keys))
         for key, doc in deltas.items():
             was = held[key]
             assert doc["base"] == was["version"] != 0, key
-            assert all(was["value"].get(sub) != v for sub, v in doc["set"].items()), key
-            assert set(doc["drop"]) <= set(was["value"]), key
+            assert all(leaf_at(was["value"], path) != v for path, v in doc["set"]), key
+            assert all(leaf_at(was["value"], path) is not MISSING for path in doc["drop"]), key
         assert len(deltas["sessions"]["set"]) < len(held["sessions"]["value"])
+
+    def test_one_link_failure_ships_one_up_leaf_per_view_holder(self):
+        rng = random.Random(3)
+        tdoc = gen_topology(rng, 8)
+        scenario = gen_scenario(rng, tdoc, 8, 1, 60, long_lived=True)
+        (failure,) = scenario["failures"]
+        system = AgentSystem(*build(tdoc, scenario), {})
+        digests = self.spy_digests(system)
+        system.run()
+        links = system.host.get(AgentId(FunctionKind.TOPOLOGY, 0)).facts.get("topology")["links"]
+        (down,) = [i for i, link in enumerate(links) if not link["up"]]
+        assert {links[down]["a"], links[down]["b"]} == {failure["a"], failure["b"]}
+        views = {}  # tick -> {agent: the topology doc it shipped}
+        for tick, _held, body in digests:
+            if "topology" in body["keys"]:
+                views.setdefault(tick, {})[body["agent"]] = body["keys"]["topology"]
+        assert sorted(views) == [0, failure["at"]]  # genesis, then the failure alone
+        assert sorted(views[failure["at"]]) == sorted(str(AgentId(k, 0)) for k in _NEEDS_VIEW)
+        for agent, doc in views[failure["at"]].items():
+            assert (doc["set"], doc["drop"]) == ([[["links", down, "up"], False]], []), agent
 
     def test_four_hundred_sessions_fit_the_frame_bound(self):
         # Shipped whole, the session agent's tables outgrew max_payload on this
@@ -243,6 +271,16 @@ class TestDeltaDigests:
         agents, _mono, diff, _system = run_both(tdoc, sdoc_, {})
         assert diff == {}
         assert len(agents["ledger"]) > 300
+
+    def test_sixteen_hundred_flows_fit_the_frame_bound(self):
+        # With every changed switch slot shipped whole, forwarding#0's
+        # switch-rules delta outgrew max_payload on this run (PayloadTooLarge
+        # on a 66,177-byte kp.digest at tick 45); leaf deltas stay small.
+        rng = random.Random(0)
+        tdoc = gen_topology(rng, 30, n_hosts=60)
+        topo, scen = build(tdoc, gen_scenario(rng, tdoc, 1600, 0, 100))
+        outcome = AgentSystem(topo, scen, {}).run()
+        assert len(outcome["ledger"]) > 1200
 
 
 class TestPumpFollowsWrites:
@@ -435,6 +473,19 @@ def spied_run(config, duration=30, flows=FLOWS):
     system.host.process_input = input_spy
     system.run()
     return system, hops, inputs
+
+
+MISSING = object()
+
+
+def leaf_at(value, path):
+    """What a digest path reaches in a mirror value, or MISSING."""
+    for sub in path:
+        try:
+            value = value[sub]
+        except (KeyError, IndexError, TypeError):
+            return MISSING
+    return value
 
 
 def topic_of(body):
