@@ -18,8 +18,10 @@ import sys
 from pathlib import Path
 from typing import Any
 
+from .core import AgentId
 from .netsim import Scenario, SchemaError, Topology
 from .oracle import MonolithicController, compare
+from .orchestrator import BROKER_COUNT
 from .system import AgentSystem
 
 MODES = ("agents", "monolithic", "compare")
@@ -37,6 +39,32 @@ def _load_doc(value: Any, base: Path, what: str) -> dict[str, Any]:
             raise FileNotFoundError(f"{what} file not found: {path}")
         return json.loads(path.read_text())
     raise SchemaError(f"config {what!r} must be an object or a path string")
+
+
+def _check_config(config: Any) -> None:
+    """Reject the run-config values that would otherwise fail mid-run."""
+    if not isinstance(config, dict):
+        raise SchemaError("config must be a JSON object")
+    seed = config.get("seed")
+    if seed is not None and (not isinstance(seed, int) or isinstance(seed, bool)):
+        raise SchemaError(f"config seed must be an integer, got {seed!r}")
+    strategy = config.get("event_strategy", "centralized")
+    if strategy not in BROKER_COUNT:
+        raise SchemaError(
+            f"unknown event_strategy {strategy!r}; expected one of {sorted(BROKER_COUNT)}"
+        )
+    kills = config.get("kills", {})
+    if not isinstance(kills, dict):
+        raise SchemaError("config kills must be an object: tick -> agent ids")
+    for tick, agents in kills.items():
+        try:
+            int(tick)
+            if not isinstance(agents, list):
+                raise TypeError(f"{agents!r} is not a list")
+            for agent in agents:
+                AgentId.parse(agent)
+        except (TypeError, ValueError) as exc:
+            raise SchemaError(f"bad kills entry {tick!r}: {exc}") from exc
 
 
 def _dump_json(path: Path, doc: Any) -> None:
@@ -60,6 +88,7 @@ def run_command(args: argparse.Namespace) -> int:
     base = config_path.parent
     try:
         config = json.loads(config_path.read_text())
+        _check_config(config)
         topo = Topology.from_doc(_load_doc(config.get("topology"), base, "topology"))
         scenario = Scenario.from_doc(
             _load_doc(config.get("scenario"), base, "scenario"), topo
@@ -71,7 +100,7 @@ def run_command(args: argparse.Namespace) -> int:
     if args.seed is not None:
         scenario = dataclasses.replace(scenario, seed=args.seed)
     elif config.get("seed") is not None:
-        scenario = dataclasses.replace(scenario, seed=int(config["seed"]))
+        scenario = dataclasses.replace(scenario, seed=config["seed"])
     mode = args.mode or config.get("mode", "compare")
     if mode not in MODES:
         print(f"error: unknown mode {mode!r}", file=sys.stderr)

@@ -99,9 +99,11 @@ _AGENT_ID_RE = re.compile(r"([a-z-]+)#(0|[1-9][0-9]*)")
 class AgentId:
     """Identity of one agent instance: what it does plus an instance number.
 
-    The text form "kind#instance" names the agent in every frame, stage
-    record and facts key, and ids key dicts and are sorted on every tick, so
-    the text, the hash and the sort key are computed once, at construction.
+    The text form "kind#instance" names the agent in text frames, stage
+    records and facts keys (a binary frame carries the kind's ordinal and
+    the instance instead), and ids key dicts and are sorted on every tick,
+    so the text, the hash and the sort key are computed once, at
+    construction.
     They take no part in equality or repr, which use kind and instance only.
     The hash is salted per process (it hashes the enum member and so its
     name), so it never travels in pickle state: unpickling, copy and

@@ -9,9 +9,11 @@ therefore isolates a defect in the distributed choreography, never in the
 decision logic, which is shared by construction.
 
 Event processing order per tick matches the bridge exactly: link failures
-(reroute sweep each), then packet-ins (session conversations), then the
-periodic link-state refresh (another sweep), then the tick work (proactive
-scan). Equality is judged on normalized final flow tables (rule ids are
+(reroute sweep each), then packet-ins (session conversations), then on
+every REFRESH_EVERY-th tick the periodic reroute sweep, which the session
+agent runs on that tick's events.tick, then in a proactive run the
+declared flows that start next tick (the session agent's events.flow).
+Equality is judged on normalized final flow tables (rule ids are
 allocation order, not behavior, so they are dropped) and normalized
 session ledgers (session ids relabeled by creation order).
 """

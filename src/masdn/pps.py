@@ -5,24 +5,34 @@ or binary length-prefixed), the delivery reliability mode, and the payload
 size bound. Profiles are negotiated per link from each side's ordered
 preference list; the initiator's preference wins among the common subset.
 
-Binary frame layout (all integers big-endian):
+Binary frame layout:
 
-    u32 body_length
+    u32 body_length (big-endian)
     body:
-        u64 msg_id
-        u16 src_length,  src bytes (utf-8, "kind#instance")
-        u16 dst_length,  dst bytes (agent id or topic name)
-        u8  kind        (ordinal in MessageKind declaration order)
-        u8  has_correlation (0 or 1), u64 correlation_id (0 when absent)
-        u64 sim_time
-        u32 payload_length, payload bytes
+        u8  head: bits 0-1 kind (ordinal in MessageKind declaration order),
+                  bit 2 has_correlation, bit 3 dst_is_agent, bits 4-7 zero
+        src: u8 FunctionKind ordinal (declaration order), varint instance
+        dst: an agent id like src when dst_is_agent, otherwise
+             varint byte length, topic text (utf-8)
+        varint msg_id
+        varint sim_time
+        varint correlation_id (only when has_correlation)
+        varint payload_length, payload bytes
 
-The binary codec packs and unpacks the fixed-width parts of this layout with
-precompiled struct.Struct objects; decoding checks every read against the
-frame's length before it is made, so any byte string that is not a complete
-frame raises MalformedFrame and nothing else. The text codec accepts only
-the one JSON form encode writes for a message, so distinct frames never
-decode to the same message.
+A varint is an unsigned LEB128 integer, as in Protocol Buffers: seven bits
+per byte, low group first, the high bit set on every byte but the last.
+Its range is 0..2**64-1, and only the shortest form is valid. encode raises
+ValueError for an integer outside the range; decode checks every read
+against the frame's length, so any byte string that is not a complete frame
+in this form (a stray head bit, an unknown function kind, an over-long or
+too-large varint, a payload length that disagrees with the frame) raises
+MalformedFrame and nothing else. A frame that decodes is the one encode
+writes for the message it gives. The payload length is explicit although
+the outer prefix implies it, so a body is self-delimiting: no cut of it
+decodes. Agent ids take two bytes while instances stay below 128, and the
+ids a frame decodes to are memoised, so a hop builds no new AgentId. The
+text codec accepts only the one JSON form encode writes for a message, so
+distinct frames never decode to the same message.
 """
 
 from __future__ import annotations
@@ -32,9 +42,9 @@ import json
 import struct
 from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence
+from typing import Any, Callable, Sequence
 
-from .core import AgentId, MasdnError, Message, MessageKind, PayloadTooLarge
+from .core import AgentId, FunctionKind, MasdnError, Message, MessageKind, PayloadTooLarge
 
 
 # one encoder for every canonical JSON form: json.dumps with non-default
@@ -100,29 +110,124 @@ def negotiate(
     )
 
 
-_KIND_ORDINAL = {kind: i for i, kind in enumerate(MessageKind)}
-_ORDINAL_KIND = {i: kind for kind, i in _KIND_ORDINAL.items()}
+# -- binary frames (see the module doc) -------------------------------------
 
-# binary frame pieces around the two variable-length ids (see the module doc)
-_U16 = struct.Struct(">H")
 _U32 = struct.Struct(">I")
-_HEAD = struct.Struct(">IQH")  # body_length, msg_id, src_length
-_TAIL = struct.Struct(">BBQQI")  # kind, has_correlation, correlation_id, sim_time, payload_length
-# body bytes other than the two ids and the payload
-_FIXED_BODY = _HEAD.size - _U32.size + _U16.size + _TAIL.size
+_U64_MAX = (1 << 64) - 1
+_BYTE = tuple(bytes((i,)) for i in range(256))
+
+# head byte
+_KIND_MASK = 0x03
+_HAS_CORRELATION = 0x04
+_DST_IS_AGENT = 0x08
+_HEAD_BITS = _KIND_MASK | _HAS_CORRELATION | _DST_IS_AGENT
+
+_MESSAGE_KINDS = tuple(MessageKind)
+assert len(_MESSAGE_KINDS) == _KIND_MASK + 1, "a MessageKind ordinal takes two bits"
+# keyed by the member's value: hashing an Enum member runs Python code
+_KIND_ORDINAL = {kind.value: i for i, kind in enumerate(_MESSAGE_KINDS)}
+_FUNCTION_KINDS = tuple(FunctionKind)
+_FUNCTION_ORDINAL = {kind: i for i, kind in enumerate(_FUNCTION_KINDS)}
 
 
-def _parse_dst(text: str) -> AgentId | str:
-    if "#" in text:
-        return AgentId.parse(text)
-    return text
+# every varint of one or two bytes, by value: most integers in a frame are
+# below 2**14, and a lookup is several times faster than building the bytes
+_VARINTS = (
+    *_BYTE[:0x80],
+    *(_BYTE[n & 0x7F | 0x80] + _BYTE[n >> 7] for n in range(0x80, 0x4000)),
+)
+
+
+def _uvarint(n: int) -> bytes:
+    """The canonical unsigned LEB128 bytes of n, for 0 <= n < 2**64."""
+    if 0 <= n < 0x4000:
+        return _VARINTS[n]
+    if not 0 <= n <= _U64_MAX:
+        raise ValueError(f"{n} is outside the varint range 0..2**64-1")
+    out = bytearray()
+    while n > 0x7F:
+        out.append(n & 0x7F | 0x80)
+        n >>= 7
+    out.append(n)
+    return bytes(out)
+
+
+class _Memo(dict):
+    """make(key) for each key seen, the first 4096 kept: ids and topics are few."""
+
+    def __init__(self, make: Callable[[Any], Any]) -> None:
+        super().__init__()
+        self.make = make
+
+    def __missing__(self, key: Any) -> Any:
+        value = self.make(key)
+        if len(self) < 4096:
+            self[key] = value
+        return value
+
+
+def _agent_wire(text: str) -> bytes:
+    aid = AgentId.parse(text)
+    return _BYTE[_FUNCTION_ORDINAL[aid.kind]] + _uvarint(aid.instance)
+
+
+def _topic_wire(topic: str) -> bytes:
+    text = topic.encode("utf-8")
+    return _uvarint(len(text)) + text
+
+
+def _agent_id(key: int) -> AgentId:
+    """The id for instance << 8 | kind ordinal: the very object AgentId.parse
+    gives, so ids from frames and from text are one object."""
+    ordinal = key & 0xFF
+    if ordinal >= len(_FUNCTION_KINDS):
+        raise MalformedFrame(f"unknown function kind ordinal {ordinal}")
+    return AgentId.parse(f"{_FUNCTION_KINDS[ordinal].value}#{key >> 8}")
+
+
+# keyed by text, which hashes and compares in C; an AgentId runs Python code
+_AGENT_WIRE = _Memo(_agent_wire)
+_TOPIC_WIRE = _Memo(_topic_wire)
+_AGENT_IDS = _Memo(_agent_id)
+
+
+def _varint_tail(b: bytes, i: int, first: int) -> tuple[int, int]:
+    """Finish the varint whose first byte, read just before offset i, has
+    its continuation bit set: its value and the offset after it."""
+    value = first & 0x7F
+    shift = 7
+    while True:
+        if shift > 63:
+            raise MalformedFrame("varint above 2**64-1")
+        byte = b[i]
+        i += 1
+        value |= (byte & 0x7F) << shift
+        if byte < 0x80:
+            break
+        shift += 7
+    if byte == 0:
+        raise MalformedFrame("over-long varint")
+    if value > _U64_MAX:
+        raise MalformedFrame("varint above 2**64-1")
+    return value, i
+
+
+def _read_agent(b: bytes, i: int) -> tuple[AgentId, int]:
+    """The agent id at offset i and the offset after it."""
+    ordinal = b[i]
+    instance = b[i + 1]
+    i += 2
+    if instance > 0x7F:
+        instance, i = _varint_tail(b, i, instance)
+    return _AGENT_IDS[instance << 8 | ordinal], i
 
 
 def encode(m: Message, p: StackProfile) -> bytes:
     """Encode a message envelope under the given profile."""
-    if len(m.payload) > p.max_payload:
+    payload = m.payload
+    if len(payload) > p.max_payload:
         raise PayloadTooLarge(
-            f"payload of {len(m.payload)} bytes exceeds profile max_payload {p.max_payload}"
+            f"payload of {len(payload)} bytes exceeds profile max_payload {p.max_payload}"
         )
     if p.codec is Codec.TEXT_STRUCTURED:
         doc = {
@@ -136,21 +241,33 @@ def encode(m: Message, p: StackProfile) -> bytes:
         }
         return _CANONICAL_JSON.encode(doc).encode("utf-8")
 
-    src_b = str(m.src).encode("utf-8")
-    dst_b = str(m.dst).encode("utf-8")
-    payload = m.payload
+    head = _KIND_ORDINAL[m.kind._value_]
+    dst = m.dst
+    if isinstance(dst, AgentId):
+        head |= _DST_IS_AGENT
+        dst_b = _AGENT_WIRE[str(dst)]
+    else:
+        dst_b = _TOPIC_WIRE[dst]
     corr = m.correlation_id
-    head = _HEAD.pack(
-        _FIXED_BODY + len(src_b) + len(dst_b) + len(payload), m.msg_id, len(src_b)
-    )
-    tail = _TAIL.pack(
-        _KIND_ORDINAL[m.kind],
-        0 if corr is None else 1,
-        corr or 0,
-        m.sim_time,
-        len(payload),
-    )
-    return b"".join((head, src_b, _U16.pack(len(dst_b)), dst_b, tail, payload))
+    if corr is None:
+        corr_b = b""
+    else:
+        head |= _HAS_CORRELATION
+        corr_b = _uvarint(corr)
+    msg_id = m.msg_id
+    sim_time = m.sim_time
+    payload_len = len(payload)
+    # the table lookups are inline: a call would cost more than the lookup
+    envelope = b"".join((
+        _BYTE[head],
+        _AGENT_WIRE[str(m.src)],
+        dst_b,
+        _VARINTS[msg_id] if 0 <= msg_id < 0x4000 else _uvarint(msg_id),
+        _VARINTS[sim_time] if 0 <= sim_time < 0x4000 else _uvarint(sim_time),
+        corr_b,
+        _VARINTS[payload_len] if payload_len < 0x4000 else _uvarint(payload_len),
+    ))
+    return b"".join((_U32.pack(len(envelope) + payload_len), envelope, payload))
 
 
 def decode(b: bytes, p: StackProfile) -> Message:
@@ -169,6 +286,12 @@ _TEXT_FIELDS = {"msg_id", "src", "dst", "kind", "correlation_id", "sim_time", "p
 
 def _is_int(value: object) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _parse_dst(text: str) -> AgentId | str:
+    if "#" in text:
+        return AgentId.parse(text)
+    return text
 
 
 def _decode_text(b: bytes, p: StackProfile) -> Message:
@@ -206,49 +329,62 @@ def _decode_text(b: bytes, p: StackProfile) -> Message:
 
 def _decode_binary(b: bytes, p: StackProfile) -> Message:
     size = len(b)
-    if size < 4:
-        raise MalformedFrame("frame shorter than length prefix")
+    if size < 5:
+        raise MalformedFrame("frame shorter than length prefix and head byte")
     (body_len,) = _U32.unpack_from(b, 0)
     if size - 4 != body_len:
         raise MalformedFrame(
             f"length prefix says {body_len} bytes, frame carries {size - 4}"
         )
-    if size < _HEAD.size:
-        raise MalformedFrame("truncated frame")
-    _, msg_id, src_len = _HEAD.unpack_from(b, 0)
-    src_end = _HEAD.size + src_len
-    if src_end + _U16.size > size:
-        raise MalformedFrame("truncated frame")
-    (dst_len,) = _U16.unpack_from(b, src_end)
-    dst_start = src_end + _U16.size
-    dst_end = dst_start + dst_len
-    if dst_end + _TAIL.size > size:
-        raise MalformedFrame("truncated frame")
-    kind_ord, has_corr, corr, sim_time, payload_len = _TAIL.unpack_from(b, dst_end)
-    payload_start = dst_end + _TAIL.size
-    payload_end = payload_start + payload_len
-    if payload_end != size:
+    head = b[4]
+    if head & ~_HEAD_BITS:
+        raise MalformedFrame(f"head byte {head:#04x} sets undefined bits")
+    # every read past the end raises IndexError, so each is bounds-checked
+    try:
+        src, i = _read_agent(b, 5)
+        if head & _DST_IS_AGENT:
+            dst, i = _read_agent(b, i)
+        else:
+            n = b[i]
+            i += 1
+            if n > 0x7F:
+                n, i = _varint_tail(b, i, n)
+            end = i + n
+            if end > size:
+                raise IndexError
+            dst = b[i:end].decode("utf-8")
+            i = end
+        msg_id = b[i]
+        i += 1
+        if msg_id > 0x7F:
+            msg_id, i = _varint_tail(b, i, msg_id)
+        sim_time = b[i]
+        i += 1
+        if sim_time > 0x7F:
+            sim_time, i = _varint_tail(b, i, sim_time)
+        corr = None
+        if head & _HAS_CORRELATION:
+            corr = b[i]
+            i += 1
+            if corr > 0x7F:
+                corr, i = _varint_tail(b, i, corr)
+        payload_len = b[i]
+        i += 1
+        if payload_len > 0x7F:
+            payload_len, i = _varint_tail(b, i, payload_len)
+    except IndexError:
+        raise MalformedFrame("truncated frame") from None
+    except UnicodeDecodeError as exc:
+        raise MalformedFrame(f"topic is not utf-8: {exc}") from exc
+    if i + payload_len != size:
         raise MalformedFrame(
-            "truncated frame" if payload_end > size else "trailing bytes after envelope"
+            "truncated frame" if i + payload_len > size else "trailing bytes after envelope"
         )
-    kind = _ORDINAL_KIND.get(kind_ord)
-    if kind is None:
-        raise MalformedFrame(f"unknown message kind ordinal {kind_ord}")
     if payload_len > p.max_payload:
         raise MalformedFrame("payload exceeds profile max_payload")
-    if has_corr > 1 or (not has_corr and corr):
-        raise MalformedFrame("correlation flag must be 0 (with a zero id) or 1")
     try:
-        return Message(
-            msg_id=msg_id,
-            src=AgentId.parse(b[_HEAD.size : src_end].decode("utf-8")),
-            dst=_parse_dst(b[dst_start:dst_end].decode("utf-8")),
-            kind=kind,
-            payload=b[payload_start:],
-            sim_time=sim_time,
-            correlation_id=corr if has_corr else None,
-        )
-    except ValueError as exc:  # UnicodeDecodeError is a ValueError
+        return Message(msg_id, src, dst, _MESSAGE_KINDS[head & _KIND_MASK], b[i:], sim_time, corr)
+    except ValueError as exc:  # a response without a correlation id
         raise MalformedFrame(f"bad envelope field: {exc}") from exc
 
 

@@ -473,17 +473,15 @@ class AgentInput:
 def decision(
     plan: list[dict[str, Any]] | None = None,
     responses: list[Any] | None = None,
-    events: list[dict[str, Any]] | None = None,
     facts: list[tuple[str, Any]] | None = None,
 ) -> dict[str, Any]:
-    """Convenience builder for the decision dict shape."""
+    """Convenience builder for the decision dict shape. A cognition emits no
+    events: the lifecycle wrapper adds the beat event itself."""
     out: dict[str, Any] = {}
     if plan:
         out["plan"] = plan
     if responses:
         out["responses"] = responses
-    if events:
-        out["events"] = events
     if facts:
         out["facts"] = facts
     return out

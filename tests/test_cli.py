@@ -113,6 +113,25 @@ class TestErrorPaths:
         assert main(["run", str(config), "--out-dir", str(tmp_path / "out")]) == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            [{"topology": TOPO, "scenario": SCENARIO}],
+            {"topology": TOPO, "scenario": SCENARIO, "seed": "x"},
+            {"topology": TOPO, "scenario": SCENARIO, "event_strategy": "mesh"},
+            {"topology": TOPO, "scenario": SCENARIO, "kills": {"3": ["nosuch#0"]}},
+        ],
+        ids=["top-level-not-object", "seed-not-integer", "unknown-event-strategy",
+             "kills-malformed-agent-id"],
+    )
+    def test_bad_config_value_exits_2(self, tmp_path, capsys, doc):
+        # each of these once ended in a traceback and exit 1, the divergence code
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(doc))
+        assert main(["run", str(config), "--out-dir", str(tmp_path / "out")]) == 2
+        assert "error:" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_unknown_mode_in_config_exits_2(self, tmp_path, capsys):
         config = write_config(tmp_path, mode="turbo")
         assert main(["run", str(config), "--out-dir", str(tmp_path / "out")]) == 2
