@@ -16,13 +16,14 @@ import dataclasses
 import json
 import sys
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable
 
-from .core import AgentId
+from .core import AgentId, FunctionKind, MasdnError
+from .hierarchy import Policy
 from .netsim import Scenario, SchemaError, Topology
 from .oracle import MonolithicController, compare
 from .orchestrator import BROKER_COUNT
-from .system import AgentSystem
+from .system import AgentSystem, resolve_profiles
 
 MODES = ("agents", "monolithic", "compare")
 
@@ -65,6 +66,27 @@ def _check_config(config: Any) -> None:
                 AgentId.parse(agent)
         except (TypeError, ValueError) as exc:
             raise SchemaError(f"bad kills entry {tick!r}: {exc}") from exc
+    _check_each(config, "chain", FunctionKind)
+    if config.get("profiles") is not None:
+        _check_each(config, "profiles", lambda pid: resolve_profiles([pid]))
+    _check_each(config, "policies", Policy.from_dict)
+    if not isinstance(config.get("thresholds", {}), dict):
+        raise SchemaError("config thresholds must be an object: name -> value")
+    cap = config.get("qos_cap_permille", 0)
+    if not isinstance(cap, int) or isinstance(cap, bool):
+        raise SchemaError(f"config qos_cap_permille must be an integer, got {cap!r}")
+
+
+def _check_each(config: dict[str, Any], key: str, build: Callable[[Any], Any]) -> None:
+    """A config list must be a list, and build must accept each entry."""
+    entries = config.get(key, [])
+    if not isinstance(entries, list):
+        raise SchemaError(f"config {key} must be a list, got {entries!r}")
+    for entry in entries:
+        try:
+            build(entry)
+        except (AttributeError, KeyError, TypeError, ValueError, MasdnError) as exc:
+            raise SchemaError(f"bad config {key} entry {entry!r}: {exc!r}") from exc
 
 
 def _dump_json(path: Path, doc: Any) -> None:

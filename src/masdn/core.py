@@ -204,12 +204,5 @@ class MessageFactory:
         with self._lock:
             msg_id = self._next
             self._next += 1
-        return Message(
-            msg_id=msg_id,
-            src=src,
-            dst=dst,
-            kind=kind,
-            payload=payload,
-            sim_time=now,
-            correlation_id=correlation_id,
-        )
+        # positional, as keywords cost more and every hop builds a Message
+        return Message(msg_id, src, dst, kind, payload, now, correlation_id)

@@ -20,22 +20,27 @@ After bootstrap the orchestrator is the failure detector. Its lease table
 (registry.py's pure functions over the "leases" fact) is the one record of
 which agents are live. Every spawn registers a lease built from the agent's
 spec, with a TTL of MISSED_HEARTBEATS heartbeat intervals; each heartbeat,
-sent straight here by its agent, renews it at delivery time, so a replayed
-(old) beat can renew a lease but never shorten it; and each beat tick,
-handed here directly by the system, sweeps the expired leases. Beat ticks
-suffice: leases are registered (at genesis and by a sweep) and renewed (by
-beats) only on beat ticks, and LEASE_TTL is a whole number of beat
-intervals, so every lease expires on a beat tick. An expired agent is
-respawned from its spec with its mirror state restored: that is the whole
-recovery, as the fabric replays what the agent missed; it is announced on
-no topic, as no agent would read it. Dead brokers are special: agents get
-their beat ticks through their home broker, so those homed on a dead one
-fall silent with it. Dead brokers are replaced first and every roster lease
-is registered again, giving the revived event plane a full detection window
-before anyone else is declared lost.
+sent straight here by its agent, renews the lease of its frame's src at the
+frame's sim_time, which is delivery time, so a replayed (old) beat can
+renew a lease but never shorten it (a beat has no body, so it can renew no
+lease but its sender's); and each beat tick, handed here directly by the
+system, sweeps the expired leases. Beat ticks suffice: leases are
+registered (at genesis and by a sweep) and renewed (by beats) only on beat
+ticks, and LEASE_TTL is a whole number of beat intervals, so every lease
+expires on a beat tick. An expired agent is respawned from its spec with
+its mirror state restored: that is the whole recovery, as the fabric
+replays what the agent missed; it is announced on no topic, as no agent
+would read it. Dead brokers are special: agents get their beat ticks
+through their home broker, so those homed on a dead one fall silent with
+it. Dead brokers are replaced first and every roster lease is registered
+again, giving the revived event plane a full detection window before anyone
+else is declared lost.
 
 kp.digest events, sent straight here by the digest pump, feed the state
-mirror, the one copy of what agents learn and the only one a restore reads.
+mirror, the one copy of what agents learn and the only one a restore reads;
+a digest's body is the {key: doc} map alone, filed under the frame's src.
+A spawn-agent step carries the spec, which names the agent, and the
+restore.
 No broker's table lists the orchestrator. It answers only discover, from
 its lease table; everything else it does starts from an event. It holds no
 lease of its own and, spawned by genesis with no "self" fact, sends no beat.
@@ -224,9 +229,10 @@ def _register(
 def _spawns(
     specs: dict[str, Any], agents: list[str], mirror: dict[str, Any]
 ) -> list[dict[str, Any]]:
-    """One spawn-agent step per agent, in order, restoring its mirror slot."""
+    """One spawn-agent step per agent, in order, restoring its mirror slot;
+    the spec names the agent."""
     return [
-        step("spawn-agent", "host.control", agent=a, spec=specs[a], restore=mirror.get(a, {}))
+        step("spawn-agent", "host.control", spec=specs[a], restore=mirror.get(a, {}))
         for a in agents
     ]
 
@@ -249,15 +255,16 @@ def orchestrator_decide(facts: dict[str, Any], inp: AgentInput) -> dict[str, Any
     if topic == "control.bootstrap":
         return _bootstrap(facts, inp)
     if topic == "hb":
-        # renewed at delivery, so a replayed beat never moves an expiry back
-        now = inp.message.sim_time
+        # the sender's own lease, renewed at delivery, so a replayed beat
+        # never moves an expiry back
+        msg = inp.message
         try:
-            leases = table_heartbeat(facts.get("leases", {}), body["agent"], now)
+            leases = table_heartbeat(facts.get("leases", {}), str(msg.src), msg.sim_time)
         except UnknownLease:
             return decision()
         return decision(facts=[("leases", leases)])
     if topic == "kp.digest":
-        mirror = merge_digest(facts.get("mirror", {}), body)
+        mirror = merge_digest(facts.get("mirror", {}), str(inp.message.src), body)
         return decision(facts=[("mirror", mirror)])
     if topic == "events.tick":
         return _scan(facts, body["tick"])

@@ -309,13 +309,13 @@ def _decode_text(b: bytes, p: StackProfile) -> Message:
     try:
         payload = base64.b64decode(doc["payload"], validate=True)
         msg = Message(
-            msg_id=doc["msg_id"],
-            src=AgentId.parse(doc["src"]),
-            dst=_parse_dst(doc["dst"]),
-            kind=MessageKind(doc["kind"]),
-            payload=payload,
-            sim_time=doc["sim_time"],
-            correlation_id=doc["correlation_id"],
+            doc["msg_id"],
+            AgentId.parse(doc["src"]),
+            _parse_dst(doc["dst"]),
+            MessageKind(doc["kind"]),
+            payload,
+            doc["sim_time"],
+            corr,
         )
     except (ValueError, TypeError, KeyError) as exc:
         raise MalformedFrame(f"bad envelope field: {exc}") from exc

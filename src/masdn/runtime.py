@@ -31,13 +31,16 @@ A decision is a plain dict with optional keys:
 
     plan       list of {"action","target","params"} step dicts
     responses  list of bodies answered to the input's sender
-    events     list of {"topic","body"} notifications, or with "to" for one agent
+    events     list of {"topic","body"} notifications, or with "to" for one
+               agent; one with no "body" goes out as {"topic"} alone
     facts      list of [key, value] writes applied after validation
 
 The agent lifecycle is handled once, where a cognition is registered, not in
 each decide function: every agent spawned from a spec (its facts hold
 "self") puts a heartbeat ahead of its own events on each events.tick it is
-handed, brokers included, addressed straight to the orchestrator. The tick
+handed, brokers included, addressed straight to the orchestrator. A beat
+is {"topic": "hb"} and nothing else: its frame's src is the agent, and the
+orchestrator renews that agent's lease at the frame's sim_time. The tick
 is published only on HEARTBEAT_INTERVAL-th ticks. Nobody registers or
 subscribes: the orchestrator holds a lease for every agent it spawns, and
 each broker's spec carries its subscription table.
@@ -289,9 +292,10 @@ def _patch(value: dict[str, Any], sets: list[Any], drops: list[Any]) -> dict[str
 
 
 def merge_digest(
-    digests: dict[str, dict[str, Any]], body: dict[str, Any]
+    digests: dict[str, dict[str, Any]], agent: str, keys: dict[str, Any]
 ) -> dict[str, dict[str, Any]]:
-    """Fold one kp.digest body into a per-agent table of exported keys, each
+    """Fold one kp.digest body, the {key: doc} map of what `agent` (the
+    frame's src) exported, into a per-agent table of exported keys, each
     stored as {value, version}: the newest version of each key wins, and a
     stale one is ignored. A whole "value" replaces the key; a delta (see
     digest_delta) applies its paths to the version held, and one whose base
@@ -299,9 +303,8 @@ def merge_digest(
     Only the sending agent's slot is copied; every other slot is shared with
     the table given, and so is every subtree of the value that no path
     reaches."""
-    agent = body["agent"]
     slot = dict(digests.get(agent, {}))
-    for key, doc in body["keys"].items():
+    for key, doc in keys.items():
         held = slot.get(key)
         if held is not None and doc["version"] < held["version"]:
             continue
@@ -541,7 +544,8 @@ def _with_lifecycle(fn: CognitionFn) -> CognitionFn:
     spec: each events.tick handed to one, published or broker-wrapped (the
     bridge publishes only beat ticks), puts its beat ahead of its own
     events, as one hb event straight to the orchestrator, so it crosses no
-    broker."""
+    broker. A beat has no body: its frame's src names the agent and its
+    sim_time is when it was sent."""
 
     @functools.wraps(fn)
     def decide(facts: dict[str, Any], inp: AgentInput) -> dict[str, Any]:
@@ -549,8 +553,7 @@ def _with_lifecycle(fn: CognitionFn) -> CognitionFn:
         ev = event_of(inp)
         if "self" not in facts or ev is None or ev[0] != "events.tick":
             return dec
-        body = {"agent": facts["self"], "tick": ev[1]["tick"]}
-        beat = {"topic": "hb", "to": SUPERVISOR, "body": body}
+        beat = {"topic": "hb", "to": SUPERVISOR}
         return {**dec, "events": [beat, *dec.get("events", [])]}
 
     return decide
@@ -819,7 +822,7 @@ class AgentHost:
                 )
             )
         for ev in dec.get("events", []):
-            outputs.append(self._event(agent, ev["topic"], ev["body"], ev.get("to")))
+            outputs.append(self._event(agent, ev["topic"], ev.get("body"), ev.get("to")))
         facts = dec.get("facts")
         if facts:
             for key, value in facts:
@@ -846,11 +849,14 @@ class AgentHost:
         )
 
     def _event(self, agent: Agent, topic: str, body: Any, to: str | None = None) -> Message:
+        """An event from the agent, published or sent straight to `to`; one
+        with no body (a beat) is the topic alone."""
+        doc = {"topic": topic} if body is None else {"topic": topic, "body": body}
         return self.factory.new_message(
             src=agent.id,
             dst=topic if to is None else AgentId.parse(to),
             kind=MessageKind.EVENT,
-            payload=encode_body({"topic": topic, "body": body}),
+            payload=encode_body(doc),
             now=self.now,
         )
 

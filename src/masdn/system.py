@@ -38,9 +38,10 @@ The pump visits only the agents the host saw write facts since it last ran
 (a spawn, an ingest write or a decision's facts), so a tick in which
 nothing is written costs it nothing. It visits them in AgentId order, so
 digest message ids do not depend on the order in which agents wrote. A
-dict-valued key (a session or rule table, the topology view) exported
-before travels as a delta against the version last exported for it, down
-to the leaves,
+digest goes out from the agent itself, so its body is the {key: doc} map
+alone and the frame's src says whose it is. A dict-valued key (a session or
+rule table, the topology view) exported before travels as a delta against
+the version last exported for it, down to the leaves,
 
     {"version", "base", "set": [[path, value], ...], "drop": [path, ...]}
 
@@ -64,12 +65,12 @@ from .logic import topology_view
 from .netsim import LinkDown, PacketIn, Scenario, Simulator, TickStats, Topology
 from .orchestrator import home_broker
 from .pps import DEFAULT_PROFILES, StackProfile, decode_body, encode_body
-from .runtime import AgentHost, AgentSpec, beat_tick, digest_delta
+from .runtime import SUPERVISOR, AgentHost, AgentSpec, beat_tick, digest_delta
 from .bus import Bus
 
 _PROFILE_BY_ID = {p.profile_id: p for p in DEFAULT_PROFILES}
 
-_ADAPTER = FunctionKind.SWITCH_ADAPTER
+_ADAPTER = FunctionKind.SWITCH_ADAPTER.value
 
 
 def resolve_profiles(ids: list[str] | None) -> tuple[StackProfile, ...]:
@@ -95,7 +96,9 @@ class AgentSystem:
         self.bus = Bus(self.host, default_profiles=resolve_profiles(self.config.get("profiles")))
         self.sim = Simulator(topo, scenario)
         self.strategy = self.config.get("event_strategy", "centralized")
-        self.orch = AgentId(FunctionKind.ORCHESTRATION, 0)
+        # the memoised id every beat's "to" parses to, so the bus and host
+        # lookups of the orchestrator hit on identity
+        self.orch = AgentId.parse(SUPERVISOR)
         self.stats: list[TickStats] = []
         # fault injection: tick -> agent ids to kill after that tick completes
         self.kill_schedule: dict[int, list[str]] = {
@@ -224,7 +227,7 @@ class AgentSystem:
     def _publish(self, adapter: int, topic: str, body: Any, to: AgentId | None = None) -> Message:
         """An event from a switch adapter: published, or sent straight to `to`."""
         return self.host.factory.new_message(
-            src=AgentId(_ADAPTER, adapter),
+            src=AgentId.parse(f"{_ADAPTER}#{adapter}"),
             dst=topic if to is None else to,
             kind=MessageKind.EVENT,
             payload=encode_body({"topic": topic, "body": body}),
@@ -234,9 +237,11 @@ class AgentSystem:
     def _pump_digests(self, t: int) -> None:
         """Send the changed digest facts of every live agent that had a facts
         write since the last pump (AgentHost.facts_written) straight to the
-        orchestrator, in AgentId order: a dict-valued key as a delta of the
-        leaves that changed since the version last exported for it
-        (runtime.digest_delta), a first export or any other value whole.
+        orchestrator, in AgentId order, each as the {key: doc} map alone from
+        the agent itself (the frame's src names it): a dict-valued key as a
+        delta of the leaves that changed since the version last exported
+        for it (runtime.digest_delta), a first export or any other value
+        whole.
         The set is taken before the digests go out, so what their delivery
         writes is shipped by the next pump."""
         written = sorted(self.host.facts_written)
@@ -260,12 +265,7 @@ class AgentSystem:
                         src=agent_id,
                         dst=self.orch,
                         kind=MessageKind.EVENT,
-                        payload=encode_body(
-                            {
-                                "topic": "kp.digest",
-                                "body": {"agent": str(agent_id), "keys": changed},
-                            }
-                        ),
+                        payload=encode_body({"topic": "kp.digest", "body": changed}),
                         now=t,
                     )
                 )

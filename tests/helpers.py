@@ -132,9 +132,11 @@ def diff_is_empty(diff: dict[str, Any]) -> bool:
 
 @register_cognition("test-subscriber")
 def _record_delivery(facts, inp):
-    """Keep every delivered envelope as a fact, numbered in arrival order."""
+    """Keep every delivered envelope as a fact, numbered in arrival order,
+    and the src and sim_time of the frame that brought it."""
     n = facts.get("received", 0)
-    return {"facts": [("received", n + 1), (f"envelope.{n}", inp.body)]}
+    frame = [str(inp.message.src), inp.message.sim_time]
+    return {"facts": [("received", n + 1), (f"envelope.{n}", inp.body), (f"frame.{n}", frame)]}
 
 
 class BrokerFabric:
@@ -145,7 +147,7 @@ class BrokerFabric:
     publisher's id to the topic, which the bus hands to the publisher's home
     broker exactly as it does in a full system run. A recording agent stands
     in for the orchestrator, so the beats a broker sends it straight, off
-    the event plane, are kept too (delivered_to(SUPERVISOR)).
+    the event plane, are kept too (frames_to(SUPERVISOR)).
     """
 
     def __init__(self, strategy: str) -> None:
@@ -219,6 +221,13 @@ class BrokerFabric:
             return envelopes
         keep = set(publishers)
         return [env for env in envelopes if env["publisher"] in keep]
+
+    def frames_to(self, sub: str) -> list[tuple[str, int, dict[str, Any]]]:
+        """(src, sim_time, envelope) of every frame the subscriber received,
+        in arrival order."""
+        facts = self.host.agents[AgentId.parse(sub)].facts
+        return [(*facts.get(f"frame.{i}"), facts.get(f"envelope.{i}"))
+                for i in range(facts.get("received", 0))]
 
 
 # publishers and subscribers spread over the function, node and network levels

@@ -120,9 +120,20 @@ class TestErrorPaths:
             {"topology": TOPO, "scenario": SCENARIO, "seed": "x"},
             {"topology": TOPO, "scenario": SCENARIO, "event_strategy": "mesh"},
             {"topology": TOPO, "scenario": SCENARIO, "kills": {"3": ["nosuch#0"]}},
+            {"topology": TOPO, "scenario": SCENARIO, "chain": ["session", "teleport"]},
+            {"topology": TOPO, "scenario": SCENARIO, "chain": "session"},
+            {"topology": TOPO, "scenario": SCENARIO, "profiles": ["pps-carrier-pigeon"]},
+            {"topology": TOPO, "scenario": SCENARIO, "policies": [
+                {"issuer_level": "network", "scope": ["forwarding"],
+                 "rules": [{"effect": "deny", "action_kind": "install-rule"}]}
+            ]},
+            {"topology": TOPO, "scenario": SCENARIO, "thresholds": [100, 3]},
+            {"topology": TOPO, "scenario": SCENARIO, "qos_cap_permille": "700"},
         ],
         ids=["top-level-not-object", "seed-not-integer", "unknown-event-strategy",
-             "kills-malformed-agent-id"],
+             "kills-malformed-agent-id", "chain-unknown-kind", "chain-a-string",
+             "profiles-unknown-profile", "policy-without-policy-id", "thresholds-not-object",
+             "qos-cap-not-integer"],
     )
     def test_bad_config_value_exits_2(self, tmp_path, capsys, doc):
         # each of these once ended in a traceback and exit 1, the divergence code

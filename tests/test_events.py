@@ -169,15 +169,17 @@ class TestArrangementEquivalence:
             for pub, topic, body in events:
                 fabric.publish(pub, topic, body)
             for tick in ticks:
+                fabric.host.now = tick
                 fabric.publish("switch-adapter#0", "events.tick", {"tick": tick})
-            fabric.run()
+                fabric.run()
             for sub, flt in subs:
                 keys = delivered_keys(fabric, sub, publishers)
                 wanted = sum(1 for _pub, topic, _body in events if match_topic(flt, topic))
                 assert set(keys.values()) <= {1}, (strategy, every, sub)
                 assert sum(keys.values()) == wanted, (strategy, every, sub)
-            beats = Counter((e["body"]["agent"], e["body"]["tick"])
-                            for e in fabric.delivered_to(SUPERVISOR) if e["topic"] == "hb")
+            # a beat is keyed on its frame: the sender and the tick it was sent on
+            beats = Counter((src, at) for src, at, e in fabric.frames_to(SUPERVISOR)
+                            if e["topic"] == "hb")
             assert beats == Counter((b, t) for b in broker_ids(strategy) for t in ticks), strategy
             if every:
                 assert fabric.bus.duplicates_suppressed > 0

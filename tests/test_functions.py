@@ -263,8 +263,7 @@ class TestOrchestratorLeases:
         facts = self.booted()
         out = orchestrator_decide(
             facts,
-            event("hb", {"agent": "routing#0", "tick": 5},
-                  dst="orchestration#0", src="routing#0", now=7),  # straight from the agent
+            event("hb", None, dst="orchestration#0", src="routing#0", now=7),  # from the agent
         )
         assert dict(out["facts"])["leases"]["routing#0"]["expires_at"] == 7 + LEASE_TTL
 
@@ -275,7 +274,7 @@ class TestOrchestratorLeases:
             facts,
             event("events.tick", {"tick": LEASE_TTL}, dst="orchestration#0", now=LEASE_TTL),
         )
-        assert [s["params"]["agent"] for s in out["plan"]] == ["routing#0"]
+        assert [s["params"]["spec"]["agent"] for s in out["plan"]] == ["routing#0"]
         assert dict(out["facts"])["leases"]["routing#0"]["registered_at"] == LEASE_TTL
         quiet = orchestrator_decide(
             facts,
@@ -290,8 +289,9 @@ class TestKnowledgePlane:
     def test_digest_merge_keeps_newest_version(self):
         inp = event(
             "kp.digest",
-            {"agent": "qos#0", "keys": {"reservations": {"version": 2, "value": {"a": 1}}}},
+            {"reservations": {"version": 2, "value": {"a": 1}}},
             dst="orchestration#0",
+            src="qos#0",
         )
         facts = {"mirror": {"qos#0": {"reservations": {"version": 3, "value": {"b": 2}}}}}
         writes = orchestrator_decide(facts, inp)["facts"]
@@ -303,16 +303,16 @@ class TestKnowledgePlane:
             "qos#0": {"reservations": {"version": 1, "value": {}}},
             "routing#0": {"topology": {"version": 4, "value": {"links": []}}},
         }
-        body = {"agent": "qos#0", "keys": {"admitted": {"version": 1, "value": {}}}}
-        merged = merge_digest(digests, body)
+        keys = {"admitted": {"version": 1, "value": {}}}
+        merged = merge_digest(digests, "qos#0", keys)
         assert merged["routing#0"] is digests["routing#0"]
-        assert merged["qos#0"] == {**digests["qos#0"], **body["keys"]}
+        assert merged["qos#0"] == {**digests["qos#0"], **keys}
         assert "admitted" not in digests["qos#0"]
 
     def delta(self, version, base, set_=(), drop=()):
         doc = {"version": version, "base": base,
                "set": [[list(path), v] for path, v in set_], "drop": [list(p) for p in drop]}
-        return {"agent": "session#0", "keys": {"sessions": doc}}
+        return {"sessions": doc}
 
     def held(self, value, version):
         return {"session#0": {"sessions": {"value": value, "version": version}}}
@@ -348,7 +348,7 @@ class TestKnowledgePlane:
         mirror = self.held({"s1": {"n": 1}, "s2": {"n": 2, "path": ["a", "b"]}, "s3": {"n": 3}}, 4)
         body = self.delta(6, 4, set_=[(["s2", "n"], 20), (["s2", "path", 1], "c"),
                                       (["s4"], {"n": 4})], drop=[["s1"]])
-        kept = merge_digest(mirror, body)["session#0"]["sessions"]
+        kept = merge_digest(mirror, "session#0", body)["session#0"]["sessions"]
         assert kept == {"value": {"s2": {"n": 20, "path": ["a", "c"]}, "s3": {"n": 3},
                                   "s4": {"n": 4}}, "version": 6}
         held = mirror["session#0"]["sessions"]["value"]
@@ -357,20 +357,24 @@ class TestKnowledgePlane:
 
     def test_a_whole_value_replaces_the_key(self):
         mirror = self.held({"s1": {"n": 1}, "s2": {"n": 2}}, 9)
-        whole = {"agent": "session#0", "keys": {"sessions": {"version": 10, "value": {"s5": {}}}}}
-        assert merge_digest(mirror, whole)["session#0"]["sessions"]["value"] == {"s5": {}}
-        assert merge_digest({}, whole)["session#0"]["sessions"]["value"] == {"s5": {}}
+        whole = {"sessions": {"version": 10, "value": {"s5": {}}}}
+        assert merge_digest(mirror, "session#0", whole)["session#0"]["sessions"]["value"] == {
+            "s5": {}
+        }
+        assert merge_digest({}, "session#0", whole)["session#0"]["sessions"]["value"] == {
+            "s5": {}
+        }
 
     def test_stale_delta_is_ignored(self):
         mirror = self.held({"s1": {"n": 1}}, 7)
-        kept = merge_digest(mirror, self.delta(5, 4, set_=[(["s9"], {"n": 9})]))
+        kept = merge_digest(mirror, "session#0", self.delta(5, 4, set_=[(["s9"], {"n": 9})]))
         assert kept["session#0"] == mirror["session#0"]
 
     @pytest.mark.parametrize("held_version, base", [(4, 3), (4, 5), (4, 0), (None, 2), (None, 0)])
     def test_delta_on_another_base_raises(self, held_version, base):
         mirror = {} if held_version is None else self.held({"s1": {"n": 1}}, held_version)
         with pytest.raises(DigestGap):
-            merge_digest(mirror, self.delta(6, base, set_=[(["s1", "n"], 2)]))
+            merge_digest(mirror, "session#0", self.delta(6, base, set_=[(["s1", "n"], 2)]))
 
     def test_deltas_fold_back_into_what_the_agent_exports(self):
         store = FactsStore()
@@ -387,8 +391,8 @@ class TestKnowledgePlane:
                 if key not in last or doc["version"] > last[key][0]
             }
             last.update((key, (doc["version"], doc["value"])) for key, doc in docs.items())
-            wire = decode_body(encode_body({"agent": "session#0", "keys": keys}))
-            mirror = merge_digest(mirror, wire)
+            wire = decode_body(encode_body(keys))
+            mirror = merge_digest(mirror, "session#0", wire)
             assert mirror["session#0"] == docs
             return keys
 
@@ -454,15 +458,15 @@ def test_property_a_delta_folds_its_base_into_exactly_the_new_value(data):
     old = freeze(data.draw(_TABLES))
     new = freeze(data.draw(_edited(old, top=True)))
     doc = digest_delta({"version": 5, "value": new}, (4, old))
-    body = decode_body(encode_body({"agent": "a#0", "keys": {"k": doc}}))
+    body = decode_body(encode_body({"k": doc}))
     mirror = {"a#0": {"k": {"value": old, "version": 4}}}
-    merged = merge_digest(mirror, body)["a#0"]["k"]
+    merged = merge_digest(mirror, "a#0", body)["a#0"]["k"]
     assert merged == {"value": new, "version": 5}
     assert encode_body(merged["value"]) == encode_body(new)
     # any other base is a gap, 0 included: a delta never replaces the key
     other = data.draw(st.integers(0, 5).filter(lambda v: v != 4))
     with pytest.raises(DigestGap):
-        merge_digest({"a#0": {"k": {"value": old, "version": other}}}, body)
+        merge_digest({"a#0": {"k": {"value": old, "version": other}}}, "a#0", body)
 
 
 class TestSessionAgent:

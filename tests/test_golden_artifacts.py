@@ -7,10 +7,11 @@ diff.json) is pinned, so a speed-up that changes any outcome, log record or
 wire byte fails here, naming the artifacts that moved. The outcome.json,
 stats.csv and diff.json constants were recorded before facts were frozen on
 write instead of deep-copied. The run.log constants were last re-recorded
-when digests began to ship only the leaves that changed: a key's first
-export travels whole and every later one as path deltas, so the "bytes"
-of the orchestrator's kp.digest input records shrink, while every record,
-message id and sequence number stays where it was. The hashes do not
+when bodies stopped repeating their frame: a beat is {"topic": "hb"}
+alone and a kp.digest body is its {key: doc} map without the sender's
+id, so the "bytes" of the orchestrator's hb and kp.digest input records
+shrink, while every record, message id and sequence number stays where
+it was. The hashes do not
 depend on PYTHONHASHSEED.
 When a change is meant to alter the artifacts, re-record the constants and
 say why in the change's notes.
@@ -50,7 +51,7 @@ GOLDEN = {
         0,
         {
             "outcome.json": "9d7df6e08f605236441792fc445708a8bee2ca7bee232834eb24da6bc7505ac6",
-            "run.log": "072c841c315a55e3827638e27aaafbe0f9dcd4ef3e553fcd2f287d3ee0ae481d",
+            "run.log": "ec4391baaefac04ade7c500bffd2468b696330b877807593da81267cfb7c7be5",
             "stats.csv": "afc834dc4a6d33e7aa3e3c9055b241c4b86e34f7697c8468cac1df6550b57694",
             "diff.json": "ca3d163bab055381827226140568f3bef7eaac187cebd76878e0b63e9e442356",
         },
@@ -59,7 +60,7 @@ GOLDEN = {
         0,
         {
             "outcome.json": "57d7ab073da0ee5cbfe058ac2d154482e900e529fb1b7c930584c324f87f1ae7",
-            "run.log": "3b80a666ebaab8fa339221539f29f0e2ccd2022228d7776f8987f7fd5de461be",
+            "run.log": "e98860779f16069a2db15a9f311c9213421b0159cb5d2bc13fc34d6bd2aca263",
             "stats.csv": "38bfaab0d91b62a7424a4bb39febbb5006c74786e52f257514557351f534eaf9",
             "diff.json": "ca3d163bab055381827226140568f3bef7eaac187cebd76878e0b63e9e442356",
         },
@@ -68,7 +69,7 @@ GOLDEN = {
         0,
         {
             "outcome.json": "ab0cebde5c16702d9eef7ce0269a6e7f830dd862db93f8b9b7fc203f63721b2a",
-            "run.log": "89bb194c801f2a338c38f570470a91bb789ba9170242b42cd1c8377a68cdb7a4",
+            "run.log": "b74bbeb7ff433abc27546828cafbb83b09f6cb33e0d72e99357125ba5be9cdb2",
             "stats.csv": "3edfab2026d98f54c995eb9605010f2a20ab518ed0480c9fd0c05f42b4ad9aa6",
             "diff.json": "ca3d163bab055381827226140568f3bef7eaac187cebd76878e0b63e9e442356",
         },

@@ -78,8 +78,7 @@ def digest(agent, **keys):
     """A kp.digest event as the orchestrator receives it."""
     msg = Message(1, AgentId.parse(agent), AgentId(FunctionKind.ORCHESTRATION, 0),
                   MessageKind.EVENT, b"", 0)
-    body = {"agent": agent, "keys": {k: {"value": v, "version": n}
-                                     for k, (v, n) in keys.items()}}
+    body = {k: {"value": v, "version": n} for k, (v, n) in keys.items()}
     return AgentInput(msg, {"topic": "kp.digest", "body": body})
 
 

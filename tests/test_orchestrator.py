@@ -35,10 +35,10 @@ def fire(topic, body, now=0):
     return tell({"topic": topic, "body": body}, kind=MessageKind.EVENT, now=now)
 
 
-def beat(agent, tick, now):
-    """A heartbeat as the orchestrator gets it: straight from the agent."""
-    body = {"topic": "hb", "body": {"agent": agent, "tick": tick}}
-    return tell(body, kind=MessageKind.EVENT, now=now, src=agent)
+def beat(agent, now):
+    """A heartbeat as the orchestrator gets it: straight from the agent,
+    which the frame's src names, delivered at `now`."""
+    return tell({"topic": "hb"}, kind=MessageKind.EVENT, now=now, src=agent)
 
 
 BASE_CONFIG = {"chain": ["session"], "event_strategy": "centralized"}
@@ -144,11 +144,11 @@ class TestBootstrap:
         roster, specs = writes["roster"], writes["specs"]
         assert roster == plan_roster(config)
         assert specs == build_specs(config, roster, {}, ME)
-        assert [s["params"]["agent"] for s in out["plan"]] == roster
+        assert [s["params"]["spec"]["agent"] for s in out["plan"]] == roster
         for s in out["plan"]:  # no placement node
-            agent = s["params"]["agent"]
+            agent = s["params"]["spec"]["agent"]
             assert (s["action"], s["target"]) == ("spawn-agent", "host.control")
-            assert s["params"] == {"agent": agent, "spec": specs[agent], "restore": {}}
+            assert s["params"] == {"spec": specs[agent], "restore": {}}
         assert sorted(writes["leases"]) == roster
         for agent, lease in writes["leases"].items():
             assert lease["descriptor"] == lease_descriptor(specs[agent])
@@ -219,31 +219,43 @@ class TestLiveness:
         leases = facts["leases"]
         for agent in sorted(leases):
             if agent not in except_for:
-                out = orchestrator_decide({"leases": leases}, beat(agent, at, now=at))
+                out = orchestrator_decide({"leases": leases}, beat(agent, now=at))
                 leases = dict(out["facts"])["leases"]
         return {**facts, "leases": leases}
 
     def test_heartbeat_updates_known_agents_only(self):
         facts = self.booted()
-        out = orchestrator_decide(facts, beat("routing#0", 7, now=7))
+        out = orchestrator_decide(facts, beat("routing#0", now=7))
         assert dict(out["facts"])["leases"]["routing#0"]["expires_at"] == 7 + LEASE_TTL
-        stranger = orchestrator_decide(facts, beat("routing#9", 7, now=7))  # no lease
+        stranger = orchestrator_decide(facts, beat("routing#9", now=7))  # no lease
         assert "facts" not in stranger
+
+    def test_a_beat_renews_only_its_senders_lease(self):
+        facts = self.booted()
+        before = facts["leases"]
+        # a body naming another agent, as beats once carried, is not read
+        inp = tell({"topic": "hb", "body": {"agent": "qos#0", "tick": 7}},
+                   kind=MessageKind.EVENT, now=7, src="routing#0")
+        after = dict(orchestrator_decide(facts, inp)["facts"])["leases"]
+        assert after["routing#0"]["expires_at"] == 7 + LEASE_TTL
+        assert {a: e for a, e in after.items() if a != "routing#0"} == {
+            a: e for a, e in before.items() if a != "routing#0"
+        }
 
     def test_a_beat_for_a_lapsed_lease_is_ignored(self):
         facts = self.booted()  # leased at 0
-        late = beat("routing#0", LEASE_TTL, now=LEASE_TTL)
+        late = beat("routing#0", now=LEASE_TTL)
         assert "facts" not in orchestrator_decide(facts, late)
 
     def test_a_replayed_heartbeat_does_not_move_a_clock_back(self):
         facts = self.renewed(self.booted(), 10)
-        for tick in (10, 20):
-            # delivered at 20, whatever tick the beat was sent at
-            out = orchestrator_decide(facts, beat("routing#0", tick, now=20))
+        for _ in range(2):
+            # the same beat handed over twice at 20 renews to the same expiry
+            out = orchestrator_decide(facts, beat("routing#0", now=20))
             assert dict(out["facts"])["leases"]["routing#0"]["expires_at"] == 20 + LEASE_TTL
             facts = {**facts, **dict(out["facts"])}
         # a beat replayed after an outage renews from when it is delivered
-        out = orchestrator_decide(facts, beat("routing#0", 10, now=30))
+        out = orchestrator_decide(facts, beat("routing#0", now=30))
         assert dict(out["facts"])["leases"]["routing#0"]["expires_at"] == 30 + LEASE_TTL
 
     def test_silent_agent_is_respawned_with_mirror_state(self):
@@ -252,20 +264,20 @@ class TestLiveness:
         facts["mirror"] = {"routing#0": {"topology": {"version": 4, "value": {}}}}
         out = orchestrator_decide(facts, fire("events.tick", {"tick": deadline}, now=deadline))
         (spawn,) = [s for s in out["plan"] if s["action"] == "spawn-agent"]
-        assert spawn["params"]["agent"] == "routing#0"
+        assert spawn["params"]["spec"]["agent"] == "routing#0"
         assert spawn["params"]["restore"] == facts["mirror"]["routing#0"]
         assert "events" not in out  # spawn_log and the planning record show it
         lease = dict(out["facts"])["leases"]["routing#0"]
         assert (lease["registered_at"], lease["expires_at"]) == (deadline, deadline + LEASE_TTL)
 
-    def test_a_respawn_step_names_the_agent_its_spec_and_its_restore_only(self):
+    def test_a_respawn_step_carries_the_spec_and_its_restore_only(self):
         deadline = self.DEADLINE
         facts = self.renewed(self.booted(), deadline - 1, except_for=("routing#0",))
         out = orchestrator_decide(facts, fire("events.tick", {"tick": deadline}, now=deadline))
         assert out["plan"] == [{
             "action": "spawn-agent",
             "target": "host.control",
-            "params": {"agent": "routing#0", "spec": facts["specs"]["routing#0"], "restore": {}},
+            "params": {"spec": facts["specs"]["routing#0"], "restore": {}},
         }]
 
     def test_a_respawn_is_a_restore_and_pushes_no_policy(self):
@@ -286,7 +298,7 @@ class TestLiveness:
         facts = self.booted()  # everyone leased at 0 and silent since
         deadline = self.DEADLINE
         out = orchestrator_decide(facts, fire("events.tick", {"tick": deadline}, now=deadline))
-        spawned = [s["params"]["agent"] for s in out["plan"]
+        spawned = [s["params"]["spec"]["agent"] for s in out["plan"]
                    if s["action"] == "spawn-agent"]
         assert spawned == ["event-distribution#0"]
         leases = dict(out["facts"])["leases"]

@@ -485,9 +485,10 @@ def _beats(dec):
     return [e for e in dec.get("events", []) if e["topic"] == "hb"]
 
 
-def _beat(agent, tick):
-    """The beat an agent owes on a tick, addressed straight to the orchestrator."""
-    return [{"topic": "hb", "to": "orchestration#0", "body": {"agent": agent, "tick": tick}}]
+def _beat():
+    """The beat an agent owes on a beat tick, addressed straight to the
+    orchestrator; its frame says who sent it and when."""
+    return [{"topic": "hb", "to": "orchestration#0"}]
 
 
 # the ticks the bridge publishes events.tick on, over two beat intervals
@@ -526,7 +527,7 @@ class TestLifecycle:
         facts = _spec_facts(kind)
         for tick in _BEAT_TICKS:
             out = cognition(kind).decide(facts, _event(f"{kind}#0", "events.tick", {"tick": tick}))
-            assert _beats(out) == _beat(f"{kind}#0", tick), tick
+            assert _beats(out) == _beat(), tick
             assert out["events"][0]["topic"] == "hb"  # ahead of its own
 
     def test_broker_beats_once_per_accepted_tick_envelope(self):
@@ -536,7 +537,7 @@ class TestLifecycle:
             for tick in _BEAT_TICKS:
                 inp = _event("events.tick", "events.tick", {"tick": tick})
                 out = decide(facts, inp)
-                assert _beats(out) == _beat(f"{BROKER}#0", tick)
+                assert _beats(out) == _beat()
 
     def test_the_orchestrator_sends_no_heartbeat(self):
         # it keeps the leases, so it holds none of its own to renew, and its
@@ -557,11 +558,20 @@ class TestLifecycle:
                     "rules": [{"action_kind": "*", "target_class": "*", "effect": "deny"}]}
         agent = spawn(host, facts={"self": "routing#0", "policies": [deny_all]}).id
         tick = {"topic": "events.tick", "body": {"tick": HEARTBEAT_INTERVAL}}
+        host.now = HEARTBEAT_INTERVAL
         (out,) = tell(host, agent, tick, kind=MessageKind.EVENT)
         assert out.dst == AgentId.parse("orchestration#0")
-        assert decode_body(out.payload) == {
-            "topic": "hb", "body": {"agent": "routing#0", "tick": HEARTBEAT_INTERVAL}
-        }
+        assert (out.src, out.sim_time) == (agent, HEARTBEAT_INTERVAL)
+        assert decode_body(out.payload) == {"topic": "hb"}
+
+    def test_a_beats_payload_is_the_topic_alone(self):
+        # the frame's src names the agent and its sim_time the tick, so the
+        # body repeats neither
+        host = AgentHost()
+        agent = spawn(host, FunctionKind.QOS, facts={"self": "qos#0"}).id
+        (out,) = tell(host, agent, {"topic": "events.tick", "body": {"tick": 0}},
+                      kind=MessageKind.EVENT)
+        assert out.payload == b'{"topic":"hb"}'
 
     def test_a_plan_that_fails_validation_drops_its_beat(self):
         host = AgentHost()

@@ -126,6 +126,14 @@ class TestOnePassGenesis:
                 assert facts.get(key) == specs[broker]["initial_facts"][key]
                 assert facts.version(key) == 1
 
+    def test_the_orchestrators_id_is_the_memoised_one(self):
+        # every beat's "to" parses to this very object, so the fabric's and
+        # the host's lookups of the orchestrator hit on identity
+        system = AgentSystem(*build(TOPO, sdoc()), {})
+        assert system.orch is AgentId.parse(ORCH)
+        system.genesis()
+        assert [a for a in system.host.agents if a == system.orch][0] is system.orch
+
     @pytest.mark.parametrize("strategy", STRATEGIES)
     def test_genesis_hops_only_the_bootstrap_and_the_spawn_requests(self, strategy):
         # the brokers' specs hold every subscription, so a spawned agent is
@@ -142,7 +150,7 @@ class TestOnePassGenesis:
         system.genesis()
         assert hops[0] == (ORCH, ORCH, {"topic": "control.bootstrap", "body": None})
         roster = plan_roster(system.config)
-        assert [(src, dst, body["op"], body["agent"]) for src, dst, body in hops[1:]] == [
+        assert [(src, dst, body["op"], body["spec"]["agent"]) for src, dst, body in hops[1:]] == [
             (ORCH, "host.control", "spawn-agent", agent) for agent in roster
         ]
 
@@ -204,8 +212,8 @@ class TestDeltaDigests:
 
     @staticmethod
     def spy_digests(system):
-        """Record (tick, mirror slot held, body) of each kp.digest the
-        orchestrator is handed, as it is handed it."""
+        """Record (tick, sender, mirror slot held, body) of each kp.digest
+        the orchestrator is handed, as it is handed it."""
         orch = AgentId.parse(ORCH)
         digests = []
         process_input = system.host.process_input
@@ -214,8 +222,8 @@ class TestDeltaDigests:
             body = decode_body(msg.payload)
             if agent_id == orch and topic_of(body) == "kp.digest":
                 mirror = system.host.get(orch).facts.get("mirror", {})
-                held = mirror.get(body["body"]["agent"], {})
-                digests.append((system.host.now, held, body["body"]))
+                held = mirror.get(str(msg.src), {})
+                digests.append((system.host.now, str(msg.src), held, body["body"]))
             return process_input(agent_id, msg)
 
         system.host.process_input = spy
@@ -231,8 +239,8 @@ class TestDeltaDigests:
         digests = self.spy_digests(system)
         system.run()
         respawned = [t for agent, t in system.spawn_log if agent == "session#0"][1]
-        tick, held, keys = next((t, held, body["keys"]) for t, held, body in digests
-                                if body["agent"] == "session#0" and t >= respawned)
+        tick, held, keys = next((t, held, keys) for t, src, held, keys in digests
+                                if src == "session#0" and t >= respawned)
         deltas = {key: doc for key, doc in keys.items() if "base" in doc}
         assert "sessions" in deltas and held["sessions"]["value"], (tick, sorted(keys))
         for key, doc in deltas.items():
@@ -254,13 +262,25 @@ class TestDeltaDigests:
         (down,) = [i for i, link in enumerate(links) if not link["up"]]
         assert {links[down]["a"], links[down]["b"]} == {failure["a"], failure["b"]}
         views = {}  # tick -> {agent: the topology doc it shipped}
-        for tick, _held, body in digests:
-            if "topology" in body["keys"]:
-                views.setdefault(tick, {})[body["agent"]] = body["keys"]["topology"]
+        for tick, src, _held, keys in digests:
+            if "topology" in keys:
+                views.setdefault(tick, {})[src] = keys["topology"]
         assert sorted(views) == [0, failure["at"]]  # genesis, then the failure alone
         assert sorted(views[failure["at"]]) == sorted(str(AgentId(k, 0)) for k in _NEEDS_VIEW)
         for agent, doc in views[failure["at"]].items():
             assert (doc["set"], doc["drop"]) == ([[["links", down, "up"], False]], []), agent
+
+    def test_a_digest_body_is_the_senders_keys_alone(self):
+        # the frame's src names the agent, so the body does not
+        rng = random.Random(3)
+        tdoc = gen_topology(rng, 8)
+        system = AgentSystem(*build(tdoc, gen_scenario(rng, tdoc, 8, 1, 30)), {})
+        digests = self.spy_digests(system)
+        system.run()
+        assert digests
+        for tick, src, _held, keys in digests:
+            assert "agent" not in keys, (tick, src)
+            assert set(keys) <= set(system.host.get(AgentId.parse(src)).impl.digest_keys)
 
     def test_four_hundred_sessions_fit_the_frame_bound(self):
         # Shipped whole, the session agent's tables outgrew max_payload on this
@@ -454,15 +474,15 @@ class TestEventPlaneTraffic:
 
 
 def spied_run(config, duration=30, flows=FLOWS):
-    """A run of TOPO that records (src, dst, body) of every frame the fabric
-    hops and (agent, body) of every input an agent is handed."""
+    """A run of TOPO that records (src, dst, sim_time, body) of every frame
+    the fabric hops and (agent, body) of every input an agent is handed."""
     topo, scen = build(TOPO, sdoc(flows=flows, duration=duration))
     system = AgentSystem(topo, scen, config)
     hops, inputs = [], []
     hop, process_input = system.bus._hop, system.host.process_input
 
     def hop_spy(msg, pair):
-        hops.append((str(msg.src), str(msg.dst), decode_body(msg.payload)))
+        hops.append((str(msg.src), str(msg.dst), msg.sim_time, decode_body(msg.payload)))
         return hop(msg, pair)
 
     def input_spy(agent_id, msg):
@@ -500,13 +520,13 @@ class TestOneLivenessTable:
     @pytest.mark.parametrize("strategy", STRATEGIES)
     def test_heartbeats_feed_only_the_orchestrator(self, strategy):
         system, hops, inputs = spied_run({"event_strategy": strategy})
-        beats = [(src, dst, body["body"]) for src, dst, body in hops if topic_of(body) == "hb"]
+        beats = [(src, dst, at, body) for src, dst, at, body in hops if topic_of(body) == "hb"]
         # every beat frame goes from the beating agent to the orchestrator,
-        # in one hop: each (agent, tick) crosses the fabric once
-        assert {(src, dst) for src, dst, beat in beats} == {
-            (beat["agent"], ORCH) for _src, _dst, beat in beats
-        }
-        sent = Counter((beat["agent"], beat["tick"]) for _src, _dst, beat in beats)
+        # in one hop, and is the topic alone: each (agent, tick) crosses the
+        # fabric once
+        assert {dst for _src, dst, _at, _body in beats} == {ORCH}
+        assert {encode_body(body) for _src, _dst, _at, body in beats} == {b'{"topic":"hb"}'}
+        sent = Counter((src, at) for src, _dst, at, _body in beats)
         assert sent == Counter(
             (agent, tick)
             for agent in plan_roster({"event_strategy": strategy})
@@ -517,13 +537,13 @@ class TestOneLivenessTable:
             subs = system.host.get(AgentId.parse(broker)).facts.get("subs", {})
             assert "hb" not in subs, broker
         assert not [b for _agent, b in inputs if isinstance(b, dict) and b.get("op") == "register"]
-        # so does every digest
-        digests = [(src, dst, b["body"]) for src, dst, b in hops if topic_of(b) == "kp.digest"]
-        assert {(src, dst) for src, dst, _digest in digests} == {
-            (digest["agent"], ORCH) for _src, _dst, digest in digests
-        }
+        # so does every digest, from the agent whose keys it carries
+        digests = [(src, dst, b["body"]) for src, dst, _at, b in hops if topic_of(b) == "kp.digest"]
+        assert {dst for _src, dst, _digest in digests} == {ORCH}
+        roster = set(plan_roster({"event_strategy": strategy}))
+        assert {src for src, _dst, _digest in digests} <= roster
         assert [agent for agent, b in inputs if topic_of(b) == "kp.digest"] == [ORCH] * len(digests)
-        assert digests and not [d for _src, _dst, d in digests if "leases" in d["keys"]]
+        assert digests and not [d for _src, _dst, d in digests if "leases" in d]
 
     @pytest.mark.parametrize("strategy", STRATEGIES)
     def test_the_orchestrator_sends_itself_nothing_and_leases_no_self(self, strategy):
@@ -531,7 +551,7 @@ class TestOneLivenessTable:
         # genesis hands the orchestrator its own bootstrap event; after that
         # nothing it sends may come back to it, directly or via a broker
         own = [
-            (src, dst, body) for src, dst, body in hops
+            (src, dst, body) for src, dst, _at, body in hops
             if topic_of(body) != "control.bootstrap" and (
                 src == ORCH and (dst == ORCH or topic_of(body) == "hb")
                 or dst == ORCH and isinstance(body, dict) and body.get("publisher") == ORCH
