@@ -70,8 +70,12 @@ def _check_config(config: Any) -> None:
     if config.get("profiles") is not None:
         _check_each(config, "profiles", lambda pid: resolve_profiles([pid]))
     _check_each(config, "policies", Policy.from_dict)
-    if not isinstance(config.get("thresholds", {}), dict):
+    thresholds = config.get("thresholds", {})
+    if not isinstance(thresholds, dict):
         raise SchemaError("config thresholds must be an object: name -> value")
+    for name, value in thresholds.items():
+        if not isinstance(value, (int, float)) or isinstance(value, bool):
+            raise SchemaError(f"config threshold {name!r} must be a number, got {value!r}")
     cap = config.get("qos_cap_permille", 0)
     if not isinstance(cap, int) or isinstance(cap, bool):
         raise SchemaError(f"config qos_cap_permille must be an integer, got {cap!r}")

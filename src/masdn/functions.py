@@ -196,15 +196,15 @@ def classifier_decide(facts: dict[str, Any], inp: AgentInput) -> dict[str, Any]:
 )
 def qos_decide(facts: dict[str, Any], inp: AgentInput) -> dict[str, Any]:
     """Admission control: realtime sessions reserve bandwidth on every path
-    link, denied when any link would exceed the configured share. Admissions
-    are keyed by ctx so a duplicate delivery cannot double-reserve."""
+    link, denied when any link would exceed the configured share. The
+    session agent asks admit for realtime sessions only; any other class
+    goes from its path straight to install. Admissions are keyed by ctx so a
+    duplicate delivery cannot double-reserve."""
     op = request_op(inp)
     if op == "admit":
         ctx = inp.body.get("ctx")
         admitted = facts.get("admitted", {})
         if ctx in admitted:
-            return decision(responses=[{"admitted": True, "ctx": ctx}])
-        if inp.body.get("class") != REALTIME:
             return decision(responses=[{"admitted": True, "ctx": ctx}])
         rate = flow_rate_milli(inp.body["gap"])
         keys = path_link_keys(inp.body["path"])

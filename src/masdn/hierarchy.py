@@ -39,6 +39,9 @@ class PolicyRule:
     def __post_init__(self) -> None:
         if self.effect not in ("allow", "deny"):
             raise ValueError(f"effect must be allow or deny, got {self.effect!r}")
+        cap = self.max_per_target
+        if cap is not None and (not isinstance(cap, int) or isinstance(cap, bool)):
+            raise ValueError(f"max_per_target must be an integer, got {cap!r}")
 
     def matches(self, action_kind: str, target_class: str) -> bool:
         return self.action_kind in ("*", action_kind) and self.target_class in (

@@ -9,19 +9,22 @@ orchestrator's lease table. They run the shared empty decide
 heartbeat) and are respawned like everyone else.
 
 Brokers carry the event plane at run time. A published event (a message
-whose destination is a topic) reaches one broker, which wraps it in an
-envelope stamped with the publisher and the publish msg_id, delivers it to
-local subscribers, and forwards it according to the configured arrangement
-(solo, full mesh, or per-level with a root relay). Its local subscribers
-are the "subs" table in its spec (orchestrator.broker_subs), fixed when
-the controller is composed; each is a roster agent, which the peers a
-delivery is validated against already list. A broker learns nothing, so it
-exports no digest and a respawn rebuilds it from its spec alone, and it
-keeps no per-publisher state: no arrangement hands a broker an envelope
-twice (a mesh broker never re-forwards, and the root relays to every level
-broker but the sender), and the fabric's per-pair mark drops a repeated
-frame on the publisher-to-topic and broker-to-broker hops. A broker beats
-through the agent lifecycle like every other agent.
+whose destination is a topic) reaches one broker, which delivers the
+publish itself, {"topic", "body"} as it arrived, to local subscribers, and
+forwards it unchanged according to the configured arrangement (solo, full
+mesh, or per-level with a root relay). A broker tells a forward from a
+publish by the frame's destination: a publish is addressed to its topic, a
+forward to the broker's id. Who published an event is the publish frame's
+src, which the receiving broker's input stage record keeps. Its local
+subscribers are the "subs" table in its spec (orchestrator.broker_subs),
+fixed when the controller is composed; each is a roster agent, which the
+peers a delivery is validated against already list. A broker learns
+nothing, so it exports no digest and a respawn rebuilds it from its spec
+alone, and it keeps no per-publisher state: no arrangement hands a broker
+an event twice (a mesh broker never re-forwards, and the root relays to
+every level broker but the sender), and the fabric's per-pair mark drops a
+repeated frame on the publisher-to-topic and broker-to-broker hops. A
+broker beats through the agent lifecycle like every other agent.
 """
 
 from __future__ import annotations
@@ -58,16 +61,9 @@ def _local_deliveries(facts: dict[str, Any], env: dict[str, Any]) -> list[dict[s
 @register_cognition(FunctionKind.EVENT_DISTRIBUTION.value)
 def broker_decide(facts: dict[str, Any], inp: AgentInput) -> dict[str, Any]:
     if inp.message.kind is MessageKind.EVENT and isinstance(inp.body, dict):
-        forwarded = "publisher" in inp.body
-        if forwarded:
-            env = inp.body
-        else:
-            env = {
-                "topic": inp.body["topic"],
-                "body": inp.body.get("body"),
-                "publisher": str(inp.message.src),
-                "pub_msg_id": inp.message.msg_id,
-            }
+        # a publish is addressed to its topic, a forward to this broker
+        forwarded = isinstance(inp.message.dst, AgentId)
+        env = inp.body
         steps = _local_deliveries(facts, env)
         role = facts.get("role", "solo")
         if not forwarded:

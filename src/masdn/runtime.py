@@ -520,7 +520,7 @@ class CognitionImpl:
 
 
 def event_of(inp: AgentInput) -> tuple[str, Any] | None:
-    """(topic, body) when the input is an event, direct or broker-wrapped."""
+    """(topic, body) when the input is an event, direct or relayed by a broker."""
     if inp.message.kind is not MessageKind.EVENT or not isinstance(inp.body, dict):
         return None
     if "topic" not in inp.body:
@@ -541,8 +541,8 @@ def beat_tick(tick: int) -> bool:
 
 def _with_lifecycle(fn: CognitionFn) -> CognitionFn:
     """Wrap a decide function with the heartbeat, for agents spawned from a
-    spec: each events.tick handed to one, published or broker-wrapped (the
-    bridge publishes only beat ticks), puts its beat ahead of its own
+    spec: each events.tick handed to one, published or relayed by a broker
+    (the bridge publishes only beat ticks), puts its beat ahead of its own
     events, as one hb event straight to the orchestrator, so it crosses no
     broker. A beat has no body: its frame's src names the agent and its
     sim_time is when it was sent."""
@@ -796,9 +796,10 @@ class AgentHost:
             }
             return [self._event(agent, VIOLATION_TOPIC, body)]
 
-        # A broker hands one envelope object to every subscriber and peer, so
-        # each distinct body is encoded once. The cache keys on id() and keeps
-        # the body alive, so a body freed mid-loop cannot lend its id to the next.
+        # A broker hands one envelope, the publish itself, to every subscriber
+        # and peer, so each distinct body is encoded once. The cache keys on
+        # id() and keeps the body alive, so a body freed mid-loop cannot lend
+        # its id to the next.
         encoded: dict[int, tuple[Any, bytes]] = {}
 
         def encode_once(body: Any) -> bytes:

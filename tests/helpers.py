@@ -9,19 +9,21 @@ Topology.from_doc cannot be tripped by orientation.
 BrokerFabric runs the broker agents of one event strategy on a Bus, so the
 event-plane tests check the brokers a system run uses, and records which
 publishers' traffic each broker's pipeline handled and which beats the
-brokers sent to the orchestrator.
+brokers sent to the orchestrator. A broker relays the publish itself, with
+no stamp, so the fabric names the publish behind each delivery from its own
+record of what it published.
 """
 from __future__ import annotations
 
 import random
-from typing import Any, Iterable
+from typing import Any, Iterable, NamedTuple
 
 from masdn import AgentSystem, Scenario, Topology
 from masdn.bus import Bus
 from masdn.core import AgentId, Message, MessageKind
 from masdn.oracle import MonolithicController, compare
 from masdn.orchestrator import broker_ids, build_specs, home_broker
-from masdn.pps import decode_body, encode_body
+from masdn.pps import encode_body
 from masdn.runtime import SUPERVISOR, AgentHost, AgentSpec, register_cognition
 
 STRATEGIES = ("centralized", "distributed", "hybrid")
@@ -132,11 +134,19 @@ def diff_is_empty(diff: dict[str, Any]) -> bool:
 
 @register_cognition("test-subscriber")
 def _record_delivery(facts, inp):
-    """Keep every delivered envelope as a fact, numbered in arrival order,
-    and the src and sim_time of the frame that brought it."""
+    """Keep every event delivered as a fact, numbered in arrival order, and
+    the src and sim_time of the frame that brought it."""
     n = facts.get("received", 0)
     frame = [str(inp.message.src), inp.message.sim_time]
     return {"facts": [("received", n + 1), (f"envelope.{n}", inp.body), (f"frame.{n}", frame)]}
+
+
+class Delivery(NamedTuple):
+    """An event a subscriber received, named by the publish it relays."""
+
+    publisher: str
+    order: int  # the publish's place in the fabric's publish order
+    envelope: dict[str, Any]
 
 
 class BrokerFabric:
@@ -148,6 +158,12 @@ class BrokerFabric:
     broker exactly as it does in a full system run. A recording agent stands
     in for the orchestrator, so the beats a broker sends it straight, off
     the event plane, are kept too (frames_to(SUPERVISOR)).
+
+    The fabric keeps each publish's publisher and place in publish order,
+    keyed by its payload. Brokers relay that payload unchanged, and no two
+    publishes on one fabric may carry the same one (a trace's bodies each
+    carry their own n), so a delivered event names its publish: one a broker
+    altered names none and fails the lookup.
     """
 
     def __init__(self, strategy: str) -> None:
@@ -161,19 +177,17 @@ class BrokerFabric:
                 AgentSpec(AgentId.parse(doc["agent"]), doc["cognition"], doc["initial_facts"])
             )
         self.host.spawn_agent(AgentSpec(AgentId.parse(SUPERVISOR), "test-subscriber"))
-        # broker -> publishers whose publishes or forwarded envelopes the
-        # broker's pipeline was handed
+        # payload -> (publisher, place in publish order)
+        self.publishes: dict[bytes, tuple[str, int]] = {}
+        # broker -> publishers whose publishes or forwards the broker's
+        # pipeline was handed
         self.handled: dict[str, set[str]] = {b: set() for b in broker_ids(strategy)}
         process_input = self.host.process_input
 
         def spy(agent_id: AgentId, msg: Message) -> list[Message]:
             seen = self.handled.get(str(agent_id))
             if seen is not None and msg.kind is MessageKind.EVENT:
-                body = decode_body(msg.payload)
-                if "publisher" in body:
-                    seen.add(body["publisher"])
-                elif not isinstance(msg.dst, AgentId):
-                    seen.add(str(msg.src))
+                seen.add(self.publishes[msg.payload][0])
             return process_input(agent_id, msg)
 
         self.host.process_input = spy
@@ -195,32 +209,36 @@ class BrokerFabric:
         facts.put("subs", subs)
 
     def publish(self, pub: str, topic: str, body: Any) -> int:
-        """Queue one publish; returns its msg_id, which brokers stamp as pub_msg_id."""
-        msg = self.host.factory.new_message(
+        """Queue one publish and record it; returns its place in publish order."""
+        payload = encode_body({"topic": topic, "body": body})
+        assert payload not in self.publishes, f"{payload!r} would not name one publish"
+        order = len(self.publishes)
+        self.publishes[payload] = (pub, order)
+        self.bus.send(self.host.factory.new_message(
             src=AgentId.parse(pub),
             dst=topic,
             kind=MessageKind.EVENT,
-            payload=encode_body({"topic": topic, "body": body}),
+            payload=payload,
             now=self.host.now,
-        )
-        self.bus.send(msg)
-        return msg.msg_id
+        ))
+        return order
 
     def run(self) -> "BrokerFabric":
         self.bus.run_to_quiescence()
         return self
 
-    def delivered_to(
-        self, sub: str, publishers: Iterable[str] | None = None
-    ) -> list[dict[str, Any]]:
-        """Envelopes the subscriber received, in arrival order; pass
-        publishers to keep only a trace's."""
+    def delivered_to(self, sub: str, publishers: Iterable[str] | None = None) -> list[Delivery]:
+        """Events the subscriber received, in arrival order, each named by
+        the publish it relays; pass publishers to keep only a trace's."""
         facts = self.host.agents[AgentId.parse(sub)].facts
-        envelopes = [facts.get(f"envelope.{i}") for i in range(facts.get("received", 0))]
+        got = []
+        for i in range(facts.get("received", 0)):
+            env = facts.get(f"envelope.{i}")
+            got.append(Delivery(*self.publishes[encode_body(env)], env))
         if publishers is None:
-            return envelopes
+            return got
         keep = set(publishers)
-        return [env for env in envelopes if env["publisher"] in keep]
+        return [d for d in got if d.publisher in keep]
 
     def frames_to(self, sub: str) -> list[tuple[str, int, dict[str, Any]]]:
         """(src, sim_time, envelope) of every frame the subscriber received,

@@ -252,23 +252,25 @@ def test_criterion_03_event_plane_arrangements_are_observationally_equal():
             # brokers beat on events.tick envelopes, so a tick body carries "tick"
             events.append((rng.choice(publishers), rng.choice(topics), {"n": i, "tick": i}))
         fabrics = {s: run_trace(s, subs, events) for s in STRATEGIES}
+        # a delivery is the publish itself; the fabric names its publisher
+        # and its place in publish order from its own record of the publish
         for sub, flt in subs:
             multisets = {
-                s: Counter((e["publisher"], e["pub_msg_id"], e["topic"], e["body"]["n"])
-                           for e in fabrics[s].delivered_to(sub, publishers))
+                s: Counter((d.publisher, d.envelope["topic"], d.envelope["body"]["n"])
+                           for d in fabrics[s].delivered_to(sub, publishers))
                 for s in STRATEGIES
             }
             assert multisets["centralized"] == multisets["distributed"], (trace_seed, sub)
             assert multisets["centralized"] == multisets["hybrid"], (trace_seed, sub)
-            wanted = sum(1 for _pub, topic, _body in events if match_topic(flt, topic))
-            assert sum(multisets["centralized"].values()) == wanted, (trace_seed, sub)
+            wanted = Counter((pub, topic, body["n"]) for pub, topic, body in events
+                             if match_topic(flt, topic))
+            assert multisets["centralized"] == wanted, (trace_seed, sub)
         for strategy, fabric in fabrics.items():
             for sub, _flt in subs:
                 last = {}
-                for env in fabric.delivered_to(sub, publishers):
-                    pub = env["publisher"]
-                    assert env["pub_msg_id"] > last.get(pub, 0), (trace_seed, strategy, sub)
-                    last[pub] = env["pub_msg_id"]
+                for d in fabric.delivered_to(sub, publishers):
+                    assert d.order > last.get(d.publisher, -1), (trace_seed, strategy, sub)
+                    last[d.publisher] = d.order
             # every broker (hybrid: each level broker and the root relay)
             # handled every publisher's traffic
             for broker in broker_ids(strategy):

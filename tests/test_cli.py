@@ -129,11 +129,17 @@ class TestErrorPaths:
             ]},
             {"topology": TOPO, "scenario": SCENARIO, "thresholds": [100, 3]},
             {"topology": TOPO, "scenario": SCENARIO, "qos_cap_permille": "700"},
+            {"topology": TOPO, "scenario": SCENARIO, "thresholds": {"size": "x"}},
+            {"topology": TOPO, "scenario": SCENARIO, "policies": [
+                {"policy_id": "cap", "issuer_level": "network", "scope": ["forwarding"],
+                 "rules": [{"effect": "deny", "action_kind": "install-rule",
+                            "max_per_target": "2"}]}
+            ]},
         ],
         ids=["top-level-not-object", "seed-not-integer", "unknown-event-strategy",
              "kills-malformed-agent-id", "chain-unknown-kind", "chain-a-string",
              "profiles-unknown-profile", "policy-without-policy-id", "thresholds-not-object",
-             "qos-cap-not-integer"],
+             "qos-cap-not-integer", "threshold-not-a-number", "rule-cap-not-integer"],
     )
     def test_bad_config_value_exits_2(self, tmp_path, capsys, doc):
         # each of these once ended in a traceback and exit 1, the divergence code

@@ -62,27 +62,43 @@ class TestTopicGrammar:
 
 class TestEnvelope:
     def test_doc_round_trip(self):
-        # the envelope a subscriber gets carries the published topic and body
-        # unchanged, stamped with the publisher and the publish msg_id
+        # a subscriber gets the publish itself: the published topic and body
+        # unchanged, with no stamp added
         fabric = BrokerFabric("hybrid")
         fabric.subscribe("qos#1", "events.*")
         fabric.run()
-        msg_id = fabric.publish("routing#0", "events.link", {"x": 1})
+        order = fabric.publish("routing#0", "events.link", {"x": 1})
         fabric.run()
-        (env,) = fabric.delivered_to("qos#1")
-        assert env == {"topic": "events.link", "body": {"x": 1},
-                       "publisher": "routing#0", "pub_msg_id": msg_id}
+        (got,) = fabric.delivered_to("qos#1")
+        assert got == ("routing#0", order, {"topic": "events.link", "body": {"x": 1}})
 
     def test_seq_counts_per_publisher(self):
         fabric = BrokerFabric("centralized")
         fabric.subscribe("qos#1", "t.*")
         fabric.run()
-        ids = [fabric.publish(pub, "t.x", n)
-               for n, pub in enumerate(["routing#0", "fault#0", "routing#0"])]
+        orders = [fabric.publish(pub, "t.x", n)
+                  for n, pub in enumerate(["routing#0", "fault#0", "routing#0"])]
         fabric.run()
-        got = [(e["publisher"], e["pub_msg_id"]) for e in fabric.delivered_to("qos#1")]
-        assert got == [("routing#0", ids[0]), ("fault#0", ids[1]), ("routing#0", ids[2])]
-        assert ids[0] < ids[2]
+        got = [(d.publisher, d.order) for d in fabric.delivered_to("qos#1")]
+        assert got == [("routing#0", orders[0]), ("fault#0", orders[1]), ("routing#0", orders[2])]
+        assert orders == [0, 1, 2]
+
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_a_brokers_publish_reaches_every_subscriber(self, strategy):
+        # a broker may publish too: "forwarded" is the frame's destination,
+        # never the sender's kind, so every matching subscriber gets it
+        subs = trace_agents(100, 6)
+        fabric = BrokerFabric(strategy)
+        for sub in subs:
+            fabric.subscribe(sub, "events.*")
+        fabric.run()
+        brokers = broker_ids(strategy)
+        for n, broker in enumerate(brokers):
+            fabric.publish(broker, "events.flow", {"n": n})
+        fabric.run()
+        for sub in subs:
+            got = [(d.publisher, d.envelope["body"]["n"]) for d in fabric.delivered_to(sub)]
+            assert sorted(got) == [(b, n) for n, b in enumerate(brokers)], (strategy, sub)
 
 
 def random_trace(rng, n_events=120, n_pubs=3, n_subs=4):
@@ -98,9 +114,21 @@ def random_trace(rng, n_events=120, n_pubs=3, n_subs=4):
 
 def delivered_keys(fabric, sub, publishers):
     return Counter(
-        (e["publisher"], e["pub_msg_id"], e["topic"])
-        for e in fabric.delivered_to(sub, publishers)
+        (d.publisher, d.envelope["topic"], d.envelope["body"]["n"])
+        for d in fabric.delivered_to(sub, publishers)
     )
+
+
+def wanted_keys(events, flt):
+    return Counter((pub, topic, body["n"]) for pub, topic, body in events
+                   if match_topic(flt, topic))
+
+
+def assert_fifo_per_publisher(fabric, sub, publishers, *where):
+    last: dict[str, int] = {}
+    for d in fabric.delivered_to(sub, publishers):
+        assert d.order > last.get(d.publisher, -1), (*where, sub)
+        last[d.publisher] = d.order
 
 
 class TestArrangementEquivalence:
@@ -122,9 +150,10 @@ class TestArrangementEquivalence:
         rng = random.Random(7)
         publishers, subs, events = random_trace(rng)
         fabrics = {s: run_trace(s, subs, events) for s in STRATEGIES}
-        for sub, _ in subs:
+        for sub, flt in subs:
             records = {s: delivered_keys(f, sub, publishers) for s, f in fabrics.items()}
             assert records["centralized"] == records["distributed"] == records["hybrid"]
+            assert records["centralized"] == wanted_keys(events, flt)
             assert records["centralized"]
 
     def test_per_publisher_fifo_in_every_strategy(self):
@@ -133,10 +162,7 @@ class TestArrangementEquivalence:
         for strategy in STRATEGIES:
             fabric = run_trace(strategy, subs, events)
             for sub, _ in subs:
-                seen: dict[str, int] = {}
-                for env in fabric.delivered_to(sub, publishers):
-                    assert env["pub_msg_id"] > seen.get(env["publisher"], 0), (strategy, sub)
-                    seen[env["publisher"]] = env["pub_msg_id"]
+                assert_fifo_per_publisher(fabric, sub, publishers, strategy)
 
     def test_no_duplicate_deliveries_on_flooded_paths(self):
         # distributed floods to every broker and hybrid's root relays to every
@@ -149,9 +175,8 @@ class TestArrangementEquivalence:
             for i in range(30):
                 fabric.publish(publishers[i % 3], "events.flow", i)
             fabric.run()
-            keys = [(e["publisher"], e["pub_msg_id"]) for e in fabric.delivered_to("qos#1")]
-            assert len(keys) == 30
-            assert len(set(keys)) == 30
+            keys = Counter((d.publisher, d.order) for d in fabric.delivered_to("qos#1"))
+            assert keys == Counter((publishers[i % 3], i) for i in range(30))
 
     @pytest.mark.parametrize("every", [0, 1, 3])
     def test_injected_duplicates_reach_no_subscriber_and_no_beat_twice(self, every):
@@ -173,10 +198,8 @@ class TestArrangementEquivalence:
                 fabric.publish("switch-adapter#0", "events.tick", {"tick": tick})
                 fabric.run()
             for sub, flt in subs:
-                keys = delivered_keys(fabric, sub, publishers)
-                wanted = sum(1 for _pub, topic, _body in events if match_topic(flt, topic))
-                assert set(keys.values()) <= {1}, (strategy, every, sub)
-                assert sum(keys.values()) == wanted, (strategy, every, sub)
+                assert delivered_keys(fabric, sub, publishers) == wanted_keys(events, flt), (
+                    strategy, every, sub)
             # a beat is keyed on its frame: the sender and the tick it was sent on
             beats = Counter((src, at) for src, at, e in fabric.frames_to(SUPERVISOR)
                             if e["topic"] == "hb")
@@ -207,6 +230,6 @@ def test_property_random_traces_agree(data):
     for sub, flt in subs:
         multisets = [delivered_keys(fabrics[s], sub, publishers) for s in STRATEGIES]
         assert multisets[0] == multisets[1] == multisets[2]
-        assert sum(multisets[0].values()) == sum(
-            1 for _pub, topic, _body in events if match_topic(flt, topic)
-        )
+        assert multisets[0] == wanted_keys(events, flt)
+        for strategy in STRATEGIES:
+            assert_fifo_per_publisher(fabrics[strategy], sub, publishers, strategy)

@@ -172,10 +172,15 @@ class TestQosAgent:
         assert "facts" not in out
 
     def test_non_realtime_is_waved_through(self):
-        body = dict(self.ADMIT, **{"class": "bulk"})
-        out = qos_decide({}, request(body, dst="qos#0"))
-        assert out["responses"][0]["admitted"] is True
-        assert "facts" not in out
+        # by the session agent, which asks admit only for a realtime session:
+        # any other class goes from its path straight to install
+        conv = TestSessionConversation()
+        for klass in ("interactive", "bulk"):
+            facts = conv.facts([conv.session(klass=klass)],
+                               [conv.pending("path", **{"class": klass})])
+            _writes, asks = conv.decide(facts, conv.answer({"path": conv.PATH}, "routing#0"))
+            assert [(action, target) for action, target, _ in asks] == [
+                ("install", "forwarding#0")], klass
 
     def test_release_refunds_and_reports(self):
         facts = {
@@ -786,9 +791,8 @@ class TestBrokerAgent:
         (pstep,) = out["plan"]
         assert pstep["action"] == "deliver-event"
         assert str(pstep["target"]) == "monitoring#0"
-        env = pstep["params"]["event"]
-        assert env["publisher"] == "session#0"
-        assert env["topic"] == "events.flow"
+        # the envelope is the publish itself, with no stamp added
+        assert pstep["params"]["event"] == {"topic": "events.flow", "body": {"n": 1}}
 
     def test_mesh_role_forwards_to_peer_brokers(self):
         facts = self.sub_facts()
@@ -800,16 +804,14 @@ class TestBrokerAgent:
     def test_forwarded_envelope_is_not_reforwarded(self):
         facts = self.sub_facts()
         facts.update({"role": "mesh", "brokers": ["event-distribution#1"]})
-        env = {"topic": "events.flow", "body": {"n": 3}, "publisher": "session#9",
-               "pub_msg_id": 77}
+        env = {"topic": "events.flow", "body": {"n": 3}}
         out = broker_decide(facts, forwarded(env, src="event-distribution#1"))
         actions = [s["action"] for s in out["plan"]]
         assert actions == ["deliver-event"]
 
     def test_root_relays_a_forwarded_envelope_to_every_level_broker_but_its_sender(self):
         facts = {"role": "root", "downstream": [f"event-distribution#{i}" for i in (1, 2, 3, 4)]}
-        env = {"topic": "events.flow", "body": {"n": 4}, "publisher": "session#9",
-               "pub_msg_id": 78}
+        env = {"topic": "events.flow", "body": {"n": 4}}
         out = broker_decide(facts, forwarded(env, src="event-distribution#2"))
         targets = [str(s["target"]) for s in out["plan"] if s["action"] == "forward-event"]
         assert targets == ["event-distribution#1", "event-distribution#3", "event-distribution#4"]

@@ -419,14 +419,13 @@ class TestEncodeOnce:
             initial_facts={"subs": {"events.*": subscribers}, "peers": subscribers},
         ))
         calls = self._counting_encode(monkeypatch)
-        # a publish reaches the broker addressed to its topic
-        out = tell(host, broker.id, {"topic": "events.link", "body": {"up": False}},
-                   kind=MessageKind.EVENT, dst="events.link")
-        env = {"topic": "events.link", "body": {"up": False},
-               "publisher": "session#9", "pub_msg_id": 1}
+        # a publish reaches the broker addressed to its topic, and every
+        # subscriber gets the publish itself
+        publish = {"topic": "events.link", "body": {"up": False}}
+        out = tell(host, broker.id, publish, kind=MessageKind.EVENT, dst="events.link")
         assert [str(m.dst) for m in out] == subscribers
-        assert [m.payload for m in out] == [encode_body(env)] * 3
-        assert calls == [env]
+        assert [m.payload for m in out] == [encode_body(publish)] * 3
+        assert calls == [publish]
 
     def test_distinct_request_steps_keep_their_own_payloads(self):
         # each {"op": ...} body is built for its step and dropped after it; a

@@ -10,7 +10,7 @@ from masdn.core import AgentId, FunctionKind
 from masdn.oracle import compare, normalize_tables
 from masdn.logic import HEARTBEAT_INTERVAL
 from masdn.netsim import LinkDown, PacketIn
-from masdn.orchestrator import _NEEDS_VIEW, LEASE_TTL, broker_ids, plan_roster
+from masdn.orchestrator import _NEEDS_VIEW, LEASE_TTL, broker_ids, broker_subs, plan_roster
 from masdn.pps import decode_body, encode_body
 from masdn.runtime import FactsStore, beat_tick
 
@@ -465,6 +465,35 @@ class TestEventPlaneTraffic:
         assert not [f for f in frames
                     if f[3] == "kp.digest" and f[1].startswith("event-distribution#")]
 
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_a_broker_delivers_the_publish_byte_for_byte(self, strategy):
+        # the envelope is the publish itself: every frame a broker sends a
+        # subscriber carries a payload that was published on its topic
+        topo, scen = build(TOPO, sdoc(failures=[{"a": "sw2", "b": "sw3", "at": 12}],
+                                      duration=30))
+        config = {"event_strategy": strategy}
+        system = AgentSystem(topo, scen, config)
+        brokers = {AgentId.parse(b) for b in broker_ids(strategy)}
+        subscribers = {AgentId.parse(agent)
+                       for table in broker_subs(strategy, plan_roster(config)).values()
+                       for group in table.values() for agent in group}
+        published, delivered = {}, []
+        hop = system.bus._hop
+
+        def hop_spy(msg, pair):
+            if not isinstance(msg.dst, AgentId):
+                published.setdefault(msg.dst, set()).add(msg.payload)
+            elif msg.src in brokers and msg.dst in subscribers:
+                delivered.append(msg.payload)
+            return hop(msg, pair)
+
+        system.bus._hop = hop_spy
+        system.run()
+        topics = [topic_of(decode_body(payload)) for payload in delivered]
+        assert {"events.tick", "events.packet_in", "events.link"} <= set(topics)
+        assert [p for p, topic in zip(delivered, topics)
+                if p not in published.get(topic, ())] == []
+
     def test_no_frame_carries_link_stats(self):
         # the simulator yields link stats on every tick; they stay with the system
         system, frames = hybrid_run()
@@ -549,13 +578,13 @@ class TestOneLivenessTable:
     def test_the_orchestrator_sends_itself_nothing_and_leases_no_self(self, strategy):
         system, hops, _inputs = spied_run({"event_strategy": strategy})
         # genesis hands the orchestrator its own bootstrap event; after that
-        # nothing it sends may come back to it, directly or via a broker
+        # nothing it sends may come back to it, directly or via a broker: it
+        # sends itself nothing, beats for no one and publishes nothing (a
+        # publish is addressed to the topic it carries)
         own = [
             (src, dst, body) for src, dst, _at, body in hops
-            if topic_of(body) != "control.bootstrap" and (
-                src == ORCH and (dst == ORCH or topic_of(body) == "hb")
-                or dst == ORCH and isinstance(body, dict) and body.get("publisher") == ORCH
-            )
+            if src == ORCH and topic_of(body) != "control.bootstrap"
+            and (dst == ORCH or topic_of(body) in ("hb", dst))
         ]
         assert own == []
         assert ORCH not in system.host.get(AgentId.parse(ORCH)).facts.get("leases")
