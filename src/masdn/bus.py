@@ -1,14 +1,15 @@
 """Deterministic in-process message fabric.
 
 One global FIFO carries every control-plane message. Each hop is really
-encoded and decoded with the stack profile negotiated for the (src, dst)
-pair, so the wire codecs are always on the path, not just in codec tests.
-Under an at-least-once profile the fabric suppresses a delivery whose
-msg_id is not above the highest one already delivered from the same sender
-to the same destination; a duplicate-injection knob exercises that path on
-demand. That per-pair mark is the one duplicate filter of the event plane:
-a repeated publish shares its publisher-to-topic pair with the original,
-and a repeated forward its broker-to-broker pair, so brokers keep none.
+encoded and decoded with the run's one stack profile, so the wire codecs
+are always on the path, not just in codec tests; every agent, endpoint and
+topic speaks that profile, so no link negotiates one. Under an
+at-least-once profile the fabric suppresses a delivery whose msg_id is not
+above the highest one already delivered from the same sender to the same
+destination; a duplicate-injection knob exercises that path on demand.
+That per-pair mark is the one duplicate filter of the event plane: a
+repeated publish shares its publisher-to-topic pair with the original, and
+a repeated forward its broker-to-broker pair, so brokers keep none.
 
 Destinations resolve once per frame, in order: an agent, an exact endpoint,
 a prefix endpoint (e.g. "switch." for the data-plane bridge), and otherwise
@@ -29,7 +30,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable
 
 from .core import AgentId, Message
-from .pps import DEFAULT_PROFILES, Reliability, StackProfile, decode, encode, negotiate
+from .pps import DEFAULT_PROFILES, Reliability, StackProfile, decode, encode
 from .runtime import Agent, AgentHost
 
 EndpointHandler = Callable[[Message], list[Message]]
@@ -43,13 +44,9 @@ class DeadLetter:
 
 
 class Bus:
-    def __init__(
-        self,
-        host: AgentHost,
-        default_profiles: tuple[StackProfile, ...] = DEFAULT_PROFILES,
-    ) -> None:
+    def __init__(self, host: AgentHost, profile: StackProfile = DEFAULT_PROFILES[0]) -> None:
         self.host = host
-        self.default_profiles = default_profiles
+        self.profile = profile
         self.queue: deque[Message] = deque()
         self.endpoints: dict[str, EndpointHandler] = {}
         self.prefix_endpoints: dict[str, EndpointHandler] = {}
@@ -59,7 +56,6 @@ class Bus:
         self.duplicate_every = 0  # inject a duplicate frame every Nth hop
         self.duplicates_injected = 0
         self.duplicates_suppressed = 0
-        self._negotiated: dict[tuple[str, str], StackProfile] = {}
         # Highest msg_id delivered per (src, dst) pair under at-least-once.
         # One mark per pair catches every duplicate: msg ids grow, messages
         # join the FIFO in the order they were made and parked ones rejoin it
@@ -102,13 +98,13 @@ class Bus:
                     parked.append(msg)
                     continue
             pair = (str(msg.src), str(msg.dst))
-            decoded, profile = self._hop(msg, pair)
+            decoded = self._hop(msg)
             copies = 1
             if self.duplicate_every and self.frames % self.duplicate_every == 0:
                 copies = 2
                 self.duplicates_injected += 1
             for _ in range(copies):
-                self._deliver(decoded, profile, pair, target)
+                self._deliver(decoded, pair, target)
         return steps
 
     # -- internals ------------------------------------------------------------
@@ -128,27 +124,12 @@ class Bus:
             return self.topic_router(msg)
         return handler
 
-    def _profiles_of(self, key: AgentId | str) -> tuple[StackProfile, ...]:
-        if isinstance(key, AgentId):
-            agent = self.host.agents.get(key)
-            if agent is not None:
-                return agent.spec.profiles
-        return self.default_profiles
-
-    def _profile_for(self, msg: Message, pair: tuple[str, str]) -> StackProfile:
-        hit = self._negotiated.get(pair)
-        if hit is None:
-            hit = negotiate(self._profiles_of(msg.src), self._profiles_of(msg.dst))
-            self._negotiated[pair] = hit
-        return hit
-
-    def _hop(self, msg: Message, pair: tuple[str, str]) -> tuple[Message, StackProfile]:
-        profile = self._profile_for(msg, pair)
+    def _hop(self, msg: Message) -> Message:
         self.frames += 1
-        return decode(encode(msg, profile), profile), profile
+        return decode(encode(msg, self.profile), self.profile)
 
-    def _deliver(self, msg: Message, profile: StackProfile, pair: tuple[str, str], target: Target) -> None:
-        if profile.reliability is Reliability.AT_LEAST_ONCE:
+    def _deliver(self, msg: Message, pair: tuple[str, str], target: Target) -> None:
+        if self.profile.reliability is Reliability.AT_LEAST_ONCE:
             if msg.msg_id <= self._delivered.get(pair, -1):
                 self.duplicates_suppressed += 1
                 return

@@ -4,7 +4,9 @@
 
 Writes outcome.json, stats.csv and run.log to the output directory, plus
 diff.json in compare mode. Exit status is 0 only when the run completed
-and, in compare mode, the two controllers were behaviorally identical.
+and, in compare mode, the two controllers were behaviorally identical;
+1 when they diverged, 2 for a config rejected before the run (no
+artifact), and 3 for a run stopped by a framework error (run.log only).
 All outputs are a pure function of the config and seed.
 """
 
@@ -19,11 +21,11 @@ from pathlib import Path
 from typing import Any, Callable
 
 from .core import AgentId, FunctionKind, MasdnError
-from .hierarchy import Policy
+from .hierarchy import shared_policy
 from .netsim import Scenario, SchemaError, Topology
 from .oracle import MonolithicController, compare
 from .orchestrator import BROKER_COUNT
-from .system import AgentSystem, resolve_profiles
+from .system import AgentSystem, resolve_profile
 
 MODES = ("agents", "monolithic", "compare")
 
@@ -67,9 +69,8 @@ def _check_config(config: Any) -> None:
         except (TypeError, ValueError) as exc:
             raise SchemaError(f"bad kills entry {tick!r}: {exc}") from exc
     _check_each(config, "chain", FunctionKind)
-    if config.get("profiles") is not None:
-        _check_each(config, "profiles", lambda pid: resolve_profiles([pid]))
-    _check_each(config, "policies", Policy.from_dict)
+    resolve_profile(config)
+    _check_each(config, "policies", shared_policy)
     thresholds = config.get("thresholds", {})
     if not isinstance(thresholds, dict):
         raise SchemaError("config thresholds must be an object: name -> value")
@@ -137,35 +138,43 @@ def run_command(args: argparse.Namespace) -> int:
     log_path = out_dir / "run.log"
 
     exit_code = 0
+    running: AgentSystem | MonolithicController | None = None
     with log_path.open("w") as log_fh:
 
         def sink(record: dict[str, Any]) -> None:
             log_fh.write(json.dumps(record, sort_keys=True) + "\n")
 
-        if mode == "monolithic":
-            controller = MonolithicController(topo, scenario, config)
-            outcome = controller.run()
-            stats = controller.stats
-        else:
-            system = AgentSystem(topo, scenario, config, log_sink=sink)
-            agents_outcome = system.run()
-            stats = system.stats
-            if mode == "agents":
-                outcome = agents_outcome
+        try:
+            if mode == "monolithic":
+                running = controller = MonolithicController(topo, scenario, config)
+                outcome = controller.run()
+                stats = controller.stats
             else:
-                controller = MonolithicController(topo, scenario, config)
-                mono_outcome = controller.run()
-                diff = compare(agents_outcome, mono_outcome)
-                _dump_json(out_dir / "diff.json", diff)
-                outcome = {
-                    "mode": "compare",
-                    "seed": scenario.seed,
-                    "equivalent": not diff,
-                    "agents": agents_outcome,
-                    "monolithic": mono_outcome,
-                }
-                if diff:
-                    exit_code = 1
+                running = system = AgentSystem(topo, scenario, config, log_sink=sink)
+                agents_outcome = system.run()
+                stats = system.stats
+                if mode == "agents":
+                    outcome = agents_outcome
+                else:
+                    running = controller = MonolithicController(topo, scenario, config)
+                    mono_outcome = controller.run()
+                    diff = compare(agents_outcome, mono_outcome)
+                    _dump_json(out_dir / "diff.json", diff)
+                    outcome = {
+                        "mode": "compare",
+                        "seed": scenario.seed,
+                        "equivalent": not diff,
+                        "agents": agents_outcome,
+                        "monolithic": mono_outcome,
+                    }
+                    if diff:
+                        exit_code = 1
+        except MasdnError as exc:
+            # the tick the running controller was stepping; genesis is tick 0
+            tick = max(running.sim.next_tick - 1, 0) if running else 0
+            print(f"error: run stopped at tick {tick}: {type(exc).__name__}: {exc}",
+                  file=sys.stderr)
+            return 3
 
     _dump_json(out_dir / "outcome.json", outcome)
     _write_stats(out_dir / "stats.csv", stats)

@@ -5,6 +5,8 @@ never executable code, so they can be serialized into agent specs, stored
 in agent facts, and evaluated inside plan validation. The orchestrator
 writes them, in config order, into the spec of every agent in their scope
 (orchestrator.build_specs); the runtime's validation stage enforces them.
+A run takes only the policies that the monolithic reference enforces the
+same way (shared_policy).
 
 Nothing flows up: no agent hands a problem to the level above it.
 """
@@ -19,6 +21,10 @@ from .core import FunctionKind, DecisionLevel, MasdnError, level_of
 
 class InvalidDirection(MasdnError):
     """Policy issuer is not strictly above every kind in its scope."""
+
+
+class UnsharedPolicy(MasdnError):
+    """A policy the agents and the monolith would not enforce alike."""
 
 
 @dataclass(frozen=True)
@@ -84,3 +90,25 @@ class Policy:
             scope=frozenset(FunctionKind(k) for k in d["scope"]),
             rules=tuple(PolicyRule.from_dict(r) for r in d.get("rules", [])),
         )
+
+
+def shared_policy(doc: dict[str, Any]) -> Policy:
+    """The policy a run config declares, if both controllers mean it alike.
+
+    The monolith validates only the plans that install a session's rules,
+    which forwarding makes, and never the removals that clear a superseded
+    path. So a run's policy is scoped to forwarding alone, and a deny rule
+    without a bound names install-rule. A bounded deny rule (a rule cap)
+    never denies a removal, only counts it, and both controllers count
+    removals alike. Raises UnsharedPolicy otherwise.
+    """
+    policy = Policy.from_dict(doc)
+    if policy.scope != {FunctionKind.FORWARDING}:
+        raise UnsharedPolicy(f"policy {policy.policy_id!r}: scope must be exactly ['forwarding']")
+    for rule in policy.rules:
+        if rule.effect == "deny" and rule.max_per_target is None and rule.action_kind != "install-rule":
+            raise UnsharedPolicy(
+                f"policy {policy.policy_id!r}: a deny rule without max_per_target must name "
+                f"action_kind 'install-rule', not {rule.action_kind!r}"
+            )
+    return policy

@@ -22,8 +22,7 @@ from __future__ import annotations
 
 from typing import Any
 
-from .core import FunctionKind
-from .hierarchy import Policy
+from .hierarchy import shared_policy
 from .logic import (
     ACTIVE,
     DEFAULT_GAP_THRESHOLD,
@@ -70,11 +69,7 @@ class MonolithicController:
         self.gap_threshold = thresholds.get("gap", DEFAULT_GAP_THRESHOLD)
         self.cap_permille = self.config.get("qos_cap_permille", DEFAULT_QOS_CAP_PERMILLE)
         self.proactive = bool(self.config.get("proactive", False))
-        self.policies = [
-            Policy.from_dict(doc)
-            for doc in self.config.get("policies", [])
-            if FunctionKind.FORWARDING in Policy.from_dict(doc).scope
-        ]
+        self.policies = [shared_policy(doc) for doc in self.config.get("policies", [])]
         self.sessions: dict[str, dict[str, Any]] = {}
         self.session_seq = 0
         self.rule_seq = 0

@@ -202,7 +202,6 @@ def build_specs(
             "agent": agent,
             "cognition": kind.value,
             "initial_facts": facts,
-            "profiles": config.get("profiles"),
         }
     return specs
 

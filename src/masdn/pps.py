@@ -1,9 +1,10 @@
-"""Programmable protocol stack: per-link message profiles and wire codecs.
+"""Programmable protocol stack: message profiles and wire codecs.
 
-A stack profile fixes how a message envelope is framed on a link (text JSON
-or binary length-prefixed), the delivery reliability mode, and the payload
-size bound. Profiles are negotiated per link from each side's ordered
-preference list; the initiator's preference wins among the common subset.
+A stack profile fixes how a message envelope is framed on the wire (text
+JSON or binary length-prefixed), the delivery reliability mode, and the
+payload size bound. A run uses one profile, named by the run config, for
+every hop: every agent, endpoint and topic speaks the same stack, so there
+is nothing to negotiate per link.
 
 Binary frame layout:
 
@@ -42,7 +43,7 @@ import json
 import struct
 from dataclasses import dataclass
 from enum import Enum
-from typing import Any, Callable, Sequence
+from typing import Any, Callable
 
 from .core import AgentId, FunctionKind, MasdnError, Message, MessageKind, PayloadTooLarge
 
@@ -50,10 +51,6 @@ from .core import AgentId, FunctionKind, MasdnError, Message, MessageKind, Paylo
 # one encoder for every canonical JSON form: json.dumps with non-default
 # arguments would build a new encoder on every call
 _CANONICAL_JSON = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
-
-
-class NoCommonProfile(MasdnError):
-    """The two offered profile lists share no profile."""
 
 
 class MalformedFrame(MasdnError):
@@ -88,26 +85,6 @@ DEFAULT_PROFILES = (
     StackProfile("txt-alo-64k", Codec.TEXT_STRUCTURED, Reliability.AT_LEAST_ONCE, 65536),
     StackProfile("txt-amo-64k", Codec.TEXT_STRUCTURED, Reliability.AT_MOST_ONCE, 65536),
 )
-
-
-def negotiate(
-    offered_a: Sequence[StackProfile], offered_b: Sequence[StackProfile]
-) -> StackProfile:
-    """Pick the profile both sides support, preferring the initiator's order.
-
-    Side a is the connection initiator by convention, so among the common
-    profiles the one ranked highest in a's list wins.
-    """
-    if not offered_a or not offered_b:
-        raise ValueError("both offer lists must be non-empty")
-    supported_by_b = set(offered_b)
-    for profile in offered_a:
-        if profile in supported_by_b:
-            return profile
-    raise NoCommonProfile(
-        f"no common profile between {[p.profile_id for p in offered_a]} "
-        f"and {[p.profile_id for p in offered_b]}"
-    )
 
 
 # -- binary frames (see the module doc) -------------------------------------

@@ -64,7 +64,7 @@ from .core import (
 )
 from .hierarchy import Policy
 from .logic import HEARTBEAT_INTERVAL, rule_slot
-from .pps import DEFAULT_PROFILES, MalformedFrame, StackProfile, decode_body, encode_body
+from .pps import MalformedFrame, decode_body, encode_body
 
 VIOLATION_TOPIC = "events.violation"
 
@@ -423,13 +423,11 @@ def validate_plan(
 ) -> ValidationReport:
     """Check a plan against the agent's current facts and active policies.
 
-    Violations carry stable constraint ids: "empty-plan" for a plan with no
-    steps, "missing-topology" / "unknown-target" for steps that reference
-    state the agent does not know about, and the policy id for policy hits.
+    Violations carry stable constraint ids: "missing-topology" /
+    "unknown-target" for steps that reference state the agent does not know
+    about, and the policy id for policy hits.
     """
     violations: list[Violation] = []
-    if not plan.steps:
-        violations.append(Violation("empty-plan", "plan has no steps"))
     topology = facts.get("topology")
     peers = set(facts.get("peers", ()))
     endpoints = set(facts.get("endpoints", ()))
@@ -594,7 +592,6 @@ class AgentSpec:
     agent: AgentId
     cognition: str
     initial_facts: dict[str, Any] = field(default_factory=dict)
-    profiles: tuple[StackProfile, ...] = DEFAULT_PROFILES
 
 
 @dataclass

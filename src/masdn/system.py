@@ -61,22 +61,28 @@ from __future__ import annotations
 from typing import Any, Callable
 
 from .core import AgentId, FunctionKind, Message, MessageKind
+from .hierarchy import shared_policy
 from .logic import topology_view
-from .netsim import LinkDown, PacketIn, Scenario, Simulator, TickStats, Topology
+from .netsim import LinkDown, PacketIn, Scenario, SchemaError, Simulator, TickStats, Topology
 from .orchestrator import home_broker
 from .pps import DEFAULT_PROFILES, StackProfile, decode_body, encode_body
 from .runtime import SUPERVISOR, AgentHost, AgentSpec, beat_tick, digest_delta
 from .bus import Bus
 
-_PROFILE_BY_ID = {p.profile_id: p for p in DEFAULT_PROFILES}
-
 _ADAPTER = FunctionKind.SWITCH_ADAPTER.value
 
 
-def resolve_profiles(ids: list[str] | None) -> tuple[StackProfile, ...]:
-    if not ids:
-        return DEFAULT_PROFILES
-    return tuple(_PROFILE_BY_ID[i] for i in ids)
+def resolve_profile(config: dict[str, Any]) -> StackProfile:
+    """The run's one stack profile, named by the config's `profile` id. The
+    `profiles` list it replaced is refused, so an old config never runs
+    silently under the default."""
+    if "profiles" in config:
+        raise SchemaError("config key 'profiles' is gone: name the one stack profile with 'profile'")
+    ids = [p.profile_id for p in DEFAULT_PROFILES]
+    profile_id = config.get("profile", ids[0])
+    if profile_id not in ids:
+        raise SchemaError(f"unknown profile {profile_id!r}; expected one of {ids}")
+    return DEFAULT_PROFILES[ids.index(profile_id)]
 
 
 class AgentSystem:
@@ -92,8 +98,10 @@ class AgentSystem:
         self.topo = topo
         self.scenario = scenario
         self.config = dict(config or {})
+        for doc in self.config.get("policies", []):
+            shared_policy(doc)
         self.host = AgentHost(log_sink=log_sink)
-        self.bus = Bus(self.host, default_profiles=resolve_profiles(self.config.get("profiles")))
+        self.bus = Bus(self.host, resolve_profile(self.config))
         self.sim = Simulator(topo, scenario)
         self.strategy = self.config.get("event_strategy", "centralized")
         # the memoised id every beat's "to" parses to, so the bus and host
@@ -142,13 +150,14 @@ class AgentSystem:
         doc = body["spec"]
         agent = AgentId.parse(doc["agent"])
         self.spawn_log.append((str(agent), self.host.now))
-        if agent in self.host.agents:  # replacement, not a duplicate
+        if agent in self.host.agents:
+            # a live broker whose lease lapsed while the broker that carries
+            # the ticks was dead: it is replaced, not duplicated
             self.host.kill_agent(agent)
         spec = AgentSpec(
             agent=agent,
             cognition=doc["cognition"],
             initial_facts=doc.get("initial_facts", {}),
-            profiles=resolve_profiles(doc.get("profiles")),
         )
         self.host.spawn_agent(spec)
         restore = body.get("restore") or {}
@@ -184,7 +193,6 @@ class AgentSystem:
                 agent=self.orch,
                 cognition=FunctionKind.ORCHESTRATION.value,
                 initial_facts=facts,
-                profiles=resolve_profiles(self.config.get("profiles")),
             )
         )
         self.bus.send(
@@ -243,14 +251,13 @@ class AgentSystem:
         for it (runtime.digest_delta), a first export or any other value
         whole.
         The set is taken before the digests go out, so what their delivery
-        writes is shipped by the next pump."""
+        writes is shipped by the next pump. Every agent in it is live: a
+        kill lands after the pump, and a dead agent writes nothing."""
         written = sorted(self.host.facts_written)
         self.host.facts_written.clear()
         pubs: list[Message] = []
         for agent_id in written:
-            agent = self.host.agents.get(agent_id)
-            if agent is None:
-                continue
+            agent = self.host.agents[agent_id]
             exported = self._exported.setdefault(str(agent_id), {})
             changed: dict[str, Any] = {}
             for key in agent.impl.digest_keys:

@@ -385,28 +385,29 @@ def test_criterion_07_round_trip_fidelity_and_at_least_once_dedup():
 
     from masdn.bus import Bus
 
-    host = AgentHost()
-    target = AgentId(FunctionKind.MONITORING, 0)
-    alo = tuple(p for p in DEFAULT_PROFILES if p.reliability.value == "at-least-once")
-    host.spawn_agent(AgentSpec(agent=target, cognition="acceptance-counter",
-                               profiles=alo))
-    bus = Bus(host)
-    bus.duplicate_every = 1
-    bus.send(
-        host.factory.new_message(
-            src=AgentId(FunctionKind.SESSION, 0), dst=target,
-            kind=MessageKind.REQUEST, payload=encode_body({"n": i}), now=0,
+    alo = [p for p in DEFAULT_PROFILES if p.reliability.value == "at-least-once"]
+    assert len(alo) == 2
+    for profile in alo:
+        host = AgentHost()
+        target = AgentId(FunctionKind.MONITORING, 0)
+        host.spawn_agent(AgentSpec(agent=target, cognition="acceptance-counter"))
+        bus = Bus(host, profile)
+        bus.duplicate_every = 1
+        bus.send(
+            host.factory.new_message(
+                src=AgentId(FunctionKind.SESSION, 0), dst=target,
+                kind=MessageKind.REQUEST, payload=encode_body({"n": i}), now=0,
+            )
+            for i in range(100)
         )
-        for i in range(100)
-    )
-    bus.run_to_quiescence()
-    assert bus.duplicates_injected == 100
-    assert bus.duplicates_suppressed == 100
-    inputs = Counter(
-        (e["agent"], e["msg_id"]) for e in host.stage_log if e.get("stage") == "input"
-    )
-    assert all(count == 1 for count in inputs.values())
-    assert host.agents[target].facts.get("count") == 100
+        bus.run_to_quiescence()
+        assert bus.duplicates_injected == 100
+        assert bus.duplicates_suppressed == 100
+        inputs = Counter(
+            (e["agent"], e["msg_id"]) for e in host.stage_log if e.get("stage") == "input"
+        )
+        assert all(count == 1 for count in inputs.values())
+        assert host.agents[target].facts.get("count") == 100
 
 
 # -- criterion 8: discovery against a brute-force lease model --------------------------

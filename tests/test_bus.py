@@ -1,17 +1,17 @@
-"""Message fabric: ordering, resolution, dedup, and per-pair negotiation."""
+"""Message fabric: ordering, resolution, dedup, and the run's one stack profile."""
 import unittest
 from unittest.mock import patch
 
 from masdn.core import AgentId, FunctionKind, MessageKind, PayloadTooLarge
 from masdn.bus import Bus
-from masdn.pps import DEFAULT_PROFILES, Codec, Reliability, StackProfile, encode, encode_body
+from masdn.pps import DEFAULT_PROFILES, Codec, Reliability, StackProfile, decode, encode, encode_body
 from masdn.runtime import AgentHost, AgentSpec, register_cognition
 
 ROUTING = AgentId(FunctionKind.ROUTING, 0)
 SESSION = AgentId(FunctionKind.SESSION, 0)
 
-ALO_ONLY = (DEFAULT_PROFILES[0], DEFAULT_PROFILES[2])
-AMO_ONLY = (DEFAULT_PROFILES[1], DEFAULT_PROFILES[3])
+ALO = [p for p in DEFAULT_PROFILES if p.reliability is Reliability.AT_LEAST_ONCE]
+AMO = [p for p in DEFAULT_PROFILES if p.reliability is Reliability.AT_MOST_ONCE]
 
 
 @register_cognition("bus-sink")
@@ -27,8 +27,8 @@ def make_host():
     return AgentHost()
 
 
-def sink_spec(agent, profiles=DEFAULT_PROFILES):
-    return AgentSpec(agent=agent, cognition="bus-sink", profiles=profiles)
+def sink_spec(agent):
+    return AgentSpec(agent=agent, cognition="bus-sink")
 
 
 def request(host, src, dst, body):
@@ -45,11 +45,11 @@ class BusTest(unittest.TestCase):
 
     def test_an_oversized_frame_is_stopped_at_its_hop(self):
         # the message factory builds a message of any size; the bound is the
-        # pair profile's, checked when the hop encodes the frame
+        # bus profile's, checked when the hop encodes the frame
         tiny = StackProfile("tiny", Codec.BINARY_LENGTH_PREFIXED, Reliability.AT_LEAST_ONCE, 8)
         host = make_host()
-        bus = Bus(host, default_profiles=(tiny,))
-        host.spawn_agent(sink_spec(ROUTING, profiles=(tiny,)))
+        bus = Bus(host, tiny)
+        host.spawn_agent(sink_spec(ROUTING))
         bus.send(request(host, SESSION, ROUTING, {"n": 123456789}))
         with self.assertRaises(PayloadTooLarge):
             bus.run_to_quiescence()
@@ -116,39 +116,51 @@ class BusTest(unittest.TestCase):
             self.bus.run_to_quiescence(max_steps=50)
 
 
-class NegotiationOnTheWire(unittest.TestCase):
-    def test_pair_profile_follows_both_agents(self):
-        host = make_host()
-        bus = Bus(host)
-        host.spawn_agent(sink_spec(ROUTING, profiles=AMO_ONLY))
-        host.spawn_agent(sink_spec(SESSION))  # offers the full default list
-        bus.send(request(host, SESSION, ROUTING, {"n": 1}))
-        bus.run_to_quiescence()
-        pair = bus._negotiated[(str(SESSION), str(ROUTING))]
-        # SESSION prefers at-least-once but ROUTING only takes at-most-once
-        self.assertIs(pair.reliability, Reliability.AT_MOST_ONCE)
-        self.assertIs(pair.codec, Codec.BINARY_LENGTH_PREFIXED)
+class ProfileOnTheWire(unittest.TestCase):
+    def test_every_hop_uses_the_bus_profile(self):
+        # agents, an endpoint and a topic alike: nothing is negotiated per pair
+        for profile in DEFAULT_PROFILES:
+            with self.subTest(profile=profile.profile_id), \
+                    patch("masdn.bus.encode", wraps=encode) as encoded, \
+                    patch("masdn.bus.decode", wraps=decode) as decoded:
+                host = make_host()
+                bus = Bus(host, profile)
+                host.spawn_agent(sink_spec(ROUTING))
+                bus.bind_endpoint("echo", lambda m: [request(host, ROUTING, SESSION, {"n": 2})])
+                bus.topic_router = lambda msg: ROUTING
+                bus.send([request(host, SESSION, ROUTING, {"n": 1}),
+                          request(host, SESSION, "echo", {}),
+                          request(host, SESSION, "events.flow", {"n": 3})])
+                bus.run_to_quiescence()
+                self.assertEqual(host.agents[ROUTING].facts.get("seen"), [1, 3])
+                self.assertEqual(bus.frames, 4)
+                self.assertEqual([c.args[1] for c in encoded.call_args_list], [profile] * 4)
+                self.assertEqual([c.args[1] for c in decoded.call_args_list], [profile] * 4)
 
     def test_injected_duplicates_are_suppressed_under_alo(self):
-        host = make_host()
-        bus = Bus(host)
-        host.spawn_agent(sink_spec(ROUTING, profiles=ALO_ONLY))
-        bus.duplicate_every = 1  # duplicate every single frame
-        bus.send(request(host, SESSION, ROUTING, {"n": i}) for i in range(10))
-        bus.run_to_quiescence()
-        self.assertEqual(host.agents[ROUTING].facts.get("seen"), list(range(10)))
-        self.assertEqual(bus.duplicates_injected, 10)
-        self.assertEqual(bus.duplicates_suppressed, 10)
+        for profile in ALO:
+            with self.subTest(profile=profile.profile_id):
+                host = make_host()
+                bus = Bus(host, profile)
+                host.spawn_agent(sink_spec(ROUTING))
+                bus.duplicate_every = 1  # duplicate every single frame
+                bus.send(request(host, SESSION, ROUTING, {"n": i}) for i in range(10))
+                bus.run_to_quiescence()
+                self.assertEqual(host.agents[ROUTING].facts.get("seen"), list(range(10)))
+                self.assertEqual(bus.duplicates_injected, 10)
+                self.assertEqual(bus.duplicates_suppressed, 10)
 
     def test_amo_profile_does_not_deduplicate(self):
-        host = make_host()
-        bus = Bus(host)
-        host.spawn_agent(sink_spec(ROUTING, profiles=AMO_ONLY))
-        bus.duplicate_every = 1
-        bus.send(request(host, SESSION, ROUTING, {"n": 1}))
-        bus.run_to_quiescence()
-        self.assertEqual(host.agents[ROUTING].facts.get("seen"), [1, 1])
-        self.assertEqual(bus.duplicates_suppressed, 0)
+        for profile in AMO:
+            with self.subTest(profile=profile.profile_id):
+                host = make_host()
+                bus = Bus(host, profile)
+                host.spawn_agent(sink_spec(ROUTING))
+                bus.duplicate_every = 1
+                bus.send(request(host, SESSION, ROUTING, {"n": 1}))
+                bus.run_to_quiescence()
+                self.assertEqual(host.agents[ROUTING].facts.get("seen"), [1, 1])
+                self.assertEqual(bus.duplicates_suppressed, 0)
 
     def test_every_hop_round_trips_through_the_codec(self):
         host = make_host()
@@ -166,7 +178,7 @@ class NegotiationOnTheWire(unittest.TestCase):
         receivers = [AgentId(FunctionKind.ROUTING, i) for i in range(2)]
         senders = [AgentId(FunctionKind.SESSION, i) for i in range(3)]
         for agent in receivers:
-            host.spawn_agent(sink_spec(agent, profiles=ALO_ONLY))
+            host.spawn_agent(sink_spec(agent))
         bus.duplicate_every = 3
         last = {}
         for n in range(500):
@@ -191,13 +203,13 @@ class ParkingForAReplacement(unittest.TestCase):
     def setUp(self):
         self.host = make_host()
         self.bus = Bus(self.host)
-        self.host.spawn_agent(sink_spec(ROUTING, profiles=ALO_ONLY))
+        self.host.spawn_agent(sink_spec(ROUTING))
         self.bus.send(request(self.host, SESSION, ROUTING, {"n": 0}))
         self.bus.run_to_quiescence()
         self.host.kill_agent(ROUTING)
 
     def respawn(self):
-        self.host.spawn_agent(sink_spec(ROUTING, profiles=ALO_ONLY))
+        self.host.spawn_agent(sink_spec(ROUTING))
 
     def seen(self):
         return self.host.agents[ROUTING].facts.get("seen")

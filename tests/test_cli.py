@@ -1,9 +1,13 @@
 """CLI surface: artifacts, exit codes, seed handling, rerun determinism."""
 import json
+from unittest.mock import patch
 
 import pytest
 
+from masdn import AgentSystem
 from masdn.cli import main
+from masdn.core import PayloadTooLarge
+from masdn.pps import DEFAULT_PROFILES, encode
 
 TOPO = {
     "switches": ["sw1", "sw2", "sw3"],
@@ -85,6 +89,21 @@ class TestRunArtifacts:
         assert main(["run", str(config), "--out-dir", str(out)]) == 0
 
 
+class TestStackProfile:
+    def test_every_profile_runs_the_same_compare(self, tmp_path):
+        # the text codec and the at-most-once profiles on the live path: the
+        # profile changes the frames, never what either controller decides
+        default = tmp_path / "default"
+        assert main(["run", str(write_config(tmp_path)), "--out-dir", str(default)]) == 0
+        for profile in DEFAULT_PROFILES:
+            out = tmp_path / profile.profile_id
+            config = write_config(tmp_path, profile=profile.profile_id)
+            with patch("masdn.bus.encode", wraps=encode) as encoded:
+                assert main(["run", str(config), "--out-dir", str(out)]) == 0
+            assert {c.args[1] for c in encoded.call_args_list} == {profile}
+            assert (out / "outcome.json").read_bytes() == (default / "outcome.json").read_bytes()
+
+
 class TestErrorPaths:
     def test_missing_config_exits_2(self, tmp_path, capsys):
         assert main(["run", str(tmp_path / "nope.json"), "--out-dir", str(tmp_path)]) == 2
@@ -123,6 +142,8 @@ class TestErrorPaths:
             {"topology": TOPO, "scenario": SCENARIO, "chain": ["session", "teleport"]},
             {"topology": TOPO, "scenario": SCENARIO, "chain": "session"},
             {"topology": TOPO, "scenario": SCENARIO, "profiles": ["pps-carrier-pigeon"]},
+            {"topology": TOPO, "scenario": SCENARIO, "profile": "pps-carrier-pigeon"},
+            {"topology": TOPO, "scenario": SCENARIO, "profiles": ["bin-alo-64k", "txt-amo-64k"]},
             {"topology": TOPO, "scenario": SCENARIO, "policies": [
                 {"issuer_level": "network", "scope": ["forwarding"],
                  "rules": [{"effect": "deny", "action_kind": "install-rule"}]}
@@ -135,11 +156,21 @@ class TestErrorPaths:
                  "rules": [{"effect": "deny", "action_kind": "install-rule",
                             "max_per_target": "2"}]}
             ]},
+            {"topology": TOPO, "scenario": SCENARIO, "policies": [
+                {"policy_id": "no-classify", "issuer_level": "network", "scope": ["session"],
+                 "rules": [{"effect": "deny", "action_kind": "classify"}]}
+            ]},
+            {"topology": TOPO, "scenario": SCENARIO, "policies": [
+                {"policy_id": "no-remove", "issuer_level": "network", "scope": ["forwarding"],
+                 "rules": [{"effect": "deny", "action_kind": "remove-rule"}]}
+            ]},
         ],
         ids=["top-level-not-object", "seed-not-integer", "unknown-event-strategy",
              "kills-malformed-agent-id", "chain-unknown-kind", "chain-a-string",
-             "profiles-unknown-profile", "policy-without-policy-id", "thresholds-not-object",
-             "qos-cap-not-integer", "threshold-not-a-number", "rule-cap-not-integer"],
+             "profiles-unknown-profile", "profile-unknown-id", "profiles-leftover-list",
+             "policy-without-policy-id", "thresholds-not-object",
+             "qos-cap-not-integer", "threshold-not-a-number", "rule-cap-not-integer",
+             "policy-scoped-beyond-forwarding", "policy-denies-remove-rule"],
     )
     def test_bad_config_value_exits_2(self, tmp_path, capsys, doc):
         # each of these once ended in a traceback and exit 1, the divergence code
@@ -148,6 +179,33 @@ class TestErrorPaths:
         assert main(["run", str(config), "--out-dir", str(tmp_path / "out")]) == 2
         assert "error:" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    def test_a_leftover_profiles_list_names_its_replacement(self, tmp_path, capsys):
+        # an old config must not run silently under the default profile
+        config = write_config(tmp_path, profiles=["txt-amo-64k"])
+        assert main(["run", str(config), "--out-dir", str(tmp_path / "out")]) == 2
+        assert "'profile'" in capsys.readouterr().err
+
+    def test_a_framework_error_mid_run_exits_3_keeping_only_the_log(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # exit 1 means the controllers diverged; a run that dies is not that
+        pump = AgentSystem._pump_digests
+
+        def failing_pump(system, t):
+            if t == 7:
+                raise PayloadTooLarge("payload of 70000 bytes exceeds profile max_payload 65536")
+            pump(system, t)
+
+        monkeypatch.setattr(AgentSystem, "_pump_digests", failing_pump)
+        config = write_config(tmp_path)
+        out = tmp_path / "out"
+        assert main(["run", str(config), "--out-dir", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert "error: run stopped at tick 7: PayloadTooLarge: payload of 70000 bytes" in err
+        assert "Traceback" not in err
+        assert sorted(p.name for p in out.iterdir()) == ["run.log"]
+        assert (out / "run.log").read_text()
 
     def test_unknown_mode_in_config_exits_2(self, tmp_path, capsys):
         config = write_config(tmp_path, mode="turbo")

@@ -5,12 +5,17 @@ Policy issue and the merge are checked where the running system does them:
 the specs the orchestrator builds and the orchestrator's kp.digest fold into
 its mirror.
 """
+from random import Random
+
 import pytest
 
+from masdn import AgentSystem, MonolithicController
 from masdn.core import AgentId, FunctionKind, DecisionLevel, Message, MessageKind
-from masdn.hierarchy import InvalidDirection, Policy, PolicyRule
+from masdn.hierarchy import InvalidDirection, Policy, PolicyRule, UnsharedPolicy, shared_policy
 from masdn.orchestrator import build_specs, orchestrator_decide
 from masdn.runtime import AgentInput
+
+from helpers import build, gen_scenario, gen_topology
 
 CAP_DOC = {
     "policy_id": "p-cap",
@@ -66,6 +71,46 @@ class TestPolicy:
         rule = PolicyRule(action_kind="*", target_class="*", effect="deny")
         assert rule.matches("install-rule", "switch")
         assert rule.matches("deliver-event", "agent")
+
+
+class TestOnePolicyLanguage:
+    """A run takes only the policies that both controllers enforce alike:
+    scoped to forwarding alone, with every unbounded deny on install-rule."""
+
+    # the monolith applied no policy outside forwarding: the session agent's
+    # plans all became violations while the monolith set the sessions up
+    DENY_CLASSIFY = {"policy_id": "no-classify", "issuer_level": "network",
+                     "scope": ["session"], "rules": [{"effect": "deny", "action_kind": "classify"}]}
+    # the monolith clears a superseded path without validating the removals
+    DENY_REMOVE = {"policy_id": "no-remove", "issuer_level": "network",
+                   "scope": ["forwarding"], "rules": [{"effect": "deny", "action_kind": "remove-rule"}]}
+
+    @staticmethod
+    def refused_by_both(doc, topo, scen):
+        for controller in (AgentSystem, MonolithicController):
+            with pytest.raises(UnsharedPolicy):
+                controller(topo, scen, {"policies": [doc]})
+
+    def test_a_policy_scoped_beyond_forwarding_is_refused(self):
+        # diverged on seeds 0-4 of this build
+        rng = Random(0)
+        tdoc = gen_topology(rng, 6)
+        self.refused_by_both(self.DENY_CLASSIFY, *build(tdoc, gen_scenario(rng, tdoc, 10, 0, 40)))
+
+    def test_an_unbounded_deny_of_anything_but_install_rule_is_refused(self):
+        # diverged on seeds 2, 4 and 5 of this build
+        rng = Random(2)
+        tdoc = gen_topology(rng, 8)
+        scen = gen_scenario(rng, tdoc, 8, 2, 60)
+        self.refused_by_both(self.DENY_REMOVE, *build(tdoc, scen))
+        wildcard = dict(self.DENY_REMOVE, rules=[{"effect": "deny", "action_kind": "*"}])
+        self.refused_by_both(wildcard, *build(tdoc, scen))
+
+    def test_install_denies_and_rule_caps_are_shared(self):
+        deny = dict(CAP_DOC, rules=[{"effect": "deny", "action_kind": "install-rule"}])
+        capped_all = dict(CAP_DOC, rules=[dict(CAP_DOC["rules"][0], action_kind="*")])
+        for doc in (CAP_DOC, deny, capped_all):
+            assert shared_policy(doc) == Policy.from_dict(doc)
 
 
 def spec_facts(policies, roster):

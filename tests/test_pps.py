@@ -1,4 +1,4 @@
-"""Protocol stack profiles: codecs, framing, and negotiation."""
+"""Protocol stack profiles: codecs and framing."""
 import dataclasses
 import json
 
@@ -11,14 +11,12 @@ from masdn.pps import (
     DEFAULT_PROFILES,
     Codec,
     MalformedFrame,
-    NoCommonProfile,
     PayloadTooLarge,
     StackProfile,
     decode,
     decode_body,
     encode,
     encode_body,
-    negotiate,
 )
 
 KINDS = list(FunctionKind)
@@ -169,17 +167,6 @@ def test_text_frame_in_a_form_the_encoder_never_writes_is_rejected(profile):
         assert variant != frame, name
         with pytest.raises(MalformedFrame):
             decode(variant, profile)
-
-
-def test_negotiate_prefers_initiator_order():
-    a = [DEFAULT_PROFILES[2], DEFAULT_PROFILES[0]]
-    b = list(DEFAULT_PROFILES)
-    assert negotiate(a, b) == DEFAULT_PROFILES[2]
-
-
-def test_negotiate_disjoint_offers_fails():
-    with pytest.raises(NoCommonProfile):
-        negotiate([DEFAULT_PROFILES[0]], [DEFAULT_PROFILES[3]])
 
 
 @given(

@@ -142,9 +142,9 @@ class TestOnePassGenesis:
         system = AgentSystem(topo, scen, {"event_strategy": strategy})
         hops, hop = [], system.bus._hop
 
-        def hop_spy(msg, pair):
+        def hop_spy(msg):
             hops.append((str(msg.src), str(msg.dst), decode_body(msg.payload)))
-            return hop(msg, pair)
+            return hop(msg)
 
         system.bus._hop = hop_spy
         system.genesis()
@@ -480,12 +480,12 @@ class TestEventPlaneTraffic:
         published, delivered = {}, []
         hop = system.bus._hop
 
-        def hop_spy(msg, pair):
+        def hop_spy(msg):
             if not isinstance(msg.dst, AgentId):
                 published.setdefault(msg.dst, set()).add(msg.payload)
             elif msg.src in brokers and msg.dst in subscribers:
                 delivered.append(msg.payload)
-            return hop(msg, pair)
+            return hop(msg)
 
         system.bus._hop = hop_spy
         system.run()
@@ -510,9 +510,9 @@ def spied_run(config, duration=30, flows=FLOWS):
     hops, inputs = [], []
     hop, process_input = system.bus._hop, system.host.process_input
 
-    def hop_spy(msg, pair):
+    def hop_spy(msg):
         hops.append((str(msg.src), str(msg.dst), msg.sim_time, decode_body(msg.payload)))
-        return hop(msg, pair)
+        return hop(msg)
 
     def input_spy(agent_id, msg):
         inputs.append((str(agent_id), decode_body(msg.payload)))
@@ -681,9 +681,9 @@ class TestQuietTicks:
             events[t] = step(t)
             return events[t]
 
-        def hop_spy(msg, pair):
+        def hop_spy(msg):
             hops[system.host.now] += 1
-            return hop(msg, pair)
+            return hop(msg)
 
         def input_spy(agent_id, msg):
             inputs[system.host.now] += 1
