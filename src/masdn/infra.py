@@ -14,8 +14,12 @@ publish itself, {"topic", "body"} as it arrived, to local subscribers, and
 forwards it unchanged according to the configured arrangement (solo, full
 mesh, or per-level with a root relay). A broker tells a forward from a
 publish by the frame's destination: a publish is addressed to its topic, a
-forward to the broker's id. Who published an event is the publish frame's
-src, which the receiving broker's input stage record keeps. Its local
+forward to the broker's id. So is the beat tick the system hands every
+agent straight; no table lists the tick, so a broker delivers it to no
+one, and it forwards nothing addressed to it, bar the root, which relays
+only what one of its downstream brokers forwarded. Who published an event
+is the publish frame's src, which the receiving broker's input stage
+record keeps. Its local
 subscribers are the "subs" table in its spec (orchestrator.broker_subs),
 fixed when the controller is composed; each is a roster agent, which the
 peers a delivery is validated against already list. A broker learns
@@ -24,7 +28,8 @@ alone, and it keeps no per-publisher state: no arrangement hands a broker
 an event twice (a mesh broker never re-forwards, and the root relays to
 every level broker but the sender), and the fabric's per-pair mark drops a
 repeated frame on the publisher-to-topic and broker-to-broker hops. A
-broker beats through the agent lifecycle like every other agent.
+broker beats through the agent lifecycle like every other agent, on the
+tick the system hands it.
 """
 
 from __future__ import annotations
@@ -61,7 +66,8 @@ def _local_deliveries(facts: dict[str, Any], env: dict[str, Any]) -> list[dict[s
 @register_cognition(FunctionKind.EVENT_DISTRIBUTION.value)
 def broker_decide(facts: dict[str, Any], inp: AgentInput) -> dict[str, Any]:
     if inp.message.kind is MessageKind.EVENT and isinstance(inp.body, dict):
-        # a publish is addressed to its topic, a forward to this broker
+        # a publish is addressed to its topic; a forward, or the tick, to
+        # this broker
         forwarded = isinstance(inp.message.dst, AgentId)
         env = inp.body
         steps = _local_deliveries(facts, env)
@@ -72,10 +78,12 @@ def broker_decide(facts: dict[str, Any], inp: AgentInput) -> dict[str, Any]:
                     steps.append(step("forward-event", AgentId.parse(peer), event=env))
             elif role == "level" and facts.get("root"):
                 steps.append(step("forward-event", AgentId.parse(facts["root"]), event=env))
-        if role == "root":
-            # the level broker that forwarded it has delivered it already
-            for peer in facts.get("downstream", []):
-                if peer != str(inp.message.src):
+        sender, downstream = str(inp.message.src), facts.get("downstream", [])
+        if sender in downstream:
+            # the root relays what a level broker forwarded to the others:
+            # that one has delivered it already
+            for peer in downstream:
+                if peer != sender:
                     steps.append(step("forward-event", AgentId.parse(peer), event=env))
         return decision(plan=steps)
     return decision()

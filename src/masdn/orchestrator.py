@@ -11,10 +11,9 @@ policies go down in the specs: each agent's initial facts carry the
 configured policies whose scope holds its kind, in config order.
 
 Bootstrap is one decision, on the one control.bootstrap, which genesis sends
-here: it stores the roster and the per-agent specs, spawns every agent in
-roster order and registers a lease for each. Its plan targets only the
-host.control endpoint, so it is validated against the genesis "endpoints"
-fact alone.
+here: it stores the per-agent specs, spawns every agent in roster order and
+registers a lease for each. Its plan targets only the host.control
+endpoint, so it is validated against the genesis "endpoints" fact alone.
 
 After bootstrap the orchestrator is the failure detector. Its lease table
 (registry.py's pure functions over the "leases" fact) is the one record of
@@ -27,14 +26,12 @@ lease but its sender's); and each beat tick, handed here directly by the
 system, sweeps the expired leases. Beat ticks suffice: leases are
 registered (at genesis and by a sweep) and renewed (by beats) only on beat
 ticks, and LEASE_TTL is a whole number of beat intervals, so every lease
-expires on a beat tick. An expired agent is respawned from its spec with
-its mirror state restored: that is the whole recovery, as the fabric
-replays what the agent missed; it is announced on no topic, as no agent
-would read it. Dead brokers are special: agents get their beat ticks
-through their home broker, so those homed on a dead one fall silent with
-it. Dead brokers are replaced first and every roster lease is registered
-again, giving the revived event plane a full detection window before anyone
-else is declared lost.
+expires on a beat tick. Every expired agent, a broker too, is respawned
+from its spec with its mirror state restored and leased again: that is the
+whole recovery, as the fabric replays what the agent missed; it is
+announced on no topic, as no agent would read it. No agent's silence
+stands for another's: the system hands every live agent its beat tick
+straight, so a dead broker silences no one.
 
 kp.digest events, sent straight here by the digest pump, feed the state
 mirror, the one copy of what agents learn and the only one a restore reads;
@@ -91,15 +88,13 @@ INFRA_KINDS = (
 )
 
 # The topics each kind reads, under which its home broker's table lists it.
-# Every other kind reads the tick alone, for its beat; brokers read nothing.
+# Every other kind reads no topic.
 _SUBSCRIPTIONS: dict[FunctionKind, list[str]] = {
-    FunctionKind.TOPOLOGY: ["events.link", "events.tick"],
-    FunctionKind.ROUTING: ["events.link", "events.tick"],
-    FunctionKind.QOS: ["events.link", "events.tick"],
-    FunctionKind.FORWARDING: ["events.link", "events.tick"],
-    FunctionKind.SESSION: [
-        "events.packet_in", "events.flow", "events.link", "events.violation", "events.tick"
-    ],
+    FunctionKind.TOPOLOGY: ["events.link"],
+    FunctionKind.ROUTING: ["events.link"],
+    FunctionKind.QOS: ["events.link"],
+    FunctionKind.FORWARDING: ["events.link"],
+    FunctionKind.SESSION: ["events.packet_in", "events.flow", "events.link", "events.violation"],
 }
 
 # facts the topology-aware agents start from
@@ -145,10 +140,8 @@ def broker_subs(strategy: str, roster: list[str]) -> dict[str, dict[str, list[st
     on the broker whose kind reads the filter}."""
     tables: dict[str, dict[str, list[str]]] = {b: {} for b in broker_ids(strategy)}
     for agent in sorted(roster):
-        kind = AgentId.parse(agent).kind
-        if kind is not FunctionKind.EVENT_DISTRIBUTION:
-            for flt in _SUBSCRIPTIONS.get(kind, ["events.tick"]):
-                tables[home_broker(strategy, agent)].setdefault(flt, []).append(agent)
+        for flt in _SUBSCRIPTIONS.get(AgentId.parse(agent).kind, []):
+            tables[home_broker(strategy, agent)].setdefault(flt, []).append(agent)
     return tables
 
 
@@ -208,10 +201,9 @@ def build_specs(
 
 def lease_descriptor(spec: dict[str, Any]) -> dict[str, Any]:
     """The descriptor a spawned agent's lease holds and discover answers with."""
-    facts = spec["initial_facts"]
     return {
         "agent": spec["agent"],
-        "capabilities": sorted(facts.get("capabilities", [spec["cognition"]])),
+        "capabilities": [spec["cognition"]],
         "endpoint": spec["agent"],
         "lease_ttl": LEASE_TTL,
     }
@@ -279,27 +271,18 @@ def _bootstrap(facts: dict[str, Any], inp: AgentInput) -> dict[str, Any]:
     leases = _register(facts.get("leases", {}), specs, roster, inp.message.sim_time)
     return decision(
         plan=_spawns(specs, roster, {}),
-        facts=[("roster", roster), ("specs", specs), ("leases", leases)],
+        facts=[("specs", specs), ("leases", leases)],
     )
 
 
 def _scan(facts: dict[str, Any], tick: int) -> dict[str, Any]:
+    """Respawn every expired agent, its mirror slot restored, and lease it
+    again."""
     leases, dead = table_expire(facts.get("leases", {}), tick)
     if not dead:
         return decision()
-
     specs = facts.get("specs", {})
-    broker_prefix = FunctionKind.EVENT_DISTRIBUTION.value + "#"
-    dead_brokers = [a for a in dead if a.startswith(broker_prefix)]
-    if dead_brokers:
-        # The event plane itself is compromised; silence elsewhere is not
-        # evidence of death. Replace the brokers, renew every lease.
-        respawn = dead_brokers
-        leases = _register(leases, specs, facts.get("roster", []), tick)
-    else:
-        respawn = dead
-        leases = _register(leases, specs, dead, tick)
     return decision(
-        plan=_spawns(specs, respawn, facts.get("mirror", {})),
-        facts=[("leases", leases)],
+        plan=_spawns(specs, dead, facts.get("mirror", {})),
+        facts=[("leases", _register(leases, specs, dead, tick))],
     )

@@ -40,10 +40,11 @@ each decide function: every agent spawned from a spec (its facts hold
 "self") puts a heartbeat ahead of its own events on each events.tick it is
 handed, brokers included, addressed straight to the orchestrator. A beat
 is {"topic": "hb"} and nothing else: its frame's src is the agent, and the
-orchestrator renews that agent's lease at the frame's sim_time. The tick
-is published only on HEARTBEAT_INTERVAL-th ticks. Nobody registers or
-subscribes: the orchestrator holds a lease for every agent it spawns, and
-each broker's spec carries its subscription table.
+orchestrator renews that agent's lease at the frame's sim_time. The system
+hands every live agent its tick straight, crossing no broker, and only on
+HEARTBEAT_INTERVAL-th ticks. Nobody registers or subscribes: the
+orchestrator holds a lease for every agent it spawns, and each broker's
+spec carries its subscription table.
 """
 
 from __future__ import annotations
@@ -539,11 +540,10 @@ def beat_tick(tick: int) -> bool:
 
 def _with_lifecycle(fn: CognitionFn) -> CognitionFn:
     """Wrap a decide function with the heartbeat, for agents spawned from a
-    spec: each events.tick handed to one, published or relayed by a broker
-    (the bridge publishes only beat ticks), puts its beat ahead of its own
-    events, as one hb event straight to the orchestrator, so it crosses no
-    broker. A beat has no body: its frame's src names the agent and its
-    sim_time is when it was sent."""
+    spec: each events.tick the bridge hands one, straight and only on beat
+    ticks, puts its beat ahead of its own events, as one hb event straight
+    to the orchestrator, so it crosses no broker. A beat has no body: its
+    frame's src names the agent and its sim_time is when it was sent."""
 
     @functools.wraps(fn)
     def decide(facts: dict[str, Any], inp: AgentInput) -> dict[str, Any]:

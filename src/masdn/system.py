@@ -3,14 +3,18 @@
 The control plane is instantaneous relative to the data plane: within a
 tick the fabric runs to quiescence, so every conversation triggered by an
 event finishes before the next tick's packets move. Per tick the bridge
-publishes, in order: link failures, packet-ins, the tick event, and in a
-proactive run the declared flows that start next tick (events.flow, one per
-flow in schedule order) — so reroute sweeps always run before new-flow
-setups, mirroring the reference controller's processing order. A declared
-flow is a data-plane event like a packet-in: the session agent alone
-subscribes to it, and no spec carries the schedule. The tick is published
-only on beat ticks, where it is read, and handed to the orchestrator
-directly on them too, so failure detection needs no live broker. On every
+sends two batches, each run to quiescence. The first publishes the tick's
+link failures and packet-ins. The second hands, on a beat tick, one
+events.tick straight to every live agent in AgentId order, orchestrator
+included, and then in a proactive run publishes the declared flows that
+start next tick (events.flow, one per flow in schedule order). So what a
+link failure or packet-in starts is over before any agent reads its tick,
+and reroute sweeps run before new-flow setups, mirroring the reference
+controller's processing order. A declared flow is a data-plane event like
+a packet-in: the session agent alone subscribes to it, and no spec carries
+the schedule. The tick crosses no broker, so a dead broker silences no
+live agent, and a dead agent is handed none to park: its silence is its
+own. It goes out only on beat ticks, where it is read. On every
 REFRESH_EVERY-th tick, a beat tick, the session agent also runs the
 periodic reroute sweep, as the reference controller does; no view needs a
 refresh, as links only go down and every link event reaches every view.
@@ -24,7 +28,8 @@ The host-control endpoint gives the orchestrator its lifecycle lever: a
 spawn-agent request (re)creates an agent from its spec and seeds it with
 restored knowledge. The spawned agent is sent nothing: the orchestrator
 holds its lease and the brokers' specs list it. An agent leaves only when a
-scheduled kill removes it or a spawn replaces it. The switch.* prefix
+scheduled kill removes it; a spawn of a live agent raises DuplicateAgent,
+as only an expired lease leads to a respawn. The switch.* prefix
 endpoint is the southbound interface; rules installed through it take
 effect next tick.
 
@@ -150,10 +155,6 @@ class AgentSystem:
         doc = body["spec"]
         agent = AgentId.parse(doc["agent"])
         self.spawn_log.append((str(agent), self.host.now))
-        if agent in self.host.agents:
-            # a live broker whose lease lapsed while the broker that carries
-            # the ticks was dead: it is replaced, not duplicated
-            self.host.kill_agent(agent)
         spec = AgentSpec(
             agent=agent,
             cognition=doc["cognition"],
@@ -220,11 +221,12 @@ class AgentSystem:
                 pubs.append(self._publish(idx, "events.packet_in", ev.to_doc()))
             else:
                 self.stats.append(ev)
-        if beat_tick(t):
-            pubs.append(self._publish(0, "events.tick", {"tick": t}))
-            pubs.append(self._publish(0, "events.tick", {"tick": t}, to=self.orch))
-        pubs.extend(self._publish(0, "events.flow", flow) for flow in self._announced.get(t, ()))
         self.bus.send(pubs)
+        self.bus.run_to_quiescence()
+        if beat_tick(t):
+            live = sorted(self.host.agents)
+            self.bus.send([self._publish(0, "events.tick", {"tick": t}, to=a) for a in live])
+        self.bus.send([self._publish(0, "events.flow", f) for f in self._announced.get(t, ())])
         self.bus.run_to_quiescence()
         self._pump_digests(t)
         for target in self.kill_schedule.get(t, ()):

@@ -109,6 +109,24 @@ def gen_scenario(
     }
 
 
+def gen_refresh_tick_scenario(seed: int) -> tuple[dict[str, Any], dict[str, Any]]:
+    """A scenario that crowds the REFRESH_EVERY-th ticks: failure i falls at
+    tick 10 * (i + 1) + (10 if i else 0), so 10, 30, 40, and each flow, in
+    turn, is made realtime with gap 1 with probability 0.6 and then starts
+    at 10, 20, 30 or 40, or keeps its drawn start. Link failures, packet-ins,
+    reroute sweeps and beats then share ticks."""
+    rng = random.Random(7000 + seed)
+    tdoc = gen_topology(rng, rng.randint(4, 8))
+    sdoc = gen_scenario(rng, tdoc, rng.randint(6, 14), rng.randint(1, 3), 60)
+    for i, failure in enumerate(sdoc["failures"]):
+        failure["at"] = 10 * (i + 1) + (10 if i else 0)
+    for flow in sdoc["flows"]:
+        if rng.random() < 0.6:
+            flow["class"], flow["gap"] = "realtime", 1
+        flow["start_tick"] = rng.choice([10, 20, 30, 40, flow["start_tick"]])
+    return tdoc, sdoc
+
+
 def build(tdoc: dict[str, Any], sdoc: dict[str, Any]) -> tuple[Topology, Scenario]:
     topo = Topology.from_doc(tdoc)
     return topo, Scenario.from_doc(sdoc, topo)

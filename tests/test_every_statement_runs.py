@@ -8,8 +8,8 @@ function of src/masdn that the corpus never executes, apart from `raise`
 statements and the entries of ALLOWED.
 
 The corpus: the three event strategies, each plain, proactive with start
-jitter, under a rule cap, with kills (the broker that carries the ticks, the
-session agent, forwarding) and with duplicate frames injected; one run with
+jitter, under a rule cap, with kills (the first broker, the session agent,
+forwarding) and with duplicate frames injected; one run with
 a tight QoS cap, bulk traffic and a partitioning link failure; one run
 under an unbounded install deny; the three non-default stack profiles; and
 one CLI compare run.

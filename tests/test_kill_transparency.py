@@ -12,6 +12,14 @@ must be dated by the tick its packet-in happened at: while the session
 agent dated it by delivery, 24 of the 75 runs, all broker kills whose
 replacement replayed a parked packet-in, ended with other created_at values.
 
+Every run also checks that no live agent is respawned after the kill.
+While agents got their beat ticks through their home broker, a dead broker
+silenced the agents homed on it, and the orchestrator replaced the live
+brokers too whose leases lapsed meanwhile. The same-tick runs kill the
+session agent together with its home broker: then, the broker's expiry
+re-registered every lease, and the session agent was respawned only after
+a second detection window, past the deadline.
+
 The rule-cap runs check that a respawned forwarding agent gets its rule cap
 back from its spec: the requests replayed to it are validated against the
 cap like any other.
@@ -23,7 +31,7 @@ import pytest
 from masdn import AgentSystem, MonolithicController
 from masdn.logic import HEARTBEAT_INTERVAL
 from masdn.oracle import compare
-from masdn.orchestrator import broker_ids
+from masdn.orchestrator import broker_ids, home_broker
 
 from helpers import STRATEGIES, build, gen_scenario, gen_topology
 
@@ -39,20 +47,27 @@ RULE_CAP = {
 }
 
 
-def _check_kill(tdoc, sdoc, config, victim):
-    """Problems of one run with victim killed at KILL_TICK; empty when none."""
+def _check_kill(tdoc, sdoc, config, *victims):
+    """Problems of one run with the victims killed at KILL_TICK; empty when
+    none."""
     topo, scen = build(tdoc, sdoc)
     mono = MonolithicController(topo, scen, dict(config)).run()
     topo, scen = build(tdoc, sdoc)
-    system = AgentSystem(topo, scen, {**config, "kills": {KILL_TICK: [victim]}})
+    system = AgentSystem(topo, scen, {**config, "kills": {KILL_TICK: list(victims)}})
     agents = system.run()
     problems = []
     diff = compare(agents, mono)
     if diff:
         problems.append(f"{' and '.join(sorted(diff))} differ from the monolith's")
-    respawns = [t for a, t in system.spawn_log if a == victim and t > KILL_TICK]
-    if not respawns or respawns[0] - KILL_TICK > DEADLINE:
-        problems.append(f"respawned at {respawns}")
+    for victim in victims:
+        respawns = [t for a, t in system.spawn_log if a == victim and t > KILL_TICK]
+        if not respawns or respawns[0] - KILL_TICK > DEADLINE:
+            problems.append(f"{victim} respawned at {respawns}")
+    # a live agent is never declared lost: its ticks come straight from the
+    # bridge, so no dead broker silences it
+    bystanders = [(a, t) for a, t in system.spawn_log if t > KILL_TICK and a not in victims]
+    if bystanders:
+        problems.append(f"live agents respawned: {bystanders}")
     if system.bus.dead_letters:
         problems.append(f"{len(system.bus.dead_letters)} dead letters")
     return problems
@@ -70,6 +85,22 @@ def test_killing_a_broker_or_a_conversation_agent_is_transparent(strategy):
             problems = _check_kill(tdoc, sdoc, {"event_strategy": strategy}, victim)
             if problems:
                 failures[(seed, victim)] = problems
+    assert failures == {}
+
+
+@pytest.mark.parametrize("strategy", ["distributed", "hybrid"])
+def test_a_broker_and_the_session_agent_killed_on_one_tick_are_both_respawned_in_time(strategy):
+    # the session agent's home broker dies with it; the session agent is
+    # still detected within the deadline, as its silence is its own
+    broker = home_broker(strategy, "session#0")
+    failures = {}
+    for seed in (1, 4, 7):
+        rng = random.Random(seed)
+        tdoc = gen_topology(rng, 8)
+        sdoc = gen_scenario(rng, tdoc, 8, 2, 60, long_lived=True)
+        problems = _check_kill(tdoc, sdoc, {"event_strategy": strategy}, broker, "session#0")
+        if problems:
+            failures[seed] = problems
     assert failures == {}
 
 

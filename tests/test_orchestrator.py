@@ -43,14 +43,14 @@ def beat(agent, now):
 
 BASE_CONFIG = {"chain": ["session"], "event_strategy": "centralized"}
 
-# the topics each kind reads; every other non-broker kind reads the tick alone
+# the topics each kind reads; every other kind reads none, as no tick
+# travels on the event plane
 READS = {
-    "topology": ["events.link", "events.tick"],
-    "routing": ["events.link", "events.tick"],
-    "qos": ["events.link", "events.tick"],
-    "forwarding": ["events.link", "events.tick"],
-    "session": ["events.flow", "events.link", "events.packet_in", "events.tick",
-                "events.violation"],
+    "topology": ["events.link"],
+    "routing": ["events.link"],
+    "qos": ["events.link"],
+    "forwarding": ["events.link"],
+    "session": ["events.flow", "events.link", "events.packet_in", "events.violation"],
 }
 
 
@@ -139,10 +139,9 @@ class TestBootstrap:
         config = dict(BASE_CONFIG, event_strategy="distributed")
         out = orchestrator_decide({"config": config}, fire("control.bootstrap", None, now=3))
         assert set(out) == {"plan", "facts"}  # no events
-        assert [key for key, _ in out["facts"]] == ["roster", "specs", "leases"]
+        assert [key for key, _ in out["facts"]] == ["specs", "leases"]
         writes = dict(out["facts"])
-        roster, specs = writes["roster"], writes["specs"]
-        assert roster == plan_roster(config)
+        roster, specs = plan_roster(config), writes["specs"]
         assert specs == build_specs(config, roster, {}, ME)
         assert [s["params"]["spec"]["agent"] for s in out["plan"]] == roster
         for s in out["plan"]:  # no placement node
@@ -184,20 +183,18 @@ class TestBootstrap:
             specs = build_specs(config, roster, {}, ME)
             want = {b: {} for b in broker_ids(strategy)}
             for agent in roster:
-                kind = agent.split("#")[0]
-                if kind == "event-distribution":
-                    continue
                 table = want[home_broker(strategy, agent)]
-                for flt in READS.get(kind, ["events.tick"]):
+                for flt in READS.get(agent.split("#")[0], []):
                     table[flt] = sorted([*table.get(flt, []), agent])
             for agent, spec in specs.items():
                 facts = spec["initial_facts"]
                 assert "home-broker" not in facts and "subscriptions" not in facts
                 if agent in want:
                     assert facts["subs"] == want[agent], (strategy, agent)
+                    assert not any("events.tick" in t for t in facts["subs"]), agent
                 else:
                     assert "subs" not in facts, (strategy, agent)
-            if strategy != "centralized":  # the table is split over the brokers
+            if strategy == "distributed":  # the table is split over the brokers
                 assert sum(bool(t) for t in want.values()) > 1, strategy
 
 
@@ -294,16 +291,22 @@ class TestLiveness:
         assert params["restore"] == facts["mirror"]["forwarding#0"]
         assert params["spec"]["initial_facts"]["policies"] == [cap]  # from the spec
 
-    def test_dead_broker_preempts_and_resets_all_clocks(self):
-        facts = self.booted()  # everyone leased at 0 and silent since
+    def test_an_expired_broker_is_respawned_and_re_leased_alone(self):
+        # a broker is an agent like any other: its silence says nothing of
+        # the agents homed on it, which get their ticks straight from the
+        # bridge
         deadline = self.DEADLINE
+        broker = "event-distribution#0"
+        facts = self.renewed(self.booted(), deadline - 1, except_for=(broker,))
         out = orchestrator_decide(facts, fire("events.tick", {"tick": deadline}, now=deadline))
-        spawned = [s["params"]["spec"]["agent"] for s in out["plan"]
-                   if s["action"] == "spawn-agent"]
-        assert spawned == ["event-distribution#0"]
+        assert [s["params"]["spec"]["agent"] for s in out["plan"]] == [broker]
         leases = dict(out["facts"])["leases"]
-        assert sorted(leases) == facts["roster"]  # everyone registered again
-        assert {e["expires_at"] for e in leases.values()} == {deadline + LEASE_TTL}
+        assert (leases[broker]["registered_at"], leases[broker]["expires_at"]) == (
+            deadline, deadline + LEASE_TTL
+        )
+        assert {a: e for a, e in leases.items() if a != broker} == {
+            a: e for a, e in facts["leases"].items() if a != broker
+        }
 
     def test_quiet_tick_emits_nothing(self):
         facts = self.renewed(self.booted(), HEARTBEAT_INTERVAL)

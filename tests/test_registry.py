@@ -22,10 +22,11 @@ from masdn.runtime import AgentInput
 
 def desc(kind=FunctionKind.ROUTING, instance=0, caps=("route",), ttl=10):
     """The descriptor the orchestrator leases an agent with, from its spec.
-    A run's TTL is fixed; these tests vary it to probe the table."""
+    A run's TTL is fixed and an agent's one capability is its cognition;
+    these tests vary both to probe the table."""
     me = str(AgentId(kind, instance))
-    spec = {"agent": me, "cognition": kind.value, "initial_facts": {"capabilities": list(caps)}}
-    return {**lease_descriptor(spec), "lease_ttl": ttl}
+    spec = {"agent": me, "cognition": kind.value, "initial_facts": {}}
+    return {**lease_descriptor(spec), "capabilities": sorted(caps), "lease_ttl": ttl}
 
 
 def agents(table, now, **filters):
@@ -44,9 +45,12 @@ class TestDescriptorDocs:
         )
         assert found["responses"][0]["agents"] == [d]
 
-    def test_doc_capabilities_are_sorted(self):
-        d = desc(caps=("zeta", "alpha"))
-        assert d["capabilities"] == ["alpha", "zeta"]
+    def test_a_spawned_agent_offers_its_cognition_as_its_capability(self):
+        spec = {"agent": "routing#0", "cognition": "routing", "initial_facts": {}}
+        assert lease_descriptor(spec)["capabilities"] == ["routing"]
+        # no spec carries a capabilities fact, and one that did is not read
+        spec["initial_facts"] = {"capabilities": ["zeta", "alpha"]}
+        assert lease_descriptor(spec)["capabilities"] == ["routing"]
 
 
 class TestLifecycle:

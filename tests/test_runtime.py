@@ -491,8 +491,12 @@ def _beat():
     return [{"topic": "hb", "to": "orchestration#0"}]
 
 
-# the ticks the bridge publishes events.tick on, over two beat intervals
+# the ticks the bridge hands every live agent events.tick on, over two beat
+# intervals
 _BEAT_TICKS = range(0, 2 * HEARTBEAT_INTERVAL + 1, HEARTBEAT_INTERVAL)
+
+# the kinds that read a topic, and so sit in their home broker's table
+_READERS = {"topology", "routing", "qos", "forwarding", "session"}
 
 # the kinds that run the agent lifecycle: every agent spawned from a spec
 _LIFECYCLE = [k for k in _KINDS if "self" in _spec_facts(k)]
@@ -503,11 +507,12 @@ class TestLifecycle:
         assert sorted(set(_KINDS) - set(_LIFECYCLE)) == ["orchestration"]
 
     @pytest.mark.parametrize("kind", _LIFECYCLE)
-    def test_only_its_home_brokers_spec_lists_it_for_the_tick(self, kind):
+    def test_no_brokers_spec_lists_it_for_the_tick(self, kind):
         # subscriptions are composed at genesis, not asked for at spawn: the
         # agent's own spec names no broker and no topic, and of all brokers
-        # only its home broker's table lists it, under the tick it beats on;
-        # a broker reads nothing, so no table lists it
+        # only its home broker's table lists it, under the topics its kind
+        # reads; the tick it beats on comes straight from the bridge, so no
+        # table lists the tick, and a kind that reads no topic is in none
         agent = f"{kind}#0"
         for strategy in ("centralized", "distributed", "hybrid"):
             roster = sorted({agent, *broker_ids(strategy)})
@@ -515,12 +520,11 @@ class TestLifecycle:
             assert not {"home-broker", "subscriptions"} & set(specs[agent]["initial_facts"])
             tables = {b: specs[b]["initial_facts"]["subs"] for b in broker_ids(strategy)}
             listed = {b for b, table in tables.items() for who in table.values() if agent in who}
-            if kind == BROKER:
-                assert listed == set(), strategy
+            if kind in _READERS:
+                assert listed == {home_broker(strategy, agent)}, strategy
             else:
-                home = home_broker(strategy, agent)
-                assert listed == {home}, strategy
-                assert agent in tables[home]["events.tick"], strategy
+                assert listed == set(), strategy
+            assert not any("events.tick" in table for table in tables.values()), strategy
 
     @pytest.mark.parametrize("kind", _LIFECYCLE)
     def test_one_heartbeat_on_every_interval_tick(self, kind):
@@ -531,13 +535,16 @@ class TestLifecycle:
             assert out["events"][0]["topic"] == "hb"  # ahead of its own
 
     def test_broker_beats_once_per_accepted_tick_envelope(self):
+        # the bridge hands a broker its tick straight, as it does every
+        # agent: the broker beats, and delivers and relays the tick nowhere
         for strategy in ("centralized", "distributed", "hybrid"):
             facts = _spec_facts(BROKER, strategy)
             decide = cognition(BROKER).decide
             for tick in _BEAT_TICKS:
-                inp = _event("events.tick", "events.tick", {"tick": tick})
+                inp = _event(f"{BROKER}#0", "events.tick", {"tick": tick})
                 out = decide(facts, inp)
                 assert _beats(out) == _beat()
+                assert "plan" not in out, strategy
 
     def test_the_orchestrator_sends_no_heartbeat(self):
         # it keeps the leases, so it holds none of its own to renew, and its

@@ -14,7 +14,15 @@ from masdn.orchestrator import _NEEDS_VIEW, LEASE_TTL, broker_ids, broker_subs, 
 from masdn.pps import decode_body, encode_body
 from masdn.runtime import FactsStore, beat_tick
 
-from helpers import STRATEGIES, build, diff_is_empty, gen_scenario, gen_topology, run_both
+from helpers import (
+    STRATEGIES,
+    build,
+    diff_is_empty,
+    gen_refresh_tick_scenario,
+    gen_scenario,
+    gen_topology,
+    run_both,
+)
 
 TOPO = {
     "switches": ["sw1", "sw2", "sw3", "sw4"],
@@ -111,8 +119,7 @@ class TestOnePassGenesis:
         system.genesis()
         facts = system.host.agents[AgentId.parse(ORCH)].facts
         written = {key: facts.version(key) for key in facts.snapshot()}
-        assert written == {"config": 1, "topology": 1, "endpoints": 1,
-                           "roster": 1, "specs": 1, "leases": 1}
+        assert written == {"config": 1, "topology": 1, "endpoints": 1, "specs": 1, "leases": 1}
 
     def test_brokers_keep_their_spec_facts_and_have_no_mirror_slot(self):
         _, _, diff, system = run_both(TOPO, sdoc(), {"event_strategy": "distributed"})
@@ -490,7 +497,10 @@ class TestEventPlaneTraffic:
         system.bus._hop = hop_spy
         system.run()
         topics = [topic_of(decode_body(payload)) for payload in delivered]
-        assert {"events.tick", "events.packet_in", "events.link"} <= set(topics)
+        # the tick comes to every agent straight from the bridge, never
+        # through a broker
+        assert {"events.packet_in", "events.link"} <= set(topics)
+        assert "events.tick" not in topics
         assert [p for p, topic in zip(delivered, topics)
                 if p not in published.get(topic, ())] == []
 
@@ -591,9 +601,9 @@ class TestOneLivenessTable:
 
 
 class TestTicksOnlyWhereRead:
-    """The orchestrator gets every beat tick straight from the bridge; the
-    event plane carries a tick only when agents act on it, on beat ticks, in
-    a proactive run too: a declared flow is announced as its own event."""
+    """Every agent gets its beat tick straight from the bridge, the
+    orchestrator included, and only on beat ticks, where it is read, in a
+    proactive run too: a declared flow is announced as its own event."""
 
     @pytest.mark.parametrize("strategy", STRATEGIES)
     @pytest.mark.parametrize("proactive", [False, True])
@@ -609,6 +619,79 @@ class TestTicksOnlyWhereRead:
         assert got.pop(ORCH) == beat_ticks
         assert set(got) == set(plan_roster({"event_strategy": strategy})) - {ORCH}
         assert {agent: ticks for agent, ticks in got.items() if ticks != beat_ticks} == {}
+
+
+class TestOneTickPerLiveAgent:
+    """On a beat tick the bridge hands each live agent one events.tick,
+    straight from switch-adapter#0 in AgentId order, after the tick's link
+    failures and packet-ins have run to quiescence. No broker carries a
+    tick, so a dead broker silences no one, and a dead agent is handed none
+    to park."""
+
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_each_live_agent_gets_one_tick_from_the_bridge_and_a_dead_one_none(self, strategy):
+        rng = random.Random(3)
+        tdoc = gen_topology(rng, 8)
+        topo, scen = build(tdoc, gen_scenario(rng, tdoc, 8, 2, 60, long_lived=True))
+        victims = [broker_ids(strategy)[-1], "forwarding#0"]
+        system = AgentSystem(topo, scen, {"event_strategy": strategy, "kills": {"17": victims}})
+        ticks, handed = [], Counter()
+        hop, process_input = system.bus._hop, system.host.process_input
+
+        def hop_spy(msg):
+            if topic_of(decode_body(msg.payload)) == "events.tick":
+                ticks.append((system.host.now, str(msg.src), str(msg.dst)))
+            return hop(msg)
+
+        def input_spy(agent_id, msg):
+            if topic_of(decode_body(msg.payload)) == "events.tick":
+                handed[str(agent_id), system.host.now] += 1
+            return process_input(agent_id, msg)
+
+        system.bus._hop, system.host.process_input = hop_spy, input_spy
+        system.genesis()
+        want, dead_on_a_beat = [], set()
+        for t in range(scen.duration):
+            if beat_tick(t):
+                live = [str(a) for a in sorted(system.host.agents)]
+                want.extend((t, "switch-adapter#0", agent) for agent in live)
+                dead_on_a_beat.update(set(victims) - set(live))
+            system.tick(t)
+        assert ticks == want
+        assert set(handed.values()) == {1}  # nothing parked is replayed
+        assert dead_on_a_beat == set(victims)
+        for broker in broker_ids(strategy):
+            subs = system.host.get(AgentId.parse(broker)).facts.get("subs")
+            assert "events.tick" not in subs, broker
+
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_the_session_agents_tick_follows_the_ticks_link_events_and_packet_ins(
+        self, strategy
+    ):
+        crowded = 0
+        for seed in range(20):
+            topo, scen = build(*gen_refresh_tick_scenario(seed))
+            system = AgentSystem(topo, scen, {"event_strategy": strategy,
+                                              "qos_cap_permille": 200})
+            seen = {}
+            process_input = system.host.process_input
+
+            def input_spy(agent_id, msg):
+                if str(agent_id) == "session#0":
+                    seen.setdefault(system.host.now, []).append(
+                        topic_of(decode_body(msg.payload)))
+                return process_input(agent_id, msg)
+
+            system.host.process_input = input_spy
+            system.run()
+            for t, topics in seen.items():
+                if "events.tick" in topics:
+                    tick_at = topics.index("events.tick")
+                    events = [i for i, topic in enumerate(topics)
+                              if topic in ("events.link", "events.packet_in")]
+                    assert all(i < tick_at for i in events), (seed, t, topics)
+                    crowded += bool(events)
+        assert crowded  # beat ticks with link events or packet-ins were checked
 
 
 class TestDeclaredFlowsAreEvents:
