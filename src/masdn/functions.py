@@ -6,20 +6,21 @@ reroute planning) lives in logic.py and is shared verbatim with the
 monolithic reference controller; what this module adds is the message
 choreography: who asks whom, in which order, and what lands in facts.
 
-Every agent that needs the network view (topology, routing, QoS, forwarding,
-session) keeps its own copy with one ingest hook, topology_ingest, fed by
-the link events each of them subscribes to. Links only go down and every
-link event reaches every copy, so the copies stay current from link events
-alone, with no periodic refresh and without any agent broadcasting its
-view; a respawned agent is restored from its last digest and gets the link
-events it missed from the frames the fabric parked for it. Genesis hands
-every one of them the view in its spec, so none ever decides without one.
+Link state lives only where it is read. Routing (paths) and session (reroute
+sweeps) keep the live view, each with one ingest hook, topology_ingest, fed
+by the link events they subscribe to. Links only go down and every link
+event reaches both copies, so they stay current from link events alone,
+with no periodic refresh and without any agent broadcasting its view; a
+respawned agent is restored from its last digest and gets the link events
+it missed from the frames the fabric parked for it. QoS reads only link
+capacities and forwarding only the switch list its plans are validated
+against, and no link event changes either: both keep the genesis view from
+their spec as configuration, follow no link event and export no view.
 
 Some agents have nothing to decide, and share one empty decide function
-(lifecycle_only_decide): the topology agent, which only keeps its copy; the
-monitoring agent, whose per-tick link stats go to stats.csv and which no
-agent reads; and the infrastructure agents that run only the lifecycle
-(infra.py).
+(lifecycle_only_decide): the topology agent; the monitoring agent, whose
+per-tick link stats go to stats.csv and which no agent reads; and the
+infrastructure agents that run only the lifecycle (infra.py).
 
 The session agent is the conductor, and its conversation is one stage
 machine. A session's conversation is one record in the "pending" facts,
@@ -135,13 +136,10 @@ def topology_ingest(facts: dict[str, Any], inp: AgentInput) -> list[tuple[str, A
 # -- agents with nothing to decide ------------------------------------------------
 
 
-@register_cognition(
-    FunctionKind.TOPOLOGY.value, ingest=topology_ingest, digest_keys=("topology",)
-)
+@register_cognition(FunctionKind.TOPOLOGY.value)
 @register_cognition(FunctionKind.MONITORING.value)
 def lifecycle_only_decide(facts: dict[str, Any], inp: AgentInput) -> dict[str, Any]:
-    """Nothing to decide: the registered lifecycle, and the topology agent's
-    ingest hook, are all these agents do."""
+    """Nothing to decide: the registered lifecycle is all these agents do."""
     return decision()
 
 
@@ -189,23 +187,16 @@ def classifier_decide(facts: dict[str, Any], inp: AgentInput) -> dict[str, Any]:
 # -- QoS agent -----------------------------------------------------------------------
 
 
-@register_cognition(
-    FunctionKind.QOS.value,
-    ingest=topology_ingest,
-    digest_keys=("topology", "reservations", "admitted"),
-)
+@register_cognition(FunctionKind.QOS.value, digest_keys=("reservations", "admitted"))
 def qos_decide(facts: dict[str, Any], inp: AgentInput) -> dict[str, Any]:
     """Admission control: realtime sessions reserve bandwidth on every path
     link, denied when any link would exceed the configured share. The
     session agent asks admit for realtime sessions only; any other class
-    goes from its path straight to install. Admissions are keyed by ctx so a
-    duplicate delivery cannot double-reserve."""
+    goes from its path straight to install."""
     op = request_op(inp)
     if op == "admit":
         ctx = inp.body.get("ctx")
         admitted = facts.get("admitted", {})
-        if ctx in admitted:
-            return decision(responses=[{"admitted": True, "ctx": ctx}])
         rate = flow_rate_milli(inp.body["gap"])
         keys = path_link_keys(inp.body["path"])
         ok, reservations = admit_realtime(
@@ -247,11 +238,7 @@ def qos_decide(facts: dict[str, Any], inp: AgentInput) -> dict[str, Any]:
 _RULE_COUNT_KEY = {"install": "installed", "remove": "removed"}  # per op, in the answer
 
 
-@register_cognition(
-    FunctionKind.FORWARDING.value,
-    ingest=topology_ingest,
-    digest_keys=("topology", "switch-rules"),
-)
+@register_cognition(FunctionKind.FORWARDING.value, digest_keys=("switch-rules",))
 def forwarding_decide(facts: dict[str, Any], inp: AgentInput) -> dict[str, Any]:
     """Turns rule sets into per-switch install/remove plans. The plan is
     where policy caps bite: a failed validation emits a violation event

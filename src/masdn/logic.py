@@ -84,7 +84,7 @@ def distances_to(graph: Graph, dst: str) -> dict[str, int]:
 def shortest_path(graph: Graph, src: str, dst: str) -> list[str] | None:
     """Minimum-latency switch path, smallest-name tie-break at every hop."""
     if src == dst:
-        return [src] if src in graph or src == dst else None
+        return [src]
     dist = distances_to(graph, dst)
     if src not in dist:
         return None

@@ -51,7 +51,7 @@ from .logic import (
     topology_view,
 )
 from .netsim import LinkDown, PacketIn, Scenario, Simulator, TickStats, Topology
-from .runtime import Plan, PlanStep, validate_plan
+from .runtime import step, validate_plan
 
 
 class MonolithicController:
@@ -104,19 +104,11 @@ class MonolithicController:
         self.rule_seq += len(ids)
         rec = self.sessions[sid]
         rules = rules_for_path(path, rec["src"], rec["dst"], PRIORITY_BY_CLASS[klass], ids)
-        plan = Plan.of(
-            *(PlanStep("install-rule", sw, {"rule": doc, "ctx": sid}) for sw, doc in rules)
-        )
+        plan = [step("install-rule", sw, rule=doc, ctx=sid) for sw, doc in rules]
         facts = {"topology": self.view, "switch-rules": self.switch_rules}
-        report = validate_plan(plan, facts, self.policies)
-        if not report.passed:
-            self.violations.append(
-                {
-                    "ctx": sid,
-                    "violations": [[v.constraint, v.detail] for v in report.violations],
-                    "at": now,
-                }
-            )
+        violations = validate_plan(plan, facts, self.policies)
+        if violations:
+            self.violations.append({"ctx": sid, "violations": violations, "at": now})
             return False
         for sw, doc in rules:
             self.sim.install_rule(sw, doc, now=now)

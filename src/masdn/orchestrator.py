@@ -6,9 +6,12 @@ adds the infrastructure roster (registry, brokers, knowledge plane, fault
 handler, discovery, monitoring) and spawns it all. The event plane is
 composed here too: each broker's spec carries its subscription table, every
 roster agent homed on it (home_broker) under each topic its kind reads
-(_SUBSCRIPTIONS), so no agent subscribes at run time. The network-level
-policies go down in the specs: each agent's initial facts carry the
-configured policies whose scope holds its kind, in config order.
+(_SUBSCRIPTIONS), so no agent subscribes at run time. Only routing and
+session read events.link: they keep the live view. Qos and forwarding get
+the genesis view in their spec, as configuration no link event changes.
+The network-level policies go down in the specs: each agent's initial
+facts carry the configured policies whose scope holds its kind, in config
+order.
 
 Bootstrap is one decision, on the one control.bootstrap, which genesis sends
 here: it stores the per-agent specs, spawns every agent in roster order and
@@ -90,16 +93,14 @@ INFRA_KINDS = (
 # The topics each kind reads, under which its home broker's table lists it.
 # Every other kind reads no topic.
 _SUBSCRIPTIONS: dict[FunctionKind, list[str]] = {
-    FunctionKind.TOPOLOGY: ["events.link"],
     FunctionKind.ROUTING: ["events.link"],
-    FunctionKind.QOS: ["events.link"],
-    FunctionKind.FORWARDING: ["events.link"],
     FunctionKind.SESSION: ["events.packet_in", "events.flow", "events.link", "events.violation"],
 }
 
-# facts the topology-aware agents start from
+# the kinds whose spec holds the genesis view: routing and session keep it
+# current from link events; qos and forwarding read only what no link event
+# changes (capacities, the switch list)
 _NEEDS_VIEW = (
-    FunctionKind.TOPOLOGY,
     FunctionKind.ROUTING,
     FunctionKind.QOS,
     FunctionKind.FORWARDING,

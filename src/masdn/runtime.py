@@ -326,56 +326,24 @@ def merge_digest(
 # plans and validation
 
 
-@dataclass(frozen=True)
-class PlanStep:
-    action: str
-    target: Destination
-    params: dict[str, Any] = field(default_factory=dict)
-
-    def target_class(self) -> str:
-        if isinstance(self.target, AgentId):
-            return "agent"
-        if self.action in ("install-rule", "remove-rule"):
-            return "switch"
-        return "endpoint"
-
-
-@dataclass(frozen=True)
-class Plan:
-    steps: tuple[PlanStep, ...]
-
-    @classmethod
-    def of(cls, *steps: PlanStep) -> Plan:
-        return cls(steps=tuple(steps))
-
-
-@dataclass(frozen=True)
-class Violation:
-    constraint: str
-    detail: str
-
-
-@dataclass(frozen=True)
-class ValidationReport:
-    passed: bool
-    violations: tuple[Violation, ...] = ()
-    note: str = ""
-
-
-# shared by every pipeline run whose decision has no plan
-_NO_PLAN = Plan(())
-_NO_PLAN_REPORT = ValidationReport(passed=True, note="no-plan")
+def target_class(step: dict[str, Any]) -> str:
+    """What a plan step acts on: an agent, a switch or an endpoint."""
+    if isinstance(step["target"], AgentId):
+        return "agent"
+    if step["action"] in ("install-rule", "remove-rule"):
+        return "switch"
+    return "endpoint"
 
 
 def _check_policies(
-    plan: Plan, facts: dict[str, Any], policies: list[Policy]
-) -> list[Violation]:
+    steps: list[dict[str, Any]], facts: dict[str, Any], policies: list[Policy]
+) -> list[list[str]]:
     """Deny rules win over allow rules; bounded deny rules reject only the
     steps that would push the projected per-target count past the bound.
     Each bounded rule projects its own per-target rule keys (the existing
     table plus the in-plan changes it matches), so one rule's installs never
     hide another rule's bound."""
-    violations: list[Violation] = []
+    violations: list[list[str]] = []
     existing = facts.get("switch-rules", {})
     if not isinstance(existing, dict):
         existing = {}
@@ -384,35 +352,33 @@ def _check_policies(
             if rule.effect != "deny":
                 continue
             projected: dict[str, set[str]] = {}
-            for step in plan.steps:
-                if not rule.matches(step.action, step.target_class()):
+            for s in steps:
+                action, target = s["action"], s["target"]
+                if not rule.matches(action, target_class(s)):
                     continue
                 if rule.max_per_target is None:
                     violations.append(
-                        Violation(
-                            policy.policy_id,
-                            f"action {step.action!r} on {step.target} is denied",
-                        )
+                        [policy.policy_id, f"action {action!r} on {target} is denied"]
                     )
                     continue
-                target = str(step.target)
-                slot = projected.get(target)
+                name = str(target)
+                slot = projected.get(name)
                 if slot is None:
-                    slot = projected[target] = set(existing.get(target, ()))
-                doc = step.params.get("rule")
+                    slot = projected[name] = set(existing.get(name, ()))
+                doc = s["params"].get("rule")
                 key = rule_slot(doc) if isinstance(doc, dict) else None
-                if step.action == "remove-rule":
+                if action == "remove-rule":
                     slot.discard(key or "")
                     continue
                 if key is not None and key in slot:
                     continue  # replaces an existing entry, count unchanged
                 if len(slot) + 1 > rule.max_per_target:
                     violations.append(
-                        Violation(
+                        [
                             policy.policy_id,
-                            f"{step.target}: {len(slot) + 1} rules would exceed "
+                            f"{target}: {len(slot) + 1} rules would exceed "
                             f"bound {rule.max_per_target}",
-                        )
+                        ]
                     )
                 else:
                     slot.add(key or f"anon-{len(slot)}")
@@ -420,46 +386,44 @@ def _check_policies(
 
 
 def validate_plan(
-    plan: Plan, facts: dict[str, Any], policies: Iterable[Policy] = ()
-) -> ValidationReport:
-    """Check a plan against the agent's current facts and active policies.
+    steps: list[dict[str, Any]], facts: dict[str, Any], policies: Iterable[Policy] = ()
+) -> list[list[str]]:
+    """Check a plan's step dicts against the agent's current facts and active
+    policies: [[constraint, detail], ...], empty when the plan passes.
 
-    Violations carry stable constraint ids: "missing-topology" /
-    "unknown-target" for steps that reference state the agent does not know
-    about, and the policy id for policy hits.
+    Constraints are stable ids: "missing-topology" / "unknown-target" for
+    steps that reference state the agent does not know about, and the policy
+    id for policy hits.
     """
-    violations: list[Violation] = []
+    violations: list[list[str]] = []
     topology = facts.get("topology")
     peers = set(facts.get("peers", ()))
     endpoints = set(facts.get("endpoints", ()))
-    for step in plan.steps:
-        cls = step.target_class()
+    for s in steps:
+        cls, target = target_class(s), s["target"]
         if cls == "agent":
-            if str(step.target) not in peers:
+            if str(target) not in peers:
                 violations.append(
-                    Violation("unknown-target", f"agent {step.target} is not a known peer")
+                    ["unknown-target", f"agent {target} is not a known peer"]
                 )
         elif cls == "switch":
             if topology is None:
                 violations.append(
-                    Violation(
+                    [
                         "missing-topology",
-                        f"no topology facts to justify acting on switch {step.target!r}",
-                    )
+                        f"no topology facts to justify acting on switch {target!r}",
+                    ]
                 )
-            elif step.target not in topology.get("switches", ()):
+            elif target not in topology.get("switches", ()):
                 violations.append(
-                    Violation(
-                        "unknown-target", f"switch {step.target!r} not in known topology"
-                    )
+                    ["unknown-target", f"switch {target!r} not in known topology"]
                 )
-        else:
-            if step.target not in endpoints:
-                violations.append(
-                    Violation("unknown-target", f"endpoint {step.target!r} is not known")
-                )
-    violations.extend(_check_policies(plan, facts, list(policies)))
-    return ValidationReport(passed=not violations, violations=tuple(violations))
+        elif target not in endpoints:
+            violations.append(
+                ["unknown-target", f"endpoint {target!r} is not known"]
+            )
+    violations.extend(_check_policies(steps, facts, list(policies)))
+    return violations
 
 
 # ---------------------------------------------------------------------------
@@ -720,21 +684,10 @@ class AgentHost:
             }
         )
 
-        steps = dec.get("plan")
-        if steps:
-            plan = Plan(
-                tuple(
-                    [
-                        PlanStep(d["action"], _parse_target(d["target"]), d.get("params", {}))
-                        for d in steps
-                    ]
-                )
-            )
-        else:
-            plan = _NO_PLAN
+        steps = dec.get("plan", [])
         emit(
             {
-                "steps": [[s.action, str(s.target)] for s in plan.steps],
+                "steps": [[s["action"], str(s["target"])] for s in steps],
                 "stage": "planning",
                 "agent": agent_text,
                 "run": run,
@@ -742,16 +695,15 @@ class AgentHost:
             }
         )
 
-        if plan.steps:
+        violations: list[list[str]] = []
+        if steps:
             policies = [Policy.from_dict(p) for p in snapshot.get("policies", [])]
-            report = validate_plan(plan, snapshot, policies)
-        else:
-            report = _NO_PLAN_REPORT
+            violations = validate_plan(steps, snapshot, policies)
         emit(
             {
-                "passed": report.passed,
-                "violations": [[v.constraint, v.detail] for v in report.violations],
-                "note": report.note,
+                "passed": not violations,
+                "violations": violations,
+                "note": "" if steps else "no-plan",
                 "stage": "validation",
                 "agent": agent_text,
                 "run": run,
@@ -759,7 +711,7 @@ class AgentHost:
             }
         )
 
-        outputs = self._materialize(agent, msg, dec, plan, report)
+        outputs = self._materialize(agent, msg, dec, steps, violations)
         emit(
             {
                 "emitted": [[_KIND_TEXT[m.kind], str(m.dst)] for m in outputs],
@@ -778,18 +730,15 @@ class AgentHost:
         agent: Agent,
         msg: Message,
         dec: dict[str, Any],
-        plan: Plan,
-        report: ValidationReport,
+        steps: list[dict[str, Any]],
+        violations: list[list[str]],
     ) -> list[Message]:
-        if not report.passed:
+        if violations:
             body = {
                 "agent": str(agent.id),
-                "violations": [[v.constraint, v.detail] for v in report.violations],
+                "violations": violations,
                 "correlation_id": msg.msg_id,
-                "steps": [
-                    {"action": s.action, "target": str(s.target), "params": s.params}
-                    for s in plan.steps
-                ],
+                "steps": [{**s, "target": str(s["target"])} for s in steps],
             }
             return [self._event(agent, VIOLATION_TOPIC, body)]
 
@@ -806,7 +755,7 @@ class AgentHost:
             return hit[1]
 
         outputs: list[Message] = []
-        for pstep in plan.steps:
+        for pstep in steps:
             outputs.append(self._step_message(agent, pstep, encode_once))
         for body in dec.get("responses", []):
             outputs.append(
@@ -829,14 +778,15 @@ class AgentHost:
         return outputs
 
     def _step_message(
-        self, agent: Agent, pstep: PlanStep, encode: Callable[[Any], bytes]
+        self, agent: Agent, pstep: dict[str, Any], encode: Callable[[Any], bytes]
     ) -> Message:
-        if pstep.action in ("deliver-event", "forward-event"):
-            kind, body = MessageKind.EVENT, pstep.params["event"]
+        action = pstep["action"]
+        if action in ("deliver-event", "forward-event"):
+            kind, body = MessageKind.EVENT, pstep["params"]["event"]
         else:
-            kind, body = MessageKind.REQUEST, {"op": pstep.action, **pstep.params}
-        dst: Destination = pstep.target
-        if pstep.action in ("install-rule", "remove-rule") and isinstance(dst, str):
+            kind, body = MessageKind.REQUEST, {"op": action, **pstep["params"]}
+        dst: Destination = pstep["target"]
+        if action in ("install-rule", "remove-rule") and isinstance(dst, str):
             dst = f"switch.{dst}"
         return self.factory.new_message(
             src=agent.id,
@@ -868,10 +818,3 @@ class AgentHost:
         if self.log_sink:
             self.log_sink(record)
 
-
-def _parse_target(target: Any) -> Destination:
-    if isinstance(target, AgentId):
-        return target
-    if isinstance(target, str) and "#" in target:
-        return AgentId.parse(target)
-    return str(target)

@@ -60,7 +60,6 @@ ALLOWED = {
     ("_check_policies", "existing = {}"): "totality: switch-rules that is not a table",
     ("validate_plan", "violations.append("):
         "a step on an unknown peer, switch or endpoint: no correct cognition plans one",
-    ("_parse_target", "return AgentId.parse(target)"): "no cognition plans a step on an agent",
     **{("Bus._deliver", text): "dead letters: no composed run loses a destination; test_bus checks each"
        for text in ("dst = msg.dst", "if isinstance(dst, AgentId):", 'reason = f"agent {dst} not live"',
                     "elif self.topic_router is not None:",
@@ -80,8 +79,6 @@ ALLOWED = {
     ("_Shared.__deepcopy__", "return self"): "as above",
     ("AgentId.__lt__", "return NotImplemented"): "comparison protocol: ids are compared with ids",
     ("AgentId.__reduce__", "return AgentId, (self.kind, self.instance)"): "pickle protocol",
-    ("qos_decide", 'return decision(responses=[{"admitted": True, "ctx": ctx}])'):
-        "an admit delivered twice: at-least-once suppresses it, at-most-once never repeats it",
     ("Simulator._route_unit", "progress.dropped += 1"):
         "a deliver rule away from the host's switch, or a forwarding loop: no controller makes one",
     ("Simulator._route_unit", "self.total_drops += 1"): "as above",

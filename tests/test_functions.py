@@ -153,14 +153,6 @@ class TestQosAgent:
         assert set(writes["reservations"]) == {"s1|s2", "s2|s3"}
         assert "s-1" in writes["admitted"]
 
-    def test_readmission_by_ctx_is_idempotent(self):
-        granted = {"s-1": {"links": ["s1|s2"], "rate": 1000}}
-        out = qos_decide(
-            {"topology": TOPO, "admitted": granted}, request(self.ADMIT, dst="qos#0")
-        )
-        assert out["responses"][0]["admitted"] is True
-        assert "facts" not in out  # nothing double-reserved
-
     def test_denial_when_budget_is_full(self):
         # capacity 10 at 800 permille = 8000 milliunits; gap 1 wants 1000
         facts = {

@@ -7,11 +7,12 @@ diff.json) is pinned, so a speed-up that changes any outcome, log record or
 wire byte fails here, naming the artifacts that moved. The outcome.json,
 stats.csv and diff.json constants were recorded before facts were frozen on
 write instead of deep-copied. The run.log constants were last re-recorded
-when the bridge began to hand every live agent its beat tick straight,
-after the tick's link failures and packet-ins have run to quiescence:
-the brokers' tick deliveries and the hybrid root's tick relays are gone,
-and the records and message ids after the first beat tick move. The
-decisions are unchanged, so the other three artifacts keep their bytes.
+when link state came to live only in the agents that read it: the qos,
+forwarding and topology agents no longer get events.link, ingest it or
+export a topology view, so the pipeline runs they made on each link
+failure and the view their digests carried are gone, and the records and
+message ids after genesis move. The decisions are unchanged, so the other three artifacts
+keep their bytes.
 The hashes do not depend on PYTHONHASHSEED.
 When a change is meant to alter the artifacts, re-record the constants and
 say why in the change's notes.
@@ -51,7 +52,7 @@ GOLDEN = {
         0,
         {
             "outcome.json": "9d7df6e08f605236441792fc445708a8bee2ca7bee232834eb24da6bc7505ac6",
-            "run.log": "7958eab34140a579d8d52f7c102ba34daa29f9949f47677e71b0b7e0d901e9c1",
+            "run.log": "e877a8052096cb4d933c3aa1e2608bea0503bb3a2cc757a99e8d2f21a5596003",
             "stats.csv": "afc834dc4a6d33e7aa3e3c9055b241c4b86e34f7697c8468cac1df6550b57694",
             "diff.json": "ca3d163bab055381827226140568f3bef7eaac187cebd76878e0b63e9e442356",
         },
@@ -60,7 +61,7 @@ GOLDEN = {
         0,
         {
             "outcome.json": "57d7ab073da0ee5cbfe058ac2d154482e900e529fb1b7c930584c324f87f1ae7",
-            "run.log": "fbd79e072b76073db5cfac56ce45bd8a6f21bde3cc324d4a056dffc0704eaf68",
+            "run.log": "81a98bcb61b2d330eed65b0a1fdf9e05a3839b954412641c04c344a4e5db1c88",
             "stats.csv": "38bfaab0d91b62a7424a4bb39febbb5006c74786e52f257514557351f534eaf9",
             "diff.json": "ca3d163bab055381827226140568f3bef7eaac187cebd76878e0b63e9e442356",
         },
@@ -69,7 +70,7 @@ GOLDEN = {
         0,
         {
             "outcome.json": "ab0cebde5c16702d9eef7ce0269a6e7f830dd862db93f8b9b7fc203f63721b2a",
-            "run.log": "ca934b0261ab2019acfcdb65c8d99f3c17d1e90f11c41015622f1be847a721f1",
+            "run.log": "ee404e922910e97faef46a0772aee3136813117f94e0aaef1042f2328c77d2c7",
             "stats.csv": "3edfab2026d98f54c995eb9605010f2a20ab518ed0480c9fd0c05f42b4ad9aa6",
             "diff.json": "ca3d163bab055381827226140568f3bef7eaac187cebd76878e0b63e9e442356",
         },

@@ -116,3 +116,20 @@ def test_a_respawned_forwarding_agent_keeps_its_rule_cap(strategy):
         if problems:
             failures[seed] = problems
     assert failures == {}
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_qos_and_forwarding_killed_after_a_link_failure_are_transparent(strategy):
+    # neither keeps the live view: a replacement starts from the genesis view
+    # in its spec although a link is down, and decides as before, since
+    # capacities and the switch list are all the two read of it
+    failures = {}
+    for seed in (1, 4, 7):
+        rng = random.Random(seed)
+        tdoc = gen_topology(rng, 8)
+        sdoc = gen_scenario(rng, tdoc, 8, 2, 60, long_lived=True)
+        sdoc["failures"][0]["at"] = KILL_TICK - 5
+        problems = _check_kill(tdoc, sdoc, {"event_strategy": strategy}, "qos#0", "forwarding#0")
+        if problems:
+            failures[seed] = problems
+    assert failures == {}

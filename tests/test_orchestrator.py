@@ -46,10 +46,7 @@ BASE_CONFIG = {"chain": ["session"], "event_strategy": "centralized"}
 # the topics each kind reads; every other kind reads none, as no tick
 # travels on the event plane
 READS = {
-    "topology": ["events.link"],
     "routing": ["events.link"],
-    "qos": ["events.link"],
-    "forwarding": ["events.link"],
     "session": ["events.flow", "events.link", "events.packet_in", "events.violation"],
 }
 

@@ -20,8 +20,6 @@ from masdn.runtime import (
     AgentSpec,
     DuplicateAgent,
     FactsStore,
-    Plan,
-    PlanStep,
     UnknownCognition,
     cognition,
     decision,
@@ -38,9 +36,17 @@ STAGES = ("input", "facts", "cognition", "planning", "validation", "output")
 
 @register_cognition("scripted")
 def _scripted(facts, inp):
-    """Obeys the request body: {"decision": {...}}."""
+    """Obeys the request body: {"decision": {...}}. The body is JSON, so a
+    step names an agent as its id string; a cognition plans on the AgentId."""
     body = inp.body if isinstance(inp.body, dict) else {}
-    return body.get("decision", {})
+    dec = body.get("decision", {})
+    if "plan" not in dec:
+        return dec
+    plan = [
+        {**s, "target": AgentId.parse(s["target"]) if "#" in s["target"] else s["target"]}
+        for s in dec["plan"]
+    ]
+    return {**dec, "plan": plan}
 
 
 def spawn(host, kind=FunctionKind.ROUTING, instance=0, facts=None):
@@ -211,31 +217,33 @@ class TestHostLifecycle:
 class TestValidatePlan:
     def test_empty_plan_has_nothing_to_violate(self):
         # the host and the oracle validate only plans that have steps
-        report = validate_plan(Plan.of(), {})
-        assert report.passed
-        assert report.violations == ()
+        assert validate_plan([], {}) == []
 
     def test_consistent_plan_passes_without_policies(self):
-        plan = Plan.of(PlanStep("install-rule", "sw1", {"rule": {}}))
+        plan = [step("install-rule", "sw1", rule={})]
         facts = {"topology": {"switches": ["sw1"], "links": [], "hosts": {}}}
-        assert validate_plan(plan, facts).passed
+        assert validate_plan(plan, facts) == []
 
     def test_switch_steps_need_topology_knowledge(self):
-        plan = Plan.of(PlanStep("install-rule", "sw1", {"rule": {}}))
-        report = validate_plan(plan, {})
-        assert [v.constraint for v in report.violations] == ["missing-topology"]
+        plan = [step("install-rule", "sw1", rule={})]
+        assert [c for c, _ in validate_plan(plan, {})] == ["missing-topology"]
 
     def test_unknown_switch_target_is_flagged(self):
-        plan = Plan.of(PlanStep("install-rule", "sw9", {"rule": {}}))
+        plan = [step("install-rule", "sw9", rule={})]
         facts = {"topology": {"switches": ["sw1"], "links": [], "hosts": {}}}
-        report = validate_plan(plan, facts)
-        assert [v.constraint for v in report.violations] == ["unknown-target"]
+        assert [c for c, _ in validate_plan(plan, facts)] == ["unknown-target"]
 
     def test_agent_targets_must_be_known_peers(self):
-        target = AgentId(FunctionKind.ROUTING, 0)
-        plan = Plan.of(PlanStep("path", target, {}))
-        assert not validate_plan(plan, {"peers": []}).passed
-        assert validate_plan(plan, {"peers": ["routing#0"]}).passed
+        plan = [step("path", AgentId(FunctionKind.ROUTING, 0))]
+        assert validate_plan(plan, {"peers": []}) == [
+            ["unknown-target", "agent routing#0 is not a known peer"]
+        ]
+        assert validate_plan(plan, {"peers": ["routing#0"]}) == []
+
+    def test_a_target_is_an_agent_a_switch_or_an_endpoint(self):
+        assert runtime.target_class(step("path", AgentId(FunctionKind.ROUTING, 0))) == "agent"
+        assert runtime.target_class(step("remove-rule", "sw1")) == "switch"
+        assert runtime.target_class(step("spawn-agent", "host.control")) == "endpoint"
 
 
 def _rule_doc(src, dst, priority=10):
@@ -266,31 +274,29 @@ class TestPolicyCaps:
     facts = {"topology": {"switches": ["sw1"], "links": [], "hosts": {}}}
 
     def plan_installing(self, *pairs):
-        return Plan.of(
-            *(PlanStep("install-rule", "sw1", {"rule": _rule_doc(s, d)}) for s, d in pairs)
-        )
+        return [step("install-rule", "sw1", rule=_rule_doc(s, d)) for s, d in pairs]
 
     def test_up_to_the_cap_passes(self):
         plan = self.plan_installing(("h1", "h2"), ("h1", "h3"))
-        assert validate_plan(plan, self.facts, [self.policy]).passed
+        assert validate_plan(plan, self.facts, [self.policy]) == []
 
     def test_exceeding_the_cap_fails(self):
         plan = self.plan_installing(("h1", "h2"), ("h1", "h3"), ("h2", "h3"))
-        report = validate_plan(plan, self.facts, [self.policy])
-        assert not report.passed
-        assert [v.constraint for v in report.violations] == ["net-cap"]
+        assert validate_plan(plan, self.facts, [self.policy]) == [
+            ["net-cap", "sw1: 3 rules would exceed bound 2"]
+        ]
 
     def test_existing_occupancy_counts(self):
         facts = dict(self.facts)
         facts["switch-rules"] = {"sw1": {"h1|h2|10": "r1", "h1|h3|10": "r2"}}
         plan = self.plan_installing(("h2", "h3"))
-        assert not validate_plan(plan, facts, [self.policy]).passed
+        assert validate_plan(plan, facts, [self.policy])
 
     def test_replacing_an_existing_slot_is_free(self):
         facts = dict(self.facts)
         facts["switch-rules"] = {"sw1": {"h1|h2|10": "r1", "h1|h3|10": "r2"}}
         plan = self.plan_installing(("h1", "h2"))
-        assert validate_plan(plan, facts, [self.policy]).passed
+        assert validate_plan(plan, facts, [self.policy]) == []
 
     def test_every_bounded_rule_checks_its_own_bound_in_either_order(self):
         # a looser cap listed first must not hide a tighter one: each rule
@@ -303,8 +309,7 @@ class TestPolicyCaps:
         facts["switch-rules"] = {"sw1": {"h1|h2|10": "r1", "h1|h3|10": "r2"}}
         plan = self.plan_installing(("h2", "h3"))
         for policies in ([cap("a", 3), cap("b", 2)], [cap("b", 2), cap("a", 3)]):
-            report = validate_plan(plan, facts, policies)
-            assert [v.constraint for v in report.violations] == ["b"], policies
+            assert [c for c, _ in validate_plan(plan, facts, policies)] == ["b"], policies
 
     def test_wildcard_policy_credits_in_plan_removals(self):
         wildcard = Policy.from_dict(
@@ -324,22 +329,22 @@ class TestPolicyCaps:
         )
         facts = dict(self.facts)
         facts["switch-rules"] = {"sw1": {"h1|h2|10": "r1", "h1|h3|10": "r2"}}
-        plan = Plan.of(
-            PlanStep("remove-rule", "sw1", {"rule": _rule_doc("h1", "h2")}),
-            PlanStep("install-rule", "sw1", {"rule": _rule_doc("h2", "h3")}),
-        )
-        assert validate_plan(plan, facts, [wildcard]).passed
+        plan = [
+            step("remove-rule", "sw1", rule=_rule_doc("h1", "h2")),
+            step("install-rule", "sw1", rule=_rule_doc("h2", "h3")),
+        ]
+        assert validate_plan(plan, facts, [wildcard]) == []
 
     def test_install_scoped_policy_ignores_removals_conservatively(self):
         # the cap only watches installs, so the in-plan removal earns no
         # credit and the whole plan is rejected: occupancy never overshoots
         facts = dict(self.facts)
         facts["switch-rules"] = {"sw1": {"h1|h2|10": "r1", "h1|h3|10": "r2"}}
-        plan = Plan.of(
-            PlanStep("remove-rule", "sw1", {"rule": _rule_doc("h1", "h2")}),
-            PlanStep("install-rule", "sw1", {"rule": _rule_doc("h2", "h3")}),
-        )
-        assert not validate_plan(plan, facts, [self.policy]).passed
+        plan = [
+            step("remove-rule", "sw1", rule=_rule_doc("h1", "h2")),
+            step("install-rule", "sw1", rule=_rule_doc("h2", "h3")),
+        ]
+        assert validate_plan(plan, facts, [self.policy])
 
 
 class TestPipeline:
@@ -496,7 +501,7 @@ def _beat():
 _BEAT_TICKS = range(0, 2 * HEARTBEAT_INTERVAL + 1, HEARTBEAT_INTERVAL)
 
 # the kinds that read a topic, and so sit in their home broker's table
-_READERS = {"topology", "routing", "qos", "forwarding", "session"}
+_READERS = {"routing", "session"}
 
 # the kinds that run the agent lifecycle: every agent spawned from a spec
 _LIFECYCLE = [k for k in _KINDS if "self" in _spec_facts(k)]

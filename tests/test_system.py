@@ -10,7 +10,7 @@ from masdn.core import AgentId, FunctionKind
 from masdn.oracle import compare, normalize_tables
 from masdn.logic import HEARTBEAT_INTERVAL
 from masdn.netsim import LinkDown, PacketIn
-from masdn.orchestrator import _NEEDS_VIEW, LEASE_TTL, broker_ids, broker_subs, plan_roster
+from masdn.orchestrator import LEASE_TTL, broker_ids, broker_subs, plan_roster
 from masdn.pps import decode_body, encode_body
 from masdn.runtime import FactsStore, beat_tick
 
@@ -40,6 +40,12 @@ TOPO = {
 }
 
 ORCH = "orchestration#0"
+
+# the agents that keep the live link state: routing (paths) and session
+# (reroute sweeps); qos, forwarding and topology follow no link event
+VIEW_KEEPERS = [AgentId(FunctionKind.ROUTING, 0), AgentId(FunctionKind.SESSION, 0)]
+NO_LINK_STATE = [AgentId(k, 0) for k in (FunctionKind.QOS, FunctionKind.FORWARDING,
+                                         FunctionKind.TOPOLOGY)]
 
 FLOWS = [
     {"src": "h1", "dst": "h2", "start_tick": 2, "size": 30, "gap": 1},
@@ -265,7 +271,7 @@ class TestDeltaDigests:
         system = AgentSystem(*build(tdoc, scenario), {})
         digests = self.spy_digests(system)
         system.run()
-        links = system.host.get(AgentId(FunctionKind.TOPOLOGY, 0)).facts.get("topology")["links"]
+        links = system.sim.links_doc()
         (down,) = [i for i, link in enumerate(links) if not link["up"]]
         assert {links[down]["a"], links[down]["b"]} == {failure["a"], failure["b"]}
         views = {}  # tick -> {agent: the topology doc it shipped}
@@ -273,7 +279,8 @@ class TestDeltaDigests:
             if "topology" in keys:
                 views.setdefault(tick, {})[src] = keys["topology"]
         assert sorted(views) == [0, failure["at"]]  # genesis, then the failure alone
-        assert sorted(views[failure["at"]]) == sorted(str(AgentId(k, 0)) for k in _NEEDS_VIEW)
+        for tick in views:
+            assert sorted(views[tick]) == sorted(map(str, VIEW_KEEPERS)), tick
         for agent, doc in views[failure["at"]].items():
             assert (doc["set"], doc["drop"]) == ([[["links", down, "up"], False]], []), agent
 
@@ -381,10 +388,7 @@ class TestFaultRecovery:
 
 
 class TestOneTopologyView:
-    HOLDERS = [AgentId(k, 0) for k in (FunctionKind.ROUTING, FunctionKind.QOS,
-                                      FunctionKind.FORWARDING, FunctionKind.SESSION)]
-
-    def test_every_view_equals_the_topology_agents_after_each_tick(self):
+    def test_every_view_holds_the_simulators_links_after_each_tick(self):
         # a failure with everyone live, and a second failure while routing#0
         # is dead: its replacement gets that link event from the frames
         # parked for it
@@ -395,14 +399,48 @@ class TestOneTopologyView:
         agents = system.host.agents
         for t in range(scen.duration):
             system.tick(t)
-            view = agents[AgentId(FunctionKind.TOPOLOGY, 0)].facts.get("topology")
-            for holder in self.HOLDERS:
+            links = system.sim.links_doc()
+            for holder in VIEW_KEEPERS:
                 if holder in agents:
-                    assert agents[holder].facts.get("topology") == view, (t, str(holder))
-        down = {(l["a"], l["b"]) for l in view["links"] if not l["up"]}
+                    assert agents[holder].facts.get("topology")["links"] == links, (t, str(holder))
+        down = {(l["a"], l["b"]) for l in links if not l["up"]}
         assert down == {("sw2", "sw3"), ("sw3", "sw4")}
         ((_, respawned),) = [e for e in system.spawn_log if e[0] == "routing#0"][1:]
         assert respawned > 14
+
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_no_link_event_or_view_digest_reaches_or_leaves_the_other_agents(self, strategy):
+        # qos reads only capacities, forwarding only the switch list and the
+        # topology agent nothing: no link event changes what they read, so
+        # no broker lists them, and they keep and export no view
+        config = {"event_strategy": strategy}
+        tables = broker_subs(strategy, plan_roster(config))
+        listed = {agent for table in tables.values() for group in table.values()
+                  for agent in group}
+        assert not listed & set(map(str, NO_LINK_STATE)), strategy
+        failures = [{"a": "sw2", "b": "sw3", "at": 12}]
+        topo, scen = build(TOPO, sdoc(failures=failures, duration=30))
+        system = AgentSystem(topo, scen, config)
+        links, views = [], []  # which non-broker got events.link; who shipped a view
+        process_input = system.host.process_input
+
+        def spy(agent_id, msg):
+            body = decode_body(msg.payload)
+            topic = topic_of(body)
+            if topic == "events.link" and agent_id.kind is not FunctionKind.EVENT_DISTRIBUTION:
+                links.append(agent_id)
+            elif topic == "kp.digest" and "topology" in body["body"]:
+                views.append(msg.src)
+            return process_input(agent_id, msg)
+
+        system.host.process_input = spy
+        system.run()
+        assert sorted(set(links)) == sorted(VIEW_KEEPERS)
+        assert sorted(set(views)) == sorted(VIEW_KEEPERS)
+        specs = system.host.get(AgentId.parse(ORCH)).facts.get("specs")
+        assert "topology" not in specs["topology#0"]["initial_facts"]
+        for agent in NO_LINK_STATE:
+            assert "topology" not in system.host.get(agent).impl.digest_keys, str(agent)
 
     @pytest.mark.parametrize("kill", ["none", "session", "last-broker-and-routing"])
     @pytest.mark.parametrize("strategy", STRATEGIES)
@@ -426,7 +464,7 @@ class TestOneTopologyView:
         system = AgentSystem(topo, scen, {"event_strategy": strategy, "kills": {"17": victims}})
         system.genesis()
         agents = system.host.agents
-        holders = [AgentId(kind, 0) for kind in _NEEDS_VIEW]
+        holders = VIEW_KEEPERS
         missing = set()  # ticks after which a victim was still dead
         for t in range(scen.duration):
             system.tick(t)
