@@ -24,7 +24,7 @@ from .core import AgentId, FunctionKind, MasdnError
 from .hierarchy import shared_policy
 from .netsim import Scenario, SchemaError, Topology
 from .oracle import MonolithicController, compare
-from .orchestrator import BROKER_COUNT
+from .orchestrator import BROKER_COUNT, check_roster
 from .system import AgentSystem, resolve_profile
 
 MODES = ("agents", "monolithic", "compare")
@@ -69,6 +69,7 @@ def _check_config(config: Any) -> None:
         except (TypeError, ValueError) as exc:
             raise SchemaError(f"bad kills entry {tick!r}: {exc}") from exc
     _check_each(config, "chain", FunctionKind)
+    check_roster(config)
     resolve_profile(config)
     _check_each(config, "policies", shared_policy)
     thresholds = config.get("thresholds", {})

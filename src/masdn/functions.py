@@ -20,7 +20,8 @@ their spec as configuration, follow no link event and export no view.
 Some agents have nothing to decide, and share one empty decide function
 (lifecycle_only_decide): the topology agent; the monitoring agent, whose
 per-tick link stats go to stats.csv and which no agent reads; and the
-infrastructure agents that run only the lifecycle (infra.py).
+infrastructure agents that run only the lifecycle (infra.py). Topology and
+monitoring join a run only when its chain names them: no agent asks them.
 
 The session agent is the conductor, and its conversation is one stage
 machine. A session's conversation is one record in the "pending" facts,
@@ -268,13 +269,7 @@ def forwarding_decide(facts: dict[str, Any], inp: AgentInput) -> dict[str, Any]:
 
 # -- session agent --------------------------------------------------------------------
 
-_SESSION_DIGEST = (
-    "topology",
-    "sessions",
-    "pending",
-    "session-seq",
-    "rule-seq",
-)
+_SESSION_DIGEST = ("topology", "sessions", "pending", "rule-seq")
 
 # the request each stage sends (the op is named after the stage): the peer
 # kind asked and the pending-record fields the request carries
@@ -299,7 +294,6 @@ class _SessionState:
         self.facts = facts
         self.sessions = dict(facts.get("sessions", {}))
         self.pending = dict(facts.get("pending", {}))
-        self.session_seq = facts.get("session-seq", 0)
         self.rule_seq = facts.get("rule-seq", 0)
         self.steps: list[dict[str, Any]] = []
 
@@ -307,12 +301,7 @@ class _SessionState:
         return _edit(self.sessions, self.facts.get("sessions", {}), sid)
 
     def writes(self) -> list[tuple[str, Any]]:
-        return [
-            ("sessions", self.sessions),
-            ("pending", self.pending),
-            ("session-seq", self.session_seq),
-            ("rule-seq", self.rule_seq),
-        ]
+        return [("sessions", self.sessions), ("pending", self.pending), ("rule-seq", self.rule_seq)]
 
     # -- conversation steps --------------------------------------------------
 
@@ -329,7 +318,6 @@ class _SessionState:
         """Start sid's conversation at stage and send that stage's request."""
         rec = self.sessions[sid]
         self.pending[sid] = {
-            "sid": sid,
             "stage": stage,
             "src": rec["src"],
             "dst": rec["dst"],
@@ -358,9 +346,9 @@ class _SessionState:
         self, src: str, dst: str, size: int, gap: int, hint: str | None, at: int
     ) -> None:
         """Open a session created at tick at, the tick of the event that
-        opened it: a replayed event is delivered later than it happened."""
-        self.session_seq += 1
-        sid = f"s{self.session_seq:04d}"
+        opened it: a replayed event is delivered later than it happened.
+        Sessions are never dropped, so the table's size numbers the next."""
+        sid = f"s{len(self.sessions) + 1:04d}"
         self.sessions[sid] = session_record(
             sid, src, dst, klass="", created_at=at, state=PENDING, gap=gap, size=size
         )

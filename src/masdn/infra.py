@@ -6,7 +6,9 @@ The lifecycle-only agents keep no state of their own: what agents export
 lives in the orchestrator's mirror, and who is live lives in the
 orchestrator's lease table. They run the shared empty decide
 (functions.lifecycle_only_decide) under the agent lifecycle (the
-heartbeat) and are respawned like everyone else.
+heartbeat) and are respawned like everyone else. The registry and the
+knowledge plane are in every roster; discovery and the fault handler only
+in one whose chain names them.
 
 Brokers carry the event plane at run time. A published event (a message
 whose destination is a topic) reaches one broker, which delivers the

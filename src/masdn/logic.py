@@ -299,32 +299,18 @@ def _path_intact(path: list[str], graph: Graph) -> bool:
 
 # -- orchestration helpers ------------------------------------------------------------
 
-# which other functions each function needs before it can do its job
+# the kinds each kind sends requests to: the session agent asks the others
+# and none of them asks anyone
 CHAIN_DEPENDENCIES: dict[FunctionKind, frozenset[FunctionKind]] = {
     FunctionKind.SESSION: frozenset(
-        {
-            FunctionKind.CLASSIFIER,
-            FunctionKind.ROUTING,
-            FunctionKind.FORWARDING,
-            FunctionKind.QOS,
-        }
+        {FunctionKind.CLASSIFIER, FunctionKind.ROUTING, FunctionKind.FORWARDING, FunctionKind.QOS}
     ),
-    FunctionKind.FORWARDING: frozenset({FunctionKind.ROUTING}),
-    FunctionKind.QOS: frozenset({FunctionKind.ROUTING}),
-    FunctionKind.ROUTING: frozenset({FunctionKind.TOPOLOGY}),
-    FunctionKind.MONITORING: frozenset(),
 }
 
 
 def chain_closure(requested: Iterable[FunctionKind]) -> list[FunctionKind]:
-    """Dependency closure of a chain request, in stable (name) order."""
-    closed: set[FunctionKind] = set()
-    frontier = list(requested)
-    while frontier:
-        kind = frontier.pop()
-        if kind in closed:
-            continue
-        closed.add(kind)
-        frontier.extend(CHAIN_DEPENDENCIES.get(kind, frozenset()))
+    """A chain request and the kinds it sends requests to, in stable (name)
+    order. No kind asked sends a request itself, so one step closes it."""
+    closed = set(requested)
+    closed.update(*[CHAIN_DEPENDENCIES.get(kind, ()) for kind in closed])
     return sorted(closed, key=lambda k: k.value)
-

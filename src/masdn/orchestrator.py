@@ -1,10 +1,12 @@
 """The network-level orchestration agent.
 
 Given a run configuration it recomposes the controller out of atomic
-function agents: it expands the requested chain to its dependency closure,
-adds the infrastructure roster (registry, brokers, knowledge plane, fault
-handler, discovery, monitoring) and spawns it all. The event plane is
-composed here too: each broker's spec carries its subscription table, every
+function agents: the chain's closure (the kinds it names and those they
+ask), the registry and knowledge-plane agents and the brokers, and no
+other; topology, monitoring, fault and discovery join only when the chain
+names them. check_roster refuses, before a run, a chain it cannot compose
+and a kill of an agent outside the roster. The event plane is composed
+here too: each broker's spec carries its subscription table, every
 roster agent homed on it (home_broker) under each topic its kind reads
 (_SUBSCRIPTIONS), so no agent subscribes at run time. Only routing and
 session read events.link: they keep the live view. Qos and forwarding get
@@ -62,6 +64,7 @@ from .logic import (
     MISSED_HEARTBEATS,
     chain_closure,
 )
+from .netsim import SchemaError
 from .registry import (
     UnknownLease,
     table_discover,
@@ -71,6 +74,8 @@ from .registry import (
 )
 from .runtime import (
     AgentInput,
+    UnknownCognition,
+    cognition,
     decision,
     event_of,
     merge_digest,
@@ -82,13 +87,6 @@ BROKER_COUNT = {"centralized": 1, "distributed": 3, "hybrid": 5}
 
 # a lease lapses MISSED_HEARTBEATS heartbeat intervals after its last renewal
 LEASE_TTL = HEARTBEAT_INTERVAL * MISSED_HEARTBEATS
-
-INFRA_KINDS = (
-    FunctionKind.MONITORING,
-    FunctionKind.FAULT,
-    FunctionKind.AUTOCONF_DISCOVERY,
-    FunctionKind.KNOWLEDGE_PLANE,
-)
 
 # The topics each kind reads, under which its home broker's table lists it.
 # Every other kind reads no topic.
@@ -128,12 +126,35 @@ def home_broker(strategy: str, agent: str) -> str:
 
 
 def plan_roster(config: dict[str, Any]) -> list[str]:
-    """Every agent the run needs, as sorted id strings (orchestrator excluded)."""
+    """Every agent the run needs, as sorted id strings (orchestrator
+    excluded): the chain's closure, registry, knowledge plane and brokers."""
     chain = [FunctionKind(k) for k in config.get("chain", ["session"])]
-    kinds = set(chain_closure(chain)) | set(INFRA_KINDS) | {FunctionKind.REGISTRY}
+    kinds = {*chain_closure(chain), FunctionKind.REGISTRY, FunctionKind.KNOWLEDGE_PLANE}
     roster = [str(AgentId(kind, 0)) for kind in kinds]
     roster.extend(broker_ids(config.get("event_strategy", "centralized")))
     return sorted(roster)
+
+
+def check_roster(config: dict[str, Any]) -> None:
+    """Refuse, with SchemaError, a chain the orchestrator cannot compose, and a
+    kill of an agent outside the roster. A chain holds session, whose ledger
+    the monolith keeps, and only kinds with a cognition, bar the orchestrator
+    and the brokers, which are composed apart."""
+    chain = config.get("chain", ["session"])
+    if FunctionKind.SESSION.value not in chain:
+        raise SchemaError(f"config chain {chain} does not hold 'session'")
+    for name in chain:
+        try:
+            cognition(name)
+        except UnknownCognition:
+            raise SchemaError(f"config chain names {name!r}, which has no cognition") from None
+        if name in (FunctionKind.ORCHESTRATION.value, FunctionKind.EVENT_DISTRIBUTION.value):
+            raise SchemaError(f"config chain names {name!r}, which is composed apart")
+    roster = plan_roster(config)
+    for tick, agents in config.get("kills", {}).items():
+        outside = [a for a in agents if a not in roster]
+        if outside:
+            raise SchemaError(f"config kills at tick {tick}: {outside} not in the roster")
 
 
 def broker_subs(strategy: str, roster: list[str]) -> dict[str, dict[str, list[str]]]:

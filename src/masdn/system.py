@@ -69,7 +69,7 @@ from .core import AgentId, FunctionKind, Message, MessageKind
 from .hierarchy import shared_policy
 from .logic import topology_view
 from .netsim import LinkDown, PacketIn, Scenario, SchemaError, Simulator, TickStats, Topology
-from .orchestrator import home_broker
+from .orchestrator import check_roster, home_broker
 from .pps import DEFAULT_PROFILES, StackProfile, decode_body, encode_body
 from .runtime import SUPERVISOR, AgentHost, AgentSpec, beat_tick, digest_delta
 from .bus import Bus
@@ -103,6 +103,7 @@ class AgentSystem:
         self.topo = topo
         self.scenario = scenario
         self.config = dict(config or {})
+        check_roster(self.config)
         for doc in self.config.get("policies", []):
             shared_policy(doc)
         self.host = AgentHost(log_sink=log_sink)

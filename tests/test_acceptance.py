@@ -281,8 +281,10 @@ def test_criterion_03_event_plane_arrangements_are_observationally_equal():
 
 
 def test_criterion_04_killing_any_agent_is_transparent_and_recovery_is_timely(capsys):
-    victims = [a for a in plan_roster({"chain": ["session"]})
-               if not a.startswith("orchestration")]
+    # every agent of a centralized roster whose chain also names the four
+    # lifecycle-only kinds, so that each kind a chain can compose is killed
+    config = {"chain": ["session", "autoconf-discovery", "fault", "monitoring", "topology"]}
+    victims = plan_roster(config)
     deadline = 3 * HEARTBEAT_INTERVAL + 1
     kill_tick = 23
     checked = 0
@@ -291,16 +293,17 @@ def test_criterion_04_killing_any_agent_is_transparent_and_recovery_is_timely(ca
         tdoc = gen_topology(rng, rng.randint(5, 7))
         sdoc = gen_scenario(rng, tdoc, 3, 0, 60, long_lived=True)
         topo, scen = build(tdoc, sdoc)
-        baseline = normalize_tables(AgentSystem(topo, scen, {}).run()["tables"])
+        baseline = normalize_tables(AgentSystem(topo, scen, config).run()["tables"])
         for victim in victims:
             topo, scen = build(tdoc, sdoc)
-            system = AgentSystem(topo, scen, {"kills": {kill_tick: [victim]}})
+            system = AgentSystem(topo, scen, {**config, "kills": {kill_tick: [victim]}})
             wounded = system.run()
             assert normalize_tables(wounded["tables"]) == baseline, (i, victim)
             respawns = [t for a, t in system.spawn_log if a == victim]
             assert len(respawns) == 2, (i, victim, respawns)
             assert respawns[1] - kill_tick <= deadline, (i, victim, respawns)
             checked += 1
+    assert checked >= 240
     with capsys.disabled():
         print(f"\n[criterion 4] {checked} kill runs transparent, "
               f"respawn within {deadline} ticks")

@@ -141,6 +141,19 @@ class TestErrorPaths:
             {"topology": TOPO, "scenario": SCENARIO, "kills": {"3": ["nosuch#0"]}},
             {"topology": TOPO, "scenario": SCENARIO, "chain": ["session", "teleport"]},
             {"topology": TOPO, "scenario": SCENARIO, "chain": "session"},
+            # chains and kills the orchestrator cannot compose: each once ran
+            # to a framework error at tick 0 (exit 3), to a compare that
+            # always diverges (exit 1), or as a run that killed no one
+            {"topology": TOPO, "scenario": SCENARIO, "chain": ["session", "mobility"]},
+            {"topology": TOPO, "scenario": SCENARIO, "chain": ["switch-adapter"]},
+            {"topology": TOPO, "scenario": SCENARIO, "chain": ["session", "orchestration"]},
+            {"topology": TOPO, "scenario": SCENARIO, "chain": ["session", "event-distribution"]},
+            {"topology": TOPO, "scenario": SCENARIO, "chain": ["monitoring"]},
+            {"topology": TOPO, "scenario": SCENARIO, "chain": []},
+            {"topology": TOPO, "scenario": SCENARIO, "kills": {"12": ["mobility#0", "routing#7"]}},
+            {"topology": TOPO, "scenario": SCENARIO, "kills": {"12": ["monitoring#0"]}},
+            {"topology": TOPO, "scenario": SCENARIO, "kills": {"12": ["orchestration#0"]}},
+            {"topology": TOPO, "scenario": SCENARIO, "kills": {"12": ["event-distribution#1"]}},
             {"topology": TOPO, "scenario": SCENARIO, "profiles": ["pps-carrier-pigeon"]},
             {"topology": TOPO, "scenario": SCENARIO, "profile": "pps-carrier-pigeon"},
             {"topology": TOPO, "scenario": SCENARIO, "profiles": ["bin-alo-64k", "txt-amo-64k"]},
@@ -167,6 +180,10 @@ class TestErrorPaths:
         ],
         ids=["top-level-not-object", "seed-not-integer", "unknown-event-strategy",
              "kills-malformed-agent-id", "chain-unknown-kind", "chain-a-string",
+             "chain-kind-without-cognition", "chain-switch-adapter", "chain-orchestration",
+             "chain-event-distribution", "chain-without-session", "chain-empty",
+             "kill-outside-the-roster", "kill-uncomposed-kind", "kill-the-orchestrator",
+             "kill-a-broker-of-another-strategy",
              "profiles-unknown-profile", "profile-unknown-id", "profiles-leftover-list",
              "policy-without-policy-id", "thresholds-not-object",
              "qos-cap-not-integer", "threshold-not-a-number", "rule-cap-not-integer",
@@ -177,8 +194,18 @@ class TestErrorPaths:
         config = tmp_path / "config.json"
         config.write_text(json.dumps(doc))
         assert main(["run", str(config), "--out-dir", str(tmp_path / "out")]) == 2
-        assert "error:" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
         assert not (tmp_path / "out").exists()
+
+    def test_a_kill_of_an_agent_its_chain_composes_runs(self, tmp_path):
+        config = write_config(tmp_path, chain=["session", "monitoring"],
+                              kills={"12": ["monitoring#0"]})
+        out = tmp_path / "out"
+        assert main(["run", str(config), "--out-dir", str(out)]) == 0
+        kills = [r for r in map(json.loads, (out / "run.log").read_text().splitlines())
+                 if r.get("stage") == "kill"]
+        assert [r["agent"] for r in kills] == ["monitoring#0"]
 
     def test_a_leftover_profiles_list_names_its_replacement(self, tmp_path, capsys):
         # an old config must not run silently under the default profile

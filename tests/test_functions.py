@@ -479,7 +479,7 @@ class TestSessionAgent:
         )
         store.put(
             "pending",
-            {"s0002": {"sid": "s0002", "stage": "install", "src": "h2", "dst": "h1",
+            {"s0002": {"stage": "install", "src": "h2", "dst": "h1",
                        "class": "bulk", "path": ["s3", "s2"]}},
         )
         stored = store.get("sessions")
@@ -512,14 +512,15 @@ class TestSessionConversation:
             "peers": self.PEERS,
             "topology": TOPO,
             "sessions": {r["session_id"]: r for r in sessions},
-            "pending": {p["sid"]: p for p in pending},
-            "session-seq": len(sessions),
+            # each pending record is the conversation of the session in
+            # the same place
+            "pending": {r["session_id"]: p for r, p in zip(sessions, pending)},
             "rule-seq": rule_seq,
             **extra,
         }
 
     def pending(self, stage, **fields):
-        return {"sid": "s0001", "stage": stage, "src": "h1", "dst": "h2", "size": 5,
+        return {"stage": stage, "src": "h1", "dst": "h2", "size": 5,
                 "gap": 1, "hint": None, **fields}
 
     def session(self, state=PENDING, klass="", **fields):
@@ -558,11 +559,22 @@ class TestSessionConversation:
                                           "size": 5, "gap": 1, "hint": None},
                     dst="session#0", now=16)
         writes, asks = self.decide(self.facts(), inp)
-        assert writes["session-seq"] == 1
+        # the sessions table is the agent's one record of what it opened
+        assert sorted(writes) == ["pending", "rule-seq", "sessions"]
         assert writes["sessions"]["s0001"] == self.session()
         assert writes["pending"]["s0001"] == self.pending("classify")
         assert asks == [("classify", "classifier#0",
                          {"size": 5, "gap": 1, "hint": None, "ctx": "s0001"})]
+
+    def test_a_new_session_is_numbered_after_the_sessions_held(self):
+        # sessions are never dropped, so the table's size numbers the next
+        inp = event("events.packet_in", {"switch": "s3", "src": "h2", "dst": "h1", "at": 9,
+                                          "size": 5, "gap": 1}, dst="session#0", now=9)
+        facts = self.facts([self.session(ACTIVE, "interactive", path=self.PATH)], rule_seq=3)
+        writes, asks = self.decide(facts, inp)
+        assert sorted(writes["sessions"]) == ["s0001", "s0002"]
+        assert sorted(writes["pending"]) == ["s0002"]
+        assert [params["ctx"] for _action, _target, params in asks] == ["s0002"]
 
     def test_packet_in_for_a_known_session_in_flight_asks_nothing(self):
         inp = event("events.packet_in", {"switch": "s1", "src": "h1", "dst": "h2", "at": 5,
@@ -692,7 +704,7 @@ class TestSessionConversation:
         rec = writes["sessions"]["s0001"]
         assert (rec["state"], rec["reason"], rec["reserved"]) == (UPDATING, None, False)
         assert writes["pending"]["s0001"] == {
-            "sid": "s0001", "stage": "admit", "src": "h1", "dst": "h2", "size": 5, "gap": 1,
+            "stage": "admit", "src": "h1", "dst": "h2", "size": 5, "gap": 1,
             "hint": None, "class": "realtime", "path": self.PATH,
         }
 
@@ -769,7 +781,7 @@ class TestSessionConversation:
         again = event("events.flow", {**flow, "at": 9}, dst="session#0", now=9)
         writes, asks = self.decide(known, again)
         assert asks == []
-        assert (writes["sessions"], writes["session-seq"]) == (known["sessions"], 1)
+        assert writes["sessions"] == known["sessions"]
 
 
 class TestBrokerAgent:

@@ -7,12 +7,13 @@ diff.json) is pinned, so a speed-up that changes any outcome, log record or
 wire byte fails here, naming the artifacts that moved. The outcome.json,
 stats.csv and diff.json constants were recorded before facts were frozen on
 write instead of deep-copied. The run.log constants were last re-recorded
-when link state came to live only in the agents that read it: the qos,
-forwarding and topology agents no longer get events.link, ingest it or
-export a topology view, so the pipeline runs they made on each link
-failure and the view their digests carried are gone, and the records and
-message ids after genesis move. The decisions are unchanged, so the other three artifacts
-keep their bytes.
+when the default roster shrank to what the chain names: the topology,
+monitoring, fault and discovery agents are no longer composed, so their
+spawns, leases, beat ticks and beats are gone, and the session agent's
+digests no longer carry a "session-seq" counter (the sessions table
+numbers the next session). The records and message ids move from genesis
+on. The decisions are unchanged, so the other three artifacts keep their
+bytes.
 The hashes do not depend on PYTHONHASHSEED.
 When a change is meant to alter the artifacts, re-record the constants and
 say why in the change's notes.
@@ -52,7 +53,7 @@ GOLDEN = {
         0,
         {
             "outcome.json": "9d7df6e08f605236441792fc445708a8bee2ca7bee232834eb24da6bc7505ac6",
-            "run.log": "e877a8052096cb4d933c3aa1e2608bea0503bb3a2cc757a99e8d2f21a5596003",
+            "run.log": "eace0bb1aafe4d3b316b68994b89715171f31b345e54548e4cf56ec8906e35cd",
             "stats.csv": "afc834dc4a6d33e7aa3e3c9055b241c4b86e34f7697c8468cac1df6550b57694",
             "diff.json": "ca3d163bab055381827226140568f3bef7eaac187cebd76878e0b63e9e442356",
         },
@@ -61,7 +62,7 @@ GOLDEN = {
         0,
         {
             "outcome.json": "57d7ab073da0ee5cbfe058ac2d154482e900e529fb1b7c930584c324f87f1ae7",
-            "run.log": "81a98bcb61b2d330eed65b0a1fdf9e05a3839b954412641c04c344a4e5db1c88",
+            "run.log": "9e49d33a97745eb23b559fcbdfd9d6d8631d1b71cf03cdd16c8c220b8c1d35c9",
             "stats.csv": "38bfaab0d91b62a7424a4bb39febbb5006c74786e52f257514557351f534eaf9",
             "diff.json": "ca3d163bab055381827226140568f3bef7eaac187cebd76878e0b63e9e442356",
         },
@@ -70,7 +71,7 @@ GOLDEN = {
         0,
         {
             "outcome.json": "ab0cebde5c16702d9eef7ce0269a6e7f830dd862db93f8b9b7fc203f63721b2a",
-            "run.log": "ee404e922910e97faef46a0772aee3136813117f94e0aaef1042f2328c77d2c7",
+            "run.log": "0245f2eabacee332c87a3fc345fb6661ecfa17c14357da7295c948380d0cd38a",
             "stats.csv": "3edfab2026d98f54c995eb9605010f2a20ab518ed0480c9fd0c05f42b4ad9aa6",
             "diff.json": "ca3d163bab055381827226140568f3bef7eaac187cebd76878e0b63e9e442356",
         },

@@ -23,6 +23,9 @@ a second detection window, past the deadline.
 The rule-cap runs check that a respawned forwarding agent gets its rule cap
 back from its spec: the requests replayed to it are validated against the
 cap like any other.
+
+The lifecycle-only runs compose topology, monitoring, fault and discovery
+through the chain, which alone puts them in a roster, and kill each.
 """
 import random
 
@@ -37,6 +40,9 @@ from helpers import STRATEGIES, build, gen_scenario, gen_topology
 
 KILL_TICK = 17
 DEADLINE = 3 * HEARTBEAT_INTERVAL + 1
+
+# the kinds that run the lifecycle only, composed when the chain names them
+LIFECYCLE_ONLY = ("autoconf-discovery", "fault", "monitoring", "topology")
 
 RULE_CAP = {
     "policy_id": "switch-rule-cap",
@@ -132,4 +138,22 @@ def test_qos_and_forwarding_killed_after_a_link_failure_are_transparent(strategy
         problems = _check_kill(tdoc, sdoc, {"event_strategy": strategy}, "qos#0", "forwarding#0")
         if problems:
             failures[seed] = problems
+    assert failures == {}
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_the_lifecycle_only_agents_a_chain_names_are_composed_and_respawned_in_time(strategy):
+    # topology, monitoring, fault and discovery join a roster only when the
+    # chain names them (a kill outside the roster is refused); composed,
+    # they change no decision, and each is replaced like any other agent
+    config = {"event_strategy": strategy, "chain": ["session", *LIFECYCLE_ONLY]}
+    failures = {}
+    for seed in (1, 4):
+        rng = random.Random(seed)
+        tdoc = gen_topology(rng, 8)
+        sdoc = gen_scenario(rng, tdoc, 8, 2, 60, long_lived=True)
+        for victims in ([], *([f"{kind}#0"] for kind in LIFECYCLE_ONLY)):
+            problems = _check_kill(tdoc, sdoc, config, *victims)
+            if problems:
+                failures[(seed, *victims)] = problems
     assert failures == {}

@@ -270,14 +270,16 @@ class TestComposition:
         assert chain_closure([]) == []
 
     def test_session_pulls_in_its_whole_support_chain(self):
+        # the kinds the session agent asks, and nothing they do not ask
         closed = chain_closure([FunctionKind.SESSION])
-        assert set(closed) >= {
-            FunctionKind.SESSION,
+        assert closed == [
             FunctionKind.CLASSIFIER,
-            FunctionKind.ROUTING,
             FunctionKind.FORWARDING,
             FunctionKind.QOS,
-        }
+            FunctionKind.ROUTING,
+            FunctionKind.SESSION,
+        ]
+        assert chain_closure([FunctionKind.ROUTING]) == [FunctionKind.ROUTING]
 
     def test_closure_output_is_sorted_and_duplicate_free(self):
         closed = chain_closure([FunctionKind.SESSION, FunctionKind.ROUTING])

@@ -1,8 +1,11 @@
 """Orchestration agent: roster planning, the genesis bootstrap, lease-based recovery."""
 import random
 
+import pytest
+
 from masdn.core import AgentId, FunctionKind, Message, MessageKind
 from masdn.logic import HEARTBEAT_INTERVAL, MISSED_HEARTBEATS
+from masdn.netsim import SchemaError
 from masdn.orchestrator import (
     LEASE_TTL,
     broker_ids,
@@ -15,7 +18,7 @@ from masdn.orchestrator import (
 from masdn.runtime import AgentInput, cognition
 from masdn.system import AgentSystem
 
-from helpers import build, gen_scenario, gen_topology
+from helpers import STRATEGIES, build, gen_scenario, gen_topology
 
 ME = "orchestration#0"
 _IDS = iter(range(1, 100000))
@@ -51,21 +54,36 @@ READS = {
 }
 
 
-class TestRosterPlanning:
-    def test_session_chain_pulls_in_its_dependencies(self):
-        roster = plan_roster(BASE_CONFIG)
-        kinds = {a.split("#")[0] for a in roster}
-        assert {"session", "classifier", "routing", "forwarding", "qos"} <= kinds
-        assert {"registry", "event-distribution", "knowledge-plane",
-                "fault", "monitoring", "autoconf-discovery"} <= kinds
-        assert "orchestration" not in kinds
-        assert roster == sorted(roster)
+# the kinds that run the lifecycle only and join a roster only when the
+# chain names them
+LIFECYCLE_ONLY = ["autoconf-discovery", "fault", "monitoring", "topology"]
 
-    def test_empty_chain_still_gets_infrastructure(self):
-        roster = plan_roster({"chain": [], "event_strategy": "centralized"})
-        kinds = {a.split("#")[0] for a in roster}
-        assert "session" not in kinds
-        assert "registry" in kinds
+
+class TestRosterPlanning:
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_the_default_roster_is_the_session_closure_the_registry_kp_and_the_brokers(
+        self, strategy
+    ):
+        closure = ["classifier#0", "forwarding#0", "qos#0", "routing#0", "session#0"]
+        want = sorted(closure + ["registry#0", "knowledge-plane#0", *broker_ids(strategy)])
+        assert plan_roster({"event_strategy": strategy}) == want
+        assert plan_roster({"chain": ["session"], "event_strategy": strategy}) == want
+
+    @pytest.mark.parametrize("kind", LIFECYCLE_ONLY)
+    def test_a_chain_that_names_a_lifecycle_only_kind_composes_it(self, kind):
+        config = {"chain": ["session", kind]}
+        assert sorted(set(plan_roster(config)) - set(plan_roster({}))) == [f"{kind}#0"]
+
+    def test_a_system_refuses_a_chain_or_kill_its_roster_cannot_hold(self):
+        # as the CLI does (test_cli), so a kill outside the roster fails a
+        # test instead of leaving it a run with no kill
+        rng = random.Random(0)
+        tdoc = gen_topology(rng, 6)
+        topo, scen = build(tdoc, gen_scenario(rng, tdoc, 6, 0, 60))
+        for config in ({"chain": ["monitoring"]}, {"chain": ["session", "mobility"]},
+                       {"kills": {"12": ["monitoring#0"]}}, {"kills": {"12": [ME]}}):
+            with pytest.raises(SchemaError):
+                AgentSystem(topo, scen, config)
 
     def test_broker_count_follows_strategy(self):
         assert broker_ids("centralized") == ["event-distribution#0"]

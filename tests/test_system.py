@@ -42,7 +42,8 @@ TOPO = {
 ORCH = "orchestration#0"
 
 # the agents that keep the live link state: routing (paths) and session
-# (reroute sweeps); qos, forwarding and topology follow no link event
+# (reroute sweeps); qos, forwarding and, when a chain names it, topology
+# follow no link event
 VIEW_KEEPERS = [AgentId(FunctionKind.ROUTING, 0), AgentId(FunctionKind.SESSION, 0)]
 NO_LINK_STATE = [AgentId(k, 0) for k in (FunctionKind.QOS, FunctionKind.FORWARDING,
                                          FunctionKind.TOPOLOGY)]
@@ -411,9 +412,10 @@ class TestOneTopologyView:
     @pytest.mark.parametrize("strategy", STRATEGIES)
     def test_no_link_event_or_view_digest_reaches_or_leaves_the_other_agents(self, strategy):
         # qos reads only capacities, forwarding only the switch list and the
-        # topology agent nothing: no link event changes what they read, so
-        # no broker lists them, and they keep and export no view
-        config = {"event_strategy": strategy}
+        # topology agent, composed here through the chain, nothing: no link
+        # event changes what they read, so no broker lists them, and they
+        # keep and export no view
+        config = {"event_strategy": strategy, "chain": ["session", "topology"]}
         tables = broker_subs(strategy, plan_roster(config))
         listed = {agent for table in tables.values() for group in table.values()
                   for agent in group}
