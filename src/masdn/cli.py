@@ -24,7 +24,7 @@ from .core import AgentId, FunctionKind, MasdnError
 from .hierarchy import shared_policy
 from .netsim import Scenario, SchemaError, Topology
 from .oracle import MonolithicController, compare
-from .orchestrator import BROKER_COUNT, check_roster
+from .orchestrator import BROKER_COUNT, check_kill_ticks, check_roster
 from .system import AgentSystem, resolve_profile
 
 MODES = ("agents", "monolithic", "compare")
@@ -121,6 +121,7 @@ def run_command(args: argparse.Namespace) -> int:
         scenario = Scenario.from_doc(
             _load_doc(config.get("scenario"), base, "scenario"), topo
         )
+        check_kill_ticks(config, scenario.duration)
     except (FileNotFoundError, SchemaError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

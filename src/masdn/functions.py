@@ -20,8 +20,8 @@ their spec as configuration, follow no link event and export no view.
 Some agents have nothing to decide, and share one empty decide function
 (lifecycle_only_decide): the topology agent; the monitoring agent, whose
 per-tick link stats go to stats.csv and which no agent reads; and the
-infrastructure agents that run only the lifecycle (infra.py). Topology and
-monitoring join a run only when its chain names them: no agent asks them.
+lifecycle-only infrastructure agents (infra.py). Topology and monitoring
+join a run only when its chain names them: no agent asks them.
 
 The session agent is the conductor, and its conversation is one stage
 machine. A session's conversation is one record in the "pending" facts,
@@ -55,9 +55,10 @@ carries, not with the tick it is delivered at.
 Ordering contract (mirrored by the oracle): link events precede packet-in
 events within a tick, so reroute sweeps always run before new-flow
 conversations, and requests reach the shared-state agents (QoS, forwarding)
-in the same order in both controller modes. The tick comes last, and on it
-the session agent runs the periodic sweep (every REFRESH_EVERY ticks) before
-the flow announcements, as the oracle does.
+in the same order in both controller modes. The tick comes last, handed to
+the session agent alone and only every REFRESH_EVERY ticks, and on it the
+session agent runs the periodic sweep before the flow announcements, as the
+oracle does.
 """
 
 from __future__ import annotations
@@ -73,7 +74,6 @@ from .logic import (
     PENDING,
     PRIORITY_BY_CLASS,
     REALTIME,
-    REFRESH_EVERY,
     UNROUTABLE,
     UPDATING,
     admit_realtime,
@@ -140,7 +140,8 @@ def topology_ingest(facts: dict[str, Any], inp: AgentInput) -> list[tuple[str, A
 @register_cognition(FunctionKind.TOPOLOGY.value)
 @register_cognition(FunctionKind.MONITORING.value)
 def lifecycle_only_decide(facts: dict[str, Any], inp: AgentInput) -> dict[str, Any]:
-    """Nothing to decide: the registered lifecycle is all these agents do."""
+    """Nothing to decide: these agents are spawned, restored and respawned,
+    and are handed nothing."""
     return decision()
 
 
@@ -462,6 +463,6 @@ def session_decide(facts: dict[str, Any], inp: AgentInput) -> dict[str, Any]:
             st.sweep(facts["topology"])  # ingest already applied the change
         elif topic == "events.violation":
             st.on_violation(body)
-        elif topic == "events.tick" and body["tick"] % REFRESH_EVERY == 0:
+        elif topic == "events.tick":  # handed on REFRESH_EVERY-th ticks alone
             st.sweep(facts["topology"])
     return decision(plan=st.steps, facts=st.writes())

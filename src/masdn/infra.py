@@ -3,10 +3,9 @@ event-distribution brokers, and the agents that run the lifecycle only (the
 registry, the knowledge plane, the discovery agent and the fault handler).
 
 The lifecycle-only agents keep no state of their own: what agents export
-lives in the orchestrator's mirror, and who is live lives in the
-orchestrator's lease table. They run the shared empty decide
-(functions.lifecycle_only_decide) under the agent lifecycle (the
-heartbeat) and are respawned like everyone else. The registry and the
+lives in the orchestrator's mirror, and who is live only the host knows.
+They run the shared empty decide (functions.lifecycle_only_decide), are
+handed nothing, and are respawned like everyone else. The registry and the
 knowledge plane are in every roster; discovery and the fault handler only
 in one whose chain names them.
 
@@ -16,12 +15,10 @@ publish itself, {"topic", "body"} as it arrived, to local subscribers, and
 forwards it unchanged according to the configured arrangement (solo, full
 mesh, or per-level with a root relay). A broker tells a forward from a
 publish by the frame's destination: a publish is addressed to its topic, a
-forward to the broker's id. So is the beat tick the system hands every
-agent straight; no table lists the tick, so a broker delivers it to no
-one, and it forwards nothing addressed to it, bar the root, which relays
-only what one of its downstream brokers forwarded. Who published an event
-is the publish frame's src, which the receiving broker's input stage
-record keeps. Its local
+forward to the broker's id. It forwards nothing addressed to it, bar the
+root, which relays only what one of its downstream brokers forwarded. Who
+published an event is the publish frame's src, which the receiving
+broker's input stage record keeps. Its local
 subscribers are the "subs" table in its spec (orchestrator.broker_subs),
 fixed when the controller is composed; each is a roster agent, which the
 peers a delivery is validated against already list. A broker learns
@@ -29,9 +26,7 @@ nothing, so it exports no digest and a respawn rebuilds it from its spec
 alone, and it keeps no per-publisher state: no arrangement hands a broker
 an event twice (a mesh broker never re-forwards, and the root relays to
 every level broker but the sender), and the fabric's per-pair mark drops a
-repeated frame on the publisher-to-topic and broker-to-broker hops. A
-broker beats through the agent lifecycle like every other agent, on the
-tick the system hands it.
+repeated frame on the publisher-to-topic and broker-to-broker hops.
 """
 
 from __future__ import annotations
@@ -68,8 +63,7 @@ def _local_deliveries(facts: dict[str, Any], env: dict[str, Any]) -> list[dict[s
 @register_cognition(FunctionKind.EVENT_DISTRIBUTION.value)
 def broker_decide(facts: dict[str, Any], inp: AgentInput) -> dict[str, Any]:
     if inp.message.kind is MessageKind.EVENT and isinstance(inp.body, dict):
-        # a publish is addressed to its topic; a forward, or the tick, to
-        # this broker
+        # a publish is addressed to its topic; a forward to this broker
         forwarded = isinstance(inp.message.dst, AgentId)
         env = inp.body
         steps = _local_deliveries(facts, env)

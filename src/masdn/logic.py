@@ -32,10 +32,11 @@ PRIORITY_BY_CLASS = {REALTIME: 30, INTERACTIVE: 20, BULK: 10}
 
 DEFAULT_QOS_CAP_PERMILLE = 800  # reserve at most 80% of a link for realtime
 
-HEARTBEAT_INTERVAL = 5  # ticks between liveness beacons
-MISSED_HEARTBEATS = 3  # silent intervals before an agent is declared dead
-# ticks between periodic reroute sweeps; every one is a beat tick, so the
-# session agent gets the tick it sweeps on
+# the supervision time unit: the acceptance and benchmark respawn deadlines
+# are counted in it, and the refresh period is a multiple of it
+HEARTBEAT_INTERVAL = 5
+# ticks between periodic reroute sweeps, each on the tick the session agent
+# is handed
 REFRESH_EVERY = 2 * HEARTBEAT_INTERVAL
 
 

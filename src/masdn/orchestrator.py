@@ -16,36 +16,25 @@ facts carry the configured policies whose scope holds its kind, in config
 order.
 
 Bootstrap is one decision, on the one control.bootstrap, which genesis sends
-here: it stores the per-agent specs, spawns every agent in roster order and
-registers a lease for each. Its plan targets only the host.control
-endpoint, so it is validated against the genesis "endpoints" fact alone.
+here: it stores the per-agent specs and spawns every agent in roster order.
+Its plan targets only the host.control endpoint, so it is validated against
+the genesis "endpoints" fact alone.
 
-After bootstrap the orchestrator is the failure detector. Its lease table
-(registry.py's pure functions over the "leases" fact) is the one record of
-which agents are live. Every spawn registers a lease built from the agent's
-spec, with a TTL of MISSED_HEARTBEATS heartbeat intervals; each heartbeat,
-sent straight here by its agent, renews the lease of its frame's src at the
-frame's sim_time, which is delivery time, so a replayed (old) beat can
-renew a lease but never shorten it (a beat has no body, so it can renew no
-lease but its sender's); and each beat tick, handed here directly by the
-system, sweeps the expired leases. Beat ticks suffice: leases are
-registered (at genesis and by a sweep) and renewed (by beats) only on beat
-ticks, and LEASE_TTL is a whole number of beat intervals, so every lease
-expires on a beat tick. Every expired agent, a broker too, is respawned
-from its spec with its mirror state restored and leased again: that is the
-whole recovery, as the fabric replays what the agent missed; it is
-announced on no topic, as no agent would read it. No agent's silence
-stands for another's: the system hands every live agent its beat tick
-straight, so a dead broker silences no one.
+After bootstrap the orchestrator is the supervisor. It keeps no liveness
+table: the host is the failure detector, and the system sends one
+agent.down event here for each agent killed, at the next tick, with the
+dead agent as the frame's src (system.py). Each notice respawns that agent,
+a broker like any other, from its spec with its mirror slot restored, in
+one spawn-agent step: that is the whole recovery, as the fabric replays what
+the agent missed. A respawn is announced on no topic, as no agent would
+read it.
 
 kp.digest events, sent straight here by the digest pump, feed the state
 mirror, the one copy of what agents learn and the only one a restore reads;
 a digest's body is the {key: doc} map alone, filed under the frame's src.
 A spawn-agent step carries the spec, which names the agent, and the
-restore.
-No broker's table lists the orchestrator. It answers only discover, from
-its lease table; everything else it does starts from an event. It holds no
-lease of its own and, spawned by genesis with no "self" fact, sends no beat.
+restore. No broker's table lists the orchestrator, and it answers no
+request: everything it does starts from an event.
 """
 
 from __future__ import annotations
@@ -54,24 +43,14 @@ import zlib
 from typing import Any
 
 from .core import AgentId, FunctionKind, level_of
-from .functions import request_op
 from .hierarchy import Policy
 from .logic import (
     DEFAULT_GAP_THRESHOLD,
     DEFAULT_QOS_CAP_PERMILLE,
     DEFAULT_SIZE_THRESHOLD,
-    HEARTBEAT_INTERVAL,
-    MISSED_HEARTBEATS,
     chain_closure,
 )
 from .netsim import SchemaError
-from .registry import (
-    UnknownLease,
-    table_discover,
-    table_expire,
-    table_heartbeat,
-    table_register,
-)
 from .runtime import (
     AgentInput,
     UnknownCognition,
@@ -84,9 +63,6 @@ from .runtime import (
 )
 
 BROKER_COUNT = {"centralized": 1, "distributed": 3, "hybrid": 5}
-
-# a lease lapses MISSED_HEARTBEATS heartbeat intervals after its last renewal
-LEASE_TTL = HEARTBEAT_INTERVAL * MISSED_HEARTBEATS
 
 # The topics each kind reads, under which its home broker's table lists it.
 # Every other kind reads no topic.
@@ -157,6 +133,18 @@ def check_roster(config: dict[str, Any]) -> None:
             raise SchemaError(f"config kills at tick {tick}: {outside} not in the roster")
 
 
+def check_kill_ticks(config: dict[str, Any], duration: int) -> None:
+    """Refuse, with SchemaError, a kill no run of `duration` ticks can honour:
+    a kill after tick t is reported, and its agent respawned, at tick t + 1,
+    so t runs from 0 to duration - 2."""
+    for tick in config.get("kills", {}):
+        if not 0 <= int(tick) <= duration - 2:
+            raise SchemaError(
+                f"config kills at tick {tick}: outside 0 .. {duration - 2}, "
+                f"the ticks a {duration}-tick run can respawn after"
+            )
+
+
 def broker_subs(strategy: str, roster: list[str]) -> dict[str, dict[str, list[str]]]:
     """Per broker, its subscription table: {filter: sorted roster agents homed
     on the broker whose kind reads the filter}."""
@@ -221,24 +209,6 @@ def build_specs(
     return specs
 
 
-def lease_descriptor(spec: dict[str, Any]) -> dict[str, Any]:
-    """The descriptor a spawned agent's lease holds and discover answers with."""
-    return {
-        "agent": spec["agent"],
-        "capabilities": [spec["cognition"]],
-        "endpoint": spec["agent"],
-        "lease_ttl": LEASE_TTL,
-    }
-
-
-def _register(
-    leases: dict[str, Any], specs: dict[str, Any], agents: list[str], now: int
-) -> dict[str, Any]:
-    for agent in agents:
-        leases = table_register(leases, lease_descriptor(specs[agent]), now)
-    return leases
-
-
 def _spawns(
     specs: dict[str, Any], agents: list[str], mirror: dict[str, Any]
 ) -> list[dict[str, Any]]:
@@ -252,59 +222,26 @@ def _spawns(
 
 @register_cognition(FunctionKind.ORCHESTRATION.value)
 def orchestrator_decide(facts: dict[str, Any], inp: AgentInput) -> dict[str, Any]:
-    if request_op(inp) == "discover":
-        kind = FunctionKind(inp.body["kind"]) if inp.body.get("kind") else None
-        hits = table_discover(
-            facts.get("leases", {}),
-            inp.message.sim_time,
-            kind=kind,
-            capability=inp.body.get("capability"),
-        )
-        return decision(responses=[{"agents": hits, "ctx": inp.body.get("ctx")}])
     ev = event_of(inp)
     if ev is None:
         return decision()
     topic, body = ev
     if topic == "control.bootstrap":
         return _bootstrap(facts, inp)
-    if topic == "hb":
-        # the sender's own lease, renewed at delivery, so a replayed beat
-        # never moves an expiry back
-        msg = inp.message
-        try:
-            leases = table_heartbeat(facts.get("leases", {}), str(msg.src), msg.sim_time)
-        except UnknownLease:
-            return decision()
-        return decision(facts=[("leases", leases)])
     if topic == "kp.digest":
         mirror = merge_digest(facts.get("mirror", {}), str(inp.message.src), body)
         return decision(facts=[("mirror", mirror)])
-    if topic == "events.tick":
-        return _scan(facts, body["tick"])
+    if topic == "agent.down":
+        # the frame's src is the dead agent
+        plan = _spawns(facts.get("specs", {}), [str(inp.message.src)], facts.get("mirror", {}))
+        return decision(plan=plan)
     return decision()
 
 
 def _bootstrap(facts: dict[str, Any], inp: AgentInput) -> dict[str, Any]:
-    """Compose the controller: the roster and its specs, one spawn per agent
-    in roster order, and a lease for each."""
+    """Compose the controller: the roster and its specs, and one spawn per
+    agent in roster order."""
     config = facts.get("config", {})
     roster = plan_roster(config)
     specs = build_specs(config, roster, facts.get("topology") or {}, str(inp.message.dst))
-    leases = _register(facts.get("leases", {}), specs, roster, inp.message.sim_time)
-    return decision(
-        plan=_spawns(specs, roster, {}),
-        facts=[("specs", specs), ("leases", leases)],
-    )
-
-
-def _scan(facts: dict[str, Any], tick: int) -> dict[str, Any]:
-    """Respawn every expired agent, its mirror slot restored, and lease it
-    again."""
-    leases, dead = table_expire(facts.get("leases", {}), tick)
-    if not dead:
-        return decision()
-    specs = facts.get("specs", {})
-    return decision(
-        plan=_spawns(specs, dead, facts.get("mirror", {})),
-        facts=[("leases", _register(leases, specs, dead, tick))],
-    )
+    return decision(plan=_spawns(specs, roster, {}), facts=[("specs", specs)])

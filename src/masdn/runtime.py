@@ -31,26 +31,20 @@ A decision is a plain dict with optional keys:
 
     plan       list of {"action","target","params"} step dicts
     responses  list of bodies answered to the input's sender
-    events     list of {"topic","body"} notifications, or with "to" for one
-               agent; one with no "body" goes out as {"topic"} alone
     facts      list of [key, value] writes applied after validation
 
-The agent lifecycle is handled once, where a cognition is registered, not in
-each decide function: every agent spawned from a spec (its facts hold
-"self") puts a heartbeat ahead of its own events on each events.tick it is
-handed, brokers included, addressed straight to the orchestrator. A beat
-is {"topic": "hb"} and nothing else: its frame's src is the agent, and the
-orchestrator renews that agent's lease at the frame's sim_time. The system
-hands every live agent its tick straight, crossing no broker, and only on
-HEARTBEAT_INTERVAL-th ticks. Nobody registers or subscribes: the
-orchestrator holds a lease for every agent it spawns, and each broker's
-spec carries its subscription table.
+A cognition is registered bare: liveness is not its business. An agent
+dies only through AgentHost.kill_agent, which records the exit; the system
+reports each exit to the orchestrator at the next tick as one agent.down
+event whose frame's src is the dead agent, and the orchestrator respawns
+it. Nobody registers or subscribes: the orchestrator composes every agent
+from a spec it keeps, and each broker's spec carries its subscription
+table.
 """
 
 from __future__ import annotations
 
 import copy
-import functools
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Protocol
 
@@ -64,14 +58,14 @@ from .core import (
     MessageKind,
 )
 from .hierarchy import Policy
-from .logic import HEARTBEAT_INTERVAL, rule_slot
+from .logic import rule_slot
 from .pps import MalformedFrame, decode_body, encode_body
 
 VIOLATION_TOPIC = "events.violation"
 
 _KIND_TEXT = {kind: kind.value for kind in MessageKind}  # as stage records write it
 
-SUPERVISOR = str(AgentId(FunctionKind.ORCHESTRATION, 0))  # keeps the leases
+SUPERVISOR = str(AgentId(FunctionKind.ORCHESTRATION, 0))  # told of every exit
 
 
 class DuplicateAgent(MasdnError):
@@ -442,7 +436,7 @@ def decision(
     facts: list[tuple[str, Any]] | None = None,
 ) -> dict[str, Any]:
     """Convenience builder for the decision dict shape. A cognition emits no
-    events: the lifecycle wrapper adds the beat event itself."""
+    events: the one event the host sends, a violation, it makes itself."""
     out: dict[str, Any] = {}
     if plan:
         out["plan"] = plan
@@ -479,7 +473,7 @@ class CognitionImpl:
 
 
 # ---------------------------------------------------------------------------
-# lifecycle shared by every agent
+# helpers every cognition shares
 
 
 def event_of(inp: AgentInput) -> tuple[str, Any] | None:
@@ -498,29 +492,6 @@ def peer_of(facts: dict[str, Any], kind: FunctionKind) -> str | None:
     return hits[0] if hits else None
 
 
-def beat_tick(tick: int) -> bool:
-    return tick % HEARTBEAT_INTERVAL == 0
-
-
-def _with_lifecycle(fn: CognitionFn) -> CognitionFn:
-    """Wrap a decide function with the heartbeat, for agents spawned from a
-    spec: each events.tick the bridge hands one, straight and only on beat
-    ticks, puts its beat ahead of its own events, as one hb event straight
-    to the orchestrator, so it crosses no broker. A beat has no body: its
-    frame's src names the agent and its sim_time is when it was sent."""
-
-    @functools.wraps(fn)
-    def decide(facts: dict[str, Any], inp: AgentInput) -> dict[str, Any]:
-        dec = fn(facts, inp)
-        ev = event_of(inp)
-        if "self" not in facts or ev is None or ev[0] != "events.tick":
-            return dec
-        beat = {"topic": "hb", "to": SUPERVISOR}
-        return {**dec, "events": [beat, *dec.get("events", [])]}
-
-    return decide
-
-
 _COGNITIONS: dict[str, CognitionImpl] = {}
 
 
@@ -530,11 +501,11 @@ def register_cognition(
     ingest: IngestFn | None = None,
     digest_keys: tuple[str, ...] = (),
 ) -> Callable[[CognitionFn], CognitionFn]:
-    """Register a decide function under a name. The registry holds it wrapped
-    in the agent lifecycle; the decorated name stays the bare function."""
+    """Register a decide function under a name; the decorated name stays the
+    function."""
 
     def deco(fn: CognitionFn) -> CognitionFn:
-        _COGNITIONS[name] = CognitionImpl(name, _with_lifecycle(fn), ingest, digest_keys)
+        _COGNITIONS[name] = CognitionImpl(name, fn, ingest, digest_keys)
         return fn
 
     return deco
@@ -580,6 +551,10 @@ class AgentHost:
     any restore applied right after it), an ingest write, and a decision's
     facts. The pump visits only those agents, so a tick in which nothing
     is written costs it nothing.
+
+    kill_agent is the one way an agent dies, and it records the victim in
+    exits, in kill order, until the system reports it to the orchestrator:
+    the host is the failure detector, and a perfect one.
     """
 
     def __init__(
@@ -594,6 +569,7 @@ class AgentHost:
         self.agents: dict[AgentId, Agent] = {}
         self.on_spawn: list[Callable[[Agent], None]] = []  # called after each spawn
         self.facts_written: set[AgentId] = set()
+        self.exits: list[AgentId] = []  # killed, not yet reported
         self._runs = 0
         self._seq = 0
 
@@ -619,6 +595,7 @@ class AgentHost:
         agent = self.agents.pop(agent_id, None)
         if agent is None:
             raise AgentNotLive(str(agent_id))
+        self.exits.append(agent_id)
         self._emit({"stage": "kill", "agent": str(agent_id)})
 
     def get(self, agent_id: AgentId) -> Agent:
@@ -768,8 +745,6 @@ class AgentHost:
                     correlation_id=msg.msg_id,
                 )
             )
-        for ev in dec.get("events", []):
-            outputs.append(self._event(agent, ev["topic"], ev.get("body"), ev.get("to")))
         facts = dec.get("facts")
         if facts:
             for key, value in facts:
@@ -796,15 +771,13 @@ class AgentHost:
             now=self.now,
         )
 
-    def _event(self, agent: Agent, topic: str, body: Any, to: str | None = None) -> Message:
-        """An event from the agent, published or sent straight to `to`; one
-        with no body (a beat) is the topic alone."""
-        doc = {"topic": topic} if body is None else {"topic": topic, "body": body}
+    def _event(self, agent: Agent, topic: str, body: Any) -> Message:
+        """An event the agent publishes."""
         return self.factory.new_message(
             src=agent.id,
-            dst=topic if to is None else AgentId.parse(to),
+            dst=topic,
             kind=MessageKind.EVENT,
-            payload=encode_body(doc),
+            payload=encode_body({"topic": topic, "body": body}),
             now=self.now,
         )
 

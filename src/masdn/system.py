@@ -3,35 +3,40 @@
 The control plane is instantaneous relative to the data plane: within a
 tick the fabric runs to quiescence, so every conversation triggered by an
 event finishes before the next tick's packets move. Per tick the bridge
-sends two batches, each run to quiescence. The first publishes the tick's
-link failures and packet-ins. The second hands, on a beat tick, one
-events.tick straight to every live agent in AgentId order, orchestrator
-included, and then in a proactive run publishes the declared flows that
-start next tick (events.flow, one per flow in schedule order). So what a
-link failure or packet-in starts is over before any agent reads its tick,
-and reroute sweeps run before new-flow setups, mirroring the reference
-controller's processing order. A declared flow is a data-plane event like
-a packet-in: the session agent alone subscribes to it, and no spec carries
-the schedule. The tick crosses no broker, so a dead broker silences no
-live agent, and a dead agent is handed none to park: its silence is its
-own. It goes out only on beat ticks, where it is read. On every
-REFRESH_EVERY-th tick, a beat tick, the session agent also runs the
-periodic reroute sweep, as the reference controller does; no view needs a
-refresh, as links only go down and every link event reaches every view.
-The orchestrator reads its tick only to sweep expired leases, and a lease
-expires only on a beat tick: leases are registered and renewed on beat
-ticks and live LEASE_TTL, a whole number of beat intervals. A sweep on any
-other tick would find nothing. The per-tick link stats go to stats.csv,
-not onto the bus: no agent reads them.
+sends three batches, each run to quiescence. The first publishes the
+tick's link failures and packet-ins. The second reports the agents that
+died since the last tick (below). The third hands, on every
+REFRESH_EVERY-th tick, one events.tick straight to the session agent, which
+runs the periodic reroute sweep on it as the reference controller does,
+and then in a proactive run publishes the declared flows that start next
+tick (events.flow, one per flow in schedule order). So what a link failure
+or packet-in starts is over before the sweep, and reroute sweeps run before
+new-flow setups, mirroring the reference controller's processing order. A
+declared flow is a data-plane event like a packet-in: the session agent
+alone subscribes to it, and no spec carries the schedule. No other agent
+reads a tick, so no other is handed one, and no view needs a refresh, as
+links only go down and every link event reaches every view. The per-tick
+link stats go to stats.csv, not onto the bus: no agent reads them.
+
+The host is the failure detector, and inside one process a perfect one. An
+agent dies only through AgentHost.kill_agent, after a tick's pump. At the
+next tick the bridge sends the orchestrator one agent.down event per
+victim, in AgentId order: it has no body, and its frame's src is the dead
+agent, as a digest's src names whose it is. The orchestrator respawns the
+agent from its spec and mirror slot. The notices go out after the tick's
+data-plane batch, so the frames that batch sends a victim are parked and
+replayed to its replacement, and before the session's tick, so a replaced
+session agent sweeps on time. A kill after tick t is thus respawned at tick
+t + 1, and a kill is scheduled only up to the run's second-to-last tick
+(orchestrator.check_kill_ticks).
 
 The host-control endpoint gives the orchestrator its lifecycle lever: a
 spawn-agent request (re)creates an agent from its spec and seeds it with
-restored knowledge. The spawned agent is sent nothing: the orchestrator
-holds its lease and the brokers' specs list it. An agent leaves only when a
-scheduled kill removes it; a spawn of a live agent raises DuplicateAgent,
-as only an expired lease leads to a respawn. The switch.* prefix
-endpoint is the southbound interface; rules installed through it take
-effect next tick.
+restored knowledge. The spawned agent is sent nothing: the brokers' specs
+list it. An agent leaves only when a scheduled kill removes it; a spawn of
+a live agent raises DuplicateAgent, as only an exit leads to a respawn.
+The switch.* prefix endpoint is the southbound interface; rules installed
+through it take effect next tick.
 
 One small service runs outside any agent because something must survive
 when agents die: the digest pump, which sends the changed digest facts of
@@ -67,11 +72,11 @@ from typing import Any, Callable
 
 from .core import AgentId, FunctionKind, Message, MessageKind
 from .hierarchy import shared_policy
-from .logic import topology_view
+from .logic import REFRESH_EVERY, topology_view
 from .netsim import LinkDown, PacketIn, Scenario, SchemaError, Simulator, TickStats, Topology
-from .orchestrator import check_roster, home_broker
+from .orchestrator import check_kill_ticks, check_roster, home_broker
 from .pps import DEFAULT_PROFILES, StackProfile, decode_body, encode_body
-from .runtime import SUPERVISOR, AgentHost, AgentSpec, beat_tick, digest_delta
+from .runtime import SUPERVISOR, AgentHost, AgentSpec, digest_delta
 from .bus import Bus
 
 _ADAPTER = FunctionKind.SWITCH_ADAPTER.value
@@ -104,15 +109,17 @@ class AgentSystem:
         self.scenario = scenario
         self.config = dict(config or {})
         check_roster(self.config)
+        check_kill_ticks(self.config, scenario.duration)
         for doc in self.config.get("policies", []):
             shared_policy(doc)
         self.host = AgentHost(log_sink=log_sink)
         self.bus = Bus(self.host, resolve_profile(self.config))
         self.sim = Simulator(topo, scenario)
         self.strategy = self.config.get("event_strategy", "centralized")
-        # the memoised id every beat's "to" parses to, so the bus and host
-        # lookups of the orchestrator hit on identity
+        # AgentId.parse's memoised id, so the bus's and the host's lookups of
+        # the orchestrator hit on identity
         self.orch = AgentId.parse(SUPERVISOR)
+        self.session = AgentId(FunctionKind.SESSION, 0)  # handed the refresh tick
         self.stats: list[TickStats] = []
         # fault injection: tick -> agent ids to kill after that tick completes
         self.kill_schedule: dict[int, list[str]] = {
@@ -184,7 +191,7 @@ class AgentSystem:
 
     def genesis(self) -> None:
         """Spawn the orchestrator and hand it the genesis bootstrap, whose one
-        decision composes, spawns and leases the whole controller."""
+        decision composes and spawns the whole controller."""
         facts = {
             "config": self.config,
             "topology": topology_view(self.topo, self.sim.links_doc()),
@@ -224,9 +231,9 @@ class AgentSystem:
                 self.stats.append(ev)
         self.bus.send(pubs)
         self.bus.run_to_quiescence()
-        if beat_tick(t):
-            live = sorted(self.host.agents)
-            self.bus.send([self._publish(0, "events.tick", {"tick": t}, to=a) for a in live])
+        self._report_exits(t)
+        if t % REFRESH_EVERY == 0:
+            self.bus.send(self._publish(0, "events.tick", None, to=self.session))
         self.bus.send([self._publish(0, "events.flow", f) for f in self._announced.get(t, ())])
         self.bus.run_to_quiescence()
         self._pump_digests(t)
@@ -244,6 +251,25 @@ class AgentSystem:
             payload=encode_body({"topic": topic, "body": body}),
             now=self.host.now,
         )
+
+    def _report_exits(self, t: int) -> None:
+        """Tell the orchestrator of every agent killed since the last report:
+        one body-less agent.down from each victim, in AgentId order."""
+        down = sorted(self.host.exits)
+        if not down:
+            return
+        self.host.exits.clear()
+        self.bus.send(
+            self.host.factory.new_message(
+                src=victim,
+                dst=self.orch,
+                kind=MessageKind.EVENT,
+                payload=encode_body({"topic": "agent.down"}),
+                now=t,
+            )
+            for victim in down
+        )
+        self.bus.run_to_quiescence()
 
     def _pump_digests(self, t: int) -> None:
         """Send the changed digest facts of every live agent that had a facts
@@ -292,7 +318,7 @@ class AgentSystem:
         return self.outcome()
 
     def outcome(self) -> dict[str, Any]:
-        session = self.host.agents.get(AgentId(FunctionKind.SESSION, 0))
+        session = self.host.agents.get(self.session)
         ledger = session.facts.get("sessions", {}) if session else {}
         return {
             "mode": "agents",

@@ -8,8 +8,7 @@ Topology.from_doc cannot be tripped by orientation.
 
 BrokerFabric runs the broker agents of one event strategy on a Bus, so the
 event-plane tests check the brokers a system run uses, and records which
-publishers' traffic each broker's pipeline handled and which beats the
-brokers sent to the orchestrator. A broker relays the publish itself, with
+publishers' traffic each broker's pipeline handled. A broker relays the publish itself, with
 no stamp, so the fabric names the publish behind each delivery from its own
 record of what it published.
 """
@@ -24,7 +23,7 @@ from masdn.core import AgentId, Message, MessageKind
 from masdn.oracle import MonolithicController, compare
 from masdn.orchestrator import broker_ids, build_specs, home_broker
 from masdn.pps import encode_body
-from masdn.runtime import SUPERVISOR, AgentHost, AgentSpec, register_cognition
+from masdn.runtime import AgentHost, AgentSpec, register_cognition
 
 STRATEGIES = ("centralized", "distributed", "hybrid")
 
@@ -114,7 +113,7 @@ def gen_refresh_tick_scenario(seed: int) -> tuple[dict[str, Any], dict[str, Any]
     tick 10 * (i + 1) + (10 if i else 0), so 10, 30, 40, and each flow, in
     turn, is made realtime with gap 1 with probability 0.6 and then starts
     at 10, 20, 30 or 40, or keeps its drawn start. Link failures, packet-ins,
-    reroute sweeps and beats then share ticks."""
+    reroute sweeps and the session agent's refresh tick then share ticks."""
     rng = random.Random(7000 + seed)
     tdoc = gen_topology(rng, rng.randint(4, 8))
     sdoc = gen_scenario(rng, tdoc, rng.randint(6, 14), rng.randint(1, 3), 60)
@@ -152,11 +151,9 @@ def diff_is_empty(diff: dict[str, Any]) -> bool:
 
 @register_cognition("test-subscriber")
 def _record_delivery(facts, inp):
-    """Keep every event delivered as a fact, numbered in arrival order, and
-    the src and sim_time of the frame that brought it."""
+    """Keep every event delivered as a fact, numbered in arrival order."""
     n = facts.get("received", 0)
-    frame = [str(inp.message.src), inp.message.sim_time]
-    return {"facts": [("received", n + 1), (f"envelope.{n}", inp.body), (f"frame.{n}", frame)]}
+    return {"facts": [("received", n + 1), (f"envelope.{n}", inp.body)]}
 
 
 class Delivery(NamedTuple):
@@ -173,9 +170,7 @@ class BrokerFabric:
 
     Publishers need not be agents: a publish is an event message from the
     publisher's id to the topic, which the bus hands to the publisher's home
-    broker exactly as it does in a full system run. A recording agent stands
-    in for the orchestrator, so the beats a broker sends it straight, off
-    the event plane, are kept too (frames_to(SUPERVISOR)).
+    broker exactly as it does in a full system run.
 
     The fabric keeps each publish's publisher and place in publish order,
     keyed by its payload. Brokers relay that payload unchanged, and no two
@@ -194,7 +189,6 @@ class BrokerFabric:
             self.host.spawn_agent(
                 AgentSpec(AgentId.parse(doc["agent"]), doc["cognition"], doc["initial_facts"])
             )
-        self.host.spawn_agent(AgentSpec(AgentId.parse(SUPERVISOR), "test-subscriber"))
         # payload -> (publisher, place in publish order)
         self.publishes: dict[bytes, tuple[str, int]] = {}
         # broker -> publishers whose publishes or forwards the broker's
@@ -257,13 +251,6 @@ class BrokerFabric:
             return got
         keep = set(publishers)
         return [d for d in got if d.publisher in keep]
-
-    def frames_to(self, sub: str) -> list[tuple[str, int, dict[str, Any]]]:
-        """(src, sim_time, envelope) of every frame the subscriber received,
-        in arrival order."""
-        facts = self.host.agents[AgentId.parse(sub)].facts
-        return [(*facts.get(f"frame.{i}"), facts.get(f"envelope.{i}"))
-                for i in range(facts.get("received", 0))]
 
 
 # publishers and subscribers spread over the function, node and network levels

@@ -198,6 +198,27 @@ class TestErrorPaths:
         assert err.startswith("error: ") and err.count("\n") == 1, err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("tick", ["500", "-3", "29", "30"])
+    def test_a_kill_tick_no_run_can_honour_exits_2(self, tmp_path, capsys, tick):
+        # a kill after tick t is respawned at t + 1, so on a 30-tick run a
+        # kill falls on ticks 0 to 28; each of these once ran to exit 0 with
+        # no respawn checked
+        config = write_config(tmp_path, kills={tick: ["qos#0"]})
+        assert main(["run", str(config), "--out-dir", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert "0 .. 28" in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("tick", ["0", "28"])
+    def test_a_kill_on_the_first_or_second_to_last_tick_is_respawned(self, tmp_path, tick):
+        config = write_config(tmp_path, kills={tick: ["qos#0"]})
+        out = tmp_path / "out"
+        assert main(["run", str(config), "--out-dir", str(out)]) == 0
+        spawns = [r["at"] for r in map(json.loads, (out / "run.log").read_text().splitlines())
+                  if r.get("stage") == "spawn" and r["agent"] == "qos#0"]
+        assert spawns == [0, int(tick) + 1]
+
     def test_a_kill_of_an_agent_its_chain_composes_runs(self, tmp_path):
         config = write_config(tmp_path, chain=["session", "monitoring"],
                               kills={"12": ["monitoring#0"]})

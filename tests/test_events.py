@@ -7,9 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from masdn.events import TopicError, check_filter, check_topic, match_topic
-from masdn.logic import HEARTBEAT_INTERVAL
 from masdn.orchestrator import broker_ids
-from masdn.runtime import SUPERVISOR
 
 from helpers import STRATEGIES, BrokerFabric, run_trace, trace_agents
 
@@ -179,12 +177,10 @@ class TestArrangementEquivalence:
             assert keys == Counter((publishers[i % 3], i) for i in range(30))
 
     @pytest.mark.parametrize("every", [0, 1, 3])
-    def test_injected_duplicates_reach_no_subscriber_and_no_beat_twice(self, every):
+    def test_injected_duplicates_reach_no_subscriber_twice(self, every):
         # the fabric's per-pair mark is the one duplicate filter: a repeated
-        # publish or forward is dropped before any broker sees it, and a
-        # repeated beat on its broker-to-orchestrator pair
+        # publish or forward is dropped before any broker sees it
         publishers, subs, events = random_trace(random.Random(5))
-        ticks = range(0, 2 * HEARTBEAT_INTERVAL + 1, HEARTBEAT_INTERVAL)  # as the bridge publishes
         for strategy in STRATEGIES:
             fabric = BrokerFabric(strategy)
             fabric.bus.duplicate_every = every
@@ -193,17 +189,10 @@ class TestArrangementEquivalence:
             fabric.run()
             for pub, topic, body in events:
                 fabric.publish(pub, topic, body)
-            for tick in ticks:
-                fabric.host.now = tick
-                fabric.publish("switch-adapter#0", "events.tick", {"tick": tick})
-                fabric.run()
+            fabric.run()
             for sub, flt in subs:
                 assert delivered_keys(fabric, sub, publishers) == wanted_keys(events, flt), (
                     strategy, every, sub)
-            # a beat is keyed on its frame: the sender and the tick it was sent on
-            beats = Counter((src, at) for src, at, e in fabric.frames_to(SUPERVISOR)
-                            if e["topic"] == "hb")
-            assert beats == Counter((b, t) for b in broker_ids(strategy) for t in ticks), strategy
             if every:
                 assert fabric.bus.duplicates_suppressed > 0
 

@@ -32,26 +32,19 @@ SRC = ROOT / "src" / "masdn"
 
 # (function, first line of the statement) -> why no run reaches it
 ALLOWED = {
-    ("orchestrator_decide", 'kind = FunctionKind(inp.body["kind"]) if inp.body.get("kind") else None'):
-        "discover: no agent sends it; acceptance criterion 8 certifies it, kept until decided",
-    ("orchestrator_decide", "hits = table_discover("):
-        "discover, as above",
-    ("orchestrator_decide", 'return decision(responses=[{"agents": hits, "ctx": inp.body.get("ctx")}])'):
-        "discover, as above",
-    **{("table_discover", text): "discover's lease query, as above (criterion 8)" for text in (
-        "hits = []", "for agent, entry in table.items():", 'if entry["expires_at"] <= now:',
-        "continue", 'doc = entry["descriptor"]',
-        'if kind is not None and not agent.startswith(kind.value + "#"):',
-        'if capability is not None and capability not in doc["capabilities"]:',
-        "hits.append(doc)", 'hits.sort(key=lambda d: d["agent"])', "return hits",
-    )},
     ("match_topic", "prefix = fparts[:-1]"):
         "wildcard filters: every subscription is an exact topic; criterion 3 certifies them",
     ("match_topic", "return len(tparts) > len(prefix) and tparts[: len(prefix)] == prefix"):
         "wildcard filters, as above",
     ("orchestrator_decide", "return decision()"):
-        "totality: an input that is no event, a beat from an agent without a lease, another topic",
+        "totality: an input that is no event, or an event on another topic",
     ("broker_decide", "return decision()"): "totality: an input that is neither publish nor forward",
+    ("lifecycle_only_decide", "return decision()"):
+        "totality: these agents are spawned, restored and respawned, and are handed nothing",
+    ("classifier_decide", "return decision()"): "totality: a classifier is sent only classify",
+    ("qos_decide", "return decision()"): "totality: a QoS agent is sent only admit and release",
+    ("forwarding_decide", "return decision()"):
+        "totality: a forwarding agent is sent only install and remove",
     ("event_of", "return None"): "totality: a request or response handed to an event reader",
     ("AgentSystem._control", "return []"): "totality: a host-control body that is no spawn request",
     ("AgentSystem._switch", "return []"): "totality: a southbound body that is not a dict",

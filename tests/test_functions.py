@@ -15,16 +15,14 @@ from masdn.functions import (
 from masdn.infra import broker_decide
 from masdn.logic import (
     ACTIVE,
-    HEARTBEAT_INTERVAL,
     PENDING,
-    REFRESH_EVERY,
     UNROUTABLE,
     UPDATING,
     clearing_rules,
     rules_for_path,
     session_record,
 )
-from masdn.orchestrator import LEASE_TTL, orchestrator_decide
+from masdn.orchestrator import orchestrator_decide
 from masdn.pps import decode_body, encode_body
 from masdn.runtime import (
     AgentInput,
@@ -234,8 +232,8 @@ class TestForwardingAgent:
         assert dict(out["facts"])["switch-rules"] == occupied
 
 
-class TestOrchestratorLeases:
-    """The orchestrator's lease table, from spawn to discover, renewal and expiry."""
+class TestOrchestratorSupervision:
+    """The orchestrator's answer to an exit notice from the host."""
 
     def booted(self):
         facts = {"config": {"chain": ["routing"]}}
@@ -244,40 +242,27 @@ class TestOrchestratorLeases:
         )
         return {**facts, **dict(out["facts"])}
 
-    def test_discover_is_answered_from_the_leases(self):
-        facts = self.booted()
-        found = orchestrator_decide(
-            facts, request({"op": "discover", "kind": "routing", "ctx": "c"},
-                           dst="orchestration#0", now=5),
-        )
-        assert found["responses"] == [{
-            "agents": [{"agent": "routing#0", "capabilities": ["routing"],
-                        "endpoint": "routing#0", "lease_ttl": LEASE_TTL}],
-            "ctx": "c",
-        }]
+    def test_bootstrap_stores_the_specs_alone(self):
+        assert sorted(self.booted()) == ["config", "specs"]
 
-    def test_heartbeat_event_renews_at_delivery_time(self):
+    def test_an_exit_notice_respawns_its_sender_from_spec_and_mirror_slot(self):
+        facts = self.booted()
+        slot = {"topology": {"version": 3, "value": {"links": []}}}
+        facts["mirror"] = {"routing#0": slot, "qos#0": {"admitted": {"version": 1, "value": {}}}}
+        out = orchestrator_decide(
+            facts, event("agent.down", None, dst="orchestration#0", src="routing#0", now=8)
+        )
+        assert out == {"plan": [{
+            "action": "spawn-agent", "target": "host.control",
+            "params": {"spec": facts["specs"]["routing#0"], "restore": slot},
+        }]}
+
+    def test_an_exit_notice_for_an_agent_that_exported_nothing_restores_nothing(self):
         facts = self.booted()
         out = orchestrator_decide(
-            facts,
-            event("hb", None, dst="orchestration#0", src="routing#0", now=7),  # from the agent
+            facts, event("agent.down", None, dst="orchestration#0", src="registry#0")
         )
-        assert dict(out["facts"])["leases"]["routing#0"]["expires_at"] == 7 + LEASE_TTL
-
-    def test_expired_lease_respawns_the_agent(self):
-        facts = self.booted()
-        facts["leases"] = {a: e for a, e in facts["leases"].items() if a == "routing#0"}
-        out = orchestrator_decide(
-            facts,
-            event("events.tick", {"tick": LEASE_TTL}, dst="orchestration#0", now=LEASE_TTL),
-        )
-        assert [s["params"]["spec"]["agent"] for s in out["plan"]] == ["routing#0"]
-        assert dict(out["facts"])["leases"]["routing#0"]["registered_at"] == LEASE_TTL
-        quiet = orchestrator_decide(
-            facts,
-            event("events.tick", {"tick": LEASE_TTL - 1}, dst="orchestration#0"),
-        )
-        assert quiet == {}
+        assert [s["params"]["restore"] for s in out["plan"]] == [{}]
 
 
 class TestKnowledgePlane:
@@ -727,7 +712,7 @@ class TestSessionConversation:
         old = ["s1", "s3"]
         view = self.with_down(("s1", "s3"))
         facts = self.facts([self.session(ACTIVE, "bulk", path=old)], topology=view)
-        inp = event("events.tick", {"tick": 10}, dst="session#0", now=10)
+        inp = event("events.tick", None, dst="session#0", now=10)
         writes, asks = self.decide(facts, inp)
         ids = ["r0001", "r0002", "r0003"]
         assert asks == [
@@ -737,17 +722,15 @@ class TestSessionConversation:
         assert writes["pending"]["s0001"]["stage"] == "install"
         assert writes["rule-seq"] == 3
 
-    def test_the_tick_sweeps_on_refresh_ticks_only(self):
-        # every refresh tick is a beat tick, so the tick reaches the session
-        # agent on each of them
-        assert REFRESH_EVERY % HEARTBEAT_INTERVAL == 0
-        facts = self.facts([self.session(ACTIVE, "bulk", path=["s1", "s3"])],
-                           topology=self.with_down(("s1", "s3")))
-        swept = [
-            tick for tick in range(3 * REFRESH_EVERY + 1)
-            if self.decide(facts, event("events.tick", {"tick": tick}, dst="session#0"))[1]
-        ]
-        assert swept == [0, REFRESH_EVERY, 2 * REFRESH_EVERY, 3 * REFRESH_EVERY]
+    def test_each_tick_it_is_handed_sweeps(self):
+        # the bridge hands the session agent a tick, with no body, on refresh
+        # ticks alone, so the agent sweeps on every tick it is handed
+        tick = event("events.tick", None, dst="session#0")
+        broken = self.facts([self.session(ACTIVE, "bulk", path=["s1", "s3"])],
+                            topology=self.with_down(("s1", "s3")))
+        assert [a[0] for a in self.decide(broken, tick)[1]] == ["remove", "install"]
+        intact = self.facts([self.session(ACTIVE, "bulk", path=["s1", "s3"])])
+        assert self.decide(intact, tick)[1] == []
 
     def test_sweep_leaves_a_cut_off_session_unroutable_and_releases(self):
         old = ["s1", "s2", "s3"]

@@ -7,13 +7,13 @@ diff.json) is pinned, so a speed-up that changes any outcome, log record or
 wire byte fails here, naming the artifacts that moved. The outcome.json,
 stats.csv and diff.json constants were recorded before facts were frozen on
 write instead of deep-copied. The run.log constants were last re-recorded
-when the default roster shrank to what the chain names: the topology,
-monitoring, fault and discovery agents are no longer composed, so their
-spawns, leases, beat ticks and beats are gone, and the session agent's
-digests no longer carry a "session-seq" counter (the sessions table
-numbers the next session). The records and message ids move from genesis
-on. The decisions are unchanged, so the other three artifacts keep their
-bytes.
+when supervision moved to exit notices from the host: no agent is handed a
+beat tick or sends a beat, the orchestrator keeps no leases, only the
+session agent is handed a tick (on refresh ticks, with no body), and the
+killed session agent of distributed-kill-session is respawned on one
+agent.down at the tick after its kill instead of on an expired lease. The
+records and message ids move from tick 0 on. The decisions are unchanged, so the other
+three artifacts keep their bytes.
 The hashes do not depend on PYTHONHASHSEED.
 When a change is meant to alter the artifacts, re-record the constants and
 say why in the change's notes.
@@ -53,7 +53,7 @@ GOLDEN = {
         0,
         {
             "outcome.json": "9d7df6e08f605236441792fc445708a8bee2ca7bee232834eb24da6bc7505ac6",
-            "run.log": "eace0bb1aafe4d3b316b68994b89715171f31b345e54548e4cf56ec8906e35cd",
+            "run.log": "902b03ecd943faad037fd4f55bb0b1a78342ee66e451a53d492fe05fc5d9a0a9",
             "stats.csv": "afc834dc4a6d33e7aa3e3c9055b241c4b86e34f7697c8468cac1df6550b57694",
             "diff.json": "ca3d163bab055381827226140568f3bef7eaac187cebd76878e0b63e9e442356",
         },
@@ -62,7 +62,7 @@ GOLDEN = {
         0,
         {
             "outcome.json": "57d7ab073da0ee5cbfe058ac2d154482e900e529fb1b7c930584c324f87f1ae7",
-            "run.log": "9e49d33a97745eb23b559fcbdfd9d6d8631d1b71cf03cdd16c8c220b8c1d35c9",
+            "run.log": "a9538e96082e9cd71659ca3f61fa1c897ec37b8d362055c57ba6771bbdd04648",
             "stats.csv": "38bfaab0d91b62a7424a4bb39febbb5006c74786e52f257514557351f534eaf9",
             "diff.json": "ca3d163bab055381827226140568f3bef7eaac187cebd76878e0b63e9e442356",
         },
@@ -71,7 +71,7 @@ GOLDEN = {
         0,
         {
             "outcome.json": "ab0cebde5c16702d9eef7ce0269a6e7f830dd862db93f8b9b7fc203f63721b2a",
-            "run.log": "0245f2eabacee332c87a3fc345fb6661ecfa17c14357da7295c948380d0cd38a",
+            "run.log": "0c48476a6b6065fe06e7a819a7451bdba1f5a6573637f6dc073e1a66f98ce9b4",
             "stats.csv": "3edfab2026d98f54c995eb9605010f2a20ab518ed0480c9fd0c05f42b4ad9aa6",
             "diff.json": "ca3d163bab055381827226140568f3bef7eaac187cebd76878e0b63e9e442356",
         },

@@ -1,21 +1,18 @@
-"""Orchestration agent: roster planning, the genesis bootstrap, lease-based recovery."""
+"""Orchestration agent: roster planning, the genesis bootstrap, recovery on exit notices."""
 import random
 
 import pytest
 
-from masdn.core import AgentId, FunctionKind, Message, MessageKind
-from masdn.logic import HEARTBEAT_INTERVAL, MISSED_HEARTBEATS
+from masdn.core import AgentId, Message, MessageKind
 from masdn.netsim import SchemaError
 from masdn.orchestrator import (
-    LEASE_TTL,
     broker_ids,
     build_specs,
     home_broker,
-    lease_descriptor,
     orchestrator_decide,
     plan_roster,
 )
-from masdn.runtime import AgentInput, cognition
+from masdn.runtime import AgentInput
 from masdn.system import AgentSystem
 
 from helpers import STRATEGIES, build, gen_scenario, gen_topology
@@ -38,10 +35,10 @@ def fire(topic, body, now=0):
     return tell({"topic": topic, "body": body}, kind=MessageKind.EVENT, now=now)
 
 
-def beat(agent, now):
-    """A heartbeat as the orchestrator gets it: straight from the agent,
-    which the frame's src names, delivered at `now`."""
-    return tell({"topic": "hb"}, kind=MessageKind.EVENT, now=now, src=agent)
+def down(agent, now=0):
+    """An exit notice as the orchestrator gets it from the host: no body,
+    and the frame's src names the dead agent."""
+    return tell({"topic": "agent.down"}, kind=MessageKind.EVENT, now=now, src=agent)
 
 
 BASE_CONFIG = {"chain": ["session"], "event_strategy": "centralized"}
@@ -84,6 +81,18 @@ class TestRosterPlanning:
                        {"kills": {"12": ["monitoring#0"]}}, {"kills": {"12": [ME]}}):
             with pytest.raises(SchemaError):
                 AgentSystem(topo, scen, config)
+
+    def test_a_system_refuses_a_kill_tick_no_respawn_can_follow(self):
+        # a kill after tick t is reported and respawned at t + 1, so it falls
+        # on ticks 0 to duration - 2
+        rng = random.Random(0)
+        tdoc = gen_topology(rng, 6)
+        topo, scen = build(tdoc, gen_scenario(rng, tdoc, 6, 0, 60))
+        for tick in ("-1", "59", "60", "500"):
+            with pytest.raises(SchemaError, match=r"0 \.\. 58"):
+                AgentSystem(topo, scen, {"kills": {tick: ["qos#0"]}})
+        for tick in ("0", "58"):
+            AgentSystem(topo, scen, {"kills": {tick: ["qos#0"]}})
 
     def test_broker_count_follows_strategy(self):
         assert broker_ids("centralized") == ["event-distribution#0"]
@@ -154,7 +163,7 @@ class TestBootstrap:
         config = dict(BASE_CONFIG, event_strategy="distributed")
         out = orchestrator_decide({"config": config}, fire("control.bootstrap", None, now=3))
         assert set(out) == {"plan", "facts"}  # no events
-        assert [key for key, _ in out["facts"]] == ["specs", "leases"]
+        assert [key for key, _ in out["facts"]] == ["specs"]
         writes = dict(out["facts"])
         roster, specs = plan_roster(config), writes["specs"]
         assert specs == build_specs(config, roster, {}, ME)
@@ -163,10 +172,6 @@ class TestBootstrap:
             agent = s["params"]["spec"]["agent"]
             assert (s["action"], s["target"]) == ("spawn-agent", "host.control")
             assert s["params"] == {"spec": specs[agent], "restore": {}}
-        assert sorted(writes["leases"]) == roster
-        for agent, lease in writes["leases"].items():
-            assert lease["descriptor"] == lease_descriptor(specs[agent])
-            assert (lease["registered_at"], lease["expires_at"]) == (3, 3 + LEASE_TTL)
 
     def test_an_inventory_in_the_config_changes_no_genesis_step(self):
         # no agent is placed on a node, so an inventory too small for the
@@ -214,78 +219,28 @@ class TestBootstrap:
 
 
 class TestLiveness:
-    """The lease table is the failure detector: every spawn registers a
-    lease, a delivered heartbeat renews it, and a tick sweeps and respawns."""
-
-    DEADLINE = HEARTBEAT_INTERVAL * MISSED_HEARTBEATS
+    """The host is the failure detector: an exit notice, sent by the system
+    from the dead agent, respawns that agent from its spec and mirror slot."""
 
     def booted(self, config=BASE_CONFIG):
-        # no broker's table lists the orchestrator: ticks, beats and digests
-        # come to it directly
+        # no broker's table lists the orchestrator: notices and digests come
+        # to it directly
         facts = {"config": dict(config)}
         out = orchestrator_decide(facts, fire("control.bootstrap", None))
         return {**facts, **dict(out["facts"])}
 
-    def renewed(self, facts, at, except_for=()):
-        """Every lease but the named ones renewed by a beat delivered at `at`."""
-        leases = facts["leases"]
-        for agent in sorted(leases):
-            if agent not in except_for:
-                out = orchestrator_decide({"leases": leases}, beat(agent, now=at))
-                leases = dict(out["facts"])["leases"]
-        return {**facts, "leases": leases}
-
-    def test_heartbeat_updates_known_agents_only(self):
+    def test_a_dead_agent_is_respawned_with_mirror_state(self):
         facts = self.booted()
-        out = orchestrator_decide(facts, beat("routing#0", now=7))
-        assert dict(out["facts"])["leases"]["routing#0"]["expires_at"] == 7 + LEASE_TTL
-        stranger = orchestrator_decide(facts, beat("routing#9", now=7))  # no lease
-        assert "facts" not in stranger
-
-    def test_a_beat_renews_only_its_senders_lease(self):
-        facts = self.booted()
-        before = facts["leases"]
-        # a body naming another agent, as beats once carried, is not read
-        inp = tell({"topic": "hb", "body": {"agent": "qos#0", "tick": 7}},
-                   kind=MessageKind.EVENT, now=7, src="routing#0")
-        after = dict(orchestrator_decide(facts, inp)["facts"])["leases"]
-        assert after["routing#0"]["expires_at"] == 7 + LEASE_TTL
-        assert {a: e for a, e in after.items() if a != "routing#0"} == {
-            a: e for a, e in before.items() if a != "routing#0"
-        }
-
-    def test_a_beat_for_a_lapsed_lease_is_ignored(self):
-        facts = self.booted()  # leased at 0
-        late = beat("routing#0", now=LEASE_TTL)
-        assert "facts" not in orchestrator_decide(facts, late)
-
-    def test_a_replayed_heartbeat_does_not_move_a_clock_back(self):
-        facts = self.renewed(self.booted(), 10)
-        for _ in range(2):
-            # the same beat handed over twice at 20 renews to the same expiry
-            out = orchestrator_decide(facts, beat("routing#0", now=20))
-            assert dict(out["facts"])["leases"]["routing#0"]["expires_at"] == 20 + LEASE_TTL
-            facts = {**facts, **dict(out["facts"])}
-        # a beat replayed after an outage renews from when it is delivered
-        out = orchestrator_decide(facts, beat("routing#0", now=30))
-        assert dict(out["facts"])["leases"]["routing#0"]["expires_at"] == 30 + LEASE_TTL
-
-    def test_silent_agent_is_respawned_with_mirror_state(self):
-        deadline = self.DEADLINE
-        facts = self.renewed(self.booted(), deadline - 1, except_for=("routing#0",))
         facts["mirror"] = {"routing#0": {"topology": {"version": 4, "value": {}}}}
-        out = orchestrator_decide(facts, fire("events.tick", {"tick": deadline}, now=deadline))
+        out = orchestrator_decide(facts, down("routing#0", now=24))
         (spawn,) = [s for s in out["plan"] if s["action"] == "spawn-agent"]
         assert spawn["params"]["spec"]["agent"] == "routing#0"
         assert spawn["params"]["restore"] == facts["mirror"]["routing#0"]
         assert "events" not in out  # spawn_log and the planning record show it
-        lease = dict(out["facts"])["leases"]["routing#0"]
-        assert (lease["registered_at"], lease["expires_at"]) == (deadline, deadline + LEASE_TTL)
 
     def test_a_respawn_step_carries_the_spec_and_its_restore_only(self):
-        deadline = self.DEADLINE
-        facts = self.renewed(self.booted(), deadline - 1, except_for=("routing#0",))
-        out = orchestrator_decide(facts, fire("events.tick", {"tick": deadline}, now=deadline))
+        facts = self.booted()
+        out = orchestrator_decide(facts, down("routing#0"))
         assert out["plan"] == [{
             "action": "spawn-agent",
             "target": "host.control",
@@ -296,39 +251,22 @@ class TestLiveness:
         cap = {"policy_id": "cap", "issuer_level": "network", "scope": ["forwarding"],
                "rules": [{"action_kind": "install-rule", "target_class": "switch",
                           "effect": "deny", "max_per_target": 2}]}
-        deadline = self.DEADLINE
         facts = self.booted(dict(BASE_CONFIG, policies=[cap]))
-        facts = self.renewed(facts, deadline - 1, except_for=("forwarding#0",))
         facts["mirror"] = {"forwarding#0": {"switch-rules": {"version": 1, "value": {}}}}
-        out = orchestrator_decide(facts, fire("events.tick", {"tick": deadline}, now=deadline))
+        out = orchestrator_decide(facts, down("forwarding#0"))
         assert [s["action"] for s in out["plan"]] == ["spawn-agent"]
         params = out["plan"][0]["params"]
         assert params["restore"] == facts["mirror"]["forwarding#0"]
         assert params["spec"]["initial_facts"]["policies"] == [cap]  # from the spec
 
-    def test_an_expired_broker_is_respawned_and_re_leased_alone(self):
-        # a broker is an agent like any other: its silence says nothing of
-        # the agents homed on it, which get their ticks straight from the
-        # bridge
-        deadline = self.DEADLINE
+    def test_a_dead_broker_is_respawned_alone(self):
+        # a broker is an agent like any other: its death says nothing of the
+        # agents homed on it
         broker = "event-distribution#0"
-        facts = self.renewed(self.booted(), deadline - 1, except_for=(broker,))
-        out = orchestrator_decide(facts, fire("events.tick", {"tick": deadline}, now=deadline))
+        out = orchestrator_decide(self.booted(), down(broker))
         assert [s["params"]["spec"]["agent"] for s in out["plan"]] == [broker]
-        leases = dict(out["facts"])["leases"]
-        assert (leases[broker]["registered_at"], leases[broker]["expires_at"]) == (
-            deadline, deadline + LEASE_TTL
-        )
-        assert {a: e for a, e in leases.items() if a != broker} == {
-            a: e for a, e in facts["leases"].items() if a != broker
-        }
 
-    def test_quiet_tick_emits_nothing(self):
-        facts = self.renewed(self.booted(), HEARTBEAT_INTERVAL)
-        # the registered impl, lifecycle included: the orchestrator keeps the
-        # leases, so it sends no beat of its own, and it holds no own lease
-        out = cognition(FunctionKind.ORCHESTRATION.value).decide(
-            facts, fire("events.tick", {"tick": HEARTBEAT_INTERVAL}, now=HEARTBEAT_INTERVAL)
-        )
-        assert out == {}
-        assert ME not in facts["leases"]
+    def test_a_notice_writes_no_fact(self):
+        # no liveness table: who is live only the host knows
+        out = orchestrator_decide(self.booted(), down("qos#0"))
+        assert set(out) == {"plan"}

@@ -8,14 +8,12 @@ import random
 import pytest
 
 from masdn import AgentSystem, runtime
-from masdn.core import AgentId, FunctionKind, Message, MessageKind
+from masdn.core import AgentId, FunctionKind, MessageKind
 from masdn.hierarchy import Policy
-from masdn.logic import HEARTBEAT_INTERVAL
 from masdn.orchestrator import broker_ids, build_specs, home_broker
-from masdn.pps import decode_body, encode_body
+from masdn.pps import encode_body
 from masdn.runtime import (
     AgentHost,
-    AgentInput,
     AgentNotLive,
     AgentSpec,
     DuplicateAgent,
@@ -212,6 +210,17 @@ class TestHostLifecycle:
         host.kill_agent(agent.id)
         with pytest.raises(AgentNotLive):
             host.get(agent.id).facts.put("k", 1)
+
+    def test_each_kill_is_kept_as_an_exit_and_no_other_way_out_is(self):
+        host = AgentHost()
+        first, second = spawn(host, instance=1), spawn(host, instance=0)
+        assert host.exits == []
+        host.kill_agent(first.id)
+        host.kill_agent(second.id)
+        assert host.exits == [first.id, second.id]  # in kill order
+        with pytest.raises(AgentNotLive):
+            host.kill_agent(first.id)  # a dead agent dies no second time
+        assert host.exits == [first.id, second.id]
 
 
 class TestValidatePlan:
@@ -446,12 +455,11 @@ class TestEncodeOnce:
         ]
 
 
-# -- the lifecycle every registered cognition gets -------------------------------
+# -- what every registered cognition is -----------------------------------------
 
 BROKER = FunctionKind.EVENT_DISTRIBUTION.value
 # the cognitions masdn registers; tests register others under other names
 _KINDS = sorted(name for name in runtime._COGNITIONS if name in {k.value for k in FunctionKind})
-_MSG_IDS = iter(range(1, 1_000_000))
 
 
 @functools.cache
@@ -465,59 +473,21 @@ def _genesis(strategy):
     return system
 
 
-def _spec_facts(kind, strategy="centralized"):
-    """Initial facts for instance 0 of a kind, as genesis builds them: the
-    orchestrator's own, or the spec the orchestrator builds for the kind,
-    holding the view genesis gives every spec that reads one."""
-    orch = _genesis(strategy).host.get(AgentId.parse("orchestration#0")).spec.initial_facts
-    if kind == "orchestration":
-        return dict(orch)
-    agent = f"{kind}#0"
-    specs = build_specs({"event_strategy": strategy}, [agent], orch["topology"], "orchestration#0")
-    return specs[agent]["initial_facts"]
-
-
-def _event(dst, topic, body, src="switch-adapter#0", msg_id=None):
-    msg = Message(
-        msg_id=msg_id or next(_MSG_IDS), src=AgentId.parse(src),
-        dst=AgentId.parse(dst) if "#" in dst else dst,
-        kind=MessageKind.EVENT, payload=b"", sim_time=0,
-    )
-    return AgentInput(msg, {"topic": topic, "body": body})
-
-
-def _beats(dec):
-    return [e for e in dec.get("events", []) if e["topic"] == "hb"]
-
-
-def _beat():
-    """The beat an agent owes on a beat tick, addressed straight to the
-    orchestrator; its frame says who sent it and when."""
-    return [{"topic": "hb", "to": "orchestration#0"}]
-
-
-# the ticks the bridge hands every live agent events.tick on, over two beat
-# intervals
-_BEAT_TICKS = range(0, 2 * HEARTBEAT_INTERVAL + 1, HEARTBEAT_INTERVAL)
-
 # the kinds that read a topic, and so sit in their home broker's table
 _READERS = {"routing", "session"}
 
-# the kinds that run the agent lifecycle: every agent spawned from a spec
-_LIFECYCLE = [k for k in _KINDS if "self" in _spec_facts(k)]
+# the kinds spawned from a spec: every one but the orchestrator
+_SPAWNED = [k for k in _KINDS if k != "orchestration"]
 
 
 class TestLifecycle:
-    def test_only_the_orchestrator_runs_no_lifecycle(self):
-        assert sorted(set(_KINDS) - set(_LIFECYCLE)) == ["orchestration"]
-
-    @pytest.mark.parametrize("kind", _LIFECYCLE)
+    @pytest.mark.parametrize("kind", _SPAWNED)
     def test_no_brokers_spec_lists_it_for_the_tick(self, kind):
         # subscriptions are composed at genesis, not asked for at spawn: the
         # agent's own spec names no broker and no topic, and of all brokers
         # only its home broker's table lists it, under the topics its kind
-        # reads; the tick it beats on comes straight from the bridge, so no
-        # table lists the tick, and a kind that reads no topic is in none
+        # reads; the session agent's tick comes straight from the bridge, so
+        # no table lists the tick, and a kind that reads no topic is in none
         agent = f"{kind}#0"
         for strategy in ("centralized", "distributed", "hybrid"):
             roster = sorted({agent, *broker_ids(strategy)})
@@ -531,71 +501,19 @@ class TestLifecycle:
                 assert listed == set(), strategy
             assert not any("events.tick" in table for table in tables.values()), strategy
 
-    @pytest.mark.parametrize("kind", _LIFECYCLE)
-    def test_one_heartbeat_on_every_interval_tick(self, kind):
-        facts = _spec_facts(kind)
-        for tick in _BEAT_TICKS:
-            out = cognition(kind).decide(facts, _event(f"{kind}#0", "events.tick", {"tick": tick}))
-            assert _beats(out) == _beat(), tick
-            assert out["events"][0]["topic"] == "hb"  # ahead of its own
-
-    def test_broker_beats_once_per_accepted_tick_envelope(self):
-        # the bridge hands a broker its tick straight, as it does every
-        # agent: the broker beats, and delivers and relays the tick nowhere
-        for strategy in ("centralized", "distributed", "hybrid"):
-            facts = _spec_facts(BROKER, strategy)
-            decide = cognition(BROKER).decide
-            for tick in _BEAT_TICKS:
-                inp = _event(f"{BROKER}#0", "events.tick", {"tick": tick})
-                out = decide(facts, inp)
-                assert _beats(out) == _beat()
-                assert "plan" not in out, strategy
-
-    def test_the_orchestrator_sends_no_heartbeat(self):
-        # it keeps the leases, so it holds none of its own to renew, and its
-        # facts come from genesis, not a spec; no broker's table lists it, as
-        # beats, ticks and digests come to it directly
-        facts = _spec_facts("orchestration")
-        assert "self" not in facts
+    def test_no_brokers_table_lists_the_orchestrator(self):
+        # exit notices and digests come to it directly
         broker = _genesis("centralized").host.get(AgentId.parse(f"{BROKER}#0"))
         assert [f for f, who in broker.facts.get("subs").items() if "orchestration#0" in who] == []
-        decide = cognition("orchestration").decide
-        for tick in range(2 * HEARTBEAT_INTERVAL + 1):
-            out = decide(facts, _event("orchestration#0", "events.tick", {"tick": tick}))
-            assert _beats(out) == [], tick
 
-    def test_a_beat_is_sent_in_one_hop_and_no_deny_blocks_it(self):
-        host = AgentHost()
-        deny_all = {"policy_id": "deny-all", "issuer_level": "network", "scope": ["routing"],
-                    "rules": [{"action_kind": "*", "target_class": "*", "effect": "deny"}]}
-        agent = spawn(host, facts={"self": "routing#0", "policies": [deny_all]}).id
-        tick = {"topic": "events.tick", "body": {"tick": HEARTBEAT_INTERVAL}}
-        host.now = HEARTBEAT_INTERVAL
-        (out,) = tell(host, agent, tick, kind=MessageKind.EVENT)
-        assert out.dst == AgentId.parse("orchestration#0")
-        assert (out.src, out.sim_time) == (agent, HEARTBEAT_INTERVAL)
-        assert decode_body(out.payload) == {"topic": "hb"}
+    def test_a_cognition_is_registered_bare(self):
+        # no lifecycle wrapper: what is registered is the decide function
+        # itself, from the module that defines it
+        from masdn import functions, infra, orchestrator
 
-    def test_a_beats_payload_is_the_topic_alone(self):
-        # the frame's src names the agent and its sim_time the tick, so the
-        # body repeats neither
-        host = AgentHost()
-        agent = spawn(host, FunctionKind.QOS, facts={"self": "qos#0"}).id
-        (out,) = tell(host, agent, {"topic": "events.tick", "body": {"tick": 0}},
-                      kind=MessageKind.EVENT)
-        assert out.payload == b'{"topic":"hb"}'
-
-    def test_a_plan_that_fails_validation_drops_its_beat(self):
-        host = AgentHost()
-        agent = spawn(host, facts={"self": "routing#0"}).id
-        # the step's target is no known peer, so the plan fails validation
-        ask = {"plan": [step("ping", "registry#0")]}
-        tick = {"topic": "events.tick", "body": {"tick": 0}, "decision": ask}
-        (out,) = tell(host, agent, tick, kind=MessageKind.EVENT)
-        assert out.dst == "events.violation"
-
-    def test_decide_keeps_the_defining_module(self):
         for kind in _KINDS:
-            assert cognition(kind).decide.__module__ in (
-                "masdn.functions", "masdn.infra", "masdn.orchestrator"
-            )
+            decide = cognition(kind).decide
+            assert not hasattr(decide, "__wrapped__"), kind
+            module = {"masdn.functions": functions, "masdn.infra": infra,
+                      "masdn.orchestrator": orchestrator}[decide.__module__]
+            assert getattr(module, decide.__name__) is decide, kind

@@ -7,12 +7,12 @@ import pytest
 
 from masdn import AgentSystem
 from masdn.core import AgentId, FunctionKind
-from masdn.oracle import compare, normalize_tables
-from masdn.logic import HEARTBEAT_INTERVAL
+from masdn.oracle import MonolithicController, compare, normalize_tables
+from masdn.logic import REFRESH_EVERY
 from masdn.netsim import LinkDown, PacketIn
-from masdn.orchestrator import LEASE_TTL, broker_ids, broker_subs, plan_roster
+from masdn.orchestrator import broker_ids, broker_subs, plan_roster
 from masdn.pps import decode_body, encode_body
-from masdn.runtime import FactsStore, beat_tick
+from masdn.runtime import FactsStore, UnknownCognition, cognition
 
 from helpers import (
     STRATEGIES,
@@ -47,6 +47,18 @@ ORCH = "orchestration#0"
 VIEW_KEEPERS = [AgentId(FunctionKind.ROUTING, 0), AgentId(FunctionKind.SESSION, 0)]
 NO_LINK_STATE = [AgentId(k, 0) for k in (FunctionKind.QOS, FunctionKind.FORWARDING,
                                          FunctionKind.TOPOLOGY)]
+
+def _has_cognition(kind):
+    try:
+        cognition(kind.value)
+    except UnknownCognition:
+        return False
+    return True
+
+
+# every kind the orchestrator can spawn
+SPAWNED_KINDS = sorted(k.value for k in FunctionKind
+                       if _has_cognition(k) and k is not FunctionKind.ORCHESTRATION)
 
 FLOWS = [
     {"src": "h1", "dst": "h2", "start_tick": 2, "size": 30, "gap": 1},
@@ -109,8 +121,8 @@ class TestEquivalence:
 
 
 class TestOnePassGenesis:
-    """The orchestrator composes, spawns and leases the whole roster in one
-    decision, and nothing in a run depends on where an agent would run."""
+    """The orchestrator composes and spawns the whole roster in one decision,
+    and nothing in a run depends on where an agent would run."""
 
     def test_an_inventory_in_the_config_is_not_an_input(self):
         plain, _, _, plain_system = run_both(TOPO, sdoc(), {})
@@ -126,7 +138,7 @@ class TestOnePassGenesis:
         system.genesis()
         facts = system.host.agents[AgentId.parse(ORCH)].facts
         written = {key: facts.version(key) for key in facts.snapshot()}
-        assert written == {"config": 1, "topology": 1, "endpoints": 1, "specs": 1, "leases": 1}
+        assert written == {"config": 1, "topology": 1, "endpoints": 1, "specs": 1}
 
     def test_brokers_keep_their_spec_facts_and_have_no_mirror_slot(self):
         _, _, diff, system = run_both(TOPO, sdoc(), {"event_strategy": "distributed"})
@@ -141,8 +153,8 @@ class TestOnePassGenesis:
                 assert facts.version(key) == 1
 
     def test_the_orchestrators_id_is_the_memoised_one(self):
-        # every beat's "to" parses to this very object, so the fabric's and
-        # the host's lookups of the orchestrator hit on identity
+        # AgentId.parse gives this very object, so the fabric's and the
+        # host's lookups of the orchestrator hit on identity
         system = AgentSystem(*build(TOPO, sdoc()), {})
         assert system.orch is AgentId.parse(ORCH)
         system.genesis()
@@ -390,12 +402,12 @@ class TestFaultRecovery:
 
 class TestOneTopologyView:
     def test_every_view_holds_the_simulators_links_after_each_tick(self):
-        # a failure with everyone live, and a second failure while routing#0
-        # is dead: its replacement gets that link event from the frames
-        # parked for it
+        # a failure with everyone live, and a second failure in the tick
+        # routing#0 is dead at: its replacement, spawned in that tick, gets
+        # that link event from the frames parked for it
         failures = [{"a": "sw3", "b": "sw4", "at": 5}, {"a": "sw2", "b": "sw3", "at": 14}]
         topo, scen = build(TOPO, sdoc(failures=failures, duration=40))
-        system = AgentSystem(topo, scen, {"kills": {12: ["routing#0"]}})
+        system = AgentSystem(topo, scen, {"kills": {13: ["routing#0"]}})
         system.genesis()
         agents = system.host.agents
         for t in range(scen.duration):
@@ -407,7 +419,7 @@ class TestOneTopologyView:
         down = {(l["a"], l["b"]) for l in links if not l["up"]}
         assert down == {("sw2", "sw3"), ("sw3", "sw4")}
         ((_, respawned),) = [e for e in system.spawn_log if e[0] == "routing#0"][1:]
-        assert respawned > 14
+        assert respawned == 14
 
     @pytest.mark.parametrize("strategy", STRATEGIES)
     def test_no_link_event_or_view_digest_reaches_or_leaves_the_other_agents(self, strategy):
@@ -453,7 +465,9 @@ class TestOneTopologyView:
         # go down, each events.link reaches every holder, and parking replays
         # it to a replacement. The orchestrator's genesis view is no holder.
         # Agents homed on a dead broker lag until its replacement replays
-        # their frames, so ticks with a dead broker are not checked.
+        # their frames, so ticks with a dead broker are not checked. The
+        # kill falls the tick before the first link failure, whose link
+        # event is parked for the victims and replayed.
         rng = random.Random(3)
         tdoc = gen_topology(rng, 8)
         topo, scen = build(tdoc, gen_scenario(rng, tdoc, 8, 2, 60, long_lived=True))
@@ -463,15 +477,16 @@ class TestOneTopologyView:
             "session": ["session#0"],
             "last-broker-and-routing": [str(brokers[-1]), "routing#0"],
         }[kill]
-        system = AgentSystem(topo, scen, {"event_strategy": strategy, "kills": {"17": victims}})
+        assert scen.failures[0].at == 21
+        system = AgentSystem(topo, scen, {"event_strategy": strategy, "kills": {"20": victims}})
         system.genesis()
         agents = system.host.agents
         holders = VIEW_KEEPERS
-        missing = set()  # ticks after which a victim was still dead
+        missing = set()  # ticks that began with a victim dead
         for t in range(scen.duration):
-            system.tick(t)
             if any(AgentId.parse(v) not in agents for v in victims):
                 missing.add(t)
+            system.tick(t)
             links = system.sim.links_doc()
             if not all(b in agents for b in brokers):
                 continue
@@ -591,118 +606,255 @@ def topic_of(body):
     return body.get("topic") if isinstance(body, dict) else None
 
 
-class TestOneLivenessTable:
-    """The orchestrator's leases are the only liveness table: heartbeats go to
-    it alone, straight from each agent, nobody registers, and no digest, sent
-    straight to it as well, ships a copy of the leases."""
+class TestExitNotices:
+    """The host is the one failure detector. Each kill after tick t reaches
+    the orchestrator as one body-less agent.down from the victim at tick
+    t + 1, once that tick's data-plane batch has run to quiescence, and the
+    victim is respawned in that tick. No agent beats, and nobody registers."""
+
+    KILLS = {"0": ["qos#0"], "9": ["session#0"], "28": ["forwarding#0"]}
 
     @pytest.mark.parametrize("strategy", STRATEGIES)
-    def test_heartbeats_feed_only_the_orchestrator(self, strategy):
-        system, hops, inputs = spied_run({"event_strategy": strategy})
-        beats = [(src, dst, at, body) for src, dst, at, body in hops if topic_of(body) == "hb"]
-        # every beat frame goes from the beating agent to the orchestrator,
-        # in one hop, and is the topic alone: each (agent, tick) crosses the
-        # fabric once
-        assert {dst for _src, dst, _at, _body in beats} == {ORCH}
-        assert {encode_body(body) for _src, _dst, _at, body in beats} == {b'{"topic":"hb"}'}
-        sent = Counter((src, at) for src, _dst, at, _body in beats)
-        assert sent == Counter(
-            (agent, tick)
-            for agent in plan_roster({"event_strategy": strategy})
-            for tick in range(0, 30, HEARTBEAT_INTERVAL)
-        )
-        assert [agent for agent, body in inputs if topic_of(body) == "hb"] == [ORCH] * len(beats)
-        for broker in broker_ids(strategy):
-            subs = system.host.get(AgentId.parse(broker)).facts.get("subs", {})
-            assert "hb" not in subs, broker
-        assert not [b for _agent, b in inputs if isinstance(b, dict) and b.get("op") == "register"]
-        # so does every digest, from the agent whose keys it carries
+    def test_each_kill_sends_one_notice_and_no_frame_is_a_beat(self, strategy):
+        broker = broker_ids(strategy)[-1]
+        kills = {**self.KILLS, "17": ["routing#0", broker]}
+        system, hops, inputs = spied_run({"event_strategy": strategy, "kills": kills})
+        notices = [(src, dst, at, body) for src, dst, at, body in hops
+                   if topic_of(body) == "agent.down"]
+        # from each victim straight to the orchestrator, in AgentId order
+        assert [(src, dst, at) for src, dst, at, _body in notices] == [
+            ("qos#0", ORCH, 1), ("session#0", ORCH, 10), (broker, ORCH, 18),
+            ("routing#0", ORCH, 18), ("forwarding#0", ORCH, 29),
+        ]
+        assert {encode_body(body) for *_, body in notices} == {b'{"topic":"agent.down"}'}
+        assert [a for a, body in inputs if topic_of(body) == "agent.down"] == [ORCH] * 5
+        assert not [h for h in hops if topic_of(h[3]) == "hb"]
+        assert not [b for _agent, b in inputs if isinstance(b, dict) and b.get("op")
+                    in ("register", "discover")]
+        # every digest goes there too, from the agent whose keys it carries
         digests = [(src, dst, b["body"]) for src, dst, _at, b in hops if topic_of(b) == "kp.digest"]
         assert {dst for _src, dst, _digest in digests} == {ORCH}
-        roster = set(plan_roster({"event_strategy": strategy}))
-        assert {src for src, _dst, _digest in digests} <= roster
+        assert {src for src, _dst, _digest in digests} <= set(plan_roster({"event_strategy": strategy}))
         assert [agent for agent, b in inputs if topic_of(b) == "kp.digest"] == [ORCH] * len(digests)
-        assert digests and not [d for _src, _dst, d in digests if "leases" in d]
 
     @pytest.mark.parametrize("strategy", STRATEGIES)
-    def test_the_orchestrator_sends_itself_nothing_and_leases_no_self(self, strategy):
-        system, hops, _inputs = spied_run({"event_strategy": strategy})
-        # genesis hands the orchestrator its own bootstrap event; after that
-        # nothing it sends may come back to it, directly or via a broker: it
-        # sends itself nothing, beats for no one and publishes nothing (a
-        # publish is addressed to the topic it carries)
-        own = [
-            (src, dst, body) for src, dst, _at, body in hops
-            if src == ORCH and topic_of(body) != "control.bootstrap"
-            and (dst == ORCH or topic_of(body) in ("hb", dst))
+    def test_a_kill_after_tick_t_is_respawned_at_t_plus_one_and_changes_no_outcome(self, strategy):
+        broker = broker_ids(strategy)[-1]
+        config = {"event_strategy": strategy, "kills": {**self.KILLS, "17": [broker, "routing#0"]}}
+        topo, scen = build(TOPO, sdoc(duration=30))
+        system = AgentSystem(topo, scen, config)
+        agents = system.run()
+        roster = plan_roster(config)
+        assert system.spawn_log[len(roster):] == [
+            ("qos#0", 1), ("session#0", 10), (broker, 18), ("routing#0", 18), ("forwarding#0", 29),
         ]
-        assert own == []
-        assert ORCH not in system.host.get(AgentId.parse(ORCH)).facts.get("leases")
-
-
-class TestTicksOnlyWhereRead:
-    """Every agent gets its beat tick straight from the bridge, the
-    orchestrator included, and only on beat ticks, where it is read, in a
-    proactive run too: a declared flow is announced as its own event."""
+        assert compare(agents, MonolithicController(topo, scen, config).run()) == {}
 
     @pytest.mark.parametrize("strategy", STRATEGIES)
-    @pytest.mark.parametrize("proactive", [False, True])
-    def test_each_agent_gets_the_ticks_it_reads_once(self, strategy, proactive):
-        _system, _hops, inputs = spied_run({"event_strategy": strategy, "proactive": proactive})
-        got = {}
-        for agent, body in inputs:
-            if topic_of(body) == "events.tick":
-                got.setdefault(agent, Counter())[body["body"]["tick"]] += 1
-        beat_ticks = Counter(range(0, 30, HEARTBEAT_INTERVAL))
-        # some declared flow starts right after an off-beat tick
-        assert {flow["start_tick"] - 1 for flow in FLOWS} - set(beat_ticks)
-        assert got.pop(ORCH) == beat_ticks
-        assert set(got) == set(plan_roster({"event_strategy": strategy})) - {ORCH}
-        assert {agent: ticks for agent, ticks in got.items() if ticks != beat_ticks} == {}
+    def test_the_victims_frames_of_the_data_plane_batch_are_replayed_to_its_replacement_first(
+        self, strategy
+    ):
+        # FLOWS[0] starts at tick 2, so its packet-in reaches the session
+        # agent killed after tick 1 in tick 2's data-plane batch: the frame
+        # is parked, made before the notice, and handed to the replacement
+        # before anything else
+        topo, scen = build(TOPO, sdoc(duration=10))
+        system = AgentSystem(topo, scen, {"event_strategy": strategy, "kills": {"1": ["session#0"]}})
+        inputs = []
+        process_input = system.host.process_input
 
+        def spy(agent_id, msg):
+            inputs.append((system.host.now, str(agent_id), msg.msg_id, topic_of(decode_body(msg.payload))))
+            return process_input(agent_id, msg)
 
-class TestOneTickPerLiveAgent:
-    """On a beat tick the bridge hands each live agent one events.tick,
-    straight from switch-adapter#0 in AgentId order, after the tick's link
-    failures and packet-ins have run to quiescence. No broker carries a
-    tick, so a dead broker silences no one, and a dead agent is handed none
-    to park."""
+        system.host.process_input = spy
+        system.run()
+        after = [i for i in inputs if i[0] == 2]
+        (notice,) = [i for i in after if i[3] == "agent.down"]
+        first = [i for i in after if i[1] == "session#0"][0]
+        assert first[3] == "events.packet_in"
+        assert first[2] < notice[2]  # sent before the notice, so it was parked
+        assert after.index(notice) < after.index(first)
+        assert [i for i in inputs if i[0] < 2 and i[1] == "session#0" and i[3] == "events.packet_in"] == []
 
+    @pytest.mark.parametrize("every", [1, 3])
     @pytest.mark.parametrize("strategy", STRATEGIES)
-    def test_each_live_agent_gets_one_tick_from_the_bridge_and_a_dead_one_none(self, strategy):
+    def test_a_duplicated_notice_respawns_nobody_twice(self, strategy, every):
+        broker = broker_ids(strategy)[-1]
+        config = {"event_strategy": strategy, "kills": {**self.KILLS, "17": [broker, "routing#0"]}}
+        topo, scen = build(TOPO, sdoc(duration=30))
+        system = AgentSystem(topo, scen, config)
+        system.bus.duplicate_every = every
+        agents = system.run()
+        assert system.bus.duplicates_suppressed > 0
+        assert system.spawn_log[len(plan_roster(config)):] == [
+            ("qos#0", 1), ("session#0", 10), (broker, 18), ("routing#0", 18), ("forwarding#0", 29),
+        ]
+        assert compare(agents, MonolithicController(topo, scen, config).run()) == {}
+
+    @pytest.mark.parametrize("kind", SPAWNED_KINDS)
+    def test_a_replacement_of_each_kind_holds_what_its_victim_held(self, kind):
+        # a kill lands after the pump, so the victim's spec and mirror slot
+        # are all it held: its replacement, spawned on the notice, holds the
+        # same facts before it is handed anything, whatever its kind
+        rng = random.Random(3)
+        tdoc = gen_topology(rng, 8)
+        topo, scen = build(tdoc, gen_scenario(rng, tdoc, 8, 2, 40, long_lived=True))
+        victim = f"{kind}#0"
+        chain = ["session"] if victim in plan_roster({}) else ["session", kind]
+        config = {"event_strategy": "hybrid", "chain": chain, "kills": {"20": [victim]}}
+        system = AgentSystem(topo, scen, config)
+        held, restored = {}, {}
+        kill, spawn = system.host.kill_agent, system._spawn
+
+        def kill_spy(agent_id):
+            held[str(agent_id)] = system.host.get(agent_id).facts.snapshot()
+            return kill(agent_id)
+
+        def spawn_spy(body):
+            out = spawn(body)
+            agent = body["spec"]["agent"]
+            if agent in held:
+                restored[agent] = system.host.get(AgentId.parse(agent)).facts.snapshot()
+            return out
+
+        system.host.kill_agent, system._spawn = kill_spy, spawn_spy
+        agents = system.run()
+        assert system.spawn_log[len(plan_roster(config)):] == [(victim, 21)]
+        assert held[victim]["self"] == victim
+        assert restored == held
+        assert compare(agents, MonolithicController(topo, scen, config).run()) == {}
+
+
+class TestEveryKillTick:
+    """Whichever tick an agent dies after, from the first to the run's
+    second-to-last, it is back at the next tick, and the mirror stays an
+    exact copy of every live agent's export after every tick."""
+
+    @pytest.mark.parametrize("kill", ["forwarding", "routing", "broker-and-session"])
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_each_victim_is_back_on_the_tick_after_each_of_its_kills(self, strategy, kill):
         rng = random.Random(3)
         tdoc = gen_topology(rng, 8)
         topo, scen = build(tdoc, gen_scenario(rng, tdoc, 8, 2, 60, long_lived=True))
-        victims = [broker_ids(strategy)[-1], "forwarding#0"]
-        system = AgentSystem(topo, scen, {"event_strategy": strategy, "kills": {"17": victims}})
-        ticks, handed = [], Counter()
-        hop, process_input = system.bus._hop, system.host.process_input
-
-        def hop_spy(msg):
-            if topic_of(decode_body(msg.payload)) == "events.tick":
-                ticks.append((system.host.now, str(msg.src), str(msg.dst)))
-            return hop(msg)
-
-        def input_spy(agent_id, msg):
-            if topic_of(decode_body(msg.payload)) == "events.tick":
-                handed[str(agent_id), system.host.now] += 1
-            return process_input(agent_id, msg)
-
-        system.bus._hop, system.host.process_input = hop_spy, input_spy
+        victims = {
+            "forwarding": ["forwarding#0"],
+            "routing": ["routing#0"],
+            "broker-and-session": [broker_ids(strategy)[-1], "session#0"],
+        }[kill]
+        at = [*range(0, scen.duration - 2, 7), scen.duration - 2]
+        config = {"event_strategy": strategy, "kills": {str(t): victims for t in at}}
+        system = AgentSystem(topo, scen, config)
         system.genesis()
-        want, dead_on_a_beat = [], set()
+        agents = system.host.agents
+        orch = system.host.get(system.orch)
         for t in range(scen.duration):
-            if beat_tick(t):
-                live = [str(a) for a in sorted(system.host.agents)]
-                want.extend((t, "switch-adapter#0", agent) for agent in live)
-                dead_on_a_beat.update(set(victims) - set(live))
             system.tick(t)
-        assert ticks == want
-        assert set(handed.values()) == {1}  # nothing parked is replayed
-        assert dead_on_a_beat == set(victims)
+            mirror = orch.facts.get("mirror", {})
+            for agent_id, agent in agents.items():
+                assert mirror.get(str(agent_id), {}) == agent.facts.export(agent.impl.digest_keys), (
+                    t, str(agent_id))
+            dead = sorted(v for v in victims if AgentId.parse(v) not in agents)
+            assert dead == (sorted(victims) if t in at else []), t
+        order = [str(a) for a in sorted(map(AgentId.parse, victims))]
+        assert system.spawn_log[len(plan_roster(config)):] == [
+            (agent, t + 1) for t in at for agent in order
+        ]
+        assert compare(system.outcome(), MonolithicController(topo, scen, config).run()) == {}
+
+
+class TestTheOrchestratorsTraffic:
+    """After genesis the orchestrator is handed digests and exit notices
+    alone, each straight from the agent it speaks for, and it sends nothing
+    but spawn requests: no liveness traffic reaches or leaves it."""
+
+    KILLS = {"3": ["session#0"], "17": ["routing#0", "qos#0"]}
+
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_the_orchestrator_sends_only_spawn_requests_and_nothing_to_itself(self, strategy):
+        broker = broker_ids(strategy)[-1]
+        kills = {**self.KILLS, "9": [broker]}
+        system, hops, _inputs = spied_run({"event_strategy": strategy, "kills": kills})
+        sent = [(dst, body) for src, dst, _at, body in hops if src == ORCH]
+        # genesis hands the orchestrator its own bootstrap; nothing else it
+        # sends comes back to it, directly or through a broker
+        assert sent[0] == (ORCH, {"topic": "control.bootstrap", "body": None})
+        assert {(dst, body["op"]) for dst, body in sent[1:]} == {("host.control", "spawn-agent")}
+        roster = plan_roster(system.config)
+        spawned = [body["spec"]["agent"] for _dst, body in sent[1:]]
+        assert spawned == roster + ["session#0", broker, "qos#0", "routing#0"]
+
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_the_orchestrator_is_handed_its_bootstrap_the_digests_and_the_notices_alone(
+        self, strategy
+    ):
+        broker = broker_ids(strategy)[-1]
+        kills = {**self.KILLS, "9": [broker]}
+        system, hops, inputs = spied_run({"event_strategy": strategy, "kills": kills})
+        handed = Counter(topic_of(body) for agent, body in inputs if agent == ORCH)
+        assert handed["control.bootstrap"] == 1 and handed["kp.digest"] > 0
+        assert handed["agent.down"] == 4
+        assert set(handed) == {"control.bootstrap", "kp.digest", "agent.down"}
+        to_orch = [(src, topic_of(body)) for src, dst, _at, body in hops if dst == ORCH]
+        assert len(to_orch) == sum(handed.values())
+        # a broker sends it only its own exit notice: nothing is relayed
+        brokers = set(broker_ids(strategy))
+        assert [(src, topic) for src, topic in to_orch if src in brokers] == [(broker, "agent.down")]
+        assert {src for src, topic in to_orch if topic == "agent.down"} == {
+            "session#0", broker, "routing#0", "qos#0"}
+
+
+class TestTicksOnlyWhereRead:
+    """The bridge hands events.tick to the session agent alone, straight from
+    switch-adapter#0 and only on REFRESH_EVERY-th ticks, where it sweeps; in
+    a proactive run too, as a declared flow is announced as its own event.
+    No broker carries a tick, and no other agent reads one."""
+
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    @pytest.mark.parametrize("proactive", [False, True])
+    def test_only_the_session_agent_gets_a_tick_and_only_on_refresh_ticks(self, strategy, proactive):
+        system, hops, inputs = spied_run({"event_strategy": strategy, "proactive": proactive})
+        refresh = range(0, 30, REFRESH_EVERY)
+        ticks = [(src, dst, at) for src, dst, at, body in hops if topic_of(body) == "events.tick"]
+        assert ticks == [("switch-adapter#0", "session#0", t) for t in refresh]
+        got = [agent for agent, body in inputs if topic_of(body) == "events.tick"]
+        assert got == ["session#0"] * len(refresh)
         for broker in broker_ids(strategy):
-            subs = system.host.get(AgentId.parse(broker)).facts.get("subs")
-            assert "events.tick" not in subs, broker
+            assert "events.tick" not in system.host.get(AgentId.parse(broker)).facts.get("subs")
+
+
+class TestTheSessionsTick:
+    """The session agent's tick follows the tick's data-plane batch and the
+    exit notices, so a session agent killed the tick before a refresh tick
+    is back in time for that tick's sweep, as the oracle sweeps."""
+
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_a_session_agent_killed_before_a_refresh_tick_sweeps_on_it(self, strategy):
+        swept = 0
+        for seed in range(6):
+            tdoc, doc = gen_refresh_tick_scenario(seed)
+            topo, scen = build(tdoc, doc)
+            kills = {str(t - 1): ["session#0"] for t in range(REFRESH_EVERY, 50, REFRESH_EVERY)}
+            # a tight cap denies realtime sessions, which each sweep retries
+            config = {"event_strategy": strategy, "kills": kills, "qos_cap_permille": 200}
+            system = AgentSystem(topo, scen, config)
+            handed = []
+            process_input = system.host.process_input
+
+            def spy(agent_id, msg):
+                out = process_input(agent_id, msg)
+                if str(agent_id) == "session#0" and topic_of(decode_body(msg.payload)) == "events.tick":
+                    handed.append((system.host.now, len(out)))
+                return out
+
+            system.host.process_input = spy
+            agents = system.run()
+            respawned = [t for a, t in system.spawn_log if a == "session#0"][1:]
+            assert respawned == list(range(REFRESH_EVERY, 50, REFRESH_EVERY)), seed
+            assert [t for t, _ in handed] == list(range(0, scen.duration, REFRESH_EVERY)), seed
+            assert compare(agents, MonolithicController(topo, scen, config).run()) == {}, seed
+            swept += sum(asks for t, asks in handed if t in respawned)
+        assert swept  # some replacement's sweep asked for a repair
 
     @pytest.mark.parametrize("strategy", STRATEGIES)
     def test_the_session_agents_tick_follows_the_ticks_link_events_and_packet_ins(
@@ -731,7 +883,7 @@ class TestOneTickPerLiveAgent:
                               if topic in ("events.link", "events.packet_in")]
                     assert all(i < tick_at for i in events), (seed, t, topics)
                     crowded += bool(events)
-        assert crowded  # beat ticks with link events or packet-ins were checked
+        assert crowded  # refresh ticks with link events or packet-ins were checked
 
 
 class TestDeclaredFlowsAreEvents:
@@ -789,15 +941,18 @@ class TestDeclaredFlowsAreEvents:
 
 
 class TestQuietTicks:
-    """A tick with no beat, no link failure and no packet-in moves nothing:
-    no frame hops and no agent is handed an input, as the orchestrator's
-    direct tick comes on beat ticks only, and so does every refresh sweep."""
+    """A steady run costs nothing on a tick that has no link failure,
+    packet-in, flow announce or refresh: no frame hops and no agent is handed
+    an input, as no liveness traffic exists. A refresh tick with nothing to
+    repair hops one frame, the session agent's tick. This is the run's hop
+    budget, so that no per-tick traffic creeps back."""
 
     @pytest.mark.parametrize("strategy", STRATEGIES)
-    def test_a_quiet_tick_hops_no_frame_and_hands_no_input(self, strategy):
-        topo, scen = build(TOPO, sdoc(duration=40))
-        system = AgentSystem(topo, scen, {"event_strategy": strategy})
-        events, hops, inputs, orch_ticks = {}, Counter(), Counter(), Counter()
+    @pytest.mark.parametrize("proactive", [False, True])
+    def test_a_quiet_tick_hops_no_frame_and_hands_no_input(self, strategy, proactive):
+        topo, scen = build(TOPO, sdoc(duration=60))
+        system = AgentSystem(topo, scen, {"event_strategy": strategy, "proactive": proactive})
+        events, hops, inputs = {}, Counter(), Counter()
         step, hop, process_input = system.sim.step, system.bus._hop, system.host.process_input
 
         def step_spy(t):
@@ -810,56 +965,19 @@ class TestQuietTicks:
 
         def input_spy(agent_id, msg):
             inputs[system.host.now] += 1
-            body = decode_body(msg.payload)
-            if str(agent_id) == ORCH and topic_of(body) == "events.tick":
-                orch_ticks[body["body"]["tick"]] += 1
             return process_input(agent_id, msg)
 
         system.sim.step, system.bus._hop, system.host.process_input = step_spy, hop_spy, input_spy
         system.run()
-        quiet = [
-            t for t, evs in events.items()
-            if not beat_tick(t)
-            and not [ev for ev in evs if isinstance(ev, (LinkDown, PacketIn))]
-        ]
-        assert len(quiet) > scen.duration // 2
+        # tick 0's pump ships the genesis exports
+        busy = {0, *system._announced}
+        busy |= {t for t, evs in events.items() if [e for e in evs if isinstance(e, (LinkDown, PacketIn))]}
+        quiet = [t for t in events if t not in busy and t % REFRESH_EVERY]
+        refresh = [t for t in events if t not in busy and not t % REFRESH_EVERY]
+        assert len(quiet) > scen.duration // 2 and refresh
         assert {t: (hops[t], inputs[t]) for t in quiet if hops[t] or inputs[t]} == {}
+        assert {t: (hops[t], inputs[t]) for t in refresh} == {t: (1, 1) for t in refresh}
         assert hops and inputs  # the spies see the ticks that do move frames
-        assert orch_ticks == Counter(t for t in range(scen.duration) if beat_tick(t))
-
-
-class TestLeasesExpireOnBeatTicks:
-    """The orchestrator sweeps its leases on beat ticks only. That delays no
-    detection, because every lease expires on a beat tick: leases are
-    registered (at genesis and by a sweep) and renewed (by beats) on beat
-    ticks, and they live a whole number of beat intervals."""
-
-    def test_the_lease_ttl_is_a_whole_number_of_beat_intervals(self):
-        assert LEASE_TTL % HEARTBEAT_INTERVAL == 0
-
-    @pytest.mark.parametrize("kill", ["none", "forwarding", "broker-and-session"])
-    @pytest.mark.parametrize("strategy", STRATEGIES)
-    def test_every_lease_expires_on_a_beat_tick_after_each_tick(self, strategy, kill):
-        rng = random.Random(3)
-        tdoc = gen_topology(rng, 8)
-        topo, scen = build(tdoc, gen_scenario(rng, tdoc, 8, 2, 60, long_lived=True))
-        victims = {
-            "none": [],
-            "forwarding": ["forwarding#0"],
-            "broker-and-session": [broker_ids(strategy)[-1], "session#0"],
-        }[kill]
-        system = AgentSystem(topo, scen, {"event_strategy": strategy, "kills": {"17": victims}})
-        system.genesis()
-        orch = system.host.get(system.orch)
-        for t in range(scen.duration):
-            system.tick(t)
-            leases = orch.facts.get("leases")
-            expiries = {agent: lease["expires_at"] for agent, lease in leases.items()}
-            assert {a: at for a, at in expiries.items() if not beat_tick(at)} == {}, t
-        roster = plan_roster({"event_strategy": strategy})
-        assert sorted(leases) == roster
-        # every victim was found by a sweep and replaced, and nobody else
-        assert sorted(agent for agent, _t in system.spawn_log[len(roster):]) == sorted(victims)
 
 
 class TestPolicyEnforcement:
