@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable
 
 from .core import AgentId, Message
-from .pps import DEFAULT_PROFILES, Reliability, StackProfile, decode, encode
+from .pps import Reliability, StackProfile, decode, encode
 from .runtime import Agent, AgentHost
 
 EndpointHandler = Callable[[Message], list[Message]]
@@ -44,7 +44,7 @@ class DeadLetter:
 
 
 class Bus:
-    def __init__(self, host: AgentHost, profile: StackProfile = DEFAULT_PROFILES[0]) -> None:
+    def __init__(self, host: AgentHost, profile: StackProfile) -> None:
         self.host = host
         self.profile = profile
         self.queue: deque[Message] = deque()

@@ -7,6 +7,9 @@ diff.json in compare mode. Exit status is 0 only when the run completed
 and, in compare mode, the two controllers were behaviorally identical;
 1 when they diverged, 2 for a config rejected before the run (no
 artifact), and 3 for a run stopped by a framework error (run.log only).
+A config is rejected for a missing file, a malformed topology or scenario,
+or whatever config.parse_config refuses: an unknown key, a value of the
+wrong type, or one no run of the scenario's length can honour.
 All outputs are a pure function of the config and seed.
 """
 
@@ -18,16 +21,13 @@ import dataclasses
 import json
 import sys
 from pathlib import Path
-from typing import Any, Callable
+from typing import Any
 
-from .core import AgentId, FunctionKind, MasdnError
-from .hierarchy import shared_policy
+from .config import MODES, cli_documents, parse_config
+from .core import MasdnError
 from .netsim import Scenario, SchemaError, Topology
 from .oracle import MonolithicController, compare
-from .orchestrator import BROKER_COUNT, check_kill_ticks, check_roster
-from .system import AgentSystem, resolve_profile
-
-MODES = ("agents", "monolithic", "compare")
+from .system import AgentSystem
 
 
 def _load_doc(value: Any, base: Path, what: str) -> dict[str, Any]:
@@ -42,57 +42,6 @@ def _load_doc(value: Any, base: Path, what: str) -> dict[str, Any]:
             raise FileNotFoundError(f"{what} file not found: {path}")
         return json.loads(path.read_text())
     raise SchemaError(f"config {what!r} must be an object or a path string")
-
-
-def _check_config(config: Any) -> None:
-    """Reject the run-config values that would otherwise fail mid-run."""
-    if not isinstance(config, dict):
-        raise SchemaError("config must be a JSON object")
-    seed = config.get("seed")
-    if seed is not None and (not isinstance(seed, int) or isinstance(seed, bool)):
-        raise SchemaError(f"config seed must be an integer, got {seed!r}")
-    strategy = config.get("event_strategy", "centralized")
-    if strategy not in BROKER_COUNT:
-        raise SchemaError(
-            f"unknown event_strategy {strategy!r}; expected one of {sorted(BROKER_COUNT)}"
-        )
-    kills = config.get("kills", {})
-    if not isinstance(kills, dict):
-        raise SchemaError("config kills must be an object: tick -> agent ids")
-    for tick, agents in kills.items():
-        try:
-            int(tick)
-            if not isinstance(agents, list):
-                raise TypeError(f"{agents!r} is not a list")
-            for agent in agents:
-                AgentId.parse(agent)
-        except (TypeError, ValueError) as exc:
-            raise SchemaError(f"bad kills entry {tick!r}: {exc}") from exc
-    _check_each(config, "chain", FunctionKind)
-    check_roster(config)
-    resolve_profile(config)
-    _check_each(config, "policies", shared_policy)
-    thresholds = config.get("thresholds", {})
-    if not isinstance(thresholds, dict):
-        raise SchemaError("config thresholds must be an object: name -> value")
-    for name, value in thresholds.items():
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
-            raise SchemaError(f"config threshold {name!r} must be a number, got {value!r}")
-    cap = config.get("qos_cap_permille", 0)
-    if not isinstance(cap, int) or isinstance(cap, bool):
-        raise SchemaError(f"config qos_cap_permille must be an integer, got {cap!r}")
-
-
-def _check_each(config: dict[str, Any], key: str, build: Callable[[Any], Any]) -> None:
-    """A config list must be a list, and build must accept each entry."""
-    entries = config.get(key, [])
-    if not isinstance(entries, list):
-        raise SchemaError(f"config {key} must be a list, got {entries!r}")
-    for entry in entries:
-        try:
-            build(entry)
-        except (AttributeError, KeyError, TypeError, ValueError, MasdnError) as exc:
-            raise SchemaError(f"bad config {key} entry {entry!r}: {exc!r}") from exc
 
 
 def _dump_json(path: Path, doc: Any) -> None:
@@ -115,25 +64,19 @@ def run_command(args: argparse.Namespace) -> int:
         return 2
     base = config_path.parent
     try:
-        config = json.loads(config_path.read_text())
-        _check_config(config)
-        topo = Topology.from_doc(_load_doc(config.get("topology"), base, "topology"))
-        scenario = Scenario.from_doc(
-            _load_doc(config.get("scenario"), base, "scenario"), topo
-        )
-        check_kill_ticks(config, scenario.duration)
+        doc = json.loads(config_path.read_text())
+        topo_entry, scenario_entry = cli_documents(doc)
+        topo = Topology.from_doc(_load_doc(topo_entry, base, "topology"))
+        scenario = Scenario.from_doc(_load_doc(scenario_entry, base, "scenario"), topo)
+        config = parse_config(doc, scenario.duration)
     except (FileNotFoundError, SchemaError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    if args.seed is not None:
-        scenario = dataclasses.replace(scenario, seed=args.seed)
-    elif config.get("seed") is not None:
-        scenario = dataclasses.replace(scenario, seed=config["seed"])
-    mode = args.mode or config.get("mode", "compare")
-    if mode not in MODES:
-        print(f"error: unknown mode {mode!r}", file=sys.stderr)
-        return 2
+    seed = args.seed if args.seed is not None else config.seed
+    if seed is not None:
+        scenario = dataclasses.replace(scenario, seed=seed)
+    mode = args.mode or config.mode
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

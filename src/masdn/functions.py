@@ -68,9 +68,6 @@ from typing import Any
 from .core import AgentId, FunctionKind, MessageKind
 from .logic import (
     ACTIVE,
-    DEFAULT_GAP_THRESHOLD,
-    DEFAULT_QOS_CAP_PERMILLE,
-    DEFAULT_SIZE_THRESHOLD,
     PENDING,
     PRIORITY_BY_CLASS,
     REALTIME,
@@ -174,15 +171,10 @@ def routing_decide(facts: dict[str, Any], inp: AgentInput) -> dict[str, Any]:
 def classifier_decide(facts: dict[str, Any], inp: AgentInput) -> dict[str, Any]:
     op = request_op(inp)
     if op == "classify":
-        thresholds = facts.get("thresholds", {})
-        klass = classify(
-            size=inp.body["size"],
-            gap=inp.body["gap"],
-            hint=inp.body.get("hint"),
-            size_threshold=thresholds.get("size", DEFAULT_SIZE_THRESHOLD),
-            gap_threshold=thresholds.get("gap", DEFAULT_GAP_THRESHOLD),
-        )
-        return decision(responses=[{"class": klass, "ctx": inp.body.get("ctx")}])
+        body, thresholds = inp.body, facts["thresholds"]
+        klass = classify(body["size"], body["gap"], body.get("hint"),
+                         thresholds["size"], thresholds["gap"])
+        return decision(responses=[{"class": klass, "ctx": body.get("ctx")}])
     return decision()
 
 
@@ -206,7 +198,7 @@ def qos_decide(facts: dict[str, Any], inp: AgentInput) -> dict[str, Any]:
             keys,
             rate,
             link_capacities(facts["topology"]["links"]),
-            facts.get("qos-cap-permille", DEFAULT_QOS_CAP_PERMILLE),
+            facts["qos-cap-permille"],
         )
         writes: list[tuple[str, Any]] = []
         if ok:

@@ -22,12 +22,9 @@ from __future__ import annotations
 
 from typing import Any
 
-from .hierarchy import shared_policy
+from .config import RunConfig, parse_config
 from .logic import (
     ACTIVE,
-    DEFAULT_GAP_THRESHOLD,
-    DEFAULT_QOS_CAP_PERMILLE,
-    DEFAULT_SIZE_THRESHOLD,
     PENDING,
     PRIORITY_BY_CLASS,
     REALTIME,
@@ -55,21 +52,19 @@ from .runtime import step, validate_plan
 
 
 class MonolithicController:
-    """The one-process controller the agent roster is measured against."""
+    """The one-process controller the agent roster is measured against. The
+    config is a RunConfig, or a doc (None for no keys) parsed here."""
 
     def __init__(
-        self, topo: Topology, scenario: Scenario, config: dict[str, Any] | None = None
+        self, topo: Topology, scenario: Scenario, config: RunConfig | dict[str, Any] | None = None
     ) -> None:
-        self.config = dict(config or {})
+        if not isinstance(config, RunConfig):
+            config = parse_config({} if config is None else config, scenario.duration)
+        self.config = config
         self.sim = Simulator(topo, scenario)
         self.scenario = scenario
         self.view = topology_view(topo, self.sim.links_doc())
-        thresholds = self.config.get("thresholds", {})
-        self.size_threshold = thresholds.get("size", DEFAULT_SIZE_THRESHOLD)
-        self.gap_threshold = thresholds.get("gap", DEFAULT_GAP_THRESHOLD)
-        self.cap_permille = self.config.get("qos_cap_permille", DEFAULT_QOS_CAP_PERMILLE)
-        self.proactive = bool(self.config.get("proactive", False))
-        self.policies = [shared_policy(doc) for doc in self.config.get("policies", [])]
+        self.policies = [policy for _doc, policy in config.policies]
         self.sessions: dict[str, dict[str, Any]] = {}
         self.session_seq = 0
         self.rule_seq = 0
@@ -124,7 +119,7 @@ class MonolithicController:
                 path_link_keys(path),
                 flow_rate_milli(rec["gap"]),
                 link_capacities(self.view["links"]),
-                self.cap_permille,
+                self.config.qos_cap_permille,
             )
             if not ok:
                 rec["state"] = UNROUTABLE
@@ -155,7 +150,8 @@ class MonolithicController:
             sid, src, dst, klass="", created_at=now, state=PENDING, gap=gap, size=size
         )
         self.sessions[sid] = rec
-        klass = classify(size, gap, hint, self.size_threshold, self.gap_threshold)
+        thresholds = self.config.thresholds
+        klass = classify(size, gap, hint, thresholds["size"], thresholds["gap"])
         rec["class"] = klass
         graph = build_graph(self.view["links"])
         src_sw = self.view["hosts"].get(src)
@@ -219,7 +215,7 @@ class MonolithicController:
         if t % REFRESH_EVERY == 0:
             self.view = {**self.view, "links": self.sim.links_doc()}
             self.sweep(t)
-        if self.proactive:
+        if self.config.proactive:
             self.proactive_scan(t)
 
     def run(self) -> dict[str, Any]:

@@ -3,10 +3,11 @@
 Given a run configuration it recomposes the controller out of atomic
 function agents: the chain's closure (the kinds it names and those they
 ask), the registry and knowledge-plane agents and the brokers, and no
-other; topology, monitoring, fault and discovery join only when the chain
-names them. check_roster refuses, before a run, a chain it cannot compose
-and a kill of an agent outside the roster. The event plane is composed
-here too: each broker's spec carries its subscription table, every
+other (config.plan_roster); topology, monitoring, fault and discovery join
+only when the chain names them. Its genesis config fact is the RunConfig's
+doc form, which it rebuilds at bootstrap; a chain it cannot compose and a
+kill outside the roster were refused before the run. The event plane is
+composed here too: each broker's spec carries its subscription table, every
 roster agent homed on it (home_broker) under each topic its kind reads
 (_SUBSCRIPTIONS), so no agent subscribes at run time. Only routing and
 session read events.link: they keep the live view. Qos and forwarding get
@@ -42,27 +43,16 @@ from __future__ import annotations
 import zlib
 from typing import Any
 
+from .config import RunConfig, broker_ids, parse_config, plan_roster
 from .core import AgentId, FunctionKind, level_of
-from .hierarchy import Policy
-from .logic import (
-    DEFAULT_GAP_THRESHOLD,
-    DEFAULT_QOS_CAP_PERMILLE,
-    DEFAULT_SIZE_THRESHOLD,
-    chain_closure,
-)
-from .netsim import SchemaError
 from .runtime import (
     AgentInput,
-    UnknownCognition,
-    cognition,
     decision,
     event_of,
     merge_digest,
     register_cognition,
     step,
 )
-
-BROKER_COUNT = {"centralized": 1, "distributed": 3, "hybrid": 5}
 
 # The topics each kind reads, under which its home broker's table lists it.
 # Every other kind reads no topic.
@@ -82,13 +72,6 @@ _NEEDS_VIEW = (
 )
 
 
-def broker_ids(strategy: str) -> list[str]:
-    return [
-        str(AgentId(FunctionKind.EVENT_DISTRIBUTION, i))
-        for i in range(BROKER_COUNT[strategy])
-    ]
-
-
 def home_broker(strategy: str, agent: str) -> str:
     """The broker an agent publishes through, and whose subscription table
     holds it."""
@@ -99,50 +82,6 @@ def home_broker(strategy: str, agent: str) -> str:
         return brokers[zlib.crc32(agent.encode("utf-8")) % len(brokers)]
     # hybrid: one broker per decision level, broker 0 is the relay root
     return brokers[1 + level_of(AgentId.parse(agent).kind).value]
-
-
-def plan_roster(config: dict[str, Any]) -> list[str]:
-    """Every agent the run needs, as sorted id strings (orchestrator
-    excluded): the chain's closure, registry, knowledge plane and brokers."""
-    chain = [FunctionKind(k) for k in config.get("chain", ["session"])]
-    kinds = {*chain_closure(chain), FunctionKind.REGISTRY, FunctionKind.KNOWLEDGE_PLANE}
-    roster = [str(AgentId(kind, 0)) for kind in kinds]
-    roster.extend(broker_ids(config.get("event_strategy", "centralized")))
-    return sorted(roster)
-
-
-def check_roster(config: dict[str, Any]) -> None:
-    """Refuse, with SchemaError, a chain the orchestrator cannot compose, and a
-    kill of an agent outside the roster. A chain holds session, whose ledger
-    the monolith keeps, and only kinds with a cognition, bar the orchestrator
-    and the brokers, which are composed apart."""
-    chain = config.get("chain", ["session"])
-    if FunctionKind.SESSION.value not in chain:
-        raise SchemaError(f"config chain {chain} does not hold 'session'")
-    for name in chain:
-        try:
-            cognition(name)
-        except UnknownCognition:
-            raise SchemaError(f"config chain names {name!r}, which has no cognition") from None
-        if name in (FunctionKind.ORCHESTRATION.value, FunctionKind.EVENT_DISTRIBUTION.value):
-            raise SchemaError(f"config chain names {name!r}, which is composed apart")
-    roster = plan_roster(config)
-    for tick, agents in config.get("kills", {}).items():
-        outside = [a for a in agents if a not in roster]
-        if outside:
-            raise SchemaError(f"config kills at tick {tick}: {outside} not in the roster")
-
-
-def check_kill_ticks(config: dict[str, Any], duration: int) -> None:
-    """Refuse, with SchemaError, a kill no run of `duration` ticks can honour:
-    a kill after tick t is reported, and its agent respawned, at tick t + 1,
-    so t runs from 0 to duration - 2."""
-    for tick in config.get("kills", {}):
-        if not 0 <= int(tick) <= duration - 2:
-            raise SchemaError(
-                f"config kills at tick {tick}: outside 0 .. {duration - 2}, "
-                f"the ticks a {duration}-tick run can respawn after"
-            )
 
 
 def broker_subs(strategy: str, roster: list[str]) -> dict[str, dict[str, list[str]]]:
@@ -166,7 +105,7 @@ def _broker_facts(strategy: str, broker: str, brokers: list[str]) -> dict[str, A
 
 
 def build_specs(
-    config: dict[str, Any],
+    config: RunConfig,
     roster: list[str],
     view: dict[str, Any],
     me: str,
@@ -174,13 +113,10 @@ def build_specs(
     """Initial facts for every roster agent, as spec docs consumable by the
     host-control endpoint; a broker's hold its subscription table (see
     broker_subs). Every agent gets the configured policies whose scope holds
-    its kind, in config order. Policy.from_dict raises InvalidDirection for a
-    policy whose issuer is not above its scope."""
-    strategy = config.get("event_strategy", "centralized")
+    its kind, in config order."""
+    strategy = config.event_strategy
     brokers = broker_ids(strategy)
     peers = sorted(roster + [me])
-    thresholds = config.get("thresholds", {})
-    policies = [(doc, Policy.from_dict(doc).scope) for doc in config.get("policies", [])]
     subs = broker_subs(strategy, roster)
     specs: dict[str, dict[str, Any]] = {}
     for agent in roster:
@@ -188,16 +124,13 @@ def build_specs(
         facts: dict[str, Any] = {"self": agent, "peers": peers}
         if kind in _NEEDS_VIEW:
             facts["topology"] = view
-        scoped = [doc for doc, scope in policies if kind in scope]
+        scoped = [doc for doc, policy in config.policies if kind in policy.scope]
         if scoped:
             facts["policies"] = scoped
         if kind is FunctionKind.CLASSIFIER:
-            facts["thresholds"] = {
-                "size": thresholds.get("size", DEFAULT_SIZE_THRESHOLD),
-                "gap": thresholds.get("gap", DEFAULT_GAP_THRESHOLD),
-            }
+            facts["thresholds"] = config.thresholds
         if kind is FunctionKind.QOS:
-            facts["qos-cap-permille"] = config.get("qos_cap_permille", DEFAULT_QOS_CAP_PERMILLE)
+            facts["qos-cap-permille"] = config.qos_cap_permille
         if kind is FunctionKind.EVENT_DISTRIBUTION:
             facts["subs"] = subs[agent]
             facts.update(_broker_facts(strategy, agent, brokers))
@@ -240,8 +173,8 @@ def orchestrator_decide(facts: dict[str, Any], inp: AgentInput) -> dict[str, Any
 
 def _bootstrap(facts: dict[str, Any], inp: AgentInput) -> dict[str, Any]:
     """Compose the controller: the roster and its specs, and one spawn per
-    agent in roster order."""
-    config = facts.get("config", {})
+    agent in roster order. The config fact was checked against the run."""
+    config = parse_config(facts.get("config", {}), None)
     roster = plan_roster(config)
     specs = build_specs(config, roster, facts.get("topology") or {}, str(inp.message.dst))
     return decision(plan=_spawns(specs, roster, {}), facts=[("specs", specs)])

@@ -28,7 +28,7 @@ data-plane batch, so the frames that batch sends a victim are parked and
 replayed to its replacement, and before the session's tick, so a replaced
 session agent sweeps on time. A kill after tick t is thus respawned at tick
 t + 1, and a kill is scheduled only up to the run's second-to-last tick
-(orchestrator.check_kill_ticks).
+(config.parse_config).
 
 The host-control endpoint gives the orchestrator its lifecycle lever: a
 spawn-agent request (re)creates an agent from its spec and seeds it with
@@ -70,61 +70,42 @@ from __future__ import annotations
 
 from typing import Any, Callable
 
+from .config import RunConfig, parse_config
 from .core import AgentId, FunctionKind, Message, MessageKind
-from .hierarchy import shared_policy
 from .logic import REFRESH_EVERY, topology_view
-from .netsim import LinkDown, PacketIn, Scenario, SchemaError, Simulator, TickStats, Topology
-from .orchestrator import check_kill_ticks, check_roster, home_broker
-from .pps import DEFAULT_PROFILES, StackProfile, decode_body, encode_body
+from .netsim import LinkDown, PacketIn, Scenario, Simulator, TickStats, Topology
+from .orchestrator import home_broker
+from .pps import decode_body, encode_body
 from .runtime import SUPERVISOR, AgentHost, AgentSpec, digest_delta
 from .bus import Bus
 
 _ADAPTER = FunctionKind.SWITCH_ADAPTER.value
 
 
-def resolve_profile(config: dict[str, Any]) -> StackProfile:
-    """The run's one stack profile, named by the config's `profile` id. The
-    `profiles` list it replaced is refused, so an old config never runs
-    silently under the default."""
-    if "profiles" in config:
-        raise SchemaError("config key 'profiles' is gone: name the one stack profile with 'profile'")
-    ids = [p.profile_id for p in DEFAULT_PROFILES]
-    profile_id = config.get("profile", ids[0])
-    if profile_id not in ids:
-        raise SchemaError(f"unknown profile {profile_id!r}; expected one of {ids}")
-    return DEFAULT_PROFILES[ids.index(profile_id)]
-
-
 class AgentSystem:
-    """One multi-agent controller run over one simulated network."""
+    """One multi-agent controller run over one simulated network. The config
+    is a RunConfig, or a doc (None for no keys) parsed here."""
 
     def __init__(
         self,
         topo: Topology,
         scenario: Scenario,
-        config: dict[str, Any] | None = None,
+        config: RunConfig | dict[str, Any] | None = None,
         log_sink: Callable[[dict[str, Any]], None] | None = None,
     ) -> None:
+        if not isinstance(config, RunConfig):
+            config = parse_config({} if config is None else config, scenario.duration)
         self.topo = topo
         self.scenario = scenario
-        self.config = dict(config or {})
-        check_roster(self.config)
-        check_kill_ticks(self.config, scenario.duration)
-        for doc in self.config.get("policies", []):
-            shared_policy(doc)
+        self.config = config
         self.host = AgentHost(log_sink=log_sink)
-        self.bus = Bus(self.host, resolve_profile(self.config))
+        self.bus = Bus(self.host, config.profile)
         self.sim = Simulator(topo, scenario)
-        self.strategy = self.config.get("event_strategy", "centralized")
         # AgentId.parse's memoised id, so the bus's and the host's lookups of
         # the orchestrator hit on identity
         self.orch = AgentId.parse(SUPERVISOR)
         self.session = AgentId(FunctionKind.SESSION, 0)  # handed the refresh tick
         self.stats: list[TickStats] = []
-        # fault injection: tick -> agent ids to kill after that tick completes
-        self.kill_schedule: dict[int, list[str]] = {
-            int(t): list(agents) for t, agents in self.config.get("kills", {}).items()
-        }
         # per agent, the (version, value) of each digest key last exported;
         # kept across a respawn, as it equals the mirror slot restored
         self._exported: dict[str, dict[str, tuple[int, Any]]] = {}
@@ -134,7 +115,7 @@ class AgentSystem:
         # in a proactive run, tick -> the declared flows announced on it, the
         # tick before each (jittered) start, as packet-in shaped bodies
         self._announced: dict[int, list[dict[str, Any]]] = {}
-        if self.config.get("proactive"):
+        if config.proactive:
             for f in self.sim.schedule():
                 at = f["start_tick"] - 1
                 self._announced.setdefault(at, []).append(
@@ -149,7 +130,7 @@ class AgentSystem:
     # -- endpoints ------------------------------------------------------------
 
     def _route_topic(self, msg: Message) -> AgentId | None:
-        return AgentId.parse(home_broker(self.strategy, str(msg.src)))
+        return AgentId.parse(home_broker(self.config.event_strategy, str(msg.src)))
 
     def _control(self, msg: Message) -> list[Message]:
         body = decode_body(msg.payload)
@@ -193,7 +174,7 @@ class AgentSystem:
         """Spawn the orchestrator and hand it the genesis bootstrap, whose one
         decision composes and spawns the whole controller."""
         facts = {
-            "config": self.config,
+            "config": self.config.doc,
             "topology": topology_view(self.topo, self.sim.links_doc()),
             "endpoints": ["host.control"],
         }
@@ -237,7 +218,8 @@ class AgentSystem:
         self.bus.send([self._publish(0, "events.flow", f) for f in self._announced.get(t, ())])
         self.bus.run_to_quiescence()
         self._pump_digests(t)
-        for target in self.kill_schedule.get(t, ()):
+        # fault injection: the agents killed after this tick completes
+        for target in self.config.kills.get(t, ()):
             aid = AgentId.parse(target)
             if aid in self.host.agents:
                 self.host.kill_agent(aid)

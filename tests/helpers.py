@@ -19,9 +19,10 @@ from typing import Any, Iterable, NamedTuple
 
 from masdn import AgentSystem, Scenario, Topology
 from masdn.bus import Bus
+from masdn.config import broker_ids, parse_config
 from masdn.core import AgentId, Message, MessageKind
 from masdn.oracle import MonolithicController, compare
-from masdn.orchestrator import broker_ids, build_specs, home_broker
+from masdn.orchestrator import build_specs, home_broker
 from masdn.pps import encode_body
 from masdn.runtime import AgentHost, AgentSpec, register_cognition
 
@@ -182,9 +183,9 @@ class BrokerFabric:
     def __init__(self, strategy: str) -> None:
         self.strategy = strategy
         self.host = AgentHost()
-        self.bus = Bus(self.host)
+        config = parse_config({"event_strategy": strategy}, None)
+        self.bus = Bus(self.host, config.profile)
         self.bus.topic_router = lambda msg: AgentId.parse(home_broker(strategy, str(msg.src)))
-        config = {"event_strategy": strategy}
         for doc in build_specs(config, broker_ids(strategy), {}, "orchestration#0").values():
             self.host.spawn_agent(
                 AgentSpec(AgentId.parse(doc["agent"]), doc["cognition"], doc["initial_facts"])

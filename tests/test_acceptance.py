@@ -21,11 +21,11 @@ import pytest
 
 from masdn import AgentSystem
 from masdn.cli import main
+from masdn.config import broker_ids, parse_config, plan_roster
 from masdn.core import AgentId, FunctionKind, Message, MessageKind
 from masdn.events import match_topic
 from masdn.logic import HEARTBEAT_INTERVAL, build_graph, shortest_path
 from masdn.oracle import MonolithicController, compare, normalize_tables
-from masdn.orchestrator import broker_ids, plan_roster
 from masdn.pps import DEFAULT_PROFILES, decode, encode, encode_body
 from masdn.runtime import AgentHost, AgentSpec, register_cognition
 
@@ -286,7 +286,7 @@ def test_criterion_04_killing_any_agent_is_transparent_and_recovery_is_timely(ca
     # every agent of a centralized roster whose chain also names the four
     # lifecycle-only kinds, so that each kind a chain can compose is killed
     config = {"chain": ["session", "autoconf-discovery", "fault", "monitoring", "topology"]}
-    victims = plan_roster(config)
+    victims = plan_roster(parse_config(config, None))
     deadline = 3 * HEARTBEAT_INTERVAL + 1
     kill_tick = 23
     checked = 0

@@ -41,7 +41,7 @@ def request(host, src, dst, body):
 class BusTest(unittest.TestCase):
     def setUp(self):
         self.host = make_host()
-        self.bus = Bus(self.host)
+        self.bus = Bus(self.host, DEFAULT_PROFILES[0])
 
     def test_an_oversized_frame_is_stopped_at_its_hop(self):
         # the message factory builds a message of any size; the bound is the
@@ -164,7 +164,7 @@ class ProfileOnTheWire(unittest.TestCase):
 
     def test_every_hop_round_trips_through_the_codec(self):
         host = make_host()
-        bus = Bus(host)
+        bus = Bus(host, DEFAULT_PROFILES[0])
         host.spawn_agent(sink_spec(ROUTING))
         payload = {"n": 5, "nested": {"deep": [1, 2, {"x": "y"}]}}
         bus.send(request(host, SESSION, ROUTING, payload))
@@ -174,7 +174,7 @@ class ProfileOnTheWire(unittest.TestCase):
 
     def test_duplicate_filter_keeps_one_mark_per_pair_over_a_long_run(self):
         host = make_host()
-        bus = Bus(host)
+        bus = Bus(host, DEFAULT_PROFILES[0])
         receivers = [AgentId(FunctionKind.ROUTING, i) for i in range(2)]
         senders = [AgentId(FunctionKind.SESSION, i) for i in range(3)]
         for agent in receivers:
@@ -202,7 +202,7 @@ class ParkingForAReplacement(unittest.TestCase):
 
     def setUp(self):
         self.host = make_host()
-        self.bus = Bus(self.host)
+        self.bus = Bus(self.host, DEFAULT_PROFILES[0])
         self.host.spawn_agent(sink_spec(ROUTING))
         self.bus.send(request(self.host, SESSION, ROUTING, {"n": 0}))
         self.bus.run_to_quiescence()

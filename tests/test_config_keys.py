@@ -1,14 +1,20 @@
-"""Every key the program reads from a run config is documented in README.
+"""One module reads the run config, and README documents every key it knows.
 
-The keys are found in the source, not listed by hand: each `config.get("k")`
-or `config["k"]` (on a name or attribute called `config`) in the modules that
-read the run config must appear in README as `k`, in backticks.
+The reads are found in the source, not listed by hand: each `config.get("k")`
+or `config["k"]` (on a name or attribute called `config`) in any module of
+src/masdn. Only config.py may hold one, and only of a key it knows
+(config.KEYS, the keys its tables list); each of those must appear in
+README as `k`, in backticks. The defaults are held to the same rule: only
+config.py names a DEFAULT_* constant, besides logic.py and pps.py, which
+define them.
 """
 import ast
 from pathlib import Path
 
+from masdn.config import KEYS
+
 ROOT = Path(__file__).resolve().parent.parent
-READERS = ("system.py", "oracle.py", "orchestrator.py")
+SRC = ROOT / "src" / "masdn"
 
 
 def _is_config(node):
@@ -41,13 +47,28 @@ def config_keys(source):
     return keys
 
 
-def test_every_config_key_the_program_reads_is_in_readme():
+def names_used(source):
+    return {node.id for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Name)}
+
+
+def test_only_the_config_module_reads_a_config_key():
+    readers = {path.name: config_keys(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    assert {name: keys for name, keys in readers.items() if keys and name != "config.py"} == {}
+    assert readers["config.py"] and readers["config.py"] <= set(KEYS)
+
+
+def test_every_config_key_is_in_readme():
     readme = (ROOT / "README.md").read_text()
-    keys = set()
-    for module in READERS:
-        keys |= config_keys((ROOT / "src" / "masdn" / module).read_text())
-    assert keys, "the scan found no config reads"
-    assert sorted(k for k in keys if f"`{k}`" not in readme) == []
+    assert sorted(k for k in KEYS if f"`{k}`" not in readme) == []
+
+
+def test_only_the_config_module_names_a_default():
+    naming = sorted(
+        path.name
+        for path in SRC.glob("*.py")
+        if any(name.startswith("DEFAULT_") for name in names_used(path.read_text()))
+    )
+    assert naming == ["config.py", "logic.py", "pps.py"]
 
 
 def test_the_scan_sees_both_read_forms():

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from masdn.events import TopicError, check_filter, check_topic, match_topic
-from masdn.orchestrator import broker_ids
+from masdn.config import broker_ids
 
 from helpers import STRATEGIES, BrokerFabric, run_trace, trace_agents
 

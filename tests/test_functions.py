@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from masdn.config import parse_config, plan_roster
 from masdn.core import AgentId, FunctionKind, Message, MessageKind
 from masdn.functions import (
     classifier_decide,
@@ -22,7 +23,7 @@ from masdn.logic import (
     rules_for_path,
     session_record,
 )
-from masdn.orchestrator import orchestrator_decide
+from masdn.orchestrator import build_specs, orchestrator_decide
 from masdn.pps import decode_body, encode_body
 from masdn.runtime import (
     AgentInput,
@@ -130,11 +131,20 @@ class TestRoutingAgent:
         assert out["responses"][0]["path"] is None
 
 
+def spec_facts(agent, **keys):
+    """An agent's initial facts as the orchestrator issues them for a config
+    of `keys`: the spec carries every default RunConfig fills in."""
+    config = parse_config(keys, None)
+    specs = build_specs(config, plan_roster(config), TOPO, "orchestration#0")
+    return specs[agent]["initial_facts"]
+
+
 class TestClassifierAgent:
     def test_defaults_and_fact_thresholds(self):
         fast = request({"op": "classify", "size": 10, "gap": 1, "ctx": "x"})
-        assert classifier_decide({}, fast)["responses"][0]["class"] == "realtime"
-        tuned = classifier_decide({"thresholds": {"gap": 1}}, fast)
+        plain = classifier_decide(spec_facts("classifier#0"), fast)
+        assert plain["responses"][0]["class"] == "realtime"
+        tuned = classifier_decide(spec_facts("classifier#0", thresholds={"gap": 1}), fast)
         assert tuned["responses"][0]["class"] == "interactive"
 
 
@@ -145,18 +155,16 @@ class TestQosAgent:
     }
 
     def test_realtime_reserves_on_every_path_link(self):
-        out = qos_decide({"topology": TOPO}, request(self.ADMIT, dst="qos#0"))
+        out = qos_decide(spec_facts("qos#0"), request(self.ADMIT, dst="qos#0"))
         assert out["responses"][0]["admitted"] is True
         writes = dict(out["facts"])
         assert set(writes["reservations"]) == {"s1|s2", "s2|s3"}
         assert "s-1" in writes["admitted"]
 
     def test_denial_when_budget_is_full(self):
-        # capacity 10 at 800 permille = 8000 milliunits; gap 1 wants 1000
-        facts = {
-            "topology": TOPO,
-            "reservations": {"s1|s2": 7500, "s2|s3": 0},
-        }
+        # capacity 10 at the default 800 permille = 8000 milliunits; gap 1
+        # wants 1000
+        facts = {**spec_facts("qos#0"), "reservations": {"s1|s2": 7500, "s2|s3": 0}}
         out = qos_decide(facts, request(self.ADMIT, dst="qos#0"))
         assert out["responses"][0]["admitted"] is False
         assert "facts" not in out
@@ -236,7 +244,7 @@ class TestOrchestratorSupervision:
     """The orchestrator's answer to an exit notice from the host."""
 
     def booted(self):
-        facts = {"config": {"chain": ["routing"]}}
+        facts = {"config": {}}
         out = orchestrator_decide(
             facts, event("control.bootstrap", None, dst="orchestration#0")
         )

@@ -10,8 +10,10 @@ from random import Random
 import pytest
 
 from masdn import AgentSystem, MonolithicController
+from masdn.config import parse_config
 from masdn.core import AgentId, FunctionKind, DecisionLevel, Message, MessageKind
 from masdn.hierarchy import InvalidDirection, Policy, PolicyRule, UnsharedPolicy, shared_policy
+from masdn.netsim import SchemaError
 from masdn.orchestrator import build_specs, orchestrator_decide
 from masdn.runtime import AgentInput
 
@@ -58,14 +60,18 @@ class TestPolicy:
             "routing#0": None,
         }
 
-    def test_push_with_empty_scope_acknowledges_nobody(self):
+    def test_a_config_refuses_a_policy_with_an_empty_scope(self):
+        # it would reach nobody, and a run's policy is scoped to forwarding
         doc = {"policy_id": "noop", "issuer_level": "network", "scope": [], "rules": []}
-        assert all("policies" not in f for f in spec_facts([doc], ["forwarding#0"]).values())
-
-    def test_specs_refuse_a_policy_issued_sideways(self):
-        doc = dict(CAP_DOC, issuer_level="function")
-        with pytest.raises(InvalidDirection):
+        with pytest.raises(SchemaError) as refused:
             spec_facts([doc], ["forwarding#0"])
+        assert isinstance(refused.value.__cause__, UnsharedPolicy)
+
+    def test_a_config_refuses_a_policy_issued_sideways(self):
+        doc = dict(CAP_DOC, issuer_level="function")
+        with pytest.raises(SchemaError) as refused:
+            spec_facts([doc], ["forwarding#0"])
+        assert isinstance(refused.value.__cause__, InvalidDirection)
 
     def test_wildcard_rule_matches_everything(self):
         rule = PolicyRule(action_kind="*", target_class="*", effect="deny")
@@ -88,8 +94,9 @@ class TestOnePolicyLanguage:
     @staticmethod
     def refused_by_both(doc, topo, scen):
         for controller in (AgentSystem, MonolithicController):
-            with pytest.raises(UnsharedPolicy):
+            with pytest.raises(SchemaError) as refused:
                 controller(topo, scen, {"policies": [doc]})
+            assert isinstance(refused.value.__cause__, UnsharedPolicy)
 
     def test_a_policy_scoped_beyond_forwarding_is_refused(self):
         # diverged on seeds 0-4 of this build
@@ -115,7 +122,7 @@ class TestOnePolicyLanguage:
 
 def spec_facts(policies, roster):
     """Each roster agent's initial facts, as the orchestrator issues them."""
-    specs = build_specs({"policies": policies}, roster, {}, "orchestration#0")
+    specs = build_specs(parse_config({"policies": policies}, None), roster, {}, "orchestration#0")
     return {agent: spec["initial_facts"] for agent, spec in specs.items()}
 
 

@@ -32,9 +32,10 @@ import random
 import pytest
 
 from masdn import AgentSystem, MonolithicController
+from masdn.config import broker_ids
 from masdn.logic import HEARTBEAT_INTERVAL
 from masdn.oracle import compare
-from masdn.orchestrator import broker_ids, home_broker
+from masdn.orchestrator import home_broker
 
 from helpers import STRATEGIES, build, gen_scenario, gen_topology
 

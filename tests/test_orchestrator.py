@@ -1,17 +1,13 @@
 """Orchestration agent: roster planning, the genesis bootstrap, recovery on exit notices."""
+import dataclasses
 import random
 
 import pytest
 
+from masdn.config import broker_ids, parse_config, plan_roster
 from masdn.core import AgentId, Message, MessageKind
 from masdn.netsim import SchemaError
-from masdn.orchestrator import (
-    broker_ids,
-    build_specs,
-    home_broker,
-    orchestrator_decide,
-    plan_roster,
-)
+from masdn.orchestrator import build_specs, home_broker, orchestrator_decide
 from masdn.runtime import AgentInput
 from masdn.system import AgentSystem
 
@@ -63,13 +59,13 @@ class TestRosterPlanning:
     ):
         closure = ["classifier#0", "forwarding#0", "qos#0", "routing#0", "session#0"]
         want = sorted(closure + ["registry#0", "knowledge-plane#0", *broker_ids(strategy)])
-        assert plan_roster({"event_strategy": strategy}) == want
-        assert plan_roster({"chain": ["session"], "event_strategy": strategy}) == want
+        for doc in ({"event_strategy": strategy}, {"chain": ["session"], "event_strategy": strategy}):
+            assert plan_roster(parse_config(doc, None)) == want
 
     @pytest.mark.parametrize("kind", LIFECYCLE_ONLY)
     def test_a_chain_that_names_a_lifecycle_only_kind_composes_it(self, kind):
-        config = {"chain": ["session", kind]}
-        assert sorted(set(plan_roster(config)) - set(plan_roster({}))) == [f"{kind}#0"]
+        named = plan_roster(parse_config({"chain": ["session", kind]}, None))
+        assert sorted(set(named) - set(plan_roster(parse_config({}, None)))) == [f"{kind}#0"]
 
     def test_a_system_refuses_a_chain_or_kill_its_roster_cannot_hold(self):
         # as the CLI does (test_cli), so a kill outside the roster fails a
@@ -113,14 +109,12 @@ class TestRosterPlanning:
 
 class TestBuildSpecs:
     def test_specs_carry_role_specific_facts(self):
-        roster = plan_roster(BASE_CONFIG)
+        config = parse_config(dict(BASE_CONFIG, thresholds={"gap": 5}, qos_cap_permille=700), None)
+        roster = plan_roster(config)
         view = {"links": [], "hosts": {}, "switches": []}
-        specs = build_specs(
-            dict(BASE_CONFIG, thresholds={"gap": 5}, qos_cap_permille=700),
-            roster, view, ME,
-        )
+        specs = build_specs(config, roster, view, ME)
         assert set(specs) == set(roster)
-        assert specs["classifier#0"]["initial_facts"]["thresholds"]["gap"] == 5
+        assert specs["classifier#0"]["initial_facts"]["thresholds"] == {"size": 100, "gap": 5}
         assert specs["qos#0"]["initial_facts"]["qos-cap-permille"] == 700
         # the two agents that cannot answer without a view get it from genesis
         assert specs["routing#0"]["initial_facts"]["topology"] == view
@@ -132,29 +126,29 @@ class TestBuildSpecs:
             assert ME in facts["peers"]
 
     def test_broker_specs_encode_the_arrangement(self):
-        config = {"chain": ["session"], "event_strategy": "distributed"}
+        config = parse_config({"chain": ["session"], "event_strategy": "distributed"}, None)
         specs = build_specs(config, plan_roster(config), {}, ME)
         b0 = specs["event-distribution#0"]["initial_facts"]
         assert b0["role"] == "mesh"
         assert sorted(b0["brokers"]) == ["event-distribution#1", "event-distribution#2"]
-        config = {"chain": ["session"], "event_strategy": "hybrid"}
+        config = parse_config({"chain": ["session"], "event_strategy": "hybrid"}, None)
         specs = build_specs(config, plan_roster(config), {}, ME)
         assert specs["event-distribution#0"]["initial_facts"]["role"] == "root"
         assert specs["event-distribution#1"]["initial_facts"]["root"] == "event-distribution#0"
 
     def test_specs_carry_scoped_policies_in_config_order(self):
-        # the order the monolith filters the same config in, not id order
-        def cap(policy_id, scope):
-            return {"policy_id": policy_id, "issuer_level": "network", "scope": scope,
+        # the order the monolith filters the same config in, not id order; a
+        # run's policies are scoped to forwarding alone (shared_policy)
+        def cap(policy_id):
+            return {"policy_id": policy_id, "issuer_level": "network", "scope": ["forwarding"],
                     "rules": [{"action_kind": "install-rule", "target_class": "switch",
                                "effect": "deny", "max_per_target": 4}]}
 
-        b, a, q = cap("b", ["forwarding"]), cap("a", ["forwarding", "qos"]), cap("q", ["qos"])
-        config = dict(BASE_CONFIG, policies=[b, a, q])
+        b, a = cap("b"), cap("a")
+        config = parse_config(dict(BASE_CONFIG, policies=[b, a]), None)
         specs = build_specs(config, plan_roster(config), {}, ME)
         held = {agent: spec["initial_facts"].get("policies") for agent, spec in specs.items()}
         assert held.pop("forwarding#0") == [b, a]
-        assert held.pop("qos#0") == [a, q]
         assert set(held.values()) == {None}
 
 
@@ -165,23 +159,35 @@ class TestBootstrap:
         assert set(out) == {"plan", "facts"}  # no events
         assert [key for key, _ in out["facts"]] == ["specs"]
         writes = dict(out["facts"])
-        roster, specs = plan_roster(config), writes["specs"]
-        assert specs == build_specs(config, roster, {}, ME)
+        checked = parse_config(config, None)
+        roster, specs = plan_roster(checked), writes["specs"]
+        assert specs == build_specs(checked, roster, {}, ME)
         assert [s["params"]["spec"]["agent"] for s in out["plan"]] == roster
         for s in out["plan"]:  # no placement node
             agent = s["params"]["spec"]["agent"]
             assert (s["action"], s["target"]) == ("spawn-agent", "host.control")
             assert s["params"] == {"spec": specs[agent], "restore": {}}
 
-    def test_an_inventory_in_the_config_changes_no_genesis_step(self):
-        # no agent is placed on a node, so an inventory too small for the
-        # roster, or an ample one, leaves the decision as it is
-        genesis = fire("control.bootstrap", None)
-        plain = orchestrator_decide({"config": dict(BASE_CONFIG)}, genesis)
-        assert plain["plan"]
-        for inventory in ({"n1": 1}, {"n1": 100, "n2": 100}):
-            config = dict(BASE_CONFIG, inventory=inventory)
-            assert orchestrator_decide({"config": config}, genesis) == plain
+    def test_the_genesis_config_fact_is_the_checked_doc_form(self):
+        # the run keys alone, defaults filled in: not the CLI's topology,
+        # scenario, seed or mode, and not the caller's tick keys
+        rng = random.Random(0)
+        tdoc = gen_topology(rng, 6)
+        sdoc = gen_scenario(rng, tdoc, 6, 0, 60)
+        topo, scen = build(tdoc, sdoc)
+        doc = {"topology": tdoc, "scenario": sdoc, "seed": 3, "mode": "agents",
+               "thresholds": {"gap": 5}, "kills": {12: ["qos#0"]}}
+        system = AgentSystem(topo, scen, doc)
+        system.genesis()
+        fact = system.host.agents[AgentId.parse(ME)].facts.get("config")
+        assert fact == {
+            "chain": ["session"], "event_strategy": "centralized", "proactive": False,
+            "profile": "bin-alo-64k", "thresholds": {"size": 100, "gap": 5},
+            "qos_cap_permille": 800, "policies": [], "kills": {"12": ["qos#0"]},
+        }
+        assert fact == system.config.doc
+        rebuilt = parse_config(fact, None)
+        assert rebuilt == dataclasses.replace(system.config, seed=None, mode="compare")
 
     def test_genesis_runs_one_orchestrator_pipeline(self):
         rng = random.Random(0)
@@ -198,7 +204,7 @@ class TestBootstrap:
         # at the broker it is homed on; no other spec says where it is homed
         # or what it reads
         for strategy in ("centralized", "distributed", "hybrid"):
-            config = dict(BASE_CONFIG, event_strategy=strategy)
+            config = parse_config(dict(BASE_CONFIG, event_strategy=strategy), None)
             roster = plan_roster(config)
             specs = build_specs(config, roster, {}, ME)
             want = {b: {} for b in broker_ids(strategy)}

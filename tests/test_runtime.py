@@ -8,9 +8,10 @@ import random
 import pytest
 
 from masdn import AgentSystem, runtime
+from masdn.config import broker_ids, parse_config
 from masdn.core import AgentId, FunctionKind, MessageKind
 from masdn.hierarchy import Policy
-from masdn.orchestrator import broker_ids, build_specs, home_broker
+from masdn.orchestrator import build_specs, home_broker
 from masdn.pps import encode_body
 from masdn.runtime import (
     AgentHost,
@@ -491,7 +492,8 @@ class TestLifecycle:
         agent = f"{kind}#0"
         for strategy in ("centralized", "distributed", "hybrid"):
             roster = sorted({agent, *broker_ids(strategy)})
-            specs = build_specs({"event_strategy": strategy}, roster, {}, "orchestration#0")
+            config = parse_config({"event_strategy": strategy}, None)
+            specs = build_specs(config, roster, {}, "orchestration#0")
             assert not {"home-broker", "subscriptions"} & set(specs[agent]["initial_facts"])
             tables = {b: specs[b]["initial_facts"]["subs"] for b in broker_ids(strategy)}
             listed = {b for b, table in tables.items() for who in table.values() if agent in who}

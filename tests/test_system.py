@@ -6,11 +6,12 @@ from collections import Counter
 import pytest
 
 from masdn import AgentSystem
+from masdn.config import broker_ids, parse_config, plan_roster
 from masdn.core import AgentId, FunctionKind
 from masdn.oracle import MonolithicController, compare, normalize_tables
 from masdn.logic import REFRESH_EVERY
-from masdn.netsim import LinkDown, PacketIn
-from masdn.orchestrator import broker_ids, broker_subs, plan_roster
+from masdn.netsim import LinkDown, PacketIn, SchemaError
+from masdn.orchestrator import broker_subs
 from masdn.pps import decode_body, encode_body
 from masdn.runtime import FactsStore, UnknownCognition, cognition
 
@@ -121,16 +122,7 @@ class TestEquivalence:
 
 
 class TestOnePassGenesis:
-    """The orchestrator composes and spawns the whole roster in one decision,
-    and nothing in a run depends on where an agent would run."""
-
-    def test_an_inventory_in_the_config_is_not_an_input(self):
-        plain, _, _, plain_system = run_both(TOPO, sdoc(), {})
-        for inventory in ({"n1": 1}, {"n1": 100, "n2": 100}):
-            agents, _, diff, system = run_both(TOPO, sdoc(), {"inventory": inventory})
-            assert diff == {}
-            assert agents == plain
-            assert system.spawn_log == plain_system.spawn_log
+    """The orchestrator composes and spawns the whole roster in one decision."""
 
     def test_genesis_writes_each_roster_fact_once(self):
         topo, scen = build(TOPO, sdoc())
@@ -428,7 +420,7 @@ class TestOneTopologyView:
         # event changes what they read, so no broker lists them, and they
         # keep and export no view
         config = {"event_strategy": strategy, "chain": ["session", "topology"]}
-        tables = broker_subs(strategy, plan_roster(config))
+        tables = broker_subs(strategy, plan_roster(parse_config(config, None)))
         listed = {agent for table in tables.values() for group in table.values()
                   for agent in group}
         assert not listed & set(map(str, NO_LINK_STATE)), strategy
@@ -537,7 +529,7 @@ class TestEventPlaneTraffic:
         system = AgentSystem(topo, scen, config)
         brokers = {AgentId.parse(b) for b in broker_ids(strategy)}
         subscribers = {AgentId.parse(agent)
-                       for table in broker_subs(strategy, plan_roster(config)).values()
+                       for table in broker_subs(strategy, plan_roster(system.config)).values()
                        for group in table.values() for agent in group}
         published, delivered = {}, []
         hop = system.bus._hop
@@ -634,7 +626,7 @@ class TestExitNotices:
         # every digest goes there too, from the agent whose keys it carries
         digests = [(src, dst, b["body"]) for src, dst, _at, b in hops if topic_of(b) == "kp.digest"]
         assert {dst for _src, dst, _digest in digests} == {ORCH}
-        assert {src for src, _dst, _digest in digests} <= set(plan_roster({"event_strategy": strategy}))
+        assert {src for src, _dst, _digest in digests} <= set(plan_roster(system.config))
         assert [agent for agent, b in inputs if topic_of(b) == "kp.digest"] == [ORCH] * len(digests)
 
     @pytest.mark.parametrize("strategy", STRATEGIES)
@@ -644,7 +636,7 @@ class TestExitNotices:
         topo, scen = build(TOPO, sdoc(duration=30))
         system = AgentSystem(topo, scen, config)
         agents = system.run()
-        roster = plan_roster(config)
+        roster = plan_roster(system.config)
         assert system.spawn_log[len(roster):] == [
             ("qos#0", 1), ("session#0", 10), (broker, 18), ("routing#0", 18), ("forwarding#0", 29),
         ]
@@ -687,7 +679,7 @@ class TestExitNotices:
         system.bus.duplicate_every = every
         agents = system.run()
         assert system.bus.duplicates_suppressed > 0
-        assert system.spawn_log[len(plan_roster(config)):] == [
+        assert system.spawn_log[len(plan_roster(system.config)):] == [
             ("qos#0", 1), ("session#0", 10), (broker, 18), ("routing#0", 18), ("forwarding#0", 29),
         ]
         assert compare(agents, MonolithicController(topo, scen, config).run()) == {}
@@ -701,7 +693,7 @@ class TestExitNotices:
         tdoc = gen_topology(rng, 8)
         topo, scen = build(tdoc, gen_scenario(rng, tdoc, 8, 2, 40, long_lived=True))
         victim = f"{kind}#0"
-        chain = ["session"] if victim in plan_roster({}) else ["session", kind]
+        chain = ["session"] if victim in plan_roster(parse_config({}, None)) else ["session", kind]
         config = {"event_strategy": "hybrid", "chain": chain, "kills": {"20": [victim]}}
         system = AgentSystem(topo, scen, config)
         held, restored = {}, {}
@@ -720,7 +712,7 @@ class TestExitNotices:
 
         system.host.kill_agent, system._spawn = kill_spy, spawn_spy
         agents = system.run()
-        assert system.spawn_log[len(plan_roster(config)):] == [(victim, 21)]
+        assert system.spawn_log[len(plan_roster(system.config)):] == [(victim, 21)]
         assert held[victim]["self"] == victim
         assert restored == held
         assert compare(agents, MonolithicController(topo, scen, config).run()) == {}
@@ -757,7 +749,7 @@ class TestEveryKillTick:
             dead = sorted(v for v in victims if AgentId.parse(v) not in agents)
             assert dead == (sorted(victims) if t in at else []), t
         order = [str(a) for a in sorted(map(AgentId.parse, victims))]
-        assert system.spawn_log[len(plan_roster(config)):] == [
+        assert system.spawn_log[len(plan_roster(system.config)):] == [
             (agent, t + 1) for t in at for agent in order
         ]
         assert compare(system.outcome(), MonolithicController(topo, scen, config).run()) == {}
@@ -1102,19 +1094,13 @@ class TestProactiveMode:
             < reactive["metrics"]["mean_setup_latency"]
         )
 
-    def test_a_schedule_in_the_config_is_not_an_input(self):
-        # both controllers derive the schedule from the simulator's flows, so
-        # a config that names one, even an empty one, changes neither
-        flows = [
-            {"src": "h1", "dst": "h2", "start_tick": 6 + 2 * i, "size": 20, "gap": 2}
-            for i in range(4)
-        ]
-        doc = sdoc(flows=flows, duration=40)
-        plain, _, _, _ = run_both(TOPO, doc, {"proactive": True})
+    def test_a_schedule_in_the_config_is_refused(self):
+        # both controllers derive the schedule from the simulator's flows: a
+        # config that names one, even an empty one, is refused by both
+        # rather than run as if it said something
+        topo, scen = build(TOPO, sdoc(duration=40))
         for schedule in ([], [{"src": "h2", "dst": "h1", "size": 5, "gap": 1,
                                "start_tick": 3, "class": None}]):
-            agents, mono, diff, _ = run_both(
-                TOPO, doc, {"proactive": True, "schedule": schedule}
-            )
-            assert diff == {}
-            assert agents == plain
+            for controller in (AgentSystem, MonolithicController):
+                with pytest.raises(SchemaError, match="schedule"):
+                    controller(topo, scen, {"proactive": True, "schedule": schedule})
