@@ -44,6 +44,11 @@ conversation up. Each answer either advances the stage and asks again, or
 ends the conversation: an install answer activates the session, while no
 path, a QoS denial or a policy violation leave it unroutable and give back
 any reservation.
+An install or a remove names the path, its hosts and its class, not the
+rules: forwarding derives them with the logic.py calls the oracle makes.
+The session agent keeps the rule numbering (rule-seq) and names an
+install's first rule number, so a policy-denied install takes its ids as
+the oracle's does.
 Conversations complete within the tick they start because the fabric runs
 to quiescence. Each request is sent once: when a counterpart (or the
 session agent itself) dies mid-conversation, the fabric parks the frames
@@ -234,14 +239,22 @@ _RULE_COUNT_KEY = {"install": "installed", "remove": "removed"}  # per op, in th
 
 @register_cognition(FunctionKind.FORWARDING.value, digest_keys=("switch-rules",))
 def forwarding_decide(facts: dict[str, Any], inp: AgentInput) -> dict[str, Any]:
-    """Turns rule sets into per-switch install/remove plans. The plan is
-    where policy caps bite: a failed validation emits a violation event
+    """Derives the rules of the path an install or remove names, with the
+    oracle's logic.py calls, and turns them into per-switch plans. The plan
+    is where policy caps bite: a failed validation emits a violation event
     instead of touching any switch, and the ok response never goes out."""
     op = request_op(inp)
     if op not in ("install", "remove"):
         return decision()
-    ctx = inp.body.get("ctx")
-    rules = inp.body["rules"]
+    body = inp.body
+    ctx = body.get("ctx")
+    path, src, dst = body["path"], body["src"], body["dst"]
+    priority = PRIORITY_BY_CLASS[body["class"]]
+    if op == "install":
+        ids = [f"r{body['first'] + i:04d}" for i in range(len(path))]
+        rules = rules_for_path(path, src, dst, priority, ids)
+    else:
+        rules = clearing_rules(path, src, dst, priority)
     # copy-on-write: only the switches this op touches get a new slot dict,
     # so every other switch goes back to the store as the same frozen object
     stored = facts.get("switch-rules", {})
@@ -270,7 +283,7 @@ _STAGE_REQUESTS = {
     "classify": (FunctionKind.CLASSIFIER, ("size", "gap", "hint")),
     "path": (FunctionKind.ROUTING, ("src", "dst")),
     "admit": (FunctionKind.QOS, ("path", "gap", "class")),
-    "install": (FunctionKind.FORWARDING, ()),
+    "install": (FunctionKind.FORWARDING, ("path", "src", "dst", "class")),
 }
 
 
@@ -323,16 +336,14 @@ class _SessionState:
 
     def ask_stage(self, sid: str) -> None:
         """Send the request for the stage sid's conversation is at; the
-        install stage takes fresh rule ids."""
+        install stage takes fresh rule numbers, whose first it names."""
         p = self.pending[sid]
         stage = p["stage"]
         kind, fields = _STAGE_REQUESTS[stage]
         body = {f: p[f] for f in fields}
         if stage == "install":
-            ids = [f"r{self.rule_seq + i + 1:04d}" for i in range(len(p["path"]))]
-            self.rule_seq += len(ids)
-            prio = PRIORITY_BY_CLASS[p["class"]]
-            body["rules"] = [list(r) for r in rules_for_path(p["path"], p["src"], p["dst"], prio, ids)]
+            body["first"] = self.rule_seq + 1
+            self.rule_seq += len(p["path"])
         self._ask(kind, stage, ctx=sid, **body)
 
     def open_session(
@@ -398,8 +409,8 @@ class _SessionState:
             rec = self._edit_session(sid)
             old = rec.get("path")
             if old:
-                rules = clearing_rules(old, rec["src"], rec["dst"], PRIORITY_BY_CLASS[rec["class"]])
-                self._ask(FunctionKind.FORWARDING, "remove", rules=[list(r) for r in rules], ctx=sid)
+                self._ask(FunctionKind.FORWARDING, "remove", ctx=sid, path=old,
+                          src=rec["src"], dst=rec["dst"], **{"class": rec["class"]})
             if rec.get("reserved"):
                 self._release(sid, rec)
             if path is None:

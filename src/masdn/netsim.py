@@ -34,11 +34,11 @@ class SchemaError(MasdnError):
     pass
 
 
-class DanglingReference(MasdnError):
+class DanglingReference(SchemaError):
     pass
 
 
-class SelfLoop(MasdnError):
+class SelfLoop(SchemaError):
     pass
 
 
@@ -64,6 +64,15 @@ class XorShift64Star:
         if n <= 0:
             raise ValueError("randrange needs a positive bound")
         return self.next_u64() % n
+
+
+def _integer(doc: dict[str, Any], key: str, default: int | None = None) -> int:
+    """doc[key] (or default when absent) as a JSON integer: a float, a string
+    or a boolean is refused with ValueError rather than coerced."""
+    value = doc[key] if default is None else doc.get(key, default)
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"{key} must be an integer, not {value!r}")
+    return value
 
 
 def link_key(a: str, b: str) -> tuple[str, str]:
@@ -92,6 +101,8 @@ class Topology:
         for key in ("switches", "hosts", "links"):
             if key not in doc:
                 raise SchemaError(f"topology is missing {key!r}")
+            if not isinstance(doc[key], list):
+                raise SchemaError(f"topology {key!r} must be a list")
         switches = list(doc["switches"])
         if len(set(switches)) != len(switches):
             raise SchemaError("duplicate switch ids")
@@ -114,8 +125,8 @@ class Topology:
                 link = Link(
                     a=entry["a"],
                     b=entry["b"],
-                    capacity=int(entry["capacity"]),
-                    latency=int(entry["latency"]),
+                    capacity=_integer(entry, "capacity"),
+                    latency=_integer(entry, "latency"),
                 )
             except (TypeError, KeyError, ValueError) as exc:
                 raise SchemaError(f"bad link entry {entry!r}") from exc
@@ -164,9 +175,9 @@ class Scenario:
         if not isinstance(doc, dict):
             raise SchemaError("scenario document must be an object")
         try:
-            seed = int(doc["seed"])
-            duration = int(doc["duration_ticks"])
-            jitter = int(doc.get("jitter", 0))
+            seed = _integer(doc, "seed")
+            duration = _integer(doc, "duration_ticks")
+            jitter = _integer(doc, "jitter", 0)
         except (KeyError, TypeError, ValueError) as exc:
             raise SchemaError(f"bad scenario header: {exc}") from exc
         if duration <= 0:
@@ -180,9 +191,9 @@ class Scenario:
                     index=i,
                     src=f["src"],
                     dst=f["dst"],
-                    start=int(f["start_tick"]),
-                    size=int(f["size"]),
-                    gap=int(f.get("gap", 1)),
+                    start=_integer(f, "start_tick"),
+                    size=_integer(f, "size"),
+                    gap=_integer(f, "gap", 1),
                     hint=f.get("class"),
                 )
             except (TypeError, KeyError, ValueError) as exc:
@@ -197,7 +208,7 @@ class Scenario:
         failures = []
         for f in doc.get("failures", []):
             try:
-                failure = Failure(a=f["a"], b=f["b"], at=int(f["at"]))
+                failure = Failure(a=f["a"], b=f["b"], at=_integer(f, "at"))
             except (TypeError, KeyError, ValueError) as exc:
                 raise SchemaError(f"bad failure entry {f!r}") from exc
             if topo is not None and link_key(failure.a, failure.b) not in {

@@ -185,6 +185,30 @@ class TestErrorPaths:
         assert main(["run", str(config), "--out-dir", str(tmp_path / "out")]) == 2
         assert "error:" in capsys.readouterr().err
 
+    # a topology part that is not a list, and a number that is not a JSON
+    # integer: each once ran, read as characters or coerced through int();
+    # a dangling host and a self-loop once ended in a traceback and exit 1
+    @pytest.mark.parametrize("topology, scenario", [
+        ({"switches": "ab", "hosts": [], "links": []}, {**SCENARIO, "flows": []}),
+        ({**TOPO, "links": {"sw1": "sw2"}}, SCENARIO),
+        ({**TOPO, "hosts": [*TOPO["hosts"], {"id": "h3", "switch": "sw9"}]}, SCENARIO),
+        ({**TOPO, "links": [{"a": "sw1", "b": "sw1", "capacity": 20, "latency": 1}]}, SCENARIO),
+        (TOPO, {**SCENARIO, "duration_ticks": 30.9}),
+        (TOPO, {**SCENARIO, "seed": True}),
+        (TOPO, {**SCENARIO, "jitter": "2"}),
+        (TOPO, {**SCENARIO, "flows": [{**SCENARIO["flows"][0], "size": 20.0}]}),
+    ], ids=["switches-a-string", "links-an-object", "host-on-an-unknown-switch",
+            "link-to-itself", "duration-a-float", "seed-a-boolean",
+            "jitter-a-string", "flow-size-a-float"])
+    def test_a_malformed_topology_or_scenario_exits_2(
+        self, tmp_path, capsys, topology, scenario
+    ):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"topology": topology, "scenario": scenario}))
+        assert main(["run", str(config), "--out-dir", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("doc", [doc for _id, doc in BAD_CONFIGS],
                              ids=[name for name, _doc in BAD_CONFIGS])
     def test_bad_config_value_exits_2(self, tmp_path, capsys, doc):

@@ -17,6 +17,7 @@ from masdn.infra import broker_decide
 from masdn.logic import (
     ACTIVE,
     PENDING,
+    PRIORITY_BY_CLASS,
     UNROUTABLE,
     UPDATING,
     clearing_rules,
@@ -26,7 +27,9 @@ from masdn.logic import (
 from masdn.orchestrator import build_specs, orchestrator_decide
 from masdn.pps import decode_body, encode_body
 from masdn.runtime import (
+    AgentHost,
     AgentInput,
+    AgentSpec,
     DigestGap,
     FactsStore,
     digest_delta,
@@ -34,6 +37,7 @@ from masdn.runtime import (
     freeze,
     merge_digest,
     peer_of,
+    step,
 )
 
 _IDS = iter(range(1, 100000))
@@ -196,24 +200,22 @@ class TestQosAgent:
 
 
 class TestForwardingAgent:
-    RULE = {
-        "rule_id": "r1", "match": {"src": "h1", "dst": "h2"},
-        "priority": 20, "action": "forward", "next_hop": "s2",
-    }
+    # names a one-switch path from h1 to h2; interactive rules take priority 20
+    BODY = {"ctx": "s-1", "path": ["s1"], "src": "h1", "dst": "h2", "class": "interactive"}
 
     def test_install_plans_one_step_per_switch(self):
-        body = {"op": "install", "ctx": "s-1", "rules": [["s1", self.RULE]]}
+        body = {"op": "install", **self.BODY, "first": 1}
         out = forwarding_decide({}, request(body, dst="forwarding#0"))
         (pstep,) = out["plan"]
         assert pstep["action"] == "install-rule"
         assert pstep["target"] == "s1"
         assert out["responses"][0]["installed"] == 1
         writes = dict(out["facts"])
-        assert writes["switch-rules"] == {"s1": {"h1|h2|20": "r1"}}
+        assert writes["switch-rules"] == {"s1": {"h1|h2|20": "r0001"}}
 
     def test_remove_mirrors_install_bookkeeping(self):
         occupied = {"s1": {"h1|h2|20": "r1"}}
-        body = {"op": "remove", "ctx": "s-1", "rules": [["s1", self.RULE]]}
+        body = {"op": "remove", **self.BODY}
         out = forwarding_decide({"switch-rules": occupied}, request(body, dst="forwarding#0"))
         (pstep,) = out["plan"]
         assert pstep["action"] == "remove-rule"
@@ -224,20 +226,42 @@ class TestForwardingAgent:
         store = FactsStore()
         store.put("switch-rules", {"s1": {"h3|h4|20": "r0"}, "s2": {"h1|h2|20": "r1"}, "s3": {}})
         before = store.get("switch-rules")
-        old_rule = {**self.RULE, "rule_id": "r0", "match": {"src": "h3", "dst": "h4"}}
-        for op, rule in (("install", self.RULE), ("remove", old_rule)):
-            body = {"op": op, "ctx": "s-1", "rules": [["s1", rule]]}
+        install = {"op": "install", **self.BODY, "first": 1}
+        remove = {"op": "remove", **self.BODY, "src": "h3", "dst": "h4"}
+        for body in (install, remove):
             out = forwarding_decide(store.snapshot(), request(body, dst="forwarding#0"))
             store.put("switch-rules", dict(out["facts"])["switch-rules"])
             after = store.get("switch-rules")
             assert after["s2"] is before["s2"] and after["s3"] is before["s3"]
-        assert after == {"s1": {"h1|h2|20": "r1"}, "s2": {"h1|h2|20": "r1"}, "s3": {}}
+        assert after == {"s1": {"h1|h2|20": "r0001"}, "s2": {"h1|h2|20": "r1"}, "s3": {}}
 
     def test_remove_on_an_unknown_switch_creates_no_entry(self):
         occupied = {"s1": {"h1|h2|20": "r1"}}
-        body = {"op": "remove", "ctx": "s-1", "rules": [["s9", self.RULE]]}
+        body = {"op": "remove", **self.BODY, "path": ["s9"]}
         out = forwarding_decide({"switch-rules": occupied}, request(body, dst="forwarding#0"))
         assert dict(out["facts"])["switch-rules"] == occupied
+
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    @given(
+        path=st.lists(st.sampled_from(["s1", "s2", "s3", "s4", "s5", "s6"]),
+                      min_size=1, max_size=6, unique=True),
+        hosts=st.lists(st.sampled_from(["h1", "h2", "h3"]), min_size=2, max_size=2, unique=True),
+        klass=st.sampled_from(sorted(PRIORITY_BY_CLASS)),
+        first=st.integers(1, 9990),
+    )
+    def test_forwarding_derives_the_rules_the_oracle_derives(self, path, hosts, klass, first):
+        # the oracle's own calls, with the ids it allocates from its rule_seq
+        src, dst = hosts
+        priority = PRIORITY_BY_CLASS[klass]
+        ids = [f"r{first + i:04d}" for i in range(len(path))]
+        body = {"ctx": "s0007", "path": path, "src": src, "dst": dst, "class": klass}
+        for op, rules, extra in (
+            ("install", rules_for_path(path, src, dst, priority, ids), {"first": first}),
+            ("remove", clearing_rules(path, src, dst, priority), {}),
+        ):
+            out = forwarding_decide({}, request({"op": op, **body, **extra}, dst="forwarding#0"))
+            assert out["plan"] == [step(f"{op}-rule", sw, rule=doc, ctx="s0007")
+                                   for sw, doc in rules]
 
 
 class TestOrchestratorSupervision:
@@ -400,18 +424,23 @@ class TestKnowledgePlane:
         )
 
     def test_one_install_into_a_large_rule_table_ships_one_leaf(self):
-        table = [r for n in range(60)
-                 for r in rules_for_path(["s1", "s2"], "h1", f"h{n + 2}", 10, [f"a{n}", f"b{n}"])]
+        def install(facts, path, src, dst, klass, first):
+            body = {"op": "install", "ctx": "x", "path": path, "src": src, "dst": dst,
+                    "class": klass, "first": first}
+            return forwarding_decide(facts, request(body, dst="forwarding#0"))["facts"][0]
+
+        # sixty bulk sessions over s1 -> s2 fill the table in one write
+        facts = {"switch-rules": {}}
+        for n in range(60):
+            facts.update([install(facts, ["s1", "s2"], "h1", f"h{n + 2}", "bulk", 2 * n + 1)])
         store = FactsStore()
         store.put("switch-rules", {})
-        for rules in (table, rules_for_path(["s1"], "h9", "h1", 20, ["r900"])):
-            inp = request({"op": "install", "ctx": "x", "rules": [list(r) for r in rules]},
-                          dst="forwarding#0")
-            last = (store.version("switch-rules"), store.get("switch-rules"))
-            store.put(*forwarding_decide(store.snapshot(), inp)["facts"][0])
+        store.put("switch-rules", facts["switch-rules"])
+        last = (store.version("switch-rules"), store.get("switch-rules"))
+        store.put(*install(store.snapshot(), ["s1"], "h9", "h1", "interactive", 900))
         assert len(last[1]["s1"]) == 60
         doc = digest_delta(store.export(["switch-rules"])["switch-rules"], last)
-        assert (doc["base"], doc["set"], doc["drop"]) == (2, [[["s1", "h9|h1|20"], "r900"]], [])
+        assert (doc["base"], doc["set"], doc["drop"]) == (2, [[["s1", "h9|h1|20"], "r0900"]], [])
 
 
 # Nested values for the digest property: few keys and leaves, so that two
@@ -533,11 +562,13 @@ class TestSessionConversation:
             {**body, "ctx": "s0001"},
         )
 
-    def rules(self, ids, priority=30):
-        return [[sw, doc] for sw, doc in rules_for_path(self.PATH, "h1", "h2", priority, ids)]
+    def install(self, first, klass="realtime"):
+        # the install body: the path and the number of its first rule
+        return {"path": self.PATH, "src": "h1", "dst": "h2", "class": klass,
+                "first": first, "ctx": "s0001"}
 
-    def clearing(self, path, priority=30):
-        return [[sw, doc] for sw, doc in clearing_rules(path, "h1", "h2", priority)]
+    def remove(self, path, klass="realtime"):
+        return {"path": path, "src": "h1", "dst": "h2", "class": klass, "ctx": "s0001"}
 
     def with_down(self, *links):
         return {**TOPO, "links": [{**l, "up": (l["a"], l["b"]) not in links}
@@ -604,21 +635,19 @@ class TestSessionConversation:
         facts = self.facts([self.session(klass="bulk")],
                            [self.pending("path", **{"class": "bulk"})], rule_seq=7)
         writes, asks = self.decide(facts, self.answer({"path": self.PATH}, "routing#0"))
-        ids = ["r0008", "r0009", "r0010"]
+        # rule ids r0008, r0009 and r0010: forwarding numbers them from first
         assert writes["rule-seq"] == 10
         assert writes["pending"]["s0001"] == self.pending(
             "install", **{"class": "bulk"}, path=self.PATH)
-        assert asks == [("install", "forwarding#0",
-                         {"rules": self.rules(ids, priority=10), "ctx": "s0001"})]
+        assert asks == [("install", "forwarding#0", self.install(8, "bulk"))]
 
     def test_admission_marks_the_reservation_and_installs(self):
         facts = self.facts([self.session(klass="realtime")],
                            [self.pending("admit", **{"class": "realtime"}, path=self.PATH)])
         writes, asks = self.decide(facts, self.answer({"admitted": True}, "qos#0"))
-        ids = ["r0001", "r0002", "r0003"]
         assert writes["pending"]["s0001"] == self.pending(
             "install", **{"class": "realtime"}, path=self.PATH, reserved=True)
-        assert asks == [("install", "forwarding#0", {"rules": self.rules(ids), "ctx": "s0001"})]
+        assert asks == [("install", "forwarding#0", self.install(1))]
 
     def test_install_answer_activates_the_session(self):
         facts = self.facts(
@@ -678,6 +707,36 @@ class TestSessionConversation:
         assert (rec["state"], rec["reason"], rec["reserved"]) == (
             UNROUTABLE, "policy-denied", False)
 
+    def test_a_capped_install_is_a_violation_the_session_agent_denies(self):
+        # the host validates forwarding's derived plan against the cap: s1
+        # already holds its one rule, so the install becomes a violation
+        # event, and its steps carry the ctx the session agent denies
+        cap = {"policy_id": "cap", "issuer_level": "network", "scope": ["forwarding"],
+               "rules": [{"action_kind": "install-rule", "target_class": "switch",
+                          "effect": "deny", "max_per_target": 1}]}
+        host = AgentHost()
+        fwd = AgentId(FunctionKind.FORWARDING, 0)
+        host.spawn_agent(AgentSpec(fwd, "forwarding", {
+            "topology": TOPO, "policies": [cap], "switch-rules": {"s1": {"h3|h1|10": "r0001"}},
+        }))
+        path = self.PATH
+        body = {"op": "install", "ctx": "s0001", "path": path, "src": "h1", "dst": "h2",
+                "class": "realtime", "first": 2}
+        msg = host.factory.new_message(src=AgentId.parse("session#0"), dst=fwd,
+                                       kind=MessageKind.REQUEST, payload=encode_body(body), now=0)
+        (out,) = host.process_input(fwd, msg)
+        assert str(out.dst) == "events.violation"
+        violation = decode_body(out.payload)["body"]
+        assert [s["params"]["ctx"] for s in violation["steps"]] == ["s0001"] * len(path)
+        assert host.agents[fwd].facts.get("switch-rules") == {"s1": {"h3|h1|10": "r0001"}}
+        facts = self.facts([self.session(klass="realtime")],
+                           [self.pending("install", **{"class": "realtime"}, path=path)],
+                           rule_seq=4)
+        writes, asks = self.decide(facts, event("events.violation", violation, dst="session#0"))
+        assert asks == [] and writes["pending"] == {}
+        assert writes["sessions"]["s0001"]["reason"] == "policy-denied"
+        assert writes["rule-seq"] == 4  # the ids the denied install took stay taken
+
     # -- topology sweeps -------------------------------------------------------------------
 
     def test_sweep_reroutes_a_broken_reserved_session(self):
@@ -689,7 +748,7 @@ class TestSessionConversation:
                     dst="session#0", now=7)
         writes, asks = self.decide(facts, inp)
         assert asks == [
-            ("remove", "forwarding#0", {"rules": self.clearing(old), "ctx": "s0001"}),
+            ("remove", "forwarding#0", self.remove(old)),
             ("release", "qos#0", {"ctx": "s0001"}),
             ("admit", "qos#0", {"path": self.PATH, "gap": 1, "ctx": "s0001",
                                 "class": "realtime"}),
@@ -722,10 +781,9 @@ class TestSessionConversation:
         facts = self.facts([self.session(ACTIVE, "bulk", path=old)], topology=view)
         inp = event("events.tick", None, dst="session#0", now=10)
         writes, asks = self.decide(facts, inp)
-        ids = ["r0001", "r0002", "r0003"]
         assert asks == [
-            ("remove", "forwarding#0", {"rules": self.clearing(old, 10), "ctx": "s0001"}),
-            ("install", "forwarding#0", {"rules": self.rules(ids, 10), "ctx": "s0001"}),
+            ("remove", "forwarding#0", self.remove(old, "bulk")),
+            ("install", "forwarding#0", self.install(1, "bulk")),
         ]
         assert writes["pending"]["s0001"]["stage"] == "install"
         assert writes["rule-seq"] == 3
@@ -749,7 +807,7 @@ class TestSessionConversation:
                     dst="session#0", now=7)
         writes, asks = self.decide(facts, inp)
         assert asks == [
-            ("remove", "forwarding#0", {"rules": self.clearing(old), "ctx": "s0001"}),
+            ("remove", "forwarding#0", self.remove(old)),
             ("release", "qos#0", {"ctx": "s0001"}),
         ]
         assert writes["pending"] == {}

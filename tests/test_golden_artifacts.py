@@ -7,13 +7,11 @@ diff.json) is pinned, so a speed-up that changes any outcome, log record or
 wire byte fails here, naming the artifacts that moved. The outcome.json,
 stats.csv and diff.json constants were recorded before facts were frozen on
 write instead of deep-copied. The run.log constants were last re-recorded
-when supervision moved to exit notices from the host: no agent is handed a
-beat tick or sends a beat, the orchestrator keeps no leases, only the
-session agent is handed a tick (on refresh ticks, with no body), and the
-killed session agent of distributed-kill-session is respawned on one
-agent.down at the tick after its kill instead of on an expired lease. The
-records and message ids move from tick 0 on. The decisions are unchanged, so the other
-three artifacts keep their bytes.
+when install and remove requests began to carry the path instead of its
+rules: forwarding derives the rules as the monolith does, so every input
+record of an install or remove at forwarding logs fewer payload bytes. The
+records, message ids and decisions are unchanged, so the other three
+artifacts keep their bytes.
 The hashes do not depend on PYTHONHASHSEED.
 When a change is meant to alter the artifacts, re-record the constants and
 say why in the change's notes.
@@ -53,7 +51,7 @@ GOLDEN = {
         0,
         {
             "outcome.json": "9d7df6e08f605236441792fc445708a8bee2ca7bee232834eb24da6bc7505ac6",
-            "run.log": "902b03ecd943faad037fd4f55bb0b1a78342ee66e451a53d492fe05fc5d9a0a9",
+            "run.log": "afd00f3101c38ca5d6d948f18b74eca5c42b7ae7ae37016ec83415ca62e0f4be",
             "stats.csv": "afc834dc4a6d33e7aa3e3c9055b241c4b86e34f7697c8468cac1df6550b57694",
             "diff.json": "ca3d163bab055381827226140568f3bef7eaac187cebd76878e0b63e9e442356",
         },
@@ -62,7 +60,7 @@ GOLDEN = {
         0,
         {
             "outcome.json": "57d7ab073da0ee5cbfe058ac2d154482e900e529fb1b7c930584c324f87f1ae7",
-            "run.log": "a9538e96082e9cd71659ca3f61fa1c897ec37b8d362055c57ba6771bbdd04648",
+            "run.log": "70b64bfa3f872b8cc1ae7c2bd5428ed562a00402649fea48b07e05d28ec5fedb",
             "stats.csv": "38bfaab0d91b62a7424a4bb39febbb5006c74786e52f257514557351f534eaf9",
             "diff.json": "ca3d163bab055381827226140568f3bef7eaac187cebd76878e0b63e9e442356",
         },
@@ -71,7 +69,7 @@ GOLDEN = {
         0,
         {
             "outcome.json": "ab0cebde5c16702d9eef7ce0269a6e7f830dd862db93f8b9b7fc203f63721b2a",
-            "run.log": "0c48476a6b6065fe06e7a819a7451bdba1f5a6573637f6dc073e1a66f98ce9b4",
+            "run.log": "45f5b369214e3f2c4b2b069fbe32d500e040dc1327314a5594b51c32f463833c",
             "stats.csv": "3edfab2026d98f54c995eb9605010f2a20ab518ed0480c9fd0c05f42b4ad9aa6",
             "diff.json": "ca3d163bab055381827226140568f3bef7eaac187cebd76878e0b63e9e442356",
         },

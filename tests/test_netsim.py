@@ -76,6 +76,20 @@ class TestTopologyParsing:
         with pytest.raises(DanglingReference):
             Topology.from_doc(doc)
 
+    @pytest.mark.parametrize("key", ["switches", "hosts", "links"])
+    @pytest.mark.parametrize("value", ["s1s2s3", {"s1": "s2"}, None])
+    def test_a_part_that_is_not_a_list_is_refused(self, key, value):
+        # a string was once read as its characters: "ab" ran switches a and b
+        with pytest.raises(SchemaError):
+            Topology.from_doc({**TRIANGLE, key: value})
+
+    @pytest.mark.parametrize("key", ["capacity", "latency"])
+    @pytest.mark.parametrize("value", [2.5, 2.0, "2", True])
+    def test_a_link_number_that_is_not_a_json_integer_is_refused(self, key, value):
+        doc = dict(TRIANGLE, links=[{**TRIANGLE["links"][0], key: value}])
+        with pytest.raises(SchemaError):
+            Topology.from_doc(doc)
+
 
 class TestScenarioParsing:
     def test_flow_with_unknown_host_is_rejected(self):
@@ -94,6 +108,26 @@ class TestScenarioParsing:
     def test_bad_jitter_is_rejected(self, jitter):
         with pytest.raises(SchemaError):
             scenario(jitter=jitter)
+
+    # each was once coerced through int(): 40.9 ran 40 ticks, true ran seed
+    # 1 and "2" ran jitter 2
+    @pytest.mark.parametrize("key", ["seed", "duration_ticks", "jitter"])
+    @pytest.mark.parametrize("value", [40.9, 3.0, "2", True])
+    def test_a_header_number_that_is_not_a_json_integer_is_refused(self, key, value):
+        with pytest.raises(SchemaError):
+            Scenario.from_doc({"seed": 1, "duration_ticks": 20, key: value})
+
+    @pytest.mark.parametrize("key", ["start_tick", "size", "gap"])
+    @pytest.mark.parametrize("value", [4.5, 4.0, "4", True])
+    def test_a_flow_number_that_is_not_a_json_integer_is_refused(self, key, value):
+        flow = {"src": "h1", "dst": "h2", "start_tick": 1, "size": 4, "gap": 1, key: value}
+        with pytest.raises(SchemaError):
+            scenario(flows=[flow])
+
+    @pytest.mark.parametrize("value", [3.5, 3.0, "3", True])
+    def test_a_failure_tick_that_is_not_a_json_integer_is_refused(self, value):
+        with pytest.raises(SchemaError):
+            scenario(failures=[{"a": "s1", "b": "s2", "at": value}])
 
 
 class TestStepping:

@@ -7,7 +7,7 @@ import pytest
 
 from masdn import AgentSystem
 from masdn.config import broker_ids, parse_config, plan_roster
-from masdn.core import AgentId, FunctionKind
+from masdn.core import AgentId, FunctionKind, MessageKind
 from masdn.oracle import MonolithicController, compare, normalize_tables
 from masdn.logic import REFRESH_EVERY
 from masdn.netsim import LinkDown, PacketIn, SchemaError
@@ -1061,6 +1061,50 @@ class TestPolicyEnforcement:
         assert diff == {}
         unroutable = [r for r in mono["ledger"].values() if r["state"] == "unroutable"]
         assert unroutable  # the denied sessions are visible in the ledger
+
+
+class TestInstallCarriesThePath:
+    """An install or remove names the path, its hosts and its class, not the
+    rules: forwarding derives them as the monolith does. The session agent
+    still numbers the rules, a policy-denied install's included, as the
+    oracle numbers its own."""
+
+    CAP = {
+        "policy_id": "switch-rule-cap",
+        "issuer_level": "network",
+        "scope": ["forwarding"],
+        "rules": [{"action_kind": "install-rule", "target_class": "switch",
+                   "effect": "deny", "max_per_target": 3}],
+    }
+
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_no_request_carries_rules_and_each_install_numbers_on_from_the_last(self, strategy):
+        rng = random.Random(0)
+        tdoc = gen_topology(rng, 6)
+        sdoc = gen_scenario(rng, tdoc, 10, 2, 60, long_lived=True)
+        config = {"event_strategy": strategy, "policies": [self.CAP]}
+        topo, scen = build(tdoc, sdoc)
+        system = AgentSystem(topo, scen, dict(config))
+        requests = []
+        hop = system.bus._hop
+
+        def hop_spy(msg):
+            if msg.kind is MessageKind.REQUEST:
+                requests.append(decode_body(msg.payload))
+            return hop(msg)
+
+        system.bus._hop = hop_spy
+        agents = system.run()
+        assert compare(agents, MonolithicController(topo, scen, dict(config)).run()) == {}
+        assert not any("rules" in body for body in requests)
+        installs = [body for body in requests if body.get("op") == "install"]
+        assert [body["first"] for body in installs] == list(
+            itertools.accumulate([1] + [len(body["path"]) for body in installs[:-1]])
+        )
+        # the run holds a denied install and a reroute's remove
+        denied = [sid for sid, rec in agents["ledger"].items() if rec["reason"] == "policy-denied"]
+        assert denied and set(denied) <= {body["ctx"] for body in installs}
+        assert any(body.get("op") == "remove" for body in requests)
 
 
 class TestProactiveMode:
