@@ -14,8 +14,10 @@ with no periodic refresh and without any agent broadcasting its view; a
 respawned agent is restored from its last digest and gets the link events
 it missed from the frames the fabric parked for it. QoS reads only link
 capacities and forwarding only the switch list its plans are validated
-against, and no link event changes either: both keep the genesis view from
-their spec as configuration, follow no link event and export no view.
+against, and no link event changes either: their specs carry just those
+("capacities", "switches"), and they follow no link event and export no
+view. The genesis view itself is never exported: the digest pump ships a
+view only once a link event has moved it past the spec.
 
 Some agents have nothing to decide, and share one empty decide function
 (lifecycle_only_decide): the topology agent; the monitoring agent, whose
@@ -84,7 +86,6 @@ from .logic import (
     clearing_rules,
     find_session,
     flow_rate_milli,
-    link_capacities,
     path_link_keys,
     plan_reroutes,
     release_reservation,
@@ -202,7 +203,7 @@ def qos_decide(facts: dict[str, Any], inp: AgentInput) -> dict[str, Any]:
             facts.get("reservations", {}),
             keys,
             rate,
-            link_capacities(facts["topology"]["links"]),
+            facts["capacities"],
             facts["qos-cap-permille"],
         )
         writes: list[tuple[str, Any]] = []

@@ -16,17 +16,23 @@ forwards it unchanged according to the configured arrangement (solo, full
 mesh, or per-level with a root relay). A broker tells a forward from a
 publish by the frame's destination: a publish is addressed to its topic, a
 forward to the broker's id. It forwards nothing addressed to it, bar the
-root, which relays only what one of its downstream brokers forwarded. Who
-published an event is the publish frame's src, which the receiving
-broker's input stage record keeps. Its local
-subscribers are the "subs" table in its spec (orchestrator.broker_subs),
-fixed when the controller is composed; each is a roster agent, which the
-peers a delivery is validated against already list. A broker learns
-nothing, so it exports no digest and a respawn rebuilds it from its spec
-alone, and it keeps no per-publisher state: no arrangement hands a broker
-an event twice (a mesh broker never re-forwards, and the root relays to
-every level broker but the sender), and the fabric's per-pair mark drops a
-repeated frame on the publisher-to-topic and broker-to-broker hops.
+root, which relays what a level broker forwarded. Who published an event
+is the publish frame's src, which the receiving broker's input stage
+record keeps. Its local subscribers are the "subs" table in its spec
+(orchestrator.broker_subs), fixed when the controller is composed, and its
+neighbours are the "relays" table, each neighbouring broker with the
+filters a subscriber behind it reads (orchestrator.broker_facts): a mesh
+broker's are its peers, the root's the level brokers, and a level broker's
+the root, standing for the other level brokers. A publish goes only to the
+neighbours one of whose filters matches its topic (subscription forwarding,
+as in Siena), so it never crosses to a broker where nobody waits for it.
+Its peers, which a delivery or forward is validated against, are exactly
+those subscribers and neighbours. A broker learns nothing, so it exports no
+digest and a respawn rebuilds it from its spec alone, and it keeps no
+per-publisher state: no arrangement hands a broker an event twice (a mesh
+broker never re-forwards, and the root relays to no level broker twice and
+never back to the sender), and the fabric's per-pair mark drops a repeated
+frame on the publisher-to-topic and broker-to-broker hops.
 """
 
 from __future__ import annotations
@@ -67,19 +73,15 @@ def broker_decide(facts: dict[str, Any], inp: AgentInput) -> dict[str, Any]:
         forwarded = isinstance(inp.message.dst, AgentId)
         env = inp.body
         steps = _local_deliveries(facts, env)
-        role = facts.get("role", "solo")
-        if not forwarded:
-            if role == "mesh":
-                for peer in facts.get("brokers", []):
-                    steps.append(step("forward-event", AgentId.parse(peer), event=env))
-            elif role == "level" and facts.get("root"):
-                steps.append(step("forward-event", AgentId.parse(facts["root"]), event=env))
-        sender, downstream = str(inp.message.src), facts.get("downstream", [])
-        if sender in downstream:
-            # the root relays what a level broker forwarded to the others:
-            # that one has delivered it already
-            for peer in downstream:
-                if peer != sender:
+        # a mesh or level broker relays what was published here, the root
+        # what a level broker forwarded (not back to that one, which has
+        # delivered it already); each only to the neighbours a matching
+        # subscriber sits behind
+        if forwarded == (facts["role"] == "root"):
+            sender = str(inp.message.src) if forwarded else None
+            topic = env["topic"]
+            for peer, filters in facts.get("relays", {}).items():
+                if peer != sender and any(match_topic(f, topic) for f in filters):
                     steps.append(step("forward-event", AgentId.parse(peer), event=env))
         return decision(plan=steps)
     return decision()

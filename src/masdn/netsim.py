@@ -75,6 +75,15 @@ def _integer(doc: dict[str, Any], key: str, default: int | None = None) -> int:
     return value
 
 
+def _text(doc: dict[str, Any], key: str) -> str:
+    """doc[key] as a JSON string: an id of any other type is refused with
+    ValueError rather than used as a key."""
+    value = doc[key]
+    if not isinstance(value, str):
+        raise ValueError(f"{key} must be a string, not {value!r}")
+    return value
+
+
 def link_key(a: str, b: str) -> tuple[str, str]:
     """Canonical undirected link identity."""
     return (a, b) if a <= b else (b, a)
@@ -104,14 +113,17 @@ class Topology:
             if not isinstance(doc[key], list):
                 raise SchemaError(f"topology {key!r} must be a list")
         switches = list(doc["switches"])
+        for sw in switches:
+            if not isinstance(sw, str):
+                raise SchemaError(f"switch id {sw!r} must be a string")
         if len(set(switches)) != len(switches):
             raise SchemaError("duplicate switch ids")
         swset = set(switches)
         hosts: dict[str, str] = {}
         for h in doc["hosts"]:
             try:
-                hid, at = h["id"], h["switch"]
-            except (TypeError, KeyError) as exc:
+                hid, at = _text(h, "id"), _text(h, "switch")
+            except (TypeError, KeyError, ValueError) as exc:
                 raise SchemaError(f"bad host entry {h!r}") from exc
             if hid in hosts or hid in swset:
                 raise SchemaError(f"duplicate id {hid!r}")
@@ -123,8 +135,8 @@ class Topology:
         for entry in doc["links"]:
             try:
                 link = Link(
-                    a=entry["a"],
-                    b=entry["b"],
+                    a=_text(entry, "a"),
+                    b=_text(entry, "b"),
                     capacity=_integer(entry, "capacity"),
                     latency=_integer(entry, "latency"),
                 )
@@ -189,8 +201,8 @@ class Scenario:
             try:
                 flow = Flow(
                     index=i,
-                    src=f["src"],
-                    dst=f["dst"],
+                    src=_text(f, "src"),
+                    dst=_text(f, "dst"),
                     start=_integer(f, "start_tick"),
                     size=_integer(f, "size"),
                     gap=_integer(f, "gap", 1),
@@ -208,7 +220,7 @@ class Scenario:
         failures = []
         for f in doc.get("failures", []):
             try:
-                failure = Failure(a=f["a"], b=f["b"], at=_integer(f, "at"))
+                failure = Failure(a=_text(f, "a"), b=_text(f, "b"), at=_integer(f, "at"))
             except (TypeError, KeyError, ValueError) as exc:
                 raise SchemaError(f"bad failure entry {f!r}") from exc
             if topo is not None and link_key(failure.a, failure.b) not in {

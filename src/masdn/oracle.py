@@ -100,7 +100,7 @@ class MonolithicController:
         rec = self.sessions[sid]
         rules = rules_for_path(path, rec["src"], rec["dst"], PRIORITY_BY_CLASS[klass], ids)
         plan = [step("install-rule", sw, rule=doc, ctx=sid) for sw, doc in rules]
-        facts = {"topology": self.view, "switch-rules": self.switch_rules}
+        facts = {"switches": self.view["switches"], "switch-rules": self.switch_rules}
         violations = validate_plan(plan, facts, self.policies)
         if violations:
             self.violations.append({"ctx": sid, "violations": violations, "at": now})

@@ -21,11 +21,14 @@ snapshot and changes one record pays for that record and the table's top
 level, not for the whole value. A cognition that mutates its snapshot gets a
 TypeError at once instead of silently changing the store.
 
-An agent's facts have two sources: its spec's initial facts (configuration:
-its own id as "self", peers, thresholds, a broker's subscription table, and
-the "policies" its plans are validated against) and what it learns, whose
-digest keys the digest pump exports to the orchestrator's mirror. A respawned
-agent gets the first from its spec again and the second from the mirror.
+An agent's facts have two sources: its spec's initial facts (configuration,
+only what the agent reads: the peers and switches its plans may target,
+thresholds, capacities, a broker's subscription and relay tables, the
+genesis view of an agent that keeps it current, and the "policies" its
+plans are validated against) and what it learns, whose digest keys the
+digest pump exports to the orchestrator's mirror once they move past the
+spec. A respawned agent gets the first from its spec again and the second
+from the mirror.
 
 A decision is a plain dict with optional keys:
 
@@ -287,7 +290,10 @@ def _patch(value: dict[str, Any], sets: list[Any], drops: list[Any]) -> dict[str
 
 
 def merge_digest(
-    digests: dict[str, dict[str, Any]], agent: str, keys: dict[str, Any]
+    digests: dict[str, dict[str, Any]],
+    agent: str,
+    keys: dict[str, Any],
+    spec: dict[str, Any],
 ) -> dict[str, dict[str, Any]]:
     """Fold one kp.digest body, the {key: doc} map of what `agent` (the
     frame's src) exported, into a per-agent table of exported keys, each
@@ -295,12 +301,17 @@ def merge_digest(
     stale one is ignored. A whole "value" replaces the key; a delta (see
     digest_delta) applies its paths to the version held, and one whose base
     is not that version raises DigestGap.
+    A key the slot does not hold yet is held at its value in `spec`, the
+    agent's own initial facts, as version 1: the pump never exports a spec
+    value, so its first delta is based on it. No other slot is read.
     Only the sending agent's slot is copied; every other slot is shared with
     the table given, and so is every subtree of the value that no path
     reaches."""
     slot = dict(digests.get(agent, {}))
     for key, doc in keys.items():
         held = slot.get(key)
+        if held is None and key in spec:
+            held = {"value": spec[key], "version": 1}
         if held is not None and doc["version"] < held["version"]:
             continue
         if "value" in doc:
@@ -385,12 +396,14 @@ def validate_plan(
     """Check a plan's step dicts against the agent's current facts and active
     policies: [[constraint, detail], ...], empty when the plan passes.
 
+    An agent target must be among the "peers", a switch among the
+    "switches" and an endpoint among the "endpoints" the facts hold.
     Constraints are stable ids: "missing-topology" / "unknown-target" for
     steps that reference state the agent does not know about, and the policy
     id for policy hits.
     """
     violations: list[list[str]] = []
-    topology = facts.get("topology")
+    switches = facts.get("switches")
     peers = set(facts.get("peers", ()))
     endpoints = set(facts.get("endpoints", ()))
     for s in steps:
@@ -401,14 +414,14 @@ def validate_plan(
                     ["unknown-target", f"agent {target} is not a known peer"]
                 )
         elif cls == "switch":
-            if topology is None:
+            if switches is None:
                 violations.append(
                     [
                         "missing-topology",
-                        f"no topology facts to justify acting on switch {target!r}",
+                        f"no switch list to justify acting on switch {target!r}",
                     ]
                 )
-            elif target not in topology.get("switches", ()):
+            elif target not in switches:
                 violations.append(
                     ["unknown-target", f"switch {target!r} not in known topology"]
                 )

@@ -64,6 +64,14 @@ across respawns: a kill lands after the pump and a dead agent writes
 nothing, so what the pump last exported is exactly the mirror slot a
 replacement is restored from, and the replacement's first digest is an
 ordinary delta against it.
+
+The spec is the base: at a spawn the pump's record of the agent starts
+with the spec value, as version 1, of every digest key the spec holds
+(the genesis view of routing and session), so it ships that key only once
+it moves, and then as a delta on the spec, which the orchestrator reads
+from the agent's own spec entry (runtime.merge_digest). No spec fact comes
+back over the wire, a mirror slot holds only keys that moved past the
+spec, and so does a restore.
 """
 
 from __future__ import annotations
@@ -149,10 +157,17 @@ class AgentSystem:
             cognition=doc["cognition"],
             initial_facts=doc.get("initial_facts", {}),
         )
-        self.host.spawn_agent(spec)
+        spawned = self.host.spawn_agent(spec)
+        # the pump's record starts at the spec: a digest key the spec holds
+        # is exported only once it moves past version 1, as a delta on it;
+        # a replacement's record already holds what the restore brings back
+        exported = self._exported.setdefault(str(agent), {})
+        for key in spawned.impl.digest_keys:
+            if key in spec.initial_facts:
+                exported.setdefault(key, (1, spawned.facts.get(key)))
         restore = body.get("restore") or {}
         if restore:
-            self.host.get(agent).facts.restore(restore)
+            spawned.facts.restore(restore)
         return []
 
     def _switch(self, msg: Message) -> list[Message]:
@@ -259,8 +274,8 @@ class AgentSystem:
         orchestrator, in AgentId order, each as the {key: doc} map alone from
         the agent itself (the frame's src names it): a dict-valued key as a
         delta of the leaves that changed since the version last exported
-        for it (runtime.digest_delta), a first export or any other value
-        whole.
+        for it, or since its spec value (runtime.digest_delta), a first
+        export of a key no spec holds or any other value whole.
         The set is taken before the digests go out, so what their delivery
         writes is shipped by the next pump. Every agent in it is live: a
         kill lands after the pump, and a dead agent writes nothing."""

@@ -8,9 +8,10 @@ Topology.from_doc cannot be tripped by orientation.
 
 BrokerFabric runs the broker agents of one event strategy on a Bus, so the
 event-plane tests check the brokers a system run uses, and records which
-publishers' traffic each broker's pipeline handled. A broker relays the publish itself, with
-no stamp, so the fabric names the publish behind each delivery from its own
-record of what it published.
+publishers' traffic each broker's pipeline handled. A broker relays the
+publish itself, with no stamp, and only towards a matching subscriber, so
+the fabric names the publish behind each delivery from its own record of
+what it published.
 """
 from __future__ import annotations
 
@@ -22,11 +23,14 @@ from masdn.bus import Bus
 from masdn.config import broker_ids, parse_config
 from masdn.core import AgentId, Message, MessageKind
 from masdn.oracle import MonolithicController, compare
-from masdn.orchestrator import build_specs, home_broker
+from masdn.orchestrator import broker_facts, build_specs, home_broker
 from masdn.pps import encode_body
 from masdn.runtime import AgentHost, AgentSpec, register_cognition
 
 STRATEGIES = ("centralized", "distributed", "hybrid")
+
+# a genesis view with nothing in it, for specs whose view is not looked at
+VIEW: dict[str, Any] = {"switches": [], "hosts": {}, "links": []}
 
 
 def gen_topology(
@@ -186,7 +190,9 @@ class BrokerFabric:
         config = parse_config({"event_strategy": strategy}, None)
         self.bus = Bus(self.host, config.profile)
         self.bus.topic_router = lambda msg: AgentId.parse(home_broker(strategy, str(msg.src)))
-        for doc in build_specs(config, broker_ids(strategy), {}, "orchestration#0").values():
+        # broker -> its subscription table, as orchestrator.broker_subs builds it
+        self.tables: dict[str, dict[str, list[str]]] = {b: {} for b in broker_ids(strategy)}
+        for doc in build_specs(config, broker_ids(strategy), VIEW).values():
             self.host.spawn_agent(
                 AgentSpec(AgentId.parse(doc["agent"]), doc["cognition"], doc["initial_facts"])
             )
@@ -207,19 +213,18 @@ class BrokerFabric:
 
     def subscribe(self, sub: str, flt: str) -> None:
         """Put the subscriber in its home broker's subscription table, where
-        a run's spec would have it (orchestrator.broker_subs)."""
+        a run's spec would have it (orchestrator.broker_subs), and give every
+        broker the facts the orchestrator derives from the tables
+        (orchestrator.broker_facts): the relays' filters and the peers."""
         agent = AgentId.parse(sub)
         if agent not in self.host.agents:
             self.host.spawn_agent(AgentSpec(agent, "test-subscriber"))
-            # in a run every subscriber is a roster agent, which each
-            # broker's spec lists among the peers its deliveries may target
-            for broker in broker_ids(self.strategy):
-                facts = self.host.agents[AgentId.parse(broker)].facts
-                facts.put("peers", sorted({*facts.get("peers"), sub}))
-        facts = self.host.agents[AgentId.parse(home_broker(self.strategy, sub))].facts
-        subs = dict(facts.get("subs", {}))
-        subs[flt] = sorted({*subs.get(flt, ()), sub})
-        facts.put("subs", subs)
+        table = self.tables[home_broker(self.strategy, sub)]
+        table[flt] = sorted({*table.get(flt, ()), sub})
+        for broker in self.tables:
+            facts = self.host.agents[AgentId.parse(broker)].facts
+            for key, value in broker_facts(self.strategy, broker, self.tables).items():
+                facts.put(key, value)
 
     def publish(self, pub: str, topic: str, body: Any) -> int:
         """Queue one publish and record it; returns its place in publish order."""

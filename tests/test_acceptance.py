@@ -27,6 +27,7 @@ from masdn.events import match_topic
 from masdn.logic import HEARTBEAT_INTERVAL, build_graph, shortest_path
 from masdn.oracle import MonolithicController, compare, normalize_tables
 from masdn.pps import DEFAULT_PROFILES, decode, encode, encode_body
+from masdn.orchestrator import home_broker
 from masdn.runtime import AgentHost, AgentSpec, register_cognition
 
 from helpers import STRATEGIES, build, gen_scenario, gen_topology, run_trace, trace_agents
@@ -273,10 +274,22 @@ def test_criterion_03_event_plane_arrangements_are_observationally_equal():
                 for d in fabric.delivered_to(sub, publishers):
                     assert d.order > last.get(d.publisher, -1), (trace_seed, strategy, sub)
                     last[d.publisher] = d.order
-            # every broker (hybrid: each level broker and the root relay)
-            # handled every publisher's traffic
+            # a broker handled a publisher's traffic exactly when some publish
+            # of it had to cross the broker: at the publisher's home broker,
+            # at a broker a matching subscriber is homed on, and (hybrid) at
+            # the root when that broker is another level's
+            root = broker_ids(strategy)[0]
+            crossed = {b: set() for b in broker_ids(strategy)}
+            for pub, topic in {(pub, topic) for pub, topic, _body in events}:
+                home = home_broker(strategy, pub)
+                wanted = {home_broker(strategy, sub) for sub, flt in subs if match_topic(flt, topic)}
+                route = {home} | wanted
+                if strategy == "hybrid" and wanted - {home}:
+                    route.add(root)
+                for broker in route:
+                    crossed[broker].add(pub)
             for broker in broker_ids(strategy):
-                assert set(publishers) <= fabric.handled[broker], (trace_seed, strategy, broker)
+                assert fabric.handled[broker] == crossed[broker], (trace_seed, strategy, broker)
 
 
 # -- criterion 4: single-agent failure transparency ----------------------------------

@@ -187,7 +187,8 @@ class TestErrorPaths:
 
     # a topology part that is not a list, and a number that is not a JSON
     # integer: each once ran, read as characters or coerced through int();
-    # a dangling host and a self-loop once ended in a traceback and exit 1
+    # a dangling host, a self-loop and an id that is not a string once ended
+    # in a traceback and exit 1
     @pytest.mark.parametrize("topology, scenario", [
         ({"switches": "ab", "hosts": [], "links": []}, {**SCENARIO, "flows": []}),
         ({**TOPO, "links": {"sw1": "sw2"}}, SCENARIO),
@@ -197,9 +198,17 @@ class TestErrorPaths:
         (TOPO, {**SCENARIO, "seed": True}),
         (TOPO, {**SCENARIO, "jitter": "2"}),
         (TOPO, {**SCENARIO, "flows": [{**SCENARIO["flows"][0], "size": 20.0}]}),
+        ({"switches": [["x"]], "hosts": [], "links": []}, {**SCENARIO, "flows": []}),
+        ({**TOPO, "hosts": [{"id": 1, "switch": "sw1"}]}, {**SCENARIO, "flows": []}),
+        ({**TOPO, "hosts": [*TOPO["hosts"], {"id": "h3", "switch": ["sw1"]}]}, SCENARIO),
+        ({**TOPO, "links": [{**TOPO["links"][0], "b": ["sw2"]}]}, SCENARIO),
+        (TOPO, {**SCENARIO, "flows": [{**SCENARIO["flows"][0], "src": ["h1"]}]}),
+        (TOPO, {**SCENARIO, "failures": [{"a": "sw1", "b": ["sw2"], "at": 3}]}),
     ], ids=["switches-a-string", "links-an-object", "host-on-an-unknown-switch",
             "link-to-itself", "duration-a-float", "seed-a-boolean",
-            "jitter-a-string", "flow-size-a-float"])
+            "jitter-a-string", "flow-size-a-float", "switch-id-a-list",
+            "host-id-a-number", "host-switch-a-list", "link-end-a-list",
+            "flow-src-a-list", "failure-end-a-list"])
     def test_a_malformed_topology_or_scenario_exits_2(
         self, tmp_path, capsys, topology, scenario
     ):

@@ -163,8 +163,9 @@ class TestArrangementEquivalence:
                 assert_fifo_per_publisher(fabric, sub, publishers, strategy)
 
     def test_no_duplicate_deliveries_on_flooded_paths(self):
-        # distributed floods to every broker and hybrid's root relays to every
-        # level broker; no broker is handed an envelope twice
+        # distributed forwards to every broker a subscriber waits behind and
+        # hybrid's root relays to each such level broker; no broker is handed
+        # an envelope twice
         publishers = trace_agents(0, 3)
         for strategy in ("distributed", "hybrid"):
             fabric = BrokerFabric(strategy)

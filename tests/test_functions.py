@@ -139,7 +139,7 @@ def spec_facts(agent, **keys):
     """An agent's initial facts as the orchestrator issues them for a config
     of `keys`: the spec carries every default RunConfig fills in."""
     config = parse_config(keys, None)
-    specs = build_specs(config, plan_roster(config), TOPO, "orchestration#0")
+    specs = build_specs(config, plan_roster(config), TOPO)
     return specs[agent]["initial_facts"]
 
 
@@ -268,14 +268,14 @@ class TestOrchestratorSupervision:
     """The orchestrator's answer to an exit notice from the host."""
 
     def booted(self):
-        facts = {"config": {}}
+        facts = {"config": {}, "topology": TOPO}
         out = orchestrator_decide(
             facts, event("control.bootstrap", None, dst="orchestration#0")
         )
         return {**facts, **dict(out["facts"])}
 
     def test_bootstrap_stores_the_specs_alone(self):
-        assert sorted(self.booted()) == ["config", "specs"]
+        assert sorted(self.booted()) == ["config", "specs", "topology"]
 
     def test_an_exit_notice_respawns_its_sender_from_spec_and_mirror_slot(self):
         facts = self.booted()
@@ -307,7 +307,8 @@ class TestKnowledgePlane:
             dst="orchestration#0",
             src="qos#0",
         )
-        facts = {"mirror": {"qos#0": {"reservations": {"version": 3, "value": {"b": 2}}}}}
+        facts = {"mirror": {"qos#0": {"reservations": {"version": 3, "value": {"b": 2}}}},
+                 "specs": {"qos#0": {"initial_facts": {}}}}
         writes = orchestrator_decide(facts, inp)["facts"]
         kept = dict(writes)["mirror"]["qos#0"]["reservations"]
         assert kept["version"] == 3  # stale digest ignored
@@ -318,7 +319,7 @@ class TestKnowledgePlane:
             "routing#0": {"topology": {"version": 4, "value": {"links": []}}},
         }
         keys = {"admitted": {"version": 1, "value": {}}}
-        merged = merge_digest(digests, "qos#0", keys)
+        merged = merge_digest(digests, "qos#0", keys, {})
         assert merged["routing#0"] is digests["routing#0"]
         assert merged["qos#0"] == {**digests["qos#0"], **keys}
         assert "admitted" not in digests["qos#0"]
@@ -362,7 +363,7 @@ class TestKnowledgePlane:
         mirror = self.held({"s1": {"n": 1}, "s2": {"n": 2, "path": ["a", "b"]}, "s3": {"n": 3}}, 4)
         body = self.delta(6, 4, set_=[(["s2", "n"], 20), (["s2", "path", 1], "c"),
                                       (["s4"], {"n": 4})], drop=[["s1"]])
-        kept = merge_digest(mirror, "session#0", body)["session#0"]["sessions"]
+        kept = merge_digest(mirror, "session#0", body, {})["session#0"]["sessions"]
         assert kept == {"value": {"s2": {"n": 20, "path": ["a", "c"]}, "s3": {"n": 3},
                                   "s4": {"n": 4}}, "version": 6}
         held = mirror["session#0"]["sessions"]["value"]
@@ -372,23 +373,41 @@ class TestKnowledgePlane:
     def test_a_whole_value_replaces_the_key(self):
         mirror = self.held({"s1": {"n": 1}, "s2": {"n": 2}}, 9)
         whole = {"sessions": {"version": 10, "value": {"s5": {}}}}
-        assert merge_digest(mirror, "session#0", whole)["session#0"]["sessions"]["value"] == {
+        assert merge_digest(mirror, "session#0", whole, {})["session#0"]["sessions"]["value"] == {
             "s5": {}
         }
-        assert merge_digest({}, "session#0", whole)["session#0"]["sessions"]["value"] == {
+        assert merge_digest({}, "session#0", whole, {})["session#0"]["sessions"]["value"] == {
             "s5": {}
         }
 
     def test_stale_delta_is_ignored(self):
         mirror = self.held({"s1": {"n": 1}}, 7)
-        kept = merge_digest(mirror, "session#0", self.delta(5, 4, set_=[(["s9"], {"n": 9})]))
+        kept = merge_digest(mirror, "session#0", self.delta(5, 4, set_=[(["s9"], {"n": 9})]), {})
         assert kept["session#0"] == mirror["session#0"]
+
+    def test_a_delta_on_base_1_applies_to_the_agents_own_spec_value(self):
+        # the pump never exports a spec value, so a key's first delta is
+        # based on it; another agent's slot is never read
+        spec = {"sessions": {"s1": {"n": 1}, "s2": {"n": 2}}}
+        other = {"routing#0": {"sessions": {"value": {"s9": {}}, "version": 1}}}
+        body = self.delta(2, 1, set_=[(["s2", "n"], 3)], drop=[["s1"]])
+        merged = merge_digest(other, "session#0", body, spec)
+        assert merged["session#0"] == {"sessions": {"value": {"s2": {"n": 3}}, "version": 2}}
+        assert merged["routing#0"] is other["routing#0"]
+        assert spec == {"sessions": {"s1": {"n": 1}, "s2": {"n": 2}}}  # folded into a copy
+
+    def test_a_delta_for_a_key_neither_the_slot_nor_the_spec_holds_raises(self):
+        # not even when another agent's slot or spec would hold it
+        other = {"routing#0": {"sessions": {"value": {"s1": {"n": 1}}, "version": 1}}}
+        with pytest.raises(DigestGap):
+            merge_digest(other, "session#0", self.delta(2, 1, set_=[(["s1", "n"], 2)]),
+                         {"topology": {"links": []}})
 
     @pytest.mark.parametrize("held_version, base", [(4, 3), (4, 5), (4, 0), (None, 2), (None, 0)])
     def test_delta_on_another_base_raises(self, held_version, base):
         mirror = {} if held_version is None else self.held({"s1": {"n": 1}}, held_version)
         with pytest.raises(DigestGap):
-            merge_digest(mirror, "session#0", self.delta(6, base, set_=[(["s1", "n"], 2)]))
+            merge_digest(mirror, "session#0", self.delta(6, base, set_=[(["s1", "n"], 2)]), {})
 
     def test_deltas_fold_back_into_what_the_agent_exports(self):
         store = FactsStore()
@@ -406,7 +425,7 @@ class TestKnowledgePlane:
             }
             last.update((key, (doc["version"], doc["value"])) for key, doc in docs.items())
             wire = decode_body(encode_body(keys))
-            mirror = merge_digest(mirror, "session#0", wire)
+            mirror = merge_digest(mirror, "session#0", wire, {})
             assert mirror["session#0"] == docs
             return keys
 
@@ -479,13 +498,13 @@ def test_property_a_delta_folds_its_base_into_exactly_the_new_value(data):
     doc = digest_delta({"version": 5, "value": new}, (4, old))
     body = decode_body(encode_body({"k": doc}))
     mirror = {"a#0": {"k": {"value": old, "version": 4}}}
-    merged = merge_digest(mirror, "a#0", body)["a#0"]["k"]
+    merged = merge_digest(mirror, "a#0", body, {})["a#0"]["k"]
     assert merged == {"value": new, "version": 5}
     assert encode_body(merged["value"]) == encode_body(new)
     # any other base is a gap, 0 included: a delta never replaces the key
     other = data.draw(st.integers(0, 5).filter(lambda v: v != 4))
     with pytest.raises(DigestGap):
-        merge_digest({"a#0": {"k": {"value": old, "version": other}}}, "a#0", body)
+        merge_digest({"a#0": {"k": {"value": old, "version": other}}}, "a#0", body, {})
 
 
 class TestSessionAgent:
@@ -836,7 +855,7 @@ class TestSessionConversation:
 class TestBrokerAgent:
     def sub_facts(self):
         # the subscription table a broker's spec carries
-        return {"subs": {"events.*": ["monitoring#0"]}}
+        return {"role": "solo", "subs": {"events.*": ["monitoring#0"]}}
 
     def test_publish_delivers_to_matching_subscribers(self):
         facts = self.sub_facts()
@@ -849,23 +868,40 @@ class TestBrokerAgent:
 
     def test_mesh_role_forwards_to_peer_brokers(self):
         facts = self.sub_facts()
-        facts.update({"role": "mesh", "brokers": ["event-distribution#1"]})
+        facts.update({"role": "mesh", "relays": {"event-distribution#1": ["events.*"]}})
         out = broker_decide(facts, publish("events.flow", {"n": 2}))
         actions = [(s["action"], str(s["target"])) for s in out["plan"]]
         assert ("forward-event", "event-distribution#1") in actions
 
     def test_forwarded_envelope_is_not_reforwarded(self):
         facts = self.sub_facts()
-        facts.update({"role": "mesh", "brokers": ["event-distribution#1"]})
+        facts.update({"role": "mesh", "relays": {"event-distribution#1": ["events.*"]}})
         env = {"topic": "events.flow", "body": {"n": 3}}
         out = broker_decide(facts, forwarded(env, src="event-distribution#1"))
         actions = [s["action"] for s in out["plan"]]
         assert actions == ["deliver-event"]
 
     def test_root_relays_a_forwarded_envelope_to_every_level_broker_but_its_sender(self):
-        facts = {"role": "root", "downstream": [f"event-distribution#{i}" for i in (1, 2, 3, 4)]}
+        relays = {f"event-distribution#{i}": ["events.flow"] for i in (1, 2, 3, 4)}
+        facts = {"role": "root", "subs": {}, "relays": relays}
         env = {"topic": "events.flow", "body": {"n": 4}}
         out = broker_decide(facts, forwarded(env, src="event-distribution#2"))
         targets = [str(s["target"]) for s in out["plan"] if s["action"] == "forward-event"]
         assert targets == ["event-distribution#1", "event-distribution#3", "event-distribution#4"]
         assert "facts" not in out
+
+    @pytest.mark.parametrize("role", ["mesh", "level", "root"])
+    def test_a_relay_goes_only_towards_a_matching_subscriber(self, role):
+        # each neighbour is listed with the filters a subscriber behind it
+        # reads; a topic none of them matches stays where it was published
+        relays = {"event-distribution#1": ["events.link"],
+                  "event-distribution#2": ["events.*"],
+                  "event-distribution#3": ["events.flow", "events.packet_in"]}
+        facts = {"role": role, "subs": {}, "relays": relays}
+        env_in = forwarded if role == "root" else (lambda env, src: publish(env["topic"], env["body"]))
+        for topic, want in [("events.link", ["event-distribution#1", "event-distribution#2"]),
+                            ("events.flow", ["event-distribution#2", "event-distribution#3"]),
+                            ("audit.trace", [])]:
+            env = {"topic": topic, "body": {"n": 5}}
+            out = broker_decide(facts, env_in(env, src="event-distribution#4"))
+            assert [str(s["target"]) for s in out.get("plan", [])] == want, (role, topic)

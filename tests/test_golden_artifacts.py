@@ -7,10 +7,14 @@ diff.json) is pinned, so a speed-up that changes any outcome, log record or
 wire byte fails here, naming the artifacts that moved. The outcome.json,
 stats.csv and diff.json constants were recorded before facts were frozen on
 write instead of deep-copied. The run.log constants were last re-recorded
-when install and remove requests began to carry the path instead of its
-rules: forwarding derives the rules as the monolith does, so every input
-record of an install or remove at forwarding logs fewer payload bytes. The
-records, message ids and decisions are unchanged, so the other three
+when each spec came to carry only what its agent reads and digests came to
+start from the spec: every spawn-agent input record at host.control logs
+fewer payload bytes; routing and session no longer send the genesis view
+back at tick 0, so those digest frames and their pipeline records are gone;
+and a broker relays a publish only towards a matching subscriber, so the
+forwards to brokers with none, and their records, are gone too. Fewer
+frames move the message ids and sequence numbers of every later record.
+The deliveries, decisions and tables are unchanged, so the other three
 artifacts keep their bytes.
 The hashes do not depend on PYTHONHASHSEED.
 When a change is meant to alter the artifacts, re-record the constants and
@@ -51,7 +55,7 @@ GOLDEN = {
         0,
         {
             "outcome.json": "9d7df6e08f605236441792fc445708a8bee2ca7bee232834eb24da6bc7505ac6",
-            "run.log": "afd00f3101c38ca5d6d948f18b74eca5c42b7ae7ae37016ec83415ca62e0f4be",
+            "run.log": "e1854243c78cfb48e3aa47a78a85f2c078a5a609b09594d84464b66dab1ec49b",
             "stats.csv": "afc834dc4a6d33e7aa3e3c9055b241c4b86e34f7697c8468cac1df6550b57694",
             "diff.json": "ca3d163bab055381827226140568f3bef7eaac187cebd76878e0b63e9e442356",
         },
@@ -60,7 +64,7 @@ GOLDEN = {
         0,
         {
             "outcome.json": "57d7ab073da0ee5cbfe058ac2d154482e900e529fb1b7c930584c324f87f1ae7",
-            "run.log": "70b64bfa3f872b8cc1ae7c2bd5428ed562a00402649fea48b07e05d28ec5fedb",
+            "run.log": "c1f019bf209b6c3ecae17cc7868405f460e87a93320d4617aac61dbea0dcf1f1",
             "stats.csv": "38bfaab0d91b62a7424a4bb39febbb5006c74786e52f257514557351f534eaf9",
             "diff.json": "ca3d163bab055381827226140568f3bef7eaac187cebd76878e0b63e9e442356",
         },
@@ -69,7 +73,7 @@ GOLDEN = {
         0,
         {
             "outcome.json": "ab0cebde5c16702d9eef7ce0269a6e7f830dd862db93f8b9b7fc203f63721b2a",
-            "run.log": "45f5b369214e3f2c4b2b069fbe32d500e040dc1327314a5594b51c32f463833c",
+            "run.log": "646e112ad145286c5c99bf3e150cd5cabad2318d97c3145397ae5d95f3b6eb1c",
             "stats.csv": "3edfab2026d98f54c995eb9605010f2a20ab518ed0480c9fd0c05f42b4ad9aa6",
             "diff.json": "ca3d163bab055381827226140568f3bef7eaac187cebd76878e0b63e9e442356",
         },

@@ -17,7 +17,7 @@ from masdn.netsim import SchemaError
 from masdn.orchestrator import build_specs, orchestrator_decide
 from masdn.runtime import AgentInput
 
-from helpers import build, gen_scenario, gen_topology
+from helpers import VIEW, build, gen_scenario, gen_topology
 
 CAP_DOC = {
     "policy_id": "p-cap",
@@ -122,7 +122,7 @@ class TestOnePolicyLanguage:
 
 def spec_facts(policies, roster):
     """Each roster agent's initial facts, as the orchestrator issues them."""
-    specs = build_specs(parse_config({"policies": policies}, None), roster, {}, "orchestration#0")
+    specs = build_specs(parse_config({"policies": policies}, None), roster, VIEW)
     return {agent: spec["initial_facts"] for agent, spec in specs.items()}
 
 
@@ -135,7 +135,8 @@ def digest(agent, **keys):
 
 
 def merge(*digests):
-    facts = {}
+    # each sender's spec holds none of its digest keys
+    facts = {"specs": {str(inp.message.src): {"initial_facts": {}} for inp in digests}}
     for inp in digests:
         facts.update(orchestrator_decide(facts, inp)["facts"])
     return facts.get("mirror", {})

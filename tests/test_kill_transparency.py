@@ -26,6 +26,12 @@ cap like any other.
 
 The lifecycle-only runs compose topology, monitoring, fault and discovery
 through the chain, which alone puts them in a roster, and kill each.
+
+The spec-base runs kill the two agents that keep the live view, routing
+and session, whose genesis view the digest pump never ships: after a link
+failure their view reaches the mirror as a delta on the spec's and comes
+back in the restore; before any failure the restore holds no view and the
+replacement keeps its spec's.
 """
 import random
 
@@ -54,13 +60,22 @@ RULE_CAP = {
 }
 
 
-def _check_kill(tdoc, sdoc, config, *victims):
+def _check_kill(tdoc, sdoc, config, *victims, restores=None):
     """Problems of one run with the victims killed at KILL_TICK; empty when
-    none."""
+    none. A restores dict, when given, gets each respawn's restore, by agent."""
     topo, scen = build(tdoc, sdoc)
     mono = MonolithicController(topo, scen, dict(config)).run()
     topo, scen = build(tdoc, sdoc)
     system = AgentSystem(topo, scen, {**config, "kills": {KILL_TICK: list(victims)}})
+    if restores is not None:
+        spawn = system._spawn
+
+        def spy(body):
+            if system.host.now > KILL_TICK:
+                restores[body["spec"]["agent"]] = body["restore"]
+            return spawn(body)
+
+        system._spawn = spy
     agents = system.run()
     problems = []
     diff = compare(agents, mono)
@@ -139,6 +154,36 @@ def test_qos_and_forwarding_killed_after_a_link_failure_are_transparent(strategy
         problems = _check_kill(tdoc, sdoc, {"event_strategy": strategy}, "qos#0", "forwarding#0")
         if problems:
             failures[seed] = problems
+    assert failures == {}
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_the_view_keepers_are_restored_across_the_spec_base(strategy):
+    # routing and session hold the genesis view from their spec, and the
+    # pump ships it only once it moves: killed after a link failure, the
+    # victim's view comes back from the mirror, where it arrived as a delta
+    # on the spec's; killed before any failure, its restore holds no view
+    # and the spec's is the one it keeps
+    failures = {}
+    for seed in (1, 4, 7, 8, 10):
+        rng = random.Random(seed)
+        tdoc = gen_topology(rng, 8)
+        sdoc = gen_scenario(rng, tdoc, 8, 2, 60, long_lived=True)
+        for when in ("after-a-failure", "before-any-failure"):
+            for i, failure in enumerate(sdoc["failures"]):
+                failure["at"] = (KILL_TICK - 5 + 2 * i if when == "after-a-failure"
+                                 else KILL_TICK + 5 + 3 * i)
+            for victim in ("routing#0", "session#0"):
+                restores = {}
+                problems = _check_kill(tdoc, sdoc, {"event_strategy": strategy}, victim,
+                                       restores=restores)
+                view = restores.get(victim, {}).get("topology")
+                if when == "after-a-failure" and not (view and view["version"] > 1):
+                    problems.append(f"restore holds no moved view: {view}")
+                if when == "before-any-failure" and view is not None:
+                    problems.append(f"restore holds the spec's view: {view['version']}")
+                if problems:
+                    failures[(seed, when, victim)] = problems
     assert failures == {}
 
 

@@ -91,6 +91,23 @@ class TestTopologyParsing:
             Topology.from_doc(doc)
 
 
+    # each was once used as it came: a list as a switch id ended in
+    # TypeError: unhashable type, a number ran as an id
+    @pytest.mark.parametrize("value", [["x"], 7, None])
+    @pytest.mark.parametrize("where", ["switch", "host-id", "host-switch", "link-a", "link-b"])
+    def test_an_id_that_is_not_a_string_is_refused(self, where, value):
+        link = TRIANGLE["links"][0]
+        doc = {
+            "switch": {**TRIANGLE, "switches": [*TRIANGLE["switches"], value]},
+            "host-id": {**TRIANGLE, "hosts": [{"id": value, "switch": "s1"}]},
+            "host-switch": {**TRIANGLE, "hosts": [{"id": "h1", "switch": value}]},
+            "link-a": {**TRIANGLE, "links": [{**link, "a": value}]},
+            "link-b": {**TRIANGLE, "links": [{**link, "b": value}]},
+        }[where]
+        with pytest.raises(SchemaError):
+            Topology.from_doc(doc)
+
+
 class TestScenarioParsing:
     def test_flow_with_unknown_host_is_rejected(self):
         with pytest.raises(DanglingReference):
@@ -128,6 +145,22 @@ class TestScenarioParsing:
     def test_a_failure_tick_that_is_not_a_json_integer_is_refused(self, value):
         with pytest.raises(SchemaError):
             scenario(failures=[{"a": "s1", "b": "s2", "at": value}])
+
+    @pytest.mark.parametrize("value", [["h1"], 1, None])
+    @pytest.mark.parametrize("key", ["src", "dst"])
+    def test_a_flow_end_that_is_not_a_string_is_refused(self, key, value):
+        flow = {"src": "h1", "dst": "h2", "start_tick": 1, "size": 4, key: value}
+        for topo in (Topology.from_doc(TRIANGLE), None):
+            with pytest.raises(SchemaError):
+                Scenario.from_doc({"seed": 1, "duration_ticks": 20, "flows": [flow]}, topo)
+
+    @pytest.mark.parametrize("value", [["s1"], 1, None])
+    @pytest.mark.parametrize("key", ["a", "b"])
+    def test_a_failure_end_that_is_not_a_string_is_refused(self, key, value):
+        failure = {"a": "s1", "b": "s2", "at": 3, key: value}
+        for topo in (Topology.from_doc(TRIANGLE), None):
+            with pytest.raises(SchemaError):
+                Scenario.from_doc({"seed": 1, "duration_ticks": 20, "failures": [failure]}, topo)
 
 
 class TestStepping:

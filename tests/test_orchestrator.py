@@ -1,17 +1,19 @@
 """Orchestration agent: roster planning, the genesis bootstrap, recovery on exit notices."""
 import dataclasses
+import inspect
 import random
 
 import pytest
 
 from masdn.config import broker_ids, parse_config, plan_roster
-from masdn.core import AgentId, Message, MessageKind
+from masdn import functions, infra, runtime
+from masdn.core import AgentId, FunctionKind, Message, MessageKind
 from masdn.netsim import SchemaError
-from masdn.orchestrator import build_specs, home_broker, orchestrator_decide
+from masdn.orchestrator import broker_subs, build_specs, home_broker, orchestrator_decide
 from masdn.runtime import AgentInput
 from masdn.system import AgentSystem
 
-from helpers import STRATEGIES, build, gen_scenario, gen_topology
+from helpers import STRATEGIES, VIEW, build, gen_scenario, gen_topology
 
 ME = "orchestration#0"
 _IDS = iter(range(1, 100000))
@@ -38,6 +40,15 @@ def down(agent, now=0):
 
 
 BASE_CONFIG = {"chain": ["session"], "event_strategy": "centralized"}
+
+
+def _chainable(kind):
+    """Whether a chain may name the kind: parse_config is the judge."""
+    try:
+        parse_config({"chain": ["session", kind.value]}, None)
+    except SchemaError:
+        return False
+    return True
 
 # the topics each kind reads; every other kind reads none, as no tick
 # travels on the event plane
@@ -111,30 +122,61 @@ class TestBuildSpecs:
     def test_specs_carry_role_specific_facts(self):
         config = parse_config(dict(BASE_CONFIG, thresholds={"gap": 5}, qos_cap_permille=700), None)
         roster = plan_roster(config)
-        view = {"links": [], "hosts": {}, "switches": []}
-        specs = build_specs(config, roster, view, ME)
+        view = {"links": [{"a": "s1", "b": "s2", "capacity": 20, "latency": 3, "up": True}],
+                "hosts": {"h1": "s1"}, "switches": ["s1", "s2"]}
+        specs = build_specs(config, roster, view)
         assert set(specs) == set(roster)
-        assert specs["classifier#0"]["initial_facts"]["thresholds"] == {"size": 100, "gap": 5}
-        assert specs["qos#0"]["initial_facts"]["qos-cap-permille"] == 700
-        # the two agents that cannot answer without a view get it from genesis
-        assert specs["routing#0"]["initial_facts"]["topology"] == view
-        assert specs["qos#0"]["initial_facts"]["topology"] == view
-        assert specs["classifier#0"]["cognition"] == "classifier"
-        for agent, spec in specs.items():
-            facts = spec["initial_facts"]
-            assert facts["self"] == agent
-            assert ME in facts["peers"]
+        facts = {agent: spec["initial_facts"] for agent, spec in specs.items()}
+        assert facts["classifier#0"] == {"thresholds": {"size": 100, "gap": 5}}
+        # routing and session keep the view current from link events; qos and
+        # forwarding get only what no link event changes
+        assert facts["routing#0"] == {"topology": view}
+        assert facts["qos#0"] == {"capacities": {"s1|s2": 20}, "qos-cap-permille": 700}
+        assert facts["forwarding#0"] == {"switches": ["s1", "s2"]}
+        # the session agent is the one agent whose plans ask agents: its peers
+        # are the kinds it asks
+        assert facts["session#0"] == {
+            "peers": ["classifier#0", "forwarding#0", "qos#0", "routing#0"], "topology": view,
+        }
+        assert facts["registry#0"] == facts["knowledge-plane#0"] == {}
+        for agent, spec in specs.items():  # the spec names its agent once
+            assert spec["agent"] == agent and spec["cognition"] == agent.split("#")[0]
 
     def test_broker_specs_encode_the_arrangement(self):
+        # each broker relays only towards the neighbours a subscriber sits
+        # behind, and its peers are its subscribers and those neighbours
         config = parse_config({"chain": ["session"], "event_strategy": "distributed"}, None)
-        specs = build_specs(config, plan_roster(config), {}, ME)
-        b0 = specs["event-distribution#0"]["initial_facts"]
-        assert b0["role"] == "mesh"
-        assert sorted(b0["brokers"]) == ["event-distribution#1", "event-distribution#2"]
+        roster = plan_roster(config)
+        specs = build_specs(config, roster, VIEW)
+        tables = broker_subs("distributed", roster)
+        for broker in broker_ids("distributed"):
+            facts = specs[broker]["initial_facts"]
+            assert facts["role"] == "mesh"
+            want = {b: sorted(t) for b, t in tables.items() if b != broker and t}
+            assert facts.get("relays", {}) == want
+            subscribers = {a for group in tables[broker].values() for a in group}
+            assert facts.get("peers", []) == sorted(subscribers | set(want))
         config = parse_config({"chain": ["session"], "event_strategy": "hybrid"}, None)
-        specs = build_specs(config, plan_roster(config), {}, ME)
-        assert specs["event-distribution#0"]["initial_facts"]["role"] == "root"
-        assert specs["event-distribution#1"]["initial_facts"]["root"] == "event-distribution#0"
+        specs = build_specs(config, plan_roster(config), VIEW)
+        facts = {b: specs[b]["initial_facts"] for b in broker_ids("hybrid")}
+        # routing and session are function-level, so broker #2 holds them all
+        read = ["events.flow", "events.link", "events.packet_in", "events.violation"]
+        assert facts["event-distribution#0"] == {
+            "role": "root", "subs": {}, "relays": {"event-distribution#2": read},
+            "peers": ["event-distribution#2"],
+        }
+        for level in ("event-distribution#1", "event-distribution#3", "event-distribution#4"):
+            assert facts[level] == {
+                "role": "level", "subs": {}, "relays": {"event-distribution#0": read},
+                "peers": ["event-distribution#0"],
+            }
+        assert facts["event-distribution#2"]["role"] == "level"
+        assert "relays" not in facts["event-distribution#2"]  # no other level reads a topic
+        assert facts["event-distribution#2"]["peers"] == ["routing#0", "session#0"]
+        config = parse_config({"chain": ["session"]}, None)
+        (solo,) = [s["initial_facts"] for a, s in build_specs(config, plan_roster(config), VIEW).items()
+                   if a.startswith("event-distribution")]
+        assert set(solo) == {"role", "subs", "peers"} and solo["role"] == "solo"
 
     def test_specs_carry_scoped_policies_in_config_order(self):
         # the order the monolith filters the same config in, not id order; a
@@ -146,22 +188,75 @@ class TestBuildSpecs:
 
         b, a = cap("b"), cap("a")
         config = parse_config(dict(BASE_CONFIG, policies=[b, a]), None)
-        specs = build_specs(config, plan_roster(config), {}, ME)
+        specs = build_specs(config, plan_roster(config), VIEW)
         held = {agent: spec["initial_facts"].get("policies") for agent, spec in specs.items()}
         assert held.pop("forwarding#0") == [b, a]
         assert set(held.values()) == {None}
 
 
+# Who reads each initial fact a kind's spec may carry: the kind's cognition
+# (or a helper it calls), or the pipeline's validation, runtime.validate_plan,
+# which the host hands the "policies" it reads. A kind absent here is handed
+# nothing.
+SPEC_READERS = {
+    "classifier": {"thresholds": functions.classifier_decide},
+    "qos": {"capacities": functions.qos_decide, "qos-cap-permille": functions.qos_decide},
+    "forwarding": {"switches": runtime.validate_plan,
+                   "policies": runtime.AgentHost.process_input},
+    "routing": {"topology": functions.routing_decide},
+    "session": {"topology": functions.session_decide, "peers": runtime.peer_of},
+    "event-distribution": {"role": infra.broker_decide, "relays": infra.broker_decide,
+                           "subs": infra._local_deliveries, "peers": runtime.validate_plan},
+}
+
+# a chain that names every kind a chain may name
+EVERY_KIND = [k.value for k in FunctionKind if _chainable(k)]
+
+
+class TestSpecFactsAreRead:
+    """Each spec carries only what its agent reads, once: no fact that no
+    reader of its kind reads, and no fact the spec says elsewhere."""
+
+    def test_the_table_names_real_reads(self):
+        for kind, readers in SPEC_READERS.items():
+            for key, reader in readers.items():
+                assert f'"{key}"' in inspect.getsource(reader), (kind, key, reader.__name__)
+
+    def test_every_initial_fact_a_kind_receives_is_read_by_that_kind(self):
+        cap = {"policy_id": "cap", "issuer_level": "network", "scope": ["forwarding"],
+               "rules": [{"action_kind": "install-rule", "target_class": "switch",
+                          "effect": "deny", "max_per_target": 4}]}
+        given = set()  # (kind, key) of every initial fact, over the strategies
+        for strategy in STRATEGIES:
+            config = parse_config({"chain": EVERY_KIND, "event_strategy": strategy,
+                                   "policies": [cap]}, None)
+            roster = plan_roster(config)
+            assert {a.split("#")[0] for a in roster} >= set(EVERY_KIND)
+            specs = build_specs(config, roster, VIEW)
+            unread = {
+                (agent, key)
+                for agent, spec in specs.items()
+                for key in spec["initial_facts"]
+                if key not in SPEC_READERS.get(spec["cognition"], {})
+            }
+            assert unread == set(), strategy
+            given |= {(spec["cognition"], key) for spec in specs.values()
+                      for key in spec["initial_facts"]}
+        # and the table lists no fact that no spec carries
+        assert given == {(kind, key) for kind, keys in SPEC_READERS.items() for key in keys}
+
+
 class TestBootstrap:
     def test_one_decision_spawns_the_roster_in_order_and_writes_only_the_roster_facts(self):
         config = dict(BASE_CONFIG, event_strategy="distributed")
-        out = orchestrator_decide({"config": config}, fire("control.bootstrap", None, now=3))
+        out = orchestrator_decide({"config": config, "topology": VIEW},
+                                  fire("control.bootstrap", None, now=3))
         assert set(out) == {"plan", "facts"}  # no events
         assert [key for key, _ in out["facts"]] == ["specs"]
         writes = dict(out["facts"])
         checked = parse_config(config, None)
         roster, specs = plan_roster(checked), writes["specs"]
-        assert specs == build_specs(checked, roster, {}, ME)
+        assert specs == build_specs(checked, roster, VIEW)
         assert [s["params"]["spec"]["agent"] for s in out["plan"]] == roster
         for s in out["plan"]:  # no placement node
             agent = s["params"]["spec"]["agent"]
@@ -206,7 +301,7 @@ class TestBootstrap:
         for strategy in ("centralized", "distributed", "hybrid"):
             config = parse_config(dict(BASE_CONFIG, event_strategy=strategy), None)
             roster = plan_roster(config)
-            specs = build_specs(config, roster, {}, ME)
+            specs = build_specs(config, roster, VIEW)
             want = {b: {} for b in broker_ids(strategy)}
             for agent in roster:
                 table = want[home_broker(strategy, agent)]
@@ -231,7 +326,7 @@ class TestLiveness:
     def booted(self, config=BASE_CONFIG):
         # no broker's table lists the orchestrator: notices and digests come
         # to it directly
-        facts = {"config": dict(config)}
+        facts = {"config": dict(config), "topology": VIEW}
         out = orchestrator_decide(facts, fire("control.bootstrap", None))
         return {**facts, **dict(out["facts"])}
 

@@ -28,7 +28,7 @@ from masdn.runtime import (
     validate_plan,
 )
 
-from helpers import build, gen_scenario, gen_topology
+from helpers import VIEW, build, gen_scenario, gen_topology
 
 STAGES = ("input", "facts", "cognition", "planning", "validation", "output")
 
@@ -231,7 +231,7 @@ class TestValidatePlan:
 
     def test_consistent_plan_passes_without_policies(self):
         plan = [step("install-rule", "sw1", rule={})]
-        facts = {"topology": {"switches": ["sw1"], "links": [], "hosts": {}}}
+        facts = {"switches": ["sw1"]}
         assert validate_plan(plan, facts) == []
 
     def test_switch_steps_need_topology_knowledge(self):
@@ -240,7 +240,7 @@ class TestValidatePlan:
 
     def test_unknown_switch_target_is_flagged(self):
         plan = [step("install-rule", "sw9", rule={})]
-        facts = {"topology": {"switches": ["sw1"], "links": [], "hosts": {}}}
+        facts = {"switches": ["sw1"]}
         assert [c for c, _ in validate_plan(plan, facts)] == ["unknown-target"]
 
     def test_agent_targets_must_be_known_peers(self):
@@ -281,7 +281,7 @@ class TestPolicyCaps:
         ],
     }
     policy = Policy.from_dict(doc)
-    facts = {"topology": {"switches": ["sw1"], "links": [], "hosts": {}}}
+    facts = {"switches": ["sw1"]}
 
     def plan_installing(self, *pairs):
         return [step("install-rule", "sw1", rule=_rule_doc(s, d)) for s, d in pairs]
@@ -432,7 +432,7 @@ class TestEncodeOnce:
         broker = host.spawn_agent(AgentSpec(
             agent=AgentId(FunctionKind.EVENT_DISTRIBUTION, 0),
             cognition=FunctionKind.EVENT_DISTRIBUTION.value,
-            initial_facts={"subs": {"events.*": subscribers}, "peers": subscribers},
+            initial_facts={"role": "solo", "subs": {"events.*": subscribers}, "peers": subscribers},
         ))
         calls = self._counting_encode(monkeypatch)
         # a publish reaches the broker addressed to its topic, and every
@@ -493,7 +493,7 @@ class TestLifecycle:
         for strategy in ("centralized", "distributed", "hybrid"):
             roster = sorted({agent, *broker_ids(strategy)})
             config = parse_config({"event_strategy": strategy}, None)
-            specs = build_specs(config, roster, {}, "orchestration#0")
+            specs = build_specs(config, roster, VIEW)
             assert not {"home-broker", "subscriptions"} & set(specs[agent]["initial_facts"])
             tables = {b: specs[b]["initial_facts"]["subs"] for b in broker_ids(strategy)}
             listed = {b for b, table in tables.items() for who in table.values() if agent in who}

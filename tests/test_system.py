@@ -13,7 +13,7 @@ from masdn.logic import REFRESH_EVERY
 from masdn.netsim import LinkDown, PacketIn, SchemaError
 from masdn.orchestrator import broker_subs
 from masdn.pps import decode_body, encode_body
-from masdn.runtime import FactsStore, UnknownCognition, cognition
+from masdn.runtime import FactsStore, UnknownCognition, cognition, merge_digest
 
 from helpers import (
     STRATEGIES,
@@ -198,6 +198,19 @@ class TestCompareShape:
         assert compare(mk("r1"), mk("r999")) == {}
 
 
+def held_for(system, agent_id):
+    """What the orchestrator holds of one live agent's digest keys: its mirror
+    slot, over the agent's spec value at version 1 for each digest key the
+    spec holds, which the pump never exports."""
+    orch = system.host.get(system.orch).facts
+    spec = orch.get("specs")[str(agent_id)]["initial_facts"]
+    slot = orch.get("mirror", {}).get(str(agent_id), {})
+    # the slot holds a spec key only once it has moved past the spec
+    assert all(doc["version"] > 1 for key, doc in slot.items() if key in spec), str(agent_id)
+    keys = system.host.get(agent_id).impl.digest_keys
+    return {**{key: {"value": spec[key], "version": 1} for key in keys if key in spec}, **slot}
+
+
 class TestDeltaDigests:
     """The digest pump ships deltas of dict-valued keys straight to the
     orchestrator, whose mirror folds them into an exact copy of what every
@@ -219,10 +232,10 @@ class TestDeltaDigests:
         system.genesis()
         for t in range(scen.duration):
             system.tick(t)
-            mirror = system.host.get(AgentId.parse(ORCH)).facts.get("mirror", {})
             for agent_id, agent in system.host.agents.items():
-                exported = agent.facts.export(agent.impl.digest_keys)
-                assert mirror.get(str(agent_id), {}) == exported, (t, str(agent_id))
+                if agent_id != system.orch:
+                    exported = agent.facts.export(agent.impl.digest_keys)
+                    assert held_for(system, agent_id) == exported, (t, str(agent_id))
         assert system.bus.duplicates_suppressed > 0
         # the victim is spawned at genesis and once more, after the kill
         spawned = [tick for agent, tick in system.spawn_log if agent == victim]
@@ -230,8 +243,8 @@ class TestDeltaDigests:
 
     @staticmethod
     def spy_digests(system):
-        """Record (tick, sender, mirror slot held, body) of each kp.digest
-        the orchestrator is handed, as it is handed it."""
+        """Record (tick, sender, what the orchestrator held of it, body) of
+        each kp.digest the orchestrator is handed, as it is handed it."""
         orch = AgentId.parse(ORCH)
         digests = []
         process_input = system.host.process_input
@@ -239,8 +252,7 @@ class TestDeltaDigests:
         def spy(agent_id, msg):
             body = decode_body(msg.payload)
             if agent_id == orch and topic_of(body) == "kp.digest":
-                mirror = system.host.get(orch).facts.get("mirror", {})
-                held = mirror.get(str(msg.src), {})
+                held = held_for(system, msg.src)
                 digests.append((system.host.now, str(msg.src), held, body["body"]))
             return process_input(agent_id, msg)
 
@@ -283,11 +295,33 @@ class TestDeltaDigests:
         for tick, src, _held, keys in digests:
             if "topology" in keys:
                 views.setdefault(tick, {})[src] = keys["topology"]
-        assert sorted(views) == [0, failure["at"]]  # genesis, then the failure alone
+        # the failure alone: the genesis view is the spec's, never exported
+        assert sorted(views) == [failure["at"]]
         for tick in views:
             assert sorted(views[tick]) == sorted(map(str, VIEW_KEEPERS)), tick
         for agent, doc in views[failure["at"]].items():
             assert (doc["set"], doc["drop"]) == ([[["links", down, "up"], False]], []), agent
+
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_no_genesis_digest_carries_a_senders_spec_value(self, strategy):
+        # the pump's record starts at the spec, so what an agent's spec gave
+        # it, the genesis view of routing and session above all, is never
+        # shipped back to the orchestrator, which built it
+        rng = random.Random(3)
+        tdoc = gen_topology(rng, 8)
+        config = {"event_strategy": strategy}
+        system = AgentSystem(*build(tdoc, gen_scenario(rng, tdoc, 8, 2, 30)), config)
+        digests = self.spy_digests(system)
+        system.genesis()
+        system.tick(0)
+        specs = system.host.get(system.orch).facts.get("specs")
+        for _tick, src, _held, keys in digests:
+            spec = specs[src]["initial_facts"]
+            for key, doc in keys.items():
+                if key in spec:
+                    value = doc["value"] if "value" in doc else merge_digest(
+                        {}, src, {key: doc}, spec)[src][key]["value"]
+                    assert value != spec[key], (src, key)
 
     def test_a_digest_body_is_the_senders_keys_alone(self):
         # the frame's src names the agent, so the body does not
@@ -713,7 +747,7 @@ class TestExitNotices:
         system.host.kill_agent, system._spawn = kill_spy, spawn_spy
         agents = system.run()
         assert system.spawn_log[len(plan_roster(system.config)):] == [(victim, 21)]
-        assert held[victim]["self"] == victim
+        assert victim in restored
         assert restored == held
         assert compare(agents, MonolithicController(topo, scen, config).run()) == {}
 
@@ -742,10 +776,10 @@ class TestEveryKillTick:
         orch = system.host.get(system.orch)
         for t in range(scen.duration):
             system.tick(t)
-            mirror = orch.facts.get("mirror", {})
             for agent_id, agent in agents.items():
-                assert mirror.get(str(agent_id), {}) == agent.facts.export(agent.impl.digest_keys), (
-                    t, str(agent_id))
+                if agent is not orch:
+                    assert held_for(system, agent_id) == agent.facts.export(
+                        agent.impl.digest_keys), (t, str(agent_id))
             dead = sorted(v for v in victims if AgentId.parse(v) not in agents)
             assert dead == (sorted(victims) if t in at else []), t
         order = [str(a) for a in sorted(map(AgentId.parse, victims))]
