@@ -165,6 +165,9 @@ class Message:
 
     The payload is an opaque byte sequence produced by the active stack
     profile's codec; the envelope itself is what the wire codecs frame.
+    The envelope carries no tick and no request id: the tick is the host's
+    (AgentHost.now), and a response is paired with its request by the ctx
+    token its body echoes, which is what the asking agent reads.
     """
 
     msg_id: int
@@ -172,16 +175,10 @@ class Message:
     dst: AgentId | str
     kind: MessageKind
     payload: bytes
-    sim_time: int
-    correlation_id: int | None = None
-
-    def __post_init__(self) -> None:
-        if self.kind is MessageKind.RESPONSE and self.correlation_id is None:
-            raise ValueError("Response messages must carry a correlation_id")
 
 
 class MessageFactory:
-    """Allocates strictly increasing message ids.
+    """Builds messages, allocating strictly increasing message ids.
 
     One factory per running system keeps run logs reproducible. The
     counter is the only shared mutable state in this module and is
@@ -198,11 +195,9 @@ class MessageFactory:
         dst: AgentId | str,
         kind: MessageKind,
         payload: bytes,
-        now: int,
-        correlation_id: int | None = None,
     ) -> Message:
         with self._lock:
             msg_id = self._next
             self._next += 1
         # positional, as keywords cost more and every hop builds a Message
-        return Message(msg_id, src, dst, kind, payload, now, correlation_id)
+        return Message(msg_id, src, dst, kind, payload)

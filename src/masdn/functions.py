@@ -45,7 +45,8 @@ suppresses a flow's packet-ins for longer than a respawn can hold a
 conversation up. Each answer either advances the stage and asks again, or
 ends the conversation: an install answer activates the session, while no
 path, a QoS denial or a policy violation leave it unroutable and give back
-any reservation.
+any reservation. Giving one back (release) and clearing a superseded path
+(remove) are asked and get no answer: no stage waits on them.
 An install or a remove names the path, its hosts and its class, not the
 rules: forwarding derives them with the logic.py calls the oracle makes.
 The session agent keeps the rule numbering (rule-seq) and names an
@@ -228,14 +229,11 @@ def qos_decide(facts: dict[str, Any], inp: AgentInput) -> dict[str, Any]:
                 ),
                 ("admitted", admitted),
             ]
-        return decision(responses=[{"released": grant is not None, "ctx": ctx}], facts=writes)
+        return decision(facts=writes)  # nobody reads an answer to a release
     return decision()
 
 
 # -- forwarding agent -----------------------------------------------------------------
-
-
-_RULE_COUNT_KEY = {"install": "installed", "remove": "removed"}  # per op, in the answer
 
 
 @register_cognition(FunctionKind.FORWARDING.value, digest_keys=("switch-rules",))
@@ -243,7 +241,8 @@ def forwarding_decide(facts: dict[str, Any], inp: AgentInput) -> dict[str, Any]:
     """Derives the rules of the path an install or remove names, with the
     oracle's logic.py calls, and turns them into per-switch plans. The plan
     is where policy caps bite: a failed validation emits a violation event
-    instead of touching any switch, and the ok response never goes out."""
+    instead of touching any switch, and the install answer never goes out.
+    A remove gets no answer: the session agent reads none."""
     op = request_op(inp)
     if op not in ("install", "remove"):
         return decision()
@@ -269,7 +268,7 @@ def forwarding_decide(facts: dict[str, Any], inp: AgentInput) -> dict[str, Any]:
             del _edit(table, stored, switch)[slot]
     return decision(
         plan=[step(f"{op}-rule", switch, rule=doc, ctx=ctx) for switch, doc in rules],
-        responses=[{"ok": True, _RULE_COUNT_KEY[op]: len(rules), "ctx": ctx}],
+        responses=[{"ok": True, "installed": len(rules), "ctx": ctx}] if op == "install" else None,
         facts=[("switch-rules", table)],
     )
 

@@ -26,13 +26,13 @@ broker's are its peers, the root's the level brokers, and a level broker's
 the root, standing for the other level brokers. A publish goes only to the
 neighbours one of whose filters matches its topic (subscription forwarding,
 as in Siena), so it never crosses to a broker where nobody waits for it.
-Its peers, which a delivery or forward is validated against, are exactly
-those subscribers and neighbours. A broker learns nothing, so it exports no
-digest and a respawn rebuilds it from its spec alone, and it keeps no
-per-publisher state: no arrangement hands a broker an event twice (a mesh
-broker never re-forwards, and the root relays to no level broker twice and
-never back to the sender), and the fabric's per-pair mark drops a repeated
-frame on the publisher-to-topic and broker-to-broker hops.
+A delivery or forward is validated against those two tables, which name
+exactly its subscribers and neighbours. A broker learns nothing, so it
+exports no digest and a respawn rebuilds it from its spec alone, and it
+keeps no per-publisher state: no arrangement hands a broker an event twice
+(a mesh broker never re-forwards, and the root relays to no level broker
+twice and never back to the sender), and the fabric's per-pair mark drops a
+repeated frame on the publisher-to-topic and broker-to-broker hops.
 """
 
 from __future__ import annotations

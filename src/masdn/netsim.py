@@ -364,8 +364,6 @@ class FlowProgress:
     flow: Flow
     delivered: int = 0
     first_delivered: int | None = None
-    emitted: int = 0
-    dropped: int = 0
 
 
 class Simulator:
@@ -472,7 +470,6 @@ class Simulator:
                 continue
             if (tick - flow.start) % flow.gap != 0:
                 continue
-            progress.emitted += 1
             events.extend(self._route_unit(progress, tick, bytes_on, drops_on))
 
         events.append(
@@ -499,7 +496,6 @@ class Simulator:
         for _ in range(len(self.topo.switches) + 1):
             rule = self.tables[here].lookup(flow.src, flow.dst, tick)
             if rule is None:
-                progress.dropped += 1
                 self.total_drops += 1
                 if self._suppressed(here, flow, tick):
                     return []
@@ -517,7 +513,6 @@ class Simulator:
                 ]
             if rule.action == "deliver":
                 if here != goal:  # misdelivery counts as a drop
-                    progress.dropped += 1
                     self.total_drops += 1
                 else:
                     progress.delivered += 1
@@ -527,20 +522,17 @@ class Simulator:
             nxt = rule.next_hop
             key = link_key(here, nxt)  # type: ignore[arg-type]
             if nxt not in self._adjacent[here] or not self.link_up.get(key, False):
-                progress.dropped += 1
                 self.total_drops += 1
                 if key in drops_on:
                     drops_on[key] += 1
                 return []
             if bytes_on[key] + 1 > self._link_by_key[key].capacity:
-                progress.dropped += 1
                 self.total_drops += 1
                 drops_on[key] += 1
                 return []
             bytes_on[key] += 1
             here = nxt  # type: ignore[assignment]
-        progress.dropped += 1  # hop budget exhausted: forwarding loop
-        self.total_drops += 1
+        self.total_drops += 1  # hop budget exhausted: forwarding loop
         return []
 
     def _suppressed(self, switch: str, flow: Flow, tick: int) -> bool:

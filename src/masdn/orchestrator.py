@@ -102,12 +102,13 @@ def broker_facts(
     strategy: str, broker: str, tables: dict[str, dict[str, list[str]]]
 ) -> dict[str, Any]:
     """A broker's spec facts, given every broker's subscription table: its
-    role, its own table ("subs"), the neighbouring brokers it relays to, each
-    with the filters a subscriber behind it reads ("relays"), and the peers
-    its steps may target, its subscribers and those brokers. A mesh broker's
-    neighbours are the other brokers; the root's are the level brokers; a
-    level broker's one neighbour is the root, which stands for the other
-    level brokers. A neighbour with no subscriber behind it is left out."""
+    role, its own table ("subs"), and the neighbouring brokers it relays to,
+    each with the filters a subscriber behind it reads ("relays"). The two
+    tables name every agent its steps may target (runtime.validate_plan), so
+    no "peers" list repeats them. A mesh broker's neighbours are the other
+    brokers; the root's are the level brokers; a level broker's one
+    neighbour is the root, which stands for the other level brokers. A
+    neighbour with no subscriber behind it is left out."""
     brokers = broker_ids(strategy)
     # role, and each neighbour with the brokers behind it
     if strategy == "centralized":
@@ -126,9 +127,6 @@ def broker_facts(
     facts: dict[str, Any] = {"role": role, "subs": tables[broker]}
     if relays:
         facts["relays"] = relays
-    peers = {a for group in tables[broker].values() for a in group} | set(relays)
-    if peers:
-        facts["peers"] = sorted(peers)
     return facts
 
 
@@ -138,10 +136,9 @@ def build_specs(
     """Initial facts for every roster agent, as spec docs consumable by the
     host-control endpoint. Each agent gets only what it reads:
 
-    - "peers", the agents its steps may target, only where its plans
-      address agents: the session agent the roster agents of the kinds it
-      asks (logic.CHAIN_DEPENDENCIES), a broker its subscribers and
-      neighbouring brokers (broker_facts);
+    - "peers", the agents its steps may target, only to the session agent:
+      the roster agents of the kinds it asks (logic.CHAIN_DEPENDENCIES); a
+      broker's targets are its "subs" and "relays" (broker_facts);
     - the genesis view ("topology") only routing and session, which keep it
       current; qos the link capacities ("capacities") and forwarding the
       switch list ("switches"), which no link event changes;

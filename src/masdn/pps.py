@@ -11,13 +11,11 @@ Binary frame layout:
     u32 body_length (big-endian)
     body:
         u8  head: bits 0-1 kind (ordinal in MessageKind declaration order),
-                  bit 2 has_correlation, bit 3 dst_is_agent, bits 4-7 zero
+                  bit 3 dst_is_agent, bit 2 and bits 4-7 zero
         src: u8 FunctionKind ordinal (declaration order), varint instance
         dst: an agent id like src when dst_is_agent, otherwise
              varint byte length, topic text (utf-8)
         varint msg_id
-        varint sim_time
-        varint correlation_id (only when has_correlation)
         varint payload_length, payload bytes
 
 A varint is an unsigned LEB128 integer, as in Protocol Buffers: seven bits
@@ -95,9 +93,8 @@ _BYTE = tuple(bytes((i,)) for i in range(256))
 
 # head byte
 _KIND_MASK = 0x03
-_HAS_CORRELATION = 0x04
 _DST_IS_AGENT = 0x08
-_HEAD_BITS = _KIND_MASK | _HAS_CORRELATION | _DST_IS_AGENT
+_HEAD_BITS = _KIND_MASK | _DST_IS_AGENT
 
 _MESSAGE_KINDS = tuple(MessageKind)
 assert len(_MESSAGE_KINDS) == _KIND_MASK + 1, "a MessageKind ordinal takes two bits"
@@ -212,8 +209,6 @@ def encode(m: Message, p: StackProfile) -> bytes:
             "src": str(m.src),
             "dst": str(m.dst),
             "kind": m.kind.value,
-            "correlation_id": m.correlation_id,
-            "sim_time": m.sim_time,
             "payload": base64.b64encode(m.payload).decode("ascii"),
         }
         return _CANONICAL_JSON.encode(doc).encode("utf-8")
@@ -225,14 +220,7 @@ def encode(m: Message, p: StackProfile) -> bytes:
         dst_b = _AGENT_WIRE[str(dst)]
     else:
         dst_b = _TOPIC_WIRE[dst]
-    corr = m.correlation_id
-    if corr is None:
-        corr_b = b""
-    else:
-        head |= _HAS_CORRELATION
-        corr_b = _uvarint(corr)
     msg_id = m.msg_id
-    sim_time = m.sim_time
     payload_len = len(payload)
     # the table lookups are inline: a call would cost more than the lookup
     envelope = b"".join((
@@ -240,8 +228,6 @@ def encode(m: Message, p: StackProfile) -> bytes:
         _AGENT_WIRE[str(m.src)],
         dst_b,
         _VARINTS[msg_id] if 0 <= msg_id < 0x4000 else _uvarint(msg_id),
-        _VARINTS[sim_time] if 0 <= sim_time < 0x4000 else _uvarint(sim_time),
-        corr_b,
         _VARINTS[payload_len] if payload_len < 0x4000 else _uvarint(payload_len),
     ))
     return b"".join((_U32.pack(len(envelope) + payload_len), envelope, payload))
@@ -258,11 +244,7 @@ def decode(b: bytes, p: StackProfile) -> Message:
     return _decode_binary(b, p)
 
 
-_TEXT_FIELDS = {"msg_id", "src", "dst", "kind", "correlation_id", "sim_time", "payload"}
-
-
-def _is_int(value: object) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
+_TEXT_FIELDS = {"msg_id", "src", "dst", "kind", "payload"}
 
 
 def _parse_dst(text: str) -> AgentId | str:
@@ -278,21 +260,17 @@ def _decode_text(b: bytes, p: StackProfile) -> Message:
         raise MalformedFrame(f"not a JSON frame: {exc}") from exc
     if not isinstance(doc, dict) or set(doc) != _TEXT_FIELDS:
         raise MalformedFrame("JSON frame does not carry exactly the envelope fields")
-    corr = doc["correlation_id"]
-    if not (_is_int(doc["msg_id"]) and _is_int(doc["sim_time"])) or not (
-        corr is None or _is_int(corr)
-    ):
-        raise MalformedFrame("msg_id, sim_time and correlation_id must be integers")
+    msg_id = doc["msg_id"]
+    if not isinstance(msg_id, int) or isinstance(msg_id, bool):
+        raise MalformedFrame("msg_id must be an integer")
     try:
         payload = base64.b64decode(doc["payload"], validate=True)
         msg = Message(
-            doc["msg_id"],
+            msg_id,
             AgentId.parse(doc["src"]),
             _parse_dst(doc["dst"]),
             MessageKind(doc["kind"]),
             payload,
-            doc["sim_time"],
-            corr,
         )
     except (ValueError, TypeError, KeyError) as exc:
         raise MalformedFrame(f"bad envelope field: {exc}") from exc
@@ -335,16 +313,6 @@ def _decode_binary(b: bytes, p: StackProfile) -> Message:
         i += 1
         if msg_id > 0x7F:
             msg_id, i = _varint_tail(b, i, msg_id)
-        sim_time = b[i]
-        i += 1
-        if sim_time > 0x7F:
-            sim_time, i = _varint_tail(b, i, sim_time)
-        corr = None
-        if head & _HAS_CORRELATION:
-            corr = b[i]
-            i += 1
-            if corr > 0x7F:
-                corr, i = _varint_tail(b, i, corr)
         payload_len = b[i]
         i += 1
         if payload_len > 0x7F:
@@ -359,10 +327,7 @@ def _decode_binary(b: bytes, p: StackProfile) -> Message:
         )
     if payload_len > p.max_payload:
         raise MalformedFrame("payload exceeds profile max_payload")
-    try:
-        return Message(msg_id, src, dst, _MESSAGE_KINDS[head & _KIND_MASK], b[i:], sim_time, corr)
-    except ValueError as exc:  # a response without a correlation id
-        raise MalformedFrame(f"bad envelope field: {exc}") from exc
+    return Message(msg_id, src, dst, _MESSAGE_KINDS[head & _KIND_MASK], b[i:])
 
 
 def encode_body(obj: object) -> bytes:

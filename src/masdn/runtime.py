@@ -396,8 +396,9 @@ def validate_plan(
     """Check a plan's step dicts against the agent's current facts and active
     policies: [[constraint, detail], ...], empty when the plan passes.
 
-    An agent target must be among the "peers", a switch among the
-    "switches" and an endpoint among the "endpoints" the facts hold.
+    An agent target must be among the "peers", in a group of a broker's
+    "subs" or a key of its "relays", a switch among the "switches" and an
+    endpoint among the "endpoints" the facts hold.
     Constraints are stable ids: "missing-topology" / "unknown-target" for
     steps that reference state the agent does not know about, and the policy
     id for policy hits.
@@ -405,6 +406,9 @@ def validate_plan(
     violations: list[list[str]] = []
     switches = facts.get("switches")
     peers = set(facts.get("peers", ()))
+    peers.update(facts.get("relays", ()))
+    for group in facts.get("subs", {}).values():
+        peers.update(group)
     endpoints = set(facts.get("endpoints", ()))
     for s in steps:
         cls, target = target_class(s), s["target"]
@@ -727,7 +731,6 @@ class AgentHost:
             body = {
                 "agent": str(agent.id),
                 "violations": violations,
-                "correlation_id": msg.msg_id,
                 "steps": [{**s, "target": str(s["target"])} for s in steps],
             }
             return [self._event(agent, VIOLATION_TOPIC, body)]
@@ -754,8 +757,6 @@ class AgentHost:
                     dst=msg.src,
                     kind=MessageKind.RESPONSE,
                     payload=encode_once(body),
-                    now=self.now,
-                    correlation_id=msg.msg_id,
                 )
             )
         facts = dec.get("facts")
@@ -781,7 +782,6 @@ class AgentHost:
             dst=dst,
             kind=kind,
             payload=encode(body),
-            now=self.now,
         )
 
     def _event(self, agent: Agent, topic: str, body: Any) -> Message:
@@ -791,7 +791,6 @@ class AgentHost:
             dst=topic,
             kind=MessageKind.EVENT,
             payload=encode_body({"topic": topic, "body": body}),
-            now=self.now,
         )
 
     def _emit(self, record: dict[str, Any]) -> None:

@@ -206,7 +206,6 @@ class AgentSystem:
                 dst=self.orch,
                 kind=MessageKind.EVENT,
                 payload=encode_body({"topic": "control.bootstrap", "body": None}),
-                now=self.host.now,
             )
         )
         self.bus.run_to_quiescence()
@@ -227,12 +226,12 @@ class AgentSystem:
                 self.stats.append(ev)
         self.bus.send(pubs)
         self.bus.run_to_quiescence()
-        self._report_exits(t)
+        self._report_exits()
         if t % REFRESH_EVERY == 0:
             self.bus.send(self._publish(0, "events.tick", None, to=self.session))
         self.bus.send([self._publish(0, "events.flow", f) for f in self._announced.get(t, ())])
         self.bus.run_to_quiescence()
-        self._pump_digests(t)
+        self._pump_digests()
         # fault injection: the agents killed after this tick completes
         for target in self.config.kills.get(t, ()):
             aid = AgentId.parse(target)
@@ -246,10 +245,9 @@ class AgentSystem:
             dst=topic if to is None else to,
             kind=MessageKind.EVENT,
             payload=encode_body({"topic": topic, "body": body}),
-            now=self.host.now,
         )
 
-    def _report_exits(self, t: int) -> None:
+    def _report_exits(self) -> None:
         """Tell the orchestrator of every agent killed since the last report:
         one body-less agent.down from each victim, in AgentId order."""
         down = sorted(self.host.exits)
@@ -262,13 +260,12 @@ class AgentSystem:
                 dst=self.orch,
                 kind=MessageKind.EVENT,
                 payload=encode_body({"topic": "agent.down"}),
-                now=t,
             )
             for victim in down
         )
         self.bus.run_to_quiescence()
 
-    def _pump_digests(self, t: int) -> None:
+    def _pump_digests(self) -> None:
         """Send the changed digest facts of every live agent that had a facts
         write since the last pump (AgentHost.facts_written) straight to the
         orchestrator, in AgentId order, each as the {key: doc} map alone from
@@ -299,7 +296,6 @@ class AgentSystem:
                         dst=self.orch,
                         kind=MessageKind.EVENT,
                         payload=encode_body({"topic": "kp.digest", "body": changed}),
-                        now=t,
                     )
                 )
         if pubs:

@@ -215,7 +215,7 @@ class BrokerFabric:
         """Put the subscriber in its home broker's subscription table, where
         a run's spec would have it (orchestrator.broker_subs), and give every
         broker the facts the orchestrator derives from the tables
-        (orchestrator.broker_facts): the relays' filters and the peers."""
+        (orchestrator.broker_facts): the relays' filters."""
         agent = AgentId.parse(sub)
         if agent not in self.host.agents:
             self.host.spawn_agent(AgentSpec(agent, "test-subscriber"))
@@ -237,7 +237,6 @@ class BrokerFabric:
             dst=topic,
             kind=MessageKind.EVENT,
             payload=payload,
-            now=self.host.now,
         ))
         return order
 

@@ -34,7 +34,7 @@ def sink_spec(agent):
 def request(host, src, dst, body):
     return host.factory.new_message(
         src=src, dst=dst, kind=MessageKind.REQUEST,
-        payload=encode_body(body), now=host.now,
+        payload=encode_body(body),
     )
 
 

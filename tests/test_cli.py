@@ -284,10 +284,10 @@ class TestErrorPaths:
         # exit 1 means the controllers diverged; a run that dies is not that
         pump = AgentSystem._pump_digests
 
-        def failing_pump(system, t):
-            if t == 7:
+        def failing_pump(system):
+            if system.host.now == 7:
                 raise PayloadTooLarge("payload of 70000 bytes exceeds profile max_payload 65536")
-            pump(system, t)
+            pump(system)
 
         monkeypatch.setattr(AgentSystem, "_pump_digests", failing_pump)
         config = write_config(tmp_path)

@@ -156,23 +156,18 @@ def test_agent_id_unpickled_from_another_hash_seed_is_found_as_a_key():
     assert aid in {here}
 
 
-def test_response_requires_correlation_id():
-    with pytest.raises(ValueError):
-        Message(
-            msg_id=1,
-            src=AgentId(FunctionKind.ROUTING, 0),
-            dst=AgentId(FunctionKind.SESSION, 0),
-            kind=MessageKind.RESPONSE,
-            payload=b"",
-            sim_time=0,
-        )
+def test_the_envelope_carries_no_tick_and_no_request_id():
+    # the tick is the host's and a response names its request by the ctx
+    # token its body echoes, so neither travels in the envelope
+    names = [f.name for f in dataclasses.fields(Message)]
+    assert names == ["msg_id", "src", "dst", "kind", "payload"]
 
 
 def test_factory_ids_strictly_increase():
     factory = MessageFactory()
     src = AgentId(FunctionKind.ROUTING, 0)
     ids = [
-        factory.new_message(src, "topic.x", MessageKind.EVENT, b"{}", now=0).msg_id
+        factory.new_message(src, "topic.x", MessageKind.EVENT, b"{}").msg_id
         for _ in range(50)
     ]
     assert ids == sorted(set(ids))

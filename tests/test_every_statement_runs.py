@@ -45,6 +45,9 @@ ALLOWED = {
     ("qos_decide", "return decision()"): "totality: a QoS agent is sent only admit and release",
     ("forwarding_decide", "return decision()"):
         "totality: a forwarding agent is sent only install and remove",
+    ("_SessionState.on_response", "return"):
+        "totality: an answer for no conversation in flight, or not the one its stage waits for;"
+        " release and remove get no answer, so every answer sent is the awaited one",
     ("event_of", "return None"): "totality: a request or response handed to an event reader",
     ("AgentSystem._control", "return []"): "totality: a host-control body that is no spawn request",
     ("AgentSystem._switch", "return []"): "totality: a southbound body that is not a dict",
@@ -72,11 +75,10 @@ ALLOWED = {
     ("_Shared.__deepcopy__", "return self"): "as above",
     ("AgentId.__lt__", "return NotImplemented"): "comparison protocol: ids are compared with ids",
     ("AgentId.__reduce__", "return AgentId, (self.kind, self.instance)"): "pickle protocol",
-    ("Simulator._route_unit", "progress.dropped += 1"):
+    ("Simulator._route_unit", "self.total_drops += 1"):
         "a deliver rule away from the host's switch, or a forwarding loop: no controller makes one",
-    ("Simulator._route_unit", "self.total_drops += 1"): "as above",
     ("Simulator._route_unit", "return []"): "as above",
-    ("Simulator._route_unit", "progress.dropped += 1  # hop budget exhausted: forwarding loop"):
+    ("Simulator._route_unit", "self.total_drops += 1  # hop budget exhausted: forwarding loop"):
         "as above",
     ("run_command", "exit_code = 1"): "no corpus CLI run diverges",
     ("compare", 'diff["tables"] = {'): "the one diverging corpus run differs in its ledger alone",

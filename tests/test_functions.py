@@ -43,21 +43,21 @@ from masdn.runtime import (
 _IDS = iter(range(1, 100000))
 
 
-def request(body, dst="routing#0", src="session#0", now=0):
+def request(body, dst="routing#0", src="session#0"):
     return AgentInput(
         Message(
             msg_id=next(_IDS), src=AgentId.parse(src), dst=AgentId.parse(dst),
-            kind=MessageKind.REQUEST, payload=b"", sim_time=now,
+            kind=MessageKind.REQUEST, payload=b"",
         ),
         body,
     )
 
 
-def event(topic, body, dst="routing#0", src="topology#0", now=0):
+def event(topic, body, dst="routing#0", src="topology#0"):
     return AgentInput(
         Message(
             msg_id=next(_IDS), src=AgentId.parse(src), dst=AgentId.parse(dst),
-            kind=MessageKind.EVENT, payload=b"", sim_time=now,
+            kind=MessageKind.EVENT, payload=b"",
         ),
         {"topic": topic, "body": body},
     )
@@ -67,7 +67,7 @@ def publish(topic, body, src="session#0"):
     """A publish as the bus hands it to the publisher's home broker: the
     destination is the topic itself."""
     return AgentInput(
-        Message(next(_IDS), AgentId.parse(src), topic, MessageKind.EVENT, b"", 0),
+        Message(next(_IDS), AgentId.parse(src), topic, MessageKind.EVENT, b""),
         {"topic": topic, "body": body},
     )
 
@@ -76,7 +76,7 @@ def forwarded(env, src):
     """An envelope another broker forwards to event-distribution#0."""
     return AgentInput(
         Message(next(_IDS), AgentId.parse(src), AgentId.parse("event-distribution#0"),
-                MessageKind.EVENT, b"", 0),
+                MessageKind.EVENT, b""),
         env,
     )
 
@@ -96,7 +96,7 @@ class TestHelpers:
     def test_event_of_requires_topic_key(self):
         inp = AgentInput(
             Message(1, AgentId.parse("qos#0"), AgentId.parse("routing#0"),
-                    MessageKind.EVENT, b"", 0),
+                    MessageKind.EVENT, b""),
             {"no": "topic"},
         )
         assert event_of(inp) is None
@@ -185,18 +185,18 @@ class TestQosAgent:
                 ("install", "forwarding#0")], klass
 
     def test_release_refunds_and_reports(self):
+        # refunds the grant and answers nothing: the session agent reads no
+        # answer to a release
         facts = {
             "topology": TOPO,
             "reservations": {"s1|s2": 1000, "s2|s3": 1000},
             "admitted": {"s-1": {"links": ["s1|s2", "s2|s3"], "rate": 1000}},
         }
         out = qos_decide(facts, request({"op": "release", "ctx": "s-1"}, dst="qos#0"))
-        assert out["responses"][0]["released"] is True
-        writes = dict(out["facts"])
-        assert writes["reservations"] == {}
-        assert writes["admitted"] == {}
+        assert "responses" not in out
+        assert out["facts"] == [("reservations", {}), ("admitted", {})]
         again = qos_decide({}, request({"op": "release", "ctx": "s-1"}, dst="qos#0"))
-        assert again["responses"][0]["released"] is False
+        assert again == {}
 
 
 class TestForwardingAgent:
@@ -219,8 +219,8 @@ class TestForwardingAgent:
         out = forwarding_decide({"switch-rules": occupied}, request(body, dst="forwarding#0"))
         (pstep,) = out["plan"]
         assert pstep["action"] == "remove-rule"
-        assert out["responses"][0]["removed"] == 1
-        assert dict(out["facts"])["switch-rules"] == {"s1": {}}
+        assert "responses" not in out  # the session agent reads no answer to a remove
+        assert out["facts"] == [("switch-rules", {"s1": {}})]
 
     def test_a_write_shares_every_switch_it_does_not_touch(self):
         store = FactsStore()
@@ -282,7 +282,7 @@ class TestOrchestratorSupervision:
         slot = {"topology": {"version": 3, "value": {"links": []}}}
         facts["mirror"] = {"routing#0": slot, "qos#0": {"admitted": {"version": 1, "value": {}}}}
         out = orchestrator_decide(
-            facts, event("agent.down", None, dst="orchestration#0", src="routing#0", now=8)
+            facts, event("agent.down", None, dst="orchestration#0", src="routing#0")
         )
         assert out == {"plan": [{
             "action": "spawn-agent", "target": "host.control",
@@ -528,7 +528,7 @@ class TestSessionAgent:
             Message(
                 msg_id=next(_IDS), src=AgentId.parse("forwarding#0"),
                 dst=AgentId.parse("session#0"), kind=MessageKind.RESPONSE,
-                payload=b"", sim_time=3, correlation_id=1,
+                payload=b"",
             ),
             {"ok": True, "installed": 2, "ctx": "s0002"},
         )
@@ -574,10 +574,10 @@ class TestSessionConversation:
         asks = [(s["action"], str(s["target"]), s["params"]) for s in dec.get("plan", [])]
         return writes, asks
 
-    def answer(self, body, src, now=5):
+    def answer(self, body, src):
         return AgentInput(
             Message(msg_id=next(_IDS), src=AgentId.parse(src), dst=AgentId.parse("session#0"),
-                    kind=MessageKind.RESPONSE, payload=b"", sim_time=now, correlation_id=1),
+                    kind=MessageKind.RESPONSE, payload=b""),
             {**body, "ctx": "s0001"},
         )
 
@@ -600,7 +600,7 @@ class TestSessionConversation:
         # the tick the packet-in happened at, as in the monolith
         inp = event("events.packet_in", {"switch": "s1", "src": "h1", "dst": "h2", "at": 4,
                                           "size": 5, "gap": 1, "hint": None},
-                    dst="session#0", now=16)
+                    dst="session#0")
         writes, asks = self.decide(self.facts(), inp)
         # the sessions table is the agent's one record of what it opened
         assert sorted(writes) == ["pending", "rule-seq", "sessions"]
@@ -612,7 +612,7 @@ class TestSessionConversation:
     def test_a_new_session_is_numbered_after_the_sessions_held(self):
         # sessions are never dropped, so the table's size numbers the next
         inp = event("events.packet_in", {"switch": "s3", "src": "h2", "dst": "h1", "at": 9,
-                                          "size": 5, "gap": 1}, dst="session#0", now=9)
+                                          "size": 5, "gap": 1}, dst="session#0")
         facts = self.facts([self.session(ACTIVE, "interactive", path=self.PATH)], rule_seq=3)
         writes, asks = self.decide(facts, inp)
         assert sorted(writes["sessions"]) == ["s0001", "s0002"]
@@ -621,7 +621,7 @@ class TestSessionConversation:
 
     def test_packet_in_for_a_known_session_in_flight_asks_nothing(self):
         inp = event("events.packet_in", {"switch": "s1", "src": "h1", "dst": "h2", "at": 5,
-                                          "size": 5, "gap": 1}, dst="session#0", now=5)
+                                          "size": 5, "gap": 1}, dst="session#0")
         in_flight = self.facts([self.session()], [self.pending("classify")])
         # an active session's rules leave a switch only with a reroute, which
         # takes the session out of ACTIVE, so nothing is installed again
@@ -719,7 +719,7 @@ class TestSessionConversation:
                            "params": {"rule": {}, "ctx": "s0001"}},
                           {"action": "install-rule", "target": "s2",
                            "params": {"rule": {}, "ctx": "s0404"}}]}
-        writes, asks = self.decide(facts, event("events.violation", body, dst="session#0", now=5))
+        writes, asks = self.decide(facts, event("events.violation", body, dst="session#0"))
         assert asks == [("release", "qos#0", {"ctx": "s0001"})]
         assert writes["pending"] == {}
         rec = writes["sessions"]["s0001"]
@@ -742,7 +742,7 @@ class TestSessionConversation:
         body = {"op": "install", "ctx": "s0001", "path": path, "src": "h1", "dst": "h2",
                 "class": "realtime", "first": 2}
         msg = host.factory.new_message(src=AgentId.parse("session#0"), dst=fwd,
-                                       kind=MessageKind.REQUEST, payload=encode_body(body), now=0)
+                                       kind=MessageKind.REQUEST, payload=encode_body(body))
         (out,) = host.process_input(fwd, msg)
         assert str(out.dst) == "events.violation"
         violation = decode_body(out.payload)["body"]
@@ -764,7 +764,7 @@ class TestSessionConversation:
         facts = self.facts([self.session(ACTIVE, "realtime", path=old, reserved=True)],
                            topology=view)
         inp = event("events.link", {"a": "s1", "b": "s3", "state": "down"},
-                    dst="session#0", now=7)
+                    dst="session#0")
         writes, asks = self.decide(facts, inp)
         assert asks == [
             ("remove", "forwarding#0", self.remove(old)),
@@ -783,11 +783,11 @@ class TestSessionConversation:
         facts = self.facts([self.session(ACTIVE, "realtime", path=["s1", "s3"], reserved=True)],
                            topology=self.with_down(("s1", "s3")))
         inp = event("events.link", {"a": "s1", "b": "s3", "state": "down"},
-                    dst="session#0", now=7)
+                    dst="session#0")
         writes, asks = self.decide(facts, inp)
         assert [a[0] for a in asks] == ["remove", "release", "admit"]
         writes, asks = self.decide({**facts, **writes},
-                                   self.answer({"admitted": False}, "qos#0", now=7))
+                                   self.answer({"admitted": False}, "qos#0"))
         assert asks == []  # the reservation went back before the re-admission
         assert writes["pending"] == {}
         rec = writes["sessions"]["s0001"]
@@ -798,7 +798,7 @@ class TestSessionConversation:
         old = ["s1", "s3"]
         view = self.with_down(("s1", "s3"))
         facts = self.facts([self.session(ACTIVE, "bulk", path=old)], topology=view)
-        inp = event("events.tick", None, dst="session#0", now=10)
+        inp = event("events.tick", None, dst="session#0")
         writes, asks = self.decide(facts, inp)
         assert asks == [
             ("remove", "forwarding#0", self.remove(old, "bulk")),
@@ -823,7 +823,7 @@ class TestSessionConversation:
         facts = self.facts([self.session(ACTIVE, "realtime", path=old, reserved=True)],
                            topology=view)
         inp = event("events.link", {"a": "s2", "b": "s3", "state": "down"},
-                    dst="session#0", now=7)
+                    dst="session#0")
         writes, asks = self.decide(facts, inp)
         assert asks == [
             ("remove", "forwarding#0", self.remove(old)),
@@ -838,15 +838,14 @@ class TestSessionConversation:
         # announced the tick before its start and delivered late, as after a
         # respawn: the session dates from the tick the event carries
         flow = {"src": "h1", "dst": "h2", "at": 4, "size": 5, "gap": 1, "hint": "bulk"}
-        writes, asks = self.decide(self.facts(), event("events.flow", flow, dst="session#0",
-                                                       now=16))
+        writes, asks = self.decide(self.facts(), event("events.flow", flow, dst="session#0"))
         assert writes["sessions"] == {"s0001": self.session()}
         assert writes["pending"]["s0001"] == self.pending("classify", hint="bulk")
         assert asks == [("classify", "classifier#0",
                          {"size": 5, "gap": 1, "hint": "bulk", "ctx": "s0001"})]
         # the packet-in's find_session check: a known flow opens nothing
         known = self.facts([self.session()], [self.pending("classify")])
-        again = event("events.flow", {**flow, "at": 9}, dst="session#0", now=9)
+        again = event("events.flow", {**flow, "at": 9}, dst="session#0")
         writes, asks = self.decide(known, again)
         assert asks == []
         assert writes["sessions"] == known["sessions"]

@@ -129,7 +129,7 @@ def spec_facts(policies, roster):
 def digest(agent, **keys):
     """A kp.digest event as the orchestrator receives it."""
     msg = Message(1, AgentId.parse(agent), AgentId(FunctionKind.ORCHESTRATION, 0),
-                  MessageKind.EVENT, b"", 0)
+                  MessageKind.EVENT, b"")
     body = {k: {"value": v, "version": n} for k, (v, n) in keys.items()}
     return AgentInput(msg, {"topic": "kp.digest", "body": body})
 

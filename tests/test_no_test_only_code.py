@@ -10,6 +10,12 @@ package's interface; both count as used.
 The same holds for the public methods of src/masdn classes: a method counts
 as used only if some src/masdn code outside its own body reads an attribute
 of that name. Dunder methods are called by Python itself and are exempt.
+
+And for state: every attribute a src/masdn class declares in its body or
+assigns on self must be read as an attribute somewhere in src/masdn. An
+augmented assignment (self.count += 1) is a write, not a read, so a counter
+that only counts is write-only state. EXEMPT lists the few that are kept on
+purpose, each with its reason.
 """
 import ast
 from pathlib import Path
@@ -113,12 +119,62 @@ def unused_public_methods(src=SRC):
     return unused
 
 
+# "module:Class.attribute" -> why it stays although src/masdn never reads it
+EXEMPT = {
+    "bus.py:Bus.duplicates_suppressed":
+        "perfbench reports it: how many duplicated frames the fabric's mark dropped",
+    "bus.py:Bus.duplicates_injected":
+        "the count of the duplicate_every injection knob, next to what it suppressed",
+    "bus.py:DeadLetter.reason": "a dead letter explains itself to whoever inspects the fabric",
+}
+
+
+def _self_writes(cls):
+    """The attribute names assigned on self anywhere in a class body."""
+    for node in ast.walk(cls):
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, (ast.AnnAssign, ast.AugAssign)):
+            targets = [node.target]
+        else:
+            continue
+        for target in targets:
+            for sub in ast.walk(target):
+                if (isinstance(sub, ast.Attribute) and isinstance(sub.value, ast.Name)
+                        and sub.value.id == "self"):
+                    yield sub.attr
+
+
+def write_only_attributes(src=SRC):
+    trees = _parse(src)
+    reads = _index(trees, _attribute_reads)
+    unread = []
+    for module, tree in trees.items():
+        for cls in ast.walk(tree):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            declared = {
+                node.target.id for node in cls.body
+                if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name)
+            }
+            for name in sorted(declared | set(_self_writes(cls))):
+                if name not in reads:
+                    unread.append(f"{module}:{cls.name}.{name}")
+    return unread
+
+
 def test_every_public_name_is_used_by_the_program():
     assert unused_public_names() == []
 
 
 def test_every_public_method_is_used_by_the_program():
     assert unused_public_methods() == []
+
+
+def test_every_attribute_is_read_by_the_program():
+    found = write_only_attributes()
+    assert [a for a in found if a not in EXEMPT] == []
+    assert sorted(set(EXEMPT) - set(found)) == [], "stale EXEMPT entries"
 
 
 def test_the_guard_sees_an_unused_definition(tmp_path):
@@ -156,3 +212,18 @@ def test_the_guard_sees_an_unused_method(tmp_path):
     )
     (tmp_path / "b.py").write_text("from .a import Doc\nDoc().read()\n")
     assert unused_public_methods(tmp_path) == ["a.py:Doc.to_dict", "a.py:Doc.spare"]
+
+
+def test_the_guard_sees_write_only_state(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "class Progress:\n"
+        "    done: int = 0\n"
+        "    tries: int = 0\n"
+        "    def step(self):\n"
+        "        self.tries += 1\n"
+        "        self.last = self.done\n"
+        "        self._seen = True\n"
+        "        return self._seen\n"
+    )
+    (tmp_path / "b.py").write_text("from .a import Progress\nProgress().step()\n")
+    assert write_only_attributes(tmp_path) == ["a.py:Progress.last", "a.py:Progress.tries"]

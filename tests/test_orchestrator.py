@@ -19,24 +19,24 @@ ME = "orchestration#0"
 _IDS = iter(range(1, 100000))
 
 
-def tell(body, kind=MessageKind.REQUEST, now=0, src="session#0"):
+def tell(body, kind=MessageKind.REQUEST, src="session#0"):
     return AgentInput(
         Message(
             msg_id=next(_IDS), src=AgentId.parse(src), dst=AgentId.parse(ME),
-            kind=kind, payload=b"", sim_time=now,
+            kind=kind, payload=b"",
         ),
         body,
     )
 
 
-def fire(topic, body, now=0):
-    return tell({"topic": topic, "body": body}, kind=MessageKind.EVENT, now=now)
+def fire(topic, body):
+    return tell({"topic": topic, "body": body}, kind=MessageKind.EVENT)
 
 
-def down(agent, now=0):
+def down(agent):
     """An exit notice as the orchestrator gets it from the host: no body,
     and the frame's src names the dead agent."""
-    return tell({"topic": "agent.down"}, kind=MessageKind.EVENT, now=now, src=agent)
+    return tell({"topic": "agent.down"}, kind=MessageKind.EVENT, src=agent)
 
 
 BASE_CONFIG = {"chain": ["session"], "event_strategy": "centralized"}
@@ -144,7 +144,8 @@ class TestBuildSpecs:
 
     def test_broker_specs_encode_the_arrangement(self):
         # each broker relays only towards the neighbours a subscriber sits
-        # behind, and its peers are its subscribers and those neighbours
+        # behind; its subs and relays name every agent it targets, so no
+        # peers list repeats them
         config = parse_config({"chain": ["session"], "event_strategy": "distributed"}, None)
         roster = plan_roster(config)
         specs = build_specs(config, roster, VIEW)
@@ -154,8 +155,8 @@ class TestBuildSpecs:
             assert facts["role"] == "mesh"
             want = {b: sorted(t) for b, t in tables.items() if b != broker and t}
             assert facts.get("relays", {}) == want
-            subscribers = {a for group in tables[broker].values() for a in group}
-            assert facts.get("peers", []) == sorted(subscribers | set(want))
+            assert facts["subs"] == tables[broker]
+            assert "peers" not in facts
         config = parse_config({"chain": ["session"], "event_strategy": "hybrid"}, None)
         specs = build_specs(config, plan_roster(config), VIEW)
         facts = {b: specs[b]["initial_facts"] for b in broker_ids("hybrid")}
@@ -163,20 +164,21 @@ class TestBuildSpecs:
         read = ["events.flow", "events.link", "events.packet_in", "events.violation"]
         assert facts["event-distribution#0"] == {
             "role": "root", "subs": {}, "relays": {"event-distribution#2": read},
-            "peers": ["event-distribution#2"],
         }
         for level in ("event-distribution#1", "event-distribution#3", "event-distribution#4"):
             assert facts[level] == {
                 "role": "level", "subs": {}, "relays": {"event-distribution#0": read},
-                "peers": ["event-distribution#0"],
             }
         assert facts["event-distribution#2"]["role"] == "level"
         assert "relays" not in facts["event-distribution#2"]  # no other level reads a topic
-        assert facts["event-distribution#2"]["peers"] == ["routing#0", "session#0"]
+        assert facts["event-distribution#2"]["subs"] == {
+            "events.flow": ["session#0"], "events.link": ["routing#0", "session#0"],
+            "events.packet_in": ["session#0"], "events.violation": ["session#0"],
+        }
         config = parse_config({"chain": ["session"]}, None)
         (solo,) = [s["initial_facts"] for a, s in build_specs(config, plan_roster(config), VIEW).items()
                    if a.startswith("event-distribution")]
-        assert set(solo) == {"role", "subs", "peers"} and solo["role"] == "solo"
+        assert set(solo) == {"role", "subs"} and solo["role"] == "solo"
 
     def test_specs_carry_scoped_policies_in_config_order(self):
         # the order the monolith filters the same config in, not id order; a
@@ -206,7 +208,7 @@ SPEC_READERS = {
     "routing": {"topology": functions.routing_decide},
     "session": {"topology": functions.session_decide, "peers": runtime.peer_of},
     "event-distribution": {"role": infra.broker_decide, "relays": infra.broker_decide,
-                           "subs": infra._local_deliveries, "peers": runtime.validate_plan},
+                           "subs": infra._local_deliveries},
 }
 
 # a chain that names every kind a chain may name
@@ -250,7 +252,7 @@ class TestBootstrap:
     def test_one_decision_spawns_the_roster_in_order_and_writes_only_the_roster_facts(self):
         config = dict(BASE_CONFIG, event_strategy="distributed")
         out = orchestrator_decide({"config": config, "topology": VIEW},
-                                  fire("control.bootstrap", None, now=3))
+                                  fire("control.bootstrap", None))
         assert set(out) == {"plan", "facts"}  # no events
         assert [key for key, _ in out["facts"]] == ["specs"]
         writes = dict(out["facts"])
@@ -333,7 +335,7 @@ class TestLiveness:
     def test_a_dead_agent_is_respawned_with_mirror_state(self):
         facts = self.booted()
         facts["mirror"] = {"routing#0": {"topology": {"version": 4, "value": {}}}}
-        out = orchestrator_decide(facts, down("routing#0", now=24))
+        out = orchestrator_decide(facts, down("routing#0"))
         (spawn,) = [s for s in out["plan"] if s["action"] == "spawn-agent"]
         assert spawn["params"]["spec"]["agent"] == "routing#0"
         assert spawn["params"]["restore"] == facts["mirror"]["routing#0"]

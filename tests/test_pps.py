@@ -34,9 +34,8 @@ messages = st.builds(
     msg_id=st.integers(min_value=0, max_value=2**63 - 1),
     src=agent_ids,
     dst=destinations,
-    kind=st.sampled_from([MessageKind.REQUEST, MessageKind.EVENT, MessageKind.POLICY]),
+    kind=st.sampled_from(MessageKind),
     payload=st.binary(max_size=512),
-    sim_time=st.integers(min_value=0, max_value=2**31),
 )
 
 
@@ -46,18 +45,6 @@ def test_round_trip_is_field_exact(m, p):
     assert decode(encode(m, p), p) == m
 
 
-@given(
-    m=messages,
-    corr=st.integers(min_value=1, max_value=2**31),
-    p=st.sampled_from(DEFAULT_PROFILES),
-)
-def test_round_trip_preserves_correlation(m, corr, p):
-    import dataclasses
-
-    resp = dataclasses.replace(m, kind=MessageKind.RESPONSE, correlation_id=corr)
-    assert decode(encode(resp, p), p) == resp
-
-
 def test_empty_payload_round_trips_under_both_codecs():
     m = Message(
         msg_id=7,
@@ -65,7 +52,6 @@ def test_empty_payload_round_trips_under_both_codecs():
         dst="events.link",
         kind=MessageKind.EVENT,
         payload=b"",
-        sim_time=0,
     )
     for profile in DEFAULT_PROFILES:
         assert decode(encode(m, profile), profile) == m
@@ -79,7 +65,6 @@ def test_profile_rejects_oversized_payload():
         dst="t",
         kind=MessageKind.EVENT,
         payload=b"12345",
-        sim_time=0,
     )
     with pytest.raises(PayloadTooLarge):
         encode(m, small)
@@ -93,7 +78,6 @@ def test_truncated_frames_are_rejected(profile):
         dst=AgentId(FunctionKind.ROUTING, 0),
         kind=MessageKind.REQUEST,
         payload=b'{"op":"path"}',
-        sim_time=3,
     )
     frame = encode(m, profile)
     for cut in (1, len(frame) // 2, len(frame) - 1):
@@ -109,7 +93,6 @@ def test_binary_frames_reject_trailing_garbage():
         dst="x",
         kind=MessageKind.REQUEST,
         payload=b"",
-        sim_time=3,
     )
     with pytest.raises(MalformedFrame):
         decode(encode(m, profile) + b"\x00", profile)
@@ -118,29 +101,41 @@ def test_binary_frames_reject_trailing_garbage():
 TEXT_PROFILES = [p for p in DEFAULT_PROFILES if p.codec is Codec.TEXT_STRUCTURED]
 
 
+def _canonical(doc):
+    """doc in the JSON form encode writes: sorted keys, no spaces."""
+    return json.dumps(doc, sort_keys=True, separators=(",", ":")).encode("utf-8")
+
+
 def _text_frame(**fields):
     """A text frame with fields replaced, in the JSON form encode writes."""
-    import json
-
     m = Message(msg_id=9, src=AgentId(FunctionKind.SESSION, 2), dst="x",
-                kind=MessageKind.RESPONSE, payload=b"", sim_time=3, correlation_id=4)
+                kind=MessageKind.RESPONSE, payload=b"")
     doc = json.loads(encode(m, TEXT_PROFILES[0]))
-    return json.dumps({**doc, **fields}, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    return _canonical({**doc, **fields})
 
 
 @pytest.mark.parametrize("profile", TEXT_PROFILES)
-@pytest.mark.parametrize("field", ["msg_id", "sim_time", "correlation_id"])
+@pytest.mark.parametrize("field", ["msg_id"])
 @pytest.mark.parametrize("value", ["x", "7", [1], {"n": 1}, True, False, 1.0, 2.5])
 def test_text_frame_integer_fields_must_be_integers(profile, field, value):
     with pytest.raises(MalformedFrame):
         decode(_text_frame(**{field: value}), profile)
 
 
+# the keys an earlier envelope carried, with values its encoder wrote (the
+# integers and null) and values it never did: the key alone refuses the frame
+@pytest.mark.parametrize("profile", TEXT_PROFILES)
+@pytest.mark.parametrize("field", ["sim_time", "correlation_id"])
+@pytest.mark.parametrize("value", [0, 3, 2**40, None, "x", [1], True, 2.5])
+def test_text_frame_carrying_a_retired_envelope_key_is_rejected(profile, field, value):
+    with pytest.raises(MalformedFrame):
+        decode(_text_frame(**{field: value}), profile)
+
+
 @pytest.mark.parametrize("profile", TEXT_PROFILES)
 def test_text_frame_integer_fields_accept_what_the_encoder_writes(profile):
-    assert decode(_text_frame(msg_id=0, sim_time=2**40), profile).sim_time == 2**40
-    req = _text_frame(kind="request", correlation_id=None)
-    assert decode(req, profile).correlation_id is None
+    assert decode(_text_frame(msg_id=0), profile).msg_id == 0
+    assert decode(_text_frame(msg_id=2**40), profile).msg_id == 2**40
     with pytest.raises(MalformedFrame):
         decode(_text_frame(msg_id=None), profile)
 
@@ -150,7 +145,7 @@ def test_text_frame_in_a_form_the_encoder_never_writes_is_rejected(profile):
     import json
 
     m = Message(msg_id=9, src=AgentId(FunctionKind.SESSION, 2), dst="x",
-                kind=MessageKind.REQUEST, payload=b"ab", sim_time=3)
+                kind=MessageKind.REQUEST, payload=b"ab")
     frame = encode(m, profile)
     assert decode(frame, profile) == m
     doc = json.loads(frame)
@@ -162,6 +157,9 @@ def test_text_frame_in_a_form_the_encoder_never_writes_is_rejected(profile):
                                 separators=(",", ":")).encode(),
         "base64 padding bits": frame.replace(b'"YWI="', b'"YWJ="'),
         "escaped text": frame.replace(b'"x"', b'"\\u0078"'),
+        # a key beside the five envelope fields
+        "sim_time": _canonical({**doc, "sim_time": 3}),
+        "correlation_id": _canonical({**doc, "correlation_id": None}),
     }
     for name, variant in variants.items():
         assert variant != frame, name
@@ -202,19 +200,6 @@ def test_body_codec_writes_the_canonical_json_dumps_form(body):
 # -- binary decoder robustness: every inner bounds check is reached -----------------
 
 BINARY_PROFILES = [p for p in DEFAULT_PROFILES if p.codec is Codec.BINARY_LENGTH_PREFIXED]
-any_messages = st.one_of(
-    messages,
-    st.builds(
-        Message,
-        msg_id=st.integers(min_value=0, max_value=2**63 - 1),
-        src=agent_ids,
-        dst=destinations,
-        kind=st.just(MessageKind.RESPONSE),
-        payload=st.binary(max_size=512),
-        sim_time=st.integers(min_value=0, max_value=2**31),
-        correlation_id=st.integers(min_value=0, max_value=2**63 - 1),
-    ),
-)
 
 
 def _varint(n):
@@ -253,17 +238,14 @@ def _fields(frame):
         length, width = _varint_at(frame, at)
         fields["dst_len"] = (at, width)
         at += width + length
-    for name in ("msg_id", "sim_time", "correlation_id", "payload_len"):
-        if name == "correlation_id" and not head & 0x04:
-            continue
+    for name in ("msg_id", "payload_len"):
         _, width = _varint_at(frame, at)
         fields[name] = (at, width)
         at += width
     return fields
 
 
-VARINTS = ["src_instance", "dst_instance", "dst_len", "msg_id", "sim_time",
-           "correlation_id", "payload_len"]
+VARINTS = ["src_instance", "dst_instance", "dst_len", "msg_id", "payload_len"]
 
 
 def _with_prefix(body):
@@ -292,21 +274,20 @@ def _assert_whole(got, frame, p):
 
 def test_fields_walks_the_layout():
     m = Message(msg_id=300, src=AgentId(FunctionKind.SESSION, 2), dst="events.tick",
-                kind=MessageKind.RESPONSE, payload=b"ab", sim_time=5, correlation_id=200)
+                kind=MessageKind.RESPONSE, payload=b"ab")
     frame = encode(m, BINARY_PROFILES[0])
     assert frame == (
-        bytes([0, 0, 0, 23, 0x05, KINDS.index(FunctionKind.SESSION), 2, 11])
-        + b"events.tick" + bytes([0xAC, 0x02, 5, 0xC8, 0x01, 2]) + b"ab"
+        bytes([0, 0, 0, 20, 0x01, KINDS.index(FunctionKind.SESSION), 2, 11])
+        + b"events.tick" + bytes([0xAC, 0x02, 2]) + b"ab"
     )
     assert _fields(frame) == {
         "head": (4, 1), "src_kind": (5, 1), "src_instance": (6, 1), "dst_len": (7, 1),
-        "msg_id": (19, 2), "sim_time": (21, 1), "correlation_id": (22, 2),
-        "payload_len": (24, 1),
+        "msg_id": (19, 2), "payload_len": (21, 1),
     }
 
 
 @settings(max_examples=150)
-@given(m=any_messages, p=st.sampled_from(BINARY_PROFILES))
+@given(m=messages, p=st.sampled_from(BINARY_PROFILES))
 def test_every_cut_of_a_binary_frame_is_rejected(m, p):
     frame = encode(m, p)
     for cut in range(len(frame)):
@@ -318,7 +299,7 @@ def test_every_cut_of_a_binary_frame_is_rejected(m, p):
 
 
 @settings(max_examples=300)
-@given(m=any_messages, p=st.sampled_from(BINARY_PROFILES), data=st.data())
+@given(m=messages, p=st.sampled_from(BINARY_PROFILES), data=st.data())
 def test_corrupt_inner_lengths_are_rejected(m, p, data):
     frame = encode(m, p)
     fields = _fields(frame)
@@ -339,7 +320,7 @@ def test_corrupt_inner_lengths_are_rejected(m, p, data):
     _assert_whole(got, bad, p)
 
 
-@given(m=any_messages, p=st.sampled_from(BINARY_PROFILES))
+@given(m=messages, p=st.sampled_from(BINARY_PROFILES))
 def test_unknown_kind_ordinal_is_rejected(m, p):
     # two head bits hold exactly the four kinds, so every value of the kind
     # field names one; any bit above the defined ones is rejected
@@ -349,52 +330,24 @@ def test_unknown_kind_ordinal_is_rejected(m, p):
     for ordinal, kind in enumerate(MessageKind):
         head = frame[4] & ~0x03 | ordinal
         got = _decode_or_malformed(_replaced(frame, (4, 1), bytes([head])), p)
-        if kind is MessageKind.RESPONSE and m.correlation_id is None:
-            assert got is None  # a response must carry a correlation id
-        else:
-            assert got == dataclasses.replace(m, kind=kind)
+        assert got == dataclasses.replace(m, kind=kind)
 
 
-@given(m=any_messages, p=st.sampled_from(BINARY_PROFILES), bits=st.integers(1, 15))
+# the head's defined bits: the kind (0-1) and dst_is_agent (3); bit 2 and
+# bits 4-7 are zero in every frame the encoder writes
+@given(
+    m=messages,
+    p=st.sampled_from(BINARY_PROFILES),
+    bits=st.integers(1, 255).filter(lambda b: b & ~0x0B),
+)
 def test_stray_head_bits_are_rejected(m, p, bits):
     frame = encode(m, p)
     with pytest.raises(MalformedFrame):
-        decode(_replaced(frame, (4, 1), bytes([frame[4] | bits << 4])), p)
-
-
-def test_correlation_without_its_flag_is_rejected():
-    profile = BINARY_PROFILES[0]
-    base = Message(msg_id=9, src=AgentId(FunctionKind.SESSION, 2), dst="x",
-                   kind=MessageKind.REQUEST, payload=b"", sim_time=3, correlation_id=4)
-    for m in (base, dataclasses.replace(base, kind=MessageKind.RESPONSE)):
-        frame = encode(m, profile)
-        assert decode(frame, profile) == m
-        assert frame[4] & 0x04
-        # the value stays, its flag goes: bytes the encoder never writes
-        with pytest.raises(MalformedFrame):
-            decode(_replaced(frame, (4, 1), bytes([frame[4] & ~0x04])), profile)
-    # and the flag without its value
-    frame = encode(dataclasses.replace(base, correlation_id=None), profile)
-    assert not frame[4] & 0x04
-    with pytest.raises(MalformedFrame):
-        decode(_replaced(frame, (4, 1), bytes([frame[4] | 0x04])), profile)
-    resp = encode(dataclasses.replace(base, kind=MessageKind.RESPONSE, correlation_id=0), profile)
-    assert decode(resp, profile).correlation_id == 0
+        decode(_replaced(frame, (4, 1), bytes([frame[4] | bits])), p)
 
 
 @settings(max_examples=200)
-@given(m=any_messages, p=st.sampled_from(BINARY_PROFILES))
-def test_a_flipped_correlation_flag_never_yields_another_frame(m, p):
-    frame = encode(m, p)
-    bad = _replaced(frame, (4, 1), bytes([frame[4] ^ 0x04]))
-    got = _decode_or_malformed(bad, p)
-    if got is not None:  # other bytes happened to read as a whole frame
-        _assert_whole(got, bad, p)
-        assert (got.correlation_id is None) == (m.correlation_id is not None)
-
-
-@settings(max_examples=200)
-@given(m=any_messages, p=st.sampled_from(BINARY_PROFILES), data=st.data())
+@given(m=messages, p=st.sampled_from(BINARY_PROFILES), data=st.data())
 def test_over_long_varint_is_rejected(m, p, data):
     frame = encode(m, p)
     fields = _fields(frame)
@@ -409,7 +362,7 @@ def test_over_long_varint_is_rejected(m, p, data):
 
 
 @given(
-    m=any_messages,
+    m=messages,
     p=st.sampled_from(BINARY_PROFILES),
     value=st.one_of(st.integers(2**64, 2**70 - 1), st.integers(2**70, 2**100)),
     data=st.data(),
@@ -425,14 +378,14 @@ def test_varint_above_u64_is_rejected(m, p, value, data):
 def test_largest_u64_round_trips():
     m = Message(msg_id=2**64 - 1, src=AgentId(FunctionKind.SESSION, 2**64 - 1),
                 dst=AgentId(FunctionKind.ROUTING, 0), kind=MessageKind.RESPONSE,
-                payload=b"", sim_time=2**64 - 1, correlation_id=2**64 - 1)
+                payload=b"")
     frame = encode(m, BINARY_PROFILES[0])
     assert decode(frame, BINARY_PROFILES[0]) == m
     assert _fields(frame)["msg_id"][1] == 10
 
 
 @given(
-    m=any_messages,
+    m=messages,
     p=st.sampled_from(BINARY_PROFILES),
     ordinal=st.integers(min_value=len(FunctionKind), max_value=255),
     data=st.data(),
@@ -445,45 +398,58 @@ def test_unknown_function_kind_ordinal_is_rejected(m, p, ordinal, data):
         decode(_replaced(frame, fields[name], bytes([ordinal])), p)
 
 
-@pytest.mark.parametrize("field", ["msg_id", "sim_time", "correlation_id"])
+# no integer outside u64 reaches the wire: encode refuses a msg_id or an
+# instance above it, and AgentId refuses a negative instance when it is built
+@pytest.mark.parametrize("field", ["msg_id", "src", "dst"])
 @pytest.mark.parametrize("value", [-1, -2**63, 2**64, 2**70])
 def test_encode_refuses_an_integer_outside_u64(field, value):
     m = Message(msg_id=9, src=AgentId(FunctionKind.SESSION, 2), dst="x",
-                kind=MessageKind.REQUEST, payload=b"", sim_time=3, correlation_id=4)
+                kind=MessageKind.REQUEST, payload=b"")
     with pytest.raises(ValueError):
+        if field != "msg_id":
+            value = AgentId(FunctionKind.SESSION, value)
         encode(dataclasses.replace(m, **{field: value}), BINARY_PROFILES[0])
-    with pytest.raises(ValueError):
-        encode(dataclasses.replace(m, src=AgentId(FunctionKind.SESSION, 2**64)),
-               BINARY_PROFILES[0])
+
+
+# frames in the earlier binary layout, which carried a sim_time varint after
+# msg_id and, under head bit 2, a correlation_id varint after that
+@pytest.mark.parametrize("frame", [
+    bytes([0, 0, 0, 23, 0x05, KINDS.index(FunctionKind.SESSION), 2, 11])
+    + b"events.tick" + bytes([0xAC, 0x02, 5, 0xC8, 0x01, 2]) + b"ab",
+    bytes([0, 0, 0, 21, 0x00, KINDS.index(FunctionKind.SESSION), 2, 11])
+    + b"events.tick" + bytes([0xAC, 0x02, 5, 2]) + b"ab",
+], ids=["response-with-correlation", "request-without"])
+def test_a_frame_in_the_retired_layout_is_rejected(frame):
+    with pytest.raises(MalformedFrame):
+        decode(frame, BINARY_PROFILES[0])
 
 
 # the envelope of an agent-to-agent frame: a u32 length prefix, a head byte,
-# two ids of two bytes each (instances below 128), and the varints of msg_id,
-# sim_time and the payload length
+# two ids of two bytes each (instances below 128), and the varints of msg_id
+# and the payload length
 @given(
     src=st.builds(AgentId, st.sampled_from(KINDS), st.integers(0, 127)),
     dst=st.builds(AgentId, st.sampled_from(KINDS), st.integers(0, 127)),
-    kind=st.sampled_from([MessageKind.REQUEST, MessageKind.EVENT, MessageKind.POLICY]),
+    kind=st.sampled_from(MessageKind),
     msg_id=st.integers(0, 2**14 - 1),
-    sim_time=st.integers(0, 2**14 - 1),
     payload=st.one_of(st.binary(max_size=127), st.binary(min_size=128, max_size=400)),
     p=st.sampled_from(BINARY_PROFILES),
 )
 def test_an_agent_to_agent_frame_carries_little_beyond_its_payload(
-    src, dst, kind, msg_id, sim_time, payload, p
+    src, dst, kind, msg_id, payload, p
 ):
-    m = Message(msg_id=msg_id, src=src, dst=dst, kind=kind, payload=payload, sim_time=sim_time)
+    m = Message(msg_id=msg_id, src=src, dst=dst, kind=kind, payload=payload)
     overhead = len(encode(m, p)) - len(payload)
-    assert overhead == 9 + sum(len(_varint(n)) for n in (msg_id, sim_time, len(payload)))
-    # the body, which the length prefix counts, stays within 12 B of its payload
-    assert overhead - 4 <= 11
-    if max(msg_id, sim_time, len(payload)) < 128:
-        assert overhead == 12
+    assert overhead == 9 + sum(len(_varint(n)) for n in (msg_id, len(payload)))
+    # the body, which the length prefix counts, stays within 10 B of its payload
+    assert overhead - 4 <= 9
+    if max(msg_id, len(payload)) < 128:
+        assert overhead == 11
 
 
 @settings(max_examples=300)
 @given(
-    m=any_messages,
+    m=messages,
     p=st.sampled_from(BINARY_PROFILES),
     edits=st.lists(st.tuples(st.integers(min_value=0), st.integers(0, 255)), max_size=4),
     keep_prefix=st.booleans(),
@@ -499,7 +465,7 @@ def test_corrupt_binary_frames_raise_only_malformed_frame(m, p, edits, keep_pref
         _assert_whole(got, bytes(bad), p)
 
 
-@given(m=any_messages, p=st.sampled_from(BINARY_PROFILES))
+@given(m=messages, p=st.sampled_from(BINARY_PROFILES))
 def test_binary_payload_over_the_profile_limit_is_rejected(m, p):
     import dataclasses
 

@@ -63,7 +63,6 @@ def tell(host, agent_id, body, kind=MessageKind.REQUEST, src=None, dst=None):
         dst=dst or agent_id,
         kind=kind,
         payload=encode_body(body),
-        now=host.now,
     )
     return host.process_input(agent_id, msg)
 
@@ -250,6 +249,19 @@ class TestValidatePlan:
         ]
         assert validate_plan(plan, {"peers": ["routing#0"]}) == []
 
+    def test_a_brokers_targets_are_its_subscribers_and_relays(self):
+        # a broker's spec holds no peers list: its two tables name them
+        facts = {"role": "mesh", "subs": {"events.link": ["routing#0"]},
+                 "relays": {"event-distribution#1": ["events.link"]}}
+        env = {"topic": "events.link", "body": None}
+        plan = [step("deliver-event", AgentId(FunctionKind.ROUTING, 0), event=env),
+                step("forward-event", AgentId(FunctionKind.EVENT_DISTRIBUTION, 1), event=env)]
+        assert validate_plan(plan, facts) == []
+        stray = [step("deliver-event", AgentId(FunctionKind.QOS, 0), event=env)]
+        assert validate_plan(stray, facts) == [
+            ["unknown-target", "agent qos#0 is not a known peer"]
+        ]
+
     def test_a_target_is_an_agent_a_switch_or_an_endpoint(self):
         assert runtime.target_class(step("path", AgentId(FunctionKind.ROUTING, 0))) == "agent"
         assert runtime.target_class(step("remove-rule", "sw1")) == "switch"
@@ -432,7 +444,7 @@ class TestEncodeOnce:
         broker = host.spawn_agent(AgentSpec(
             agent=AgentId(FunctionKind.EVENT_DISTRIBUTION, 0),
             cognition=FunctionKind.EVENT_DISTRIBUTION.value,
-            initial_facts={"role": "solo", "subs": {"events.*": subscribers}, "peers": subscribers},
+            initial_facts={"role": "solo", "subs": {"events.*": subscribers}},
         ))
         calls = self._counting_encode(monkeypatch)
         # a publish reaches the broker addressed to its topic, and every
