@@ -1,15 +1,18 @@
 """Deterministic in-process message fabric.
 
-One global FIFO carries every control-plane message. Each hop is really
-encoded and decoded with the run's one stack profile, so the wire codecs
-are always on the path, not just in codec tests; every agent, endpoint and
-topic speaks that profile, so no link negotiates one. Under an
-at-least-once profile the fabric suppresses a delivery whose msg_id is not
-above the highest one already delivered from the same sender to the same
-destination; a duplicate-injection knob exercises that path on demand.
-That per-pair mark is the one duplicate filter of the event plane: a
-repeated publish shares its publisher-to-topic pair with the original, and
-a repeated forward its broker-to-broker pair, so brokers keep none.
+One global FIFO carries every control-plane message, and each hop is
+delivered exactly once. Each hop is really encoded and decoded with the
+run's one stack profile, so the wire codecs are always on the path, not just
+in codec tests; every agent, endpoint and topic speaks that profile, so no
+link negotiates one. Under an at-least-once profile the fabric suppresses a
+delivery whose msg_id is not above the highest one already delivered from
+the same sender to the same destination. That per-pair mark is the one
+duplicate filter of the event plane: a repeated publish shares its
+publisher-to-topic pair with the original, and a repeated forward its
+broker-to-broker pair, so brokers keep none. Duplicated frames, and the
+other orders a real fabric may give (FIFO only per sender-destination
+pair), come from the test fabric in tests/helpers.py, which installs onto
+any Bus.
 
 Destinations resolve once per frame, in order: an agent, an exact endpoint,
 a prefix endpoint (e.g. "switch." for the data-plane bridge), and otherwise
@@ -53,8 +56,6 @@ class Bus:
         self.topic_router: Callable[[Message], AgentId | None] | None = None
         self.dead_letters: list[DeadLetter] = []
         self.frames = 0
-        self.duplicate_every = 0  # inject a duplicate frame every Nth hop
-        self.duplicates_injected = 0
         self.duplicates_suppressed = 0
         # Highest msg_id delivered per (src, dst) pair under at-least-once.
         # One mark per pair catches every duplicate: msg ids grow, messages
@@ -85,10 +86,9 @@ class Bus:
 
     def run_to_quiescence(self, max_steps: int = 500_000) -> int:
         """Deliver until nothing is in flight; returns hops taken."""
-        steps = 0
+        start = self.frames
         while self.queue:
-            steps += 1
-            if steps > max_steps:
+            if self.frames - start >= max_steps:
                 raise RuntimeError(f"no quiescence after {max_steps} hops")
             msg = self.queue.popleft()
             target = self._resolve(msg)
@@ -97,15 +97,8 @@ class Bus:
                 if parked is not None:
                     parked.append(msg)
                     continue
-            pair = (str(msg.src), str(msg.dst))
-            decoded = self._hop(msg)
-            copies = 1
-            if self.duplicate_every and self.frames % self.duplicate_every == 0:
-                copies = 2
-                self.duplicates_injected += 1
-            for _ in range(copies):
-                self._deliver(decoded, pair, target)
-        return steps
+            self._deliver(self._hop(msg), (str(msg.src), str(msg.dst)), target)
+        return self.frames - start
 
     # -- internals ------------------------------------------------------------
 

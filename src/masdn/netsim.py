@@ -367,10 +367,9 @@ class FlowProgress:
 
 
 class Simulator:
-    def __init__(self, topo: Topology, scenario: Scenario, suppress_ticks: int = SUPPRESS_TICKS):
+    def __init__(self, topo: Topology, scenario: Scenario):
         self.topo = topo
         self.scenario = scenario
-        self.suppress_ticks = suppress_ticks
         self.prng = XorShift64Star(scenario.seed)
         self.tables: dict[str, FlowTable] = {s: FlowTable() for s in topo.switches}
         self.link_up: dict[tuple[str, str], bool] = {
@@ -540,7 +539,7 @@ class Simulator:
         same (switch, src, dst) raises none: a rule that took effect in
         between and was removed again does not reopen the window."""
         raised = self._suppress.get((switch, flow.src, flow.dst))
-        return raised is not None and tick - raised < self.suppress_ticks
+        return raised is not None and tick - raised < SUPPRESS_TICKS
 
     # -- results ----------------------------------------------------------------
 

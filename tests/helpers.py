@@ -6,16 +6,23 @@ they produce topology/scenario documents the way an operator's config would
 look. Link keys are always stored sorted so the duplicate-link check in
 Topology.from_doc cannot be tripped by orientation.
 
+Fabric is the test fabric. It installs onto any Bus, a bare one or the one
+inside a BrokerFabric or an AgentSystem, and gives it what a real fabric may
+do and the Bus never does: it can deliver every Nth hop twice, and it can
+hand frames out in a seeded order that keeps FIFO only per (sender,
+destination) pair.
+
 BrokerFabric runs the broker agents of one event strategy on a Bus, so the
 event-plane tests check the brokers a system run uses, and records which
-publishers' traffic each broker's pipeline handled. A broker relays the
-publish itself, with no stamp, and only towards a matching subscriber, so
-the fabric names the publish behind each delivery from its own record of
-what it published.
+publishers' traffic each broker's pipeline handled and what each subscriber
+received. A broker relays the publish itself, with no stamp, and only
+towards a matching subscriber, so the fabric names the publish behind each
+delivery from its own record of what it published.
 """
 from __future__ import annotations
 
 import random
+from collections import deque
 from typing import Any, Iterable, NamedTuple
 
 from masdn import AgentSystem, Scenario, Topology
@@ -24,7 +31,7 @@ from masdn.config import broker_ids, parse_config
 from masdn.core import AgentId, Message, MessageKind
 from masdn.oracle import MonolithicController, compare
 from masdn.orchestrator import broker_facts, build_specs, home_broker
-from masdn.pps import encode_body
+from masdn.pps import decode_body, encode_body
 from masdn.runtime import AgentHost, AgentSpec, register_cognition
 
 STRATEGIES = ("centralized", "distributed", "hybrid")
@@ -151,14 +158,61 @@ def diff_is_empty(diff: dict[str, Any]) -> bool:
     return not any(diff[section][side] for section in diff for side in diff[section])
 
 
+# -- the test fabric ---------------------------------------------------------------
+
+
+class PairHeadQueue(deque):
+    """A bus queue whose popleft hands out a seeded choice among the oldest
+    queued frame of each (src, dst) pair. Frames of one pair leave in the
+    order they joined, and parked frames a respawn puts at the front
+    (extendleft) are their pair's oldest, so they still go first."""
+
+    def __init__(self, frames: Iterable[Message], rng: random.Random) -> None:
+        super().__init__(frames)
+        self.rng = rng
+
+    def popleft(self) -> Message:
+        heads: dict[tuple[str, str], int] = {}
+        for i, msg in enumerate(self):
+            heads.setdefault((str(msg.src), str(msg.dst)), i)
+        i = self.rng.choice(list(heads.values()))
+        msg = self[i]
+        del self[i]
+        return msg
+
+
+class Fabric:
+    """The test fabric, installed onto a Bus. With duplicate_every=N every
+    Nth hop (counted by bus.frames) is delivered twice, and
+    duplicates_injected counts the copies. With a schedule seed the bus
+    delivers in that schedule's pair-head order (PairHeadQueue) instead of
+    its global FIFO."""
+
+    def __init__(self, bus: Bus, duplicate_every: int = 0, schedule: int | None = None) -> None:
+        self.duplicates_injected = 0
+        if duplicate_every:
+            deliver = bus._deliver
+
+            def twice(msg: Message, pair: tuple[str, str], target: Any) -> None:
+                copies = 1
+                if bus.frames % duplicate_every == 0:
+                    copies = 2
+                    self.duplicates_injected += 1
+                for _ in range(copies):
+                    deliver(msg, pair, target)
+
+            bus._deliver = twice
+        if schedule is not None:
+            bus.queue = PairHeadQueue(bus.queue, random.Random(schedule))
+
+
 # -- real broker agents on a fabric ----------------------------------------------
 
 
 @register_cognition("test-subscriber")
-def _record_delivery(facts, inp):
-    """Keep every event delivered as a fact, numbered in arrival order."""
-    n = facts.get("received", 0)
-    return {"facts": [("received", n + 1), (f"envelope.{n}", inp.body)]}
+def _subscriber(facts, inp):
+    """Decide nothing: the fabric records what a subscriber is handed."""
+    return {}
 
 
 class Delivery(NamedTuple):
@@ -177,8 +231,8 @@ class BrokerFabric:
     publisher's id to the topic, which the bus hands to the publisher's home
     broker exactly as it does in a full system run.
 
-    The fabric keeps each publish's publisher and place in publish order,
-    keyed by its payload. Brokers relay that payload unchanged, and no two
+    The fabric keeps each publish as the Delivery it makes, keyed by its
+    payload. Brokers relay that payload unchanged, and no two
     publishes on one fabric may carry the same one (a trace's bodies each
     carry their own n), so a delivered event names its publish: one a broker
     altered names none and fails the lookup.
@@ -196,17 +250,22 @@ class BrokerFabric:
             self.host.spawn_agent(
                 AgentSpec(AgentId.parse(doc["agent"]), doc["cognition"], doc["initial_facts"])
             )
-        # payload -> (publisher, place in publish order)
-        self.publishes: dict[bytes, tuple[str, int]] = {}
+        # payload -> the Delivery of that publish
+        self.publishes: dict[bytes, Delivery] = {}
         # broker -> publishers whose publishes or forwards the broker's
         # pipeline was handed
         self.handled: dict[str, set[str]] = {b: set() for b in broker_ids(strategy)}
+        # subscriber -> payloads its pipeline was handed, in arrival order
+        self.received: dict[str, list[bytes]] = {}
         process_input = self.host.process_input
 
         def spy(agent_id: AgentId, msg: Message) -> list[Message]:
+            got = self.received.get(str(agent_id))
+            if got is not None:
+                got.append(msg.payload)
             seen = self.handled.get(str(agent_id))
             if seen is not None and msg.kind is MessageKind.EVENT:
-                seen.add(self.publishes[msg.payload][0])
+                seen.add(self.publishes[msg.payload].publisher)
             return process_input(agent_id, msg)
 
         self.host.process_input = spy
@@ -219,6 +278,7 @@ class BrokerFabric:
         agent = AgentId.parse(sub)
         if agent not in self.host.agents:
             self.host.spawn_agent(AgentSpec(agent, "test-subscriber"))
+            self.received[sub] = []
         table = self.tables[home_broker(self.strategy, sub)]
         table[flt] = sorted({*table.get(flt, ()), sub})
         for broker in self.tables:
@@ -231,7 +291,7 @@ class BrokerFabric:
         payload = encode_body({"topic": topic, "body": body})
         assert payload not in self.publishes, f"{payload!r} would not name one publish"
         order = len(self.publishes)
-        self.publishes[payload] = (pub, order)
+        self.publishes[payload] = Delivery(pub, order, decode_body(payload))
         self.bus.send(self.host.factory.new_message(
             src=AgentId.parse(pub),
             dst=topic,
@@ -247,11 +307,7 @@ class BrokerFabric:
     def delivered_to(self, sub: str, publishers: Iterable[str] | None = None) -> list[Delivery]:
         """Events the subscriber received, in arrival order, each named by
         the publish it relays; pass publishers to keep only a trace's."""
-        facts = self.host.agents[AgentId.parse(sub)].facts
-        got = []
-        for i in range(facts.get("received", 0)):
-            env = facts.get(f"envelope.{i}")
-            got.append(Delivery(*self.publishes[encode_body(env)], env))
+        got = [self.publishes[p] for p in self.received[sub]]
         if publishers is None:
             return got
         keep = set(publishers)

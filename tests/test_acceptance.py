@@ -30,7 +30,9 @@ from masdn.pps import DEFAULT_PROFILES, decode, encode, encode_body
 from masdn.orchestrator import home_broker
 from masdn.runtime import AgentHost, AgentSpec, register_cognition
 
-from helpers import STRATEGIES, build, gen_scenario, gen_topology, run_trace, trace_agents
+from helpers import (
+    STRATEGIES, Fabric, build, gen_scenario, gen_topology, run_trace, trace_agents,
+)
 
 STAGES = ["input", "facts", "cognition", "planning", "validation", "output"]
 ACTION_KINDS = {MessageKind.REQUEST.value, MessageKind.POLICY.value}
@@ -408,7 +410,7 @@ def test_criterion_07_round_trip_fidelity_and_at_least_once_dedup():
         target = AgentId(FunctionKind.MONITORING, 0)
         host.spawn_agent(AgentSpec(agent=target, cognition="acceptance-counter"))
         bus = Bus(host, profile)
-        bus.duplicate_every = 1
+        fabric = Fabric(bus, duplicate_every=1)
         bus.send(
             host.factory.new_message(
                 src=AgentId(FunctionKind.SESSION, 0), dst=target,
@@ -417,7 +419,7 @@ def test_criterion_07_round_trip_fidelity_and_at_least_once_dedup():
             for i in range(100)
         )
         bus.run_to_quiescence()
-        assert bus.duplicates_injected == 100
+        assert fabric.duplicates_injected == 100
         assert bus.duplicates_suppressed == 100
         inputs = Counter(
             (e["agent"], e["msg_id"]) for e in host.stage_log if e.get("stage") == "input"

@@ -4,8 +4,12 @@ from unittest.mock import patch
 
 from masdn.core import AgentId, FunctionKind, MessageKind, PayloadTooLarge
 from masdn.bus import Bus
-from masdn.pps import DEFAULT_PROFILES, Codec, Reliability, StackProfile, decode, encode, encode_body
+from masdn.pps import (
+    DEFAULT_PROFILES, Codec, Reliability, StackProfile, decode, decode_body, encode, encode_body,
+)
 from masdn.runtime import AgentHost, AgentSpec, register_cognition
+
+from helpers import Fabric
 
 ROUTING = AgentId(FunctionKind.ROUTING, 0)
 SESSION = AgentId(FunctionKind.SESSION, 0)
@@ -143,11 +147,11 @@ class ProfileOnTheWire(unittest.TestCase):
                 host = make_host()
                 bus = Bus(host, profile)
                 host.spawn_agent(sink_spec(ROUTING))
-                bus.duplicate_every = 1  # duplicate every single frame
+                fabric = Fabric(bus, duplicate_every=1)  # duplicate every single frame
                 bus.send(request(host, SESSION, ROUTING, {"n": i}) for i in range(10))
                 bus.run_to_quiescence()
                 self.assertEqual(host.agents[ROUTING].facts.get("seen"), list(range(10)))
-                self.assertEqual(bus.duplicates_injected, 10)
+                self.assertEqual(fabric.duplicates_injected, 10)
                 self.assertEqual(bus.duplicates_suppressed, 10)
 
     def test_amo_profile_does_not_deduplicate(self):
@@ -156,7 +160,7 @@ class ProfileOnTheWire(unittest.TestCase):
                 host = make_host()
                 bus = Bus(host, profile)
                 host.spawn_agent(sink_spec(ROUTING))
-                bus.duplicate_every = 1
+                Fabric(bus, duplicate_every=1)
                 bus.send(request(host, SESSION, ROUTING, {"n": 1}))
                 bus.run_to_quiescence()
                 self.assertEqual(host.agents[ROUTING].facts.get("seen"), [1, 1])
@@ -179,7 +183,7 @@ class ProfileOnTheWire(unittest.TestCase):
         senders = [AgentId(FunctionKind.SESSION, i) for i in range(3)]
         for agent in receivers:
             host.spawn_agent(sink_spec(agent))
-        bus.duplicate_every = 3
+        fabric = Fabric(bus, duplicate_every=3)
         last = {}
         for n in range(500):
             for src in senders:
@@ -189,11 +193,84 @@ class ProfileOnTheWire(unittest.TestCase):
                     bus.send(msg)
             bus.run_to_quiescence()
         self.assertEqual(bus._delivered, last)  # 6 pairs after 3,000 frames
-        self.assertEqual(bus.duplicates_suppressed, bus.duplicates_injected)
-        self.assertEqual(bus.duplicates_injected, 1000)
+        self.assertEqual(bus.duplicates_suppressed, fabric.duplicates_injected)
+        self.assertEqual(fabric.duplicates_injected, 1000)
         every_request = [n for n in range(500) for _ in senders]
         for agent in receivers:
             self.assertEqual(host.agents[agent].facts.get("seen"), every_request)
+
+
+class TheTestFabricsSchedules(unittest.TestCase):
+    """The test fabric's schedules keep each pair's FIFO and nothing more, so
+    a schedule corpus on it is not the global FIFO run again."""
+
+    SENDERS = [AgentId(FunctionKind.SESSION, i) for i in range(3)]
+
+    def delivery_order(self, schedule):
+        """(src, dst, n) in delivery order, for 10 frames on each of 6 pairs
+        sent round-robin; with schedule None, the plain bus's FIFO."""
+        host = make_host()
+        bus = Bus(host, DEFAULT_PROFILES[0])
+        order = []
+
+        def record(msg):
+            order.append((str(msg.src), msg.dst, decode_body(msg.payload)["n"]))
+            return []
+
+        for dst in ("a", "b"):
+            bus.bind_endpoint(dst, record)
+        if schedule is not None:
+            Fabric(bus, schedule=schedule)
+        bus.send(request(host, src, dst, {"n": n})
+                 for n in range(10) for src in self.SENDERS for dst in ("a", "b"))
+        bus.run_to_quiescence()
+        return order
+
+    def test_each_pairs_frames_arrive_in_their_fifo_order(self):
+        fifo = self.delivery_order(None)
+        for schedule in range(5):
+            with self.subTest(schedule=schedule):
+                order = self.delivery_order(schedule)
+                self.assertCountEqual(order, fifo)
+                for src in self.SENDERS:
+                    for dst in ("a", "b"):
+                        got = [n for s, d, n in order if (s, d) == (str(src), dst)]
+                        self.assertEqual(got, list(range(10)))
+
+    def test_schedules_give_cross_pair_orders_other_than_fifo(self):
+        fifo = self.delivery_order(None)
+        orders = [self.delivery_order(schedule) for schedule in (0, 1)]
+        self.assertNotEqual(orders[0], fifo)
+        self.assertNotEqual(orders[1], fifo)
+        self.assertNotEqual(orders[0], orders[1])
+        self.assertEqual(self.delivery_order(0), orders[0])  # a seed is one schedule
+
+    def test_parked_frames_reach_a_replacement_ahead_of_later_frames_of_their_pair(self):
+        # as ParkingForAReplacement's mid-run respawn, but the frame queued
+        # behind the respawn may now go first and be parked too
+        parked_at_respawn = set()
+        for schedule in range(8):
+            with self.subTest(schedule=schedule):
+                host = make_host()
+                bus = Bus(host, DEFAULT_PROFILES[0])
+                host.spawn_agent(sink_spec(ROUTING))
+                host.kill_agent(ROUTING)
+
+                def respawn(msg):
+                    parked_at_respawn.add(len(bus._parked[ROUTING]))
+                    host.spawn_agent(sink_spec(ROUTING))
+                    return [request(host, SESSION, ROUTING, {"n": 4})]
+
+                bus.bind_endpoint("respawn", respawn)
+                bus.send(request(host, SESSION, ROUTING, {"n": n}) for n in (1, 2))
+                bus.run_to_quiescence()
+                Fabric(bus, schedule=schedule)
+                bus.send(request(host, SESSION, "respawn", {}))
+                bus.send(request(host, SESSION, ROUTING, {"n": 3}))
+                bus.run_to_quiescence()
+                self.assertEqual(host.agents[ROUTING].facts.get("seen"), [1, 2, 3, 4])
+                self.assertEqual(bus.dead_letters, [])
+        self.assertEqual(parked_at_respawn, {2, 3})  # both orders were taken
 
 
 class ParkingForAReplacement(unittest.TestCase):
@@ -218,14 +295,14 @@ class ParkingForAReplacement(unittest.TestCase):
         for every in (0, 1, 3):
             with self.subTest(duplicate_every=every):
                 self.setUp()
-                self.bus.duplicate_every = every
+                fabric = Fabric(self.bus, duplicate_every=every)
                 self.bus.send(request(self.host, SESSION, ROUTING, {"n": n}) for n in range(1, 11))
                 self.bus.run_to_quiescence()
                 self.assertEqual(self.bus.dead_letters, [])
                 self.respawn()
                 self.bus.run_to_quiescence()
                 self.assertEqual(self.seen(), list(range(1, 11)))
-                self.assertEqual(self.bus.duplicates_suppressed, self.bus.duplicates_injected)
+                self.assertEqual(self.bus.duplicates_suppressed, fabric.duplicates_injected)
 
     def test_parked_frames_go_ahead_of_frames_sent_after_the_respawn(self):
         self.bus.send(request(self.host, SESSION, ROUTING, {"n": n}) for n in (1, 2))

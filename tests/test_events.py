@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from masdn.events import TopicError, check_filter, check_topic, match_topic
 from masdn.config import broker_ids
 
-from helpers import STRATEGIES, BrokerFabric, run_trace, trace_agents
+from helpers import STRATEGIES, BrokerFabric, Fabric, run_trace, trace_agents
 
 
 class TestTopicGrammar:
@@ -184,7 +184,7 @@ class TestArrangementEquivalence:
         publishers, subs, events = random_trace(random.Random(5))
         for strategy in STRATEGIES:
             fabric = BrokerFabric(strategy)
-            fabric.bus.duplicate_every = every
+            Fabric(fabric.bus, duplicate_every=every)
             for sub, flt in subs:
                 fabric.subscribe(sub, flt)
             fabric.run()

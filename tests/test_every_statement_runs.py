@@ -130,12 +130,12 @@ def corpus():
     from masdn.cli import main
     from masdn.oracle import compare
 
-    from helpers import build, gen_scenario, gen_topology
+    from helpers import Fabric, build, gen_scenario, gen_topology
 
     def run(tdoc, sdoc, config, duplicate_every=0):
         topo, scen = build(tdoc, sdoc)
         system = AgentSystem(topo, scen, config)
-        system.bus.duplicate_every = duplicate_every
+        Fabric(system.bus, duplicate_every=duplicate_every)
         compare(system.run(), MonolithicController(topo, scen, config).run())
 
     kills = {"7": ["event-distribution#0"], "13": ["session#0"], "22": ["forwarding#0"]}

@@ -217,9 +217,10 @@ class TestRules:
         with pytest.raises(SchemaError):
             Rule.from_doc(self.rule_doc(action="forward", next_hop=None), effective_from=0)
 
-    def test_installs_take_effect_next_tick(self):
+    def test_installs_take_effect_next_tick(self, monkeypatch):
+        monkeypatch.setattr("masdn.netsim.SUPPRESS_TICKS", 0)
         flows = [{"src": "h1", "dst": "h2", "start_tick": 1, "size": 10, "gap": 1}]
-        sim = Simulator(Topology.from_doc(TRIANGLE), scenario(flows=flows), suppress_ticks=0)
+        sim = Simulator(Topology.from_doc(TRIANGLE), scenario(flows=flows))
         sim.step(0)
         events = sim.step(1)
         assert any(isinstance(e, PacketIn) for e in events)  # no rule yet
@@ -259,28 +260,25 @@ class TestRules:
 class TestPacketIn:
     flows = [{"src": "h1", "dst": "h2", "start_tick": 0, "size": 30, "gap": 1}]
 
-    def test_suppression_spaces_out_repeat_packet_ins(self):
-        sim = Simulator(
-            Topology.from_doc(TRIANGLE), scenario(flows=self.flows), suppress_ticks=4
-        )
+    def test_suppression_spaces_out_repeat_packet_ins(self, monkeypatch):
+        monkeypatch.setattr("masdn.netsim.SUPPRESS_TICKS", 4)
+        sim = Simulator(Topology.from_doc(TRIANGLE), scenario(flows=self.flows))
         hits = [t for t in range(10) for e in sim.step(t) if isinstance(e, PacketIn)]
         assert hits == [0, 4, 8]  # window covers the 3 ticks after each raise
 
-    def test_zero_suppression_fires_every_emission(self):
-        sim = Simulator(
-            Topology.from_doc(TRIANGLE), scenario(flows=self.flows), suppress_ticks=0
-        )
+    def test_zero_suppression_fires_every_emission(self, monkeypatch):
+        monkeypatch.setattr("masdn.netsim.SUPPRESS_TICKS", 0)
+        sim = Simulator(Topology.from_doc(TRIANGLE), scenario(flows=self.flows))
         hits = [t for t in range(4) for e in sim.step(t) if isinstance(e, PacketIn)]
         assert hits == [0, 1, 2, 3]
 
-    def test_a_rule_that_took_effect_and_went_does_not_reopen_the_window(self):
+    def test_a_rule_that_took_effect_and_went_does_not_reopen_the_window(self, monkeypatch):
+        monkeypatch.setattr("masdn.netsim.SUPPRESS_TICKS", 6)
         # raised at 0; a deliver rule at s1 (h2's switch here is s3, so the
         # unit counts as dropped, but it matches and raises nothing) is in
         # effect for ticks 2 and 3, then removed: the miss at 4 is still in
         # the window the packet-in at 0 opened
-        sim = Simulator(
-            Topology.from_doc(TRIANGLE), scenario(flows=self.flows), suppress_ticks=6
-        )
+        sim = Simulator(Topology.from_doc(TRIANGLE), scenario(flows=self.flows))
         rule = {"rule_id": "r1", "match": {"src": "h1", "dst": "h2"}, "priority": 10,
                 "action": "deliver", "next_hop": None}
         hits = [t for t in range(2) for e in sim.step(t) if isinstance(e, PacketIn)]

@@ -123,8 +123,6 @@ def unused_public_methods(src=SRC):
 EXEMPT = {
     "bus.py:Bus.duplicates_suppressed":
         "perfbench reports it: how many duplicated frames the fabric's mark dropped",
-    "bus.py:Bus.duplicates_injected":
-        "the count of the duplicate_every injection knob, next to what it suppressed",
     "bus.py:DeadLetter.reason": "a dead letter explains itself to whoever inspects the fabric",
 }
 

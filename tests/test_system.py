@@ -17,6 +17,7 @@ from masdn.runtime import FactsStore, UnknownCognition, cognition, merge_digest
 
 from helpers import (
     STRATEGIES,
+    Fabric,
     build,
     diff_is_empty,
     gen_refresh_tick_scenario,
@@ -228,7 +229,7 @@ class TestDeltaDigests:
         if victim:
             config["kills"] = {"17": [victim]}
         system = AgentSystem(topo, scen, config)
-        system.bus.duplicate_every = 7
+        Fabric(system.bus, duplicate_every=7)
         system.genesis()
         for t in range(scen.duration):
             system.tick(t)
@@ -710,7 +711,7 @@ class TestExitNotices:
         config = {"event_strategy": strategy, "kills": {**self.KILLS, "17": [broker, "routing#0"]}}
         topo, scen = build(TOPO, sdoc(duration=30))
         system = AgentSystem(topo, scen, config)
-        system.bus.duplicate_every = every
+        Fabric(system.bus, duplicate_every=every)
         agents = system.run()
         assert system.bus.duplicates_suppressed > 0
         assert system.spawn_log[len(plan_roster(system.config)):] == [
