@@ -39,6 +39,8 @@ from .runtime import Agent, AgentHost
 EndpointHandler = Callable[[Message], list[Message]]
 Target = AgentId | EndpointHandler | None  # an agent (maybe dead), an endpoint, nowhere
 
+MAX_HOPS = 500_000  # hops one run_to_quiescence may take before it calls a livelock
+
 
 @dataclass(frozen=True)
 class DeadLetter:
@@ -84,12 +86,13 @@ class Bus:
         else:
             self.queue.extend(messages)
 
-    def run_to_quiescence(self, max_steps: int = 500_000) -> int:
-        """Deliver until nothing is in flight; returns hops taken."""
+    def run_to_quiescence(self) -> int:
+        """Deliver until nothing is in flight; returns hops taken. More than
+        MAX_HOPS hops in one run is a livelock, and raises."""
         start = self.frames
         while self.queue:
-            if self.frames - start >= max_steps:
-                raise RuntimeError(f"no quiescence after {max_steps} hops")
+            if self.frames - start >= MAX_HOPS:
+                raise RuntimeError(f"no quiescence after {MAX_HOPS} hops")
             msg = self.queue.popleft()
             target = self._resolve(msg)
             if isinstance(target, AgentId) and target not in self.host.agents:

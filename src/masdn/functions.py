@@ -32,6 +32,13 @@ request and response. The record's "stage" names the request in flight:
 
     classify -> path -> admit (realtime only) -> install -> done
 
+The record holds only what the conversation adds to the session's own
+record: its stage, then the classify hint, the path and whether it holds a
+reservation, once known; a request reads its fields from the session's
+record with the pending record over it. The pending table is not digested:
+every conversation ends in the quiescence run that starts it, and a kill
+lands after the pump, so the mirror would only ever hold it empty.
+
 One helper (converse) writes the record at its first stage and sends that
 stage's request; one sender (ask_stage) sends the request of whatever stage
 a record is at. A new flow starts at classify, opened by one branch from
@@ -275,10 +282,12 @@ def forwarding_decide(facts: dict[str, Any], inp: AgentInput) -> dict[str, Any]:
 
 # -- session agent --------------------------------------------------------------------
 
-_SESSION_DIGEST = ("topology", "sessions", "pending", "rule-seq")
+_SESSION_DIGEST = ("topology", "sessions", "rule-seq")
 
 # the request each stage sends (the op is named after the stage): the peer
-# kind asked and the pending-record fields the request carries
+# kind asked and the fields the request carries, read from the session's
+# record with its pending record over it, which holds only what the
+# conversation adds
 _STAGE_REQUESTS = {
     "classify": (FunctionKind.CLASSIFIER, ("size", "gap", "hint")),
     "path": (FunctionKind.ROUTING, ("src", "dst")),
@@ -322,22 +331,13 @@ class _SessionState:
 
     def converse(self, sid: str, stage: str, **fields: Any) -> None:
         """Start sid's conversation at stage and send that stage's request."""
-        rec = self.sessions[sid]
-        self.pending[sid] = {
-            "stage": stage,
-            "src": rec["src"],
-            "dst": rec["dst"],
-            "size": rec["size"],
-            "gap": rec["gap"],
-            "hint": None,
-            **fields,
-        }
+        self.pending[sid] = {"stage": stage, **fields}
         self.ask_stage(sid)
 
     def ask_stage(self, sid: str) -> None:
         """Send the request for the stage sid's conversation is at; the
         install stage takes fresh rule numbers, whose first it names."""
-        p = self.pending[sid]
+        p = {**self.sessions[sid], **self.pending[sid]}
         stage = p["stage"]
         kind, fields = _STAGE_REQUESTS[stage]
         body = {f: p[f] for f in fields}
@@ -365,14 +365,14 @@ class _SessionState:
         p = _edit(self.pending, self.facts.get("pending", {}), ctx)
         stage = p["stage"]
         if stage == "classify" and "class" in body:
-            p["class"] = self._edit_session(ctx)["class"] = body["class"]
+            self._edit_session(ctx)["class"] = body["class"]
             p["stage"] = "path"
         elif stage == "path" and "path" in body:
             if body["path"] is None:
                 self.deny(ctx, "no-path")
                 return
             p["path"] = body["path"]
-            p["stage"] = "admit" if p["class"] == REALTIME else "install"
+            p["stage"] = "admit" if self.sessions[ctx]["class"] == REALTIME else "install"
         elif stage == "admit" and "admitted" in body:
             if not body["admitted"]:
                 self.deny(ctx, "qos-denied")
@@ -421,7 +421,7 @@ class _SessionState:
             rec["state"] = UPDATING
             rec["reason"] = None
             stage = "admit" if rec["class"] == REALTIME else "install"
-            self.converse(sid, stage, path=path, **{"class": rec["class"]})
+            self.converse(sid, stage, path=path)
 
     def on_violation(self, body: dict[str, Any]) -> None:
         ctxs = sorted(

@@ -172,13 +172,22 @@ class FactsStore:
     reading a snapshot can change stored state; an attempt raises TypeError.
     A value built from stored facts shares their unchanged subtrees, so a
     write costs what changed, not the whole value. A write equal to the
-    stored value keeps the entry, version included, so the digest pump does
-    not ship it again. Snapshots are cheap map copies over the same
-    read-only values.
+    stored value keeps the entry, version included, so digest does not ship
+    it again. Snapshots are cheap map copies over the same read-only values.
+
+    The store also keeps, per key, the entry the orchestrator's mirror holds
+    of it, the one base digest ships deltas against: the spec's initial
+    facts, stored at version 1 (the mirror reads them from the agent's spec,
+    see merge_digest), what a restore brings back from the mirror slot, and
+    what digest last shipped. So a replacement's first digest is an ordinary
+    delta against the slot it was restored from.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, initial_facts: dict[str, Any]) -> None:
         self._entries: dict[str, _FactEntry] = {}
+        for key, value in initial_facts.items():
+            self.put(key, value)
+        self._mirrored = dict(self._entries)
 
     def put(self, key: str, value: Any) -> int:
         frozen = freeze(value)
@@ -193,10 +202,6 @@ class FactsStore:
         entry = self._entries.get(key)
         return default if entry is None else entry.value
 
-    def version(self, key: str) -> int:
-        entry = self._entries.get(key)
-        return 0 if entry is None else entry.version
-
     def snapshot(self) -> dict[str, Any]:
         return {k: e.value for k, e in self._entries.items()}
 
@@ -210,9 +215,29 @@ class FactsStore:
         return out
 
     def restore(self, digest: dict[str, dict[str, Any]]) -> None:
-        """Seed entries from an exported digest, keeping versions."""
+        """Seed entries from an exported digest, keeping versions: the mirror
+        holds them."""
         for key, doc in digest.items():
-            self._entries[key] = _FactEntry(freeze(doc["value"]), doc["version"])
+            self._entries[key] = self._mirrored[key] = _FactEntry(
+                freeze(doc["value"]), doc["version"]
+            )
+
+    def digest(self, keys: Iterable[str]) -> dict[str, dict[str, Any]]:
+        """The kp.digest body of those of keys that moved past what the
+        mirror holds, each against it (digest_delta); what it ships is what
+        the mirror holds next. Only a write that changes a value makes a new
+        entry, so the entry the mirror holds is the one stored until the
+        key moves."""
+        out: dict[str, dict[str, Any]] = {}
+        for key in keys:
+            entry = self._entries.get(key)
+            held = self._mirrored.get(key)
+            if entry is None or entry is held:
+                continue
+            last = None if held is None else (held.version, held.value)
+            out[key] = digest_delta(self.export([key])[key], last)
+            self._mirrored[key] = entry
+        return out
 
 
 _ABSENT = object()
@@ -302,8 +327,8 @@ def merge_digest(
     digest_delta) applies its paths to the version held, and one whose base
     is not that version raises DigestGap.
     A key the slot does not hold yet is held at its value in `spec`, the
-    agent's own initial facts, as version 1: the pump never exports a spec
-    value, so its first delta is based on it. No other slot is read.
+    agent's own initial facts, as version 1: FactsStore.digest never ships
+    a spec value, so its first delta is based on it. No other slot is read.
     Only the sending agent's slot is copied; every other slot is shared with
     the table given, and so is every subtree of the value that no path
     reaches."""
@@ -564,10 +589,11 @@ class AgentHost:
     """Owns a set of live agents and runs the six-stage pipeline for them.
 
     The host records in facts_written every agent whose facts were written
-    since the digest pump last took the set: a spawn (its initial facts, and
-    any restore applied right after it), an ingest write, and a decision's
-    facts. The pump visits only those agents, so a tick in which nothing
-    is written costs it nothing.
+    since the digest pump last took the set: an ingest write and a
+    decision's facts. A spawn is not one: a new agent holds its spec and
+    what a restore brings back, which is what the mirror holds already. The
+    pump visits only those agents, so a tick in which nothing is written
+    costs it nothing.
 
     kill_agent is the one way an agent dies, and it records the victim in
     exits, in kill order, until the system reports it to the orchestrator:
@@ -596,11 +622,8 @@ class AgentHost:
         if spec.agent in self.agents:
             raise DuplicateAgent(str(spec.agent))
         cognition(spec.cognition)  # raises UnknownCognition up front
-        agent = Agent(spec=spec, facts=FactsStore())
-        for key, value in spec.initial_facts.items():
-            agent.facts.put(key, value)
+        agent = Agent(spec=spec, facts=FactsStore(spec.initial_facts))
         self.agents[spec.agent] = agent
-        self.facts_written.add(spec.agent)
         self._emit(
             {"stage": "spawn", "agent": str(spec.agent), "cognition": spec.cognition}
         )

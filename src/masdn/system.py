@@ -45,33 +45,13 @@ one hop that crosses no broker, so the mirror stays exact through a broker
 outage and a kill (which lands after the pump) leaves an exact restore (the
 rest of a replacement's facts, its policies included, come from its spec).
 The pump visits only the agents the host saw write facts since it last ran
-(a spawn, an ingest write or a decision's facts), so a tick in which
-nothing is written costs it nothing. It visits them in AgentId order, so
-digest message ids do not depend on the order in which agents wrote. A
-digest goes out from the agent itself, so its body is the {key: doc} map
-alone and the frame's src says whose it is. A dict-valued key (a session or
-rule table, the topology view) exported before travels as a delta against
-the version last exported for it, down to the leaves,
-
-    {"version", "base", "set": [[path, value], ...], "drop": [path, ...]}
-
-carrying only the leaves that changed and the paths of the dict keys that
-went; a path is the list of keys from the value's top, list indices
-included (runtime.digest_delta). A key's first export, and any value
-that is not a dict, travels whole, as {"version", "value"}. The pump
-keeps, per agent, the version and value it last exported of each key,
-across respawns: a kill lands after the pump and a dead agent writes
-nothing, so what the pump last exported is exactly the mirror slot a
-replacement is restored from, and the replacement's first digest is an
-ordinary delta against it.
-
-The spec is the base: at a spawn the pump's record of the agent starts
-with the spec value, as version 1, of every digest key the spec holds
-(the genesis view of routing and session), so it ships that key only once
-it moves, and then as a delta on the spec, which the orchestrator reads
-from the agent's own spec entry (runtime.merge_digest). No spec fact comes
-back over the wire, a mirror slot holds only keys that moved past the
-spec, and so does a restore.
+(an ingest write or a decision's facts), so a tick in which nothing is
+written costs it nothing. It visits them in AgentId order, so digest
+message ids do not depend on the order in which agents wrote. A digest goes
+out from the agent itself, so its body is the {key: doc} map alone and the
+frame's src says whose it is. What goes in it, and against which base, the
+agent's own store decides (runtime.FactsStore.digest): it keeps what the
+mirror holds of each key, seeded from its spec and its restore.
 """
 
 from __future__ import annotations
@@ -84,7 +64,7 @@ from .logic import REFRESH_EVERY, topology_view
 from .netsim import LinkDown, PacketIn, Scenario, Simulator, TickStats, Topology
 from .orchestrator import home_broker
 from .pps import decode_body, encode_body
-from .runtime import SUPERVISOR, AgentHost, AgentSpec, digest_delta
+from .runtime import SUPERVISOR, AgentHost, AgentSpec
 from .bus import Bus
 
 _ADAPTER = FunctionKind.SWITCH_ADAPTER.value
@@ -114,9 +94,6 @@ class AgentSystem:
         self.orch = AgentId.parse(SUPERVISOR)
         self.session = AgentId(FunctionKind.SESSION, 0)  # handed the refresh tick
         self.stats: list[TickStats] = []
-        # per agent, the (version, value) of each digest key last exported;
-        # kept across a respawn, as it equals the mirror slot restored
-        self._exported: dict[str, dict[str, tuple[int, Any]]] = {}
         # every spawn the control endpoint performs, (agent, tick); replacements
         # show up as a second entry for the same agent
         self.spawn_log: list[tuple[str, int]] = []
@@ -152,19 +129,13 @@ class AgentSystem:
         doc = body["spec"]
         agent = AgentId.parse(doc["agent"])
         self.spawn_log.append((str(agent), self.host.now))
-        spec = AgentSpec(
-            agent=agent,
-            cognition=doc["cognition"],
-            initial_facts=doc.get("initial_facts", {}),
+        spawned = self.host.spawn_agent(
+            AgentSpec(
+                agent=agent,
+                cognition=doc["cognition"],
+                initial_facts=doc.get("initial_facts", {}),
+            )
         )
-        spawned = self.host.spawn_agent(spec)
-        # the pump's record starts at the spec: a digest key the spec holds
-        # is exported only once it moves past version 1, as a delta on it;
-        # a replacement's record already holds what the restore brings back
-        exported = self._exported.setdefault(str(agent), {})
-        for key in spawned.impl.digest_keys:
-            if key in spec.initial_facts:
-                exported.setdefault(key, (1, spawned.facts.get(key)))
         restore = body.get("restore") or {}
         if restore:
             spawned.facts.restore(restore)
@@ -269,26 +240,17 @@ class AgentSystem:
         """Send the changed digest facts of every live agent that had a facts
         write since the last pump (AgentHost.facts_written) straight to the
         orchestrator, in AgentId order, each as the {key: doc} map alone from
-        the agent itself (the frame's src names it): a dict-valued key as a
-        delta of the leaves that changed since the version last exported
-        for it, or since its spec value (runtime.digest_delta), a first
-        export of a key no spec holds or any other value whole.
-        The set is taken before the digests go out, so what their delivery
-        writes is shipped by the next pump. Every agent in it is live: a
-        kill lands after the pump, and a dead agent writes nothing."""
+        the agent itself (the frame's src names it), as its store builds it
+        (FactsStore.digest). The set is taken before the digests go out, so
+        what their delivery writes is shipped by the next pump. Every agent
+        in it is live: a kill lands after the pump, and a dead agent writes
+        nothing."""
         written = sorted(self.host.facts_written)
         self.host.facts_written.clear()
         pubs: list[Message] = []
         for agent_id in written:
             agent = self.host.agents[agent_id]
-            exported = self._exported.setdefault(str(agent_id), {})
-            changed: dict[str, Any] = {}
-            for key in agent.impl.digest_keys:
-                last = exported.get(key)
-                if agent.facts.version(key) > (last[0] if last else 0):
-                    doc = agent.facts.export([key])[key]
-                    changed[key] = digest_delta(doc, last)
-                    exported[key] = (doc["version"], doc["value"])
+            changed = agent.facts.digest(agent.impl.digest_keys)
             if changed:
                 pubs.append(
                     self.host.factory.new_message(

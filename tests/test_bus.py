@@ -116,8 +116,8 @@ class BusTest(unittest.TestCase):
             "loop", lambda m: [request(self.host, SESSION, "loop", {})]
         )
         self.bus.send(request(self.host, SESSION, "loop", {}))
-        with self.assertRaises(RuntimeError):
-            self.bus.run_to_quiescence(max_steps=50)
+        with patch("masdn.bus.MAX_HOPS", 50), self.assertRaises(RuntimeError):
+            self.bus.run_to_quiescence()
 
 
 class ProfileOnTheWire(unittest.TestCase):

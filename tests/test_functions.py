@@ -179,7 +179,7 @@ class TestQosAgent:
         conv = TestSessionConversation()
         for klass in ("interactive", "bulk"):
             facts = conv.facts([conv.session(klass=klass)],
-                               [conv.pending("path", **{"class": klass})])
+                               [conv.pending("path")])
             _writes, asks = conv.decide(facts, conv.answer({"path": conv.PATH}, "routing#0"))
             assert [(action, target) for action, target, _ in asks] == [
                 ("install", "forwarding#0")], klass
@@ -223,7 +223,7 @@ class TestForwardingAgent:
         assert out["facts"] == [("switch-rules", {"s1": {}})]
 
     def test_a_write_shares_every_switch_it_does_not_touch(self):
-        store = FactsStore()
+        store = FactsStore({})
         store.put("switch-rules", {"s1": {"h3|h4|20": "r0"}, "s2": {"h1|h2|20": "r1"}, "s3": {}})
         before = store.get("switch-rules")
         install = {"op": "install", **self.BODY, "first": 1}
@@ -333,7 +333,7 @@ class TestKnowledgePlane:
         return {"session#0": {"sessions": {"value": value, "version": version}}}
 
     def test_a_table_travels_as_a_delta_of_its_leaves_and_anything_else_whole(self):
-        store = FactsStore()
+        store = FactsStore({})
         store.put("sessions", {"s1": {"n": 1}, "s2": {"n": 2, "path": ["a", "b"]}})
         store.put("peers", ["a"])
         docs = store.export(["sessions", "peers"])
@@ -410,23 +410,17 @@ class TestKnowledgePlane:
             merge_digest(mirror, "session#0", self.delta(6, base, set_=[(["s1", "n"], 2)]), {})
 
     def test_deltas_fold_back_into_what_the_agent_exports(self):
-        store = FactsStore()
+        store = FactsStore({})
         store.put("sessions", {"s1": {"n": 1}, "s2": {"n": 2}})
         store.put("peers", ["a", "b"])
-        last, mirror = {}, {}
+        mirror = {}
 
         def pump():
             nonlocal mirror
-            docs = store.export(["sessions", "peers"])
-            keys = {
-                key: digest_delta(doc, last.get(key))
-                for key, doc in docs.items()
-                if key not in last or doc["version"] > last[key][0]
-            }
-            last.update((key, (doc["version"], doc["value"])) for key, doc in docs.items())
+            keys = store.digest(["sessions", "peers"])
             wire = decode_body(encode_body(keys))
             mirror = merge_digest(mirror, "session#0", wire, {})
-            assert mirror["session#0"] == docs
+            assert mirror["session#0"] == store.export(["sessions", "peers"])
             return keys
 
         first = pump()
@@ -452,10 +446,10 @@ class TestKnowledgePlane:
         facts = {"switch-rules": {}}
         for n in range(60):
             facts.update([install(facts, ["s1", "s2"], "h1", f"h{n + 2}", "bulk", 2 * n + 1)])
-        store = FactsStore()
+        store = FactsStore({})
         store.put("switch-rules", {})
         store.put("switch-rules", facts["switch-rules"])
-        last = (store.version("switch-rules"), store.get("switch-rules"))
+        last = (store.export(["switch-rules"])["switch-rules"]["version"], store.get("switch-rules"))
         store.put(*install(store.snapshot(), ["s1"], "h9", "h1", "interactive", 900))
         assert len(last[1]["s1"]) == 60
         doc = digest_delta(store.export(["switch-rules"])["switch-rules"], last)
@@ -509,7 +503,7 @@ def test_property_a_delta_folds_its_base_into_exactly_the_new_value(data):
 
 class TestSessionAgent:
     def test_decision_copies_only_the_records_it_changes(self):
-        store = FactsStore()
+        store = FactsStore({})
         store.put("peers", ["forwarding#0", "session#0"])
         store.put(
             "sessions",
@@ -520,8 +514,7 @@ class TestSessionAgent:
         )
         store.put(
             "pending",
-            {"s0002": {"stage": "install", "src": "h2", "dst": "h1",
-                       "class": "bulk", "path": ["s3", "s2"]}},
+            {"s0002": {"stage": "install", "path": ["s3", "s2"]}},
         )
         stored = store.get("sessions")
         answer = AgentInput(
@@ -561,8 +554,8 @@ class TestSessionConversation:
         }
 
     def pending(self, stage, **fields):
-        return {"stage": stage, "src": "h1", "dst": "h2", "size": 5,
-                "gap": 1, "hint": None, **fields}
+        # only what the conversation adds to the session's record
+        return {"stage": stage, **fields}
 
     def session(self, state=PENDING, klass="", **fields):
         return {**session_record("s0001", "h1", "h2", klass, 4, state=state, gap=1, size=5),
@@ -605,7 +598,7 @@ class TestSessionConversation:
         # the sessions table is the agent's one record of what it opened
         assert sorted(writes) == ["pending", "rule-seq", "sessions"]
         assert writes["sessions"]["s0001"] == self.session()
-        assert writes["pending"]["s0001"] == self.pending("classify")
+        assert writes["pending"]["s0001"] == self.pending("classify", hint=None)
         assert asks == [("classify", "classifier#0",
                          {"size": 5, "gap": 1, "hint": None, "ctx": "s0001"})]
 
@@ -637,41 +630,41 @@ class TestSessionConversation:
         facts = self.facts([self.session()], [self.pending("classify")])
         writes, asks = self.decide(facts, self.answer({"class": "realtime"}, "classifier#0"))
         assert writes["sessions"]["s0001"]["class"] == "realtime"
-        assert writes["pending"]["s0001"] == self.pending("path", **{"class": "realtime"})
+        assert writes["pending"]["s0001"] == self.pending("path")
         assert asks == [("path", "routing#0", {"src": "h1", "dst": "h2", "ctx": "s0001"})]
 
     def test_realtime_path_answer_asks_for_admission(self):
         facts = self.facts([self.session(klass="realtime")],
-                           [self.pending("path", **{"class": "realtime"})])
+                           [self.pending("path")])
         writes, asks = self.decide(facts, self.answer({"path": self.PATH}, "routing#0"))
         assert writes["pending"]["s0001"] == self.pending(
-            "admit", **{"class": "realtime"}, path=self.PATH)
+            "admit", path=self.PATH)
         assert asks == [("admit", "qos#0", {"path": self.PATH, "gap": 1, "ctx": "s0001",
                                             "class": "realtime"})]
         assert writes["rule-seq"] == 0
 
     def test_other_path_answer_installs_with_fresh_rule_ids(self):
         facts = self.facts([self.session(klass="bulk")],
-                           [self.pending("path", **{"class": "bulk"})], rule_seq=7)
+                           [self.pending("path")], rule_seq=7)
         writes, asks = self.decide(facts, self.answer({"path": self.PATH}, "routing#0"))
         # rule ids r0008, r0009 and r0010: forwarding numbers them from first
         assert writes["rule-seq"] == 10
         assert writes["pending"]["s0001"] == self.pending(
-            "install", **{"class": "bulk"}, path=self.PATH)
+            "install", path=self.PATH)
         assert asks == [("install", "forwarding#0", self.install(8, "bulk"))]
 
     def test_admission_marks_the_reservation_and_installs(self):
         facts = self.facts([self.session(klass="realtime")],
-                           [self.pending("admit", **{"class": "realtime"}, path=self.PATH)])
+                           [self.pending("admit", path=self.PATH)])
         writes, asks = self.decide(facts, self.answer({"admitted": True}, "qos#0"))
         assert writes["pending"]["s0001"] == self.pending(
-            "install", **{"class": "realtime"}, path=self.PATH, reserved=True)
+            "install", path=self.PATH, reserved=True)
         assert asks == [("install", "forwarding#0", self.install(1))]
 
     def test_install_answer_activates_the_session(self):
         facts = self.facts(
             [self.session(klass="realtime")],
-            [self.pending("install", **{"class": "realtime"}, path=self.PATH, reserved=True)],
+            [self.pending("install", path=self.PATH, reserved=True)],
             rule_seq=3,
         )
         writes, asks = self.decide(facts, self.answer({"ok": True, "installed": 3},
@@ -693,7 +686,7 @@ class TestSessionConversation:
 
     def test_no_path_answer_ends_unroutable_without_a_release(self):
         facts = self.facts([self.session(klass="bulk")],
-                           [self.pending("path", **{"class": "bulk"})])
+                           [self.pending("path")])
         writes, asks = self.decide(facts, self.answer({"path": None}, "routing#0"))
         assert asks == []
         assert writes["pending"] == {}
@@ -702,7 +695,7 @@ class TestSessionConversation:
 
     def test_qos_denial_ends_unroutable_without_a_release(self):
         facts = self.facts([self.session(klass="realtime")],
-                           [self.pending("admit", **{"class": "realtime"}, path=self.PATH)])
+                           [self.pending("admit", path=self.PATH)])
         writes, asks = self.decide(facts, self.answer({"admitted": False}, "qos#0"))
         assert asks == []
         assert writes["pending"] == {}
@@ -712,7 +705,7 @@ class TestSessionConversation:
     def test_violation_denies_the_install_and_releases_the_reservation(self):
         facts = self.facts(
             [self.session(klass="realtime")],
-            [self.pending("install", **{"class": "realtime"}, path=self.PATH, reserved=True)],
+            [self.pending("install", path=self.PATH, reserved=True)],
         )
         body = {"agent": "forwarding#0", "violations": [["rule-cap", "s1: 4 rules"]],
                 "steps": [{"action": "install-rule", "target": "s1",
@@ -749,7 +742,7 @@ class TestSessionConversation:
         assert [s["params"]["ctx"] for s in violation["steps"]] == ["s0001"] * len(path)
         assert host.agents[fwd].facts.get("switch-rules") == {"s1": {"h3|h1|10": "r0001"}}
         facts = self.facts([self.session(klass="realtime")],
-                           [self.pending("install", **{"class": "realtime"}, path=path)],
+                           [self.pending("install", path=path)],
                            rule_seq=4)
         writes, asks = self.decide(facts, event("events.violation", violation, dst="session#0"))
         assert asks == [] and writes["pending"] == {}
@@ -774,10 +767,7 @@ class TestSessionConversation:
         ]
         rec = writes["sessions"]["s0001"]
         assert (rec["state"], rec["reason"], rec["reserved"]) == (UPDATING, None, False)
-        assert writes["pending"]["s0001"] == {
-            "stage": "admit", "src": "h1", "dst": "h2", "size": 5, "gap": 1,
-            "hint": None, "class": "realtime", "path": self.PATH,
-        }
+        assert writes["pending"]["s0001"] == {"stage": "admit", "path": self.PATH}
 
     def test_reroute_denied_by_qos_ends_unroutable_after_one_release(self):
         facts = self.facts([self.session(ACTIVE, "realtime", path=["s1", "s3"], reserved=True)],

@@ -69,13 +69,13 @@ def tell(host, agent_id, body, kind=MessageKind.REQUEST, src=None, dst=None):
 
 class TestFactsStore:
     def test_versions_count_writes_per_key(self):
-        store = FactsStore()
+        store = FactsStore({})
         assert store.put("topology", {"links": []}) == 1
         assert store.put("topology", {"links": [1]}) == 2
         assert store.put("other", "x") == 1
 
     def test_an_equal_reput_keeps_the_entry_and_an_unequal_one_bumps_it(self):
-        store = FactsStore()
+        store = FactsStore({})
         assert store.put("view", {"links": [1, 2]}) == 1
         stored = store.get("view")
         assert store.put("view", {"links": [1, 2]}) == 1
@@ -84,7 +84,7 @@ class TestFactsStore:
         assert store.export(["view"])["view"] == {"value": {"links": [1, 3]}, "version": 2}
 
     def test_snapshot_key_set_is_isolated_from_the_store(self):
-        store = FactsStore()
+        store = FactsStore({})
         store.put("view", {"n": 1})
         snap = store.snapshot()
         snap["extra"] = "x"
@@ -93,19 +93,19 @@ class TestFactsStore:
         assert store.get("extra") is None
 
     def test_put_copies_the_value(self):
-        store = FactsStore()
+        store = FactsStore({})
         doc = {"n": 1}
         store.put("view", doc)
         doc["n"] = 99
         assert store.get("view") == {"n": 1}
 
     def test_export_restore_round_trip_keeps_versions(self):
-        store = FactsStore()
+        store = FactsStore({})
         store.put("a", 1)
         store.put("a", 2)
         store.put("b", "x")
         digest = store.export(["a", "b"])
-        fresh = FactsStore()
+        fresh = FactsStore({})
         fresh.restore(digest)
         assert fresh.get("a") == 2
         assert fresh.get("b") == "x"
@@ -113,14 +113,52 @@ class TestFactsStore:
         assert fresh.put("a", 3) == 3
 
     def test_an_exported_key_is_its_value_and_version_only(self):
-        store = FactsStore()
+        store = FactsStore({})
         store.put("a", {"n": 1})
         store.put("a", {"n": 2})
         digest = store.export(["a", "missing"])
         assert digest == {"a": {"value": {"n": 2}, "version": 2}}
-        fresh = FactsStore()
+        fresh = FactsStore({})
         fresh.restore(digest)
         assert fresh.export(["a"]) == digest
+
+    def test_a_new_stores_digest_ships_nothing_of_its_initial_facts(self):
+        # the mirror reads them from the agent's spec, at version 1
+        store = FactsStore({"view": {"links": [1]}, "peers": ["a"]})
+        assert store.export(["view", "peers"]) == {
+            "view": {"value": {"links": [1]}, "version": 1},
+            "peers": {"value": ["a"], "version": 1},
+        }
+        assert store.digest(["view", "peers"]) == {}
+
+    def test_a_write_to_a_spec_key_ships_a_delta_on_version_one(self):
+        store = FactsStore({"view": {"links": [1], "hosts": {}}})
+        store.put("view", {"links": [1, 2], "hosts": {}})
+        store.put("learnt", {"n": 1})
+        assert store.digest(["view", "learnt"]) == {
+            "view": {"version": 2, "base": 1, "set": [[["links"], [1, 2]]], "drop": []},
+            "learnt": {"value": {"n": 1}, "version": 1},  # no spec or mirror holds it
+        }
+        # what it shipped is what the mirror holds now
+        assert store.digest(["view", "learnt"]) == {}
+        store.put("learnt", {"n": 2})
+        assert store.digest(["view", "learnt"]) == {
+            "learnt": {"version": 2, "base": 1, "set": [[["n"], 2]], "drop": []},
+        }
+
+    def test_a_restored_key_ships_nothing_until_its_next_write_then_a_delta_on_it(self):
+        store = FactsStore({"view": {"n": 0}})
+        store.restore({"view": {"value": {"n": 4}, "version": 5},
+                       "learnt": {"value": {"m": 1}, "version": 3}})
+        assert store.digest(["view", "learnt"]) == {}
+        store.put("learnt", {"m": 1})  # an equal write moves nothing
+        assert store.digest(["view", "learnt"]) == {}
+        store.put("view", {"n": 5})
+        store.put("learnt", {"m": 2})
+        assert store.digest(["view", "learnt"]) == {
+            "view": {"version": 6, "base": 5, "set": [[["n"], 5]], "drop": []},
+            "learnt": {"version": 4, "base": 3, "set": [[["m"], 2]], "drop": []},
+        }
 
     MUTATIONS = {
         "dict setitem": lambda v: v["d"].__setitem__("n", 2),
@@ -148,7 +186,7 @@ class TestFactsStore:
     @pytest.mark.parametrize("read", ["get", "snapshot"])
     @pytest.mark.parametrize("mutation", sorted(MUTATIONS))
     def test_nested_mutation_of_stored_facts_raises(self, read, mutation):
-        store = FactsStore()
+        store = FactsStore({})
         store.put("doc", {"d": {"n": 1}, "l": [2, 1]})
         value = store.get("doc") if read == "get" else store.snapshot()["doc"]
         with pytest.raises(TypeError):
@@ -156,7 +194,7 @@ class TestFactsStore:
         assert store.get("doc") == {"d": {"n": 1}, "l": [2, 1]}
 
     def test_reput_keeps_stored_subtrees_by_identity(self):
-        store = FactsStore()
+        store = FactsStore({})
         store.put("table", {"a": {"n": 1, "path": ["s1"]}, "b": {"n": 2}})
         stored = store.get("table")
         store.put("table", {**stored, "b": {**stored["b"], "n": 3}})
@@ -167,7 +205,7 @@ class TestFactsStore:
 
     def test_restore_is_isolated_from_the_digest_given(self):
         digest = {"k": {"value": {"l": [1], "d": {"n": 1}}, "version": 2}}
-        store = FactsStore()
+        store = FactsStore({})
         store.restore(digest)
         digest["k"]["value"]["l"].append(2)
         digest["k"]["value"]["d"]["n"] = 9

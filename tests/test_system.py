@@ -130,7 +130,7 @@ class TestOnePassGenesis:
         system = AgentSystem(topo, scen, {"event_strategy": "distributed"})
         system.genesis()
         facts = system.host.agents[AgentId.parse(ORCH)].facts
-        written = {key: facts.version(key) for key in facts.snapshot()}
+        written = {key: doc["version"] for key, doc in facts.export(facts.snapshot()).items()}
         assert written == {"config": 1, "topology": 1, "endpoints": 1, "specs": 1}
 
     def test_brokers_keep_their_spec_facts_and_have_no_mirror_slot(self):
@@ -143,7 +143,7 @@ class TestOnePassGenesis:
             facts = system.host.agents[AgentId.parse(broker)].facts
             for key, value in specs[broker]["initial_facts"].items():
                 assert facts.get(key) == value
-                assert facts.version(key) == 1
+                assert facts.export([key])[key]["version"] == 1
 
     def test_the_orchestrators_id_is_the_memoised_one(self):
         # AgentId.parse gives this very object, so the fabric's and the
@@ -378,7 +378,7 @@ class TestPumpFollowsWrites:
 
         for name in ("put", "restore"):
             spy(name, "write")
-        for name in ("version", "export"):
+        for name in ("digest", "export"):
             spy(name, "read")
         pump = AgentSystem._pump_digests
         pumps = []  # per tick: facts writes since the last pump began, reads by this pump
@@ -749,6 +749,11 @@ class TestExitNotices:
         agents = system.run()
         assert system.spawn_log[len(plan_roster(system.config)):] == [(victim, 21)]
         assert victim in restored
+        # the session agent's pending table is not digested, and it is empty
+        # at every kill, so an empty one counts as absent
+        for facts in (*held.values(), *restored.values()):
+            if facts.get("pending") == {}:
+                del facts["pending"]
         assert restored == held
         assert compare(agents, MonolithicController(topo, scen, config).run()) == {}
 
@@ -788,6 +793,33 @@ class TestEveryKillTick:
             (agent, t + 1) for t in at for agent in order
         ]
         assert compare(system.outcome(), MonolithicController(topo, scen, config).run()) == {}
+
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_no_conversation_is_in_flight_at_a_pump_and_the_mirror_keeps_no_pending(self, strategy):
+        # every conversation ends in the quiescence run that starts it, and a
+        # kill lands after the pump, so the session agent's pending table is
+        # empty at every pump: it is not a digest key, and no slot holds it
+        rng = random.Random(3)
+        tdoc = gen_topology(rng, 8)
+        topo, scen = build(tdoc, gen_scenario(rng, tdoc, 8, 2, 60, long_lived=True))
+        broker = broker_ids(strategy)[-1]
+        kills = {"9": ["session#0"], "20": ["qos#0"], "31": [broker, "session#0"]}
+        system = AgentSystem(topo, scen, {"event_strategy": strategy, "kills": kills})
+        pump, pumped = system._pump_digests, []
+
+        def pump_spy():
+            pumped.append(system.host.get(system.session).facts.get("pending", {}))
+            pump()
+
+        system._pump_digests = pump_spy
+        system.genesis()
+        orch = system.host.get(system.orch).facts
+        for t in range(scen.duration):
+            system.tick(t)
+            assert pumped[t] == {}, t
+            assert "pending" not in orch.get("mirror", {}).get("session#0", {}), t
+        assert [a for a, _t in system.spawn_log].count("session#0") == 3
+        assert compare(system.outcome(), MonolithicController(topo, scen, system.config).run()) == {}
 
 
 class TestTheOrchestratorsTraffic:
